@@ -1,8 +1,13 @@
-"""Index arithmetic for dense enumeration of F_p^m.
+"""Index arithmetic for dense enumeration of (Z/pZ)^m.
 
-Grid elements are encoded as integers in [0, p^m) with base-p digits,
-digit 0 least significant. A k x n matrix X over F_p flattens row-major,
-so digit (i*n + j) is entry (row i, col j) and (0, 0) is least significant.
+This is the one module that knows the index encoding. Elements are encoded
+as integers in [0, p^m) with base-p digits, digit 0 least significant. A
+k x n matrix X over F_p flattens row-major, so digit (i*n + j) is entry
+(row i, col j) and (0, 0) is least significant. The cyclic group Z_N is the
+radix-N, one-digit case (p = N, m = 1, k = n = 1).
+
+Every shift, linear map and sum of elements is a gather through an index
+array built here.
 """
 
 from __future__ import annotations
@@ -36,11 +41,48 @@ def encode_digits(digits: np.ndarray, p: int) -> np.ndarray:
     return (digits % p) @ pow_vector(p, m)
 
 
+def encode_index(p: int, digits) -> int:
+    """Index of one digit vector, digit 0 first, as an exact Python int."""
+    return sum(int(d) % p * p**j for j, d in enumerate(digits))
+
+
+def decode_index(p: int, m: int, index: int) -> list[int]:
+    """The m digits of one index, digit 0 first (one row of digit_table)."""
+    return [index // p**j % p for j in range(m)]
+
+
 def add_perm(p: int, m: int, shift_digits) -> np.ndarray:
-    """Permutation array q with q[x] = index of (x + shift)."""
+    """Permutation array q with q[x] = index of (x + shift).
+
+    Base-p addition has no carries, so q is the outer sum of the m one-digit
+    tables ((d + s_j) mod p) * p^j.
+    """
+    shift = np.asarray(shift_digits, dtype=np.int64) % p
+    digit = np.arange(p, dtype=np.int64)
+    q = np.zeros(1, dtype=np.int64)
+    for j in range(m):
+        s = int(shift[j])
+        # (d + s) mod p for every digit d, by rotation rather than division
+        column = np.concatenate((digit[s:], digit[:s])) * p**j
+        q = (column[:, None] + q).reshape(-1)
+    return q
+
+
+def add_index(p: int, m: int, a, b) -> np.ndarray:
+    """Index of a + b for broadcastable index arrays a and b.
+
+    Works one digit at a time, so no array of shape (..., m) is built.
+    """
+    a, b = np.asarray(a), np.asarray(b)
     digits = digit_table(p, m)
-    shifted = (digits + np.asarray(shift_digits, dtype=np.int64)) % p
-    return encode_digits(shifted, p)
+    out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.int64)
+    for j in range(m):
+        col = digits[:, j]
+        s = col[a] + col[b]
+        s %= p
+        s *= p**j
+        out += s
+    return out
 
 
 def linear_perm(p: int, k: int, n: int, M_rows) -> np.ndarray:
@@ -55,6 +97,10 @@ def linear_perm(p: int, k: int, n: int, M_rows) -> np.ndarray:
     return encode_digits(out.reshape(-1, m), p)
 
 
-def negate_perm(p: int, m: int) -> np.ndarray:
-    digits = digit_table(p, m)
-    return encode_digits((-digits) % p, p)
+def dft(values, p: int, m: int, inverse: bool = False) -> np.ndarray:
+    """Discrete Fourier transform over (Z/pZ)^m of an array in index order:
+    numpy's fftn, or ifftn if inverse, on the (p,)*m tensor whose axis j is
+    digit j."""
+    T = np.asarray(values, dtype=np.complex128).reshape((p,) * m, order="F")
+    out = np.fft.ifftn(T) if inverse else np.fft.fftn(T)
+    return out.reshape(-1, order="F")

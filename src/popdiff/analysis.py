@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import DEFAULT_GUARD
-from ._grid import digit_table, encode_digits, linear_perm
+from ._grid import add_index, add_perm, digit_table, linear_perm
 from .errors import DimensionMismatch, NotAutomorphism, NotMeasurable, TooLarge
 from .ffalg import FpMatrix, is_invertible, row_space_rank
 from .gridfn import (
@@ -104,19 +104,10 @@ class EquidistributionReport:
 # Shift helpers
 
 
-def _digits_of(f_or_p, m: int, index: int) -> np.ndarray:
-    p = f_or_p if isinstance(f_or_p, int) else f_or_p.p
-    return digit_table(p, m)[index]
-
-
 def translate(f: GridFunction, shift: FpMatrix) -> np.ndarray:
     """Array of f(X + shift) indexed by X."""
-    m = f.k * f.n
-    digs = [shift[i, j] for i in range(f.k) for j in range(f.n)]
-    # digit pos = i*n + j matches grid_encode
-    T = f.tensor()
-    rolled = np.roll(T, shift=tuple(-d for d in digs), axis=tuple(range(m)))
-    return rolled.reshape(-1, order="F")
+    # the row-major entries of the k x n shift are its digits
+    return f.values[add_perm(f.p, f.k * f.n, shift.entries)]
 
 
 def _as_point(spec_p: int, k: int, n: int, d) -> FpMatrix:
@@ -204,12 +195,6 @@ def popular_search(
 # Gowers norms
 
 
-def _translate_vals(values: np.ndarray, p: int, m: int, h_index: int) -> np.ndarray:
-    digs = digit_table(p, m)[h_index]
-    T = values.reshape((p,) * m, order="F")
-    return np.roll(T, shift=tuple(-int(d) for d in digs), axis=tuple(range(m))).reshape(-1, order="F")
-
-
 def gowers_norm(f: GridFunction, s: int, mode: str = "recursive", guard: int = DEFAULT_GUARD) -> float:
     """Gowers U^s norm of f on the full group F_p^{kn}; U^1 is |mean|.
 
@@ -236,21 +221,19 @@ def gowers_norm(f: GridFunction, s: int, mode: str = "recursive", guard: int = D
 def _gowers_power_recursive(vals: np.ndarray, p: int, m: int, s: int) -> float:
     if s == 1:
         return abs(vals.mean()) ** 2
-    P = p**m
+    digs = digit_table(p, m)
     total = 0.0
-    for h in range(P):
-        deriv = vals * np.conj(_translate_vals(vals, p, m, h))
+    for shift in digs:
+        deriv = vals * np.conj(vals[add_perm(p, m, shift)])
         total += _gowers_power_recursive(deriv, p, m, s - 1)
-    return total / P
+    return total / len(digs)
 
 
 def _gowers_power_direct(vals: np.ndarray, p: int, m: int, s: int) -> float:
     P = p**m
-    shifted = [_translate_vals(vals, p, m, h) for h in range(P)]
-    add = np.empty((P, P), dtype=np.int64)
-    digs = digit_table(p, m)
-    for h in range(P):
-        add[h] = encode_digits(digs + digs[h], p)
+    shifted = [vals[add_perm(p, m, shift)] for shift in digit_table(p, m)]
+    idx = np.arange(P)
+    add = add_index(p, m, idx[:, None], idx[None, :])
     total = 0.0
     for h_tuple in itertools.product(range(P), repeat=s):
         prod = np.ones(P, dtype=np.complex128)
@@ -478,10 +461,9 @@ def pattern_tuple_distribution(
     tup_counts = []
     total = 0
     for d in d_indices:
-        shift = digs[d]
-        perm1 = encode_digits(digs + shift, p)
-        perm2 = encode_digits(digs + digs[jperm[d]], p)
-        perm3 = encode_digits(digs + digs[ijperm[d]], p)
+        perm1 = add_perm(p, k * n, digs[d])
+        perm2 = add_perm(p, k * n, digs[jperm[d]])
+        perm3 = add_perm(p, k * n, digs[ijperm[d]])
         tup = np.concatenate([coords, coords[perm1], coords[perm2], coords[perm3]], axis=1)
         cells, counts = np.unique(tup, axis=0, return_counts=True)
         total += P
@@ -625,9 +607,9 @@ def structured_pattern_average(
     exact = f.kind == RATIONAL
     acc = Fraction(0) if exact else 0.0
     for d in d_indices:
-        perm1 = encode_digits(digs + digs[d], p)
-        perm2 = encode_digits(digs + digs[jperm[d]], p)
-        perm3 = encode_digits(digs + digs[ijperm[d]], p)
+        perm1 = add_perm(p, k * n, digs[d])
+        perm2 = add_perm(p, k * n, digs[jperm[d]])
+        perm3 = add_perm(p, k * n, digs[ijperm[d]])
         prod = f.values * f.values[perm1] * f.values[perm2] * f.values[perm3]
         acc += sum(prod, Fraction(0)) if exact else math.fsum(prod)
     lhs = acc / (P * P)

@@ -16,12 +16,12 @@ from fractions import Fraction
 import numpy as np
 
 from . import DEFAULT_GUARD
-from ._grid import digit_table
-from .errors import DependentDirections, TooLarge
-from .ffalg import FpMatrix, mat_inverse, nullspace, row_space_rank
+from ._grid import add_index, add_perm, digit_table, encode_digits, linear_perm
+from .errors import DependentDirections, Singular, TooLarge
+from .ffalg import FpMatrix, is_invertible, mat_inverse, nullspace, row_space_rank
 from .gridfn import FLOAT, GridFunction
 from .patterns import PatternSpec, SubspaceBasis
-from .analysis import EquidistributionReport, FLOAT_SLACK
+from .analysis import EquidistributionReport, FLOAT_SLACK, _deviation
 
 P5 = 5
 
@@ -118,7 +118,7 @@ def diagonalize_rotated_square() -> dict:
     return {
         "spec": spec,
         "gamma": gamma,
-        "gamma_invertible": True,
+        "gamma_invertible": is_invertible(gamma),
         "conjugation_identity": conj == diag,
         "second_coordinate_multipliers": tuple(mults),
         "second_coordinates_ok": tuple(mults) == (0, 1, (-2) % p, (-1) % p),
@@ -130,17 +130,11 @@ def diagonalize_rotated_square() -> dict:
 # f1 and the eight-tuple distribution
 
 
-def _digit_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
-    digs = digit_table(P5, n)
-    pows = P5 ** np.arange(n, dtype=np.int64)
-    return digs, pows
-
-
 def f1_matrix(core: CexCore, n: int, guard: int = DEFAULT_GUARD) -> np.ndarray:
     """f1 as a (5^n, 5^n) 0/1 matrix indexed by (x index, y index)."""
     if 5 ** (2 * n) > guard:
         raise TooLarge(f"5^(2n) = {5 ** (2 * n)} exceeds guard {guard}")
-    digs, _ = _digit_arrays(n)
+    digs = digit_table(P5, n)
     xx = np.einsum("xi,xi->x", digs, digs) % 5
     xy = (digs @ digs.T) % 5
     return core.g1[xx[:, None], xy].astype(np.uint8)
@@ -159,11 +153,6 @@ def f1_exact_mean(core: CexCore, n: int, guard: int = DEFAULT_GUARD) -> Fraction
     return Fraction(int(F.sum()), F.size)
 
 
-def _add_perm(n: int, vec: np.ndarray) -> np.ndarray:
-    digs, pows = _digit_arrays(n)
-    return ((digs + vec) % 5) @ pows
-
-
 def f1_pattern_count_exact(core: CexCore, n: int, a, b, guard: int = DEFAULT_GUARD) -> Fraction:
     """beta_1(a, b): exact four-point density of f1 at the difference (a, b)."""
     F = f1_matrix(core, n, guard)
@@ -176,8 +165,8 @@ def f1_pattern_count_exact(core: CexCore, n: int, a, b, guard: int = DEFAULT_GUA
 def _pattern_count_matrix(F: np.ndarray, n: int, a: np.ndarray, b: np.ndarray) -> int:
     prod = F.astype(np.int64)
     for cx, cy in SHIFT_COEFFS[1:]:
-        px = _add_perm(n, (cx * a) % 5)
-        py = _add_perm(n, (cy * b) % 5)
+        px = add_perm(P5, n, cx * a)
+        py = add_perm(P5, n, cy * b)
         prod = prod * F[px][:, py]
     return int(prod.sum())
 
@@ -199,7 +188,7 @@ def eight_tuple_distribution(a, b, n: int, guard: int = DEFAULT_GUARD) -> Equidi
         raise DependentDirections("a, b must be nonzero and not multiples of each other")
     if 5 ** (2 * n) > guard:
         raise TooLarge(f"5^(2n) = {5 ** (2 * n)} exceeds guard {guard}")
-    digs, _ = _digit_arrays(n)
+    digs = digit_table(P5, n)
     P = 5**n
     la = (digs @ a) % 5
     lb = (digs @ b) % 5
@@ -218,11 +207,7 @@ def eight_tuple_distribution(a, b, n: int, guard: int = DEFAULT_GUARD) -> Equidi
     aa = int(a @ a % 5)
     ab = int(a @ b % 5)
     # map observed 5-tuples (s, t, q, u, v) to the 8-tuple
-    s_ = cells5 // (5**4) % 5
-    t_ = cells5 // (5**3) % 5
-    q_ = cells5 // (5**2) % 5
-    u_ = cells5 // 5 % 5
-    v_ = cells5 % 5
+    v_, u_, q_, t_, s_ = digit_table(P5, 5)[cells5].T
     T = np.stack(
         [
             q_,
@@ -246,7 +231,7 @@ def eight_tuple_distribution(a, b, n: int, guard: int = DEFAULT_GUARD) -> Equidi
     return EquidistributionReport(
         support_ok=support_ok,
         predicted_cell_probability=predicted,
-        max_multiplicative_deviation=_max_dev(counts, 5 ** (2 * n), predicted),
+        max_multiplicative_deviation=_deviation(counts, 5 ** (2 * n), predicted),
         cells_observed=len(cells5),
         predicted_support_size=5**5,
         support_equal=support_ok and len(cells5) == 5**5,
@@ -256,11 +241,6 @@ def eight_tuple_distribution(a, b, n: int, guard: int = DEFAULT_GUARD) -> Equidi
             "missing_cells": 5**5 - len(cells5),
         },
     )
-
-
-def _max_dev(counts: np.ndarray, total: int, predicted: Fraction) -> float:
-    obs = counts / total
-    return float(np.max(np.abs(obs / float(predicted) - 1.0))) if len(counts) else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -477,9 +457,9 @@ def _uniform_table(master_seed: int, seed_index: int, table_id: int, size: int) 
 
 def _combo_index(n: int, alpha: int, beta: int) -> np.ndarray:
     """(P, P) array of indices of alpha*x + beta*y over all (x, y)."""
-    digs, pows = _digit_arrays(n)
-    comb = (alpha * digs[:, None, :] + beta * digs[None, :, :]) % 5
-    return comb @ pows
+    scale_a = linear_perm(P5, 1, n, [[alpha]])
+    scale_b = linear_perm(P5, 1, n, [[beta]])
+    return add_index(P5, n, scale_a[:, None], scale_b[None, :])
 
 
 def dressed_h_matrix(core: CexCore, h: Hypergraphon, n: int, master_seed: int, seed_index: int,
@@ -661,7 +641,7 @@ def _random_affine(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.nda
         M = FpMatrix.from_rows(A.tolist(), 5)
         try:
             Minv = mat_inverse(M)
-        except Exception:
+        except Singular:
             continue
         c = rng.integers(0, 5, size=n)
         return A, np.array(Minv.to_lists(), dtype=np.int64), c
@@ -670,7 +650,7 @@ def _random_affine(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.nda
 def _membership_masks(n: int, gamma: int, master_seed: int, seed_index: int) -> tuple[np.ndarray, np.ndarray]:
     """mask1[ix, iy] = [x in phi(y) T], mask2[ix, iy] = [y in phi'(x) T]."""
     P = 5**n
-    digs, _ = _digit_arrays(n)
+    digs = digit_table(P5, n)
     masks = []
     for which, table_id in (("phi", 101), ("phiprime", 102)):
         mask = np.zeros((P, P), dtype=np.uint8)
@@ -737,7 +717,7 @@ def sparse_pattern_max(fm: np.ndarray, n: int, chunk_pairs: int = 2_000_000) -> 
     K = len(xs)
     if K == 0:
         return {"max_beta": 0.0, "argmax": None, "support": 0}
-    digs, pows = _digit_arrays(n)
+    digs = digit_table(P5, n)
     packed = np.sort(xs.astype(np.int64) * P + ys.astype(np.int64))
     hit_codes: dict[int, int] = {}
     rows_per_chunk = max(1, chunk_pairs // K)
@@ -753,12 +733,12 @@ def sparse_pattern_max(fm: np.ndarray, n: int, chunk_pairs: int = 2_000_000) -> 
         x1, y1, da, db = x1[nonzero], y1[nonzero], da[nonzero], db[nonzero]
         if len(x1) == 0:
             continue
-        p3 = (((digs[x1] + 2 * da) % 5) @ pows) * P + ((digs[y1] - 2 * db) % 5) @ pows
-        p4 = (((digs[x1] + 3 * da) % 5) @ pows) * P + ((digs[y1] - db) % 5) @ pows
+        p3 = encode_digits(digs[x1] + 2 * da, P5) * P + encode_digits(digs[y1] - 2 * db, P5)
+        p4 = encode_digits(digs[x1] + 3 * da, P5) * P + encode_digits(digs[y1] - db, P5)
         ok = np.isin(p3, packed) & np.isin(p4, packed)
         if not ok.any():
             continue
-        codes = (da[ok] @ pows) * P + (db[ok] @ pows)
+        codes = encode_digits(da[ok], P5) * P + encode_digits(db[ok], P5)
         vals, counts = np.unique(codes, return_counts=True)
         for v, c in zip(vals, counts):
             hit_codes[int(v)] = hit_codes.get(int(v), 0) + int(c)

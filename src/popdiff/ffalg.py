@@ -1,4 +1,4 @@
-"""Exact arithmetic over F_p: scalars, polynomials, dense matrices.
+"""Exact arithmetic over F_p: polynomials and dense matrices.
 
 Everything in this module is exact integer-residue arithmetic; no floating
 point. Matrices are immutable, entries stored row-major as plain ints in
@@ -8,7 +8,6 @@ point. Matrices are immutable, entries stored row-major as plain ints in
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import BothZero, DimensionMismatch, Singular
@@ -35,42 +34,6 @@ def validate_odd_prime(p: int) -> int:
     if not isinstance(p, int) or p > 10**6 or not is_odd_prime(p):
         raise ValueError(f"modulus must be an odd prime <= 10**6, got {p!r}")
     return p
-
-
-@dataclass(frozen=True)
-class FpScalar:
-    """Residue in F_p, kept reduced to [0, p)."""
-
-    value: int
-    p: int
-
-    def __post_init__(self):
-        validate_odd_prime(self.p)
-        object.__setattr__(self, "value", self.value % self.p)
-
-    def __add__(self, other: "FpScalar") -> "FpScalar":
-        self._same_field(other)
-        return FpScalar(self.value + other.value, self.p)
-
-    def __sub__(self, other: "FpScalar") -> "FpScalar":
-        self._same_field(other)
-        return FpScalar(self.value - other.value, self.p)
-
-    def __mul__(self, other: "FpScalar") -> "FpScalar":
-        self._same_field(other)
-        return FpScalar(self.value * other.value, self.p)
-
-    def __neg__(self) -> "FpScalar":
-        return FpScalar(-self.value, self.p)
-
-    def inverse(self) -> "FpScalar":
-        if self.value == 0:
-            raise Singular("0 has no inverse")
-        return FpScalar(pow(self.value, -1, self.p), self.p)
-
-    def _same_field(self, other: "FpScalar"):
-        if self.p != other.p:
-            raise DimensionMismatch(f"moduli differ: {self.p} vs {other.p}")
 
 
 class FpPoly:

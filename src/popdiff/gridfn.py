@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import DEFAULT_GUARD
-from ._grid import digit_table
+from ._grid import decode_index, digit_table, encode_index
 from .errors import (
     BadMagic,
     CorruptLength,
@@ -46,20 +46,11 @@ def grid_size(p: int, k: int, n: int) -> int:
 def grid_encode(X: FpMatrix) -> int:
     """Index of a k x n point: digit (i*n + j) is entry (i, j), (0,0) least
     significant. Every file format and report depends on this encoding."""
-    idx = 0
-    m = X.rows * X.cols
-    for pos in range(m - 1, -1, -1):
-        i, j = divmod(pos, X.cols)
-        idx = idx * X.p + X[i, j]
-    return idx
+    return encode_index(X.p, X.entries)
 
 
 def grid_decode(p: int, k: int, n: int, index: int) -> FpMatrix:
-    entries = []
-    for _ in range(k * n):
-        entries.append(index % p)
-        index //= p
-    return FpMatrix(k, n, entries, p)
+    return FpMatrix(k, n, decode_index(p, k * n, index), p)
 
 
 @dataclass(frozen=True)
@@ -138,12 +129,6 @@ class GridFunction:
     @property
     def size(self) -> int:
         return self.values.shape[0]
-
-    def tensor(self) -> np.ndarray:
-        """Reshape to (p,)*kn; axis 0 is the least significant digit."""
-        # index = sum d_j p^j means C-order reshape puts digit 0 last; use
-        # Fortran-style ordering so axis j corresponds to digit j.
-        return self.values.reshape((self.p,) * (self.k * self.n), order="F")
 
     def mean(self):
         if self.kind == RATIONAL:

@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import DEFAULT_GUARD
-from ._grid import digit_table, encode_digits, linear_perm
+from ._grid import add_index, add_perm as shift_perm, dft, digit_table, encode_digits, linear_perm
 from .analysis import FLOAT_SLACK, PatternCountReport
 from .errors import NoPrimeInWindow, NonConvergent, NotAutomorphism, TooLarge
 from .ffalg import FpMatrix, is_invertible
@@ -55,97 +55,83 @@ class FiniteGroupSpec:
 
     kind 'Z_N': elements and characters are Z/NZ, automorphisms are unit
     multipliers. kind 'vector': elements are (F_p^n)^k grid indices,
-    automorphisms are k x k matrices over F_p.
+    automorphisms are k x k matrices over F_p. Both share one index
+    arithmetic: Z_N is the radix-N, one-digit case (modulus N, k = n = 1).
+    The gather tables of M1, M2, their transposes and -I are built once.
     """
 
     def __init__(self, kind: str, *, N: int | None = None, M1=None, M2=None,
                  p: int | None = None, k: int = 1, n: int = 1, guard: int = DEFAULT_GUARD):
         self.kind = kind
         if kind == "Z_N":
-            self.N = int(N)
-            self.size = self.N
-            self.modulus = self.N
+            self.N = self.modulus = int(N)
+            self.k = self.n = 1
+        elif kind == "vector":
+            self.p = self.modulus = int(p)
+            self.k, self.n = int(k), int(n)
+        else:
+            raise ValueError(f"unknown group kind {kind!r}")
+        self.m = self.k * self.n
+        self.size = self.modulus**self.m
+        if self.size > guard:
+            raise TooLarge(f"group order {self.size} exceeds guard {guard}")
+        if kind == "Z_N":
             self.M1 = int(M1) % self.N
             self.M2 = int(M2) % self.N
             for M in (self.M1, self.M2, (self.M1 - self.M2) % self.N):
                 if math.gcd(M, self.N) != 1:
                     raise NotAutomorphism(f"{M} is not a unit mod {self.N}")
-        elif kind == "vector":
-            self.p, self.k, self.n = int(p), int(k), int(n)
-            self.size = self.p ** (self.k * self.n)
-            if self.size > guard:
-                raise TooLarge(f"group order {self.size} exceeds guard {guard}")
-            self.modulus = self.p
+            rows1, rows2 = [[self.M1]], [[self.M2]]
+        else:
             self.M1 = M1 if isinstance(M1, FpMatrix) else FpMatrix.from_rows(M1, self.p)
             self.M2 = M2 if isinstance(M2, FpMatrix) else FpMatrix.from_rows(M2, self.p)
             for M in (self.M1, self.M2, self.M1.sub(self.M2)):
                 if not is_invertible(M):
                     raise NotAutomorphism("M1, M2, M1 - M2 must be invertible")
-        else:
-            raise ValueError(f"unknown group kind {kind!r}")
+            rows1, rows2 = self.M1.to_lists(), self.M2.to_lists()
+        self._digits = digit_table(self.modulus, self.m)
+        minus_one = [[-int(i == j) for j in range(self.k)] for i in range(self.k)]
+        self._perms = {}
+        for key, rows in (("M1", rows1), ("M2", rows2), ("M1T", list(zip(*rows1))),
+                          ("M2T", list(zip(*rows2))), ("neg", minus_one)):
+            perm = linear_perm(self.modulus, self.k, self.n, rows)
+            perm.setflags(write=False)
+            self._perms[key] = perm
 
     # -- index arithmetic ------------------------------------------------
 
     def apply(self, which: int, idx: np.ndarray) -> np.ndarray:
         """Indices of M_which applied to the given elements."""
-        M = self.M1 if which == 1 else self.M2
-        if self.kind == "Z_N":
-            return (np.asarray(idx) * M) % self.N
-        perm = linear_perm(self.p, self.k, self.n, M.to_lists())
-        return perm[np.asarray(idx)]
+        return self._perms["M1" if which == 1 else "M2"][np.asarray(idx)]
 
     def add_perm(self, shift_idx: int) -> np.ndarray:
         """Permutation q with q[x] = x + shift."""
-        if self.kind == "Z_N":
-            return (np.arange(self.N) + shift_idx) % self.N
-        digs = digit_table(self.p, self.k * self.n)
-        return encode_digits(digs + digs[shift_idx], self.p)
+        return shift_perm(self.modulus, self.m, self._digits[shift_idx])
 
     def neg(self, idx: np.ndarray) -> np.ndarray:
-        if self.kind == "Z_N":
-            return (-np.asarray(idx)) % self.N
-        digs = digit_table(self.p, self.k * self.n)
-        return encode_digits((-digs[np.asarray(idx)]) % self.p, self.p)
+        return self._perms["neg"][np.asarray(idx)]
 
     def char_numerators(self, xi_idx: int) -> np.ndarray:
         """Pairing numerators <xi, x> over all x; the character value is
-        e(num / modulus)."""
-        if self.kind == "Z_N":
-            return (xi_idx * np.arange(self.N)) % self.N
-        digs = digit_table(self.p, self.k * self.n)
-        return (digs @ digs[xi_idx]) % self.p
+        e(num / modulus). For Z_N any integer representative of xi works."""
+        return (self._digits @ self._digits[xi_idx % self.size]) % self.modulus
 
     def char_compose_perm(self, which: int) -> np.ndarray:
         """Permutation c with c[xi] = index of the character x -> xi(M_which x)."""
-        if self.kind == "Z_N":
-            M = self.M1 if which == 1 else self.M2
-            return (np.arange(self.N) * M) % self.N
-        M = (self.M1 if which == 1 else self.M2).transpose()
-        return linear_perm(self.p, self.k, self.n, M.to_lists())
+        return self._perms["M1T" if which == 1 else "M2T"]
 
     def char_compose(self, xi_idx: int, which: int) -> int:
         return int(self.char_compose_perm(which)[xi_idx])
 
     def fft(self, values: np.ndarray) -> np.ndarray:
         """Fourier coefficients f_hat(xi) = E_x f(x) e(-<xi, x>/modulus)."""
-        if self.kind == "Z_N":
-            return np.fft.fft(np.asarray(values, dtype=np.complex128)) / self.N
-        m = self.k * self.n
-        T = np.asarray(values, dtype=np.complex128).reshape((self.p,) * m, order="F")
-        return np.fft.fftn(T).reshape(-1, order="F") / self.size
+        return dft(values, self.modulus, self.m) / self.size
 
     def ifft(self, coeffs: np.ndarray) -> np.ndarray:
-        if self.kind == "Z_N":
-            return np.fft.ifft(np.asarray(coeffs)) * self.N
-        m = self.k * self.n
-        T = np.asarray(coeffs, dtype=np.complex128).reshape((self.p,) * m, order="F")
-        return np.fft.ifftn(T).reshape(-1, order="F") * self.size
+        return dft(coeffs, self.modulus, self.m, inverse=True) * self.size
 
     def char_sum_index(self, xi1: np.ndarray, xi2: np.ndarray) -> np.ndarray:
-        if self.kind == "Z_N":
-            return (xi1 + xi2) % self.N
-        digs = digit_table(self.p, self.k * self.n)
-        return encode_digits(digs[xi1] + digs[xi2], self.p)
+        return add_index(self.modulus, self.m, xi1, xi2)
 
     def to_json_obj(self) -> dict:
         if self.kind == "Z_N":
@@ -214,13 +200,9 @@ def bohr_set(group: FiniteGroupSpec, S, delta) -> BohrSet:
 def convolved_measure(B: BohrSet) -> np.ndarray:
     """nu = mu_B * mu_B as an exact-mass float array (mass 1/|B|^2 per pair)."""
     members = np.array(B.members, dtype=np.int64)
-    size = B.group.size
-    if B.group.kind == "Z_N":
-        sums = (members[:, None] + members[None, :]) % size
-    else:
-        digs = digit_table(B.group.p, B.group.k * B.group.n)
-        sums = encode_digits(digs[members][:, None, :] + digs[members][None, :, :], B.group.p)
-    counts = np.bincount(sums.reshape(-1), minlength=size)
+    g = B.group
+    sums = add_index(g.modulus, g.m, members[:, None], members[None, :])
+    counts = np.bincount(sums.reshape(-1), minlength=g.size)
     return counts / (len(members) ** 2)
 
 
@@ -475,17 +457,11 @@ def lift_to_interval(A, N: int, M1, M2, epsilon: float, guard: int = DEFAULT_GUA
             raise NotAutomorphism(f"{name} is singular mod {p}")
 
     group = FiniteGroupSpec("vector", p=p, k=k, n=1, M1=M1r, M2=M2r, guard=guard)
-    pows = p ** np.arange(k, dtype=np.int64)
-    A_idx = np.array([sum((c % p) * int(w) for c, w in zip(pt, pows)) for pt in pts], dtype=np.int64)
     in_A = np.zeros(group.size, dtype=bool)
-    in_A[A_idx] = True
+    in_A[encode_digits(np.array(pts, dtype=np.int64), p)] = True
     A_set = set(pts)
 
-    S0 = sorted(set(
-        int(np.array(row, dtype=np.int64) % p @ pows) for row in M1r
-    ) | set(
-        int(np.array(row, dtype=np.int64) % p @ pows) for row in M2r
-    ))
+    S0 = sorted(set(int(x) for x in encode_digits(np.array(M1r + M2r, dtype=np.int64), p)))
     delta0 = Fraction(1, 1) * Fraction(eps_eff).limit_denominator(10**6) / (2 * k)
     delta0 = min(delta0, Fraction(1, 2))
     B = bohr_set(group, S0, delta0)

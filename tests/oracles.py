@@ -2,12 +2,16 @@
 
 These deliberately avoid the library's minimal-polynomial path: the spectral
 oracle factors the characteristic polynomial into irreducibles by trial
-division and pairs root sets through sign-flipped factors.
+division and pairs root sets through sign-flipped factors. The translate
+oracle rolls the (p,)*m value tensor instead of gathering through an index
+table.
 """
 
 from __future__ import annotations
 
 import itertools
+
+import numpy as np
 
 from popdiff.ffalg import FpMatrix, FpPoly, char_poly, negate_argument
 
@@ -78,3 +82,11 @@ def spectral_oracle(A: FpMatrix) -> bool:
         if negate_argument(q).monic() in fset:
             return False
     return True
+
+
+def roll_translate(values: np.ndarray, p: int, m: int, shift_digits) -> np.ndarray:
+    """Array of values[x + shift] indexed by x, by np.roll on the (p,)*m
+    tensor whose axis j is digit j."""
+    T = np.asarray(values).reshape((p,) * m, order="F")
+    rolled = np.roll(T, shift=tuple(-int(d) for d in shift_digits), axis=tuple(range(m)))
+    return rolled.reshape(-1, order="F")

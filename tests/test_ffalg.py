@@ -5,7 +5,6 @@ from popdiff.errors import BothZero, Singular
 from popdiff.ffalg import (
     FpMatrix,
     FpPoly,
-    FpScalar,
     char_poly,
     is_invertible,
     mat_inverse,
@@ -25,15 +24,6 @@ def test_prime_validation():
     for bad in (2, 4, 9, 1, -3):
         with pytest.raises(ValueError):
             validate_odd_prime(bad)
-
-
-def test_scalar_arithmetic():
-    a = FpScalar(7, 5)
-    assert a.value == 2
-    assert (a + FpScalar(4, 5)).value == 1
-    assert (a * a.inverse()).value == 1
-    with pytest.raises(Singular):
-        FpScalar(0, 5).inverse()
 
 
 def test_inverse_examples():

@@ -1,3 +1,4 @@
+import math
 import os
 import tempfile
 from fractions import Fraction
@@ -29,7 +30,10 @@ from popdiff.gridfn import (
     read_grid_function,
     write_grid_function,
 )
-from popdiff._grid import add_perm, digit_table
+from popdiff._grid import add_index, add_perm, digit_table, encode_digits
+from popdiff.analysis import translate
+
+from oracles import roll_translate
 
 
 @given(st.sampled_from([(3, 1, 2), (5, 2, 1), (3, 2, 2), (7, 1, 1)]), st.data())
@@ -40,6 +44,43 @@ def test_encode_decode_bijection(shape, data):
     X = grid_decode(p, k, n, idx)
     assert grid_encode(X) == idx
     assert GridPoint(X, n).index == idx
+
+
+@st.composite
+def grid_shapes(draw):
+    """(p, k, n) with p in {3, 5, 7} and p^(kn) <= 3000."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    m_max = int(math.log(3000) / math.log(p) + 1e-9)
+    k = draw(st.integers(1, m_max))
+    n = draw(st.integers(1, m_max // k))
+    return p, k, n
+
+
+@given(grid_shapes(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_add_perm_gather_matches_roll_oracle(shape, data):
+    p, k, n = shape
+    m = k * n
+    shift = data.draw(st.lists(st.integers(-2 * p, 2 * p), min_size=m, max_size=m))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    vals = rng.random(grid_size(p, k, n))
+    expected = roll_translate(vals, p, m, [s % p for s in shift])
+    assert np.array_equal(vals[add_perm(p, m, shift)], expected)
+    f = GridFunction(p, k, n, vals, FLOAT)
+    assert np.array_equal(translate(f, FpMatrix(k, n, shift, p)), expected)
+
+
+@given(grid_shapes(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_add_index_matches_digit_sum(shape, data):
+    p, k, n = shape
+    m = k * n
+    P = grid_size(p, k, n)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    a = rng.integers(0, P, size=(data.draw(st.integers(1, 9)), 1))
+    b = rng.integers(0, P, size=data.draw(st.integers(1, 9)))
+    digs = digit_table(p, m)
+    assert np.array_equal(add_index(p, m, a, b), encode_digits(digs[a] + digs[b], p))
 
 
 def test_encoding_is_row_major_lsd_first():

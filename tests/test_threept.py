@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from popdiff.errors import NonConvergent, NotAutomorphism
 from popdiff.threept import (
@@ -32,6 +33,30 @@ def test_group_validation():
         FiniteGroupSpec("Z_N", N=7, M1=2, M2=2)  # M1 - M2 = 0
     g = FiniteGroupSpec("vector", p=5, k=1, n=2, M1=[[1]], M2=[[2]])
     assert g.size == 25
+
+
+@given(st.sampled_from([(101, 2, 3), (45, 1, 2)]), st.data())
+@settings(max_examples=30, deadline=None)
+def test_cyclic_group_matches_closed_forms(group, data):
+    # Z_N runs on the one-digit radix-N kernel; every method must equal
+    # the plain modular formula bit for bit, for a prime and a composite N
+    N, M1, M2 = group
+    g = FiniteGroupSpec("Z_N", N=N, M1=M1, M2=M2)
+    x = np.arange(N)
+    s = data.draw(st.integers(0, N - 1))
+    idx = np.array(data.draw(st.lists(st.integers(0, N - 1), min_size=1, max_size=20)))
+    assert np.array_equal(g.add_perm(s), (x + s) % N)
+    for which, M in ((1, M1), (2, M2)):
+        assert np.array_equal(g.apply(which, idx), (idx * M) % N)
+        assert np.array_equal(g.char_compose_perm(which), (x * M) % N)
+    assert np.array_equal(g.neg(idx), (-idx) % N)
+    xi = data.draw(st.integers(-3 * N, 3 * N))
+    assert np.array_equal(g.char_numerators(xi), (xi * x) % N)
+    assert np.array_equal(g.char_sum_index(idx, s), (idx + s) % N)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    v = rng.random(N) + 1j * rng.random(N)
+    assert np.array_equal(g.fft(v), np.fft.fft(v) / N)
+    assert np.array_equal(g.ifft(v), np.fft.ifft(v) * N)
 
 
 def test_bohr_examples():
