@@ -20,10 +20,7 @@ import numpy as np
 @functools.lru_cache(maxsize=None)
 def digit_table(p: int, m: int) -> np.ndarray:
     """All p^m digit vectors, shape (p^m, m), digit 0 least significant."""
-    idx = np.arange(p**m, dtype=np.int64)
-    digits = np.empty((p**m, m), dtype=np.int64)
-    for j in range(m):
-        digits[:, j] = (idx // p**j) % p
+    digits = decode_digits(p, m, np.arange(p**m, dtype=np.int64))
     digits.setflags(write=False)
     return digits
 
@@ -39,6 +36,11 @@ def encode_digits(digits: np.ndarray, p: int) -> np.ndarray:
     """Inverse of digit_table row lookup; digits may have any leading shape."""
     m = digits.shape[-1]
     return (digits % p) @ pow_vector(p, m)
+
+
+def decode_digits(p: int, m: int, idx) -> np.ndarray:
+    """Inverse of encode_digits: the m digits of each index, shape idx.shape + (m,)."""
+    return np.asarray(idx, dtype=np.int64)[..., None] // pow_vector(p, m) % p
 
 
 def encode_index(p: int, digits) -> int:
@@ -85,16 +87,19 @@ def add_index(p: int, m: int, a, b) -> np.ndarray:
     return out
 
 
-def linear_perm(p: int, k: int, n: int, M_rows) -> np.ndarray:
-    """Permutation (or collapse) q with q[x] = index of M @ X for X = grid point x.
+def linear_digits(p: int, k: int, n: int, M_rows, digits) -> np.ndarray:
+    """Digits of M @ X for each row of digits, the digits of a k x n point X.
 
-    M_rows is a k x k integer matrix acting on the k rows of the k x n point.
+    M_rows is a k x k integer matrix acting on the k rows of the point.
     """
-    m = k * n
-    digits = digit_table(p, m).reshape(-1, k, n)
-    M = np.asarray(M_rows, dtype=np.int64)
-    out = np.einsum("ab,xbn->xan", M, digits) % p
-    return encode_digits(out.reshape(-1, m), p)
+    X = np.asarray(digits, dtype=np.int64).reshape(-1, k, n)
+    out = np.einsum("ab,xbn->xan", np.asarray(M_rows, dtype=np.int64), X) % p
+    return out.reshape(-1, k * n)
+
+
+def linear_perm(p: int, k: int, n: int, M_rows) -> np.ndarray:
+    """Permutation (or collapse) q with q[x] = index of M @ X for X = grid point x."""
+    return encode_digits(linear_digits(p, k, n, M_rows, digit_table(p, k * n)), p)
 
 
 def dft(values, p: int, m: int, inverse: bool = False) -> np.ndarray:

@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import DEFAULT_GUARD
-from ._grid import add_index, add_perm, digit_table, linear_perm
+from ._grid import add_index, add_perm, decode_digits, digit_table, encode_index, linear_digits, linear_perm
 from .errors import DimensionMismatch, NotAutomorphism, NotMeasurable, TooLarge
 from .ffalg import FpMatrix, is_invertible, row_space_rank
 from .gridfn import (
@@ -110,40 +110,68 @@ def translate(f: GridFunction, shift: FpMatrix) -> np.ndarray:
     return f.values[add_perm(f.p, f.k * f.n, shift.entries)]
 
 
-def _as_point(spec_p: int, k: int, n: int, d) -> FpMatrix:
-    if isinstance(d, FpMatrix):
-        return d
-    if isinstance(d, GridPoint):
-        return d.X
-    return grid_decode(spec_p, k, n, int(d))
-
-
-def _pattern_shift_mats(spec: PatternSpec, D: FpMatrix, points: int) -> list[FpMatrix]:
-    shifts = [spec.M1.mul(D), spec.M2.mul(D)]
-    if points == 4:
-        shifts.append(spec.M1.add(spec.M2).mul(D))
-    return shifts
-
-
 # ---------------------------------------------------------------------------
 # Counting
 
 
-def pattern_count(f: GridFunction, spec: PatternSpec, d, points: int = 4):
-    """Average over X of f(X) f(X+M1 D) f(X+M2 D) [f(X+(M1+M2) D)]."""
+def _pattern_mats(f: GridFunction, spec: PatternSpec, points: int) -> list:
+    """Validate f against the pattern; return the shift matrices M1, M2
+    [, M1 + M2] as row lists."""
     if points not in (3, 4):
         raise ValueError("points must be 3 or 4")
     if f.p != spec.p:
         raise DimensionMismatch("function and pattern moduli differ")
-    D = _as_point(spec.p, spec.k, f.n, d)
-    if D.rows != spec.k or D.cols != f.n:
-        raise DimensionMismatch("difference has wrong shape")
-    prod = f.values.copy()
-    for S in _pattern_shift_mats(spec, D, points):
-        prod = prod * translate(f, S)
+    if f.k != spec.k:
+        raise DimensionMismatch(f"function has k = {f.k}, pattern has k = {spec.k}")
+    if f.kind == COMPLEX:
+        raise ValueError("pattern counts need a rational or float function")
+    mats = [spec.M1, spec.M2] + ([spec.M1.add(spec.M2)] if points == 4 else [])
+    return [M.to_lists() for M in mats]
+
+
+def _pattern_sums(f: GridFunction, mats: list, d_indices) -> tuple[list, int]:
+    """Raw sums S(d) = sum_X f(X) prod_i f(X + T_i D) for each difference
+    index d, and their denominator den: the average over X is S(d) / (den P).
+
+    mats are the k x k matrices T_i as row lists, multiplied in order. For the
+    rational kind S(d) is an exact integer over den = L^points, with f = a / L
+    the integer form; it is summed in int64 while max|a|^points P < 2^62 and
+    in Python ints otherwise. For the float kind S(d) is math.fsum of the
+    float64 product and den = 1.
+    """
+    p, k, n = f.p, f.k, f.n
+    m = k * n
+    D = decode_digits(p, m, d_indices)
+    shifts = [linear_digits(p, k, n, M, D) for M in mats]
     if f.kind == RATIONAL:
-        return sum(prod, Fraction(0)) / f.size
-    return math.fsum(prod) / f.size
+        a, L = f.integer_form()
+        points = len(mats) + 1
+        fits = max(abs(x) for x in a) ** points * f.size < 2**62
+        v = a.astype(np.int64) if fits else a
+        total, den = (lambda prod: int(prod.sum())), L**points
+    else:
+        v, total, den = f.values, math.fsum, 1
+    sums = []
+    for j in range(len(D)):
+        prod = v
+        for S in shifts:
+            prod = prod * v[add_perm(p, m, S[j])]
+        sums.append(total(prod))
+    return sums, den
+
+
+def pattern_count(f: GridFunction, spec: PatternSpec, d, points: int = 4):
+    """Average over X of f(X) f(X+M1 D) f(X+M2 D) [f(X+(M1+M2) D)]."""
+    mats = _pattern_mats(f, spec, points)
+    if isinstance(d, (FpMatrix, GridPoint)):
+        D = d.X if isinstance(d, GridPoint) else d
+        if D.rows != spec.k or D.cols != f.n:
+            raise DimensionMismatch("difference has wrong shape")
+        d = encode_index(f.p, D.entries)
+    elif not 0 <= int(d) < f.size:
+        raise DimensionMismatch(f"difference index {d} outside [0, {f.size})")
+    (s,), den = _pattern_sums(f, mats, [int(d)])
+    return Fraction(s, den * f.size) if f.kind == RATIONAL else s / f.size
 
 
 def popular_search(
@@ -159,18 +187,20 @@ def popular_search(
     toward the smallest encoded index. Exact backend compares with strict >=;
     float backend allows the documented 1e-9 slack.
     """
+    mats = _pattern_mats(f, spec, points)
     P = f.size
     if P * P > guard:
         raise TooLarge(f"p^(2kn) = {P * P} exceeds guard {guard}")
     alpha = f.mean()
     exact = f.kind == RATIONAL
     threshold = alpha**points - (Fraction(epsilon).limit_denominator(10**9) if exact else epsilon)
+    sums, den = _pattern_sums(f, mats, range(P))
     counts: dict[int, object] = {}
     best_val = None
     best_idx = -1
     hits = 0
-    for idx in range(P):
-        beta = pattern_count(f, spec, idx, points)
+    for idx, s in enumerate(sums):
+        beta = Fraction(s, den * P) if exact else s / P
         counts[idx] = beta
         if idx == 0:
             continue
@@ -601,18 +631,12 @@ def structured_pattern_average(
     labels = h_coset_labels(factor, k)
     d_indices = np.nonzero(np.all(labels == 0, axis=1))[0]
     I = FpMatrix.identity(k, p)
-    digs = digit_table(p, k * n)
-    jperm = linear_perm(p, k, n, J.to_lists())
-    ijperm = linear_perm(p, k, n, I.add(J).to_lists())
+    sums, den = _pattern_sums(f, [I.to_lists(), J.to_lists(), I.add(J).to_lists()], d_indices)
     exact = f.kind == RATIONAL
-    acc = Fraction(0) if exact else 0.0
-    for d in d_indices:
-        perm1 = add_perm(p, k * n, digs[d])
-        perm2 = add_perm(p, k * n, digs[jperm[d]])
-        perm3 = add_perm(p, k * n, digs[ijperm[d]])
-        prod = f.values * f.values[perm1] * f.values[perm2] * f.values[perm3]
-        acc += sum(prod, Fraction(0)) if exact else math.fsum(prod)
-    lhs = acc / (P * P)
+    acc = 0
+    for s in sums:
+        acc += s
+    lhs = Fraction(acc, den * P * P) if exact else acc / (P * P)
     d1 = len(factor.b1)
     dev = pattern_tuple_distribution(factor, J, restrict_to_H=True, guard=guard).max_multiplicative_deviation
     tol = min(0.9, 4.0 * dev)

@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import DEFAULT_GUARD, __version__
-from .errors import PopdiffError
+from .errors import CheckFailed, PopdiffError
 from .ffalg import FpMatrix
 from .gridfn import (
     FLOAT,
@@ -401,6 +401,9 @@ def dispatch(argv) -> int:
     t0 = time.perf_counter()
     try:
         payload, math_ok = args.func(args)
+    except CheckFailed as exc:
+        print(json.dumps({"tool": "popdiff", "error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
+        return 2
     except PopdiffError as exc:
         print(json.dumps({"tool": "popdiff", "error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return 1

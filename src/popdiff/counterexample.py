@@ -17,7 +17,7 @@ import numpy as np
 
 from . import DEFAULT_GUARD
 from ._grid import add_index, add_perm, digit_table, encode_digits, linear_perm
-from .errors import DependentDirections, Singular, TooLarge
+from .errors import DependentDirections, Singular, TooLarge, ensure
 from .ffalg import FpMatrix, is_invertible, mat_inverse, nullspace, row_space_rank
 from .gridfn import FLOAT, GridFunction
 from .patterns import PatternSpec, SubspaceBasis
@@ -49,7 +49,7 @@ class CexCore:
     Lambda2: SubspaceBasis
 
     def __post_init__(self):
-        assert len(self.S) == 10
+        ensure(len(self.S) == 10, "CexCore: S must have 10 points")
 
 
 def build_core() -> CexCore:
@@ -60,8 +60,8 @@ def build_core() -> CexCore:
     ortho_rows = [[x % P5 for x in v] for v in LAMBDA2_ORTHO]
     basis = nullspace(ortho_rows, P5, ncols=8)
     lam2 = SubspaceBasis(P5, 8, tuple(tuple(v) for v in basis), "eight-tuples")
-    assert lam2.dim == 5
-    assert lam2.contains(REMARK_VECTOR)
+    ensure(lam2.dim == 5, f"build_core: Lambda2 has dimension {lam2.dim}, not 5")
+    ensure(lam2.contains(REMARK_VECTOR), "build_core: Lambda2 misses the remark vector")
     return CexCore(S_POINTS, g1, lam2)
 
 
@@ -276,7 +276,7 @@ def ap3_free_set(L: int, method: str = "greedy") -> tuple[int, ...]:
         result = tuple(_behrend_set(L))
     else:
         raise ValueError(f"unknown method {method!r}")
-    assert is_3ap_free(result, L)
+    ensure(is_3ap_free(result, L), f"ap3_free_set: {method} output is not 3-AP-free")
     return result
 
 

@@ -59,3 +59,14 @@ class CorruptLength(PopdiffError):
 
 class NoPrimeInWindow(PopdiffError):
     """The requested prime search window contains no prime."""
+
+
+class CheckFailed(PopdiffError):
+    """A mathematical identity the code verifies at run time does not hold."""
+
+
+def ensure(condition, message: str) -> None:
+    """Raise CheckFailed(message) unless condition holds. Unlike assert, the
+    check survives python -O."""
+    if not condition:
+        raise CheckFailed(message)

@@ -25,6 +25,7 @@ from .errors import (
     NotSymmetric,
     TooLarge,
     VersionMismatch,
+    ensure,
 )
 from .ffalg import FpMatrix, mat_rank, row_space_rank, rref, validate_odd_prime
 from .patterns import SubspaceBasis
@@ -130,16 +131,29 @@ class GridFunction:
     def size(self) -> int:
         return self.values.shape[0]
 
+    def integer_form(self) -> tuple[np.ndarray, int]:
+        """Numerators a (an object array of Python ints) and the common
+        denominator L = lcm of the denominators, with f = a / L. Rational
+        kind only; exact sums over f become integer sums over a."""
+        if self.kind != RATIONAL:
+            raise ValueError("only rational grid functions have an integer form")
+        L = math.lcm(*(v.denominator for v in self.values))
+        a = np.empty(self.size, dtype=object)
+        a[:] = [v.numerator * (L // v.denominator) for v in self.values]
+        return a, L
+
     def mean(self):
         if self.kind == RATIONAL:
-            return Fraction(sum(self.values, Fraction(0)), 1) / self.size
+            a, L = self.integer_form()
+            return Fraction(a.sum(), L * self.size)
         if self.kind == FLOAT:
             return math.fsum(self.values) / self.size
         return complex(math.fsum(self.values.real), math.fsum(self.values.imag)) / self.size
 
     def l2_norm_sq(self):
         if self.kind == RATIONAL:
-            return sum((v * v for v in self.values), Fraction(0)) / self.size
+            a, L = self.integer_form()
+            return Fraction((a * a).sum(), L * L * self.size)
         return math.fsum(np.abs(self.values) ** 2) / self.size
 
     def is_unit_interval(self, tol: float = 0.0) -> bool:
@@ -245,10 +259,8 @@ def factor_eval(factor: QuadraticFactor, X: FpMatrix) -> FactorImage:
     )
     b2 = tuple(X.mul(M).mul(Xt) for M in factor.b2)
     b3 = tuple(X.mul(N).mul(Xt) for N in factor.b3)
-    for M in b2:
-        assert M.is_symmetric()
-    for N in b3:
-        assert N.is_skew()
+    ensure(all(M.is_symmetric() for M in b2), "factor_eval: X M X^T is not symmetric")
+    ensure(all(N.is_skew() for N in b3), "factor_eval: X N X^T is not skew-symmetric")
     return FactorImage(b1, b2, b3)
 
 
@@ -332,17 +344,14 @@ def conditional_expectation(f: GridFunction, factor: QuadraticFactor) -> GridFun
     if f.kind == COMPLEX:
         raise ValueError("conditional expectation is defined for rational or float values")
     atom, count = atom_partition(factor, f.k)
-    if f.kind == RATIONAL:
-        sums = [Fraction(0)] * count
-        sizes = [0] * count
-        for a, v in zip(atom, f.values):
-            sums[a] += v
-            sizes[a] += 1
-        means = [s / c for s, c in zip(sums, sizes)]
-        out = [means[a] for a in atom]
-        return f.with_values(out)
-    sums = np.bincount(atom, weights=f.values, minlength=count)
     sizes = np.bincount(atom, minlength=count)
+    if f.kind == RATIONAL:
+        a, L = f.integer_form()
+        sums = np.zeros(count, dtype=object)
+        np.add.at(sums, atom, a)
+        means = [Fraction(s, L * int(c)) for s, c in zip(sums, sizes)]
+        return f.with_values([means[i] for i in atom])
+    sums = np.bincount(atom, weights=f.values, minlength=count)
     return f.with_values(sums[atom] / sizes[atom])
 
 
@@ -376,7 +385,7 @@ def linear_kernel_H(factor: QuadraticFactor, k: int) -> dict:
             basis.append(tuple(v))
     h_perp = SubspaceBasis(p, k * n, tuple(basis), "grid-characters")
     density = Fraction(int(member.sum()), P)
-    assert density == Fraction(1, p ** (k * rank))
+    ensure(density == Fraction(1, p ** (k * rank)), f"linear_kernel_H: density {density} != p^-(k rank)")
     return {"H": indicator, "H_perp": h_perp, "density": density, "rank": rank}
 
 
@@ -484,6 +493,10 @@ def read_grid_function(path) -> GridFunction:
     if kind_code not in _CODE_KIND:
         raise VersionMismatch(f"unknown value kind byte {kind_code}")
     kind = _CODE_KIND[kind_code]
+    validate_odd_prime(p)
+    # bound the exponent before computing p^(kn), which could take unbounded time
+    if k * n * math.log(p) > math.log(DEFAULT_GUARD) + 1e-9:
+        raise TooLarge(f"p^(kn) = {p}^{k * n} exceeds guard {DEFAULT_GUARD}")
     size = p ** (k * n)
     payload = blob[18:]
     unit = {RATIONAL: 16, FLOAT: 8, COMPLEX: 16}[kind]
@@ -491,7 +504,10 @@ def read_grid_function(path) -> GridFunction:
         raise CorruptLength(f"payload is {len(payload)} bytes, expected {unit * size}")
     if kind == RATIONAL:
         raw = np.frombuffer(payload, dtype="<i8")
-        vals = [Fraction(int(raw[2 * i]), int(raw[2 * i + 1])) for i in range(size)]
+        zero = np.flatnonzero(raw[1::2] == 0)
+        if len(zero):
+            raise CorruptLength(f"rational value {zero[0]} has denominator 0")
+        vals = [Fraction(a, b) for a, b in zip(raw[0::2].tolist(), raw[1::2].tolist())]
     elif kind == FLOAT:
         vals = np.frombuffer(payload, dtype="<f8")
     else:

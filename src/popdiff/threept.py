@@ -18,7 +18,7 @@ import numpy as np
 from . import DEFAULT_GUARD
 from ._grid import add_index, add_perm as shift_perm, dft, digit_table, encode_digits, linear_perm
 from .analysis import FLOAT_SLACK, PatternCountReport
-from .errors import NoPrimeInWindow, NonConvergent, NotAutomorphism, TooLarge
+from .errors import DimensionMismatch, NoPrimeInWindow, NonConvergent, NotAutomorphism, TooLarge, ensure
 from .ffalg import FpMatrix, is_invertible
 
 
@@ -65,6 +65,8 @@ class FiniteGroupSpec:
         self.kind = kind
         if kind == "Z_N":
             self.N = self.modulus = int(N)
+            if self.N < 2:
+                raise ValueError(f"Z_N needs order N >= 2, got {self.N}")
             self.k = self.n = 1
         elif kind == "vector":
             self.p = self.modulus = int(p)
@@ -183,6 +185,8 @@ def bohr_set(group: FiniteGroupSpec, S, delta) -> BohrSet:
     den = group.modulus
     member = np.ones(group.size, dtype=bool)
     S = tuple(sorted(set(int(x) for x in S)))
+    if S and not (0 <= S[0] and S[-1] < group.size):
+        raise DimensionMismatch(f"characters must lie in [0, {group.size}), got {list(S)}")
     # dist/den < delta, as an integer bound (delta may have a huge denominator)
     bound = (delta.numerator * den - 1) // delta.denominator
     for xi in S:
@@ -191,9 +195,9 @@ def bohr_set(group: FiniteGroupSpec, S, delta) -> BohrSet:
         member &= dist <= bound
     members = tuple(int(i) for i in np.nonzero(member)[0])
     B = BohrSet(group, S, delta, members)
-    assert 0 in B.members
+    ensure(0 in B.members, "bohr_set: 0 is not a member")
     neg = set(int(x) for x in group.neg(np.array(members, dtype=np.int64)))
-    assert neg == set(members), "Bohr sets are symmetric"
+    ensure(neg == set(members), "bohr_set: the set is not symmetric")
     return B
 
 
@@ -220,8 +224,8 @@ def derived_bohr(B: BohrSet, group: FiniteGroupSpec | None = None) -> BohrSet:
     in_B[list(B.members)] = True
     r = np.arange(g.size)
     direct = in_B[g.apply(1, r)] & in_B[g.apply(2, r)]
-    assert set(np.nonzero(direct)[0].tolist()) == set(Bp.members)
-    assert len(Bp.S) <= 2 * len(B.S)
+    ensure(set(np.nonzero(direct)[0].tolist()) == set(Bp.members), "derived_bohr: B' differs from its direct definition")
+    ensure(len(Bp.S) <= 2 * len(B.S), "derived_bohr: more than 2|S| composed characters")
     return Bp
 
 

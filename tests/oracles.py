@@ -4,16 +4,20 @@ These deliberately avoid the library's minimal-polynomial path: the spectral
 oracle factors the characteristic polynomial into irreducibles by trial
 division and pairs root sets through sign-flipped factors. The translate
 oracle rolls the (p,)*m value tensor instead of gathering through an index
-table.
+table. The pattern-count oracle sums Fraction (or float) products of rolled
+translates, the way pattern_count did before exact sums became integer sums.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from fractions import Fraction
 
 import numpy as np
 
 from popdiff.ffalg import FpMatrix, FpPoly, char_poly, negate_argument
+from popdiff.gridfn import RATIONAL, grid_decode
 
 
 def all_monic_polys(p: int, degree: int):
@@ -90,3 +94,19 @@ def roll_translate(values: np.ndarray, p: int, m: int, shift_digits) -> np.ndarr
     T = np.asarray(values).reshape((p,) * m, order="F")
     rolled = np.roll(T, shift=tuple(-int(d) for d in shift_digits), axis=tuple(range(m)))
     return rolled.reshape(-1, order="F")
+
+
+def fraction_pattern_count(f, spec, d: int, points: int = 4):
+    """Average over X of f(X) f(X + M1 D) f(X + M2 D) [f(X + (M1 + M2) D)]:
+    a sum of Fraction products for rational f, math.fsum of the float64
+    products (multiplied left to right) otherwise."""
+    D = grid_decode(spec.p, spec.k, f.n, d)
+    shifts = [spec.M1.mul(D), spec.M2.mul(D)]
+    if points == 4:
+        shifts.append(spec.M1.add(spec.M2).mul(D))
+    prod = f.values.copy()
+    for S in shifts:
+        prod = prod * roll_translate(f.values, f.p, f.k * f.n, S.entries)
+    if f.kind == RATIONAL:
+        return sum(prod, Fraction(0)) / f.size
+    return math.fsum(prod) / f.size

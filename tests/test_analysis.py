@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from popdiff.errors import NotAutomorphism, NotMeasurable, TooLarge
+from popdiff.errors import DimensionMismatch, NotAutomorphism, NotMeasurable, TooLarge
 from popdiff.ffalg import FpMatrix
 from popdiff.gridfn import (
     FLOAT,
@@ -25,6 +26,8 @@ from popdiff.analysis import (
     structured_pattern_average,
     von_neumann_check,
 )
+
+from oracles import fraction_pattern_count
 
 
 def scalar_spec(p, m1, m2):
@@ -118,6 +121,81 @@ def test_popular_search_guard():
     f = GridFunction.constant(5, 1, 4, 0.5, FLOAT)
     with pytest.raises(TooLarge):
         popular_search(f, scalar_spec(5, 1, 2), 0.05, guard=10**4)
+
+
+def _random_rational(rng, P, num_bound, den_bound):
+    nums = rng.integers(-num_bound, num_bound + 1, P)
+    dens = rng.integers(1, den_bound + 1, P)
+    return [Fraction(int(a), int(b)) for a, b in zip(nums, dens)]
+
+
+@given(
+    st.sampled_from([(3, 1, 2), (3, 2, 1), (3, 1, 3), (3, 3, 1), (3, 1, 4), (3, 1, 5), (5, 1, 1), (5, 1, 2), (5, 2, 1), (5, 1, 3)]),
+    st.data(),
+)
+@settings(max_examples=20, deadline=None)
+def test_pattern_sums_match_fraction_oracle(shape, data):
+    # the integer kernel behind popular_search equals the Fraction product
+    # sum at every difference, and its float path equals the fsum of the
+    # same products bit for bit
+    p, k, n = shape
+    P = grid_size(p, k, n)
+    mats = [[[data.draw(st.integers(0, p - 1)) for _ in range(k)] for _ in range(k)] for _ in range(2)]
+    spec = PatternSpec(p, k, FpMatrix.from_rows(mats[0], p), FpMatrix.from_rows(mats[1], p))
+    points = data.draw(st.sampled_from((3, 4)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    num_bound = data.draw(st.sampled_from((1, 9, 10**6)))
+    f = GridFunction(p, k, n, _random_rational(rng, P, num_bound, data.draw(st.sampled_from((1, 12)))), RATIONAL)
+    rep = popular_search(f, spec, 0.05, points=points)
+    for d in range(P):
+        want = fraction_pattern_count(f, spec, d, points)
+        assert type(rep.counts[d]) is Fraction and rep.counts[d] == want
+    g = f.to_float()
+    rep = popular_search(g, spec, 0.05, points=points)
+    for d in range(P):
+        assert rep.counts[d] == fraction_pattern_count(g, spec, d, points)
+        assert pattern_count(g, spec, d, points) == rep.counts[d]
+
+
+def test_pattern_sums_python_int_fallback():
+    # max|a|^4 P >= 2^62 forces the object-array sum; it must still be exact
+    p, k, n = 3, 1, 4
+    P = grid_size(p, k, n)
+    f = GridFunction(p, k, n, _random_rational(np.random.default_rng(4), P, 10**5, 30), RATIONAL)
+    a, L = f.integer_form()
+    assert max(abs(x) for x in a) ** 4 * P >= 2**62
+    spec = scalar_spec(p, 1, 2)
+    for d in range(P):
+        got = pattern_count(f, spec, d)
+        assert type(got) is Fraction and got == fraction_pattern_count(f, spec, d)
+
+
+def test_difference_index_range_checked():
+    # an index past p^(kn) used to wrap silently to index mod p^(kn)
+    f = random_indicator(5, 1, 4, 0.5, 8, RATIONAL)
+    spec = scalar_spec(5, 1, 2)
+    for d in (-1, 625, 700):
+        with pytest.raises(DimensionMismatch):
+            pattern_count(f, spec, d)
+    assert pattern_count(f, spec, 624) == fraction_pattern_count(f, spec, 624)
+
+
+def test_pattern_k_must_match_function():
+    f = random_indicator(5, 1, 2, 0.5, 8, RATIONAL)
+    spec = PatternSpec(5, 2, FpMatrix.identity(2, 5), FpMatrix.from_rows([[0, 4], [1, 0]], 5))
+    with pytest.raises(DimensionMismatch):
+        popular_search(f, spec, 0.05)
+    with pytest.raises(DimensionMismatch):
+        pattern_count(f, spec, 3)
+
+
+def test_complex_function_refused():
+    # math.fsum used to drop the imaginary parts without a word
+    f = GridFunction(5, 1, 2, np.exp(2j * np.pi * np.arange(25) / 5), "complex")
+    with pytest.raises(ValueError, match="rational or float"):
+        pattern_count(f, scalar_spec(5, 1, 2), 3)
+    with pytest.raises(ValueError, match="rational or float"):
+        popular_search(f, scalar_spec(5, 1, 2), 0.05)
 
 
 # -- Gowers norms -------------------------------------------------------------

@@ -1,5 +1,7 @@
 import json
+import struct
 
+import numpy as np
 import pytest
 
 from popdiff.cli import dispatch
@@ -150,3 +152,35 @@ def test_json_out_file(tmp_path, capsys, scalar_spec_file):
     assert capsys.readouterr().out == ""
     line = json.loads(out.read_text().splitlines()[0])
     assert line["report"]["admissible"] is True and line["report"]["spectral"] is True
+
+
+def test_input_faults_are_json_error_lines(capsys, tmp_path, scalar_spec_file):
+    # each of these used to end in a traceback or a silently wrong answer
+    zero = tmp_path / "zero.plgf"
+    pairs = np.array([[1, 1]] * 4 + [[1, 0]], dtype="<i8")
+    zero.write_bytes(b"PLGF" + struct.pack("<BIIIB", 1, 5, 1, 1, 0) + pairs.tobytes())
+    z0 = tmp_path / "z0.json"
+    z0.write_text(json.dumps({"kind": "Z_N", "N": 0, "M1": 1, "M2": 2}))
+    v25 = tmp_path / "v25.json"
+    v25.write_text(json.dumps({"kind": "vector", "p": 5, "k": 1, "n": 2, "M1": [[1]], "M2": [[2]]}))
+    cases = [
+        (["gowers", "--fn", str(zero), "--s", "2"], "CorruptLength"),
+        (["count", "--spec", scalar_spec_file, "--p", "5", "--n", "4", "--d", "700"], "DimensionMismatch"),
+        (["threept", "bohr", "--group", str(v25), "--S", "[99]"], "DimensionMismatch"),
+        (["threept", "bohr", "--group", str(z0)], "ValueError"),
+    ]
+    for argv, error in cases:
+        assert dispatch(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == error
+
+
+def test_check_failed_exits_2(capsys, monkeypatch):
+    # a violated run-time check is a mathematical failure (exit 2), not a crash
+    import popdiff.counterexample as cex
+
+    monkeypatch.setattr(cex, "_behrend_set", lambda L: [0, 1, 2])
+    assert dispatch(["cex", "hypergraph", "--L", "5", "--method", "behrend"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "CheckFailed" and "3-AP-free" in err["message"]

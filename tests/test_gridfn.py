@@ -1,6 +1,10 @@
 import math
 import os
+import struct
+import subprocess
+import sys
 import tempfile
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -158,6 +162,58 @@ def test_conditional_expectation_contracts():
     # already measurable functions are unchanged
     g3 = conditional_expectation(g, fac)
     assert all(a == b for a, b in zip(g.values, g3.values))
+
+
+@given(st.sampled_from([(3, 1, 2), (3, 1, 3), (5, 1, 2), (3, 2, 2)]), st.integers(0, 2**32 - 1), st.sampled_from((1, 10**6)))
+@settings(max_examples=20, deadline=None)
+def test_integer_form_sums_equal_fraction_sums(shape, seed, num_bound):
+    # mean, l2_norm_sq and conditional_expectation sum integers over one
+    # common denominator; each must equal its Fraction sum exactly
+    p, k, n = shape
+    P = grid_size(p, k, n)
+    rng = np.random.default_rng(seed)
+    vals = [Fraction(int(a), int(b)) for a, b in zip(rng.integers(-num_bound, num_bound + 1, P), rng.integers(1, 13, P))]
+    f = GridFunction(p, k, n, vals, RATIONAL)
+    a, L = f.integer_form()
+    assert L == math.lcm(*(v.denominator for v in f.values))
+    assert all(Fraction(x, L) == v for x, v in zip(a, f.values))
+    assert f.mean() == sum(f.values, Fraction(0)) / P
+    assert f.l2_norm_sq() == sum((v * v for v in f.values), Fraction(0)) / P
+    fac = QuadraticFactor(p, n, ((1,) + (0,) * (n - 1),), (FpMatrix.identity(n, p),), ())
+    atom, count = atom_partition(fac, k)
+    sums = [Fraction(0)] * count
+    sizes = [0] * count
+    for i, v in zip(atom, f.values):
+        sums[i] += v
+        sizes[i] += 1
+    g = conditional_expectation(f, fac)
+    assert all(type(v) is Fraction and v == sums[i] / sizes[i] for i, v in zip(atom, g.values))
+
+
+def test_plgf_zero_denominator_is_corrupt(tmp_path):
+    path = tmp_path / "zero.plgf"
+    pairs = np.array([[1, 1], [1, 0], [2, 3]], dtype="<i8")
+    path.write_bytes(b"PLGF" + struct.pack("<BIIIB", 1, 3, 1, 1, 0) + pairs.tobytes())
+    with pytest.raises(CorruptLength, match="value 1 has denominator 0"):
+        read_grid_function(path)
+
+
+def test_plgf_huge_header_refused_fast(tmp_path):
+    # an 18-byte header with k = n = 65536 used to hang computing p^(kn)
+    path = tmp_path / "huge.plgf"
+    path.write_bytes(b"PLGF" + struct.pack("<BIIIB", 1, 3, 65536, 65536, 0))
+    # a child process first, so that a hang fails the test instead of stalling it
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    child = subprocess.run([sys.executable, "-m", "popdiff.cli", "fnio", "info", "--fn", str(path)],
+                           env=env, capture_output=True, text=True, timeout=30)
+    assert child.returncode == 1 and "TooLarge" in child.stderr
+    t0 = time.perf_counter()
+    with pytest.raises(TooLarge):
+        read_grid_function(path)
+    assert time.perf_counter() - t0 < 2.0
+    path.write_bytes(b"PLGF" + struct.pack("<BIIIB", 1, 4, 1, 1, 1) + bytes(32))
+    with pytest.raises(ValueError, match="odd prime"):
+        read_grid_function(path)
 
 
 def test_refinement_energy_monotone():

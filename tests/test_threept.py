@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from popdiff.errors import NonConvergent, NotAutomorphism
+from popdiff.errors import DimensionMismatch, NonConvergent, NotAutomorphism
 from popdiff.threept import (
     FiniteGroupSpec,
     bohr_set,
@@ -33,6 +33,19 @@ def test_group_validation():
         FiniteGroupSpec("Z_N", N=7, M1=2, M2=2)  # M1 - M2 = 0
     g = FiniteGroupSpec("vector", p=5, k=1, n=2, M1=[[1]], M2=[[2]])
     assert g.size == 25
+    # Z_0 used to end in a raw ZeroDivisionError
+    for N in (-3, 0, 1):
+        with pytest.raises(ValueError, match="N >= 2"):
+            FiniteGroupSpec("Z_N", N=N, M1=1, M2=2)
+
+
+def test_bohr_characters_range_checked():
+    # a character past the group order used to wrap mod the order
+    for g in (FiniteGroupSpec("vector", p=5, k=1, n=2, M1=[[1]], M2=[[2]]), FiniteGroupSpec("Z_N", N=25, M1=1, M2=2)):
+        for S in ([99], [25], [-1], [3, 25]):
+            with pytest.raises(DimensionMismatch):
+                bohr_set(g, S, Fraction(1, 4))
+        assert bohr_set(g, [0, 24], Fraction(1, 4)).S == (0, 24)
 
 
 @given(st.sampled_from([(101, 2, 3), (45, 1, 2)]), st.data())
