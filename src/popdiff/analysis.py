@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import DEFAULT_GUARD
-from ._grid import add_index, add_perm, decode_digits, digit_table, encode_index, linear_digits, linear_perm
+from ._grid import add_index, add_perm, decode_digits, dft, digit_table, encode_index, linear_digits, linear_perm
 from .errors import DimensionMismatch, NotAutomorphism, NotMeasurable, TooLarge
 from .ffalg import FpMatrix, is_invertible, row_space_rank
 from .gridfn import (
@@ -229,14 +229,19 @@ def gowers_norm(f: GridFunction, s: int, mode: str = "recursive", guard: int = D
     """Gowers U^s norm of f on the full group F_p^{kn}; U^1 is |mean|.
 
     mode='recursive' averages the 2^{s-1}-th power of the U^{s-1} norm of
-    multiplicative derivatives; mode='direct' evaluates the expanded
-    2^s-fold correlation (p^{(s+1)kn} work, guarded).
+    the multiplicative derivatives f(x) conj(f(x + h)) over h, down to U^2,
+    whose fourth power is sum_xi |f^(xi)|^4 with f^(xi) = E_x f(x) e(-x.xi/p)
+    (one FFT per derivative; p^{(s-1)kn} (shift tuple, point) entries,
+    guarded). mode='direct' evaluates the expanded 2^s-fold correlation
+    (p^{(s+1)kn} work, guarded) and is the reference for the recursion.
     """
     if s < 1:
         raise ValueError("s must be >= 1")
     p, m = f.p, f.k * f.n
     vals = f.values.astype(np.complex128) if f.kind != COMPLEX else f.values
     if mode == "recursive":
+        if f.size ** (s - 1) > guard:
+            raise TooLarge(f"p^((s-1)kn) = {f.size ** (s - 1)} exceeds guard {guard}")
         power = _gowers_power_recursive(vals, p, m, s)
     elif mode == "direct":
         if f.size ** (s + 1) > guard:
@@ -251,6 +256,8 @@ def gowers_norm(f: GridFunction, s: int, mode: str = "recursive", guard: int = D
 def _gowers_power_recursive(vals: np.ndarray, p: int, m: int, s: int) -> float:
     if s == 1:
         return abs(vals.mean()) ** 2
+    if s == 2:
+        return float(np.sum(np.abs(dft(vals, p, m) / len(vals)) ** 4))
     digs = digit_table(p, m)
     total = 0.0
     for shift in digs:

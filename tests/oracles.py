@@ -6,6 +6,9 @@ division and pairs root sets through sign-flipped factors. The translate
 oracle rolls the (p,)*m value tensor instead of gathering through an index
 table. The pattern-count oracle sums Fraction (or float) products of rolled
 translates, the way pattern_count did before exact sums became integer sums.
+The Gowers oracle recurses through multiplicative derivatives all the way to
+U^1, the way gowers_norm did before its recursion stopped at the Fourier-side
+U^2.
 """
 
 from __future__ import annotations
@@ -91,6 +94,8 @@ def spectral_oracle(A: FpMatrix) -> bool:
 def roll_translate(values: np.ndarray, p: int, m: int, shift_digits) -> np.ndarray:
     """Array of values[x + shift] indexed by x, by np.roll on the (p,)*m
     tensor whose axis j is digit j."""
+    if m == 0:  # the one-point group; np.roll refuses a 0-d tensor
+        return np.array(values)
     T = np.asarray(values).reshape((p,) * m, order="F")
     rolled = np.roll(T, shift=tuple(-int(d) for d in shift_digits), axis=tuple(range(m)))
     return rolled.reshape(-1, order="F")
@@ -110,3 +115,16 @@ def fraction_pattern_count(f, spec, d: int, points: int = 4):
     if f.kind == RATIONAL:
         return sum(prod, Fraction(0)) / f.size
     return math.fsum(prod) / f.size
+
+
+def gowers_power_by_derivatives(values: np.ndarray, p: int, m: int, s: int) -> float:
+    """||f||_{U^s}^{2^s} on (Z/pZ)^m through derivatives down to U^1:
+    |E_x f|^2 at s = 1, else E_h of the power at s - 1 of f(x) conj(f(x + h))."""
+    values = np.asarray(values, dtype=np.complex128)
+    if s == 1:
+        return abs(values.mean()) ** 2
+    total = 0.0
+    for h in itertools.product(range(p), repeat=m):
+        deriv = values * np.conj(roll_translate(values, p, m, h))
+        total += gowers_power_by_derivatives(deriv, p, m, s - 1)
+    return total / p**m

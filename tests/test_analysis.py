@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from popdiff.errors import DimensionMismatch, NotAutomorphism, NotMeasurable, TooLarge
 from popdiff.ffalg import FpMatrix
 from popdiff.gridfn import (
+    COMPLEX,
     FLOAT,
     RATIONAL,
     GridFunction,
@@ -27,7 +28,7 @@ from popdiff.analysis import (
     von_neumann_check,
 )
 
-from oracles import fraction_pattern_count
+from oracles import fraction_pattern_count, gowers_power_by_derivatives
 
 
 def scalar_spec(p, m1, m2):
@@ -226,6 +227,36 @@ def test_gowers_direct_vs_recursive():
         assert abs(gowers_norm(f, 2, "direct") - gowers_norm(f, 2, "recursive")) < 1e-12
     g = GridFunction(3, 1, 2, rng.random(9) * np.exp(2j * np.pi * rng.random(9)), "complex")
     assert abs(gowers_norm(g, 3, "direct") - gowers_norm(g, 3, "recursive")) < 1e-11
+
+
+@given(
+    st.sampled_from([(3, 0, 1), (3, 1, 1), (5, 1, 1), (7, 1, 1), (3, 1, 2), (3, 2, 1), (5, 1, 2), (3, 1, 3)]),
+    st.sampled_from([FLOAT, RATIONAL, COMPLEX]),
+    st.data(),
+)
+@settings(max_examples=15, deadline=None)
+def test_fourier_gowers_matches_direct_and_derivative_oracle(shape, kind, data):
+    # the recursion stops at U^2 = sum |f^|^4; check it against the expanded
+    # correlation, the derivative recursion down to U^1, and monotonicity in s
+    p, k, n = shape
+    P = grid_size(p, k, n)
+    unit = st.floats(-1, 1)
+    if kind == RATIONAL:
+        vals = data.draw(st.lists(st.fractions(-1, 1, max_denominator=7), min_size=P, max_size=P))
+    else:
+        vals = np.array(data.draw(st.lists(unit, min_size=P, max_size=P)))
+        if kind == COMPLEX:
+            vals = vals + 1j * np.array(data.draw(st.lists(unit, min_size=P, max_size=P)))
+    f = GridFunction(p, k, n, vals, kind)
+    norms = {s: gowers_norm(f, s) for s in (1, 2, 3, 4)}
+    for s in (2, 3):
+        if P ** (s + 1) <= 10**6:
+            assert abs(norms[s] - gowers_norm(f, s, "direct")) < 1e-12
+    for s in (2, 3, 4):
+        oracle = gowers_power_by_derivatives(f.values, p, k * n, s) ** (1.0 / 2**s)
+        assert abs(norms[s] - oracle) < 1e-12
+    for s in (1, 2, 3):
+        assert norms[s] <= norms[s + 1] + 1e-12
 
 
 # -- generalized von Neumann ---------------------------------------------------

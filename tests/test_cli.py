@@ -1,10 +1,17 @@
 import json
+import os
 import struct
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
 
+from popdiff.analysis import gowers_norm
 from popdiff.cli import dispatch
+from popdiff.errors import TooLarge
+from popdiff.gridfn import FLOAT, GridFunction, write_grid_function
 
 
 def run_lines(capsys, argv):
@@ -174,6 +181,30 @@ def test_input_faults_are_json_error_lines(capsys, tmp_path, scalar_spec_file):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert json.loads(captured.err)["error"] == error
+
+
+def test_recursive_gowers_guard(capsys, tmp_path):
+    # the recursion visits p^((s-1)kn) (shift tuple, point) entries
+    f = GridFunction(3, 1, 2, np.linspace(-1, 1, 9), FLOAT)
+    assert gowers_norm(f, 3, guard=81) > 0
+    with pytest.raises(TooLarge, match="= 81 exceeds guard 80"):
+        gowers_norm(f, 3, guard=80)
+    # U^5 at P = 625 would run for hours; it is refused before any work
+    path = tmp_path / "f625.plgf"
+    write_grid_function(GridFunction(5, 1, 4, np.linspace(-1, 1, 625), FLOAT), path)
+    argv = ["gowers", "--fn", str(path), "--s", "5"]
+    # a child process first, so that a hang fails the test instead of stalling it
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    child = subprocess.run([sys.executable, "-m", "popdiff.cli", *argv], env=env, capture_output=True, text=True, timeout=30)
+    assert child.returncode == 1 and child.stdout == ""
+    assert json.loads(child.stderr)["error"] == "TooLarge"
+    t0 = time.perf_counter()
+    assert dispatch(argv) == 1
+    assert time.perf_counter() - t0 < 2.0
+    captured = capsys.readouterr()
+    err = json.loads(captured.err)
+    assert captured.out == "" and err["error"] == "TooLarge"
+    assert f"= {625**4} exceeds guard {10**8}" in err["message"]
 
 
 def test_check_failed_exits_2(capsys, monkeypatch):

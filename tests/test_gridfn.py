@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from popdiff.errors import BadMagic, CorruptLength, NotSymmetric, TooLarge, VersionMismatch
+from popdiff.errors import BadMagic, CorruptLength, NotSymmetric, PopdiffError, TooLarge, VersionMismatch
 from popdiff.ffalg import FpMatrix
 from popdiff.gridfn import (
     COMPLEX,
@@ -214,6 +214,77 @@ def test_plgf_huge_header_refused_fast(tmp_path):
     path.write_bytes(b"PLGF" + struct.pack("<BIIIB", 1, 4, 1, 1, 1) + bytes(32))
     with pytest.raises(ValueError, match="odd prime"):
         read_grid_function(path)
+
+
+def _read_typed(path):
+    """read_grid_function, with its refusal checked to be typed and fast:
+    the GridFunction, or None after a PopdiffError or a bad-modulus ValueError."""
+    t0 = time.perf_counter()
+    try:
+        return read_grid_function(path)
+    except PopdiffError:
+        return None
+    except ValueError as exc:
+        assert type(exc) is ValueError and "modulus must be an odd prime" in str(exc)
+        return None
+    finally:
+        assert time.perf_counter() - t0 < 1.0
+
+
+U32 = st.integers(0, 2**32 - 1)
+
+
+@given(
+    st.one_of(st.just(b"PLGF"), st.binary(max_size=4)),
+    st.one_of(st.just(1), st.integers(0, 255)),
+    st.one_of(st.sampled_from([0, 1, 2, 3, 4, 5, 7, 9, 999983, 10**6 + 3]), U32),
+    st.one_of(st.integers(0, 3), U32),
+    st.one_of(st.integers(0, 3), U32),
+    st.one_of(st.sampled_from([0, 1, 2]), st.integers(0, 255)),
+    st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_plgf_fuzz_headers_load_or_raise_typed(tmp_path_factory, magic, version, p, k, n, kind, data):
+    path = tmp_path_factory.getbasetemp() / "fuzz-header.plgf"
+    path.write_bytes(magic + struct.pack("<BIIIB", version, p, k, n, kind) + data.draw(st.binary(max_size=200)))
+    f = _read_typed(path)
+    if f is not None:
+        assert (magic, version, f.p, f.k, f.n) == (b"PLGF", 1, p, k, n)
+
+
+@given(st.sampled_from([(3, 0, 1), (3, 1, 1), (3, 1, 2), (5, 2, 1), (7, 1, 1)]), st.sampled_from([0, 1, 2]), st.data())
+@settings(max_examples=100, deadline=None)
+def test_plgf_fuzz_payloads_load_or_raise_typed(tmp_path_factory, shape, kind, data):
+    # a well-formed header over a payload of random words, of the right length or not
+    p, k, n = shape
+    extra = data.draw(st.sampled_from([0, 0, 0, -1, 1]))
+    words = {0: 2, 1: 1, 2: 2}[kind] * grid_size(p, k, n) + extra
+    if kind == 0:  # int64 numerator/denominator pairs; small integers, so zero denominators show up
+        payload = np.array(data.draw(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=words, max_size=words)), dtype="<i8").tobytes()
+    else:
+        payload = data.draw(st.binary(min_size=8 * words, max_size=8 * words))
+    path = tmp_path_factory.getbasetemp() / "fuzz-payload.plgf"
+    path.write_bytes(b"PLGF" + struct.pack("<BIIIB", 1, p, k, n, kind) + payload)
+    f = _read_typed(path)
+    if f is not None:
+        assert extra == 0 and f.size == grid_size(p, k, n)
+
+
+@given(st.sampled_from([(3, 0, 1), (3, 1, 2), (5, 1, 1), (7, 1, 1)]), st.sampled_from([RATIONAL, FLOAT, COMPLEX]), st.data())
+@settings(max_examples=60, deadline=None)
+def test_plgf_truncations_raise_typed(tmp_path_factory, shape, kind, data):
+    p, k, n = shape
+    P = grid_size(p, k, n)
+    vals = data.draw(st.lists(st.fractions(-3, 3, max_denominator=9), min_size=P, max_size=P))
+    f = GridFunction(p, k, n, vals if kind == RATIONAL else [float(v) for v in vals], kind)
+    path = tmp_path_factory.getbasetemp() / "truncated.plgf"
+    write_grid_function(f, path)
+    blob = path.read_bytes()
+    path.write_bytes(blob[: data.draw(st.integers(0, len(blob) - 1))])
+    t0 = time.perf_counter()
+    with pytest.raises(PopdiffError):
+        read_grid_function(path)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_refinement_energy_monotone():
