@@ -380,7 +380,7 @@ def factor_image_distribution(factor: QuadraticFactor, k: int, guard: int = DEFA
     """Histogram of the factor image map over all grid points (atom sizes)."""
     p, n = factor.p, factor.n
     if p ** (k * n) > guard:
-        raise TooLarge("grid exceeds guard")
+        raise TooLarge(f"p^(kn) = {p ** (k * n)} exceeds guard {guard}")
     coords = factor_image_coords(factor, k)
     cells, counts = np.unique(coords, axis=0, return_counts=True)
     d1, d2, d3 = factor.complexity
@@ -634,7 +634,7 @@ def structured_pattern_average(
             raise NotMeasurable("f is not constant on the atoms of the factor")
     P = f.size
     if P * P > guard:
-        raise TooLarge("pair enumeration exceeds guard")
+        raise TooLarge(f"p^(2kn) = {P * P} exceeds guard {guard}")
     labels = h_coset_labels(factor, k)
     d_indices = np.nonzero(np.all(labels == 0, axis=1))[0]
     I = FpMatrix.identity(k, p)

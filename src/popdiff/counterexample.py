@@ -17,8 +17,8 @@ import numpy as np
 
 from . import DEFAULT_GUARD
 from ._grid import add_index, add_perm, digit_table, encode_digits, linear_perm
-from .errors import DependentDirections, Singular, TooLarge, ensure
-from .ffalg import FpMatrix, is_invertible, mat_inverse, nullspace, row_space_rank
+from .errors import DependentDirections, TooLarge, ensure
+from .ffalg import FpMatrix, invertible_stack, is_invertible, mat_inverse, nullspace, row_space_rank
 from .gridfn import FLOAT, GridFunction
 from .patterns import PatternSpec, SubspaceBasis
 from .analysis import EquidistributionReport, FLOAT_SLACK, _deviation
@@ -455,27 +455,26 @@ def _uniform_table(master_seed: int, seed_index: int, table_id: int, size: int) 
     return rng.random(size)
 
 
-def _combo_index(n: int, alpha: int, beta: int) -> np.ndarray:
-    """(P, P) array of indices of alpha*x + beta*y over all (x, y)."""
-    scale_a = linear_perm(P5, 1, n, [[alpha]])
-    scale_b = linear_perm(P5, 1, n, [[beta]])
-    return add_index(P5, n, scale_a[:, None], scale_b[None, :])
-
-
 def dressed_h_matrix(core: CexCore, h: Hypergraphon, n: int, master_seed: int, seed_index: int,
                      guard: int = DEFAULT_GUARD) -> np.ndarray:
-    """One sample of h = f1 * F2 * F3 as a (5^n, 5^n) 0/1 matrix."""
+    """One sample of h = f1 * F2 * F3 as a (5^n, 5^n) 0/1 matrix.
+
+    Each table is read at alpha*x + beta*y = alpha*(x + (beta/alpha)*y), so
+    one addition table serves every (alpha, beta).
+    """
     if 5 ** (2 * n) > guard:
-        raise TooLarge("grid exceeds guard")
+        raise TooLarge(f"5^(2n) = {5 ** (2 * n)} exceeds guard {guard}")
     P = 5**n
     F = f1_matrix(core, n, guard)
+    add = add_index(P5, n, np.arange(P)[:, None], np.arange(P)[None, :])
     out = F.copy()
     for block, combos in enumerate((F2_COMBOS, F3_COMBOS)):
         vals = []
         for tid, (alpha, beta) in enumerate(combos):
             tab = _uniform_table(master_seed, seed_index, 3 * block + tid, P)
             cells = h.cells(tab)
-            vals.append(cells[_combo_index(n, alpha, beta)])
+            ratio = beta * pow(alpha, -1, P5) % P5
+            vals.append(cells[linear_perm(P5, 1, n, [[alpha]])][add][:, linear_perm(P5, 1, n, [[ratio]])])
         out = out * h.g2_values(vals[0], vals[1], vals[2]).astype(np.uint8)
     return out
 
@@ -634,32 +633,35 @@ def has_nontrivial_4ap(digits: tuple[int, ...], p: int = 5) -> bool:
     return False
 
 
-def _random_affine(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Uniform invertible affine map of F_5^n by rejection; returns (A, A^{-1}, c)."""
-    while True:
-        A = rng.integers(0, 5, size=(n, n))
-        M = FpMatrix.from_rows(A.tolist(), 5)
-        try:
-            Minv = mat_inverse(M)
-        except Singular:
-            continue
-        c = rng.integers(0, 5, size=n)
-        return A, np.array(Minv.to_lists(), dtype=np.int64), c
-
-
 def _membership_masks(n: int, gamma: int, master_seed: int, seed_index: int) -> tuple[np.ndarray, np.ndarray]:
-    """mask1[ix, iy] = [x in phi(y) T], mask2[ix, iy] = [y in phi'(x) T]."""
+    """mask1[ix, iy] = [x in phi(y) T], mask2[ix, iy] = [y in phi'(x) T].
+
+    phi_g(t) = A t + c is drawn from generator g's own stream: A by rejection
+    until invertible over F_5, then c. Every stream is advanced as a stack,
+    and the mask holds the forward images of T = {t : t_i < 3 for i < gamma}.
+    """
     P = 5**n
     digs = digit_table(P5, n)
+    T = digs[np.all(digs[:, :gamma] < 3, axis=1)]
     masks = []
-    for which, table_id in (("phi", 101), ("phiprime", 102)):
+    for table_id in (101, 102):
+        rngs = [np.random.default_rng([int(master_seed), int(seed_index), table_id, g]) for g in range(P)]
+        A = np.stack([rng.integers(0, 5, size=(n, n)) for rng in rngs])
+        redraw = np.nonzero(~invertible_stack(A, P5))[0]
+        while len(redraw):
+            A[redraw] = np.stack([rngs[g].integers(0, 5, size=(n, n)) for g in redraw])
+            redraw = redraw[~invertible_stack(A[redraw], P5)]
+        c = np.stack([rng.integers(0, 5, size=n) for rng in rngs])
+        # image index of phi_g(t), one digit at a time: shape (P, |T|)
+        image = np.zeros((P, len(T)), dtype=np.int64)
+        for j in range(n):
+            coord = A[:, j, :] @ T.T
+            coord += c[:, j, None]
+            coord %= 5
+            coord *= 5**j
+            image += coord
         mask = np.zeros((P, P), dtype=np.uint8)
-        for g in range(P):
-            rng = np.random.default_rng([int(master_seed), int(seed_index), table_id, g])
-            _, Ainv, c = _random_affine(rng, n)
-            w = (Ainv @ (digs.T - c[:, None])) % 5  # (n, P): preimages of all points
-            member = np.all(w[:gamma, :] < 3, axis=0)
-            mask[:, g] = member
+        mask[image, np.arange(P)[:, None]] = 1
         masks.append(mask)
     # mask for x in phi(y)T is indexed [x, y]; phi' mask needs transposing
     return masks[0], masks[1].T

@@ -8,7 +8,10 @@ point. Matrices are immutable, entries stored row-major as plain ints in
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import BothZero, DimensionMismatch, Singular
 
@@ -367,6 +370,35 @@ def is_invertible(A: FpMatrix) -> bool:
     if A.rows != A.cols:
         return False
     return mat_rank(A) == A.rows
+
+
+def invertible_stack(A, p: int) -> np.ndarray:
+    """Which matrices of a stack of square integer matrices, shape (..., n, n),
+    are invertible over F_p; a bool array of the stack's shape.
+
+    Exact: forward elimination mod p run on the whole stack at once, one
+    column at a time, with pivots scaled through the table of inverses mod p.
+    """
+    validate_odd_prime(p)
+    M = np.array(A, dtype=np.int64) % p
+    if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
+        raise DimensionMismatch("invertible_stack needs a stack of square matrices")
+    batch, n = M.shape[:-2], M.shape[-1]
+    M = M.reshape(math.prod(batch), n, n)
+    inv = np.array([0] + [pow(x, -1, p) for x in range(1, p)], dtype=np.int64)
+    stack = np.arange(len(M))
+    ok = np.ones(len(M), dtype=bool)
+    for j in range(n):
+        nonzero = M[:, j:, j] != 0
+        ok &= nonzero.any(axis=1)
+        # first nonzero entry at or below the diagonal; a singular member keeps
+        # row j, whose zero pivot then zeroes the row and leaves the rest alone
+        piv = j + nonzero.argmax(axis=1)
+        pivot_rows = M[stack, piv]
+        M[stack, piv] = M[:, j]
+        M[:, j] = pivot_rows * inv[pivot_rows[:, j]][:, None] % p
+        M[:, j + 1 :] = (M[:, j + 1 :] - M[:, j + 1 :, j, None] * M[:, None, j]) % p
+    return ok.reshape(batch)
 
 
 def mat_rank(A: FpMatrix) -> int:

@@ -8,7 +8,9 @@ table. The pattern-count oracle sums Fraction (or float) products of rolled
 translates, the way pattern_count did before exact sums became integer sums.
 The Gowers oracle recurses through multiplicative derivatives all the way to
 U^1, the way gowers_norm did before its recursion stopped at the Fourier-side
-U^2.
+U^2. The counterexample oracles build one affine map at a time: the
+membership masks pull every point back through A^{-1}, and the dressing
+reads each table through its own alpha*x + beta*y index array.
 """
 
 from __future__ import annotations
@@ -19,7 +21,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from popdiff.ffalg import FpMatrix, FpPoly, char_poly, negate_argument
+from popdiff._grid import add_index, digit_table, linear_perm
+from popdiff.counterexample import F2_COMBOS, F3_COMBOS, _uniform_table, f1_matrix
+from popdiff.errors import Singular
+from popdiff.ffalg import FpMatrix, FpPoly, char_poly, mat_inverse, negate_argument
 from popdiff.gridfn import RATIONAL, grid_decode
 
 
@@ -128,3 +133,48 @@ def gowers_power_by_derivatives(values: np.ndarray, p: int, m: int, s: int) -> f
         deriv = values * np.conj(roll_translate(values, p, m, h))
         total += gowers_power_by_derivatives(deriv, p, m, s - 1)
     return total / p**m
+
+
+def _random_affine_inverse(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """A uniform invertible affine map x -> A x + c of F_5^n by rejection on
+    A; returns (A^{-1}, c)."""
+    while True:
+        A = rng.integers(0, 5, size=(n, n))
+        try:
+            Ainv = mat_inverse(FpMatrix.from_rows(A.tolist(), 5))
+        except Singular:
+            continue
+        c = rng.integers(0, 5, size=n)
+        return np.array(Ainv.to_lists(), dtype=np.int64), c
+
+
+def membership_masks_by_inverse(n: int, gamma: int, master_seed: int, seed_index: int):
+    """(mask1, mask2) of the counterexample assembly: x is in phi_g(T) iff
+    the first gamma coordinates of A^{-1} (x - c) are all below 3."""
+    P = 5**n
+    digs = digit_table(5, n)
+    masks = []
+    for table_id in (101, 102):
+        mask = np.zeros((P, P), dtype=np.uint8)
+        for g in range(P):
+            rng = np.random.default_rng([int(master_seed), int(seed_index), table_id, g])
+            Ainv, c = _random_affine_inverse(rng, n)
+            w = (Ainv @ (digs.T - c[:, None])) % 5
+            mask[:, g] = np.all(w[:gamma, :] < 3, axis=0)
+        masks.append(mask)
+    return masks[0], masks[1].T
+
+
+def dressed_h_by_combo_index(core, h, n: int, master_seed: int, seed_index: int) -> np.ndarray:
+    """h = f1 * F2 * F3 with each table read through its own (P, P) array of
+    the indices of alpha*x + beta*y."""
+    P = 5**n
+    out = f1_matrix(core, n).copy()
+    for block, combos in enumerate((F2_COMBOS, F3_COMBOS)):
+        vals = []
+        for tid, (alpha, beta) in enumerate(combos):
+            cells = h.cells(_uniform_table(master_seed, seed_index, 3 * block + tid, P))
+            combo = add_index(5, n, linear_perm(5, 1, n, [[alpha]])[:, None], linear_perm(5, 1, n, [[beta]])[None, :])
+            vals.append(cells[combo])
+        out = out * h.g2_values(vals[0], vals[1], vals[2]).astype(np.uint8)
+    return out

@@ -422,6 +422,14 @@ def test_structured_average_random_projection():
     assert r2["lhs"] > 0
 
 
+def test_structured_average_guard_states_estimate():
+    p, n = 3, 2
+    f = GridFunction.constant(p, 1, n, Fraction(2, 5), RATIONAL)
+    fac = QuadraticFactor(p, n, (), (), ())
+    with pytest.raises(TooLarge, match="= 81 exceeds guard 80"):
+        structured_pattern_average(f, fac, FpMatrix.from_rows([[2]], p), guard=80)
+
+
 def test_structured_average_not_measurable():
     p, n = 3, 3
     fac = QuadraticFactor(p, n, ((1, 0, 0),), (), ())

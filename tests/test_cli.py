@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from popdiff.analysis import gowers_norm
+from popdiff import cli
 from popdiff.cli import dispatch
 from popdiff.errors import TooLarge
 from popdiff.gridfn import FLOAT, GridFunction, write_grid_function
@@ -47,6 +48,35 @@ def test_cex_core_values(capsys):
     assert code == 0
     rep = lines[0]["report"]
     assert rep["sup"] == "73/3125" and rep["mean"] == "2/5" and rep["strict"] is True
+
+
+CEX_REFERENCE = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "cex_reference.json")
+
+
+def _report_mismatches(got, want, path="report"):
+    """Where got differs from want: floats within 1e-9, everything else exactly."""
+    if isinstance(want, dict):
+        if not isinstance(got, dict) or set(got) != set(want):
+            return [f"{path}: keys differ"]
+        return [m for k in want for m in _report_mismatches(got[k], want[k], f"{path}.{k}")]
+    if isinstance(want, list):
+        if not isinstance(got, list) or len(got) != len(want):
+            return [f"{path}: length differs"]
+        return [m for i, (g, w) in enumerate(zip(got, want)) for m in _report_mismatches(g, w, f"{path}[{i}]")]
+    if isinstance(want, float):
+        close = isinstance(got, (int, float)) and not isinstance(got, bool) and abs(got - want) <= 1e-9
+        return [] if close else [f"{path}: {got!r} != {want!r}"]
+    return [] if got == want and type(got) is type(want) else [f"{path}: {got!r} != {want!r}"]
+
+
+@pytest.mark.parametrize("seed", ["0", "5"])
+def test_cex_report_matches_recorded_reference(capsys, seed):
+    with open(CEX_REFERENCE) as fh:
+        reference = json.load(fh)["reports"][seed]
+    code = cli.main(["cex", "report", "--n", "4", "--L", "7", "--gamma", "1", "--seeds", "5", "--seed", seed])
+    lines = [json.loads(line) for line in capsys.readouterr().out.splitlines() if line]
+    assert code == 0 and len(lines) == 1
+    assert _report_mismatches(lines[0]["report"], reference) == []
 
 
 def test_unknown_subcommand_exit_1(capsys):

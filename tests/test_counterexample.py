@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from popdiff.errors import DependentDirections
+from popdiff.errors import DependentDirections, TooLarge
 from popdiff.ffalg import FpMatrix, nullspace
 from popdiff.patterns import SubspaceBasis
 from popdiff.counterexample import (
@@ -32,6 +33,9 @@ from popdiff.counterexample import (
     sparse_pattern_max,
     unique_triangle_check,
 )
+from popdiff.counterexample import _membership_masks
+
+from oracles import dressed_h_by_combo_index, membership_masks_by_inverse
 
 
 def test_core_invariants():
@@ -245,6 +249,33 @@ def test_dressed_h_deterministic():
     m3 = dressed_h_matrix(core, h, 2, 99, 1)
     assert np.array_equal(m1, m2)
     assert not np.array_equal(m1, m3)
+
+
+@given(st.sampled_from([5, 7, 11]), st.integers(1, 4), st.integers(0, 2**32 - 1), st.integers(0, 50))
+@settings(max_examples=15, deadline=None)
+def test_dressed_h_matches_combo_index_oracle(L, n, master_seed, seed_index):
+    core = build_core()
+    h = Hypergraphon(L, ap3_free_set(L, "exhaustive-max"))
+    got = dressed_h_matrix(core, h, n, master_seed, seed_index)
+    want = dressed_h_by_combo_index(core, h, n, master_seed, seed_index)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_dressed_h_guard_states_estimate():
+    h = Hypergraphon(5, (1, 2))
+    with pytest.raises(TooLarge, match="= 625 exceeds guard 624"):
+        dressed_h_matrix(build_core(), h, 2, 0, 0, guard=624)
+
+
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
+       st.integers(0, 2**32 - 1), st.integers(0, 50))
+@settings(max_examples=15, deadline=None)
+def test_membership_masks_match_inverse_oracle(shape, master_seed, seed_index):
+    n, gamma = shape
+    got = _membership_masks(n, gamma, master_seed, seed_index)
+    want = membership_masks_by_inverse(n, gamma, master_seed, seed_index)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
 
 
 def test_dress_and_measure_alpha():

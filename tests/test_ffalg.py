@@ -6,6 +6,7 @@ from popdiff.ffalg import (
     FpMatrix,
     FpPoly,
     char_poly,
+    invertible_stack,
     is_invertible,
     mat_inverse,
     mat_rank,
@@ -117,6 +118,25 @@ def test_inverse_roundtrip_random():
         eye = FpMatrix.identity(k, p)
         assert A.mul(B) == eye and B.mul(A) == eye
         done += 1
+
+
+@given(st.sampled_from([3, 5, 7]), st.integers(1, 5), st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_invertible_stack_matches_is_invertible(p, n, seed):
+    rng = np.random.default_rng(seed)
+    A = rng.integers(-2 * p, 2 * p, size=(40, n, n))
+    # forced singular members: a repeated row and a zero column
+    if n > 1:
+        i, j = rng.choice(n, size=2, replace=False)
+        A[0, i] = A[0, j]
+    A[1, :, int(rng.integers(n))] = 0
+    # an invertible member whose first pivot sits below the diagonal
+    A[2] = np.roll(np.eye(n, dtype=np.int64), 1, axis=0)
+    got = invertible_stack(A, p)
+    want = [is_invertible(FpMatrix.from_rows(a.tolist(), p)) for a in A]
+    assert got.dtype == bool and got.tolist() == want
+    assert not got[1] and got[2] and (n == 1 or not got[0])
+    assert invertible_stack(A.reshape(5, 8, n, n), p).tolist() == np.reshape(want, (5, 8)).tolist()
 
 
 def test_nullspace_orthogonality():

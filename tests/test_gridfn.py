@@ -397,3 +397,12 @@ def test_atom_sizes_near_uniform_prop42():
     fac5 = QuadraticFactor(p, 5, ((1, 0, 0, 0, 0),), (FpMatrix.identity(5, p),), ())
     rep5 = factor_image_distribution(fac5, k)
     assert rep5.max_multiplicative_deviation < rep.max_multiplicative_deviation
+
+
+def test_factor_image_guard_states_estimate():
+    from popdiff.analysis import factor_image_distribution
+
+    p, k, n = 3, 1, 4
+    fac = QuadraticFactor(p, n, ((1, 0, 0, 0),), (FpMatrix.identity(n, p),), ())
+    with pytest.raises(TooLarge, match="= 81 exceeds guard 80"):
+        factor_image_distribution(fac, k, guard=80)
