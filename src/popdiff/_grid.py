@@ -6,8 +6,9 @@ k x n matrix X over F_p flattens row-major, so digit (i*n + j) is entry
 (row i, col j) and (0, 0) is least significant. The cyclic group Z_N is the
 radix-N, one-digit case (p = N, m = 1, k = n = 1).
 
-Every shift, linear map and sum of elements is a gather through an index
-array built here.
+Linear maps and sums of elements are gathers through index arrays built
+here. Translates are views: Translates pads the (p,)*m tensor of an array
+periodically once, and each translate is a slice of that extension.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ from __future__ import annotations
 import functools
 
 import numpy as np
+
+from . import DEFAULT_GUARD
 
 
 @functools.lru_cache(maxsize=None)
@@ -68,6 +71,38 @@ def add_perm(p: int, m: int, shift_digits) -> np.ndarray:
         column = np.concatenate((digit[s:], digit[:s])) * p**j
         q = (column[:, None] + q).reshape(-1)
     return q
+
+
+def translate_view(ext: np.ndarray, shift_digits) -> np.ndarray:
+    """v(x + s) for x in (Z/pZ)^m, as a view of ext, the periodic extension of
+    v made by Translates; axis j of both is digit m - 1 - j."""
+    p = (ext.shape[0] + 1) // 2 if len(shift_digits) else 1
+    s = [int(d) % p for d in shift_digits]
+    return ext[tuple(slice(d, d + p) for d in reversed(s)) + (Ellipsis,)]
+
+
+class Translates:
+    """The translates v(x + s) of an array v in index order (axes past the
+    first ride along). While the (2p - 1)^m points of the periodic extension
+    fit the guard, base is v as the (p,)*m tensor with digit 0 last, so that C
+    order is index order, and a translate is a view of the extension;
+    otherwise base is v and a translate is a gather through add_perm. Either
+    way a product of base and translates, flattened, is in index order."""
+
+    def __init__(self, values, p: int, m: int, guard: int = DEFAULT_GUARD):
+        self.p, self.m, self.base, self.ext = p, m, np.asarray(values), None
+        if (2 * p - 1) ** m <= guard:
+            self.base = self.ext = self.base.reshape((p,) * m + self.base.shape[1:])
+            for j in range(m):  # append the first p - 1 slices along axis j
+                self.ext = np.concatenate([self.ext, self.ext[(slice(None),) * j + (slice(0, p - 1),)]], axis=j)
+
+    def __call__(self, shift_digits) -> np.ndarray:
+        if self.ext is None:
+            return self.base[add_perm(self.p, self.m, shift_digits)]
+        return translate_view(self.ext, shift_digits)
+
+    def at(self, index: int) -> np.ndarray:  # the translate by an element's index
+        return self(decode_index(self.p, self.m, int(index)))
 
 
 def add_index(p: int, m: int, a, b) -> np.ndarray:

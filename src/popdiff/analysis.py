@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import DEFAULT_GUARD
-from ._grid import add_index, add_perm, decode_digits, dft, digit_table, encode_index, linear_digits, linear_perm
+from ._grid import Translates, add_index, decode_digits, dft, digit_table, encode_index, linear_digits, linear_perm
 from .errors import DimensionMismatch, NotAutomorphism, NotMeasurable, TooLarge
 from .ffalg import FpMatrix, is_invertible, row_space_rank
 from .gridfn import (
@@ -28,7 +28,6 @@ from .gridfn import (
     QuadraticFactor,
     conditional_expectation,
     factor_image_coords,
-    grid_decode,
     grid_size,
     h_coset_labels,
 )
@@ -105,9 +104,8 @@ class EquidistributionReport:
 
 
 def translate(f: GridFunction, shift: FpMatrix) -> np.ndarray:
-    """Array of f(X + shift) indexed by X."""
-    # the row-major entries of the k x n shift are its digits
-    return f.values[add_perm(f.p, f.k * f.n, shift.entries)]
+    """Array of f(X + shift) indexed by X; the k x n shift's row-major entries are its digits."""
+    return Translates(f.values, f.p, f.k * f.n)(shift.entries).reshape(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -129,35 +127,40 @@ def _pattern_mats(f: GridFunction, spec: PatternSpec, points: int) -> list:
     return [M.to_lists() for M in mats]
 
 
-def _pattern_sums(f: GridFunction, mats: list, d_indices) -> tuple[list, int]:
+def _pattern_sums(f: GridFunction, mats: list, d_indices, guard: int = DEFAULT_GUARD) -> tuple[list, int]:
     """Raw sums S(d) = sum_X f(X) prod_i f(X + T_i D) for each difference
     index d, and their denominator den: the average over X is S(d) / (den P).
 
     mats are the k x k matrices T_i as row lists, multiplied in order. For the
     rational kind S(d) is an exact integer over den = L^points, with f = a / L
     the integer form; it is summed in int64 while max|a|^points P < 2^62 and
-    in Python ints otherwise. For the float kind S(d) is math.fsum of the
-    float64 product and den = 1.
-    """
+    in Python ints otherwise. For the float kind den = 1 and S(d) is the
+    correctly rounded sum of the float64 products: their int64 sum when all
+    values are finite integers with max|f|^points < 2^53 (exact products) and
+    max|f|^points P < 2^62, math.fsum otherwise."""
     p, k, n = f.p, f.k, f.n
-    m = k * n
-    D = decode_digits(p, m, d_indices)
+    D = decode_digits(p, k * n, d_indices)
     shifts = [linear_digits(p, k, n, M, D) for M in mats]
-    if f.kind == RATIONAL:
-        a, L = f.integer_form()
-        points = len(mats) + 1
-        fits = max(abs(x) for x in a) ** points * f.size < 2**62
-        v = a.astype(np.int64) if fits else a
-        total, den = (lambda prod: int(prod.sum())), L**points
+    points, exact = len(mats) + 1, f.kind == RATIONAL
+    if exact:
+        v, L = f.integer_form()
+        den, bound = L**points, max(abs(x) for x in v) ** points
     else:
-        v, total, den = f.values, math.fsum, 1
+        v, den, bound = f.values, 1, 2**62
+        if np.all(np.isfinite(v)) and np.all(v == np.round(v)) and int(np.max(np.abs(v))) ** points < 2**53:
+            bound = int(np.max(np.abs(v))) ** points
+    fits = bound * f.size < 2**62
+    if fits:
+        v = v.astype(np.int64)
+    total = (lambda prod: int(prod.sum())) if exact or fits else (lambda prod: math.fsum(prod.tolist()))
+    tr = Translates(v, p, k * n, guard)
     sums = []
     for j in range(len(D)):
-        prod = v
+        prod = tr.base
         for S in shifts:
-            prod = prod * v[add_perm(p, m, S[j])]
-        sums.append(total(prod))
-    return sums, den
+            prod = prod * tr(S[j])
+        sums.append(total(prod.reshape(-1)))
+    return sums if exact or not fits else [float(s) for s in sums], den
 
 
 def pattern_count(f: GridFunction, spec: PatternSpec, d, points: int = 4):
@@ -194,7 +197,7 @@ def popular_search(
     alpha = f.mean()
     exact = f.kind == RATIONAL
     threshold = alpha**points - (Fraction(epsilon).limit_denominator(10**9) if exact else epsilon)
-    sums, den = _pattern_sums(f, mats, range(P))
+    sums, den = _pattern_sums(f, mats, range(P), guard)
     counts: dict[int, object] = {}
     best_val = None
     best_idx = -1
@@ -242,33 +245,35 @@ def gowers_norm(f: GridFunction, s: int, mode: str = "recursive", guard: int = D
     if mode == "recursive":
         if f.size ** (s - 1) > guard:
             raise TooLarge(f"p^((s-1)kn) = {f.size ** (s - 1)} exceeds guard {guard}")
-        power = _gowers_power_recursive(vals, p, m, s)
+        power = _gowers_power_recursive(vals, p, m, s, guard)
     elif mode == "direct":
         if f.size ** (s + 1) > guard:
             raise TooLarge(f"p^((s+1)kn) = {f.size ** (s + 1)} exceeds guard {guard}")
-        power = _gowers_power_direct(vals, p, m, s)
+        power = _gowers_power_direct(vals, p, m, s, guard)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     power = max(power.real if isinstance(power, complex) else power, 0.0)
     return power ** (1.0 / 2**s)
 
 
-def _gowers_power_recursive(vals: np.ndarray, p: int, m: int, s: int) -> float:
+def _gowers_power_recursive(vals: np.ndarray, p: int, m: int, s: int, guard: int) -> float:
     if s == 1:
         return abs(vals.mean()) ** 2
     if s == 2:
         return float(np.sum(np.abs(dft(vals, p, m) / len(vals)) ** 4))
     digs = digit_table(p, m)
+    tr = Translates(vals, p, m, guard)
     total = 0.0
     for shift in digs:
-        deriv = vals * np.conj(vals[add_perm(p, m, shift)])
-        total += _gowers_power_recursive(deriv, p, m, s - 1)
+        deriv = (tr.base * np.conj(tr(shift))).reshape(-1)
+        total += _gowers_power_recursive(deriv, p, m, s - 1, guard)
     return total / len(digs)
 
 
-def _gowers_power_direct(vals: np.ndarray, p: int, m: int, s: int) -> float:
+def _gowers_power_direct(vals: np.ndarray, p: int, m: int, s: int, guard: int) -> float:
     P = p**m
-    shifted = [vals[add_perm(p, m, shift)] for shift in digit_table(p, m)]
+    tr = Translates(vals, p, m, guard)
+    shifted = [tr(shift).reshape(-1) for shift in digit_table(p, m)]  # contiguous copies
     idx = np.arange(P)
     add = add_index(p, m, idx[:, None], idx[None, :])
     total = 0.0
@@ -310,13 +315,14 @@ def von_neumann_check(fs: list[GridFunction], autos: list[FpMatrix], slack: floa
             raise NotAutomorphism("each A_i - A_j must be invertible")
     p, k, n = base.p, base.k, base.n
     P = grid_size(p, k, n)
+    trs = [Translates(f.values.astype(np.complex128), p, k * n) for f in fs]
+    shifts = [linear_digits(p, k, n, A.to_lists(), digit_table(p, k * n)) for A in autos]
     acc = 0.0 + 0.0j
     for d_idx in range(P):
-        D = grid_decode(p, k, n, d_idx)
-        prod = np.ones(P, dtype=np.complex128)
-        for f, A in zip(fs, autos):
-            prod = prod * translate(f, A.mul(D)).astype(np.complex128)
-        acc += prod.mean()
+        prod = np.ones(trs[0].base.shape, dtype=np.complex128)
+        for tr, S in zip(trs, shifts):
+            prod = prod * tr(S[d_idx])
+        acc += prod.reshape(-1).mean()
     lhs = abs(acc / P)
     rhs = min(gowers_norm(f, s - 1) for f in fs)
     return {"lhs": lhs, "rhs": rhs, "holds": lhs <= rhs + slack, "slack": slack}
@@ -483,7 +489,7 @@ def pattern_tuple_distribution(
     d1, d2, d3 = factor.complexity
 
     coords = factor_image_coords(factor, k)
-    digs = digit_table(p, k * n)
+    tr = Translates(coords, p, k * n, guard)
     I = FpMatrix.identity(k, p)
     jperm = linear_perm(p, k, n, J.to_lists())
     ijperm = linear_perm(p, k, n, I.add(J).to_lists())
@@ -498,10 +504,8 @@ def pattern_tuple_distribution(
     tup_counts = []
     total = 0
     for d in d_indices:
-        perm1 = add_perm(p, k * n, digs[d])
-        perm2 = add_perm(p, k * n, digs[jperm[d]])
-        perm3 = add_perm(p, k * n, digs[ijperm[d]])
-        tup = np.concatenate([coords, coords[perm1], coords[perm2], coords[perm3]], axis=1)
+        shifted = [tr.at(e).reshape(coords.shape) for e in (d, jperm[d], ijperm[d])]
+        tup = np.concatenate([coords] + shifted, axis=1)
         cells, counts = np.unique(tup, axis=0, return_counts=True)
         total += P
         tups.append(cells)
@@ -638,7 +642,7 @@ def structured_pattern_average(
     labels = h_coset_labels(factor, k)
     d_indices = np.nonzero(np.all(labels == 0, axis=1))[0]
     I = FpMatrix.identity(k, p)
-    sums, den = _pattern_sums(f, [I.to_lists(), J.to_lists(), I.add(J).to_lists()], d_indices)
+    sums, den = _pattern_sums(f, [I.to_lists(), J.to_lists(), I.add(J).to_lists()], d_indices, guard)
     exact = f.kind == RATIONAL
     acc = 0
     for s in sums:

@@ -217,19 +217,17 @@ def _group_from_args(args) -> tp.FiniteGroupSpec:
 
 
 def _cmd_threept(args):
+    g = _group_from_args(args) if args.tp_op != "lift" else None
     if args.tp_op == "bohr":
-        g = _group_from_args(args)
         B = tp.bohr_set(g, json.loads(args.S), Fraction(args.delta).limit_denominator(10**9))
         return {"members": list(B.members), "measure": B.measure, "S": list(B.S)}, True
     if args.tp_op == "count":
-        g = _group_from_args(args)
         B = tp.bohr_set(g, json.loads(args.S), Fraction(args.delta).limit_denominator(10**9))
         rng = np.random.default_rng(args.seed)
         f = (rng.random(g.size) < args.density).astype(np.float64)
         rep = tp.smoothed_3pt_count(f, g, B)
         return rep, rep["agree"]
     if args.tp_op == "decompose":
-        g = _group_from_args(args)
         rng = np.random.default_rng(args.seed)
         f = rng.random(g.size)
         dec = tp.regularity_decompose(f, g, epsilon=args.eps)
@@ -244,7 +242,6 @@ def _cmd_threept(args):
         ok = all(v for k, v in dec.contracts.items() if k.endswith("ok") or k == "mean_preserved")
         return payload, ok
     if args.tp_op == "search":
-        g = _group_from_args(args)
         rng = np.random.default_rng(args.seed)
         f = (rng.random(g.size) < args.density).astype(np.float64)
         rep = tp.popular_3pt_search(f, g, args.eps)

@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import DEFAULT_GUARD
-from ._grid import add_index, add_perm, digit_table, encode_digits, linear_perm
+from ._grid import Translates, add_index, digit_table, encode_digits, linear_perm
 from .errors import DependentDirections, TooLarge, ensure
 from .ffalg import FpMatrix, invertible_stack, is_invertible, mat_inverse, nullspace, row_space_rank
 from .gridfn import FLOAT, GridFunction
@@ -156,18 +156,22 @@ def f1_exact_mean(core: CexCore, n: int, guard: int = DEFAULT_GUARD) -> Fraction
 def f1_pattern_count_exact(core: CexCore, n: int, a, b, guard: int = DEFAULT_GUARD) -> Fraction:
     """beta_1(a, b): exact four-point density of f1 at the difference (a, b)."""
     F = f1_matrix(core, n, guard)
-    a = np.asarray(a, dtype=np.int64) % 5
-    b = np.asarray(b, dtype=np.int64) % 5
-    count = _pattern_count_matrix(F, n, a, b)
-    return Fraction(count, F.size)
+    return Fraction(_pattern_count_matrix(_matrix_translates(F, n, guard), a, b), F.size)
 
 
-def _pattern_count_matrix(F: np.ndarray, n: int, a: np.ndarray, b: np.ndarray) -> int:
-    prod = F.astype(np.int64)
+def _matrix_translates(F: np.ndarray, n: int, guard: int) -> tuple[Translates, Translates]:
+    """Translates over x of the rows of the (x, y)-indexed matrix F, and over
+    y of the column index: F(x + u, y + w) is rows(u) at columns cols(w)."""
+    return Translates(F, P5, n, guard), Translates(np.arange(F.shape[1]), P5, n, guard)
+
+
+def _pattern_count_matrix(trs: tuple[Translates, Translates], a, b) -> int:
+    """sum over (x, y) of prod_c F(x + cx a, y + cy b) over SHIFT_COEFFS."""
+    rows, cols = trs
+    a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+    prod = rows.base.astype(np.int64)
     for cx, cy in SHIFT_COEFFS[1:]:
-        px = add_perm(P5, n, cx * a)
-        py = add_perm(P5, n, cy * b)
-        prod = prod * F[px][:, py]
+        prod = prod * np.take(rows(cx * a), cols(cy * b).reshape(-1), axis=-1)
     return int(prod.sum())
 
 
@@ -564,8 +568,9 @@ def dress_and_measure(
     for sidx in range(seeds):
         hm = dressed_h_matrix(core, h, n, master_seed, sidx, guard)
         alphas.append(hm.sum() / hm.size)
+        tr = _matrix_translates(hm, n, guard)
         for label, a, b in differences:
-            betas[label].append(_pattern_count_matrix(hm, n, np.asarray(a) % 5, np.asarray(b) % 5) / hm.size)
+            betas[label].append(_pattern_count_matrix(tr, a, b) / hm.size)
 
     def mc(vals):
         arr = np.asarray(vals, dtype=np.float64)
@@ -588,8 +593,9 @@ def dress_and_measure(
         },
         "differences": [],
     }
+    f1 = _matrix_translates(f1_matrix(core, n, guard), n, guard)
     for label, a, b in differences:
-        beta1 = f1_pattern_count_exact(core, n, a, b, guard)
+        beta1 = Fraction(_pattern_count_matrix(f1, a, b), P * P)
         if label == "generic":
             factor = mean_g2**8
         elif label == "b=0":

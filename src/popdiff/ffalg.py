@@ -116,12 +116,6 @@ class FpPoly:
                     rem[i + j] = (rem[i + j] - c * b) % p
         return FpPoly(q, p), FpPoly(rem, p)
 
-    def eval_scalar(self, x: int) -> int:
-        acc = 0
-        for a in reversed(self.coeffs):
-            acc = (acc * x + a) % self.p
-        return acc
-
     def eval_matrix(self, A: "FpMatrix") -> "FpMatrix":
         acc = FpMatrix.zero(A.rows, A.cols, A.p)
         for a in reversed(self.coeffs):
@@ -256,23 +250,6 @@ class FpMatrix:
 
     def transpose(self) -> "FpMatrix":
         return FpMatrix(self.cols, self.rows, [self[i, j] for j in range(self.cols) for i in range(self.rows)], self.p)
-
-    def trace(self) -> int:
-        if self.rows != self.cols:
-            raise DimensionMismatch("trace of a non-square matrix")
-        return sum(self[i, i] for i in range(self.rows)) % self.p
-
-    def pow(self, e: int) -> "FpMatrix":
-        if self.rows != self.cols:
-            raise DimensionMismatch("power of a non-square matrix")
-        acc = FpMatrix.identity(self.rows, self.p)
-        base = self
-        while e:
-            if e & 1:
-                acc = acc.mul(base)
-            base = base.mul(base)
-            e >>= 1
-        return acc
 
     def is_symmetric(self) -> bool:
         return self == self.transpose()

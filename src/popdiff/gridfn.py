@@ -12,7 +12,7 @@ import math
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -67,10 +67,6 @@ class GridPoint:
     def index(self) -> int:
         return grid_encode(self.X)
 
-    @classmethod
-    def from_index(cls, p: int, k: int, n: int, index: int) -> "GridPoint":
-        return cls(grid_decode(p, k, n, index), n)
-
 
 # ---------------------------------------------------------------------------
 # Grid functions
@@ -112,11 +108,6 @@ class GridFunction:
         return cls(p, k, n, [value] * size, kind, guard=guard)
 
     @classmethod
-    def from_callable(cls, p: int, k: int, n: int, fn: Callable[[FpMatrix], object], kind: str = FLOAT) -> "GridFunction":
-        vals = [fn(grid_decode(p, k, n, i)) for i in range(grid_size(p, k, n))]
-        return cls(p, k, n, vals, kind)
-
-    @classmethod
     def indicator(cls, p: int, k: int, n: int, indices, kind: str = RATIONAL) -> "GridFunction":
         vals = np.zeros(grid_size(p, k, n), dtype=np.int64)
         vals[np.asarray(list(indices), dtype=np.int64)] = 1
@@ -156,13 +147,6 @@ class GridFunction:
             return Fraction((a * a).sum(), L * L * self.size)
         return math.fsum(np.abs(self.values) ** 2) / self.size
 
-    def is_unit_interval(self, tol: float = 0.0) -> bool:
-        if self.kind == RATIONAL:
-            return all(0 <= v <= 1 for v in self.values)
-        if self.kind == FLOAT:
-            return bool(np.all(self.values >= -tol) and np.all(self.values <= 1 + tol))
-        return False
-
     def is_one_bounded(self, tol: float = 1e-12) -> bool:
         if self.kind == RATIONAL:
             return all(abs(v) <= 1 for v in self.values)
@@ -172,14 +156,6 @@ class GridFunction:
 
     def to_float(self) -> "GridFunction":
         return GridFunction(self.p, self.k, self.n, np.array([float(v) for v in self.values]) if self.kind == RATIONAL else self.values.real, FLOAT)
-
-    def to_rational(self, limit_denominator: int | None = None) -> "GridFunction":
-        if self.kind == RATIONAL:
-            return self
-        if self.kind == COMPLEX:
-            raise ValueError("complex grid functions have no rational form")
-        vals = [Fraction(float(v)) if limit_denominator is None else Fraction(float(v)).limit_denominator(limit_denominator) for v in self.values]
-        return GridFunction(self.p, self.k, self.n, vals, RATIONAL)
 
     def to_complex(self) -> "GridFunction":
         return GridFunction(self.p, self.k, self.n, self.values.astype(np.complex128) if self.kind != RATIONAL else np.array([complex(v) for v in self.values]), COMPLEX)

@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import DEFAULT_GUARD
-from ._grid import add_index, add_perm as shift_perm, dft, digit_table, encode_digits, linear_perm
+from ._grid import Translates, add_index, add_perm as shift_perm, dft, digit_table, encode_digits, linear_perm
 from .analysis import FLOAT_SLACK, PatternCountReport
 from .errors import DimensionMismatch, NoPrimeInWindow, NonConvergent, NotAutomorphism, TooLarge, ensure
 from .ffalg import FpMatrix, is_invertible
@@ -75,6 +75,7 @@ class FiniteGroupSpec:
             raise ValueError(f"unknown group kind {kind!r}")
         self.m = self.k * self.n
         self.size = self.modulus**self.m
+        self.guard = guard
         if self.size > guard:
             raise TooLarge(f"group order {self.size} exceeds guard {guard}")
         if kind == "Z_N":
@@ -109,6 +110,10 @@ class FiniteGroupSpec:
     def add_perm(self, shift_idx: int) -> np.ndarray:
         """Permutation q with q[x] = x + shift."""
         return shift_perm(self.modulus, self.m, self._digits[shift_idx])
+
+    def translates(self, values: np.ndarray) -> Translates:
+        """values(x + s) for each element s, by index: translates(values).at(s)."""
+        return Translates(values, self.modulus, self.m, self.guard)
 
     def neg(self, idx: np.ndarray) -> np.ndarray:
         return self._perms["neg"][np.asarray(idx)]
@@ -241,11 +246,11 @@ def smoothed_3pt_count(f: np.ndarray, group: FiniteGroupSpec, B: BohrSet, tol: f
     N = group.size
     nu = convolved_measure(B)
     support = np.nonzero(nu)[0]
+    tr = group.translates(f)
+    m1, m2 = group.apply(1, support), group.apply(2, support)
     direct = 0.0
-    for d in support:
-        s1 = group.add_perm(int(group.apply(1, np.array([d]))[0]))
-        s2 = group.add_perm(int(group.apply(2, np.array([d]))[0]))
-        direct += float(nu[d]) * float(np.mean(f * f[s1] * f[s2]))
+    for d, s1, s2 in zip(support, m1, m2):
+        direct += float(nu[d]) * float(np.mean((tr.base * tr.at(s1) * tr.at(s2)).reshape(-1)))
     F = group.fft(f)
     nu_t = group.fft(nu) * N  # sum_d nu(d) e(-<eta, d>); real for symmetric nu
     xi = np.arange(N)
@@ -335,11 +340,11 @@ def regularity_decompose(
         l2_f2 = math.sqrt(float(np.mean(f2**2)))
         fhat3_inf = float(np.max(np.abs(group.fft(f3)))) if N else 0.0
         sup_lip = 0.0
+        tr = group.translates(f1)
         for r in B.members:
             if r == 0:
                 continue
-            perm = group.add_perm(r)
-            sup_lip = max(sup_lip, float(np.max(np.abs(f1[perm] - f1))))
+            sup_lip = max(sup_lip, float(np.max(np.abs(tr.at(r) - tr.base))))
         bounds_ok = (
             f1.min() >= -1e-9
             and f1.max() <= 1 + 1e-9
@@ -379,10 +384,10 @@ def popular_3pt_search(indicator: np.ndarray, group: FiniteGroupSpec, epsilon: f
     counts: dict[int, float] = {}
     hits = 0
     best_val, best_idx = None, -1
+    tr = group.translates(f)
+    m1, m2 = group.apply(1, np.arange(N)), group.apply(2, np.arange(N))
     for d in range(N):
-        s1 = group.add_perm(int(group.apply(1, np.array([d]))[0]))
-        s2 = group.add_perm(int(group.apply(2, np.array([d]))[0]))
-        beta = float(np.mean(f * f[s1] * f[s2]))
+        beta = float(np.mean((tr.base * tr.at(m1[d]) * tr.at(m2[d])).reshape(-1)))
         counts[d] = beta
         if d == 0:
             continue
@@ -482,14 +487,13 @@ def lift_to_interval(A, N: int, M1, M2, epsilon: float, guard: int = DEFAULT_GUA
     best = {"d": None, "count": -1, "triples": []}
     audit_total = 0
     audit_pass = 0
+    tr = group.translates(in_A)
+    m1, m2 = group.apply(1, x_all), group.apply(2, x_all)
     for d in B.members:
         if d == 0:
             continue
-        m1d = int(group.apply(1, np.array([d]))[0])
-        m2d = int(group.apply(2, np.array([d]))[0])
-        s1 = group.add_perm(m1d)
-        s2 = group.add_perm(m2d)
-        ok = in_A & in_A[s1] & in_A[s2] & band
+        m1d, m2d = int(m1[d]), int(m2[d])
+        ok = (tr.base & tr.at(m1d) & tr.at(m2d)).reshape(-1) & band
         xs = x_all[ok]
         m1_shift = [signed(int(v)) for v in digs[m1d]]
         m2_shift = [signed(int(v)) for v in digs[m2d]]

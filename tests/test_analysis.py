@@ -1,3 +1,5 @@
+import math
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -169,6 +171,45 @@ def test_pattern_sums_python_int_fallback():
     for d in range(P):
         got = pattern_count(f, spec, d)
         assert type(got) is Fraction and got == fraction_pattern_count(f, spec, d)
+
+
+def _float_edge_values(case, points, P, rng):
+    """Float values for one edge of the int64 shortcut of float counts."""
+    if case == "indicator":
+        return (rng.random(P) < 0.5).astype(float)
+    if case == "negative":
+        return rng.integers(-9, 10, P).astype(float)
+    if case in ("below", "above"):
+        # the largest integer t with t^points < 2^53, then t + 2: an odd t + 2
+        # makes inexact float64 products, where only fsum gives today's sums
+        t = next(t for t in range(int(2 ** (53 / points)) + 2, 0, -1) if t**points < 2**53)
+        top = t if case == "below" else t + 2
+        return rng.choice([-top, top, top - 2, 0.0, 1.0], P).astype(float)
+    if case in ("half", "tenth"):
+        return rng.integers(0, 4, P) * (0.5 if case == "half" else 0.1)
+    special = {"inf": np.inf, "nan": np.nan}[case]
+    return np.where(np.arange(P) == 3, special, (rng.random(P) < 0.5).astype(float))
+
+
+@pytest.mark.parametrize("points", (3, 4))
+@pytest.mark.parametrize("case", ("indicator", "negative", "below", "above", "half", "tenth", "inf", "nan"))
+def test_float_counts_integer_shortcut_edges(case, points, monkeypatch):
+    # float counts take the int64 sum only when every value is a finite
+    # integer and max|v|^points < 2^53; either way each count is the fsum of
+    # the float64 products bit for bit (same bits for nan). 2^53 itself is no
+    # cube or fourth power, so "above" is the first integer past the bound.
+    p, k, n = 5, 1, 2
+    P = grid_size(p, k, n)
+    f = GridFunction(p, k, n, _float_edge_values(case, points, P, np.random.default_rng(11)), FLOAT)
+    spec = scalar_spec(p, 1, 2)
+    want = [struct.pack("<d", fraction_pattern_count(f, spec, d, points)) for d in range(P)]
+    rep = popular_search(f, spec, 0.05, points=points)
+    assert [struct.pack("<d", rep.counts[d]) for d in range(P)] == want
+    fsum_calls = []
+    real_fsum = math.fsum
+    monkeypatch.setattr(math, "fsum", lambda xs: fsum_calls.append(1) or real_fsum(xs))
+    assert [struct.pack("<d", pattern_count(f, spec, d, points)) for d in range(P)] == want
+    assert bool(fsum_calls) == (case in ("above", "half", "tenth", "inf", "nan"))
 
 
 def test_difference_index_range_checked():

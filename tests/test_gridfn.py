@@ -34,7 +34,8 @@ from popdiff.gridfn import (
     read_grid_function,
     write_grid_function,
 )
-from popdiff._grid import add_index, add_perm, digit_table, encode_digits
+from popdiff import DEFAULT_GUARD
+from popdiff._grid import Translates, add_index, add_perm, digit_table, encode_digits, translate_view
 from popdiff.analysis import translate
 
 from oracles import roll_translate
@@ -72,6 +73,43 @@ def test_add_perm_gather_matches_roll_oracle(shape, data):
     assert np.array_equal(vals[add_perm(p, m, shift)], expected)
     f = GridFunction(p, k, n, vals, FLOAT)
     assert np.array_equal(translate(f, FpMatrix(k, n, shift, p)), expected)
+
+
+@st.composite
+def translate_cases(draw):
+    """(p, m, shift digits): Z_N as p = N in 2..60 with m = 1, or F_p^m with
+    p in {2, 3, 5, 7} and m in 0..4; the shift is 0, all p - 1, or random."""
+    if draw(st.booleans()):
+        p, m = draw(st.integers(2, 60)), 1
+    else:
+        p, m = draw(st.sampled_from([2, 3, 5, 7])), draw(st.integers(0, 4))
+    shift = draw(st.sampled_from([[0] * m, [p - 1] * m, None]))
+    if shift is None:
+        shift = draw(st.lists(st.integers(-2 * p, 2 * p), min_size=m, max_size=m))
+    return p, m, shift
+
+
+@given(translate_cases(), st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_translate_view_matches_roll_oracle(case, seed):
+    # a view of the periodic extension, and the gather forced by guard 0,
+    # both equal np.roll; so do products with base and trailing axes
+    p, m, shift = case
+    rng = np.random.default_rng(seed)
+    vals, pairs = rng.random(p**m), rng.random((p**m, 2))
+    expected = roll_translate(vals, p, m, [s % p for s in shift])
+    for guard in (DEFAULT_GUARD, 0):
+        tr = Translates(vals, p, m, guard)
+        assert (tr.ext is None) == (guard == 0)
+        if tr.ext is not None:
+            view = translate_view(tr.ext, shift)
+            assert np.shares_memory(view, tr.ext) and view.shape == (p,) * m
+            assert np.array_equal(view.reshape(-1), expected)
+        assert np.array_equal(tr(shift).reshape(-1), expected)
+        assert np.array_equal((tr.base * tr(shift)).reshape(-1), vals * expected)
+        got = Translates(pairs, p, m, guard)(shift).reshape(-1, 2)
+        for c in range(2):
+            assert np.array_equal(got[:, c], roll_translate(pairs[:, c], p, m, [s % p for s in shift]))
 
 
 @given(grid_shapes(), st.data())
