@@ -26,8 +26,11 @@ from .gridfn import (
     GridFunction,
     GridPoint,
     QuadraticFactor,
+    _skew_coord_index,
+    _sym_coord_index,
+    atom_images,
+    atom_partition,
     conditional_expectation,
-    factor_image_coords,
     grid_size,
     h_coset_labels,
 )
@@ -198,22 +201,26 @@ def popular_search(
     exact = f.kind == RATIONAL
     threshold = alpha**points - (Fraction(epsilon).limit_denominator(10**9) if exact else epsilon)
     sums, den = _pattern_sums(f, mats, range(P), guard)
-    counts: dict[int, object] = {}
-    best_val = None
-    best_idx = -1
-    hits = 0
-    for idx, s in enumerate(sums):
-        beta = Fraction(s, den * P) if exact else s / P
-        counts[idx] = beta
-        if idx == 0:
-            continue
-        if (beta >= threshold) if exact else (beta >= threshold - FLOAT_SLACK):
+    betas = [Fraction(s, den * P) for s in sums] if exact else [s / P for s in sums]
+    return popular_report(betas, alpha, threshold, points, epsilon, exact)
+
+
+def popular_report(betas: list, alpha, threshold, points: int, epsilon: float, exact: bool) -> PatternCountReport:
+    """The popular-difference report of the densities betas[d] at every
+    difference index d. Hits count the nonzero d with beta >= threshold
+    (exact) or beta >= threshold - FLOAT_SLACK (float); the argmax over
+    nonzero d breaks ties toward the smallest index."""
+    floor = threshold if exact else threshold - FLOAT_SLACK
+    hits, best_val, best_idx = 0, None, -1
+    for d in range(1, len(betas)):
+        beta = betas[d]
+        if beta >= floor:
             hits += 1
         if best_val is None or beta > best_val:
-            best_val, best_idx = beta, idx
+            best_val, best_idx = beta, d
     return PatternCountReport(
         alpha=alpha,
-        counts=counts,
+        counts=dict(enumerate(betas)),
         max_d=best_val,
         argmax_d=best_idx,
         threshold=threshold,
@@ -387,60 +394,36 @@ def factor_image_distribution(factor: QuadraticFactor, k: int, guard: int = DEFA
     p, n = factor.p, factor.n
     if p ** (k * n) > guard:
         raise TooLarge(f"p^(kn) = {p ** (k * n)} exceeds guard {guard}")
-    coords = factor_image_coords(factor, k)
-    cells, counts = np.unique(coords, axis=0, return_counts=True)
+    ids, count = atom_partition(factor, k)
     d1, d2, d3 = factor.complexity
     dim = k * d1 + (k * (k + 1) // 2) * d2 + (k * (k - 1) // 2) * d3
     predicted = Fraction(1, p**dim)
     return EquidistributionReport(
         support_ok=True,
         predicted_cell_probability=predicted,
-        max_multiplicative_deviation=_deviation(counts, coords.shape[0], predicted),
-        cells_observed=len(cells),
+        max_multiplicative_deviation=_deviation(np.bincount(ids, minlength=count), len(ids), predicted),
+        cells_observed=count,
         predicted_support_size=p**dim,
-        support_equal=len(cells) == p**dim,
+        support_equal=count == p**dim,
     )
 
 
 def _family_slices(factor: QuadraticFactor, k: int) -> list[tuple[str, slice]]:
     """Coordinate slices of factor_image_coords by family entry."""
-    out = []
-    pos = 0
-    for i in range(len(factor.b1)):
-        out.append(("b1", slice(pos, pos + k)))
-        pos += k
-    sdim = k * (k + 1) // 2
-    for i in range(len(factor.b2)):
-        out.append(("b2", slice(pos, pos + sdim)))
-        pos += sdim
-    kdim = k * (k - 1) // 2
-    for i in range(len(factor.b3)):
-        out.append(("b3", slice(pos, pos + kdim)))
-        pos += kdim
-    return out
+    width = {"b1": k, "b2": k * (k + 1) // 2, "b3": k * (k - 1) // 2}
+    kinds = ["b1"] * len(factor.b1) + ["b2"] * len(factor.b2) + ["b3"] * len(factor.b3)
+    ends = itertools.accumulate(width[kind] for kind in kinds)
+    return [(kind, slice(end - width[kind], end)) for kind, end in zip(kinds, ends)]
 
 
-def _expand_matrix_coords(slot_cols: list[np.ndarray], k: int, p: int, kind: str) -> np.ndarray:
-    """Expand packed (upper-triangle) matrix coordinates of the 4 slots into
-    full k x k flattenings, shape (cells, 4 k^2)."""
-    out = []
-    for cols in slot_cols:
-        full = np.zeros((cols.shape[0], k * k), dtype=np.int64)
-        t = 0
-        if kind == "b2":
-            for i in range(k):
-                for j in range(i, k):
-                    full[:, i * k + j] = cols[:, t]
-                    full[:, j * k + i] = cols[:, t]
-                    t += 1
-        else:
-            for i in range(k):
-                for j in range(i + 1, k):
-                    full[:, i * k + j] = cols[:, t]
-                    full[:, j * k + i] = (-cols[:, t]) % p
-                    t += 1
-        out.append(full)
-    return np.concatenate(out, axis=1)
+def _expand_matrix_coords(cols: np.ndarray, k: int, p: int, kind: str) -> np.ndarray:
+    """Expand the packed (upper-triangle) matrix coordinates of the 4 slots,
+    shape (cells, 4, packed), into full k x k flattenings, shape (cells, 4 k^2)."""
+    i, j = np.array(_sym_coord_index(k) if kind == "b2" else _skew_coord_index(k), dtype=np.int64).reshape(-1, 2).T
+    full = np.zeros(cols.shape[:2] + (k, k), dtype=np.int64)
+    full[:, :, i, j] = cols
+    full[:, :, j, i] = cols if kind == "b2" else -cols % p
+    return full.reshape(len(cols), 4 * k * k)
 
 
 def _modp_rank(mat: np.ndarray, p: int) -> int:
@@ -481,39 +464,55 @@ def pattern_tuple_distribution(
     When J fails the spectral gate the report is still produced with
     prediction_reliable=False and the observed support dimension recorded.
     """
+    cells, counts, total = pattern_tuple_histogram(factor, J, restrict_to_H, guard)
+    return pattern_tuple_report(factor, J, restrict_to_H, cells, counts, total)
+
+
+def pattern_tuple_histogram(
+    factor: QuadraticFactor, J: FpMatrix, restrict_to_H: bool = False, guard: int = DEFAULT_GUARD
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """The cells of the pattern-tuple histogram in lexicographic order, as a
+    (cells, 4, ncoords) array of slot images; their counts; and the number of
+    (X, D) pairs counted.
+
+    A cell is its four slot atom ids folded into one int64, first slot most
+    significant. Atom ids rank the images, so code order is cell order. One
+    1-d unique per difference, then one merge over all of them."""
     p, n = factor.p, factor.n
     k = J.rows
     P = grid_size(p, k, n)
     if P * P > guard:
         raise TooLarge(f"p^(2kn) = {P * P} exceeds guard {guard}")
-    d1, d2, d3 = factor.complexity
-
-    coords = factor_image_coords(factor, k)
-    tr = Translates(coords, p, k * n, guard)
-    I = FpMatrix.identity(k, p)
-    jperm = linear_perm(p, k, n, J.to_lists())
-    ijperm = linear_perm(p, k, n, I.add(J).to_lists())
-
+    ids, atoms = atom_images(factor, k)
+    A = len(atoms)
+    if A**4 >= 2**63:
+        raise TooLarge(f"atoms^4 = {A**4} exceeds the int64 code limit 2^63 = {2**63}")
     if restrict_to_H:
-        labels = h_coset_labels(factor, k)
-        d_indices = np.nonzero(np.all(labels == 0, axis=1))[0]
+        d_indices = np.nonzero(np.all(h_coset_labels(factor, k) == 0, axis=1))[0]
     else:
         d_indices = np.arange(P)
-
-    tups = []
-    tup_counts = []
-    total = 0
+    tr = Translates(ids, p, k * n, guard)
+    jperm = linear_perm(p, k, n, J.to_lists())
+    ijperm = linear_perm(p, k, n, FpMatrix.identity(k, p).add(J).to_lists())
+    per_d = []
     for d in d_indices:
-        shifted = [tr.at(e).reshape(coords.shape) for e in (d, jperm[d], ijperm[d])]
-        tup = np.concatenate([coords] + shifted, axis=1)
-        cells, counts = np.unique(tup, axis=0, return_counts=True)
-        total += P
-        tups.append(cells)
-        tup_counts.append(counts)
-    all_cells, inverse = np.unique(np.concatenate(tups, axis=0), axis=0, return_inverse=True)
-    counts_arr = np.zeros(len(all_cells), dtype=np.int64)
-    np.add.at(counts_arr, inverse, np.concatenate(tup_counts))
+        code = tr.base
+        for e in (d, jperm[d], ijperm[d]):
+            code = code * A + tr.at(e)
+        per_d.append(np.unique(code, return_counts=True))
+    codes, inverse = np.unique(np.concatenate([c for c, _ in per_d]), return_inverse=True)
+    # float64 weights sum exactly: no count exceeds P^2, far below 2^53
+    counts = np.bincount(inverse, weights=np.concatenate([m for _, m in per_d])).astype(np.int64)
+    return atoms[codes[:, None] // A ** np.arange(3, -1, -1) % A], counts, P * len(d_indices)
 
+
+def pattern_tuple_report(
+    factor: QuadraticFactor, J: FpMatrix, restrict_to_H: bool, cells: np.ndarray, counts: np.ndarray, total: int
+) -> EquidistributionReport:
+    """The pattern_tuple_distribution report of a pattern_tuple_histogram."""
+    p, k = factor.p, J.rows
+    d1, d2, d3 = factor.complexity
+    I = FpMatrix.identity(k, p)
     spaces = constraint_spaces(J)
     sym_amb = matrix_tuple_ambient(p, k, 4, "symmetric")
     skew_amb = matrix_tuple_ambient(p, k, 4, "skew")
@@ -527,23 +526,18 @@ def pattern_tuple_distribution(
 
     # membership vectorized: a tuple of images lies in the predicted space iff
     # it pairs to zero with every generator of the dual space
-    ncoords = coords.shape[1]
-    fam = _family_slices(factor, k)
     support_ok = True
     quad_mats = []
-    for kind, sl in fam:
-        slot_cols = [all_cells[:, s * ncoords + sl.start : s * ncoords + sl.stop] for s in range(4)]
+    for kind, sl in _family_slices(factor, k):
+        cols = cells[:, :, sl]
         if kind == "b1":
-            vecs = np.concatenate(slot_cols, axis=1)
             if restrict_to_H:
-                for s in range(1, 4):
-                    if not np.array_equal(slot_cols[s], slot_cols[0]):
-                        support_ok = False
+                support_ok &= bool(np.all(cols == cols[:, :1]))
             elif psi_perp.dim:
                 W = np.array([list(w) for w in psi_perp.basis], dtype=np.int64)
-                support_ok &= bool(np.all(vecs @ W.T % p == 0))
+                support_ok &= bool(np.all(cols.reshape(len(cols), -1) @ W.T % p == 0))
         else:
-            full = _expand_matrix_coords(slot_cols, k, p, kind)
+            full = _expand_matrix_coords(cols, k, p, kind)
             space = spaces["Lambda"] if kind == "b2" else spaces["LambdaPrime"]
             if kind == "b2":
                 quad_mats.append(full)
@@ -560,10 +554,10 @@ def pattern_tuple_distribution(
     return EquidistributionReport(
         support_ok=support_ok,
         predicted_cell_probability=predicted,
-        max_multiplicative_deviation=_deviation(counts_arr, total, predicted),
-        cells_observed=len(all_cells),
+        max_multiplicative_deviation=_deviation(counts, total, predicted),
+        cells_observed=len(cells),
         predicted_support_size=p**support_dim,
-        support_equal=support_ok and len(all_cells) == p**support_dim,
+        support_equal=support_ok and len(cells) == p**support_dim,
         prediction_reliable=reliable,
         extras={
             "spectral_ok": spectral_ok,
@@ -580,37 +574,46 @@ def abstract_atom_distribution(
     factor: QuadraticFactor, k: int, guard: int = DEFAULT_GUARD
 ) -> EquidistributionReport:
     """Exact joint histogram of (B(X), B(D), (X M_i D^T)_i, (X N_j D^T)_j)."""
+    return abstract_atom_report(factor, k, abstract_atom_histogram(factor, k, guard))
+
+
+def abstract_atom_histogram(factor: QuadraticFactor, k: int, guard: int = DEFAULT_GUARD) -> np.ndarray:
+    """Counts of the cells (B(X), B(D), (X M_i D^T)_i, (X N_j D^T)_j) over all
+    (X, D), in lexicographic cell order.
+
+    A cell is coded over the whole (X, D) array as atom(X) A + atom(D), then
+    each entry of each X M D^T folded in with radix p. Before a fold could
+    reach 2^63, the partial code is replaced by its rank among the distinct
+    partial codes; ranks keep the order."""
     p, n = factor.p, factor.n
     P = grid_size(p, k, n)
     if P * P > guard:
         raise TooLarge(f"p^(2kn) = {P * P} exceeds guard {guard}")
-    d1, d2, d3 = factor.complexity
-    coords = factor_image_coords(factor, k)
+    ids, A = atom_partition(factor, k)
+    code, span = (ids[:, None] * A + ids[None, :]).reshape(-1), A * A
     X = digit_table(p, k * n).reshape(P, k, n)
-    cross = []
     for M in list(factor.b2) + list(factor.b3):
-        Mm = np.array(M.to_lists(), dtype=np.int64)
-        cross.append(np.einsum("xan,nm,ybm->xyab", X, Mm, X) % p)  # X M D^T
-    cell_counts: dict[bytes, int] = {}
-    for d in range(P):
-        parts = [coords, np.broadcast_to(coords[d], coords.shape)]
-        for arr in cross:
-            parts.append(arr[:, d].reshape(P, k * k))
-        tup = np.concatenate(parts, axis=1)
-        cells, counts = np.unique(tup, axis=0, return_counts=True)
-        for cell, cnt in zip(cells, counts):
-            key = cell.tobytes()
-            cell_counts[key] = cell_counts.get(key, 0) + int(cnt)
+        cross = np.einsum("xan,nm,ybm->xyab", X, np.array(M.to_lists(), dtype=np.int64), X) % p  # X M D^T
+        for entry in cross.reshape(P * P, k * k).T:
+            if span * p > 2**63:
+                _, code = np.unique(code, return_inverse=True)
+                span = int(code.max()) + 1
+            code, span = code * p + entry, span * p
+    return np.unique(code, return_counts=True)[1]
+
+
+def abstract_atom_report(factor: QuadraticFactor, k: int, counts: np.ndarray) -> EquidistributionReport:
+    """The abstract_atom_distribution report of an abstract_atom_histogram."""
+    p, d1, d2, d3 = factor.p, *factor.complexity
     dim = 2 * k * d1 + (2 * (k * (k + 1) // 2) + k * k) * d2 + (2 * (k * (k - 1) // 2) + k * k) * d3
     predicted = Fraction(1, p**dim)
-    counts_arr = np.array(list(cell_counts.values()), dtype=np.int64)
     return EquidistributionReport(
         support_ok=True,
         predicted_cell_probability=predicted,
-        max_multiplicative_deviation=_deviation(counts_arr, P * P, predicted),
-        cells_observed=len(cell_counts),
+        max_multiplicative_deviation=_deviation(counts, grid_size(p, k, factor.n) ** 2, predicted),
+        cells_observed=len(counts),
         predicted_support_size=p**dim,
-        support_equal=len(cell_counts) == p**dim,
+        support_equal=len(counts) == p**dim,
     )
 
 

@@ -719,7 +719,9 @@ def sparse_pattern_max(fm: np.ndarray, n: int, chunk_pairs: int = 2_000_000) -> 
     the 0/1 matrix fm, via enumeration of support-point pairs (the first two
     pattern points determine (a, b), and membership of the other two points
     is checked against the support set). Pairs are processed in chunks so a
-    dense support stays within memory."""
+    dense support stays within memory; hits accumulate in one histogram over
+    the P^2 difference codes a P + b, whose first argmax is the smallest
+    code among the maxima."""
     P = 5**n
     xs, ys = np.nonzero(fm)
     K = len(xs)
@@ -727,7 +729,7 @@ def sparse_pattern_max(fm: np.ndarray, n: int, chunk_pairs: int = 2_000_000) -> 
         return {"max_beta": 0.0, "argmax": None, "support": 0}
     digs = digit_table(P5, n)
     packed = np.sort(xs.astype(np.int64) * P + ys.astype(np.int64))
-    hit_codes: dict[int, int] = {}
+    hits = np.zeros(P * P, dtype=np.int64)
     rows_per_chunk = max(1, chunk_pairs // K)
     for start in range(0, K, rows_per_chunk):
         sel = np.arange(start, min(start + rows_per_chunk, K))
@@ -744,18 +746,13 @@ def sparse_pattern_max(fm: np.ndarray, n: int, chunk_pairs: int = 2_000_000) -> 
         p3 = encode_digits(digs[x1] + 2 * da, P5) * P + encode_digits(digs[y1] - 2 * db, P5)
         p4 = encode_digits(digs[x1] + 3 * da, P5) * P + encode_digits(digs[y1] - db, P5)
         ok = np.isin(p3, packed) & np.isin(p4, packed)
-        if not ok.any():
-            continue
-        codes = encode_digits(da[ok], P5) * P + encode_digits(db[ok], P5)
-        vals, counts = np.unique(codes, return_counts=True)
-        for v, c in zip(vals, counts):
-            hit_codes[int(v)] = hit_codes.get(int(v), 0) + int(c)
-    if not hit_codes:
+        hits += np.bincount(encode_digits(da[ok], P5) * P + encode_digits(db[ok], P5), minlength=P * P)
+    best_code = int(np.argmax(hits))
+    if hits[best_code] == 0:
         return {"max_beta": 0.0, "argmax": None, "support": K}
-    best_code = max(hit_codes, key=lambda v: (hit_codes[v], -v))
     a_idx, b_idx = best_code // P, best_code % P
     return {
-        "max_beta": float(hit_codes[best_code] / (P * P)),
+        "max_beta": float(hits[best_code] / (P * P)),
         "argmax": [list(map(int, digs[a_idx])), list(map(int, digs[b_idx]))],
         "support": K,
     }

@@ -276,11 +276,18 @@ def factor_image_coords(factor: QuadraticFactor, k: int) -> np.ndarray:
     return np.concatenate(flat, axis=1)
 
 
+def atom_images(factor: QuadraticFactor, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Atom id per grid index, and the image coordinates of each atom, shape
+    (atoms, ncoords): the distinct rows of factor_image_coords in
+    lexicographic order, so that atom ids rank the images."""
+    atoms, ids = np.unique(factor_image_coords(factor, k), axis=0, return_inverse=True)
+    return ids, atoms
+
+
 def atom_partition(factor: QuadraticFactor, k: int) -> tuple[np.ndarray, int]:
     """Atom id per grid index (one pass over the image map), and atom count."""
-    coords = factor_image_coords(factor, k)
-    _, inverse = np.unique(coords, axis=0, return_inverse=True)
-    return inverse, int(inverse.max()) + 1 if len(inverse) else 0
+    ids, atoms = atom_images(factor, k)
+    return ids, len(atoms)
 
 
 def factor_rank(factor: QuadraticFactor, guard: int = 10**7) -> int:

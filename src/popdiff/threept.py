@@ -17,7 +17,7 @@ import numpy as np
 
 from . import DEFAULT_GUARD
 from ._grid import Translates, add_index, add_perm as shift_perm, dft, digit_table, encode_digits, linear_perm
-from .analysis import FLOAT_SLACK, PatternCountReport
+from .analysis import FLOAT_SLACK, PatternCountReport, popular_report
 from .errors import DimensionMismatch, NoPrimeInWindow, NonConvergent, NotAutomorphism, TooLarge, ensure
 from .ffalg import FpMatrix, is_invertible
 
@@ -380,26 +380,10 @@ def popular_3pt_search(indicator: np.ndarray, group: FiniteGroupSpec, epsilon: f
     f = np.asarray(indicator, dtype=np.float64)
     N = group.size
     alpha = float(f.mean())
-    threshold = alpha**3 - epsilon
-    counts: dict[int, float] = {}
-    hits = 0
-    best_val, best_idx = None, -1
     tr = group.translates(f)
     m1, m2 = group.apply(1, np.arange(N)), group.apply(2, np.arange(N))
-    for d in range(N):
-        beta = float(np.mean((tr.base * tr.at(m1[d]) * tr.at(m2[d])).reshape(-1)))
-        counts[d] = beta
-        if d == 0:
-            continue
-        if beta >= threshold - FLOAT_SLACK:
-            hits += 1
-        if best_val is None or beta > best_val:
-            best_val, best_idx = beta, d
-    return PatternCountReport(
-        alpha=alpha, counts=counts, max_d=best_val, argmax_d=best_idx,
-        threshold=threshold, threshold_hits=hits, points=3, epsilon=float(epsilon),
-        backend="float",
-    )
+    betas = [float(np.mean((tr.base * tr.at(m1[d]) * tr.at(m2[d])).reshape(-1))) for d in range(N)]
+    return popular_report(betas, alpha, alpha**3 - epsilon, 3, epsilon, exact=False)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,10 @@ The Gowers oracle recurses through multiplicative derivatives all the way to
 U^1, the way gowers_norm did before its recursion stopped at the Fourier-side
 U^2. The counterexample oracles build one affine map at a time: the
 membership masks pull every point back through A^{-1}, and the dressing
-reads each table through its own alpha*x + beta*y index array.
+reads each table through its own alpha*x + beta*y index array. The
+equidistribution oracles count cells as rows of image coordinates, sorted
+per difference with np.unique(axis=0) and merged by one more row sort, the
+way the histograms were counted before their cells became folded atom ids.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from popdiff._grid import add_index, digit_table, linear_perm
 from popdiff.counterexample import F2_COMBOS, F3_COMBOS, _uniform_table, f1_matrix
 from popdiff.errors import Singular
 from popdiff.ffalg import FpMatrix, FpPoly, char_poly, mat_inverse, negate_argument
-from popdiff.gridfn import RATIONAL, grid_decode
+from popdiff.gridfn import RATIONAL, factor_image_coords, grid_decode, h_coset_labels
 
 
 def all_monic_polys(p: int, degree: int):
@@ -178,3 +181,51 @@ def dressed_h_by_combo_index(core, h, n: int, master_seed: int, seed_index: int)
             vals.append(cells[combo])
         out = out * h.g2_values(vals[0], vals[1], vals[2]).astype(np.uint8)
     return out
+
+
+def _merge_row_histograms(cells: list, counts: list) -> tuple[np.ndarray, np.ndarray]:
+    """One histogram from per-difference (rows, counts) pairs, rows sorted."""
+    rows, inverse = np.unique(np.concatenate(cells), axis=0, return_inverse=True)
+    merged = np.zeros(len(rows), dtype=np.int64)
+    np.add.at(merged, inverse.reshape(-1), np.concatenate(counts))
+    return rows, merged
+
+
+def pattern_tuple_histogram_by_rows(factor, J: FpMatrix, restrict_to_H: bool = False):
+    """Cells of the pattern-tuple histogram as rows of the four slots' image
+    coordinates (X, X+D, X+JD, X+(I+J)D), in lexicographic order; their
+    counts; and the number of (X, D) pairs. Translates are rolled indices."""
+    p, n, k = factor.p, factor.n, J.rows
+    P = p ** (k * n)
+    coords = factor_image_coords(factor, k)
+    IJ = FpMatrix.identity(k, p).add(J)
+    if restrict_to_H:
+        d_indices = np.nonzero(np.all(h_coset_labels(factor, k) == 0, axis=1))[0]
+    else:
+        d_indices = range(P)
+    cells, counts = [], []
+    for d in d_indices:
+        D = grid_decode(p, k, n, int(d))
+        shifted = [coords[roll_translate(np.arange(P), p, k * n, S.entries)] for S in (D, J.mul(D), IJ.mul(D))]
+        rows, cnt = np.unique(np.concatenate([coords] + shifted, axis=1), axis=0, return_counts=True)
+        cells.append(rows)
+        counts.append(cnt)
+    return (*_merge_row_histograms(cells, counts), P * len(d_indices))
+
+
+def abstract_atom_histogram_by_rows(factor, k: int):
+    """Cells (B(X), B(D), (X M_i D^T)_i, (X N_j D^T)_j) over all (X, D) as
+    rows in lexicographic order, and their counts."""
+    p, n = factor.p, factor.n
+    P = p ** (k * n)
+    coords = factor_image_coords(factor, k)
+    X = digit_table(p, k * n).reshape(P, k, n)
+    cross = [np.einsum("xan,nm,ybm->xyab", X, np.array(M.to_lists(), dtype=np.int64), X) % p
+             for M in list(factor.b2) + list(factor.b3)]
+    cells, counts = [], []
+    for d in range(P):
+        parts = [coords, np.broadcast_to(coords[d], coords.shape)] + [arr[:, d].reshape(P, k * k) for arr in cross]
+        rows, cnt = np.unique(np.concatenate(parts, axis=1), axis=0, return_counts=True)
+        cells.append(rows)
+        counts.append(cnt)
+    return _merge_row_histograms(cells, counts)

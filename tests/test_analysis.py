@@ -7,30 +7,41 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from popdiff.errors import DimensionMismatch, NotAutomorphism, NotMeasurable, TooLarge
-from popdiff.ffalg import FpMatrix
+from popdiff.ffalg import FpMatrix, is_invertible
 from popdiff.gridfn import (
     COMPLEX,
     FLOAT,
     RATIONAL,
     GridFunction,
     QuadraticFactor,
+    atom_partition,
     conditional_expectation,
     grid_encode,
     grid_size,
 )
 from popdiff.patterns import PatternSpec
+from popdiff import analysis
 from popdiff.analysis import (
     abstract_atom_distribution,
+    abstract_atom_histogram,
+    abstract_atom_report,
     gowers_norm,
     linear_quadratic_distribution,
     pattern_count,
     pattern_tuple_distribution,
+    pattern_tuple_histogram,
+    pattern_tuple_report,
     popular_search,
     structured_pattern_average,
     von_neumann_check,
 )
 
-from oracles import fraction_pattern_count, gowers_power_by_derivatives
+from oracles import (
+    abstract_atom_histogram_by_rows,
+    fraction_pattern_count,
+    gowers_power_by_derivatives,
+    pattern_tuple_histogram_by_rows,
+)
 
 
 def scalar_spec(p, m1, m2):
@@ -433,6 +444,110 @@ def test_abstract_atom_distribution():
     bad = QuadraticFactor(p, 3, ((1, 0, 0), (2, 0, 0)), (), ())
     repb = abstract_atom_distribution(bad, k)
     assert not repb.support_equal
+
+
+def random_factor(p, n, seed):
+    """A factor with up to two linear, two symmetric and one skew part."""
+    rng = np.random.default_rng(seed)
+    b1 = tuple(tuple(int(x) for x in rng.integers(0, p, n)) for _ in range(rng.integers(0, 3)))
+    sym, skew = [], []
+    for _ in range(rng.integers(0, 3)):
+        a = rng.integers(0, p, (n, n))
+        sym.append(FpMatrix.from_rows(((a + a.T) % p).tolist(), p))
+    for _ in range(rng.integers(0, 2)):
+        a = rng.integers(0, p, (n, n))
+        skew.append(FpMatrix.from_rows(((a - a.T) % p).tolist(), p))
+    return QuadraticFactor(p, n, b1, tuple(sym), tuple(skew))
+
+
+def assert_tuple_histogram_matches_oracle(fac, J, restrict_to_H):
+    cells, counts, total = pattern_tuple_histogram(fac, J, restrict_to_H)
+    want_cells, want_counts, want_total = pattern_tuple_histogram_by_rows(fac, J, restrict_to_H)
+    ncoords = cells.shape[2]
+    assert np.array_equal(cells.reshape(len(cells), 4 * ncoords), want_cells)
+    assert np.array_equal(counts, want_counts) and total == want_total
+    want = pattern_tuple_report(fac, J, restrict_to_H, want_cells.reshape(len(want_cells), 4, ncoords), want_counts, want_total)
+    assert pattern_tuple_distribution(fac, J, restrict_to_H).to_json_obj() == want.to_json_obj()
+
+
+def assert_abstract_histogram_matches_oracle(fac, k):
+    want_cells, want_counts = abstract_atom_histogram_by_rows(fac, k)
+    assert np.array_equal(abstract_atom_histogram(fac, k), want_counts)
+    assert abstract_atom_distribution(fac, k).to_json_obj() == abstract_atom_report(fac, k, want_counts).to_json_obj()
+
+
+# (p, k, n) with P^2 <= 10^5
+SMALL_SHAPES = [(3, 1, 1), (3, 1, 2), (3, 1, 3), (3, 1, 4), (3, 1, 5), (3, 2, 1), (3, 2, 2), (5, 1, 1), (5, 1, 2), (5, 1, 3), (5, 2, 1)]
+
+
+@given(st.sampled_from(SMALL_SHAPES), st.integers(0, 2**32 - 1), st.booleans())
+@settings(max_examples=20, deadline=None)
+def test_tuple_histogram_matches_row_sort_oracle(shape, seed, restrict_to_H):
+    # cells, counts and the report match the per-difference row sort, cell
+    # order included: code order is lexicographic row order
+    p, k, n = shape
+    rng = np.random.default_rng(seed)
+    J = FpMatrix.from_rows(rng.integers(0, p, (k, k)).tolist(), p)
+    while not is_invertible(FpMatrix.identity(k, p).sub(J)):  # the report needs I - J invertible
+        J = FpMatrix.from_rows(rng.integers(0, p, (k, k)).tolist(), p)
+    assert_tuple_histogram_matches_oracle(random_factor(p, n, seed), J, restrict_to_H)
+
+
+@given(st.sampled_from(SMALL_SHAPES), st.integers(0, 2**32 - 1))
+@settings(max_examples=20, deadline=None)
+def test_abstract_histogram_matches_row_sort_oracle(shape, seed):
+    p, k, n = shape
+    assert_abstract_histogram_matches_oracle(random_factor(p, n, seed), k)
+
+
+def test_histograms_of_zero_coordinate_factor():
+    # no family parts: one atom with no coordinates, one cell
+    fac = QuadraticFactor(3, 2, (), (), ())
+    for k, J in ((1, [[2]]), (2, [[2, 1], [0, 2]])):
+        Jm = FpMatrix.from_rows(J, 3)
+        cells, counts, total = pattern_tuple_histogram(fac, Jm)
+        assert cells.shape == (1, 4, 0) and counts.tolist() == [total]
+        for restrict_to_H in (False, True):
+            assert_tuple_histogram_matches_oracle(fac, Jm, restrict_to_H)
+        assert abstract_atom_histogram(fac, k).tolist() == [3 ** (4 * k)]
+        assert_abstract_histogram_matches_oracle(fac, k)
+
+
+def test_tuple_histogram_restricted_to_H_matches_oracle():
+    p, n = 3, 4
+    fac = QuadraticFactor(p, n, ((1, 0, 0, 0), (0, 1, 1, 0)), (FpMatrix.identity(n, p),), ())
+    assert_tuple_histogram_matches_oracle(fac, FpMatrix.from_rows([[2]], p), True)
+    fac2 = QuadraticFactor(p, 2, ((1, 2),), (FpMatrix.identity(2, p),), (FpMatrix.from_rows([[0, 1], [2, 0]], p),))
+    assert_tuple_histogram_matches_oracle(fac2, FpMatrix.from_rows([[2, 1], [0, 2]], p), True)
+
+
+def test_abstract_histogram_past_rank_compression():
+    # ten symmetric parts at p = 3, k = 2, n = 2: the folded code would need
+    # A^2 3^40 >= 2^63 values, so the partial code is rank-compressed
+    p, k, n = 3, 2, 2
+    rng = np.random.default_rng(7)
+    mats = []
+    for _ in range(10):
+        a = rng.integers(0, p, (n, n))
+        mats.append(FpMatrix.from_rows(((a + a.T) % p).tolist(), p))
+    fac = QuadraticFactor(p, n, (), tuple(mats), ())
+    _, A = atom_partition(fac, k)
+    assert A**2 * p ** (k * k * len(mats)) >= 2**63
+    assert_abstract_histogram_matches_oracle(fac, k)
+
+
+def test_tuple_histogram_refuses_codes_past_int64(monkeypatch):
+    # ten independent linear parts: A = 3^10 atoms, A^4 >= 2^63; the refusal
+    # comes before any translate is built
+    p, n = 3, 10
+    fac = QuadraticFactor(p, n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), (), ())
+
+    def no_translates(*args, **kwargs):
+        raise AssertionError("the per-difference loop was reached")
+
+    monkeypatch.setattr(analysis, "Translates", no_translates)
+    with pytest.raises(TooLarge, match=f"atoms\\^4 = {3 ** 40} exceeds the int64 code limit 2\\^63 = {2**63}"):
+        pattern_tuple_distribution(fac, FpMatrix.from_rows([[2]], p), guard=4 * 10**9)
 
 
 # -- structured pattern average -----------------------------------------------

@@ -79,6 +79,21 @@ def test_cex_report_matches_recorded_reference(capsys, seed):
     assert _report_mismatches(lines[0]["report"], reference) == []
 
 
+EQUIDIST_REFERENCE = os.path.join(os.path.dirname(__file__), "equidist_reference.json")
+with open(EQUIDIST_REFERENCE) as _fh:
+    EQUIDIST_INVOCATIONS = json.load(_fh)["invocations"]
+
+
+@pytest.mark.parametrize("case", EQUIDIST_INVOCATIONS, ids=lambda c: " ".join(c["args"]))
+def test_equidist_matches_recorded_reference(capsys, tmp_path, case):
+    path = tmp_path / "factor.json"
+    path.write_text(json.dumps(case["factor"]))
+    code = cli.main(["equidist", "--factor", str(path)] + case["args"])
+    lines = [json.loads(line) for line in capsys.readouterr().out.splitlines() if line]
+    assert code == case["exit"] and len(lines) == 1
+    assert lines[0]["report"] == case["report"]  # exact, floats included
+
+
 def test_unknown_subcommand_exit_1(capsys):
     assert dispatch(["definitely-not-a-subcommand"]) == 1
     capsys.readouterr()

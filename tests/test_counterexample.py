@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from popdiff.errors import DependentDirections, TooLarge
+from popdiff._grid import digit_table
 from popdiff.ffalg import FpMatrix, nullspace
 from popdiff.patterns import SubspaceBasis
 from popdiff.counterexample import (
@@ -314,6 +315,45 @@ def test_final_assembly_and_sparse_max():
                         cnt += 1
             best = max(best, cnt / 25.0)
     assert got["max_beta"] == pytest.approx(best)
+
+
+def brute_pattern_max(fm, n):
+    """sparse_pattern_max by counting, for every nonzero (a, b) in code order
+    a P + b, the points (x, y) whose four pattern points all lie in fm."""
+    P = 5**n
+    digs = digit_table(5, n)
+    enc = 5 ** np.arange(n)
+    best, best_ab = 0, None
+    for a in range(P):
+        for b in range(P):
+            if a == b == 0:
+                continue
+            inside = np.ones((P, P), dtype=bool)
+            for cx, cy in SHIFT_COEFFS:
+                xs = (digs + cx * digs[a]) % 5 @ enc
+                ys = (digs + cy * digs[b]) % 5 @ enc
+                inside &= fm[np.ix_(xs, ys)].astype(bool)
+            if inside.sum() > best:
+                best, best_ab = int(inside.sum()), (a, b)
+    argmax = None if best_ab is None else [digs[best_ab[0]].tolist(), digs[best_ab[1]].tolist()]
+    return {"max_beta": best / (P * P), "argmax": argmax, "support": int(fm.sum())}
+
+
+@given(st.integers(1, 2), st.sampled_from([0.0, 0.05, 0.2, 0.5, 1.0]), st.integers(0, 2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_sparse_pattern_max_matches_brute_force(n, density, seed):
+    # density 1 ties every difference (the smallest code wins); sparse
+    # supports often have no hit at all (argmax None)
+    P = 5**n
+    fm = (np.random.default_rng(seed).random((P, P)) < density).astype(np.uint8)
+    assert sparse_pattern_max(fm, n, chunk_pairs=97) == brute_pattern_max(fm, n)
+
+
+def test_sparse_pattern_max_without_hits():
+    fm = np.zeros((25, 25), dtype=np.uint8)
+    assert sparse_pattern_max(fm, 2) == {"max_beta": 0.0, "argmax": None, "support": 0}
+    fm[3, 7] = fm[4, 9] = 1  # two points, no full pattern through them
+    assert sparse_pattern_max(fm, 2) == {"max_beta": 0.0, "argmax": None, "support": 2}
 
 
 def test_assembly_mean_matches_prediction():
