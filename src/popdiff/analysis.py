@@ -18,7 +18,7 @@ import numpy as np
 from . import DEFAULT_GUARD
 from ._grid import Translates, add_index, decode_digits, dft, digit_table, encode_index, linear_digits, linear_perm
 from .errors import DimensionMismatch, NotAutomorphism, NotMeasurable, TooLarge
-from .ffalg import FpMatrix, is_invertible, row_space_rank
+from .ffalg import FpMatrix, is_invertible, rank_stack, row_space_rank
 from .gridfn import (
     COMPLEX,
     FLOAT,
@@ -347,38 +347,27 @@ def _deviation(counts: np.ndarray, total: int, predicted: Fraction) -> float:
 def linear_quadratic_distribution(
     Gamma: list, Phi: list[FpMatrix], n: int, p: int, guard: int = DEFAULT_GUARD
 ) -> EquidistributionReport:
-    """Exact joint histogram of (r_i^T x)_i and (x^T M_i x)_i over F_p^n."""
+    """Exact joint histogram of (r_i^T x)_i and (x^T M_i x)_i over F_p^n: the
+    atoms of the k = 1 factor with linear part Gamma and quadratic part Phi."""
     if p**n > guard:
         raise TooLarge(f"p^n = {p ** n} exceeds guard {guard}")
-    P = p**n
-    x = digit_table(p, n)
-    cols = []
-    for r in Gamma:
-        rv = np.asarray([c % p for c in r], dtype=np.int64)
-        cols.append(((x @ rv) % p)[:, None])
-    for M in Phi:
-        if not M.is_symmetric():
-            raise DimensionMismatch("Phi entries must be symmetric")
-        Mm = np.array(M.to_lists(), dtype=np.int64)
-        cols.append((np.einsum("xi,ij,xj->x", x, Mm, x) % p)[:, None])
+    if not all(M.is_symmetric() for M in Phi):
+        raise DimensionMismatch("Phi entries must be symmetric")
+    factor = QuadraticFactor(p, n, tuple(tuple(r) for r in Gamma), tuple(Phi), ())
+    ids, cells = atom_images(factor, 1)
+    counts = np.bincount(ids, minlength=len(cells))
+    P = len(ids)
     d1, d2 = len(Gamma), len(Phi)
-    coords = np.concatenate(cols, axis=1) if cols else np.zeros((P, 0), dtype=np.int64)
-    cells, counts = np.unique(coords, axis=0, return_counts=True)
-    rank_r = row_space_rank([[c % p for c in r] for r in Gamma], p) if Gamma else 0
+    rank_r = row_space_rank(factor.b1, p)
     support_size = p ** (rank_r + d2)
     predicted = Fraction(1, support_size)
-    # support restriction: the Gamma part must lie in the row space image
+    # support restriction: the Gamma part a of every observed cell must lie in
+    # the image of x -> Gamma x, that is rank [Gamma | a] = rank Gamma
     support_ok = True
     if d1 and rank_r < d1:
-        gamma_rows = [[c % p for c in r] for r in Gamma]
-        # observed (a_1..a_d1) must be a consistent image: rank of [Gamma | a]
-        # as a column-augmented system equals rank of Gamma^T
-        gt = [list(col) for col in zip(*gamma_rows)]
-        for cell in cells:
-            aug = gt + [[int(v) for v in cell[:d1]]]
-            if row_space_rank([list(r) for r in zip(*aug)], p) != rank_r:
-                support_ok = False
-                break
+        gamma = np.broadcast_to(np.array(factor.b1, dtype=np.int64), (len(cells), d1, n))
+        aug = np.concatenate([gamma, cells[:, :d1, None]], axis=2)
+        support_ok = bool(np.all(rank_stack(aug, p) == rank_r))
     return EquidistributionReport(
         support_ok=support_ok,
         predicted_cell_probability=predicted,
@@ -424,29 +413,6 @@ def _expand_matrix_coords(cols: np.ndarray, k: int, p: int, kind: str) -> np.nda
     full[:, :, i, j] = cols
     full[:, :, j, i] = cols if kind == "b2" else -cols % p
     return full.reshape(len(cols), 4 * k * k)
-
-
-def _modp_rank(mat: np.ndarray, p: int) -> int:
-    """Rank over F_p by vectorized elimination (few columns, many rows)."""
-    A = np.array(mat, dtype=np.int64) % p
-    rank = 0
-    rows, cols = A.shape
-    for c in range(cols):
-        piv = np.nonzero(A[rank:, c])[0]
-        if len(piv) == 0:
-            continue
-        r = rank + int(piv[0])
-        A[[rank, r]] = A[[r, rank]]
-        inv = pow(int(A[rank, c]), -1, p)
-        A[rank] = A[rank] * inv % p
-        mask = A[:, c] != 0
-        mask[rank] = False
-        if mask.any():
-            A[mask] = (A[mask] - np.outer(A[mask, c], A[rank])) % p
-        rank += 1
-        if rank == min(rows, cols):
-            break
-    return rank
 
 
 def pattern_tuple_distribution(
@@ -550,7 +516,7 @@ def pattern_tuple_report(
     else:
         support_dim = psi.dim * d1 + lam_perp.dim * d2 + lamp_perp.dim * d3
     predicted = Fraction(1, p**support_dim)
-    observed_quad_dim = _modp_rank(np.concatenate(quad_mats, axis=0), p) if quad_mats else 0
+    observed_quad_dim = row_space_rank(np.concatenate(quad_mats, axis=0), p) if quad_mats else 0
     return EquidistributionReport(
         support_ok=support_ok,
         predicted_cell_probability=predicted,

@@ -264,40 +264,87 @@ class FpMatrix:
 # -- elimination ------------------------------------------------------
 
 
-def rref(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
-    """Reduced row echelon form over F_p. Returns (nonzero rows, pivot columns)."""
-    mat = [[int(x) % p for x in row] for row in rows]
-    if not mat:
-        return [], []
-    ncols = len(mat[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(mat)) if mat[i][c]), None)
-        if piv is None:
+def _inverse_mod(x: np.ndarray, p: int) -> np.ndarray:
+    """x^-1 mod p of nonzero int64 residues: x^(p-2) by repeated squaring
+    (products stay below p^2 < 2^63)."""
+    inv = np.ones_like(x)
+    e = p - 2
+    while e:
+        if e & 1:
+            inv = inv * x % p
+        x = x * x % p
+        e >>= 1
+    return inv
+
+
+def _rref_stack(M: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced row echelon form over F_p of each matrix of an int64 stack of
+    shape (B, r, c) with entries in [0, p), nonzero rows first, and the rank
+    of each matrix. M is reduced in place; column j is eliminated in the
+    whole stack at once, with one row counter per matrix."""
+    B, r, c = M.shape
+    rank = np.zeros(B, dtype=np.int64)
+    row = np.arange(r)
+    for j in range(c):
+        # rows at or past the row counter are zero in every earlier column
+        live = (M[:, :, j] != 0) & (row >= rank[:, None])
+        has = live.any(axis=1)
+        b = np.nonzero(has)[0]
+        if not len(b):
             continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = pow(mat[r][c], -1, p)
-        mat[r] = [inv * x % p for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [(x - f * y) % p for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
+        sel = slice(None) if len(b) == B else b
+        rk, piv = rank[b], live[b].argmax(axis=1)
+        pivot_rows = M[b, piv, j:]
+        M[b, piv, j:] = M[b, rk, j:]
+        pivot_rows = pivot_rows * _inverse_mod(pivot_rows[:, :1], p) % p
+        # row rk is cleared here too, then overwritten by the pivot row
+        M[sel, :, j:] = (M[sel, :, j:] - M[sel, :, j, None] * pivot_rows[:, None, :]) % p
+        M[b, rk, j:] = pivot_rows
+        rank[b] += 1
+        if rank.min() == r:
             break
-    return mat[:r], pivots
+    return M, rank
 
 
-def row_space_rank(rows: list[list[int]], p: int) -> int:
+def _as_stack(A, p: int) -> np.ndarray:
+    """Integer array of shape (..., r, c) reduced into [0, p) as int64."""
+    A = np.asarray(A)
+    if A.dtype == object:
+        A = A % p
+    return A.astype(np.int64) % p
+
+
+def rref(rows, p: int) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form over F_p of a matrix given by its rows (a
+    list of lists or a 2-d integer array). Returns (nonzero rows, pivot
+    columns)."""
+    if not len(rows):
+        return [], []
+    M, rank = _rref_stack(_as_stack(rows, p)[None], p)
+    red = M[0, : rank[0]]
+    return red.tolist(), (red != 0).argmax(axis=1).tolist() if len(red) else []
+
+
+def rank_stack(A, p: int) -> np.ndarray:
+    """Ranks over F_p of a stack of integer matrices, shape (..., r, c); an
+    int64 array of the stack's shape."""
+    validate_odd_prime(p)
+    M = _as_stack(A, p)
+    if M.ndim < 2:
+        raise DimensionMismatch("rank_stack needs a stack of matrices")
+    batch = M.shape[:-2]
+    return _rref_stack(M.reshape((math.prod(batch),) + M.shape[-2:]), p)[1].reshape(batch)
+
+
+def row_space_rank(rows, p: int) -> int:
     return len(rref(rows, p)[0])
 
 
-def nullspace(rows: list[list[int]], p: int, ncols: int | None = None) -> list[list[int]]:
-    """Basis of {x : M x = 0} for the matrix with the given rows."""
+def nullspace(rows, p: int, ncols: int | None = None) -> list[list[int]]:
+    """Basis of {x : M x = 0} for the matrix with the given rows (a list of
+    lists or a 2-d integer array)."""
     if ncols is None:
-        if not rows:
+        if not len(rows):
             raise ValueError("ncols required for an empty constraint system")
         ncols = len(rows[0])
     red, pivots = rref(rows, p)
@@ -314,17 +361,13 @@ def nullspace(rows: list[list[int]], p: int, ncols: int | None = None) -> list[l
 
 def solve_linear(rows: list[list[int]], rhs: list[int], p: int) -> list[int] | None:
     """One solution of M x = rhs over F_p, or None if inconsistent."""
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    red, pivots = rref(aug, p)
     ncols = len(rows[0]) if rows else 0
-    for row in red:
-        if all(x == 0 for x in row[:ncols]) and row[ncols] != 0:
-            return None
+    red, pivots = rref([list(row) + [b] for row, b in zip(rows, rhs)], p)
+    if ncols in pivots:  # a row 0 = nonzero
+        return None
     x = [0] * ncols
-    for r, pc in enumerate(pivots):
-        if pc == ncols:
-            return None
-        x[pc] = red[r][ncols]
+    for row, pc in zip(red, pivots):
+        x[pc] = row[ncols]
     return x
 
 
@@ -351,31 +394,11 @@ def is_invertible(A: FpMatrix) -> bool:
 
 def invertible_stack(A, p: int) -> np.ndarray:
     """Which matrices of a stack of square integer matrices, shape (..., n, n),
-    are invertible over F_p; a bool array of the stack's shape.
-
-    Exact: forward elimination mod p run on the whole stack at once, one
-    column at a time, with pivots scaled through the table of inverses mod p.
-    """
-    validate_odd_prime(p)
-    M = np.array(A, dtype=np.int64) % p
-    if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
+    are invertible over F_p; a bool array of the stack's shape."""
+    A = np.asarray(A)
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
         raise DimensionMismatch("invertible_stack needs a stack of square matrices")
-    batch, n = M.shape[:-2], M.shape[-1]
-    M = M.reshape(math.prod(batch), n, n)
-    inv = np.array([0] + [pow(x, -1, p) for x in range(1, p)], dtype=np.int64)
-    stack = np.arange(len(M))
-    ok = np.ones(len(M), dtype=bool)
-    for j in range(n):
-        nonzero = M[:, j:, j] != 0
-        ok &= nonzero.any(axis=1)
-        # first nonzero entry at or below the diagonal; a singular member keeps
-        # row j, whose zero pivot then zeroes the row and leaves the rest alone
-        piv = j + nonzero.argmax(axis=1)
-        pivot_rows = M[stack, piv]
-        M[stack, piv] = M[:, j]
-        M[:, j] = pivot_rows * inv[pivot_rows[:, j]][:, None] % p
-        M[:, j + 1 :] = (M[:, j + 1 :] - M[:, j + 1 :, j, None] * M[:, None, j]) % p
-    return ok.reshape(batch)
+    return rank_stack(A, p) == A.shape[-1]
 
 
 def mat_rank(A: FpMatrix) -> int:
@@ -389,17 +412,13 @@ def min_poly(A: FpMatrix) -> FpPoly:
     p = A.p
     power = FpMatrix.identity(A.rows, p)
     basis_rows: list[list[int]] = []
-    powers: list[FpMatrix] = []
     while True:
         vec = list(power.flatten())
         coeffs = _express_in_span(basis_rows, vec, p)
         if coeffs is not None:
             # power = sum coeffs[i] * A^i, so t^d - sum coeffs[i] t^i kills A
-            d = len(powers)
-            poly = [(-c) % p for c in coeffs] + [1]
-            return FpPoly(poly, p)
+            return FpPoly([(-c) % p for c in coeffs] + [1], p)
         basis_rows.append(vec)
-        powers.append(power)
         power = power.mul(A)
 
 

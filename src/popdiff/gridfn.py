@@ -296,7 +296,7 @@ def factor_rank(factor: QuadraticFactor, guard: int = 10**7) -> int:
     dependent, n if there are no quadratic parts."""
     p, n = factor.p, factor.n
     d1, d2, d3 = factor.complexity
-    if d1 and row_space_rank([list(r) for r in factor.b1], p) < d1:
+    if d1 and row_space_rank(factor.b1, p) < d1:
         return 0
     if d2 + d3 == 0:
         return n
@@ -346,8 +346,7 @@ def linear_kernel_H(factor: QuadraticFactor, k: int) -> dict:
     """H = {D in (F_p^n)^k : D r_i = 0 for all i}, as an exact indicator,
     together with the annihilator characters spanning H-perp."""
     p, n = factor.p, factor.n
-    coords_rows = [list(r) for r in factor.b1]
-    red, _ = rref(coords_rows, p) if coords_rows else ([], [])
+    red, _ = rref(factor.b1, p)
     rank = len(red)
     P = grid_size(p, k, n)
     if factor.b1:

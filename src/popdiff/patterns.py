@@ -28,6 +28,7 @@ from .ffalg import (
     nullspace,
     poly_gcd,
     row_space_rank,
+    rref,
     solve_linear,
     validate_odd_prime,
 )
@@ -112,7 +113,7 @@ class SubspaceBasis:
                 raise DimensionMismatch("basis vector has wrong length")
             red.append(tuple(x % self.p for x in v))
         object.__setattr__(self, "basis", tuple(red))
-        if self.basis and row_space_rank([list(v) for v in self.basis], self.p) != len(self.basis):
+        if self.basis and row_space_rank(self.basis, self.p) != len(self.basis):
             raise ValueError("basis vectors are linearly dependent")
 
     @property
@@ -215,13 +216,8 @@ def orth_complement(space: SubspaceBasis, ambient: SubspaceBasis) -> SubspaceBas
     if not ambient.basis:
         return SubspaceBasis(p, ambient.ambient_dim, (), ambient.ambient_kind)
     # constraints on coefficients x of v = sum x_j e_j
-    rows = []
-    for w in space.basis:
-        rows.append([sum(a * b for a, b in zip(e, w)) % p for e in ambient.basis])
-    if not rows:
-        coeff_basis = [[1 if i == j else 0 for j in range(len(ambient.basis))] for i in range(len(ambient.basis))]
-    else:
-        coeff_basis = nullspace(rows, p, ncols=len(ambient.basis))
+    rows = [[sum(a * b for a, b in zip(e, w)) % p for e in ambient.basis] for w in space.basis]
+    coeff_basis = nullspace(rows, p, ncols=len(ambient.basis))
     vecs = []
     for coeff in coeff_basis:
         v = [0] * ambient.ambient_dim
@@ -240,11 +236,7 @@ def orth_complement(space: SubspaceBasis, ambient: SubspaceBasis) -> SubspaceBas
 def _solve_matrix_condition(p: int, k: int, generators: list[FpMatrix], condition) -> list[FpMatrix]:
     """Kernel of a linear matrix map within span(generators)."""
     rows = [list(condition(E).flatten()) for E in generators]
-    cols = [list(c) for c in zip(*rows)] if rows else []
-    if not cols:
-        coeffs = [[1 if i == j else 0 for j in range(len(generators))] for i in range(len(generators))]
-    else:
-        coeffs = nullspace(cols, p, ncols=len(generators))
+    coeffs = nullspace([list(c) for c in zip(*rows)], p, ncols=len(generators))
     out = []
     for coeff in coeffs:
         A = FpMatrix.zero(k, k, p)
@@ -397,7 +389,7 @@ def annihilator_bruteforce(
     slot_coeffs = [np.zeros((k, k), dtype=np.int64), I, Jm % p, (I + Jm) % p]
     E_arrs = [np.array(E.to_lists(), dtype=np.int64) for E in tuple_blocks]
 
-    rows_accum = []
+    reduced = []
     for M in m_basis:
         Mm = np.array(M.to_lists(), dtype=np.int64)
         G1 = np.einsum("xan,nm,xbm->xab", X, Mm, X) % p        # X M X^T (also D M D^T)
@@ -412,10 +404,9 @@ def annihilator_bruteforce(
             Q = (G1[:, None, :, :] + term2 + term3 + term4[None, :, :, :]) % p
             for E in E_arrs:
                 cols.append(np.einsum("ab,xyab->xy", E, Q) % p)
-        rows = np.stack([c.reshape(-1) for c in cols], axis=1) % p
-        rows_accum.append(np.unique(rows, axis=0))
-    all_rows = np.unique(np.concatenate(rows_accum, axis=0), axis=0)
-    basis_coeffs = nullspace([list(map(int, r)) for r in all_rows], p, ncols=tdim)
+        # each block reduced to its (at most tdim) echelon rows before the next
+        reduced += rref(np.stack([c.reshape(-1) for c in cols], axis=1), p)[0]
+    basis_coeffs = nullspace(reduced, p, ncols=tdim)
 
     vecs = []
     for coeff in basis_coeffs:

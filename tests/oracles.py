@@ -14,6 +14,8 @@ reads each table through its own alpha*x + beta*y index array. The
 equidistribution oracles count cells as rows of image coordinates, sorted
 per difference with np.unique(axis=0) and merged by one more row sort, the
 way the histograms were counted before their cells became folded atom ids.
+The elimination oracle is the row-at-a-time list loop that ffalg.rref ran
+before every mod-p elimination moved onto one stacked numpy kernel.
 """
 
 from __future__ import annotations
@@ -97,6 +99,32 @@ def spectral_oracle(A: FpMatrix) -> bool:
         if negate_argument(q).monic() in fset:
             return False
     return True
+
+
+def rref_by_lists(rows, p: int) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form over F_p, one Python row list at a time.
+    Returns (nonzero rows, pivot columns)."""
+    mat = [[int(x) % p for x in row] for row in rows]
+    if not mat:
+        return [], []
+    pivots: list[int] = []
+    r = 0
+    for c in range(len(mat[0])):
+        piv = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        inv = pow(mat[r][c], -1, p)
+        mat[r] = [inv * x % p for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c]:
+                f = mat[i][c]
+                mat[i] = [(x - f * y) % p for x, y in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    return mat[:r], pivots
 
 
 def roll_translate(values: np.ndarray, p: int, m: int, shift_digits) -> np.ndarray:

@@ -374,6 +374,12 @@ def test_linquad_dependent_support():
     assert rep.support_ok and rep.cells_observed == 5 and rep.predicted_support_size == 5
 
 
+def test_linquad_refuses_non_symmetric_phi():
+    N = FpMatrix.from_rows([[0, 1, 0], [2, 0, 0], [0, 0, 0]], 3)
+    with pytest.raises(DimensionMismatch):
+        linear_quadratic_distribution([(1, 0, 0)], [N], 3, 3)
+
+
 def test_tuple_distribution_trivial_factor():
     fac = QuadraticFactor(3, 2, (), (), ())
     rep = pattern_tuple_distribution(fac, FpMatrix.from_rows([[2]], 3))

@@ -94,6 +94,21 @@ def test_equidist_matches_recorded_reference(capsys, tmp_path, case):
     assert lines[0]["report"] == case["report"]  # exact, floats included
 
 
+SUBSPACES_REFERENCE = os.path.join(os.path.dirname(__file__), "subspaces_reference.json")
+with open(SUBSPACES_REFERENCE) as _fh:
+    SUBSPACES_INVOCATIONS = json.load(_fh)["invocations"]
+
+
+@pytest.mark.parametrize("case", SUBSPACES_INVOCATIONS, ids=lambda c: f"{c['args'][0]} {c['name']}")
+def test_subspaces_and_check_match_recorded_reference(capsys, tmp_path, case):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(case["spec"]))
+    code = cli.main(case["args"] + ["--spec", str(path)])
+    lines = [json.loads(line) for line in capsys.readouterr().out.splitlines() if line]
+    assert code == case["exit"] and len(lines) == 1
+    assert lines[0]["report"] == case["report"]  # every basis vector, in order
+
+
 def test_unknown_subcommand_exit_1(capsys):
     assert dispatch(["definitely-not-a-subcommand"]) == 1
     capsys.readouterr()

@@ -287,6 +287,34 @@ def test_dress_and_measure_alpha():
     assert all(d["within"] for d in rep["differences"])
 
 
+def test_dress_and_measure_predicts_from_vectors():
+    core = build_core()
+    h = Hypergraphon(5, (1, 2))
+    base = dress_and_measure(core, h, 2, 3, master_seed=3)
+    renamed = [(f"mine-{i}", d["a"], d["b"]) for i, d in enumerate(base["differences"])]
+    rep = dress_and_measure(core, h, 2, 3, master_seed=3, differences=renamed)
+    assert [d.pop("label") for d in rep["differences"]] == [label for label, _, _ in renamed]
+    # the default labels name their classes: generic, b = lambda a, b = 0, a = 0
+    classes = ["generic", 1, 2, 3, 4, "a0", "0b"]
+    for d, lam_class in zip(base["differences"], classes):
+        if lam_class == "generic":
+            factor = hypergraph_expectations(h)["mean_g2"] ** 8
+        else:
+            e1, e2 = class_pattern_expectations(h, lam_class)
+            factor = e1 * e2
+        assert d["predicted"] == float(Fraction(d["beta1_exact"]) * factor)
+        del d["label"]
+    assert rep == base
+    # a label that contradicts its vectors: b = 2a is predicted as b = 2a
+    b2a = base["differences"][2]
+    assert (b2a["a"], b2a["b"]) == ([1, 0], [2, 0])
+    wrong = dress_and_measure(core, h, 2, 3, master_seed=3, differences=[("b=0", [1, 0], [2, 0])])
+    assert wrong["differences"][0]["predicted"] == b2a["predicted"]
+    assert wrong["differences"][0]["predicted"] != base["differences"][5]["predicted"]
+    with pytest.raises(DependentDirections):
+        dress_and_measure(core, h, 2, 1, master_seed=3, differences=[("zero", [0, 0], [5, 0])])
+
+
 def test_final_assembly_and_sparse_max():
     core = build_core()
     h = Hypergraphon(5, (1, 2))

@@ -14,10 +14,14 @@ from popdiff.ffalg import (
     negate_argument,
     nullspace,
     poly_gcd,
+    rank_stack,
+    row_space_rank,
+    rref,
     validate_odd_prime,
 )
 
 import numpy as np
+from oracles import rref_by_lists
 
 
 def test_prime_validation():
@@ -137,6 +141,47 @@ def test_invertible_stack_matches_is_invertible(p, n, seed):
     assert got.dtype == bool and got.tolist() == want
     assert not got[1] and got[2] and (n == 1 or not got[0])
     assert invertible_stack(A.reshape(5, 8, n, n), p).tolist() == np.reshape(want, (5, 8)).tolist()
+
+
+@given(st.sampled_from([3, 5, 7, 999983]), st.integers(1, 3), st.booleans(), st.integers(1, 20), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_elimination_matches_list_oracle(p, batch, tall, c, seed):
+    rng = np.random.default_rng(seed)
+    r = int(rng.integers(1000, 1100)) if tall else int(rng.integers(1, 9))
+    c = min(c, 6) if tall else c
+    stack = []
+    for _ in range(batch):
+        # a random rank cap, so that rank deficiency shows up at large p too
+        inner = int(rng.integers(0, min(r, c) + 1))
+        A = rng.integers(0, p, (r, inner)) @ rng.integers(0, p, (inner, c)) % p
+        A[rng.random(r) < 0.2] = 0
+        A[:, rng.random(c) < 0.2] = 0
+        A[rng.integers(r)] = A[rng.integers(r)]
+        A += p * rng.integers(-2, 3, (r, c))  # negative entries, same residues
+        stack.append(A)
+    ranks = []
+    for A in stack:
+        want = rref_by_lists(A.tolist(), p)
+        ranks.append(len(want[0]))
+        assert rref(A, p) == want and rref(A.tolist(), p) == want
+        assert row_space_rank(A, p) == ranks[-1]
+        null = nullspace(A, p, ncols=c)
+        assert len(null) == c - ranks[-1]
+        if null:
+            assert not np.any(A @ np.array(null).T % p)
+            assert len(rref_by_lists(null, p)[0]) == len(null)
+    assert rank_stack(np.stack(stack), p).tolist() == ranks
+    n = min(r, c)
+    square = np.stack([A[:n, :n] for A in stack])
+    want = [len(rref_by_lists(S.tolist(), p)[0]) == n for S in square]
+    assert invertible_stack(square, p).tolist() == want
+
+
+def test_elimination_edge_inputs():
+    assert rref([], 5) == ([], []) and rref(np.zeros((0, 3), dtype=np.int64), 5) == ([], [])
+    assert rref([[]], 5) == ([], [])
+    assert rref([[10**30 + 2, 1], [0, 0]], 5) == rref_by_lists([[10**30 + 2, 1]], 5) == ([[1, 3]], [0])
+    assert rank_stack(np.zeros((2, 3, 4, 5), dtype=np.int64), 7).shape == (2, 3)
 
 
 def test_nullspace_orthogonality():
