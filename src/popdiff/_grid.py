@@ -7,8 +7,9 @@ k x n matrix X over F_p flattens row-major, so digit (i*n + j) is entry
 radix-N, one-digit case (p = N, m = 1, k = n = 1).
 
 Linear maps and sums of elements are gathers through index arrays built
-here. Translates are views: Translates pads the (p,)*m tensor of an array
-periodically once, and each translate is a slice of that extension.
+here, the full addition table among them (add_table). Translates are views:
+Translates pads the (p,)*m tensor of an array periodically once, and each
+translate is a slice of that extension.
 """
 
 from __future__ import annotations
@@ -120,6 +121,16 @@ def add_index(p: int, m: int, a, b) -> np.ndarray:
         s *= p**j
         out += s
     return out
+
+
+@functools.lru_cache(maxsize=1)
+def add_table(p: int, m: int) -> np.ndarray:
+    """The read-only int32 (p^m, p^m) table of index(x + y); the last one
+    built is kept, so the callers on one grid share it."""
+    idx = np.arange(p**m)
+    add = add_index(p, m, idx[:, None], idx[None, :]).astype(np.int32)
+    add.setflags(write=False)
+    return add
 
 
 def linear_digits(p: int, k: int, n: int, M_rows, digits) -> np.ndarray:

@@ -16,9 +16,9 @@ from fractions import Fraction
 import numpy as np
 
 from . import DEFAULT_GUARD
-from ._grid import Translates, add_index, decode_digits, dft, digit_table, encode_index, linear_digits, linear_perm
+from ._grid import Translates, add_table, decode_digits, dft, digit_table, encode_index, linear_digits, linear_perm
 from .errors import DimensionMismatch, NotAutomorphism, NotMeasurable, TooLarge
-from .ffalg import FpMatrix, is_invertible, rank_stack, row_space_rank
+from .ffalg import FpMatrix, is_invertible, row_space_rank
 from .gridfn import (
     COMPLEX,
     FLOAT,
@@ -281,8 +281,7 @@ def _gowers_power_direct(vals: np.ndarray, p: int, m: int, s: int, guard: int) -
     P = p**m
     tr = Translates(vals, p, m, guard)
     shifted = [tr(shift).reshape(-1) for shift in digit_table(p, m)]  # contiguous copies
-    idx = np.arange(P)
-    add = add_index(p, m, idx[:, None], idx[None, :])
+    add = add_table(p, m)
     total = 0.0
     for h_tuple in itertools.product(range(P), repeat=s):
         prod = np.ones(P, dtype=np.complex128)
@@ -357,19 +356,10 @@ def linear_quadratic_distribution(
     ids, cells = atom_images(factor, 1)
     counts = np.bincount(ids, minlength=len(cells))
     P = len(ids)
-    d1, d2 = len(Gamma), len(Phi)
-    rank_r = row_space_rank(factor.b1, p)
-    support_size = p ** (rank_r + d2)
+    support_size = p ** (row_space_rank(factor.b1, p) + len(Phi))
     predicted = Fraction(1, support_size)
-    # support restriction: the Gamma part a of every observed cell must lie in
-    # the image of x -> Gamma x, that is rank [Gamma | a] = rank Gamma
-    support_ok = True
-    if d1 and rank_r < d1:
-        gamma = np.broadcast_to(np.array(factor.b1, dtype=np.int64), (len(cells), d1, n))
-        aug = np.concatenate([gamma, cells[:, :d1, None]], axis=2)
-        support_ok = bool(np.all(rank_stack(aug, p) == rank_r))
     return EquidistributionReport(
-        support_ok=support_ok,
+        support_ok=True,  # every observed Gamma part is Gamma x, so rank [Gamma | a] = rank Gamma
         predicted_cell_probability=predicted,
         max_multiplicative_deviation=_deviation(counts, P, predicted),
         cells_observed=len(cells),

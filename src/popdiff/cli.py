@@ -47,7 +47,6 @@ class RunConfig:
 
     subcommand: str
     seed: int | None
-    guard_limit: int
     backend: str
     output: str | None
     flags: dict = field(default_factory=dict)
@@ -58,7 +57,6 @@ class RunConfig:
         return cls(
             subcommand=args.subcommand,
             seed=getattr(args, "seed", None),
-            guard_limit=getattr(args, "guard", DEFAULT_GUARD),
             backend=getattr(args, "backend", "exact"),
             output=args.json_out,
             flags=flags,
@@ -107,14 +105,17 @@ def _load_spec(args) -> PatternSpec:
         return PatternSpec.from_json_obj(json.load(fh))
 
 
-def _load_fn(args) -> GridFunction:
-    if getattr(args, "fn", None):
-        return read_grid_function(args.fn)
+def _random_fn(args) -> GridFunction:
+    """The seeded random 0/1 function on the --p/--k/--n grid, in the --backend's kind."""
     rng = np.random.default_rng(args.seed)
     vals = (rng.random(args.p ** (args.k * args.n)) < args.density).astype(np.int64)
     if args.backend == "exact":
         return GridFunction(args.p, args.k, args.n, vals, RATIONAL, guard=args.guard)
     return GridFunction(args.p, args.k, args.n, vals.astype(np.float64), FLOAT, guard=args.guard)
+
+
+def _load_fn(args) -> GridFunction:
+    return read_grid_function(args.fn) if getattr(args, "fn", None) else _random_fn(args)
 
 
 def _matrix_arg(text: str, p: int) -> FpMatrix:
@@ -189,20 +190,19 @@ def _cmd_cex(args):
     if args.cex_op == "eight-tuple":
         rep = cex.eight_tuple_distribution(json.loads(args.a), json.loads(args.b), args.n, guard=args.guard)
         return rep.to_json_obj(), rep.support_ok
+    if args.cex_op in ("hypergraph", "dress", "assemble"):
+        h = cex.Hypergraphon(args.L, cex.ap3_free_set(args.L, args.method))
     if args.cex_op == "hypergraph":
-        lam = cex.ap3_free_set(args.L, args.method)
-        exps = cex.hypergraph_expectations(cex.Hypergraphon(args.L, lam))
+        exps = cex.hypergraph_expectations(h)
         ok = exps["patternA_matches"] and exps["patternB_bound_holds"] and exps["unique_triangles_ok"]
         return exps, ok
     if args.cex_op == "dress":
-        lam = cex.ap3_free_set(args.L, args.method)
-        rep = cex.dress_and_measure(core, cex.Hypergraphon(args.L, lam), args.n, args.seeds, args.seed, guard=args.guard)
+        rep = cex.dress_and_measure(core, h, args.n, args.seeds, args.seed, guard=args.guard)
         ok = rep["alpha"]["within"] and all(d["within"] for d in rep["differences"])
         return rep, ok
     if args.cex_op == "assemble":
-        lam = cex.ap3_free_set(args.L, args.method)
         params = cex.DressingParams(seed=args.seed, n=args.n, L=args.L, gamma=args.gamma)
-        rep = cex.final_assembly(core, cex.Hypergraphon(args.L, lam), params, args.seed_index, guard=args.guard)
+        rep = cex.final_assembly(core, h, params, args.seed_index, guard=args.guard)
         return rep, all(rep["subchecks"][k] for k in ("digit_set_4ap_free", "exponent_ok", "gamma_bound_ok"))
     if args.cex_op == "report":
         params = cex.DressingParams(seed=args.seed, n=args.n, L=args.L, gamma=args.gamma)
@@ -269,10 +269,7 @@ def _cmd_fnio(args):
         same = all(a == b for a, b in zip(f.values, g.values)) if f.kind == RATIONAL else bool(np.array_equal(f.values, g.values))
         return {"roundtrip_identical": same, "out": args.out}, same
     if args.io_op == "random":
-        rng = np.random.default_rng(args.seed)
-        vals = (rng.random(args.p ** (args.k * args.n)) < args.density).astype(np.int64)
-        kind = {"exact": RATIONAL, "float": FLOAT}[args.backend]
-        f = GridFunction(args.p, args.k, args.n, vals if kind == RATIONAL else vals.astype(float), kind, guard=args.guard)
+        f = _random_fn(args)
         write_grid_function(f, args.out)
         return {"out": args.out, "mean": f.mean()}, True
     raise ValueError(f"unknown fnio operation {args.io_op!r}")

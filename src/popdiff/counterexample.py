@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import DEFAULT_GUARD
-from ._grid import Translates, add_index, digit_table, encode_digits, linear_perm
+from ._grid import Translates, add_table, decode_index, digit_table, linear_perm
 from .errors import DependentDirections, TooLarge, ensure
 from .ffalg import FpMatrix, invertible_stack, is_invertible, mat_inverse, nullspace, row_space_rank
 from .gridfn import FLOAT, GridFunction
@@ -470,7 +470,7 @@ def dressed_h_matrix(core: CexCore, h: Hypergraphon, n: int, master_seed: int, s
         raise TooLarge(f"5^(2n) = {5 ** (2 * n)} exceeds guard {guard}")
     P = 5**n
     F = f1_matrix(core, n, guard)
-    add = add_index(P5, n, np.arange(P)[:, None], np.arange(P)[None, :])
+    add = add_table(P5, n)
     out = F.copy()
     for block, combos in enumerate((F2_COMBOS, F3_COMBOS)):
         vals = []
@@ -728,44 +728,40 @@ def final_assembly(
 
 def sparse_pattern_max(fm: np.ndarray, n: int, chunk_pairs: int = 2_000_000) -> dict:
     """Exhaustive max over nonzero differences (a, b) of the pattern count of
-    the 0/1 matrix fm, via enumeration of support-point pairs (the first two
-    pattern points determine (a, b), and membership of the other two points
-    is checked against the support set). Pairs are processed in chunks so a
-    dense support stays within memory; hits accumulate in one histogram over
-    the P^2 difference codes a P + b, whose first argmax is the smallest
-    code among the maxima."""
+    the 0/1 matrix fm, via enumeration of support-point pairs: the first two
+    pattern points determine (a, b), and the other two are reached through the
+    addition table and looked up in fm. Pairs are processed in chunks of about
+    chunk_pairs so a dense support stays within memory; hits accumulate in one
+    histogram over the P^2 difference codes a P + b, whose first argmax is the
+    smallest code among the maxima."""
     P = 5**n
     xs, ys = np.nonzero(fm)
     K = len(xs)
     if K == 0:
         return {"max_beta": 0.0, "argmax": None, "support": 0}
-    digs = digit_table(P5, n)
-    packed = np.sort(xs.astype(np.int64) * P + ys.astype(np.int64))
+    add = add_table(P5, n)
+    neg, two, three = (linear_perm(P5, 1, n, [[c]]) for c in (-1, 2, 3))
+    inside = fm.astype(bool)
     hits = np.zeros(P * P, dtype=np.int64)
     rows_per_chunk = max(1, chunk_pairs // K)
     for start in range(0, K, rows_per_chunk):
-        sel = np.arange(start, min(start + rows_per_chunk, K))
-        idx1 = np.repeat(sel, K)
-        idx2 = np.tile(np.arange(K), len(sel))
-        x1, y1 = xs[idx1], ys[idx1]
-        x2, y2 = xs[idx2], ys[idx2]
-        da = (digs[x2] - digs[x1]) % 5
-        db = (digs[y2] - digs[y1]) % 5
-        nonzero = (da.any(axis=1)) | (db.any(axis=1))
-        x1, y1, da, db = x1[nonzero], y1[nonzero], da[nonzero], db[nonzero]
-        if len(x1) == 0:
-            continue
-        p3 = encode_digits(digs[x1] + 2 * da, P5) * P + encode_digits(digs[y1] - 2 * db, P5)
-        p4 = encode_digits(digs[x1] + 3 * da, P5) * P + encode_digits(digs[y1] - db, P5)
-        ok = np.isin(p3, packed) & np.isin(p4, packed)
-        hits += np.bincount(encode_digits(da[ok], P5) * P + encode_digits(db[ok], P5), minlength=P * P)
+        x1 = xs[start:start + rows_per_chunk, None]
+        y1 = ys[start:start + rows_per_chunk, None]
+        a = add[xs, neg[x1]]  # x2 - x1 against every second point: (rows, K)
+        nb = add[y1, neg[ys]]  # -(y2 - y1)
+        # third point (x1 + 2a, y1 - 2b), then the fourth (x1 + 3a, y1 - b)
+        x1, y1 = np.broadcast_to(x1, a.shape), np.broadcast_to(y1, a.shape)
+        ok = inside[add[x1, two[a]], add[y1, two[nb]]]
+        x1, y1, a, nb = x1[ok], y1[ok], a[ok], nb[ok]
+        ok = inside[add[x1, three[a]], add[y1, nb]]
+        hits += np.bincount(a[ok].astype(np.int64) * P + neg[nb[ok]], minlength=P * P)
+    hits[0] = 0  # the zero difference: every support point paired with itself
     best_code = int(np.argmax(hits))
     if hits[best_code] == 0:
         return {"max_beta": 0.0, "argmax": None, "support": K}
-    a_idx, b_idx = best_code // P, best_code % P
     return {
         "max_beta": float(hits[best_code] / (P * P)),
-        "argmax": [list(map(int, digs[a_idx])), list(map(int, digs[b_idx]))],
+        "argmax": [decode_index(P5, n, best_code // P), decode_index(P5, n, best_code % P)],
         "support": K,
     }
 

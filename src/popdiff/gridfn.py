@@ -27,7 +27,7 @@ from .errors import (
     VersionMismatch,
     ensure,
 )
-from .ffalg import FpMatrix, mat_rank, row_space_rank, rref, validate_odd_prime
+from .ffalg import FpMatrix, rank_stack, row_space_rank, rref, validate_odd_prime
 from .patterns import SubspaceBasis
 
 RATIONAL = "rational"
@@ -302,19 +302,13 @@ def factor_rank(factor: QuadraticFactor, guard: int = 10**7) -> int:
         return n
     if p ** (d2 + d3) > guard:
         raise TooLarge(f"p^(d2+d3) = {p ** (d2 + d3)} exceeds guard {guard}")
-    mats = list(factor.b2) + list(factor.b3)
+    mats = np.array([M.to_lists() for M in (*factor.b2, *factor.b3)], dtype=np.int64)
+    coeffs = digit_table(p, d2 + d3)[1:]  # every nontrivial combination
+    chunk = max(1, 2**18 // max(n, 1) ** 2)  # matrices ranked per stacked elimination
     best = n
-    for idx in range(1, p ** (d2 + d3)):
-        digits = []
-        t = idx
-        for _ in mats:
-            digits.append(t % p)
-            t //= p
-        comb = FpMatrix.zero(n, n, p)
-        for c, M in zip(digits, mats):
-            if c:
-                comb = comb.add(M.scale_by(c))
-        best = min(best, mat_rank(comb))
+    for start in range(0, len(coeffs), chunk):
+        combos = np.einsum("cd,dij->cij", coeffs[start:start + chunk], mats) % p
+        best = min(best, int(rank_stack(combos, p).min()))
         if best == 0:
             break
     return best

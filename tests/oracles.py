@@ -15,7 +15,11 @@ equidistribution oracles count cells as rows of image coordinates, sorted
 per difference with np.unique(axis=0) and merged by one more row sort, the
 way the histograms were counted before their cells became folded atom ids.
 The elimination oracle is the row-at-a-time list loop that ffalg.rref ran
-before every mod-p elimination moved onto one stacked numpy kernel.
+before every mod-p elimination moved onto one stacked numpy kernel, and the
+factor-rank oracle ranks one FpMatrix combination at a time. The
+support-pair oracle finds the counterexample's last two pattern points by
+digit arithmetic and tests their membership with np.isin against the sorted
+support, the way sparse_pattern_max did before it read the addition table.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from popdiff._grid import add_index, digit_table, linear_perm
+from popdiff._grid import add_index, digit_table, encode_digits, linear_perm
 from popdiff.counterexample import F2_COMBOS, F3_COMBOS, _uniform_table, f1_matrix
 from popdiff.errors import Singular
 from popdiff.ffalg import FpMatrix, FpPoly, char_poly, mat_inverse, negate_argument
@@ -209,6 +213,62 @@ def dressed_h_by_combo_index(core, h, n: int, master_seed: int, seed_index: int)
             vals.append(cells[combo])
         out = out * h.g2_values(vals[0], vals[1], vals[2]).astype(np.uint8)
     return out
+
+
+def sparse_pattern_max_by_isin(fm: np.ndarray, n: int, chunk_pairs: int = 2_000_000) -> dict:
+    """sparse_pattern_max over support-point pairs, with the differences and
+    the last two pattern points as digit vectors and membership by np.isin."""
+    P = 5**n
+    xs, ys = np.nonzero(fm)
+    K = len(xs)
+    if K == 0:
+        return {"max_beta": 0.0, "argmax": None, "support": 0}
+    digs = digit_table(5, n)
+    packed = np.sort(xs.astype(np.int64) * P + ys.astype(np.int64))
+    hits = np.zeros(P * P, dtype=np.int64)
+    rows_per_chunk = max(1, chunk_pairs // K)
+    for start in range(0, K, rows_per_chunk):
+        sel = np.arange(start, min(start + rows_per_chunk, K))
+        idx1 = np.repeat(sel, K)
+        idx2 = np.tile(np.arange(K), len(sel))
+        x1, y1 = xs[idx1], ys[idx1]
+        x2, y2 = xs[idx2], ys[idx2]
+        da = (digs[x2] - digs[x1]) % 5
+        db = (digs[y2] - digs[y1]) % 5
+        nonzero = (da.any(axis=1)) | (db.any(axis=1))
+        x1, y1, da, db = x1[nonzero], y1[nonzero], da[nonzero], db[nonzero]
+        if len(x1) == 0:
+            continue
+        p3 = encode_digits(digs[x1] + 2 * da, 5) * P + encode_digits(digs[y1] - 2 * db, 5)
+        p4 = encode_digits(digs[x1] + 3 * da, 5) * P + encode_digits(digs[y1] - db, 5)
+        ok = np.isin(p3, packed) & np.isin(p4, packed)
+        hits += np.bincount(encode_digits(da[ok], 5) * P + encode_digits(db[ok], 5), minlength=P * P)
+    best_code = int(np.argmax(hits))
+    if hits[best_code] == 0:
+        return {"max_beta": 0.0, "argmax": None, "support": K}
+    a_idx, b_idx = best_code // P, best_code % P
+    return {
+        "max_beta": float(hits[best_code] / (P * P)),
+        "argmax": [list(map(int, digs[a_idx])), list(map(int, digs[b_idx]))],
+        "support": K,
+    }
+
+
+def factor_rank_by_combinations(factor) -> int:
+    """factor_rank with each nontrivial combination of the quadratic parts
+    built as an FpMatrix and ranked on its own by the list loop."""
+    p, n = factor.p, factor.n
+    if factor.b1 and len(rref_by_lists([list(r) for r in factor.b1], p)[0]) < len(factor.b1):
+        return 0
+    mats = list(factor.b2) + list(factor.b3)
+    best = n
+    for coeffs in itertools.product(range(p), repeat=len(mats)):
+        if any(coeffs):
+            comb = FpMatrix.zero(n, n, p)
+            for c, M in zip(coeffs, mats):
+                comb = comb.add(M.scale_by(c))
+            best = min(best, len(rref_by_lists(comb.to_lists(), p)[0]))
+    return best
 
 
 def _merge_row_histograms(cells: list, counts: list) -> tuple[np.ndarray, np.ndarray]:

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from popdiff.errors import DimensionMismatch, NotAutomorphism, NotMeasurable, TooLarge
-from popdiff.ffalg import FpMatrix, is_invertible
+from popdiff.ffalg import FpMatrix, is_invertible, rank_stack, row_space_rank
 from popdiff.gridfn import (
     COMPLEX,
     FLOAT,
     RATIONAL,
     GridFunction,
     QuadraticFactor,
+    atom_images,
     atom_partition,
     conditional_expectation,
     grid_encode,
@@ -372,6 +373,25 @@ def test_linquad_full_rank_quadratic_shrinks():
 def test_linquad_dependent_support():
     rep = linear_quadratic_distribution([(1, 0, 0), (2, 0, 0)], [], 3, 5)
     assert rep.support_ok and rep.cells_observed == 5 and rep.predicted_support_size == 5
+
+
+@given(st.sampled_from([3, 5]), st.integers(2, 3), st.data())
+@settings(max_examples=25, deadline=None)
+def test_linquad_gamma_parts_lie_in_the_image_of_gamma(p, n, data):
+    # linear_quadratic_distribution reports support_ok without ranking each
+    # cell's [Gamma | a]: every observed a is Gamma x, so the rank never grows
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    base = rng.integers(0, p, size=(data.draw(st.integers(1, 2)), n))
+    d1 = len(base) + data.draw(st.integers(1, 2))  # more rows than base: dependent
+    Gamma = rng.integers(0, p, size=(d1, len(base))) @ base % p
+    Phi = []
+    for _ in range(data.draw(st.integers(0, 1))):
+        A = rng.integers(0, p, size=(n, n))
+        Phi.append(FpMatrix.from_rows((A + A.T).tolist(), p))
+    _, cells = atom_images(QuadraticFactor(p, n, tuple(map(tuple, Gamma.tolist())), tuple(Phi), ()), 1)
+    aug = np.concatenate([np.broadcast_to(Gamma, (len(cells), d1, n)), cells[:, :d1, None]], axis=2)
+    assert np.all(rank_stack(aug, p) == row_space_rank(Gamma, p))
+    assert linear_quadratic_distribution(Gamma.tolist(), Phi, n, p).support_ok
 
 
 def test_linquad_refuses_non_symmetric_phi():

@@ -36,7 +36,7 @@ from popdiff.counterexample import (
 )
 from popdiff.counterexample import _membership_masks
 
-from oracles import dressed_h_by_combo_index, membership_masks_by_inverse
+from oracles import dressed_h_by_combo_index, membership_masks_by_inverse, sparse_pattern_max_by_isin
 
 
 def test_core_invariants():
@@ -375,6 +375,27 @@ def test_sparse_pattern_max_matches_brute_force(n, density, seed):
     P = 5**n
     fm = (np.random.default_rng(seed).random((P, P)) < density).astype(np.uint8)
     assert sparse_pattern_max(fm, n, chunk_pairs=97) == brute_pattern_max(fm, n)
+
+
+@given(st.sampled_from(["empty", "sparse", "dense rows"]), st.sampled_from([97, 5000, 2_000_000]),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=15, deadline=None)
+def test_sparse_pattern_max_matches_isin_oracle_at_n3(case, chunk_pairs, seed):
+    # "dense rows" fills the rows of a line {t v} with sparse noise elsewhere:
+    # every (a, b) with a on the line hits all 5 * 125 rows' points, so
+    # hundreds of codes tie and the smallest must win; chunk_pairs = 97
+    # gives each chunk one support point's pairs
+    n, P = 3, 125
+    rng = np.random.default_rng(seed)
+    density = {"empty": 0.0, "sparse": rng.uniform(0.005, 0.04), "dense rows": rng.uniform(0.0, 0.01)}[case]
+    fm = (rng.random((P, P)) < density).astype(np.uint8)
+    if case == "dense rows":
+        v = digit_table(5, n)[rng.integers(1, P)]
+        fm[[int((t * v % 5) @ 5 ** np.arange(n)) for t in range(5)], :] = 1
+    got = sparse_pattern_max(fm, n, chunk_pairs=chunk_pairs)
+    assert got == sparse_pattern_max_by_isin(fm, n, chunk_pairs=chunk_pairs)
+    if case == "dense rows":
+        assert got["max_beta"] >= 5 * P / P**2  # a = 0 alone keeps the five full rows
 
 
 def test_sparse_pattern_max_without_hits():

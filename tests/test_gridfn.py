@@ -35,10 +35,10 @@ from popdiff.gridfn import (
     write_grid_function,
 )
 from popdiff import DEFAULT_GUARD
-from popdiff._grid import Translates, add_index, add_perm, digit_table, encode_digits, translate_view
+from popdiff._grid import Translates, add_index, add_perm, add_table, digit_table, encode_digits, translate_view
 from popdiff.analysis import translate
 
-from oracles import roll_translate
+from oracles import factor_rank_by_combinations, roll_translate
 
 
 @given(st.sampled_from([(3, 1, 2), (5, 2, 1), (3, 2, 2), (7, 1, 1)]), st.data())
@@ -125,6 +125,17 @@ def test_add_index_matches_digit_sum(shape, data):
     assert np.array_equal(add_index(p, m, a, b), encode_digits(digs[a] + digs[b], p))
 
 
+@pytest.mark.parametrize("p, m", [(3, 1), (5, 2), (3, 4), (7, 2)])
+def test_add_table_is_read_only_int32_add_index(p, m):
+    idx = np.arange(p**m)
+    add = add_table(p, m)
+    assert add.dtype == np.int32 and add.shape == (p**m, p**m) and not add.flags.writeable
+    assert np.array_equal(add, add_index(p, m, idx[:, None], idx[None, :]))
+    assert add_table(p, m) is add  # the last table built is kept
+    with pytest.raises(ValueError):
+        add[0, 0] = 1
+
+
 def test_encoding_is_row_major_lsd_first():
     # digit (row i, col j) sits at position i*n + j, (0,0) least significant
     X = FpMatrix.from_rows([[1, 2], [3, 4]], 5)
@@ -174,6 +185,24 @@ def test_factor_rank_examples():
     d1 = FpMatrix.from_rows([[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]], p)
     d2 = FpMatrix.from_rows([[0, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]], p)
     assert factor_rank(QuadraticFactor(p, 4, (), (d1, d2), ())) == 1
+
+
+@given(st.sampled_from([3, 5, 7]), st.integers(1, 4), st.integers(0, 2), st.integers(0, 2), st.data())
+@settings(max_examples=40, deadline=None)
+def test_factor_rank_matches_combination_oracle(p, n, d2, d3, data):
+    # low-rank parts and repeated parts make the minimum fall below n
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    if p ** (d2 + d3) > 400:
+        d3 = 0
+
+    def part(sign):
+        A = rng.integers(0, p, size=(n, n))
+        A[:, : data.draw(st.integers(0, n))] = 0
+        return FpMatrix.from_rows(((A + sign * A.T) % p).tolist(), p)
+
+    b1 = tuple(tuple(int(v) for v in rng.integers(0, p, n)) for _ in range(data.draw(st.integers(0, 2))))
+    fac = QuadraticFactor(p, n, b1, tuple(part(1) for _ in range(d2)), tuple(part(-1) for _ in range(d3)))
+    assert factor_rank(fac) == factor_rank_by_combinations(fac)
 
 
 def test_conditional_expectation_contracts():
