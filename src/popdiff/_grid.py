@@ -126,9 +126,16 @@ def add_index(p: int, m: int, a, b) -> np.ndarray:
 @functools.lru_cache(maxsize=1)
 def add_table(p: int, m: int) -> np.ndarray:
     """The read-only int32 (p^m, p^m) table of index(x + y); the last one
-    built is kept, so the callers on one grid share it."""
-    idx = np.arange(p**m)
-    add = add_index(p, m, idx[:, None], idx[None, :]).astype(np.int32)
+    built is kept, so the callers on one grid share it.
+
+    Built digit by digit in int32: for x = x' p + x0 and y = y' p + y0,
+    index(x + y) = (x0 + y0) mod p + p index(x' + y')."""
+    digit = np.arange(p, dtype=np.int32)
+    add_1 = (digit[:, None] + digit[None, :]) % p
+    add = np.zeros((1, 1), dtype=np.int32)
+    for j in range(m):
+        size = p ** (j + 1)
+        add = (add_1[None, :, None, :] + p * add[:, None, :, None]).reshape(size, size)
     add.setflags(write=False)
     return add
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import DEFAULT_GUARD, __version__
-from .errors import CheckFailed, PopdiffError
+from .errors import CheckFailed, PopdiffError, TooLarge
 from .ffalg import FpMatrix
 from .gridfn import (
     FLOAT,
@@ -107,8 +107,11 @@ def _load_spec(args) -> PatternSpec:
 
 def _random_fn(args) -> GridFunction:
     """The seeded random 0/1 function on the --p/--k/--n grid, in the --backend's kind."""
+    size = args.p ** (args.k * args.n)
+    if size > args.guard:  # before the draw, so that a huge grid allocates nothing
+        raise TooLarge(f"p^(kn) = {size} exceeds guard {args.guard}")
     rng = np.random.default_rng(args.seed)
-    vals = (rng.random(args.p ** (args.k * args.n)) < args.density).astype(np.int64)
+    vals = (rng.random(size) < args.density).astype(np.int64)
     if args.backend == "exact":
         return GridFunction(args.p, args.k, args.n, vals, RATIONAL, guard=args.guard)
     return GridFunction(args.p, args.k, args.n, vals.astype(np.float64), FLOAT, guard=args.guard)

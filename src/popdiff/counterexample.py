@@ -9,6 +9,7 @@ Exact rational arithmetic for everything certifiable; seeded Monte Carlo
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -16,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import DEFAULT_GUARD
-from ._grid import Translates, add_table, decode_index, digit_table, linear_perm
+from ._grid import Translates, add_table, decode_index, digit_table, linear_perm, pow_vector
 from .errors import DependentDirections, TooLarge, ensure
 from .ffalg import FpMatrix, invertible_stack, is_invertible, mat_inverse, nullspace, row_space_rank
 from .gridfn import FLOAT, GridFunction
@@ -354,12 +355,13 @@ class Hypergraphon:
         if not is_3ap_free(self.lam, self.L):
             raise ValueError("the difference set must be 3-AP-free mod L")
 
-    @property
+    @functools.cached_property
     def tensor(self) -> np.ndarray:
+        """The read-only 0/1 (L, L, L) cell indicator, built once."""
         G = np.zeros((self.L, self.L, self.L), dtype=np.int64)
-        for s in range(self.L):
-            for t in self.lam:
-                G[s, (s + t) % self.L, (s + 2 * t) % self.L] = 1
+        s, t = np.arange(self.L)[:, None], np.array(self.lam, dtype=np.int64)
+        G[s, (s + t) % self.L, (s + 2 * t) % self.L] = 1
+        G.setflags(write=False)
         return G
 
     def g2_values(self, cu: np.ndarray, cv: np.ndarray, cw: np.ndarray) -> np.ndarray:
@@ -464,22 +466,26 @@ def dressed_h_matrix(core: CexCore, h: Hypergraphon, n: int, master_seed: int, s
     """One sample of h = f1 * F2 * F3 as a (5^n, 5^n) 0/1 matrix.
 
     Each table is read at alpha*x + beta*y = alpha*(x + (beta/alpha)*y), so
-    one addition table serves every (alpha, beta).
+    one addition table serves every (alpha, beta). The three cells of a block
+    fold into one small-int code (cu L + cv) L + cw, looked up once in the
+    flattened hypergraphon.
     """
     if 5 ** (2 * n) > guard:
         raise TooLarge(f"5^(2n) = {5 ** (2 * n)} exceeds guard {guard}")
     P = 5**n
-    F = f1_matrix(core, n, guard)
     add = add_table(P5, n)
-    out = F.copy()
+    L = h.L
+    g2 = h.tensor.reshape(-1).astype(np.uint8)
+    code_type = np.min_scalar_type(L**3 - 1)
+    out = f1_matrix(core, n, guard)
     for block, combos in enumerate((F2_COMBOS, F3_COMBOS)):
-        vals = []
+        code = np.zeros((P, P), dtype=code_type)
         for tid, (alpha, beta) in enumerate(combos):
-            tab = _uniform_table(master_seed, seed_index, 3 * block + tid, P)
-            cells = h.cells(tab)
+            cells = h.cells(_uniform_table(master_seed, seed_index, 3 * block + tid, P)).astype(code_type)
             ratio = beta * pow(alpha, -1, P5) % P5
-            vals.append(cells[linear_perm(P5, 1, n, [[alpha]])][add][:, linear_perm(P5, 1, n, [[ratio]])])
-        out = out * h.g2_values(vals[0], vals[1], vals[2]).astype(np.uint8)
+            code *= L
+            code += cells[linear_perm(P5, 1, n, [[alpha]])][add][:, linear_perm(P5, 1, n, [[ratio]])]
+        out = out * g2[code]
     return out
 
 
@@ -651,35 +657,150 @@ def has_nontrivial_4ap(digits: tuple[int, ...], p: int = 5) -> bool:
     return False
 
 
+# numpy's SeedSequence (pool size 4) and PCG64 constants
+_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _uint32_words(k: int) -> list[int]:
+    """A non-negative int as SeedSequence reads it: little-endian 32-bit words."""
+    words = [k & _MASK32]
+    while k > _MASK32:
+        k >>= 32
+        words.append(k & _MASK32)
+    return words
+
+
+def _pcg64_seeded(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(state, inc) of PCG64(SeedSequence(entropy)) for each row of entropy
+    words (uint32, shape (rows, k)), as object arrays of 128-bit ints."""
+    const = _INIT_A
+    u16 = np.uint32(16)
+
+    def hashmix(v):
+        nonlocal const
+        v = v ^ np.uint32(const)
+        const = const * _MULT_A & _MASK32
+        v = v * np.uint32(const)
+        return v ^ (v >> u16)
+
+    def mix(x, y):
+        v = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return v ^ (v >> u16)
+
+    rows, k = words.shape
+    pool = [hashmix(words[:, i] if i < k else np.zeros(rows, np.uint32)) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(4, k):  # entropy past the pool mixes into every pool word
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(words[:, src]))
+    # generate_state(4, uint64): eight 32-bit words, paired little-endian
+    const, state32 = _INIT_B, []
+    for i in range(8):
+        v = pool[i % 4] ^ np.uint32(const)
+        const = const * _MULT_B & _MASK32
+        v = v * np.uint32(const)
+        state32.append((v ^ (v >> u16)).astype(object))
+    w = [state32[2 * j] | (state32[2 * j + 1] << 32) for j in range(4)]
+    # pcg64_set_seed: seed = (w0, w1) and initseq = (w2, w3) as (high, low)
+    inc = (((w[2] << 64) | w[3]) << 1 | 1) & _MASK128
+    state = (inc + ((w[0] << 64) | w[1])) & _MASK128
+    return (state * _PCG_MULT + inc) & _MASK128, inc
+
+
+def _pcg64_halves(state: np.ndarray, inc: np.ndarray, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Advance each PCG64 state by steps outputs; return the new states and
+    the 32-bit halves of the outputs, low half first, shape (rows, 2 steps)."""
+    halves = np.empty((len(state), 2 * steps), dtype=np.int64)
+    for s in range(steps):
+        state = (state * _PCG_MULT + inc) & _MASK128
+        x = (((state >> 64) ^ state) & _MASK64).astype(np.uint64)  # XSL-RR output
+        rot = (state >> 122).astype(np.uint64)
+        out = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
+        halves[:, 2 * s] = out & np.uint64(_MASK32)
+        halves[:, 2 * s + 1] = out >> np.uint64(32)
+    return state, halves
+
+
+class _GeneratorStack:
+    """The generators np.random.default_rng(key + [g]) for g < count, advanced
+    as one stack. integers5 draws what each generator's integers(0, 5, size)
+    would, in turn. Like numpy, a draw takes one 32-bit half of an output, and
+    the spare high half carries over to the generator's next call. Lemire's
+    method rejects only a zero half ((2^32 - 5) mod 5 = 1); a generator that
+    meets one is replayed through numpy from then on."""
+
+    def __init__(self, key: list[int], count: int):
+        np.random.SeedSequence(key)  # numpy's own check of the key
+        self.key = [int(k) for k in key]
+        head = [w for k in self.key for w in _uint32_words(k)]
+        words = np.empty((count, len(head) + 1), dtype=np.uint32)
+        words[:, :-1] = head
+        words[:, -1] = np.arange(count)
+        self.state, self.inc = _pcg64_seeded(words)
+        self.carry = np.full(count, -1, dtype=np.int64)  # the carried half, or -1
+        self.drawn = np.zeros(count, dtype=np.int64)
+        self.replay: dict[int, np.random.Generator] = {}
+
+    def integers5(self, rows: np.ndarray, count: int) -> np.ndarray:
+        """count draws from each generator in rows (distinct), shape (len(rows), count)."""
+        out = np.empty((len(rows), count), dtype=np.int64)
+        replayed = np.isin(rows, list(self.replay))
+        carried = self.carry[rows] >= 0
+        for has_carry in (False, True):
+            sel = np.nonzero(~replayed & (carried == has_carry))[0]
+            if not len(sel):
+                continue
+            r, need = rows[sel], count - has_carry
+            self.state[r], fresh = _pcg64_halves(self.state[r], self.inc[r], (need + 1) // 2)
+            halves = np.concatenate([self.carry[r, None], fresh], axis=1) if has_carry else fresh
+            self.carry[r] = halves[:, count] if halves.shape[1] > count else -1
+            halves = halves[:, :count]
+            out[sel] = (halves * 5) >> 32
+            for g in r[(halves == 0).any(axis=1)].tolist():
+                rng = np.random.default_rng(self.key + [g])
+                rng.integers(0, 5, size=int(self.drawn[g]))
+                self.replay[g] = rng
+        for i in np.nonzero(np.isin(rows, list(self.replay)))[0]:
+            out[i] = self.replay[int(rows[i])].integers(0, 5, size=count)
+        self.drawn[rows] += count
+        return out
+
+
 def _membership_masks(n: int, gamma: int, master_seed: int, seed_index: int) -> tuple[np.ndarray, np.ndarray]:
     """mask1[ix, iy] = [x in phi(y) T], mask2[ix, iy] = [y in phi'(x) T].
 
     phi_g(t) = A t + c is drawn from generator g's own stream: A by rejection
-    until invertible over F_5, then c. Every stream is advanced as a stack,
-    and the mask holds the forward images of T = {t : t_i < 3 for i < gamma}.
+    until invertible over F_5, then c. All P streams are reproduced as one
+    _GeneratorStack. T = {t : t_i < 3 for i < gamma} is a product set, so
+    phi_g(T) is the sumset c + K_0 a_0 + ... + K_{n-1} a_{n-1} over the
+    columns a_i of A, built by gathers through the addition table.
     """
     P = 5**n
-    digs = digit_table(P5, n)
-    T = digs[np.all(digs[:, :gamma] < 3, axis=1)]
+    add = add_table(P5, n)
+    pows = pow_vector(P5, n)
+    rows = np.arange(P)
     masks = []
     for table_id in (101, 102):
-        rngs = [np.random.default_rng([int(master_seed), int(seed_index), table_id, g]) for g in range(P)]
-        A = np.stack([rng.integers(0, 5, size=(n, n)) for rng in rngs])
+        streams = _GeneratorStack([master_seed, seed_index, table_id], P)
+        A = streams.integers5(rows, n * n).reshape(P, n, n)
         redraw = np.nonzero(~invertible_stack(A, P5))[0]
         while len(redraw):
-            A[redraw] = np.stack([rngs[g].integers(0, 5, size=(n, n)) for g in redraw])
+            A[redraw] = streams.integers5(redraw, n * n).reshape(-1, n, n)
             redraw = redraw[~invertible_stack(A[redraw], P5)]
-        c = np.stack([rng.integers(0, 5, size=n) for rng in rngs])
-        # image index of phi_g(t), one digit at a time: shape (P, |T|)
-        image = np.zeros((P, len(T)), dtype=np.int64)
-        for j in range(n):
-            coord = A[:, j, :] @ T.T
-            coord += c[:, j, None]
-            coord %= 5
-            coord *= 5**j
-            image += coord
+        c = streams.integers5(rows, n)
+        image = (c @ pows)[:, None]
+        for i in range(n):
+            k = np.arange(3 if i < gamma else 5)
+            multiples = (k[:, None] * A[:, None, :, i]) % P5 @ pows  # index of k a_i: (P, |K_i|)
+            image = add[image[:, :, None], multiples[:, None, :]].reshape(P, -1)
         mask = np.zeros((P, P), dtype=np.uint8)
-        mask[image, np.arange(P)[:, None]] = 1
+        mask[image, rows[:, None]] = 1
         masks.append(mask)
     # mask for x in phi(y)T is indexed [x, y]; phi' mask needs transposing
     return masks[0], masks[1].T

@@ -128,6 +128,25 @@ def test_guard_sentinel(capsys, scalar_spec_file):
     assert "TooLarge" in capsys.readouterr().err
 
 
+def test_fnio_random_guard_before_the_draw(capsys, tmp_path):
+    # p^(kn) = 5^99 is refused with the estimate, before any value is drawn
+    out = tmp_path / "big.plgf"
+    assert dispatch(["fnio", "random", "--p", "5", "--n", "99", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert json.loads(captured.err) == {"tool": "popdiff", "error": "TooLarge",
+                                        "message": f"p^(kn) = {5**99} exceeds guard {10**8}"}
+
+
+@pytest.mark.parametrize("argv", [["cex", "report", "--n", "4", "--L", "7", "--seed", "-1"],
+                                  ["cex", "assemble", "--n", "3", "--L", "7", "--seed-index", "-1"]])
+def test_negative_cex_seed_is_a_usage_error(capsys, argv):
+    assert dispatch(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == '{"tool": "popdiff", "error": "ValueError", "message": "expected non-negative integer"}\n'
+
+
 def test_math_failure_exit_2(capsys, scalar_spec_file, tmp_path):
     # a single-point set has no popular difference at a tight threshold
     from popdiff.gridfn import GridFunction, write_grid_function

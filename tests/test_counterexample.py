@@ -34,7 +34,8 @@ from popdiff.counterexample import (
     sparse_pattern_max,
     unique_triangle_check,
 )
-from popdiff.counterexample import _membership_masks
+import popdiff.counterexample as cex
+from popdiff.counterexample import _GeneratorStack, _membership_masks
 
 from oracles import dressed_h_by_combo_index, membership_masks_by_inverse, sparse_pattern_max_by_isin
 
@@ -277,6 +278,89 @@ def test_membership_masks_match_inverse_oracle(shape, master_seed, seed_index):
     want = membership_masks_by_inverse(n, gamma, master_seed, seed_index)
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+STREAM_KEYS = [0, 2**32 - 1, 2**32 + 3, 2**64 + 5]
+
+
+@given(st.lists(st.sampled_from(STREAM_KEYS), min_size=1, max_size=4), st.integers(1, 12), st.data())
+@settings(max_examples=30, deadline=None)
+def test_generator_stack_matches_numpy_streams(key, count, data):
+    # odd and even draw sizes in turn, so a carried half opens some draws
+    odd, even = 2 * data.draw(st.integers(0, 4)) + 1, 2 * data.draw(st.integers(1, 4))
+    sizes = data.draw(st.permutations([odd, even] + data.draw(st.lists(st.integers(1, 9), max_size=3))))
+    stack = _GeneratorStack(key, count)
+    rngs = [np.random.default_rng(key + [g]) for g in range(count)]
+    for size in sizes:
+        rows = np.array(sorted(data.draw(st.sets(st.integers(0, count - 1), min_size=1))))
+        want = np.stack([rngs[g].integers(0, 5, size=size) for g in rows])
+        got = stack.integers5(rows, size)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert not stack.replay
+
+
+def _zero_half_at(monkeypatch, position):
+    """Make the first kernel step return a zero at one half of its first row."""
+    real, calls = cex._pcg64_halves, []
+
+    def forced(state, inc, steps):
+        state, halves = real(state, inc, steps)
+        if not calls:
+            halves[0, position] = 0
+        calls.append(steps)
+        return state, halves
+
+    monkeypatch.setattr(cex, "_pcg64_halves", forced)
+
+
+@pytest.mark.parametrize("position", [0, 2, 3])  # drawn halves, then the carried one
+def test_generator_stack_replays_a_zero_half_through_numpy(monkeypatch, position):
+    _zero_half_at(monkeypatch, position)
+    key, count = [2**32 + 3, 1, 101], 5
+    stack = _GeneratorStack(key, count)
+    rngs = [np.random.default_rng(key + [g]) for g in range(count)]
+    for size, rows in ((3, [0, 1, 2, 3, 4]), (4, [0, 2]), (1, [0, 1, 2, 3, 4]), (2, [1, 0])):
+        want = np.stack([rngs[g].integers(0, 5, size=size) for g in rows])
+        assert np.array_equal(stack.integers5(np.array(rows), size), want)
+    assert list(stack.replay) == [0]
+
+
+def test_membership_masks_after_a_zero_half(monkeypatch):
+    _zero_half_at(monkeypatch, 1)
+    for got, want in zip(_membership_masks(3, 1, 9, 2), membership_masks_by_inverse(3, 1, 9, 2)):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("gamma", [1, 2, 3])
+def test_membership_masks_past_one_seed_word(gamma):
+    # a master seed of two 32-bit words, at odd n, where c opens on a carried half
+    got = _membership_masks(3, gamma, 2**32 + 3, 1)
+    want = membership_masks_by_inverse(3, gamma, 2**32 + 3, 1)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+def test_membership_masks_construct_no_generator(monkeypatch):
+    calls = []
+    real = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda *args, **kw: calls.append(args) or real(*args, **kw))
+    _membership_masks(4, 1, 0, 0)
+    assert calls == []
+
+
+@pytest.mark.parametrize("master_seed, seed_index", [(-1, 0), (0, -1)])
+def test_membership_masks_refuse_a_negative_key(master_seed, seed_index):
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        _membership_masks(2, 1, master_seed, seed_index)
+
+
+def test_dressed_h_code_past_uint16():
+    # L = 41 folds three cells into codes up to 41^3 - 1, past uint16
+    core = build_core()
+    h = Hypergraphon(41, ap3_free_set(41, "greedy"))
+    got = dressed_h_matrix(core, h, 2, 6, 1)
+    want = dressed_h_by_combo_index(core, h, 2, 6, 1)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_dress_and_measure_alpha():
