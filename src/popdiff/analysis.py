@@ -101,6 +101,23 @@ class EquidistributionReport:
             **{k: v for k, v in self.extras.items() if isinstance(v, (int, float, bool, str, list))},
         }
 
+    @classmethod
+    def from_counts(cls, counts: np.ndarray, total: int, p: int, dim: int, support_ok: bool = True,
+                    **fields) -> "EquidistributionReport":
+        """The report of a histogram (one count per observed cell, out of total)
+        whose predicted support is p^dim equally likely cells."""
+        predicted = Fraction(1, p**dim)
+        deviation = float(np.max(np.abs(counts / total / float(predicted) - 1.0))) if len(counts) else 0.0
+        return cls(
+            support_ok=support_ok,
+            predicted_cell_probability=predicted,
+            max_multiplicative_deviation=deviation,
+            cells_observed=len(counts),
+            predicted_support_size=p**dim,
+            support_equal=support_ok and len(counts) == p**dim,
+            **fields,
+        )
+
 
 # ---------------------------------------------------------------------------
 # Shift helpers
@@ -338,11 +355,6 @@ def von_neumann_check(fs: list[GridFunction], autos: list[FpMatrix], slack: floa
 # Equidistribution reports
 
 
-def _deviation(counts: np.ndarray, total: int, predicted: Fraction) -> float:
-    obs = counts / total
-    return float(np.max(np.abs(obs / float(predicted) - 1.0))) if len(counts) else 0.0
-
-
 def linear_quadratic_distribution(
     Gamma: list, Phi: list[FpMatrix], n: int, p: int, guard: int = DEFAULT_GUARD
 ) -> EquidistributionReport:
@@ -354,18 +366,9 @@ def linear_quadratic_distribution(
         raise DimensionMismatch("Phi entries must be symmetric")
     factor = QuadraticFactor(p, n, tuple(tuple(r) for r in Gamma), tuple(Phi), ())
     ids, cells = atom_images(factor, 1)
-    counts = np.bincount(ids, minlength=len(cells))
-    P = len(ids)
-    support_size = p ** (row_space_rank(factor.b1, p) + len(Phi))
-    predicted = Fraction(1, support_size)
-    return EquidistributionReport(
-        support_ok=True,  # every observed Gamma part is Gamma x, so rank [Gamma | a] = rank Gamma
-        predicted_cell_probability=predicted,
-        max_multiplicative_deviation=_deviation(counts, P, predicted),
-        cells_observed=len(cells),
-        predicted_support_size=support_size,
-        support_equal=len(cells) == support_size,
-    )
+    dim = row_space_rank(factor.b1, p) + len(Phi)
+    # support_ok: every observed Gamma part is Gamma x, so rank [Gamma | a] = rank Gamma
+    return EquidistributionReport.from_counts(np.bincount(ids, minlength=len(cells)), len(ids), p, dim)
 
 
 def factor_image_distribution(factor: QuadraticFactor, k: int, guard: int = DEFAULT_GUARD) -> EquidistributionReport:
@@ -376,15 +379,7 @@ def factor_image_distribution(factor: QuadraticFactor, k: int, guard: int = DEFA
     ids, count = atom_partition(factor, k)
     d1, d2, d3 = factor.complexity
     dim = k * d1 + (k * (k + 1) // 2) * d2 + (k * (k - 1) // 2) * d3
-    predicted = Fraction(1, p**dim)
-    return EquidistributionReport(
-        support_ok=True,
-        predicted_cell_probability=predicted,
-        max_multiplicative_deviation=_deviation(np.bincount(ids, minlength=count), len(ids), predicted),
-        cells_observed=count,
-        predicted_support_size=p**dim,
-        support_equal=count == p**dim,
-    )
+    return EquidistributionReport.from_counts(np.bincount(ids, minlength=count), len(ids), p, dim)
 
 
 def _family_slices(factor: QuadraticFactor, k: int) -> list[tuple[str, slice]]:
@@ -505,15 +500,9 @@ def pattern_tuple_report(
         support_dim = k * d1 + lam_perp.dim * d2 + lamp_perp.dim * d3
     else:
         support_dim = psi.dim * d1 + lam_perp.dim * d2 + lamp_perp.dim * d3
-    predicted = Fraction(1, p**support_dim)
     observed_quad_dim = row_space_rank(np.concatenate(quad_mats, axis=0), p) if quad_mats else 0
-    return EquidistributionReport(
-        support_ok=support_ok,
-        predicted_cell_probability=predicted,
-        max_multiplicative_deviation=_deviation(counts, total, predicted),
-        cells_observed=len(cells),
-        predicted_support_size=p**support_dim,
-        support_equal=support_ok and len(cells) == p**support_dim,
+    return EquidistributionReport.from_counts(
+        counts, total, p, support_dim, support_ok,
         prediction_reliable=reliable,
         extras={
             "spectral_ok": spectral_ok,
@@ -562,15 +551,7 @@ def abstract_atom_report(factor: QuadraticFactor, k: int, counts: np.ndarray) ->
     """The abstract_atom_distribution report of an abstract_atom_histogram."""
     p, d1, d2, d3 = factor.p, *factor.complexity
     dim = 2 * k * d1 + (2 * (k * (k + 1) // 2) + k * k) * d2 + (2 * (k * (k - 1) // 2) + k * k) * d3
-    predicted = Fraction(1, p**dim)
-    return EquidistributionReport(
-        support_ok=True,
-        predicted_cell_probability=predicted,
-        max_multiplicative_deviation=_deviation(counts, grid_size(p, k, factor.n) ** 2, predicted),
-        cells_observed=len(counts),
-        predicted_support_size=p**dim,
-        support_equal=len(counts) == p**dim,
-    )
+    return EquidistributionReport.from_counts(counts, grid_size(p, k, factor.n) ** 2, p, dim)
 
 
 # ---------------------------------------------------------------------------

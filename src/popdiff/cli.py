@@ -12,7 +12,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -41,37 +40,11 @@ from . import counterexample as cex
 from . import threept as tp
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed run configuration, echoed verbatim into every report line."""
-
-    subcommand: str
-    seed: int | None
-    backend: str
-    output: str | None
-    flags: dict = field(default_factory=dict)
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        flags = {k: v for k, v in vars(args).items() if k not in ("func", "json_out")}
-        return cls(
-            subcommand=args.subcommand,
-            seed=getattr(args, "seed", None),
-            backend=getattr(args, "backend", "exact"),
-            output=args.json_out,
-            flags=flags,
-        )
-
-
 def _jsonable(obj):
     if isinstance(obj, Fraction):
         return f"{obj.numerator}/{obj.denominator}"
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
+    if isinstance(obj, np.generic):  # numpy bool, integer and float scalars
+        return obj.item()
     if isinstance(obj, np.ndarray):
         return [_jsonable(x) for x in obj.tolist()]
     if isinstance(obj, dict):
@@ -81,28 +54,75 @@ def _jsonable(obj):
     return obj
 
 
-def _emit(cfg: RunConfig, payload: dict, t0: float) -> None:
+def _emit(args: argparse.Namespace, payload: dict, t0: float) -> None:
+    """Print (or append to --json) one report line echoing the parsed flags."""
     line = {
         "tool": "popdiff",
         "version": __version__,
-        "subcommand": cfg.subcommand,
-        "config": {k: _jsonable(v) for k, v in cfg.flags.items()},
-        "seed": cfg.seed,
-        "backend": cfg.backend,
+        "subcommand": args.subcommand,
+        "config": {k: _jsonable(v) for k, v in vars(args).items() if k not in ("func", "json_out")},
+        "seed": args.seed,
+        "backend": args.backend,
         "wall_time_s": round(time.perf_counter() - t0, 6),
         "report": _jsonable(payload),
     }
     text = json.dumps(line, sort_keys=True)
-    if cfg.output:
-        with open(cfg.output, "a") as fh:
+    if args.json_out:
+        with open(args.json_out, "a") as fh:
             fh.write(text + "\n")
     else:
         print(text)
 
 
-def _load_spec(args) -> PatternSpec:
-    with open(args.spec) as fh:
-        return PatternSpec.from_json_obj(json.load(fh))
+# -- inputs: every flag a handler reads goes through one of these ------------
+
+
+def _required(args, flag: str) -> str:
+    value = getattr(args, flag)
+    if value is None:
+        raise ValueError(f"--{flag} is required")
+    return value
+
+
+def _load_json(args, flag: str, cls=None):
+    """The JSON document at the path given by --flag, built by cls.from_json_obj
+    when cls is given. A document the builder cannot read is a usage error
+    that names the flag, the file and, for a missing key, the key."""
+    path = _required(args, flag)
+    with open(path) as fh:
+        obj = json.load(fh)
+    if cls is None:
+        return obj
+    try:
+        if not isinstance(obj, dict):
+            raise TypeError(f"expected a JSON object, not {type(obj).__name__}")
+        return cls.from_json_obj(obj)
+    except KeyError as exc:
+        raise ValueError(f"--{flag} {path}: missing key {exc}") from None
+    except (TypeError, IndexError) as exc:
+        raise ValueError(f"--{flag} {path}: {exc}") from None
+
+
+def _is_int_list(value, depth: int) -> bool:
+    return isinstance(value, list) and all(
+        _is_int_list(v, depth - 1) if depth > 1 else type(v) is int for v in value)
+
+
+def _int_lists(args, flag: str, depth: int = 1) -> list:
+    """The inline JSON of --flag: a list of integers, or at depth 2 a list of such lists."""
+    text = getattr(args, flag)
+    try:
+        value = json.loads(text)
+    except json.JSONDecodeError:
+        value = None
+    if not _is_int_list(value, depth):
+        raise ValueError(f"--{flag} {text}: expected a JSON list of {'lists of ' * (depth - 1)}integers")
+    return value
+
+
+def _coin_flips(args, size: int) -> np.ndarray:
+    """The seeded 0/1 draw shared by every random input: True with probability --density."""
+    return np.random.default_rng(args.seed).random(size) < args.density
 
 
 def _random_fn(args) -> GridFunction:
@@ -110,31 +130,26 @@ def _random_fn(args) -> GridFunction:
     size = args.p ** (args.k * args.n)
     if size > args.guard:  # before the draw, so that a huge grid allocates nothing
         raise TooLarge(f"p^(kn) = {size} exceeds guard {args.guard}")
-    rng = np.random.default_rng(args.seed)
-    vals = (rng.random(size) < args.density).astype(np.int64)
+    vals = _coin_flips(args, size).astype(np.int64)
     if args.backend == "exact":
         return GridFunction(args.p, args.k, args.n, vals, RATIONAL, guard=args.guard)
     return GridFunction(args.p, args.k, args.n, vals.astype(np.float64), FLOAT, guard=args.guard)
 
 
 def _load_fn(args) -> GridFunction:
-    return read_grid_function(args.fn) if getattr(args, "fn", None) else _random_fn(args)
-
-
-def _matrix_arg(text: str, p: int) -> FpMatrix:
-    return FpMatrix.from_rows(json.loads(text), p)
+    return read_grid_function(args.fn) if args.fn else _random_fn(args)
 
 
 # -- subcommand handlers; each returns (payload, math_ok) --------------------
 
 
 def _cmd_check(args):
-    spec = _load_spec(args)
+    spec = _load_json(args, "spec", PatternSpec)
     return {"admissible": check_admissible(spec), "spectral": check_spectral(spec)}, True
 
 
 def _cmd_subspaces(args):
-    spec = _load_spec(args)
+    spec = _load_json(args, "spec", PatternSpec)
     J = spec.J()
     spaces = constraint_spaces(J)
     payload = {name: sp.to_json_obj() for name, sp in spaces.items()}
@@ -144,14 +159,14 @@ def _cmd_subspaces(args):
 
 
 def _cmd_count(args):
-    spec = _load_spec(args)
+    spec = _load_json(args, "spec", PatternSpec)
     f = _load_fn(args)
     beta = pattern_count(f, spec, args.d, points=args.points)
     return {"d": args.d, "beta": beta, "points": args.points}, True
 
 
 def _cmd_popular(args):
-    spec = _load_spec(args)
+    spec = _load_json(args, "spec", PatternSpec)
     f = _load_fn(args)
     rep = popular_search(f, spec, args.eps, points=args.points, guard=args.guard)
     payload = rep.to_json_obj()
@@ -167,10 +182,9 @@ def _cmd_gowers(args):
 
 
 def _cmd_equidist(args):
-    with open(args.factor) as fh:
-        factor = QuadraticFactor.from_json_obj(json.load(fh))
+    factor = _load_json(args, "factor", QuadraticFactor)
     if args.mode == "tuple":
-        J = _matrix_arg(args.J, factor.p)
+        J = FpMatrix.from_rows(_int_lists(args, "J", depth=2), factor.p)
         rep = pattern_tuple_distribution(factor, J, restrict_to_H=args.restrict_h, guard=args.guard)
     elif args.mode == "abstract":
         rep = abstract_atom_distribution(factor, args.k, guard=args.guard)
@@ -191,7 +205,7 @@ def _cmd_cex(args):
         }
         return payload, t["strict"]
     if args.cex_op == "eight-tuple":
-        rep = cex.eight_tuple_distribution(json.loads(args.a), json.loads(args.b), args.n, guard=args.guard)
+        rep = cex.eight_tuple_distribution(_int_lists(args, "a"), _int_lists(args, "b"), args.n, guard=args.guard)
         return rep.to_json_obj(), rep.support_ok
     if args.cex_op in ("hypergraph", "dress", "assemble"):
         h = cex.Hypergraphon(args.L, cex.ap3_free_set(args.L, args.method))
@@ -214,20 +228,14 @@ def _cmd_cex(args):
     raise ValueError(f"unknown cex operation {args.cex_op!r}")
 
 
-def _group_from_args(args) -> tp.FiniteGroupSpec:
-    with open(args.group) as fh:
-        return tp.FiniteGroupSpec.from_json_obj(json.load(fh))
-
-
 def _cmd_threept(args):
-    g = _group_from_args(args) if args.tp_op != "lift" else None
+    g = _load_json(args, "group", tp.FiniteGroupSpec) if args.tp_op != "lift" else None
+    if args.tp_op in ("bohr", "count"):
+        B = tp.bohr_set(g, _int_lists(args, "S"), Fraction(args.delta).limit_denominator(10**9))
     if args.tp_op == "bohr":
-        B = tp.bohr_set(g, json.loads(args.S), Fraction(args.delta).limit_denominator(10**9))
         return {"members": list(B.members), "measure": B.measure, "S": list(B.S)}, True
     if args.tp_op == "count":
-        B = tp.bohr_set(g, json.loads(args.S), Fraction(args.delta).limit_denominator(10**9))
-        rng = np.random.default_rng(args.seed)
-        f = (rng.random(g.size) < args.density).astype(np.float64)
+        f = _coin_flips(args, g.size).astype(np.float64)
         rep = tp.smoothed_3pt_count(f, g, B)
         return rep, rep["agree"]
     if args.tp_op == "decompose":
@@ -245,36 +253,34 @@ def _cmd_threept(args):
         ok = all(v for k, v in dec.contracts.items() if k.endswith("ok") or k == "mean_preserved")
         return payload, ok
     if args.tp_op == "search":
-        rng = np.random.default_rng(args.seed)
-        f = (rng.random(g.size) < args.density).astype(np.float64)
+        f = _coin_flips(args, g.size).astype(np.float64)
         rep = tp.popular_3pt_search(f, g, args.eps)
         return rep.to_json_obj(), rep.threshold_hits >= 1
     if args.tp_op == "lift":
         if args.A:
-            with open(args.A) as fh:
-                A = json.load(fh)
+            A = _load_json(args, "A")
         else:
-            rng = np.random.default_rng(args.seed)
-            A = [int(x) + 1 for x in np.nonzero(rng.random(args.N) < args.density)[0]]
+            A = [int(x) + 1 for x in np.nonzero(_coin_flips(args, args.N))[0]]
         rep = tp.lift_to_interval(A, args.N, args.M1, args.M2, args.eps, guard=args.guard)
         return rep, rep["audit_ok"]
     raise ValueError(f"unknown threept operation {args.tp_op!r}")
 
 
 def _cmd_fnio(args):
-    if args.io_op == "info":
-        f = read_grid_function(args.fn)
-        return {"p": f.p, "k": f.k, "n": f.n, "kind": f.kind, "size": f.size, "mean": f.mean()}, True
-    if args.io_op == "roundtrip":
-        f = read_grid_function(args.fn)
-        write_grid_function(f, args.out)
-        g = read_grid_function(args.out)
-        same = all(a == b for a, b in zip(f.values, g.values)) if f.kind == RATIONAL else bool(np.array_equal(f.values, g.values))
-        return {"roundtrip_identical": same, "out": args.out}, same
+    if args.io_op != "info":
+        _required(args, "out")
     if args.io_op == "random":
         f = _random_fn(args)
         write_grid_function(f, args.out)
         return {"out": args.out, "mean": f.mean()}, True
+    f = read_grid_function(_required(args, "fn"))
+    if args.io_op == "info":
+        return {"p": f.p, "k": f.k, "n": f.n, "kind": f.kind, "size": f.size, "mean": f.mean()}, True
+    if args.io_op == "roundtrip":
+        write_grid_function(f, args.out)
+        g = read_grid_function(args.out)
+        same = all(a == b for a, b in zip(f.values, g.values)) if f.kind == RATIONAL else bool(np.array_equal(f.values, g.values))
+        return {"roundtrip_identical": same, "out": args.out}, same
     raise ValueError(f"unknown fnio operation {args.io_op!r}")
 
 
@@ -285,69 +291,56 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="popdiff", description=__doc__)
     sub = ap.add_subparsers(dest="subcommand", required=True)
 
-    def common(s, seed=True):
+    def subcommand(name, help_text, func):
+        """A subparser running func, with the flags every subcommand takes."""
+        s = sub.add_parser(name, help=help_text)
+        s.set_defaults(func=func)
         s.add_argument("--guard", type=int, default=DEFAULT_GUARD)
         s.add_argument("--backend", choices=("exact", "float"), default="exact")
         s.add_argument("--json", dest="json_out", default=None)
-        if seed:
-            s.add_argument("--seed", type=int, default=0)
+        s.add_argument("--seed", type=int, default=0)
+        return s
 
-    s = sub.add_parser("check", help="admissibility and spectral gate of a pattern")
-    s.add_argument("--spec", required=True)
-    common(s)
-    s.set_defaults(func=_cmd_check)
+    def grid_fn(s):
+        """--fn, or the seeded random function on the --p/--k/--n grid at --density."""
+        s.add_argument("--fn", default=None)
+        s.add_argument("--p", type=int, default=5)
+        s.add_argument("--k", type=int, default=1)
+        s.add_argument("--n", type=int, default=2)
+        s.add_argument("--density", type=float, default=0.5)
 
-    s = sub.add_parser("subspaces", help="constraint subspace bases for a pattern")
+    s = subcommand("check", "admissibility and spectral gate of a pattern", _cmd_check)
     s.add_argument("--spec", required=True)
-    common(s)
-    s.set_defaults(func=_cmd_subspaces)
 
-    s = sub.add_parser("count", help="pattern count at one difference")
+    s = subcommand("subspaces", "constraint subspace bases for a pattern", _cmd_subspaces)
     s.add_argument("--spec", required=True)
-    s.add_argument("--fn", default=None)
+
+    s = subcommand("count", "pattern count at one difference", _cmd_count)
+    s.add_argument("--spec", required=True)
     s.add_argument("--d", type=int, required=True)
     s.add_argument("--points", type=int, choices=(3, 4), default=4)
-    s.add_argument("--p", type=int, default=5)
-    s.add_argument("--k", type=int, default=1)
-    s.add_argument("--n", type=int, default=2)
-    s.add_argument("--density", type=float, default=0.5)
-    common(s)
-    s.set_defaults(func=_cmd_count)
+    grid_fn(s)
 
-    s = sub.add_parser("popular", help="exhaustive popular-difference search")
+    s = subcommand("popular", "exhaustive popular-difference search", _cmd_popular)
     s.add_argument("--spec", required=True)
-    s.add_argument("--fn", default=None)
     s.add_argument("--eps", type=float, default=0.05)
     s.add_argument("--points", type=int, choices=(3, 4), default=4)
-    s.add_argument("--p", type=int, default=5)
-    s.add_argument("--k", type=int, default=1)
-    s.add_argument("--n", type=int, default=2)
-    s.add_argument("--density", type=float, default=0.5)
     s.add_argument("--full", action="store_true")
-    common(s)
-    s.set_defaults(func=_cmd_popular)
+    grid_fn(s)
 
-    s = sub.add_parser("gowers", help="Gowers U^s norm")
-    s.add_argument("--fn", default=None)
+    s = subcommand("gowers", "Gowers U^s norm", _cmd_gowers)
     s.add_argument("--s", type=int, required=True)
     s.add_argument("--mode", choices=("recursive", "direct"), default="recursive")
-    s.add_argument("--p", type=int, default=5)
-    s.add_argument("--k", type=int, default=1)
-    s.add_argument("--n", type=int, default=2)
-    s.add_argument("--density", type=float, default=0.5)
-    common(s)
-    s.set_defaults(func=_cmd_gowers)
+    grid_fn(s)
 
-    s = sub.add_parser("equidist", help="exhaustive equidistribution reports")
+    s = subcommand("equidist", "exhaustive equidistribution reports", _cmd_equidist)
     s.add_argument("--mode", choices=("linquad", "tuple", "abstract"), default="tuple")
     s.add_argument("--factor", required=True)
     s.add_argument("--J", default="[[2]]")
     s.add_argument("--k", type=int, default=1)
     s.add_argument("--restrict-h", dest="restrict_h", action="store_true")
-    common(s)
-    s.set_defaults(func=_cmd_equidist)
 
-    s = sub.add_parser("cex", help="counterexample pipeline")
+    s = subcommand("cex", "counterexample pipeline", _cmd_cex)
     s.add_argument("cex_op", choices=("core", "eight-tuple", "hypergraph", "dress", "assemble", "report"))
     s.add_argument("--a", default="[1,0,0]")
     s.add_argument("--b", default="[0,1,0]")
@@ -357,10 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--seeds", type=int, default=10)
     s.add_argument("--seed-index", type=int, default=0)
     s.add_argument("--method", default="exhaustive-max")
-    common(s)
-    s.set_defaults(func=_cmd_cex)
 
-    s = sub.add_parser("threept", help="three-point machinery over finite groups")
+    s = subcommand("threept", "three-point machinery over finite groups", _cmd_threept)
     s.add_argument("tp_op", choices=("bohr", "count", "decompose", "search", "lift"))
     s.add_argument("--group", default=None)
     s.add_argument("--S", default="[1]")
@@ -371,19 +362,11 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--M1", type=int, default=1)
     s.add_argument("--M2", type=int, default=2)
     s.add_argument("--A", default=None)
-    common(s)
-    s.set_defaults(func=_cmd_threept)
 
-    s = sub.add_parser("fnio", help="grid-function file utilities")
+    s = subcommand("fnio", "grid-function file utilities", _cmd_fnio)
     s.add_argument("io_op", choices=("info", "roundtrip", "random"))
-    s.add_argument("--fn", default=None)
     s.add_argument("--out", default=None)
-    s.add_argument("--p", type=int, default=5)
-    s.add_argument("--k", type=int, default=1)
-    s.add_argument("--n", type=int, default=2)
-    s.add_argument("--density", type=float, default=0.5)
-    common(s)
-    s.set_defaults(func=_cmd_fnio)
+    grid_fn(s)
 
     return ap
 
@@ -394,20 +377,13 @@ def dispatch(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
-    cfg = RunConfig.from_args(args)
     t0 = time.perf_counter()
     try:
         payload, math_ok = args.func(args)
-    except CheckFailed as exc:
+    except (PopdiffError, OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
         print(json.dumps({"tool": "popdiff", "error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
-        return 2
-    except PopdiffError as exc:
-        print(json.dumps({"tool": "popdiff", "error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
-        return 1
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
-        print(json.dumps({"tool": "popdiff", "error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
-        return 1
-    _emit(cfg, payload, t0)
+        return 2 if isinstance(exc, CheckFailed) else 1
+    _emit(args, payload, t0)
     return 0 if math_ok else 2
 
 

@@ -22,7 +22,7 @@ from .errors import DependentDirections, TooLarge, ensure
 from .ffalg import FpMatrix, invertible_stack, is_invertible, mat_inverse, nullspace, row_space_rank
 from .gridfn import FLOAT, GridFunction
 from .patterns import PatternSpec, SubspaceBasis
-from .analysis import EquidistributionReport, FLOAT_SLACK, _deviation
+from .analysis import EquidistributionReport, FLOAT_SLACK
 
 P5 = 5
 
@@ -232,14 +232,8 @@ def eight_tuple_distribution(a, b, n: int, guard: int = DEFAULT_GUARD) -> Equidi
     # affine hull of the observed tuples
     diffs = (T - T[0]) % 5
     hull_dim = row_space_rank(diffs, 5)
-    predicted = Fraction(1, 5**5)
-    return EquidistributionReport(
-        support_ok=support_ok,
-        predicted_cell_probability=predicted,
-        max_multiplicative_deviation=_deviation(counts, 5 ** (2 * n), predicted),
-        cells_observed=len(cells5),
-        predicted_support_size=5**5,
-        support_equal=support_ok and len(cells5) == 5**5,
+    return EquidistributionReport.from_counts(
+        counts, 5 ** (2 * n), P5, 5, support_ok,
         extras={
             "hull_dim": hull_dim,
             "hull_equal": support_ok and hull_dim == 5,
@@ -363,9 +357,6 @@ class Hypergraphon:
         G[s, (s + t) % self.L, (s + 2 * t) % self.L] = 1
         G.setflags(write=False)
         return G
-
-    def g2_values(self, cu: np.ndarray, cv: np.ndarray, cw: np.ndarray) -> np.ndarray:
-        return self.tensor[cu, cv, cw]
 
     def cells(self, u: np.ndarray) -> np.ndarray:
         return np.floor(self.L * u).astype(np.int64) % self.L
@@ -573,6 +564,8 @@ def dress_and_measure(
     absolute slack: at desk scale several predictions are below the per-seed
     resolution and the honest measured value is exactly zero.
     """
+    if n < 1 or seeds < 1:
+        raise ValueError(f"n and seeds must be at least 1, got n = {n}, seeds = {seeds}")
     P = 5**n
     exps = hypergraph_expectations(h)
     mean_g2 = exps["mean_g2"]
@@ -894,6 +887,8 @@ def cex_report(params: DressingParams, seeds: int = 50, guard: int = DEFAULT_GUA
 
     The absolute constant of the no-popular-difference statement is labelled
     not certified: it needs L and gamma beyond desk scale."""
+    if seeds < 1:
+        raise ValueError(f"seeds must be at least 1, got {seeds}")
     core = build_core()
     lam = ap3_free_set(params.L, "exhaustive-max" if params.L <= 13 else "greedy")
     h = Hypergraphon(params.L, lam)

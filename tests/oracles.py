@@ -211,7 +211,7 @@ def dressed_h_by_combo_index(core, h, n: int, master_seed: int, seed_index: int)
             cells = h.cells(_uniform_table(master_seed, seed_index, 3 * block + tid, P))
             combo = add_index(5, n, linear_perm(5, 1, n, [[alpha]])[:, None], linear_perm(5, 1, n, [[beta]])[None, :])
             vals.append(cells[combo])
-        out = out * h.g2_values(vals[0], vals[1], vals[2]).astype(np.uint8)
+        out = out * h.tensor[vals[0], vals[1], vals[2]].astype(np.uint8)
     return out
 
 

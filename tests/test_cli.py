@@ -4,6 +4,7 @@ import struct
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -294,3 +295,50 @@ def test_check_failed_exits_2(capsys, monkeypatch):
     assert dispatch(["cex", "hypergraph", "--L", "5", "--method", "behrend"]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "CheckFailed" and "3-AP-free" in err["message"]
+
+
+MISSING_OR_MALFORMED = [
+    # @name stands for the path of the input file written under that name
+    (["threept", "search"], ["--group"]),
+    (["threept", "bohr"], ["--group"]),
+    (["fnio", "info"], ["--fn"]),
+    (["fnio", "random"], ["--out"]),
+    (["fnio", "roundtrip", "--fn", "@plgf"], ["--out"]),
+    (["check", "--spec", "@p5"], ["--spec", "@p5", "'k'"]),
+    (["subspaces", "--spec", "@p5"], ["--spec", "@p5", "'k'"]),
+    (["popular", "--spec", "@p5"], ["--spec", "@p5", "'k'"]),
+    (["check", "--spec", "@pair"], ["--spec", "@pair"]),
+    (["subspaces", "--spec", "@pair"], ["--spec", "@pair"]),
+    (["popular", "--spec", "@pair"], ["--spec", "@pair"]),
+    (["equidist", "--factor", "@p5"], ["--factor", "@p5", "'n'"]),
+    (["threept", "count", "--group", "@pair"], ["--group", "@pair"]),
+    (["threept", "count", "--group", "@zn", "--S", "[[1]]"], ["--S"]),
+    (["equidist", "--factor", "@factor", "--J", "[1]"], ["--J"]),
+    (["cex", "eight-tuple", "--a", "{}"], ["--a"]),
+    (["cex", "dress", "--n", "0"], ["n = 0"]),
+    (["cex", "report", "--n", "2", "--L", "7", "--seeds", "0"], ["seeds"]),
+    (["threept", "bohr", "--group", "@zn", "--S", "{}"], ["--S"]),
+]
+
+
+@pytest.mark.parametrize("argv, names", [pytest.param(a, n, id=" ".join(a)) for a, n in MISSING_OR_MALFORMED])
+def test_missing_or_malformed_input_is_one_error_line(capsys, tmp_path, argv, names):
+    files = {"p5": {"p": 5}, "pair": [1, 2], "zn": {"kind": "Z_N", "N": 61, "M1": 2, "M2": 3},
+             "factor": {"p": 3, "n": 3, "b1": [[1, 0, 0]], "b2": [[[1, 0, 0], [0, 1, 0], [0, 0, 1]]], "b3": []}}
+    paths = {name: str(tmp_path / f"{name}.json") for name in files}
+    for name, obj in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(obj))
+    paths["plgf"] = str(tmp_path / "f.plgf")
+    write_grid_function(GridFunction(3, 1, 1, np.array([0.0, 1.0, 0.5]), FLOAT), paths["plgf"])
+    resolve = lambda a: paths[a[1:]] if a.startswith("@") else a
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning before the error line fails the test
+        code = dispatch([resolve(a) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["tool"] == "popdiff"
+    for name in names:
+        assert resolve(name) in err["message"]
