@@ -26,13 +26,13 @@ from .gridfn import (
     GridFunction,
     GridPoint,
     QuadraticFactor,
-    _skew_coord_index,
-    _sym_coord_index,
     atom_images,
     atom_partition,
     conditional_expectation,
     grid_size,
     h_coset_labels,
+    skew_coord_index,
+    sym_coord_index,
 )
 from .patterns import (
     PatternSpec,
@@ -147,40 +147,48 @@ def _pattern_mats(f: GridFunction, spec: PatternSpec, points: int) -> list:
     return [M.to_lists() for M in mats]
 
 
-def _pattern_sums(f: GridFunction, mats: list, d_indices, guard: int = DEFAULT_GUARD) -> tuple[list, int]:
-    """Raw sums S(d) = sum_X f(X) prod_i f(X + T_i D) for each difference
-    index d, and their denominator den: the average over X is S(d) / (den P).
+def pattern_sums(v: np.ndarray, p: int, m: int, shifts: list, guard: int = DEFAULT_GUARD) -> list:
+    """Raw sums S(d) = sum_x v(x) prod_i v(x + s_i(d)) over (Z/pZ)^m for each
+    row d of the (D, m) shift digits s_i, one array in shifts per later point.
 
-    mats are the k x k matrices T_i as row lists, multiplied in order. For the
-    rational kind S(d) is an exact integer over den = L^points, with f = a / L
-    the integer form; it is summed in int64 while max|a|^points P < 2^62 and
-    in Python ints otherwise. For the float kind den = 1 and S(d) is the
-    correctly rounded sum of the float64 products: their int64 sum when all
-    values are finite integers with max|f|^points < 2^53 (exact products) and
-    max|f|^points P < 2^62, math.fsum otherwise."""
-    p, k, n = f.p, f.k, f.n
-    D = decode_digits(p, k * n, d_indices)
-    shifts = [linear_digits(p, k, n, M, D) for M in mats]
-    points, exact = len(mats) + 1, f.kind == RATIONAL
+    For an object array v of Python ints S(d) is exact: summed in int64 while
+    max|v|^points P < 2^62, in Python ints otherwise. For a float v S(d) is
+    the correctly rounded sum of the float64 products: their int64 sum when
+    all values are finite integers with max|v|^points < 2^53 (exact products)
+    and max|v|^points P < 2^62, math.fsum otherwise. The (2p - 1)^m-point
+    periodic extension is built only within both guard and the points D P reads."""
+    points, exact, P, D = len(shifts) + 1, v.dtype == object, len(v), len(shifts[0])
     if exact:
-        v, L = f.integer_form()
-        den, bound = L**points, max(abs(x) for x in v) ** points
+        bound = max(abs(x) for x in v) ** points
     else:
-        v, den, bound = f.values, 1, 2**62
+        bound = 2**62
         if np.all(np.isfinite(v)) and np.all(v == np.round(v)) and int(np.max(np.abs(v))) ** points < 2**53:
             bound = int(np.max(np.abs(v))) ** points
-    fits = bound * f.size < 2**62
+    fits = bound * P < 2**62
     if fits:
         v = v.astype(np.int64)
     total = (lambda prod: int(prod.sum())) if exact or fits else (lambda prod: math.fsum(prod.tolist()))
-    tr = Translates(v, p, k * n, guard)
+    tr = Translates(v, p, m, min(guard, points * D * P))
     sums = []
-    for j in range(len(D)):
+    for j in range(D):
         prod = tr.base
         for S in shifts:
             prod = prod * tr(S[j])
         sums.append(total(prod.reshape(-1)))
-    return sums if exact or not fits else [float(s) for s in sums], den
+    return sums if exact or not fits else [float(s) for s in sums]
+
+
+def _pattern_sums(f: GridFunction, mats: list, d_indices, guard: int = DEFAULT_GUARD) -> tuple[list, int]:
+    """pattern_sums of f at the difference indices, shifted by T_i D for the
+    k x k row lists T_i in mats, and the denominator den of the averages
+    S(d) / (den P): L^points for the integer form a / L of a rational f, else 1."""
+    p, k, n = f.p, f.k, f.n
+    D = decode_digits(p, k * n, d_indices)
+    shifts = [linear_digits(p, k, n, M, D) for M in mats]
+    if f.kind == RATIONAL:
+        v, L = f.integer_form()
+        return pattern_sums(v, p, k * n, shifts, guard), L ** (len(mats) + 1)
+    return pattern_sums(f.values, p, k * n, shifts, guard), 1
 
 
 def pattern_count(f: GridFunction, spec: PatternSpec, d, points: int = 4):
@@ -393,7 +401,7 @@ def _family_slices(factor: QuadraticFactor, k: int) -> list[tuple[str, slice]]:
 def _expand_matrix_coords(cols: np.ndarray, k: int, p: int, kind: str) -> np.ndarray:
     """Expand the packed (upper-triangle) matrix coordinates of the 4 slots,
     shape (cells, 4, packed), into full k x k flattenings, shape (cells, 4 k^2)."""
-    i, j = np.array(_sym_coord_index(k) if kind == "b2" else _skew_coord_index(k), dtype=np.int64).reshape(-1, 2).T
+    i, j = np.array(sym_coord_index(k) if kind == "b2" else skew_coord_index(k), dtype=np.int64).reshape(-1, 2).T
     full = np.zeros(cols.shape[:2] + (k, k), dtype=np.int64)
     full[:, :, i, j] = cols
     full[:, :, j, i] = cols if kind == "b2" else -cols % p

@@ -558,11 +558,12 @@ def dress_and_measure(
     seeded dressings, against the exact product-formula predictions.
 
     Differences are (label, a, b) triples; the default list has one generic
-    pair plus one representative of each dependency class b = lambda * a,
-    b = 0, and a = 0. Each prediction follows the class of (a, b), whatever
-    the label says. The within-3-SE comparison carries the documented 1e-9
-    absolute slack: at desk scale several predictions are below the per-seed
-    resolution and the honest measured value is exactly zero.
+    pair (when n > 1, so that one exists) plus one representative of each
+    dependency class b = lambda * a, b = 0, and a = 0. Each prediction
+    follows the class of (a, b), whatever the label says. The within-3-SE
+    comparison carries the documented 1e-9 absolute slack: at desk scale
+    several predictions are below the per-seed resolution and the honest
+    measured value is exactly zero.
     """
     if n < 1 or seeds < 1:
         raise ValueError(f"n and seeds must be at least 1, got n = {n}, seeds = {seeds}")
@@ -574,7 +575,7 @@ def dress_and_measure(
         a[0] = 1
         b = np.zeros(n, dtype=np.int64)
         b[1 % n] = 1
-        differences = [("generic", a, b)]
+        differences = [("generic", a, b)] if n > 1 else []
         for lam in (1, 2, 3, 4):
             differences.append((f"b={lam}a", a, (lam * a) % 5))
         differences.append(("b=0", a, np.zeros(n, dtype=np.int64)))

@@ -57,10 +57,6 @@ class CorruptLength(PopdiffError):
     """A grid-function file payload has the wrong length."""
 
 
-class NoPrimeInWindow(PopdiffError):
-    """The requested prime search window contains no prime."""
-
-
 class CheckFailed(PopdiffError):
     """A mathematical identity the code verifies at run time does not hold."""
 

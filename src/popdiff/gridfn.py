@@ -240,11 +240,11 @@ def factor_eval(factor: QuadraticFactor, X: FpMatrix) -> FactorImage:
     return FactorImage(b1, b2, b3)
 
 
-def _sym_coord_index(k: int) -> list[tuple[int, int]]:
+def sym_coord_index(k: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(k) for j in range(i, k)]
 
 
-def _skew_coord_index(k: int) -> list[tuple[int, int]]:
+def skew_coord_index(k: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(k) for j in range(i + 1, k)]
 
 
@@ -264,12 +264,12 @@ def factor_image_coords(factor: QuadraticFactor, k: int) -> np.ndarray:
     for M in factor.b2:
         Mm = np.array(M.to_lists(), dtype=np.int64)
         Q = np.einsum("xan,nm,xbm->xab", X, Mm, X) % p
-        cols.append(np.stack([Q[:, i, j] for i, j in _sym_coord_index(k)], axis=1))
+        cols.append(np.stack([Q[:, i, j] for i, j in sym_coord_index(k)], axis=1))
     for N in factor.b3:
         Nm = np.array(N.to_lists(), dtype=np.int64)
         Q = np.einsum("xan,nm,xbm->xab", X, Nm, X) % p
         if k > 1:
-            cols.append(np.stack([Q[:, i, j] for i, j in _skew_coord_index(k)], axis=1))
+            cols.append(np.stack([Q[:, i, j] for i, j in skew_coord_index(k)], axis=1))
     if not cols:
         return np.zeros((P, 0), dtype=np.int64)
     flat = [c if c.ndim == 2 else c[:, None] for c in cols]

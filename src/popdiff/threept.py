@@ -17,8 +17,8 @@ import numpy as np
 
 from . import DEFAULT_GUARD
 from ._grid import Translates, add_index, add_perm as shift_perm, dft, digit_table, encode_digits, linear_perm
-from .analysis import FLOAT_SLACK, PatternCountReport, popular_report
-from .errors import DimensionMismatch, NoPrimeInWindow, NonConvergent, NotAutomorphism, TooLarge, ensure
+from .analysis import FLOAT_SLACK, PatternCountReport, pattern_sums, popular_report
+from .errors import DimensionMismatch, NonConvergent, NotAutomorphism, TooLarge, ensure
 from .ffalg import FpMatrix, is_invertible
 
 
@@ -88,9 +88,9 @@ class FiniteGroupSpec:
         else:
             self.M1 = M1 if isinstance(M1, FpMatrix) else FpMatrix.from_rows(M1, self.p)
             self.M2 = M2 if isinstance(M2, FpMatrix) else FpMatrix.from_rows(M2, self.p)
-            for M in (self.M1, self.M2, self.M1.sub(self.M2)):
+            for name, M in (("M1", self.M1), ("M2", self.M2), ("M1-M2", self.M1.sub(self.M2))):
                 if not is_invertible(M):
-                    raise NotAutomorphism("M1, M2, M1 - M2 must be invertible")
+                    raise NotAutomorphism(f"{name} is singular mod {self.p}")
             rows1, rows2 = self.M1.to_lists(), self.M2.to_lists()
         self._digits = digit_table(self.modulus, self.m)
         minus_one = [[-int(i == j) for j in range(self.k)] for i in range(self.k)]
@@ -127,9 +127,6 @@ class FiniteGroupSpec:
         """Permutation c with c[xi] = index of the character x -> xi(M_which x)."""
         return self._perms["M1T" if which == 1 else "M2T"]
 
-    def char_compose(self, xi_idx: int, which: int) -> int:
-        return int(self.char_compose_perm(which)[xi_idx])
-
     def fft(self, values: np.ndarray) -> np.ndarray:
         """Fourier coefficients f_hat(xi) = E_x f(x) e(-<xi, x>/modulus)."""
         return dft(values, self.modulus, self.m) / self.size
@@ -139,12 +136,6 @@ class FiniteGroupSpec:
 
     def char_sum_index(self, xi1: np.ndarray, xi2: np.ndarray) -> np.ndarray:
         return add_index(self.modulus, self.m, xi1, xi2)
-
-    def to_json_obj(self) -> dict:
-        if self.kind == "Z_N":
-            return {"kind": "Z_N", "N": self.N, "M1": self.M1, "M2": self.M2}
-        return {"kind": "vector", "p": self.p, "k": self.k, "n": self.n,
-                "M1": self.M1.to_lists(), "M2": self.M2.to_lists()}
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "FiniteGroupSpec":
@@ -170,17 +161,6 @@ class BohrSet:
     @property
     def measure(self) -> Fraction:
         return Fraction(len(self.members), self.group.size)
-
-    def indicator(self) -> np.ndarray:
-        ind = np.zeros(self.group.size, dtype=np.int64)
-        ind[list(self.members)] = 1
-        return ind
-
-    def mass(self) -> np.ndarray:
-        """Uniform probability mass on the members (float)."""
-        w = np.zeros(self.group.size)
-        w[list(self.members)] = 1.0 / len(self.members)
-        return w
 
 
 def bohr_set(group: FiniteGroupSpec, S, delta) -> BohrSet:
@@ -220,10 +200,7 @@ def derived_bohr(B: BohrSet, group: FiniteGroupSpec | None = None) -> BohrSet:
     characters; the set equality with the direct definition is checked
     exhaustively."""
     g = group or B.group
-    T_prime = set()
-    for xi in B.S:
-        T_prime.add(g.char_compose(xi, 1))
-        T_prime.add(g.char_compose(xi, 2))
+    T_prime = {int(g.char_compose_perm(which)[xi]) for xi in B.S for which in (1, 2)}
     Bp = bohr_set(g, sorted(T_prime), B.delta)
     in_B = np.zeros(g.size, dtype=bool)
     in_B[list(B.members)] = True
@@ -246,11 +223,10 @@ def smoothed_3pt_count(f: np.ndarray, group: FiniteGroupSpec, B: BohrSet, tol: f
     N = group.size
     nu = convolved_measure(B)
     support = np.nonzero(nu)[0]
-    tr = group.translates(f)
-    m1, m2 = group.apply(1, support), group.apply(2, support)
+    shifts = [group._digits[group.apply(which, support)] for which in (1, 2)]
     direct = 0.0
-    for d, s1, s2 in zip(support, m1, m2):
-        direct += float(nu[d]) * float(np.mean((tr.base * tr.at(s1) * tr.at(s2)).reshape(-1)))
+    for d, s in zip(support, pattern_sums(f, group.modulus, group.m, shifts, group.guard)):
+        direct += float(nu[d]) * (s / N)
     F = group.fft(f)
     nu_t = group.fft(nu) * N  # sum_d nu(d) e(-<eta, d>); real for symmetric nu
     xi = np.arange(N)
@@ -380,9 +356,8 @@ def popular_3pt_search(indicator: np.ndarray, group: FiniteGroupSpec, epsilon: f
     f = np.asarray(indicator, dtype=np.float64)
     N = group.size
     alpha = float(f.mean())
-    tr = group.translates(f)
-    m1, m2 = group.apply(1, np.arange(N)), group.apply(2, np.arange(N))
-    betas = [float(np.mean((tr.base * tr.at(m1[d]) * tr.at(m2[d])).reshape(-1))) for d in range(N)]
+    shifts = [group._digits[group.apply(which, np.arange(N))] for which in (1, 2)]
+    betas = [s / N for s in pattern_sums(f, group.modulus, group.m, shifts, group.guard)]
     return popular_report(betas, alpha, alpha**3 - epsilon, 3, epsilon, exact=False)
 
 
@@ -390,22 +365,12 @@ def popular_3pt_search(indicator: np.ndarray, group: FiniteGroupSpec, epsilon: f
 # Lifting to integer boxes
 
 
-def _int_det(rows: list[list[int]]) -> Fraction:
-    n = len(rows)
-    mat = [[Fraction(x) for x in row] for row in rows]
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if mat[i][c] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            mat[c], mat[piv] = mat[piv], mat[c]
-            det = -det
-        det *= mat[c][c]
-        for i in range(c + 1, n):
-            fct = mat[i][c] / mat[c][c]
-            mat[i] = [a - fct * b for a, b in zip(mat[i], mat[c])]
-    return det
+def _square_rows(M, k: int, name: str) -> list[list[int]]:
+    """M as k x k integer rows; a scalar M is the 1 x 1 matrix [[M]]."""
+    rows = M if isinstance(M, (list, tuple)) else [[M]]
+    if len(rows) != k or any(not isinstance(r, (list, tuple)) or len(r) != k for r in rows):
+        raise DimensionMismatch(f"{name} = {M} must be a {k} x {k} matrix for points with k = {k} coordinates")
+    return [[int(x) for x in r] for r in rows]
 
 
 def lift_to_interval(A, N: int, M1, M2, epsilon: float, guard: int = DEFAULT_GUARD) -> dict:
@@ -420,14 +385,14 @@ def lift_to_interval(A, N: int, M1, M2, epsilon: float, guard: int = DEFAULT_GUA
     A = list(A)
     if not A:
         raise ValueError("A must be nonempty")
-    first = A[0]
-    k = 1 if isinstance(first, int) else len(first)
+    if N < 1:  # (N, 2N + 1] holds a prime only from N = 1 on
+        raise ValueError(f"N must be at least 1, got N = {N}")
     pts = [(a,) if isinstance(a, int) else tuple(a) for a in A]
-    M1r = [[int(M1)]] if k == 1 and not isinstance(M1, (list, tuple)) else [list(r) for r in M1]
-    M2r = [[int(M2)]] if k == 1 and not isinstance(M2, (list, tuple)) else [list(r) for r in M2]
-    for name, M in (("M1", M1r), ("M2", M2r), ("M1-M2", [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(M1r, M2r)])):
-        if _int_det(M) == 0:
-            raise NotAutomorphism(f"{name} is singular over Q")
+    k = len(pts[0])
+    for a, pt in zip(A, pts):
+        if len(pt) != k:
+            raise DimensionMismatch(f"point {a} does not have the k = {k} coordinates of the first point")
+    M1r, M2r = _square_rows(M1, k, "M1"), _square_rows(M2, k, "M2")
 
     eps_eff = float(epsilon)
     widened = False
@@ -441,14 +406,9 @@ def lift_to_interval(A, N: int, M1, M2, epsilon: float, guard: int = DEFAULT_GUA
         if eps_eff / k >= 1:
             p = next(q for q in range(N + 1, 2 * N + 2) if is_prime(q))
             break
-    if p is None:
-        raise NoPrimeInWindow("no prime found")
     if p**k > guard:
         raise TooLarge(f"p^k = {p ** k} exceeds guard {guard}")
-    for name, M in (("M1", M1r), ("M2", M2r), ("M1-M2", [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(M1r, M2r)])):
-        if not is_invertible(FpMatrix.from_rows(M, p)):
-            raise NotAutomorphism(f"{name} is singular mod {p}")
-
+    # FiniteGroupSpec rejects M1, M2 or M1 - M2 singular mod p (so also over Q)
     group = FiniteGroupSpec("vector", p=p, k=k, n=1, M1=M1r, M2=M2r, guard=guard)
     in_A = np.zeros(group.size, dtype=bool)
     in_A[encode_digits(np.array(pts, dtype=np.int64), p)] = True

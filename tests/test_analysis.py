@@ -1,5 +1,6 @@
 import math
 import struct
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -222,6 +223,26 @@ def test_float_counts_integer_shortcut_edges(case, points, monkeypatch):
     monkeypatch.setattr(math, "fsum", lambda xs: fsum_calls.append(1) or real_fsum(xs))
     assert [struct.pack("<d", pattern_count(f, spec, d, points)) for d in range(P)] == want
     assert bool(fsum_calls) == (case in ("above", "half", "tenth", "inf", "nan"))
+
+
+def test_single_count_builds_no_periodic_extension():
+    # a count at one difference reads 4 translates, far fewer than the 5^8
+    # points of the periodic extension on (F_3^4)^2, so it gathers instead;
+    # the value is the same fsum of the float64 products
+    p, k, n = 3, 2, 4
+    P = grid_size(p, k, n)
+    f = GridFunction(p, k, n, np.random.default_rng(12).random(P), FLOAT)
+    spec = PatternSpec(p, k, FpMatrix.identity(k, p), FpMatrix.from_rows([[0, 2], [1, 0]], p))
+    want = fraction_pattern_count(f, spec, 1234)
+    pattern_count(f, spec, 1234)  # fills the digit-table caches outside the measurement
+    tracemalloc.start()
+    try:
+        got = pattern_count(f, spec, 1234)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak < 1_000_000
 
 
 def test_difference_index_range_checked():

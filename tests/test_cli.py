@@ -318,12 +318,16 @@ MISSING_OR_MALFORMED = [
     (["cex", "dress", "--n", "0"], ["n = 0"]),
     (["cex", "report", "--n", "2", "--L", "7", "--seeds", "0"], ["seeds"]),
     (["threept", "bohr", "--group", "@zn", "--S", "{}"], ["--S"]),
+    (["threept", "lift", "--N", "30", "--A", "@points2d"], ["M1 = 1", "2 x 2"]),
+    (["threept", "lift", "--N", "30", "--A", "@ragged"], ["point [3, 4]"]),
+    (["threept", "lift", "--N", "0", "--A", "@ragged"], ["N = 0"]),
 ]
 
 
 @pytest.mark.parametrize("argv, names", [pytest.param(a, n, id=" ".join(a)) for a, n in MISSING_OR_MALFORMED])
 def test_missing_or_malformed_input_is_one_error_line(capsys, tmp_path, argv, names):
     files = {"p5": {"p": 5}, "pair": [1, 2], "zn": {"kind": "Z_N", "N": 61, "M1": 2, "M2": 3},
+             "points2d": [[1, 2], [3, 4], [5, 6]], "ragged": [[1], [3, 4]],
              "factor": {"p": 3, "n": 3, "b1": [[1, 0, 0]], "b2": [[[1, 0, 0], [0, 1, 0], [0, 0, 1]]], "b3": []}}
     paths = {name: str(tmp_path / f"{name}.json") for name in files}
     for name, obj in files.items():

@@ -399,6 +399,15 @@ def test_dress_and_measure_predicts_from_vectors():
         dress_and_measure(core, h, 2, 1, master_seed=3, differences=[("zero", [0, 0], [5, 0])])
 
 
+def test_dress_default_differences_at_n1_have_no_generic_pair():
+    # F_5^1 has no independent pair (a, b), so the default list has no
+    # "generic" entry there; from n = 2 on it leads the list
+    core, h = build_core(), Hypergraphon(5, (1, 2))
+    labels = [d["label"] for d in dress_and_measure(core, h, 1, 2, master_seed=3)["differences"]]
+    assert labels == ["b=1a", "b=2a", "b=3a", "b=4a", "b=0", "a=0"]
+    assert dress_and_measure(core, h, 2, 2, master_seed=3)["differences"][0]["label"] == "generic"
+
+
 def test_final_assembly_and_sparse_max():
     core = build_core()
     h = Hypergraphon(5, (1, 2))

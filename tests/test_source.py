@@ -1,6 +1,7 @@
 """Rules about the library source itself."""
 
 import ast
+import importlib
 import pathlib
 import sys
 
@@ -38,3 +39,23 @@ def test_library_imports_only_stdlib_and_numpy():
                 continue
             found += [f"{path.relative_to(SRC)}:{node.lineno}: {name}" for name in names if name.split(".")[0] not in allowed]
     assert found == []
+
+
+def test_tracer_targets_resolve():
+    # perfbench/tracer.py wraps each (module, qualname) in TARGETS through
+    # vars(owner)[attr]; a library change that drops one breaks every traced
+    # benchmark run, so tier-1 reads the list (without importing the tracer)
+    tracer = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    tree = ast.parse(tracer.read_text(), filename=str(tracer))
+    (targets,) = [ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["TARGETS"]]
+    assert targets
+    missing = []
+    for module_name, qualname in targets:
+        owner = importlib.import_module(f"popdiff.{module_name}")
+        *path, attr = qualname.split(".")
+        for part in path:
+            owner = vars(owner).get(part)
+        if owner is None or attr not in vars(owner):
+            missing.append(f"{module_name}.{qualname}")
+    assert missing == []

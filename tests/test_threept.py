@@ -1,4 +1,5 @@
 import math
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -18,6 +19,8 @@ from popdiff.threept import (
     smoothed_3pt_count,
 )
 
+from oracles import roll_translate
+
 
 def test_is_prime():
     assert [n for n in range(2, 40) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
@@ -33,6 +36,11 @@ def test_group_validation():
         FiniteGroupSpec("Z_N", N=7, M1=2, M2=2)  # M1 - M2 = 0
     g = FiniteGroupSpec("vector", p=5, k=1, n=2, M1=[[1]], M2=[[2]])
     assert g.size == 25
+    # a vector group names the matrix that is singular mod p
+    I, S = [[1, 0], [0, 1]], [[1, 1], [1, 1]]
+    for M1, M2, name in ((S, I, "M1"), (I, S, "M2"), (I, [[1, 1], [0, 1]], "M1-M2")):
+        with pytest.raises(NotAutomorphism, match=f"^{name} is singular mod 5$"):
+            FiniteGroupSpec("vector", p=5, k=2, n=1, M1=M1, M2=M2)
     # Z_0 used to end in a raw ZeroDivisionError
     for N in (-3, 0, 1):
         with pytest.raises(ValueError, match="N >= 2"):
@@ -252,6 +260,43 @@ def test_popular_3pt_subgroup_coset():
     assert rep.threshold_hits >= 4
 
 
+THREE_POINT_GROUPS = [
+    FiniteGroupSpec("Z_N", N=45, M1=1, M2=2),
+    FiniteGroupSpec("Z_N", N=101, M1=2, M2=3),
+    FiniteGroupSpec("vector", p=3, k=1, n=3, M1=[[1]], M2=[[2]]),
+]
+
+
+def _three_point_products(f, g, d):
+    """f(x) f(x + M1 d) f(x + M2 d) over x, multiplied left to right, with
+    M1, M2 scalars and the sums taken digit by digit in base g.modulus."""
+    q, m = g.modulus, g.m
+    M1, M2 = (g.M1, g.M2) if g.kind == "Z_N" else (g.M1.to_lists()[0][0], g.M2.to_lists()[0][0])
+    digits = lambda i: [i // q**j % q for j in range(m)]
+    shift = lambda c: np.array([c * t % q for t in digits(d)])
+    return f * roll_translate(f, q, m, shift(M1)) * roll_translate(f, q, m, shift(M2))
+
+
+@pytest.mark.parametrize("g", THREE_POINT_GROUPS, ids=["Z_45", "Z_101", "F_3^3"])
+def test_three_point_counts_follow_summation_rule(g):
+    # non-integer values: each count is the fsum of the float64 products,
+    # bit for bit; 0/1 values: the plain np.mean of the products
+    N = g.size
+    rng = np.random.default_rng(N)
+    B = bohr_set(g, [1], Fraction(1, 4))
+    nu = convolved_measure(B)
+    support = np.nonzero(nu)[0]
+    for f, average in ((rng.random(N), lambda prod: math.fsum(prod) / N),
+                       ((rng.random(N) < 0.5).astype(float), lambda prod: float(np.mean(prod)))):
+        want = [average(_three_point_products(f, g, d)) for d in range(N)]
+        rep = popular_3pt_search(f, g, 0.05)
+        assert [struct.pack("<d", rep.counts[d]) for d in range(N)] == [struct.pack("<d", w) for w in want]
+        direct = 0.0
+        for d in support:
+            direct += float(nu[d]) * want[d]
+        assert struct.pack("<d", smoothed_3pt_count(f, g, B)["direct"]) == struct.pack("<d", direct)
+
+
 def test_lift_examples():
     # full box: the best difference keeps nearly everything
     A = list(range(1, 31))
@@ -269,6 +314,15 @@ def test_lift_examples():
         assert y - x == (rep["best_d"][0]) and z - x == 2 * rep["best_d"][0]
 
 
+def test_lift_two_dimensional_points():
+    # 2-d points take 2 x 2 matrices (test_cli pins the scalar and ragged cases)
+    with pytest.raises(DimensionMismatch, match="M2"):
+        lift_to_interval([[1, 2]], 30, [[1, 0], [0, 1]], [[2, 0]], 0.2)
+    rep = lift_to_interval([[x, y] for x in range(1, 31) for y in range(1, 31)], 30, [[1, 0], [0, 1]], [[2, 0], [0, 2]], 0.6)
+    assert rep["k"] == 2 and rep["audit_ok"] and rep["best_count"] > 0
+
+
 def test_lift_singular_matrix_rejected():
-    with pytest.raises(NotAutomorphism):
+    # singular over Q, so singular mod the prime 11 the lift embeds into
+    with pytest.raises(NotAutomorphism, match="^M1-M2 is singular mod 11$"):
         lift_to_interval([1, 2, 3], 10, 1, 1, 0.3)
