@@ -1,0 +1,179 @@
+#!/usr/bin/env python3
+"""Run a fixed list of popdiff CLI invocations on two source trees and print
+every difference.
+
+    python3 scripts/compare_reports.py PARENT_SRC CHANGE_SRC
+
+PARENT_SRC and CHANGE_SRC are the `src` directories of two checkouts. Each
+invocation runs as a child process (`python3 -m popdiff.cli ...`) with that
+tree's `src` on PYTHONPATH, from one shared scratch directory that holds the
+input files. Stdout (with `wall_time_s` removed from every report line),
+stderr and the exit code must agree. Each difference is printed; the script
+exits 1 if there is any and 0 otherwise.
+
+The list: `check`/`subspaces` on three specs; `equidist` on three factors
+(abstract at k = 1, 2, linquad, and tuple with and without --restrict-h at
+k = 1, 2); the counterexample stages (core, dress at n = 1-4, eight-tuple,
+hypergraph, report, assemble); exact and float `popular`; every argv of
+tests/equidist_reference.json and tests/subspaces_reference.json; the
+recorded `cex report` seeds of perfbench/cex_reference.json; and input
+errors that must end in one JSON error line.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import pathlib
+import subprocess
+import sys
+import tempfile
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+SPECS = {
+    "scalar-p5": {"p": 5, "k": 1, "M1": [[1]], "M2": [[2]]},
+    "rotated-squares-p5": {"p": 5, "k": 2, "M1": [[1, 0], [0, 1]], "M2": [[0, -1], [1, 0]]},
+    "spectral-2x2-p3": {"p": 3, "k": 2, "M1": [[1, 0], [0, 1]], "M2": [[0, 1], [1, 2]]},
+}
+
+# each factor with a 2 x 2 J that keeps I - J invertible
+FACTORS = {
+    "sym-p3": ({"p": 3, "n": 3, "b1": [[1, 0, 0]], "b2": [[[1, 0, 0], [0, 1, 0], [0, 0, 1]]], "b3": []},
+               "[[0,1],[1,2]]"),
+    "skew-p3": ({"p": 3, "n": 2, "b1": [], "b2": [[[1, 0], [0, 2]]], "b3": [[[0, 1], [2, 0]]]}, "[[0,1],[1,2]]"),
+    "mixed-p5": ({"p": 5, "n": 2, "b1": [[1, 2]], "b2": [[[0, 1], [1, 0]]], "b3": [[[0, 1], [4, 0]]]},
+                 "[[0,-1],[1,0]]"),
+}
+
+GROUP = {"kind": "Z_N", "N": 61, "M1": 2, "M2": 3}
+
+
+def invocations(refs: dict) -> list[list[str]]:
+    """The argvs, with @name standing for the path of the input file name."""
+    argvs = []
+    for name in SPECS:
+        argvs += [["check", "--spec", f"@{name}"], ["subspaces", "--spec", f"@{name}"]]
+    for name, (_, J2) in FACTORS.items():
+        factor = ["equidist", "--factor", f"@{name}"]
+        argvs += [factor + ["--mode", "abstract", "--k", "1"], factor + ["--mode", "abstract", "--k", "2"],
+                  factor + ["--mode", "linquad"]]
+        for J in ("[[2]]", J2):
+            argvs += [factor + ["--mode", "tuple", "--J", J], factor + ["--mode", "tuple", "--J", J, "--restrict-h"]]
+    argvs += [
+        ["cex", "core"],
+        ["cex", "dress", "--n", "1", "--L", "5", "--seeds", "3"],
+        ["cex", "dress", "--n", "1", "--L", "7", "--seeds", "20"],
+        ["cex", "dress", "--n", "2", "--L", "5", "--seeds", "8", "--seed", "9"],
+        ["cex", "dress", "--n", "3", "--L", "5", "--seeds", "3"],
+        ["cex", "dress", "--n", "3", "--L", "7", "--seeds", "5", "--seed", "4"],
+        ["cex", "dress", "--n", "4", "--L", "5", "--seeds", "2"],
+        ["cex", "dress", "--n", "4", "--L", "7", "--seeds", "3", "--seed", "1"],
+        ["cex", "eight-tuple", "--n", "2", "--a", "[1,0]", "--b", "[0,1]"],
+        ["cex", "eight-tuple", "--n", "2", "--a", "[1,1]", "--b", "[1,2]"],
+        ["cex", "eight-tuple", "--n", "3"],
+        ["cex", "eight-tuple", "--n", "4", "--a", "[1,2,0,3]", "--b", "[0,1,1,4]"],
+    ]
+    argvs += [["cex", "hypergraph", "--L", L] for L in ("5", "7", "11", "13")]
+    argvs += [
+        ["cex", "report", "--n", "2", "--L", "5", "--seeds", "3", "--seed", "2"],
+        ["cex", "report", "--n", "3", "--L", "7", "--seeds", "3"],
+        ["cex", "report", "--n", "3", "--L", "5", "--gamma", "3", "--seeds", "2", "--seed", "6"],
+        ["cex", "report", "--n", "4", "--L", "7", "--gamma", "2", "--seeds", "2", "--seed", "3"],
+        ["cex", "assemble", "--n", "3", "--L", "7", "--gamma", "2", "--seed", "5", "--seed-index", "1"],
+        ["popular", "--spec", "@scalar-p5", "--p", "5", "--n", "2", "--seed", "3", "--full"],
+        ["popular", "--spec", "@rotated-squares-p5", "--p", "5", "--k", "2", "--n", "2", "--backend", "float",
+         "--density", "0.4", "--seed", "1"],
+    ]
+    for i, case in enumerate(refs["equidist_reference"]["invocations"]):
+        argvs.append(["equidist", "--factor", f"@equidist-{i}"] + case["args"])
+    for i, case in enumerate(refs["subspaces_reference"]["invocations"]):
+        argvs.append(case["args"] + ["--spec", f"@subspaces-{i}"])
+    for seed in refs["cex_reference"]["reports"]:
+        argvs.append(["cex", "report", "--n", "4", "--L", "7", "--gamma", "1", "--seeds", "5", "--seed", seed])
+    argvs += [
+        ["threept", "lift", "--N", "20", "--eps", "0"],
+        ["threept", "lift", "--eps", "-1"],
+        ["threept", "lift", "--eps", "-0.5"],
+        ["threept", "decompose", "--group", "@group", "--eps", "0"],
+        ["threept", "decompose", "--group", "@group", "--eps", "-1"],
+        ["count", "--spec", "@scalar-p5", "--d", "1", "--k", "-1"],
+        ["count", "--spec", "@scalar-p5", "--d", "1", "--n", "-1"],
+        ["popular", "--spec", "@scalar-p5", "--k", "-1"],
+        ["popular", "--spec", "@scalar-p5", "--n", "-1"],
+        ["gowers", "--s", "2", "--k", "-1"],
+        ["gowers", "--s", "2", "--n", "-1"],
+        ["fnio", "random", "--out", "@out", "--k", "-1"],
+        ["fnio", "random", "--out", "@out", "--n", "-1"],
+        ["equidist", "--mode", "abstract", "--factor", "@sym-p3", "--k", "-1"],
+        ["threept", "search", "--group", "@group", "--eps", "0.1"],
+        ["threept", "lift", "--N", "30", "--eps", "0.2", "--seed", "3"],
+    ]
+    return argvs
+
+
+def write_inputs(tmp: pathlib.Path) -> tuple[dict, dict]:
+    """Write every input document under tmp; return name -> path, plus the references."""
+    refs = {name: json.loads((ROOT / rel).read_text()) for name, rel in (
+        ("equidist_reference", "tests/equidist_reference.json"),
+        ("subspaces_reference", "tests/subspaces_reference.json"),
+        ("cex_reference", "perfbench/cex_reference.json"))}
+    docs = dict(SPECS, group=GROUP, **{name: factor for name, (factor, _) in FACTORS.items()})
+    docs.update({f"equidist-{i}": c["factor"] for i, c in enumerate(refs["equidist_reference"]["invocations"])})
+    docs.update({f"subspaces-{i}": c["spec"] for i, c in enumerate(refs["subspaces_reference"]["invocations"])})
+    paths = {"out": str(tmp / "out.plgf")}
+    for name, doc in docs.items():
+        paths[name] = str(tmp / f"{name}.json")
+        (tmp / f"{name}.json").write_text(json.dumps(doc))
+    return paths, refs
+
+
+def normalized_stdout(text: str) -> str:
+    lines = []
+    for line in text.splitlines():
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError:
+            obj = None
+        if isinstance(obj, dict):
+            obj.pop("wall_time_s", None)
+            line = json.dumps(obj, sort_keys=True)
+        lines.append(line)
+    return "\n".join(lines)
+
+
+def run(src: str, argv: list[str], cwd: str) -> tuple:
+    """(exit code, stdout without wall_time_s, stderr); a run past 60 s is a hang."""
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    try:
+        child = subprocess.run([sys.executable, "-m", "popdiff.cli", *argv], env=env, cwd=cwd,
+                               capture_output=True, text=True, timeout=60)
+    except subprocess.TimeoutExpired:
+        return None, "", "killed after 60 s"
+    return child.returncode, normalized_stdout(child.stdout), child.stderr
+
+
+def main() -> int:
+    if len(sys.argv) != 3:
+        print(__doc__, file=sys.stderr)
+        return 2
+    parent, change = sys.argv[1:]
+    with tempfile.TemporaryDirectory() as tmp:
+        paths, refs = write_inputs(pathlib.Path(tmp))
+        argvs = [[paths[a[1:]] if a.startswith("@") else a for a in argv] for argv in invocations(refs)]
+        differ = 0
+        for argv in argvs:
+            want, got = run(parent, argv, tmp), run(change, argv, tmp)
+            if want == got:
+                continue
+            differ += 1
+            print(f"DIFFERS: popdiff {' '.join(argv)}")
+            for label, w, g in zip(("exit", "stdout", "stderr"), want, got):
+                if w != g:
+                    print(f"  {label} parent: {w}\n  {label} change: {g}")
+        print(f"{len(argvs) - differ} of {len(argvs)} invocations identical")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -31,13 +31,13 @@ from .gridfn import (
     conditional_expectation,
     grid_size,
     h_coset_labels,
-    skew_coord_index,
-    sym_coord_index,
 )
 from .patterns import (
     PatternSpec,
     check_spectral,
     constraint_spaces,
+    coord_index,
+    matrix_basis,
     matrix_tuple_ambient,
     orth_complement,
     vector_tuple_ambient,
@@ -385,27 +385,29 @@ def factor_image_distribution(factor: QuadraticFactor, k: int, guard: int = DEFA
     if p ** (k * n) > guard:
         raise TooLarge(f"p^(kn) = {p ** (k * n)} exceeds guard {guard}")
     ids, count = atom_partition(factor, k)
-    d1, d2, d3 = factor.complexity
-    dim = k * d1 + (k * (k + 1) // 2) * d2 + (k * (k - 1) // 2) * d3
+    dim = sum(width * d for width, d in zip(_widths(k).values(), factor.complexity))
     return EquidistributionReport.from_counts(np.bincount(ids, minlength=count), len(ids), p, dim)
 
 
+def _widths(k: int) -> dict[str, int]:
+    """Coordinates of factor_image_coords per entry of factor.b1, b2 and b3, by kind."""
+    return {"linear": k, "symmetric": len(coord_index(k, "symmetric")), "skew": len(coord_index(k, "skew"))}
+
+
 def _family_slices(factor: QuadraticFactor, k: int) -> list[tuple[str, slice]]:
-    """Coordinate slices of factor_image_coords by family entry."""
-    width = {"b1": k, "b2": k * (k + 1) // 2, "b3": k * (k - 1) // 2}
-    kinds = ["b1"] * len(factor.b1) + ["b2"] * len(factor.b2) + ["b3"] * len(factor.b3)
+    """Coordinate slices of factor_image_coords by family entry, with the entry's kind."""
+    width = _widths(k)
+    kinds = [kind for kind, d in zip(width, factor.complexity) for _ in range(d)]
     ends = itertools.accumulate(width[kind] for kind in kinds)
     return [(kind, slice(end - width[kind], end)) for kind, end in zip(kinds, ends)]
 
 
 def _expand_matrix_coords(cols: np.ndarray, k: int, p: int, kind: str) -> np.ndarray:
-    """Expand the packed (upper-triangle) matrix coordinates of the 4 slots,
-    shape (cells, 4, packed), into full k x k flattenings, shape (cells, 4 k^2)."""
-    i, j = np.array(sym_coord_index(k) if kind == "b2" else skew_coord_index(k), dtype=np.int64).reshape(-1, 2).T
-    full = np.zeros(cols.shape[:2] + (k, k), dtype=np.int64)
-    full[:, :, i, j] = cols
-    full[:, :, j, i] = cols if kind == "b2" else -cols % p
-    return full.reshape(len(cols), 4 * k * k)
+    """Expand the packed matrix coordinates of the 4 slots, shape (cells, 4,
+    packed), into full k x k flattenings, shape (cells, 4 k^2): coordinates
+    are coefficients on patterns.matrix_basis."""
+    basis = np.array([B.flatten() for B in matrix_basis(k, p, kind)], dtype=np.int64).reshape(-1, k * k)
+    return (cols @ basis % p).reshape(len(cols), 4 * k * k)
 
 
 def pattern_tuple_distribution(
@@ -489,7 +491,7 @@ def pattern_tuple_report(
     quad_mats = []
     for kind, sl in _family_slices(factor, k):
         cols = cells[:, :, sl]
-        if kind == "b1":
+        if kind == "linear":
             if restrict_to_H:
                 support_ok &= bool(np.all(cols == cols[:, :1]))
             elif psi_perp.dim:
@@ -497,8 +499,8 @@ def pattern_tuple_report(
                 support_ok &= bool(np.all(cols.reshape(len(cols), -1) @ W.T % p == 0))
         else:
             full = _expand_matrix_coords(cols, k, p, kind)
-            space = spaces["Lambda"] if kind == "b2" else spaces["LambdaPrime"]
-            if kind == "b2":
+            space = spaces["Lambda"] if kind == "symmetric" else spaces["LambdaPrime"]
+            if kind == "symmetric":
                 quad_mats.append(full)
             if space.dim:
                 W = np.array([list(w) for w in space.basis], dtype=np.int64)
@@ -557,8 +559,9 @@ def abstract_atom_histogram(factor: QuadraticFactor, k: int, guard: int = DEFAUL
 
 def abstract_atom_report(factor: QuadraticFactor, k: int, counts: np.ndarray) -> EquidistributionReport:
     """The abstract_atom_distribution report of an abstract_atom_histogram."""
-    p, d1, d2, d3 = factor.p, *factor.complexity
-    dim = 2 * k * d1 + (2 * (k * (k + 1) // 2) + k * k) * d2 + (2 * (k * (k - 1) // 2) + k * k) * d3
+    p, (d1, d2, d3), (w1, w2, w3) = factor.p, factor.complexity, _widths(k).values()
+    # X and D each carry the factor's coordinates; each quadratic part adds the k^2 entries of X M D^T
+    dim = 2 * w1 * d1 + (2 * w2 + k * k) * d2 + (2 * w3 + k * k) * d3
     return EquidistributionReport.from_counts(counts, grid_size(p, k, factor.n) ** 2, p, dim)
 
 

@@ -24,6 +24,7 @@ from .gridfn import (
     RATIONAL,
     GridFunction,
     QuadraticFactor,
+    grid_size,
     read_grid_function,
     write_grid_function,
 )
@@ -127,7 +128,7 @@ def _coin_flips(args, size: int) -> np.ndarray:
 
 def _random_fn(args) -> GridFunction:
     """The seeded random 0/1 function on the --p/--k/--n grid, in the --backend's kind."""
-    size = args.p ** (args.k * args.n)
+    size = grid_size(args.p, args.k, args.n)
     if size > args.guard:  # before the draw, so that a huge grid allocates nothing
         raise TooLarge(f"p^(kn) = {size} exceeds guard {args.guard}")
     vals = _coin_flips(args, size).astype(np.int64)

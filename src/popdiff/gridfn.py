@@ -28,7 +28,7 @@ from .errors import (
     ensure,
 )
 from .ffalg import FpMatrix, rank_stack, row_space_rank, rref, validate_odd_prime
-from .patterns import SubspaceBasis
+from .patterns import SubspaceBasis, coord_index
 
 RATIONAL = "rational"
 FLOAT = "float"
@@ -41,6 +41,9 @@ _KINDS = (RATIONAL, FLOAT, COMPLEX)
 
 
 def grid_size(p: int, k: int, n: int) -> int:
+    """p^(kn), the number of k x n points; a negative k or n is a ValueError."""
+    if k < 0 or n < 0:
+        raise ValueError(f"k and n must be non-negative, got k = {k}, n = {n}")
     return p ** (k * n)
 
 
@@ -240,40 +243,21 @@ def factor_eval(factor: QuadraticFactor, X: FpMatrix) -> FactorImage:
     return FactorImage(b1, b2, b3)
 
 
-def sym_coord_index(k: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(k) for j in range(i, k)]
-
-
-def skew_coord_index(k: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(k) for j in range(i + 1, k)]
-
-
 def factor_image_coords(factor: QuadraticFactor, k: int) -> np.ndarray:
     """Canonical image coordinates for every grid index; shape (P, ncoords).
 
-    Coordinates: all k entries of each X r_i, then upper-triangle (incl.
-    diagonal) of each X M_i X^T, then strict upper triangle of each X N_j X^T.
+    Coordinates: all k entries of each X r_i, then the entries of each
+    X M_i X^T and each X N_j X^T in patterns.coord_index order.
     """
     p, n = factor.p, factor.n
     P = grid_size(p, k, n)
     X = digit_table(p, k * n).reshape(P, k, n)
-    cols: list[np.ndarray] = []
-    for r in factor.b1:
-        rv = np.asarray(r, dtype=np.int64)
-        cols.append((X @ rv) % p)  # (P, k)
-    for M in factor.b2:
-        Mm = np.array(M.to_lists(), dtype=np.int64)
-        Q = np.einsum("xan,nm,xbm->xab", X, Mm, X) % p
-        cols.append(np.stack([Q[:, i, j] for i, j in sym_coord_index(k)], axis=1))
-    for N in factor.b3:
-        Nm = np.array(N.to_lists(), dtype=np.int64)
-        Q = np.einsum("xan,nm,xbm->xab", X, Nm, X) % p
-        if k > 1:
-            cols.append(np.stack([Q[:, i, j] for i, j in skew_coord_index(k)], axis=1))
-    if not cols:
-        return np.zeros((P, 0), dtype=np.int64)
-    flat = [c if c.ndim == 2 else c[:, None] for c in cols]
-    return np.concatenate(flat, axis=1)
+    cols = [np.zeros((P, 0), dtype=np.int64)] + [(X @ np.asarray(r, dtype=np.int64)) % p for r in factor.b1]
+    for kind, mats in (("symmetric", factor.b2), ("skew", factor.b3)):
+        i, j = np.array(coord_index(k, kind), dtype=np.int64).reshape(-1, 2).T
+        for M in mats:
+            cols.append(np.einsum("xan,nm,xbm->xab", X, np.array(M.to_lists(), dtype=np.int64), X)[:, i, j] % p)
+    return np.concatenate(cols, axis=1)
 
 
 def atom_images(factor: QuadraticFactor, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -343,13 +327,7 @@ def linear_kernel_H(factor: QuadraticFactor, k: int) -> dict:
     red, _ = rref(factor.b1, p)
     rank = len(red)
     P = grid_size(p, k, n)
-    if factor.b1:
-        X = digit_table(p, k * n).reshape(P, k, n)
-        R = np.array([list(r) for r in factor.b1], dtype=np.int64).T  # (n, d1)
-        vals = np.einsum("xan,nd->xad", X, R) % p
-        member = np.all(vals == 0, axis=(1, 2))
-    else:
-        member = np.ones(P, dtype=bool)
+    member = np.all(h_coset_labels(factor, k) == 0, axis=1)
     indicator = GridFunction(p, k, n, member.astype(np.int64), RATIONAL)
     # H-perp inside F_p^{kn}: row a tensored with each r_i
     basis = []

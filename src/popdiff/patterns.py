@@ -150,25 +150,24 @@ class SubspaceBasis:
         }
 
 
-def sym_matrix_basis(k: int, p: int) -> list[FpMatrix]:
-    out = []
-    for i in range(k):
-        for j in range(i, k):
-            rows = [[0] * k for _ in range(k)]
-            rows[i][j] = 1
-            rows[j][i] = 1
-            out.append(FpMatrix.from_rows(rows, p))
-    return out
+def coord_index(k: int, kind: str) -> list[tuple[int, int]]:
+    """The coordinate order of a symmetric (i <= j) or skew (i < j) k x k
+    matrix: its upper-triangle entries, row by row. Every packed matrix
+    coordinate in the package follows this order."""
+    if kind not in ("symmetric", "skew"):
+        raise ValueError(f"unknown kind {kind!r}")
+    return [(i, j) for i in range(k) for j in range(i + (kind == "skew"), k)]
 
 
-def skew_matrix_basis(k: int, p: int) -> list[FpMatrix]:
+def matrix_basis(k: int, p: int, kind: str) -> list[FpMatrix]:
+    """E_ij + E_ji (symmetric) or E_ij - E_ji (skew) at each (i, j) of
+    coord_index(k, kind): packed coordinates are coefficients on this basis."""
     out = []
-    for i in range(k):
-        for j in range(i + 1, k):
-            rows = [[0] * k for _ in range(k)]
-            rows[i][j] = 1
-            rows[j][i] = -1
-            out.append(FpMatrix.from_rows(rows, p))
+    for i, j in coord_index(k, kind):
+        rows = [[0] * k for _ in range(k)]
+        rows[j][i] = 1 if kind == "symmetric" else -1
+        rows[i][j] = 1
+        out.append(FpMatrix.from_rows(rows, p))
     return out
 
 
@@ -181,14 +180,7 @@ def _embed_tuple(mats: list[FpMatrix]) -> tuple[int, ...]:
 
 def matrix_tuple_ambient(p: int, k: int, arity: int, kind: str) -> SubspaceBasis:
     """Ambient (S_k)^arity or (S'_k)^arity inside F_p^{arity*k^2} coordinates."""
-    if kind == "symmetric":
-        blocks = sym_matrix_basis(k, p)
-        name = f"symmetric-matrix-{arity}-tuples"
-    elif kind == "skew":
-        blocks = skew_matrix_basis(k, p)
-        name = f"skew-matrix-{arity}-tuples"
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
+    blocks = matrix_basis(k, p, kind)
     zero = FpMatrix.zero(k, k, p)
     basis = []
     for slot in range(arity):
@@ -196,7 +188,7 @@ def matrix_tuple_ambient(p: int, k: int, arity: int, kind: str) -> SubspaceBasis
             mats = [zero] * arity
             mats[slot] = B
             basis.append(_embed_tuple(mats))
-    return SubspaceBasis(p, arity * k * k, tuple(basis), name)
+    return SubspaceBasis(p, arity * k * k, tuple(basis), f"{kind}-matrix-{arity}-tuples")
 
 
 def vector_tuple_ambient(p: int, k: int, arity: int = 4) -> SubspaceBasis:
@@ -288,8 +280,8 @@ def constraint_spaces(J: FpMatrix, p: int | None = None) -> dict[str, SubspaceBa
     # (This is the condition the pattern trace identity actually forces; it
     # makes every slot of the 4-tuple land back in the right symmetry class.)
     twist = lambda A: A.mul(J).sub(Jt.mul(A))
-    gen_sym = _solve_matrix_condition(p, k, sym_matrix_basis(k, p), twist)
-    gen_skew = _solve_matrix_condition(p, k, skew_matrix_basis(k, p), twist)
+    gen_sym = _solve_matrix_condition(p, k, matrix_basis(k, p, "symmetric"), twist)
+    gen_skew = _solve_matrix_condition(p, k, matrix_basis(k, p, "skew"), twist)
 
     lam = SubspaceBasis(p, 4 * k * k, tuple(_tuple_map(A, B) for A in gen_sym), "symmetric-matrix-4-tuples")
     lamp = SubspaceBasis(p, 4 * k * k, tuple(_tuple_map(A, B) for A in gen_skew), "skew-matrix-4-tuples")
@@ -367,14 +359,8 @@ def annihilator_bruteforce(
     p, k = J.p, J.rows
     if p ** (2 * k * n) > guard:
         raise TooLarge(f"p^(2kn) = {p ** (2 * k * n)} exceeds guard {guard}")
-    if kind == "symmetric":
-        m_basis = sym_matrix_basis(n, p)
-        tuple_blocks = sym_matrix_basis(k, p)
-    elif kind == "skew":
-        m_basis = skew_matrix_basis(n, p)
-        tuple_blocks = skew_matrix_basis(k, p)
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
+    m_basis = matrix_basis(n, p, kind)
+    tuple_blocks = matrix_basis(k, p, kind)
 
     tdim = 4 * len(tuple_blocks)
     if not m_basis or tdim == 0:
@@ -418,8 +404,7 @@ def annihilator_bruteforce(
                     A = A.add(E.scale_by(c))
             mats.append(A)
         vecs.append(_embed_tuple(mats))
-    kind_name = "symmetric-matrix-4-tuples" if kind == "symmetric" else "skew-matrix-4-tuples"
-    return SubspaceBasis(p, 4 * k * k, tuple(vecs), kind_name)
+    return SubspaceBasis(p, 4 * k * k, tuple(vecs), f"{kind}-matrix-4-tuples")
 
 
 def enumerate_admissible_spectral_J(p: int, k: int) -> Iterator[FpMatrix]:

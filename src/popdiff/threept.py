@@ -287,6 +287,8 @@ def regularity_decompose(
     growth functions this terminates at desk scale (a fast exponential
     omega2 collapses immediately to the trivial split f1 = f).
     """
+    if not epsilon > 0:  # NaN too
+        raise ValueError(f"epsilon must be positive, got epsilon = {epsilon}")
     omega1 = omega1 or _default_omega1
     omega2 = omega2 or _default_omega2
     f = np.asarray(f, dtype=np.float64)
@@ -340,7 +342,7 @@ def regularity_decompose(
         if all(v for k, v in contracts.items() if k.endswith("ok") or k == "mean_preserved"):
             return RegularityDecomposition(
                 f1=f1, f2=f2, f3=f3, T=T, gamma1=gamma1, gamma2=gamma2,
-                lipschitz_C=(sup_lip / epsilon if epsilon else 0.0), stages=stage,
+                lipschitz_C=sup_lip / epsilon, stages=stage,
                 contracts=contracts,
             )
         gamma1 = gamma1 / 2
@@ -382,6 +384,8 @@ def lift_to_interval(A, N: int, M1, M2, epsilon: float, guard: int = DEFAULT_GUA
     boundary are discarded, and every returned triple is audited to lie in
     [N]^k with all three points in A.
     """
+    if not epsilon > 0:  # NaN too; the window search doubles epsilon until it holds a prime
+        raise ValueError(f"epsilon must be positive, got epsilon = {epsilon}")
     A = list(A)
     if not A:
         raise ValueError("A must be nonempty")

@@ -1,5 +1,8 @@
+import contextlib
+import io
 import json
 import os
+import signal
 import struct
 import subprocess
 import sys
@@ -8,6 +11,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from popdiff.analysis import gowers_norm
 from popdiff import cli
@@ -321,18 +325,34 @@ MISSING_OR_MALFORMED = [
     (["threept", "lift", "--N", "30", "--A", "@points2d"], ["M1 = 1", "2 x 2"]),
     (["threept", "lift", "--N", "30", "--A", "@ragged"], ["point [3, 4]"]),
     (["threept", "lift", "--N", "0", "--A", "@ragged"], ["N = 0"]),
+    (["threept", "lift", "--N", "20", "--eps", "0"], ["epsilon = 0.0"]),
+    (["threept", "lift", "--eps", "-1"], ["epsilon = -1.0"]),
+    (["threept", "lift", "--eps", "-0.5"], ["epsilon = -0.5"]),
+    (["threept", "lift", "--eps", "nan"], ["epsilon = nan"]),
+    (["threept", "decompose", "--group", "@zn", "--eps", "0"], ["epsilon = 0.0"]),
+    (["threept", "decompose", "--group", "@zn", "--eps", "-1"], ["epsilon = -1.0"]),
+    (["count", "--spec", "@scalar", "--d", "1", "--k", "-1"], ["k = -1"]),
+    (["count", "--spec", "@scalar", "--d", "1", "--n", "-1"], ["n = -1"]),
+    (["popular", "--spec", "@scalar", "--k", "-1"], ["k = -1"]),
+    (["popular", "--spec", "@scalar", "--n", "-1"], ["n = -1"]),
+    (["gowers", "--s", "2", "--k", "-1"], ["k = -1"]),
+    (["gowers", "--s", "2", "--n", "-1"], ["n = -1"]),
+    (["fnio", "random", "--out", "@out", "--k", "-1"], ["k = -1"]),
+    (["fnio", "random", "--out", "@out", "--n", "-1"], ["n = -1"]),
+    (["equidist", "--mode", "abstract", "--factor", "@factor", "--k", "-1"], ["k = -1"]),
 ]
 
 
 @pytest.mark.parametrize("argv, names", [pytest.param(a, n, id=" ".join(a)) for a, n in MISSING_OR_MALFORMED])
 def test_missing_or_malformed_input_is_one_error_line(capsys, tmp_path, argv, names):
     files = {"p5": {"p": 5}, "pair": [1, 2], "zn": {"kind": "Z_N", "N": 61, "M1": 2, "M2": 3},
+             "scalar": {"p": 5, "k": 1, "M1": [[1]], "M2": [[2]]},
              "points2d": [[1, 2], [3, 4], [5, 6]], "ragged": [[1], [3, 4]],
              "factor": {"p": 3, "n": 3, "b1": [[1, 0, 0]], "b2": [[[1, 0, 0], [0, 1, 0], [0, 0, 1]]], "b3": []}}
     paths = {name: str(tmp_path / f"{name}.json") for name in files}
     for name, obj in files.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(obj))
-    paths["plgf"] = str(tmp_path / "f.plgf")
+    paths["plgf"], paths["out"] = str(tmp_path / "f.plgf"), str(tmp_path / "out.plgf")
     write_grid_function(GridFunction(3, 1, 1, np.array([0.0, 1.0, 0.5]), FLOAT), paths["plgf"])
     resolve = lambda a: paths[a[1:]] if a.startswith("@") else a
     with warnings.catch_warnings():
@@ -346,3 +366,122 @@ def test_missing_or_malformed_input_is_one_error_line(capsys, tmp_path, argv, na
     assert err["tool"] == "popdiff"
     for name in names:
         assert resolve(name) in err["message"]
+
+
+@pytest.mark.parametrize("n", ["1", "3"])
+def test_cex_dress_window_has_a_resolution_floor(capsys, n):
+    # every seed measures the same alpha (0 at n = 1, 0.002496 at n = 3), so
+    # its SE is 0; the window stays 3 / (5^(2n) sqrt(seeds)) wide
+    code, lines = run_lines(capsys, ["cex", "dress", "--n", n, "--L", "5", "--seeds", "3"])
+    alpha = lines[0]["report"]["alpha"]
+    assert code == 0 and alpha["se"] == 0.0 and alpha["within"] is True
+    assert all(d["within"] for d in lines[0]["report"]["differences"])
+
+
+# The argv grammar: each base argv, with the common flags, and every numeric
+# flag's value replaced in turn by one of SWEEP. @name is an input file.
+GRAMMAR = [
+    "check --spec @spec",
+    "subspaces --spec @spec",
+    "count --spec @spec --d 3 --points 4 --p 5 --k 1 --n 2 --density 0.5",
+    "popular --spec @spec --eps 0.05 --points 3 --p 5 --k 1 --n 2 --density 0.5 --backend float",
+    "gowers --s 2 --p 3 --k 1 --n 2 --density 0.5",
+    "equidist --mode abstract --factor @factor --k 1",
+    "equidist --mode tuple --factor @factor --J [[2]]",
+    "cex core",
+    "cex eight-tuple --n 3",
+    "cex hypergraph --L 5",
+    "cex dress --n 2 --L 5 --seeds 2",
+    "cex assemble --n 2 --L 5 --gamma 1 --seed-index 0",
+    "cex report --n 2 --L 5 --gamma 1 --seeds 2",
+    "threept bohr --group @group --delta 0.25",
+    "threept count --group @group --delta 0.25 --density 0.45",
+    "threept decompose --group @group --eps 0.25",
+    "threept search --group @group --eps 0.1 --density 0.45",
+    "threept lift --N 20 --eps 0.2 --M1 1 --M2 2 --density 0.45",
+    "fnio random --out @out --p 3 --k 1 --n 2 --density 0.5",
+]
+SWEEP = ["-1", "-0.5", "0", "1", "2", "nan"]
+
+
+def _numeric_flag_positions(argv):
+    """Indices of the values of argv's numeric flags."""
+    positions = []
+    for i in range(1, len(argv)):
+        try:
+            float(argv[i])
+        except ValueError:
+            continue
+        if argv[i - 1].startswith("--"):
+            positions.append(i)
+    return positions
+
+
+@st.composite
+def grammar_argvs(draw):
+    argv = draw(st.sampled_from(GRAMMAR)).split() + ["--guard", "100000000", "--seed", "0"]
+    argv[draw(st.sampled_from(_numeric_flag_positions(argv)))] = draw(st.sampled_from(SWEEP))
+    return argv
+
+
+@pytest.fixture(scope="module")
+def grammar_files(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("grammar")
+    docs = {"spec": {"p": 5, "k": 1, "M1": [[1]], "M2": [[2]]}, "group": {"kind": "Z_N", "N": 61, "M1": 2, "M2": 3},
+            "factor": {"p": 3, "n": 2, "b1": [[1, 0]], "b2": [[[1, 0], [0, 1]]], "b3": [[[0, 1], [2, 0]]]}}
+    paths = {"out": str(tmp / "out.plgf")}
+    for name, doc in docs.items():
+        paths[name] = str(tmp / f"{name}.json")
+        (tmp / f"{name}.json").write_text(json.dumps(doc))
+    return paths
+
+
+class _RanTooLong(BaseException):
+    """Raised by SIGALRM in a CLI run; a BaseException, so no handler swallows it."""
+
+
+def _run_with_alarm(argv, seconds=10):
+    """(exit code, stdout, stderr) of dispatch(argv) in-process, or _RanTooLong."""
+    def ring(signum, frame):
+        raise _RanTooLong()
+
+    previous = signal.signal(signal.SIGALRM, ring)
+    signal.alarm(seconds)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()) as err:
+            code = dispatch(argv)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    return code, out.getvalue(), err.getvalue()
+
+
+@given(grammar_argvs())
+@example(["threept", "lift", "--N", "20", "--eps", "0"])
+@example(["threept", "lift", "--eps", "-1"])
+@example(["threept", "lift", "--eps", "-0.5"])
+@example(["threept", "decompose", "--group", "@group", "--eps", "0"])
+@example(["count", "--spec", "@spec", "--d", "1", "--k", "-1"])
+@example(["popular", "--spec", "@spec", "--n", "-1"])
+@example(["gowers", "--s", "2", "--k", "-1"])
+@example(["fnio", "random", "--out", "@out", "--n", "-1"])
+@example(["equidist", "--mode", "abstract", "--factor", "@factor", "--k", "-1"])
+@settings(max_examples=60, deadline=None)
+def test_cli_argv_grammar_never_hangs_or_raises(grammar_files, argv):
+    # one numeric flag of one subcommand set to a sweep value: the run ends
+    # in a report (exit 0 or 2), one JSON error line (exit 1), or argparse's
+    # usage text (exit 1), within 10 s and with no exception escaping
+    argv = [grammar_files[a[1:]] if a.startswith("@") else a for a in argv]
+    try:
+        code, out, err = _run_with_alarm(argv)
+    except _RanTooLong:
+        pytest.fail(f"popdiff {' '.join(argv)} ran past 10 s")
+    if code in (0, 2) and out:
+        assert len(out.splitlines()) == 1 and json.loads(out)["tool"] == "popdiff" and err == "", argv
+    elif code == 1 and err.startswith("usage:"):
+        assert out == "" and "error:" in err, argv
+    else:
+        assert code in (1, 2) and out == "", argv
+        (line,) = err.splitlines()
+        assert json.loads(line)["tool"] == "popdiff", argv
+        assert code == 1 or json.loads(line)["error"] == "CheckFailed", argv

@@ -56,36 +56,37 @@ def test_von_neumann_matrix_automorphisms():
 
 
 def test_eight_tuple_against_pointwise_bruteforce():
-    n = 2
-    a = np.array([1, 0])
-    b = np.array([0, 1])
-    rep = eight_tuple_distribution(a, b, n)
-    # brute force: walk all (x, y), build the 8-tuple from raw dot products
-    seen = {}
-    for xi in range(25):
-        x = np.array([xi % 5, xi // 5])
-        for yi in range(25):
-            y = np.array([yi % 5, yi // 5])
-            tup = []
-            for cx, cy in SHIFT_COEFFS:
-                xs = (x + cx * a) % 5
-                ys = (y + cy * b) % 5
-                tup.append(int(xs @ xs % 5))
-                tup.append(int(xs @ ys % 5))
-            key = tuple(tup)
-            seen[key] = seen.get(key, 0) + 1
-    assert rep.cells_observed == len(seen)
-    counts = sorted(seen.values())
-    dev = max(abs(c / 625 * 5**5 - 1) for c in seen.values())
-    assert abs(rep.max_multiplicative_deviation - dev) < 1e-12
-    # every brute-force tuple satisfies the three orthogonality constraints
+    # the second pair has a.a = 2 and a.b = 3, so every cx^2 a.a and
+    # cx cy a.b term of the coset base is nonzero
     from popdiff.counterexample import LAMBDA2_ORTHO
 
-    aa, ab = int(a @ a % 5), int(a @ b % 5)
-    base = np.array([0, 0, aa, ab, 4 * aa, -4 * ab, 9 * aa, -3 * ab]) % 5
-    for key in seen:
-        for w in LAMBDA2_ORTHO:
-            assert sum((t - s) * c for t, s, c in zip(key, base, w)) % 5 == 0
+    n = 2
+    for a, b in ((np.array([1, 0]), np.array([0, 1])), (np.array([1, 1]), np.array([1, 2]))):
+        rep = eight_tuple_distribution(a, b, n)
+        # brute force: walk all (x, y), build the 8-tuple from raw dot products
+        seen = {}
+        for xi in range(25):
+            x = np.array([xi % 5, xi // 5])
+            for yi in range(25):
+                y = np.array([yi % 5, yi // 5])
+                tup = []
+                for cx, cy in SHIFT_COEFFS:
+                    xs = (x + cx * a) % 5
+                    ys = (y + cy * b) % 5
+                    tup.append(int(xs @ xs % 5))
+                    tup.append(int(xs @ ys % 5))
+                key = tuple(tup)
+                seen[key] = seen.get(key, 0) + 1
+        assert rep.cells_observed == len(seen)
+        dev = max(abs(c / 625 * 5**5 - 1) for c in seen.values())
+        assert abs(rep.max_multiplicative_deviation - dev) < 1e-12
+        # every brute-force tuple satisfies the three orthogonality constraints
+        aa, ab = int(a @ a % 5), int(a @ b % 5)
+        base = np.array([0, 0, aa, ab, 4 * aa, -4 * ab, 9 * aa, -3 * ab]) % 5
+        for key in seen:
+            for w in LAMBDA2_ORTHO:
+                assert sum((t - s) * c for t, s, c in zip(key, base, w)) % 5 == 0
+        assert rep.support_ok and rep.extras["hull_equal"]
 
 
 def test_dressed_h_against_pointwise_lookup():

@@ -24,6 +24,7 @@ from popdiff.gridfn import (
     block_factor_from_phase,
     conditional_expectation,
     factor_eval,
+    factor_image_coords,
     factor_rank,
     grid_decode,
     grid_encode,
@@ -37,6 +38,7 @@ from popdiff.gridfn import (
 from popdiff import DEFAULT_GUARD
 from popdiff._grid import Translates, add_index, add_perm, add_table, digit_table, encode_digits, translate_view
 from popdiff.analysis import translate
+from popdiff.patterns import coord_index
 
 from oracles import factor_rank_by_combinations, roll_translate
 
@@ -168,6 +170,31 @@ def test_factor_eval_examples():
     imgneg = factor_eval(fac, x.neg())
     assert imgneg.b2 == img.b2
     assert imgneg.b1[0] == tuple((-v) % p for v in img.b1[0])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_factor_image_coords_follow_the_coordinate_order(k):
+    # columns: the k entries of each X r_i, then each X M X^T and each
+    # X N X^T at patterns.coord_index, one family entry after another
+    p, n = 3, 2
+    S1, S2 = FpMatrix.from_rows([[1, 2], [2, 0]], p), FpMatrix.identity(n, p)
+    N = FpMatrix.from_rows([[0, 1], [2, 0]], p)
+    fac = QuadraticFactor(p, n, ((1, 2),), (S1, S2), (N,))
+    coords = factor_image_coords(fac, k)
+    sym, skew = coord_index(k, "symmetric"), coord_index(k, "skew")
+    assert coords.shape == (grid_size(p, k, n), k + 2 * len(sym) + len(skew))
+    for index in range(0, grid_size(p, k, n), 7):
+        img = factor_eval(fac, grid_decode(p, k, n, index))
+        want = list(img.b1[0])
+        want += [M[i, j] for M in img.b2 for i, j in sym] + [M[i, j] for M in img.b3 for i, j in skew]
+        assert coords[index].tolist() == want
+
+
+def test_grid_size_refuses_negative_exponents():
+    assert grid_size(5, 0, 3) == grid_size(5, 2, 0) == 1
+    for k, n in ((-1, 2), (1, -1)):
+        with pytest.raises(ValueError, match=f"k = {k}, n = {n}"):
+            grid_size(5, k, n)
 
 
 def test_factor_symmetry_validation():

@@ -12,9 +12,11 @@ from popdiff.patterns import (
     check_admissible,
     check_spectral,
     constraint_spaces,
+    coord_index,
     enumerate_admissible_spectral_J,
     in_algebra_of_square,
     lambda_perp,
+    matrix_basis,
     matrix_tuple_ambient,
     orth_complement,
     reduce_to_identity_form,
@@ -135,6 +137,35 @@ def test_orth_complement_edges():
     assert perp.dim == 3
     with pytest.raises(NotContained):
         orth_complement(vector_tuple_ambient(5, 1, 4), matrix_tuple_ambient(5, 2, 1, "symmetric"))
+
+
+@pytest.mark.parametrize("kind, sign", [("symmetric", 1), ("skew", -1)])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_matrix_basis_follows_the_one_coordinate_order(k, kind, sign):
+    # coordinate c is the upper-triangle entry (i, j), row by row (i <= j
+    # symmetric, i < j skew), and basis matrix c is E_ij + sign E_ji
+    p = 5
+    want = [(i, j) for i in range(k) for j in range(k) if (i <= j if kind == "symmetric" else i < j)]
+    assert coord_index(k, kind) == want
+    basis = matrix_basis(k, p, kind)
+    assert len(basis) == len(want)
+    for B, (i, j) in zip(basis, want):
+        E = np.zeros((k, k), dtype=np.int64)
+        E[i, j] += 1
+        E[j, i] += sign if i != j else 0
+        assert B.to_lists() == (E % p).tolist()
+    # the ambient tuple space is spanned slot by slot by this basis
+    amb = matrix_tuple_ambient(p, k, 2, kind)
+    assert amb.ambient_kind == f"{kind}-matrix-2-tuples"
+    assert amb.basis[:len(basis)] == tuple(tuple(B.flatten()) + (0,) * (k * k) for B in basis)
+
+
+def test_unknown_matrix_kind_is_refused():
+    J = FpMatrix.from_rows([[2]], 5)
+    for call in (lambda: coord_index(2, "hermitian"), lambda: matrix_basis(2, 5, "hermitian"),
+                 lambda: matrix_tuple_ambient(5, 2, 4, "hermitian"), lambda: annihilator_bruteforce(J, 1, "hermitian")):
+        with pytest.raises(ValueError, match="unknown kind 'hermitian'"):
+            call()
 
 
 def test_dimension_sums():
