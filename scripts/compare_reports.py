@@ -14,10 +14,14 @@ exits 1 if there is any and 0 otherwise.
 The list: `check`/`subspaces` on three specs; `equidist` on three factors
 (abstract at k = 1, 2, linquad, and tuple with and without --restrict-h at
 k = 1, 2); the counterexample stages (core, dress at n = 1-4, eight-tuple,
-hypergraph, report, assemble); exact and float `popular`; every argv of
-tests/equidist_reference.json and tests/subspaces_reference.json; the
-recorded `cex report` seeds of perfbench/cex_reference.json; and input
-errors that must end in one JSON error line.
+hypergraph, report, assemble); exact and float `popular`; `popular` (4 and
+3 points) and `count --d` on PLGF files this script writes, one per branch
+of the pattern-sum kernel (0/1 floats, small signed integers, rationals with
+denominators, rationals past the int64 sums, non-integer floats); every argv
+of tests/equidist_reference.json and tests/subspaces_reference.json; the
+recorded `cex report` seeds of perfbench/cex_reference.json; `threept search`
+on Z_61, Z_1009 and F_3^6; and input errors that must end in one JSON error
+line, PLGF files holding inf or nan among them.
 """
 
 from __future__ import annotations
@@ -25,9 +29,12 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import struct
 import subprocess
 import sys
 import tempfile
+
+import numpy as np
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -46,7 +53,41 @@ FACTORS = {
                  "[[0,-1],[1,0]]"),
 }
 
-GROUP = {"kind": "Z_N", "N": 61, "M1": 2, "M2": 3}
+GROUPS = {
+    "group": {"kind": "Z_N", "N": 61, "M1": 2, "M2": 3},
+    "group-z1009": {"kind": "Z_N", "N": 1009, "M1": 2, "M2": 3},
+    "group-f3-6": {"kind": "vector", "p": 3, "k": 1, "n": 6, "M1": [[1]], "M2": [[2]]},
+}
+
+# grid functions on (F_5^2)^2, the rotated squares' grid, and the PLGF kind byte of each value kind
+FN_SHAPE = (5, 2, 2)
+FN_KINDS = {"rational": 0, "float": 1}
+
+
+def grid_functions() -> dict:
+    """One function per branch of the pattern-sum kernel, plus the
+    non-finite floats a PLGF reader must refuse."""
+    P = FN_SHAPE[0] ** (FN_SHAPE[1] * FN_SHAPE[2])
+    rng = np.random.default_rng(20)
+    ones = (rng.random(P) < 0.4).astype(float)
+    fractions = np.stack([rng.integers(-9, 10, P), rng.integers(1, 7, P)], axis=1)
+    big = np.stack([rng.integers(-10**6, 10**6 + 1, P), rng.integers(1, 13, P)], axis=1)
+    return {
+        "fn-indicator": ("float", ones),
+        "fn-signed": ("float", rng.integers(-3, 4, P).astype(float)),
+        "fn-rational": ("rational", fractions),
+        "fn-big-rational": ("rational", big),
+        "fn-tenths": ("float", rng.integers(0, 11, P) * 0.1),
+        "fn-inf": ("float", np.where(np.arange(P) == 5, np.inf, ones)),
+        "fn-nan": ("float", np.where(np.arange(P) == 0, np.nan, ones)),
+    }
+
+
+def plgf_bytes(kind: str, payload: np.ndarray) -> bytes:
+    """PLGF version 1: magic, version byte, p, k, n as little-endian u32, the
+    kind byte, then int64 numerator/denominator pairs or float64 values."""
+    head = b"PLGF" + struct.pack("<BIIIB", 1, *FN_SHAPE, FN_KINDS[kind])
+    return head + np.asarray(payload, dtype="<i8" if kind == "rational" else "<f8").tobytes()
 
 
 def invocations(refs: dict) -> list[list[str]]:
@@ -84,7 +125,12 @@ def invocations(refs: dict) -> list[list[str]]:
         ["popular", "--spec", "@scalar-p5", "--p", "5", "--n", "2", "--seed", "3", "--full"],
         ["popular", "--spec", "@rotated-squares-p5", "--p", "5", "--k", "2", "--n", "2", "--backend", "float",
          "--density", "0.4", "--seed", "1"],
+        ["popular", "--spec", "@scalar-p5", "--p", "5", "--n", "2", "--seed", "3", "--full", "--points", "3"],
     ]
+    for name in grid_functions():
+        fn = ["--spec", "@rotated-squares-p5", "--fn", f"@{name}"]
+        argvs += [["popular", *fn, "--full"], ["popular", *fn, "--full", "--points", "3"],
+                  ["count", *fn, "--d", "17"], ["gowers", "--fn", f"@{name}", "--s", "2"]]
     for i, case in enumerate(refs["equidist_reference"]["invocations"]):
         argvs.append(["equidist", "--factor", f"@equidist-{i}"] + case["args"])
     for i, case in enumerate(refs["subspaces_reference"]["invocations"]):
@@ -107,6 +153,8 @@ def invocations(refs: dict) -> list[list[str]]:
         ["fnio", "random", "--out", "@out", "--n", "-1"],
         ["equidist", "--mode", "abstract", "--factor", "@sym-p3", "--k", "-1"],
         ["threept", "search", "--group", "@group", "--eps", "0.1"],
+        ["threept", "search", "--group", "@group-z1009", "--eps", "0.05"],
+        ["threept", "search", "--group", "@group-f3-6", "--eps", "0.05", "--density", "0.3", "--seed", "2"],
         ["threept", "lift", "--N", "30", "--eps", "0.2", "--seed", "3"],
     ]
     return argvs
@@ -118,13 +166,16 @@ def write_inputs(tmp: pathlib.Path) -> tuple[dict, dict]:
         ("equidist_reference", "tests/equidist_reference.json"),
         ("subspaces_reference", "tests/subspaces_reference.json"),
         ("cex_reference", "perfbench/cex_reference.json"))}
-    docs = dict(SPECS, group=GROUP, **{name: factor for name, (factor, _) in FACTORS.items()})
+    docs = dict(SPECS, **GROUPS, **{name: factor for name, (factor, _) in FACTORS.items()})
     docs.update({f"equidist-{i}": c["factor"] for i, c in enumerate(refs["equidist_reference"]["invocations"])})
     docs.update({f"subspaces-{i}": c["spec"] for i, c in enumerate(refs["subspaces_reference"]["invocations"])})
     paths = {"out": str(tmp / "out.plgf")}
     for name, doc in docs.items():
         paths[name] = str(tmp / f"{name}.json")
         (tmp / f"{name}.json").write_text(json.dumps(doc))
+    for name, (kind, payload) in grid_functions().items():
+        paths[name] = str(tmp / f"{name}.plgf")
+        (tmp / f"{name}.plgf").write_bytes(plgf_bytes(kind, payload))
     return paths, refs
 
 

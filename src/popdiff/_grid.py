@@ -8,8 +8,8 @@ radix-N, one-digit case (p = N, m = 1, k = n = 1).
 
 Linear maps and sums of elements are gathers through index arrays built
 here, the full addition table among them (add_table). Translates are views:
-Translates pads the (p,)*m tensor of an array periodically once, and each
-translate is a slice of that extension.
+Translates pads the (p,)*m tensor of an array periodically once; a translate
+is a slice of that extension, and a block of them one gather from its windows.
 """
 
 from __future__ import annotations
@@ -96,6 +96,7 @@ class Translates:
             self.base = self.ext = self.base.reshape((p,) * m + self.base.shape[1:])
             for j in range(m):  # append the first p - 1 slices along axis j
                 self.ext = np.concatenate([self.ext, self.ext[(slice(None),) * j + (slice(0, p - 1),)]], axis=j)
+            self.windows = np.lib.stride_tricks.sliding_window_view(self.ext, (p,) * m, axis=tuple(range(m)))
 
     def __call__(self, shift_digits) -> np.ndarray:
         if self.ext is None:
@@ -104,6 +105,13 @@ class Translates:
 
     def at(self, index: int) -> np.ndarray:  # the translate by an element's index
         return self(decode_index(self.p, self.m, int(index)))
+
+    def rows(self, shift_digits) -> np.ndarray:
+        """The (B, P) rows v(x + s_b) in index order of a 1-d v, for a (B, m) block of shift digits."""
+        S = np.asarray(shift_digits, dtype=np.int64) % self.p
+        if self.ext is None:
+            return self.base[add_index(self.p, self.m, encode_digits(S, self.p)[:, None], np.arange(len(self.base)))]
+        return self.windows[tuple(S[:, self.m - 1 - j] for j in range(self.m))].reshape(len(S), self.p**self.m)
 
 
 def add_index(p: int, m: int, a, b) -> np.ndarray:

@@ -43,7 +43,7 @@ F2_COMBOS = ((-1, -1), (-2, 2), (2, 1))
 F3_COMBOS = ((-1, -2), (-2, -1), (2, 2))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # immutable and hashed by identity, so f1_matrix can cache per core
 class CexCore:
     S: tuple[tuple[int, int], ...]
     g1: np.ndarray  # 5x5 0/1 table, g1[u, v]
@@ -128,14 +128,17 @@ def diagonalize_rotated_square() -> dict:
 # f1 and the eight-tuple distribution
 
 
+@functools.lru_cache(maxsize=1)
 def f1_matrix(core: CexCore, n: int, guard: int = DEFAULT_GUARD) -> np.ndarray:
-    """f1 as a (5^n, 5^n) 0/1 matrix indexed by (x index, y index)."""
+    """f1 as a read-only (5^n, 5^n) 0/1 matrix indexed by (x index, y index), kept for the last core."""
     if 5 ** (2 * n) > guard:
         raise TooLarge(f"5^(2n) = {5 ** (2 * n)} exceeds guard {guard}")
     digs = digit_table(P5, n)
     xx = np.einsum("xi,xi->x", digs, digs) % 5
     xy = (digs @ digs.T) % 5
-    return core.g1[xx[:, None], xy].astype(np.uint8)
+    F = core.g1[xx[:, None], xy].astype(np.uint8)
+    F.setflags(write=False)
+    return F
 
 
 def build_f1(core: CexCore, n: int, guard: int = DEFAULT_GUARD) -> GridFunction:

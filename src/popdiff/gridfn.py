@@ -462,9 +462,10 @@ def read_grid_function(path) -> GridFunction:
         if len(zero):
             raise CorruptLength(f"rational value {zero[0]} has denominator 0")
         vals = [Fraction(a, b) for a, b in zip(raw[0::2].tolist(), raw[1::2].tolist())]
-    elif kind == FLOAT:
-        vals = np.frombuffer(payload, dtype="<f8")
     else:
         raw = np.frombuffer(payload, dtype="<f8")
-        vals = raw[0::2] + 1j * raw[1::2]
+        bad = np.flatnonzero(~np.isfinite(raw))
+        if len(bad):  # a complex value is two floats
+            raise CorruptLength(f"{kind} value {bad[0] // (unit // 8)} is {raw[bad[0]]}, not finite")
+        vals = raw if kind == FLOAT else raw[0::2] + 1j * raw[1::2]
     return GridFunction(p, k, n, vals, kind)

@@ -150,8 +150,9 @@ def fraction_pattern_count(f, spec, d: int, points: int = 4):
     if points == 4:
         shifts.append(spec.M1.add(spec.M2).mul(D))
     prod = f.values.copy()
-    for S in shifts:
-        prod = prod * roll_translate(f.values, f.p, f.k * f.n, S.entries)
+    with np.errstate(invalid="ignore", over="ignore"):  # inf * 0 is nan, as the kernel's is
+        for S in shifts:
+            prod = prod * roll_translate(f.values, f.p, f.k * f.n, S.entries)
     if f.kind == RATIONAL:
         return sum(prod, Fraction(0)) / f.size
     return math.fsum(prod) / f.size

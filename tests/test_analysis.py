@@ -2,6 +2,7 @@ import math
 import struct
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from popdiff.gridfn import (
     grid_size,
 )
 from popdiff.patterns import PatternSpec
+from popdiff.threept import FiniteGroupSpec, popular_3pt_search
 from popdiff import analysis
 from popdiff.analysis import (
     abstract_atom_distribution,
@@ -243,6 +245,99 @@ def test_single_count_builds_no_periodic_extension():
         tracemalloc.stop()
     assert got == want
     assert peak < 1_000_000
+
+
+# value cases of the batched kernel: (kinds, product dtype it must choose)
+_TIERS = {
+    "indicator": ((RATIONAL, FLOAT), bool),
+    "0..3": ((RATIONAL, FLOAT), np.uint8),
+    "-3..3": ((RATIONAL, FLOAT), np.int8),
+    "-9..9": ((RATIONAL, FLOAT), np.int16),
+    "-99..99": ((RATIONAL, FLOAT), np.int32),
+    "near 2^53": ((RATIONAL, FLOAT), np.int64),
+    "past 2^53": ((FLOAT,), np.float64),
+    "tenths": ((FLOAT,), np.float64),
+    "python ints": ((RATIONAL,), object),
+}
+
+
+def _tier_values(case, points, P, rng):
+    if case == "python ints":
+        return _random_rational(rng, P, 10**6, 12)
+    if case in ("near 2^53", "past 2^53"):
+        t = next(t for t in range(int(2 ** (53 / points)) + 2, 0, -1) if t**points < 2**53)
+        top = t if case == "near 2^53" else t + 2
+        vals = rng.choice([-top, top, top - 2, 0, 1], P)
+        vals[:2] = -top, top
+    elif case == "tenths":
+        return rng.integers(-5, 6, P) * 0.1
+    else:
+        lo, hi = {"indicator": (0, 1), "0..3": (0, 3), "-3..3": (-3, 3), "-9..9": (-9, 9), "-99..99": (-99, 99)}[case]
+        vals = rng.integers(lo, hi + 1, P)
+        vals[:2] = lo, hi
+    return [int(x) for x in vals]
+
+
+@given(
+    st.sampled_from([(7, 1, 1), (13, 1, 1), (101, 1, 1), (3, 1, 2), (3, 2, 2), (5, 1, 2), (3, 1, 4), (5, 2, 1)]),
+    st.sampled_from(sorted(_TIERS)),
+    st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_batched_pattern_sums_match_fraction_oracle(shape, case, data):
+    # every dtype tier of the batched kernel, on Z_N (the one-digit grids)
+    # and F_p^m, for 3 and 4 points, against the Fraction/fsum oracle: over
+    # all differences or an unordered subset of them (as the smoothed count's
+    # support and the structured average's H are), with blocks that do not
+    # divide the differences, and with the extension or the gather path
+    p, k, n = shape
+    P = grid_size(p, k, n)
+    kinds, want_dtype = _TIERS[case]
+    kind = data.draw(st.sampled_from(kinds))
+    points = data.draw(st.sampled_from((3, 4)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    values = _tier_values(case, points, P, rng)
+    f = GridFunction(p, k, n, [Fraction(v) for v in values] if kind == RATIONAL else np.array(values, dtype=float), kind)
+    mats = [[[data.draw(st.integers(0, p - 1)) for _ in range(k)] for _ in range(k)] for _ in range(2)]
+    spec = PatternSpec(p, k, FpMatrix.from_rows(mats[0], p), FpMatrix.from_rows(mats[1], p))
+    d_indices = np.arange(P) if data.draw(st.booleans()) else rng.permutation(P)[:data.draw(st.integers(1, P))]
+    guard = data.draw(st.sampled_from((1, 10**8)))  # 1 forces the gather past the guard
+    chunk = data.draw(st.sampled_from((1, 3 * P, 7 * P * 8, analysis.CHUNK_BYTES)))
+    seen = []
+
+    class SpyTranslates(analysis.Translates):
+        def __init__(self, values, *args):
+            seen.append(np.asarray(values).dtype)
+            super().__init__(values, *args)
+
+    with mock.patch.object(analysis, "Translates", SpyTranslates), mock.patch.object(analysis, "CHUNK_BYTES", chunk):
+        sums, den = analysis._pattern_sums(f, analysis._pattern_mats(f, spec, points), d_indices, guard)
+    assert seen == [np.dtype(want_dtype)]
+    assert len(sums) == len(d_indices)
+    for d, s in zip(d_indices, sums):
+        want = fraction_pattern_count(f, spec, int(d), points)
+        if kind == RATIONAL:
+            assert type(s) is int and Fraction(s, den * P) == want
+        else:
+            assert type(s) is float and struct.pack("<d", s / P) == struct.pack("<d", want)
+
+
+def test_batched_cyclic_search_memory_stays_chunked():
+    # a three-point search on Z_10007 reads 10^8 (x, d) pairs; gathered in
+    # blocks it peaks far below the 100 MB of one (P, P) bool gather
+    group = FiniteGroupSpec("Z_N", N=10007, M1=2, M2=3)
+    indicator = (np.random.default_rng(5).random(group.size) < 0.45).astype(float)
+    popular_3pt_search(indicator[:101], FiniteGroupSpec("Z_N", N=101, M1=2, M2=3), 0.1)  # warm the code paths
+    tracemalloc.start()
+    try:
+        rep = popular_3pt_search(indicator, group, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    for d in (1, 2, 5000, 10006):
+        want = sum(indicator * np.roll(indicator, -2 * d) * np.roll(indicator, -3 * d))
+        assert rep.counts[d] == want / group.size
 
 
 def test_difference_index_range_checked():

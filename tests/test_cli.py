@@ -267,6 +267,36 @@ def test_input_faults_are_json_error_lines(capsys, tmp_path, scalar_spec_file):
         assert json.loads(captured.err)["error"] == error
 
 
+def _raw_plgf(path, kind_code, payload):
+    """A PLGF file on F_5^2 (p = 5, k = 1, n = 2) with the given float64 payload."""
+    path.write_bytes(b"PLGF" + struct.pack("<BIIIB", 1, 5, 1, 2, kind_code) + np.asarray(payload, dtype="<f8").tobytes())
+    return str(path)
+
+
+def test_non_finite_plgf_is_refused(capsys, tmp_path, scalar_spec_file):
+    # a float payload with inf used to run popular to a RuntimeWarning and a
+    # report line holding bare Infinity, which is not JSON
+    ones = np.ones(25)
+    cases = [
+        (_raw_plgf(tmp_path / "inf.plgf", 1, np.where(np.arange(25) == 7, np.inf, ones)), "float value 7 is inf"),
+        (_raw_plgf(tmp_path / "nan.plgf", 1, np.where(np.arange(25) == 0, np.nan, ones)), "float value 0 is nan"),
+        (_raw_plgf(tmp_path / "cplx.plgf", 2, np.where(np.arange(50) == 9, -np.inf, 0.5)), "complex value 4 is -inf"),
+    ]
+    inf_path = cases[0][0]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    child = subprocess.run([sys.executable, "-m", "popdiff.cli", "popular", "--spec", scalar_spec_file, "--fn", inf_path,
+                            "--full"], env=env, capture_output=True, text=True, timeout=30)
+    assert (child.returncode, child.stdout) == (1, "")
+    assert len(child.stderr.splitlines()) == 1 and json.loads(child.stderr)["error"] == "CorruptLength"
+    for path, message in cases:
+        for argv in (["popular", "--spec", scalar_spec_file, "--fn", path], ["gowers", "--fn", path, "--s", "2"]):
+            assert dispatch(argv) == 1, argv
+            captured = capsys.readouterr()
+            assert captured.out == "" and len(captured.err.splitlines()) == 1
+            err = json.loads(captured.err)
+            assert err["error"] == "CorruptLength" and message in err["message"]
+
+
 def test_recursive_gowers_guard(capsys, tmp_path):
     # the recursion visits p^((s-1)kn) (shift tuple, point) entries
     f = GridFunction(3, 1, 2, np.linspace(-1, 1, 9), FLOAT)
