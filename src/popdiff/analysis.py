@@ -157,9 +157,9 @@ def pattern_sums(v: np.ndarray, p: int, m: int, shifts: list, guard: int = DEFAU
     the correctly rounded sum of the float64 products: their int64 sum when
     all values are finite integers with max|v|^points < 2^53 (exact products)
     and max|v|^points P < 2^62, math.fsum of each row otherwise. Blocks of
-    translates are multiplied left to right, integers in the narrowest dtype
-    holding max|v|^points (bool for 0/1). The (2p - 1)^m-point periodic
-    extension is built only within both guard and the points D P reads."""
+    translates are multiplied left to right, integers in bool for 0/1 values
+    and in int64 otherwise. The (2p - 1)^m-point periodic extension is built
+    only within both guard and the points D P reads."""
     points, exact, P, D = len(shifts) + 1, v.dtype == object, len(v), len(shifts[0])
     if exact:
         bound = max(abs(x) for x in v) ** points
@@ -169,16 +169,13 @@ def pattern_sums(v: np.ndarray, p: int, m: int, shifts: list, guard: int = DEFAU
             bound = int(np.max(np.abs(v))) ** points
     fits = bound * P < 2**62
     if fits:
-        v = v.astype(np.int64)
-        signed = v.min() < 0
-        types = [t for t in (np.uint8, np.int8, np.int16, np.int32, np.int64) if not (signed and t == np.uint8)]
-        v = v.astype(bool if bound <= 1 and not signed else next(t for t in types if bound <= np.iinfo(t).max))
+        v = v.astype(bool if bound <= 1 and v.min() >= 0 else np.int64)
     total = (lambda prod: prod.sum(axis=1, dtype=np.int64 if fits else object)) if exact or fits else (
         lambda prod: np.array([math.fsum(row) for row in prod.tolist()]))
     tr = Translates(v, p, m, min(guard, points * D * P))
     base, step = tr.base.reshape(-1), max(1, CHUNK_BYTES // (P * v.itemsize))
     sums = []
-    with np.errstate(invalid="ignore", over="ignore"):
+    with np.errstate(invalid="ignore"):  # inf * 0 is nan; finite overflow still warns
         for start in range(0, D, step):
             prod = np.multiply(base, tr.rows(shifts[0][start:start + step]))
             for S in shifts[1:]:

@@ -150,7 +150,7 @@ def fraction_pattern_count(f, spec, d: int, points: int = 4):
     if points == 4:
         shifts.append(spec.M1.add(spec.M2).mul(D))
     prod = f.values.copy()
-    with np.errstate(invalid="ignore", over="ignore"):  # inf * 0 is nan, as the kernel's is
+    with np.errstate(invalid="ignore"):  # inf * 0 is nan, as the kernel's is
         for S in shifts:
             prod = prod * roll_translate(f.values, f.p, f.k * f.n, S.entries)
     if f.kind == RATIONAL:

@@ -250,10 +250,10 @@ def test_single_count_builds_no_periodic_extension():
 # value cases of the batched kernel: (kinds, product dtype it must choose)
 _TIERS = {
     "indicator": ((RATIONAL, FLOAT), bool),
-    "0..3": ((RATIONAL, FLOAT), np.uint8),
-    "-3..3": ((RATIONAL, FLOAT), np.int8),
-    "-9..9": ((RATIONAL, FLOAT), np.int16),
-    "-99..99": ((RATIONAL, FLOAT), np.int32),
+    "0..3": ((RATIONAL, FLOAT), np.int64),
+    "-3..3": ((RATIONAL, FLOAT), np.int64),
+    "-9..9": ((RATIONAL, FLOAT), np.int64),
+    "-99..99": ((RATIONAL, FLOAT), np.int64),
     "near 2^53": ((RATIONAL, FLOAT), np.int64),
     "past 2^53": ((FLOAT,), np.float64),
     "tenths": ((FLOAT,), np.float64),
