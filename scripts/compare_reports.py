@@ -14,8 +14,9 @@ exits 1 if there is any and 0 otherwise.
 The list: `check`/`subspaces` on three specs; `equidist` on three factors
 (abstract at k = 1, 2, linquad, and tuple with and without --restrict-h at
 k = 1, 2); the counterexample stages (core, dress at n = 1-4, eight-tuple,
-hypergraph, report, assemble); exact and float `popular`; `popular` (4 and
-3 points) and `count --d` on PLGF files this script writes, one per branch
+hypergraph, report at n = 1-5, assemble at n = 1, 3, 4); exact and float
+`popular`; `popular` (4 and 3 points) and `count --d` on PLGF files this
+script writes, one per branch
 of the pattern-sum kernel (0/1 floats, small signed integers, rationals with
 denominators, rationals past the int64 sums, non-integer floats); every argv
 of tests/equidist_reference.json and tests/subspaces_reference.json; the
@@ -122,6 +123,11 @@ def invocations(refs: dict) -> list[list[str]]:
         ["cex", "report", "--n", "3", "--L", "5", "--gamma", "3", "--seeds", "2", "--seed", "6"],
         ["cex", "report", "--n", "4", "--L", "7", "--gamma", "2", "--seeds", "2", "--seed", "3"],
         ["cex", "assemble", "--n", "3", "--L", "7", "--gamma", "2", "--seed", "5", "--seed-index", "1"],
+        # the support path: n = 5, gamma = n, and n = 1, where no seed has any support
+        ["cex", "report", "--n", "5", "--L", "7", "--seeds", "1"],
+        ["cex", "report", "--n", "1", "--L", "7", "--seeds", "4"],
+        ["cex", "assemble", "--n", "1", "--L", "5", "--seed", "3"],
+        ["cex", "assemble", "--n", "4", "--L", "7", "--gamma", "4", "--seed", "2"],
         ["popular", "--spec", "@scalar-p5", "--p", "5", "--n", "2", "--seed", "3", "--full"],
         ["popular", "--spec", "@rotated-squares-p5", "--p", "5", "--k", "2", "--n", "2", "--backend", "float",
          "--density", "0.4", "--seed", "1"],

@@ -153,9 +153,9 @@ def linear_digits(p: int, k: int, n: int, M_rows, digits) -> np.ndarray:
 
     M_rows is a k x k integer matrix acting on the k rows of the point.
     """
-    X = np.asarray(digits, dtype=np.int64).reshape(-1, k, n)
-    out = np.einsum("ab,xbn->xan", np.asarray(M_rows, dtype=np.int64), X) % p
-    return out.reshape(-1, k * n)
+    X = np.asarray(digits, dtype=np.int64)
+    out = np.einsum("ab,xbn->xan", np.asarray(M_rows, dtype=np.int64), X.reshape(len(X), k, n)) % p
+    return out.reshape(len(X), k * n)
 
 
 def linear_perm(p: int, k: int, n: int, M_rows) -> np.ndarray:

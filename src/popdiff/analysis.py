@@ -144,6 +144,10 @@ def _pattern_mats(f: GridFunction, spec: PatternSpec, points: int) -> list:
         raise DimensionMismatch(f"function has k = {f.k}, pattern has k = {spec.k}")
     if f.kind == COMPLEX:
         raise ValueError("pattern counts need a rational or float function")
+    top, limit = float(np.max(np.abs(f.values))) if f.kind == FLOAT else 0.0, float(np.finfo(np.float64).max)
+    log_sum = math.log10(f.size) + points * math.log10(top) if 0 < top < math.inf else -math.inf
+    if log_sum > math.log10(limit):  # a finite sum could overflow (or fsum raise); inf and nan keep their bits
+        raise TooLarge(f"p^(kn) max|f|^{points} = {10 ** (log_sum % 1):.3g}e+{int(log_sum)} exceeds guard {limit:.6g}")
     mats = [spec.M1, spec.M2] + ([spec.M1.add(spec.M2)] if points == 4 else [])
     return [M.to_lists() for M in mats]
 

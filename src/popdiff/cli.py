@@ -67,7 +67,8 @@ def _emit(args: argparse.Namespace, payload: dict, t0: float) -> None:
         "wall_time_s": round(time.perf_counter() - t0, 6),
         "report": _jsonable(payload),
     }
-    text = json.dumps(line, sort_keys=True)
+    # a cex ratio over an empty support is Infinity; elsewhere dispatch refuses inf and nan
+    text = json.dumps(line, sort_keys=True, allow_nan=args.subcommand == "cex")
     if args.json_out:
         with open(args.json_out, "a") as fh:
             fh.write(text + "\n")
@@ -381,10 +382,10 @@ def dispatch(argv) -> int:
     t0 = time.perf_counter()
     try:
         payload, math_ok = args.func(args)
-    except (PopdiffError, OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        _emit(args, payload, t0)
+    except (PopdiffError, OSError, ValueError) as exc:  # JSONDecodeError and a non-finite report are ValueErrors
         print(json.dumps({"tool": "popdiff", "error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return 2 if isinstance(exc, CheckFailed) else 1
-    _emit(args, payload, t0)
     return 0 if math_ok else 2
 
 

@@ -17,9 +17,9 @@ from fractions import Fraction
 import numpy as np
 
 from . import DEFAULT_GUARD
-from ._grid import Translates, add_table, decode_index, digit_table, linear_perm, pow_vector
+from ._grid import Translates, add_table, decode_index, digit_table, linear_perm
 from .errors import DependentDirections, TooLarge, ensure
-from .ffalg import FpMatrix, invertible_stack, is_invertible, mat_inverse, nullspace, row_space_rank
+from .ffalg import FpMatrix, inverse_stack, is_invertible, mat_inverse, nullspace, row_space_rank
 from .gridfn import FLOAT, GridFunction
 from .patterns import PatternSpec, SubspaceBasis
 from .analysis import EquidistributionReport, FLOAT_SLACK
@@ -445,28 +445,33 @@ def dressed_h_matrix(core: CexCore, h: Hypergraphon, n: int, master_seed: int, s
                      guard: int = DEFAULT_GUARD) -> np.ndarray:
     """One sample of h = f1 * F2 * F3 as a (5^n, 5^n) 0/1 matrix.
 
-    Each table is read at alpha*x + beta*y = alpha*(x + (beta/alpha)*y), so
-    one addition table serves every (alpha, beta). The three cells of a block
-    fold into one small-int code (cu L + cv) L + cw, looked up once in the
-    flattened hypergraphon.
+    A table read at alpha*x + beta*y = alpha*(r*y + x), r = beta/alpha, is
+    cells(alpha *)[add][lin_r] in (y, x) order, since add is symmetric: whole
+    rows of add, gathered. The three cells of F2 fold into one small-int code
+    (cu L + cv) L + cw, looked up once in the flattened hypergraphon; f1 F2 is
+    formed in (y, x) order and returned transposed. Where f1 F2 is 0, h is 0
+    whatever F3 reads, so F3 is read only at the support of f1 F2.
     """
     if 5 ** (2 * n) > guard:
         raise TooLarge(f"5^(2n) = {5 ** (2 * n)} exceeds guard {guard}")
     P = 5**n
+    f1 = f1_matrix(core, n, guard)  # first, so its (P, P) int64 temporaries meet no code table
     add = add_table(P5, n)
-    L = h.L
-    g2 = h.tensor.reshape(-1).astype(np.uint8)
+    L, g2 = h.L, h.tensor.reshape(-1).astype(np.uint8)
     code_type = np.min_scalar_type(L**3 - 1)
-    out = f1_matrix(core, n, guard)
-    for block, combos in enumerate((F2_COMBOS, F3_COMBOS)):
-        code = np.zeros((P, P), dtype=code_type)
-        for tid, (alpha, beta) in enumerate(combos):
-            cells = h.cells(_uniform_table(master_seed, seed_index, 3 * block + tid, P)).astype(code_type)
-            ratio = beta * pow(alpha, -1, P5) % P5
-            code *= L
-            code += cells[linear_perm(P5, 1, n, [[alpha]])][add][:, linear_perm(P5, 1, n, [[ratio]])]
-        out = out * g2[code]
-    return out
+    cells = [h.cells(_uniform_table(master_seed, seed_index, tid, P)) for tid in range(6)]
+    lin = {c: linear_perm(P5, 1, n, [[c]]) for c in range(1, P5)}
+    code = np.zeros((P, P), dtype=code_type)
+    for cell, (alpha, beta) in zip(cells, F2_COMBOS):
+        code *= L
+        code += np.take(cell.astype(code_type)[lin[alpha % P5]], add)[lin[beta * pow(alpha, -1, P5) % P5]]
+    out = f1.T * g2[code]
+    ys, xs = np.nonzero(out)
+    code = np.zeros(len(xs), dtype=np.int64)
+    for cell, (alpha, beta) in zip(cells[3:], F3_COMBOS):
+        code = code * L + cell[add[lin[alpha % P5][xs], lin[beta % P5][ys]]]
+    out[ys, xs] = g2[code]
+    return out.T
 
 
 def _difference_class(a, b):
@@ -627,24 +632,31 @@ def has_nontrivial_4ap(digits: tuple[int, ...], p: int = 5) -> bool:
 
 
 # numpy's SeedSequence (pool size 4) and PCG64 constants
-_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_MASK32 = (1 << 32) - 1
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG_MULT_HI, _PCG_MULT_LO = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645)
+_U1, _U32, _U58, _U63, _LOW32 = (np.uint64(v) for v in (1, 32, 58, 63, _MASK32))
+_MULT_LO0, _MULT_LO1 = _PCG_MULT_LO & _LOW32, _PCG_MULT_LO >> _U32
 
 
-def _uint32_words(k: int) -> list[int]:
-    """A non-negative int as SeedSequence reads it: little-endian 32-bit words."""
-    words = [k & _MASK32]
-    while k > _MASK32:
-        k >>= 32
-        words.append(k & _MASK32)
-    return words
+def _pcg64_step(state: np.ndarray, inc: np.ndarray) -> np.ndarray:
+    """state * multiplier + inc mod 2^128 for (rows, 2) uint64 arrays of
+    (high, low) words. uint64 arithmetic wraps silently; the high word of
+    lo * the multiplier's low word is summed from 32-bit halves."""
+    hi, lo = state[:, 0], state[:, 1]
+    lo0, lo1 = lo & _LOW32, lo >> _U32
+    p01, p10 = lo0 * _MULT_LO1, lo1 * _MULT_LO0
+    mid = (lo0 * _MULT_LO0 >> _U32) + (p01 & _LOW32) + (p10 & _LOW32)
+    low = lo * _PCG_MULT_LO + inc[:, 1]
+    high = (lo1 * _MULT_LO1 + (p01 >> _U32) + (p10 >> _U32) + (mid >> _U32) + lo * _PCG_MULT_HI + hi * _PCG_MULT_LO
+            + inc[:, 0] + (low < inc[:, 1]))
+    return np.stack([high, low], axis=1)
 
 
 def _pcg64_seeded(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(state, inc) of PCG64(SeedSequence(entropy)) for each row of entropy
-    words (uint32, shape (rows, k)), as object arrays of 128-bit ints."""
+    words (uint32, shape (rows, k)), as (rows, 2) uint64 (high, low) words."""
     const = _INIT_A
     u16 = np.uint32(16)
 
@@ -674,12 +686,14 @@ def _pcg64_seeded(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         v = pool[i % 4] ^ np.uint32(const)
         const = const * _MULT_B & _MASK32
         v = v * np.uint32(const)
-        state32.append((v ^ (v >> u16)).astype(object))
-    w = [state32[2 * j] | (state32[2 * j + 1] << 32) for j in range(4)]
-    # pcg64_set_seed: seed = (w0, w1) and initseq = (w2, w3) as (high, low)
-    inc = (((w[2] << 64) | w[3]) << 1 | 1) & _MASK128
-    state = (inc + ((w[0] << 64) | w[1])) & _MASK128
-    return (state * _PCG_MULT + inc) & _MASK128, inc
+        state32.append((v ^ (v >> u16)).astype(np.uint64))
+    w = [state32[2 * j] | (state32[2 * j + 1] << _U32) for j in range(4)]
+    # pcg64_set_seed: seed = (w0, w1) and initseq = (w2, w3) as (high, low);
+    # inc = 2 initseq + 1, and the state is stepped once from inc + seed
+    inc = np.stack([(w[2] << _U1) | (w[3] >> _U63), (w[3] << _U1) | _U1], axis=1)
+    low = inc[:, 1] + w[1]
+    state = np.stack([inc[:, 0] + w[0] + (low < w[1]), low], axis=1)
+    return _pcg64_step(state, inc), inc
 
 
 def _pcg64_halves(state: np.ndarray, inc: np.ndarray, steps: int) -> tuple[np.ndarray, np.ndarray]:
@@ -687,27 +701,28 @@ def _pcg64_halves(state: np.ndarray, inc: np.ndarray, steps: int) -> tuple[np.nd
     the 32-bit halves of the outputs, low half first, shape (rows, 2 steps)."""
     halves = np.empty((len(state), 2 * steps), dtype=np.int64)
     for s in range(steps):
-        state = (state * _PCG_MULT + inc) & _MASK128
-        x = (((state >> 64) ^ state) & _MASK64).astype(np.uint64)  # XSL-RR output
-        rot = (state >> 122).astype(np.uint64)
-        out = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
-        halves[:, 2 * s] = out & np.uint64(_MASK32)
-        halves[:, 2 * s + 1] = out >> np.uint64(32)
+        state = _pcg64_step(state, inc)
+        x, rot = state[:, 0] ^ state[:, 1], state[:, 0] >> _U58  # XSL-RR: rotate right by the top 6 bits
+        out = (x >> rot) | (x << ((np.uint64(64) - rot) & _U63))
+        halves[:, 2 * s] = out & _LOW32
+        halves[:, 2 * s + 1] = out >> _U32
     return state, halves
 
 
 class _GeneratorStack:
     """The generators np.random.default_rng(key + [g]) for g < count, advanced
-    as one stack. integers5 draws what each generator's integers(0, 5, size)
-    would, in turn. Like numpy, a draw takes one 32-bit half of an output, and
-    the spare high half carries over to the generator's next call. Lemire's
-    method rejects only a zero half ((2^32 - 5) mod 5 = 1); a generator that
-    meets one is replayed through numpy from then on."""
+    as one stack: row g of state and inc holds g's PCG64 state and increment
+    as (high, low) uint64 words. integers5 draws what each generator's
+    integers(0, 5, size) would, in turn. Like numpy, a draw takes one 32-bit
+    half of an output, and the spare high half carries over to the generator's
+    next call. Lemire's method rejects only a zero half ((2^32 - 5) mod 5 = 1);
+    a generator that meets one is replayed through numpy from then on."""
 
     def __init__(self, key: list[int], count: int):
         np.random.SeedSequence(key)  # numpy's own check of the key
         self.key = [int(k) for k in key]
-        head = [w for k in self.key for w in _uint32_words(k)]
+        # each key as SeedSequence reads it: little-endian 32-bit words, at least one
+        head = [k >> 32 * i & _MASK32 for k in self.key for i in range(max(1, -(-k.bit_length() // 32)))]
         words = np.empty((count, len(head) + 1), dtype=np.uint32)
         words[:, :-1] = head
         words[:, -1] = np.arange(count)
@@ -741,38 +756,28 @@ class _GeneratorStack:
         return out
 
 
-def _membership_masks(n: int, gamma: int, master_seed: int, seed_index: int) -> tuple[np.ndarray, np.ndarray]:
-    """mask1[ix, iy] = [x in phi(y) T], mask2[ix, iy] = [y in phi'(x) T].
+def _affine_membership(n: int, gamma: int, master_seed: int, seed_index: int,
+                       xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """[x in phi_y(T)] and [y in phi'_x(T)] at each point (xs[i], ys[i]).
 
-    phi_g(t) = A t + c is drawn from generator g's own stream: A by rejection
-    until invertible over F_5, then c. All P streams are reproduced as one
-    _GeneratorStack. T = {t : t_i < 3 for i < gamma} is a product set, so
-    phi_g(T) is the sumset c + K_0 a_0 + ... + K_{n-1} a_{n-1} over the
-    columns a_i of A, built by gathers through the addition table.
-    """
+    phi_g(t) = A t + c is drawn from generator g's stream of a _GeneratorStack:
+    A by rejection until invertible over F_5, then c. Only the generators the
+    points read are drawn. z is in phi_g(T), T = {t : t_i < 3 for i < gamma},
+    when the first gamma coordinates of A^-1 (z - c) are all below 3."""
     P = 5**n
-    add = add_table(P5, n)
-    pows = pow_vector(P5, n)
-    rows = np.arange(P)
-    masks = []
-    for table_id in (101, 102):
+    digits = digit_table(P5, n)
+    found = []
+    for table_id, points, gens in ((101, xs, ys), (102, ys, xs)):
         streams = _GeneratorStack([master_seed, seed_index, table_id], P)
-        A = streams.integers5(rows, n * n).reshape(P, n, n)
-        redraw = np.nonzero(~invertible_stack(A, P5))[0]
-        while len(redraw):
-            A[redraw] = streams.integers5(redraw, n * n).reshape(-1, n, n)
-            redraw = redraw[~invertible_stack(A[redraw], P5)]
-        c = streams.integers5(rows, n)
-        image = (c @ pows)[:, None]
-        for i in range(n):
-            k = np.arange(3 if i < gamma else 5)
-            multiples = (k[:, None] * A[:, None, :, i]) % P5 @ pows  # index of k a_i: (P, |K_i|)
-            image = add[image[:, :, None], multiples[:, None, :]].reshape(P, -1)
-        mask = np.zeros((P, P), dtype=np.uint8)
-        mask[image, rows[:, None]] = 1
-        masks.append(mask)
-    # mask for x in phi(y)T is indexed [x, y]; phi' mask needs transposing
-    return masks[0], masks[1].T
+        need = np.flatnonzero(np.bincount(gens, minlength=P))
+        inverse, c, todo = np.empty((P, n, n), dtype=np.int64), np.empty((P, n), dtype=np.int64), need
+        while len(todo):
+            invertible, inverse[todo] = inverse_stack(streams.integers5(todo, n * n).reshape(-1, n, n), P5)
+            todo = todo[~invertible]
+        c[need] = streams.integers5(need, n)
+        t = np.einsum("kij,kj->ki", inverse[gens, :gamma], digits[points] - c[gens]) % P5
+        found.append((t < 3).all(axis=1))
+    return found[0], found[1]
 
 
 def final_assembly(
@@ -783,12 +788,14 @@ def final_assembly(
     guard: int = DEFAULT_GUARD,
 ) -> dict:
     """One seeded end-to-end sample: f = h * [x in phi(y)T] * [y in phi'(x)T],
-    with the exact subchecks on the digit set {0,1,2} and the 4.15 exponent."""
+    with the exact subchecks on the digit set {0,1,2} and the 4.15 exponent.
+    The affine memberships are tested only at the support of h."""
     n, gamma = params.n, params.gamma
     hm = dressed_h_matrix(core, h, n, params.seed, seed_index, guard)
-    m1, m2 = _membership_masks(n, gamma, params.seed, seed_index)
-    fm = hm * m1 * m2
-    P = 5**n
+    ys, xs = np.nonzero(hm.T)  # hm.T is C-contiguous, so this scan is the fast one
+    keep = np.logical_and(*_affine_membership(n, gamma, params.seed, seed_index, xs, ys))
+    fm = np.zeros(hm.shape, dtype=hm.dtype)
+    fm[xs[keep], ys[keep]] = 1
     alpha_f = fm.sum() / fm.size
     beta = float(params.beta)
     exponent = math.log(25 / 3) / math.log(5 / 3)
@@ -856,6 +863,12 @@ def sparse_pattern_max(fm: np.ndarray, n: int, chunk_pairs: int = 2_000_000) -> 
     }
 
 
+def _median(values: list[float]) -> float:
+    """np.median of floats without its numpy.ma import: the middle value, or the mean of the two middle ones."""
+    v, mid = sorted(values), len(values) // 2
+    return float(v[mid] if len(v) % 2 else (v[mid - 1] + v[mid]) / 2)
+
+
 def cex_report(params: DressingParams, seeds: int = 50, guard: int = DEFAULT_GUARD) -> dict:
     """End-to-end report: exact certified inequalities (core table, hypergraph
     identities, digit-set subchecks) plus the per-seed exhaustive max of
@@ -896,7 +909,7 @@ def cex_report(params: DressingParams, seeds: int = 50, guard: int = DEFAULT_GUA
         "monte_carlo": {
             "seeds_with_max_ratio_below_1": below,
             "mean_alpha_f": float(np.mean(alphas)),
-            "max_ratio_quantiles": [float(np.min(ratios)), float(np.median(ratios)), float(np.max(ratios))],
+            "max_ratio_quantiles": [float(np.min(ratios)), _median(ratios), float(np.max(ratios))],
         },
         "scope": {
             "constant_c_certified": False,

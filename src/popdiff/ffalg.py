@@ -392,13 +392,19 @@ def is_invertible(A: FpMatrix) -> bool:
     return mat_rank(A) == A.rows
 
 
-def invertible_stack(A, p: int) -> np.ndarray:
+def inverse_stack(A, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Which matrices of a stack of square integer matrices, shape (..., n, n),
-    are invertible over F_p; a bool array of the stack's shape."""
-    A = np.asarray(A)
-    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
-        raise DimensionMismatch("invertible_stack needs a stack of square matrices")
-    return rank_stack(A, p) == A.shape[-1]
+    are invertible over F_p (a bool array of the stack's shape), and their
+    inverses (unspecified where singular), from one elimination of [A | I]."""
+    validate_odd_prime(p)
+    M = _as_stack(A, p)
+    if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
+        raise DimensionMismatch("inverse_stack needs a stack of square matrices")
+    n = M.shape[-1]
+    M = np.concatenate([M, np.broadcast_to(np.eye(n, dtype=np.int64), M.shape)], axis=-1)
+    R = _rref_stack(M.reshape((math.prod(M.shape[:-2]), n, 2 * n)), p)[0].reshape(M.shape)
+    # the A half of the reduced [A | I] is I if A is invertible, else it ends in a zero row
+    return R[..., :n].diagonal(axis1=-2, axis2=-1).all(axis=-1), R[..., n:]
 
 
 def mat_rank(A: FpMatrix) -> int:

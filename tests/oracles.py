@@ -201,12 +201,12 @@ def membership_masks_by_inverse(n: int, gamma: int, master_seed: int, seed_index
     return masks[0], masks[1].T
 
 
-def dressed_h_by_combo_index(core, h, n: int, master_seed: int, seed_index: int) -> np.ndarray:
-    """h = f1 * F2 * F3 with each table read through its own (P, P) array of
-    the indices of alpha*x + beta*y."""
+def dressed_h_by_combo_index(core, h, n: int, master_seed: int, seed_index: int, blocks: int = 2) -> np.ndarray:
+    """h = f1 * F2 * F3 (f1 * F2 for blocks = 1) with each table read through
+    its own (P, P) array of the indices of alpha*x + beta*y."""
     P = 5**n
     out = f1_matrix(core, n).copy()
-    for block, combos in enumerate((F2_COMBOS, F3_COMBOS)):
+    for block, combos in enumerate((F2_COMBOS, F3_COMBOS)[:blocks]):
         vals = []
         for tid, (alpha, beta) in enumerate(combos):
             cells = h.cells(_uniform_table(master_seed, seed_index, 3 * block + tid, P))

@@ -259,6 +259,7 @@ def test_input_faults_are_json_error_lines(capsys, tmp_path, scalar_spec_file):
         (["count", "--spec", scalar_spec_file, "--p", "5", "--n", "4", "--d", "700"], "DimensionMismatch"),
         (["threept", "bohr", "--group", str(v25), "--S", "[99]"], "DimensionMismatch"),
         (["threept", "bohr", "--group", str(z0)], "ValueError"),
+        (["check", "--spec", scalar_spec_file, "--json", str(tmp_path / "missing" / "out.jsonl")], "FileNotFoundError"),
     ]
     for argv, error in cases:
         assert dispatch(argv) == 1
@@ -295,6 +296,67 @@ def test_non_finite_plgf_is_refused(capsys, tmp_path, scalar_spec_file):
             assert captured.out == "" and len(captured.err.splitlines()) == 1
             err = json.loads(captured.err)
             assert err["error"] == "CorruptLength" and message in err["message"]
+
+
+def _plgf_with(path, value):
+    """A float PLGF file on (F_5^2)^2 (p = 5, k = 2, n = 2): ones, and value at index 5."""
+    f = GridFunction(5, 2, 2, np.where(np.arange(625) == 5, value, 1.0), FLOAT)
+    write_grid_function(f, str(path))
+    return str(path)
+
+
+def test_overflowing_float_results_are_refused(capsys, tmp_path, spec_file):
+    # finite values whose pattern sums overflow: 1e78 used to print bare
+    # Infinity, 1e200 to end in an OverflowError traceback
+    for value, estimate in ((1e78, "6.25e+314"), (1e200, "6.25e+802")):
+        path = _plgf_with(tmp_path / f"{value:.0e}.plgf", value)
+        for argv in (["popular", "--spec", spec_file, "--fn", path, "--full"],
+                     ["count", "--spec", spec_file, "--fn", path, "--d", "0", "--backend", "float"]):
+            assert dispatch(argv) == 1, argv
+            captured = capsys.readouterr()
+            assert captured.out == "" and len(captured.err.splitlines()) == 1
+            assert json.loads(captured.err) == {
+                "tool": "popdiff", "error": "TooLarge",
+                "message": f"p^(kn) max|f|^4 = {estimate} exceeds guard 1.79769e+308"}
+    # no pattern sum overflows at 1e77 with 3 points: P max|f|^3 = 6.25e+233
+    path = _plgf_with(tmp_path / "1e77.plgf", 1e77)
+    assert dispatch(["popular", "--spec", spec_file, "--fn", path, "--points", "3"]) in (0, 2)
+    assert json.loads(capsys.readouterr().out)["report"]["alpha"] > 1e74
+    # a report that still holds a non-finite float (the U^3 norm of a 1e78
+    # value is inf) ends in one error line, never in bare Infinity
+    path = _plgf_with(tmp_path / "big.plgf", 1e78)
+    refusal = {"tool": "popdiff", "error": "ValueError", "message": "Out of range float values are not JSON compliant"}
+    out = tmp_path / "report.jsonl"
+    with np.errstate(over="ignore"):
+        for argv in (["gowers", "--fn", path, "--s", "3"], ["gowers", "--fn", path, "--s", "3", "--json", str(out)]):
+            assert dispatch(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and [json.loads(line) for line in captured.err.splitlines()] == [refusal]
+    assert not out.exists()
+    # as a program, after numpy's overflow warning
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    child = subprocess.run([sys.executable, "-m", "popdiff.cli", "gowers", "--fn", path, "--s", "3"],
+                           env=env, capture_output=True, text=True, timeout=30)
+    assert (child.returncode, child.stdout) == (1, "")
+    assert "RuntimeWarning: overflow" in child.stderr and json.loads(child.stderr.splitlines()[-1]) == refusal
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_one_point_grid_reports(capsys, spec_file, backend):
+    # n = 0 is the one-point grid: the only difference is 0, so popular finds
+    # no nonzero one (exit 2, argmax -1) and count reads f(0)^points
+    one = {"exact": "1/1", "float": 1.0}[backend]
+    for density, value in ((1.0, one), (0.0, {"exact": "0/1", "float": 0.0}[backend])):
+        grid = ["--spec", spec_file, "--k", "2", "--n", "0", "--density", str(density), "--backend", backend]
+        code, (line,) = run_lines(capsys, ["popular", *grid, "--full"])
+        assert code == 2
+        rep = line["report"]
+        assert (rep["alpha"], rep["counts"], rep["hits"], rep["argmax"], rep["max_d"]) == (value, {"0": value}, 0, -1, None)
+        for points in ("3", "4"):
+            code, (line,) = run_lines(capsys, ["count", *grid, "--d", "0", "--points", points])
+            assert code == 0 and line["report"] == {"beta": value, "d": 0, "points": int(points)}
+        assert dispatch(["count", *grid, "--d", "1"]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "DimensionMismatch"
 
 
 def test_recursive_gowers_guard(capsys, tmp_path):
@@ -458,8 +520,11 @@ def grammar_argvs(draw):
 def grammar_files(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("grammar")
     docs = {"spec": {"p": 5, "k": 1, "M1": [[1]], "M2": [[2]]}, "group": {"kind": "Z_N", "N": 61, "M1": 2, "M2": 3},
-            "factor": {"p": 3, "n": 2, "b1": [[1, 0]], "b2": [[[1, 0], [0, 1]]], "b3": [[[0, 1], [2, 0]]]}}
-    paths = {"out": str(tmp / "out.plgf")}
+            "factor": {"p": 3, "n": 2, "b1": [[1, 0]], "b2": [[[1, 0], [0, 1]]], "b3": [[[0, 1], [2, 0]]]},
+            "rotated": {"p": 5, "k": 2, "M1": [[1, 0], [0, 1]], "M2": [[0, -1], [1, 0]]}}
+    # finite PLGF values on (F_5^2)^2 whose pattern sums overflow
+    paths = {"out": str(tmp / "out.plgf"), "fn-1e78": _plgf_with(tmp / "fn-1e78.plgf", 1e78),
+             "fn-1e200": _plgf_with(tmp / "fn-1e200.plgf", 1e200)}
     for name, doc in docs.items():
         paths[name] = str(tmp / f"{name}.json")
         (tmp / f"{name}.json").write_text(json.dumps(doc))
@@ -496,6 +561,9 @@ def _run_with_alarm(argv, seconds=10):
 @example(["gowers", "--s", "2", "--k", "-1"])
 @example(["fnio", "random", "--out", "@out", "--n", "-1"])
 @example(["equidist", "--mode", "abstract", "--factor", "@factor", "--k", "-1"])
+@example(["popular", "--spec", "@rotated", "--fn", "@fn-1e78", "--full"])
+@example(["popular", "--spec", "@rotated", "--fn", "@fn-1e200"])
+@example(["popular", "--spec", "@rotated", "--k", "2", "--n", "0"])
 @settings(max_examples=60, deadline=None)
 def test_cli_argv_grammar_never_hangs_or_raises(grammar_files, argv):
     # one numeric flag of one subcommand set to a sweep value: the run ends

@@ -1,8 +1,9 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from popdiff.errors import DependentDirections, TooLarge
 from popdiff._grid import digit_table
@@ -35,7 +36,7 @@ from popdiff.counterexample import (
     unique_triangle_check,
 )
 import popdiff.counterexample as cex
-from popdiff.counterexample import _GeneratorStack, _membership_masks
+from popdiff.counterexample import _GeneratorStack, _affine_membership
 
 from oracles import dressed_h_by_combo_index, membership_masks_by_inverse, sparse_pattern_max_by_isin
 
@@ -269,12 +270,28 @@ def test_dressed_h_guard_states_estimate():
         dressed_h_matrix(build_core(), h, 2, 0, 0, guard=624)
 
 
+def _membership_masks(n, gamma, master_seed, seed_index, order=None):
+    """The point query at every (x, y), in the given order of the P^2 points,
+    as the two (P, P) uint8 masks of membership_masks_by_inverse."""
+    P = 5**n
+    order = np.arange(P * P) if order is None else np.asarray(order)
+    xs, ys = np.divmod(order, P)
+    masks = []
+    for found in _affine_membership(n, gamma, master_seed, seed_index, xs, ys):
+        mask = np.zeros(P * P, dtype=np.uint8)
+        mask[order] = found
+        masks.append(mask.reshape(P, P))
+    return masks
+
+
 @given(st.integers(1, 4).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
-       st.integers(0, 2**32 - 1), st.integers(0, 50))
+       st.integers(0, 2**32 - 1), st.integers(0, 50), st.randoms(use_true_random=False))
 @settings(max_examples=15, deadline=None)
-def test_membership_masks_match_inverse_oracle(shape, master_seed, seed_index):
+def test_membership_masks_match_inverse_oracle(shape, master_seed, seed_index, rnd):
     n, gamma = shape
-    got = _membership_masks(n, gamma, master_seed, seed_index)
+    order = list(range(25**n))
+    rnd.shuffle(order)  # the query reads each point's own generator, in any order
+    got = _membership_masks(n, gamma, master_seed, seed_index, order)
     want = membership_masks_by_inverse(n, gamma, master_seed, seed_index)
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and np.array_equal(g, w)
@@ -348,6 +365,20 @@ def test_membership_masks_construct_no_generator(monkeypatch):
     assert calls == []
 
 
+def test_membership_draws_only_the_generators_it_reads(monkeypatch):
+    # the point (x, y) reads generator y of table 101 and generator x of table
+    # 102; a query at a few points equals the full masks there
+    drawn, real = {101: set(), 102: set()}, _GeneratorStack.integers5
+    monkeypatch.setattr(_GeneratorStack, "integers5",
+                        lambda self, rows, count: drawn[self.key[2]].update(rows.tolist()) or real(self, rows, count))
+    xs, ys = np.array([0, 7, 7, 124, 60]), np.array([3, 3, 99, 0, 60])
+    got = _affine_membership(3, 2, 5, 1, xs, ys)
+    assert drawn == {101: set(ys.tolist()), 102: set(xs.tolist())}
+    for g, w in zip(got, membership_masks_by_inverse(3, 2, 5, 1)):
+        assert g.dtype == bool and g.tolist() == w[xs, ys].astype(bool).tolist()
+    assert [len(g) for g in _affine_membership(3, 2, 5, 1, xs[:0], ys[:0])] == [0, 0]
+
+
 @pytest.mark.parametrize("master_seed, seed_index", [(-1, 0), (0, -1)])
 def test_membership_masks_refuse_a_negative_key(master_seed, seed_index):
     with pytest.raises(ValueError, match="expected non-negative integer"):
@@ -358,9 +389,26 @@ def test_dressed_h_code_past_uint16():
     # L = 41 folds three cells into codes up to 41^3 - 1, past uint16
     core = build_core()
     h = Hypergraphon(41, ap3_free_set(41, "greedy"))
-    got = dressed_h_matrix(core, h, 2, 6, 1)
-    want = dressed_h_by_combo_index(core, h, 2, 6, 1)
-    assert got.dtype == want.dtype and np.array_equal(got, want)
+    for n, master_seed, seed_index in ((2, 6, 1), (1, 0, 0), (3, 2**32 + 3, 4), (4, 9, 2)):
+        got = dressed_h_matrix(core, h, n, master_seed, seed_index)
+        want = dressed_h_by_combo_index(core, h, n, master_seed, seed_index)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_dressed_h_where_the_f2_product_is_empty():
+    # F3 is read only at the support of f1 F2: an empty hypergraphon leaves no
+    # support at all, and at n = 1 some seeds find none by chance
+    core = build_core()
+    h = Hypergraphon(7, ap3_free_set(7, "exhaustive-max"))
+    empty = 0
+    for seed_index in range(12):
+        got = dressed_h_matrix(core, h, 1, 3, seed_index)
+        assert np.array_equal(got, dressed_h_by_combo_index(core, h, 1, 3, seed_index))
+        empty += not dressed_h_by_combo_index(core, h, 1, 3, seed_index, blocks=1).any()
+    assert empty >= 3
+    for n in (1, 2, 3):
+        got = dressed_h_matrix(core, Hypergraphon(5, ()), n, 4, 0)
+        assert got.dtype == np.uint8 and got.shape == (5**n, 5**n) and not got.any()
 
 
 def test_dress_and_measure_alpha():
@@ -533,3 +581,19 @@ def test_cex_report_small():
     assert rep["certified"]["core_strict"]
     assert rep["certified"]["hypergraph_patternA_matches"]
     assert not rep["scope"]["constant_c_certified"]
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=9)
+       | st.lists(st.sampled_from([0.0, 0.5, 3.25, math.inf]), min_size=1, max_size=6))
+@example([3.0, 1.0, 2.0])
+@example([4.0, 1.0, 2.0, 3.0])
+@example([1e308, 1.7e308])
+@example([math.inf, 0.5])
+@settings(max_examples=80, deadline=None)
+def test_report_median_matches_numpy(values):
+    # the report's median ratio, for odd and even counts, overflow to inf and
+    # infinite ratios (seeds with an empty support) included
+    with np.errstate(over="ignore"):
+        want = float(np.median(values))
+    assert cex._median(values) == want and type(cex._median(values)) is float
+    assert cex._median(list(reversed(values))) == want

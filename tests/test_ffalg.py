@@ -6,7 +6,7 @@ from popdiff.ffalg import (
     FpMatrix,
     FpPoly,
     char_poly,
-    invertible_stack,
+    inverse_stack,
     is_invertible,
     mat_inverse,
     mat_rank,
@@ -124,9 +124,18 @@ def test_inverse_roundtrip_random():
         done += 1
 
 
+def _assert_inverses(A, ok, inv, p):
+    """A A^-1 = A^-1 A = I mod p for each invertible member of a stack."""
+    n = A.shape[-1]
+    A, ok, inv = A.reshape(-1, n, n), ok.reshape(-1), inv.reshape(-1, n, n)
+    assert inv.dtype == np.int64 and np.all((0 <= inv[ok]) & (inv[ok] < p))
+    for a, b in ((A[ok], inv[ok]), (inv[ok], A[ok])):
+        assert np.all(np.einsum("bij,bjk->bik", a, b) % p == np.eye(n, dtype=np.int64))
+
+
 @given(st.sampled_from([3, 5, 7]), st.integers(1, 5), st.integers(0, 2**32 - 1))
 @settings(max_examples=40, deadline=None)
-def test_invertible_stack_matches_is_invertible(p, n, seed):
+def test_inverse_stack_matches_is_invertible(p, n, seed):
     rng = np.random.default_rng(seed)
     A = rng.integers(-2 * p, 2 * p, size=(40, n, n))
     # forced singular members: a repeated row and a zero column
@@ -136,11 +145,17 @@ def test_invertible_stack_matches_is_invertible(p, n, seed):
     A[1, :, int(rng.integers(n))] = 0
     # an invertible member whose first pivot sits below the diagonal
     A[2] = np.roll(np.eye(n, dtype=np.int64), 1, axis=0)
-    got = invertible_stack(A, p)
+    got, inv = inverse_stack(A, p)
     want = [is_invertible(FpMatrix.from_rows(a.tolist(), p)) for a in A]
     assert got.dtype == bool and got.tolist() == want
     assert not got[1] and got[2] and (n == 1 or not got[0])
-    assert invertible_stack(A.reshape(5, 8, n, n), p).tolist() == np.reshape(want, (5, 8)).tolist()
+    _assert_inverses(A, got, inv, p)
+    for a, ok, b in zip(A, got, inv):
+        if ok:
+            assert b.tolist() == mat_inverse(FpMatrix.from_rows(a.tolist(), p)).to_lists()
+    got4, inv4 = inverse_stack(A.reshape(5, 8, n, n), p)
+    assert got4.tolist() == np.reshape(want, (5, 8)).tolist() and inv4.shape == (5, 8, n, n)
+    _assert_inverses(A, got4, inv4, p)
 
 
 @given(st.sampled_from([3, 5, 7, 999983]), st.integers(1, 3), st.booleans(), st.integers(1, 20), st.integers(0, 2**32 - 1))
@@ -174,7 +189,9 @@ def test_elimination_matches_list_oracle(p, batch, tall, c, seed):
     n = min(r, c)
     square = np.stack([A[:n, :n] for A in stack])
     want = [len(rref_by_lists(S.tolist(), p)[0]) == n for S in square]
-    assert invertible_stack(square, p).tolist() == want
+    ok, inv = inverse_stack(square, p)
+    assert ok.tolist() == want
+    _assert_inverses(square % p, ok, inv, p)
 
 
 def test_elimination_edge_inputs():
