@@ -18,11 +18,13 @@ hypergraph, report at n = 1-5, assemble at n = 1, 3, 4); exact and float
 `popular`; `popular` (4 and 3 points) and `count --d` on PLGF files this
 script writes, one per branch
 of the pattern-sum kernel (0/1 floats, small signed integers, rationals with
-denominators, rationals past the int64 sums, non-integer floats); every argv
+denominators, rationals past the int64 sums, non-integer floats); `popular
+--full` on (F_7^2)^2 and (F_3^4)^2 in both backends, and on small integers
+over (F_3^4)^2; 0/1 `count`s on F_3^11, past 2^16 points; every argv
 of tests/equidist_reference.json and tests/subspaces_reference.json; the
 recorded `cex report` seeds of perfbench/cex_reference.json; `threept search`
-on Z_61, Z_1009 and F_3^6; and input errors that must end in one JSON error
-line, PLGF files holding inf or nan among them.
+on Z_61, Z_1009, Z_10007, F_3^6 and F_3^7; and input errors that must end in
+one JSON error line, PLGF files holding inf or nan among them.
 """
 
 from __future__ import annotations
@@ -43,6 +45,8 @@ SPECS = {
     "scalar-p5": {"p": 5, "k": 1, "M1": [[1]], "M2": [[2]]},
     "rotated-squares-p5": {"p": 5, "k": 2, "M1": [[1, 0], [0, 1]], "M2": [[0, -1], [1, 0]]},
     "spectral-2x2-p3": {"p": 3, "k": 2, "M1": [[1, 0], [0, 1]], "M2": [[0, 1], [1, 2]]},
+    "rotated-squares-p7": {"p": 7, "k": 2, "M1": [[1, 0], [0, 1]], "M2": [[0, -1], [1, 0]]},
+    "scalar-p3": {"p": 3, "k": 1, "M1": [[1]], "M2": [[2]]},
 }
 
 # each factor with a 2 x 2 J that keeps I - J invertible
@@ -58,6 +62,8 @@ GROUPS = {
     "group": {"kind": "Z_N", "N": 61, "M1": 2, "M2": 3},
     "group-z1009": {"kind": "Z_N", "N": 1009, "M1": 2, "M2": 3},
     "group-f3-6": {"kind": "vector", "p": 3, "k": 1, "n": 6, "M1": [[1]], "M2": [[2]]},
+    "group-f3-7": {"kind": "vector", "p": 3, "k": 1, "n": 7, "M1": [[1]], "M2": [[2]]},
+    "group-z10007": {"kind": "Z_N", "N": 10007, "M1": 1, "M2": 2},
 }
 
 # grid functions on (F_5^2)^2, the rotated squares' grid, and the PLGF kind byte of each value kind
@@ -84,10 +90,16 @@ def grid_functions() -> dict:
     }
 
 
-def plgf_bytes(kind: str, payload: np.ndarray) -> bytes:
+def small_integers() -> np.ndarray:
+    """Integer values 0-3 on (F_3^4)^2 as rational pairs: the int64 tier of the kernel."""
+    P = 3**8
+    return np.stack([np.random.default_rng(21).integers(0, 4, P), np.ones(P, dtype=np.int64)], axis=1)
+
+
+def plgf_bytes(kind: str, payload: np.ndarray, shape: tuple = FN_SHAPE) -> bytes:
     """PLGF version 1: magic, version byte, p, k, n as little-endian u32, the
     kind byte, then int64 numerator/denominator pairs or float64 values."""
-    head = b"PLGF" + struct.pack("<BIIIB", 1, *FN_SHAPE, FN_KINDS[kind])
+    head = b"PLGF" + struct.pack("<BIIIB", 1, *shape, FN_KINDS[kind])
     return head + np.asarray(payload, dtype="<i8" if kind == "rational" else "<f8").tobytes()
 
 
@@ -132,7 +144,17 @@ def invocations(refs: dict) -> list[list[str]]:
         ["popular", "--spec", "@rotated-squares-p5", "--p", "5", "--k", "2", "--n", "2", "--backend", "float",
          "--density", "0.4", "--seed", "1"],
         ["popular", "--spec", "@scalar-p5", "--p", "5", "--n", "2", "--seed", "3", "--full", "--points", "3"],
+        ["popular", "--spec", "@spectral-2x2-p3", "--fn", "@fn-small-int-f3", "--full"],
     ]
+    for backend in ("exact", "float"):
+        argvs += [
+            ["popular", "--spec", "@rotated-squares-p7", "--p", "7", "--k", "2", "--n", "2", "--density", "0.4",
+             "--seed", "4", "--full", "--backend", backend],
+            ["popular", "--spec", "@spectral-2x2-p3", "--p", "3", "--k", "2", "--n", "4", "--density", "0.3",
+             "--seed", "5", "--full", "--backend", backend],
+            ["count", "--spec", "@scalar-p3", "--p", "3", "--n", "11", "--density", "0.6", "--seed", "6",
+             "--d", "100000", "--points", "3", "--backend", backend],
+        ]
     for name in grid_functions():
         fn = ["--spec", "@rotated-squares-p5", "--fn", f"@{name}"]
         argvs += [["popular", *fn, "--full"], ["popular", *fn, "--full", "--points", "3"],
@@ -161,6 +183,8 @@ def invocations(refs: dict) -> list[list[str]]:
         ["threept", "search", "--group", "@group", "--eps", "0.1"],
         ["threept", "search", "--group", "@group-z1009", "--eps", "0.05"],
         ["threept", "search", "--group", "@group-f3-6", "--eps", "0.05", "--density", "0.3", "--seed", "2"],
+        ["threept", "search", "--group", "@group-f3-7", "--eps", "0.05", "--density", "0.4", "--seed", "7"],
+        ["threept", "search", "--group", "@group-z10007", "--eps", "0.05", "--density", "0.45", "--seed", "8"],
         ["threept", "lift", "--N", "30", "--eps", "0.2", "--seed", "3"],
     ]
     return argvs
@@ -182,6 +206,8 @@ def write_inputs(tmp: pathlib.Path) -> tuple[dict, dict]:
     for name, (kind, payload) in grid_functions().items():
         paths[name] = str(tmp / f"{name}.plgf")
         (tmp / f"{name}.plgf").write_bytes(plgf_bytes(kind, payload))
+    paths["fn-small-int-f3"] = str(tmp / "fn-small-int-f3.plgf")
+    (tmp / "fn-small-int-f3.plgf").write_bytes(plgf_bytes("rational", small_integers(), (3, 2, 4)))
     return paths, refs
 
 

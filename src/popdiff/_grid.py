@@ -8,8 +8,11 @@ radix-N, one-digit case (p = N, m = 1, k = n = 1).
 
 Linear maps and sums of elements are gathers through index arrays built
 here, the full addition table among them (add_table). Translates are views:
-Translates pads the (p,)*m tensor of an array periodically once; a translate
-is a slice of that extension, and a block of them one gather from its windows.
+Translates pads the (p,)*m tensor of an array periodically once, and a
+translate is a slice of that extension. RowTable serves blocks of
+translates: it lays the low digits out so that each translate is one
+contiguous window of a (2p - 1) p^(2m - 2)-entry table, and a block of them is
+one fancy index into that table's sliding windows.
 """
 
 from __future__ import annotations
@@ -96,7 +99,6 @@ class Translates:
             self.base = self.ext = self.base.reshape((p,) * m + self.base.shape[1:])
             for j in range(m):  # append the first p - 1 slices along axis j
                 self.ext = np.concatenate([self.ext, self.ext[(slice(None),) * j + (slice(0, p - 1),)]], axis=j)
-            self.windows = np.lib.stride_tricks.sliding_window_view(self.ext, (p,) * m, axis=tuple(range(m)))
 
     def __call__(self, shift_digits) -> np.ndarray:
         if self.ext is None:
@@ -106,12 +108,44 @@ class Translates:
     def at(self, index: int) -> np.ndarray:  # the translate by an element's index
         return self(decode_index(self.p, self.m, int(index)))
 
-    def rows(self, shift_digits) -> np.ndarray:
-        """The (B, P) rows v(x + s_b) in index order of a 1-d v, for a (B, m) block of shift digits."""
-        S = np.asarray(shift_digits, dtype=np.int64) % self.p
-        if self.ext is None:
-            return self.base[add_index(self.p, self.m, encode_digits(S, self.p)[:, None], np.arange(len(self.base)))]
-        return self.windows[tuple(S[:, self.m - 1 - j] for j in range(self.m))].reshape(len(S), self.p**self.m)
+
+def row_table_size(p: int, m: int) -> int:
+    """Entries of a RowTable's table: (2p - 1) p^(2m - 2), or 1 for m = 0."""
+    return (2 * p - 1) * p ** (2 * m - 2) if m else 1
+
+
+class RowTable:
+    """The translates v(x + s) of a 1-d array v in index order, a block of
+    shifts at a time, as (B, p^m) rows.
+
+    With lo = p^(m - 1), the table is T[c, y, x] = v(top digit y mod p, low
+    digits x + c), of shape (lo, 2p - 1, lo), copied once from strided views
+    of the periodic extension. The translate by a shift with low digits c and
+    top digit y is then the p^m values from offset (c (2p - 1) + y) lo of T
+    flattened, so a block of translates is one fancy index into the table's
+    sliding windows. For m = 1 (Z_N, F_p) T is v doubled; for m = 0 it is v.
+    Past the guard table is None and a block is one gather through add_index."""
+
+    def __init__(self, values, p: int, m: int, guard: int = DEFAULT_GUARD):
+        self.p, self.m, self.base, self.table = p, m, np.asarray(values), None
+        if row_table_size(p, m) <= guard:
+            self.table = self.base
+            if m:
+                ext = np.pad(self.base.reshape((p,) * m), (0, p - 1), mode="wrap")  # axis 0 is the top digit
+                low = np.lib.stride_tricks.sliding_window_view(ext, (p,) * (m - 1), axis=tuple(range(1, m)))
+                # low[y, c..., x...] = ext[y, c + x]; move the c axes to the front
+                order = tuple(range(1, m)) + (0,) + tuple(range(m, 2 * m - 1))
+                self.table = np.ascontiguousarray(low.transpose(order)).reshape(-1)
+            self._windows = np.lib.stride_tricks.sliding_window_view(self.table, len(self.base))
+
+    def rows(self, shift_indices) -> np.ndarray:
+        """The (B, p^m) rows v(x + s_b) for the indices of a block of B shifts."""
+        p, m, idx = self.p, self.m, np.asarray(shift_indices, dtype=np.int64)
+        if self.table is None:
+            return self.base[add_index(p, m, idx[:, None], np.arange(len(self.base)))]
+        lo = p ** (m - 1) if m else 1
+        low = idx % lo
+        return self._windows[low * ((2 * p - 1) * lo) + (idx - low)]
 
 
 def add_index(p: int, m: int, a, b) -> np.ndarray:

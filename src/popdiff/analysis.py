@@ -16,12 +16,13 @@ from fractions import Fraction
 import numpy as np
 
 from . import DEFAULT_GUARD
-from ._grid import Translates, add_table, decode_digits, dft, digit_table, encode_index, linear_digits, linear_perm
+from ._grid import RowTable, Translates, add_table, decode_digits, dft, digit_table, encode_digits, encode_index, linear_digits, linear_perm
 from .errors import DimensionMismatch, NotAutomorphism, NotMeasurable, TooLarge
 from .ffalg import FpMatrix, is_invertible, row_space_rank
 from .gridfn import (
     COMPLEX,
     FLOAT,
+    FLOAT_MAX,
     RATIONAL,
     GridFunction,
     GridPoint,
@@ -29,6 +30,7 @@ from .gridfn import (
     atom_images,
     atom_partition,
     conditional_expectation,
+    float_range_error,
     grid_size,
     h_coset_labels,
 )
@@ -144,17 +146,17 @@ def _pattern_mats(f: GridFunction, spec: PatternSpec, points: int) -> list:
         raise DimensionMismatch(f"function has k = {f.k}, pattern has k = {spec.k}")
     if f.kind == COMPLEX:
         raise ValueError("pattern counts need a rational or float function")
-    top, limit = float(np.max(np.abs(f.values))) if f.kind == FLOAT else 0.0, float(np.finfo(np.float64).max)
+    top = float(np.max(np.abs(f.values))) if f.kind == FLOAT else 0.0
     log_sum = math.log10(f.size) + points * math.log10(top) if 0 < top < math.inf else -math.inf
-    if log_sum > math.log10(limit):  # a finite sum could overflow (or fsum raise); inf and nan keep their bits
-        raise TooLarge(f"p^(kn) max|f|^{points} = {10 ** (log_sum % 1):.3g}e+{int(log_sum)} exceeds guard {limit:.6g}")
+    if log_sum > math.log10(FLOAT_MAX):  # a finite sum could overflow (or fsum raise); inf and nan keep their bits
+        raise float_range_error(f"p^(kn) max|f|^{points}", log_sum)
     mats = [spec.M1, spec.M2] + ([spec.M1.add(spec.M2)] if points == 4 else [])
     return [M.to_lists() for M in mats]
 
 
 def pattern_sums(v: np.ndarray, p: int, m: int, shifts: list, guard: int = DEFAULT_GUARD) -> list:
     """Raw sums S(d) = sum_x v(x) prod_i v(x + s_i(d)) over (Z/pZ)^m for each
-    row d of the (D, m) shift digits s_i, one array in shifts per later point.
+    of the D shift indices s_i(d), one array in shifts per later point.
 
     For an object array v of Python ints S(d) is exact: summed in int64 while
     max|v|^points P < 2^62, in Python ints otherwise. For a float v S(d) is
@@ -162,8 +164,10 @@ def pattern_sums(v: np.ndarray, p: int, m: int, shifts: list, guard: int = DEFAU
     all values are finite integers with max|v|^points < 2^53 (exact products)
     and max|v|^points P < 2^62, math.fsum of each row otherwise. Blocks of
     translates are multiplied left to right, integers in bool for 0/1 values
-    and in int64 otherwise. The (2p - 1)^m-point periodic extension is built
-    only within both guard and the points D P reads."""
+    and in int64 otherwise; 0/1 rows are counted in uint16 while P < 2^16, as
+    no count exceeds P. Each translate is one window of a RowTable, whose
+    (2p - 1) p^(2m - 2)-entry table is built only within both guard and the
+    points D P reads; past that a block of translates is one gather."""
     points, exact, P, D = len(shifts) + 1, v.dtype == object, len(v), len(shifts[0])
     if exact:
         bound = max(abs(x) for x in v) ** points
@@ -174,10 +178,14 @@ def pattern_sums(v: np.ndarray, p: int, m: int, shifts: list, guard: int = DEFAU
     fits = bound * P < 2**62
     if fits:
         v = v.astype(bool if bound <= 1 and v.min() >= 0 else np.int64)
-    total = (lambda prod: prod.sum(axis=1, dtype=np.int64 if fits else object)) if exact or fits else (
-        lambda prod: np.array([math.fsum(row) for row in prod.tolist()]))
-    tr = Translates(v, p, m, min(guard, points * D * P))
-    base, step = tr.base.reshape(-1), max(1, CHUNK_BYTES // (P * v.itemsize))
+    if v.dtype == bool and P < 2**16:
+        total = lambda prod: prod.view(np.uint8).sum(axis=1, dtype=np.uint16)
+    elif exact or fits:
+        total = lambda prod: prod.sum(axis=1, dtype=np.int64 if fits else object)
+    else:
+        total = lambda prod: np.array([math.fsum(row) for row in prod.tolist()])
+    tr = RowTable(v, p, m, min(guard, points * D * P))
+    base, step = tr.base, max(1, CHUNK_BYTES // (P * v.itemsize))
     sums = []
     with np.errstate(invalid="ignore"):  # inf * 0 is nan; finite overflow still warns
         for start in range(0, D, step):
@@ -194,7 +202,7 @@ def _pattern_sums(f: GridFunction, mats: list, d_indices, guard: int = DEFAULT_G
     S(d) / (den P): L^points for the integer form a / L of a rational f, else 1."""
     p, k, n = f.p, f.k, f.n
     D = decode_digits(p, k * n, d_indices)
-    shifts = [linear_digits(p, k, n, M, D) for M in mats]
+    shifts = [encode_digits(linear_digits(p, k, n, M, D), p) for M in mats]
     if f.kind == RATIONAL:
         v, L = f.integer_form()
         return pattern_sums(v, p, k * n, shifts, guard), L ** (len(mats) + 1)
@@ -314,7 +322,7 @@ def _gowers_power_recursive(vals: np.ndarray, p: int, m: int, s: int, guard: int
 
 def _gowers_power_direct(vals: np.ndarray, p: int, m: int, s: int, guard: int) -> float:
     P = p**m
-    shifted = Translates(vals, p, m, guard).rows(digit_table(p, m))
+    shifted = RowTable(vals, p, m, guard).rows(np.arange(P))
     add = add_table(p, m)
     total = 0.0
     for h_tuple in itertools.product(range(P), repeat=s):

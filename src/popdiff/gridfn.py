@@ -36,6 +36,16 @@ COMPLEX = "complex"
 _KINDS = (RATIONAL, FLOAT, COMPLEX)
 
 
+FLOAT_MAX = float(np.finfo(np.float64).max)
+
+
+def float_range_error(formula: str, log10_estimate: float) -> TooLarge:
+    """The refusal of a float computation whose estimate formula, given by its
+    base-10 logarithm, passes the float range."""
+    mantissa, exponent = 10 ** (log10_estimate % 1), int(log10_estimate)
+    return TooLarge(f"{formula} = {mantissa:.3g}e+{exponent} exceeds guard {FLOAT_MAX:.6g}")
+
+
 # ---------------------------------------------------------------------------
 # Grid points
 
@@ -89,7 +99,8 @@ class GridFunction:
             raise TooLarge(f"p^(kn) = {size} exceeds guard {guard}")
         if kind == RATIONAL:
             arr = np.empty(size, dtype=object)
-            arr[:] = [Fraction(v) for v in values]
+            # numpy integers as Python ints: Fraction arithmetic on np.int64 wraps
+            arr[:] = [Fraction(int(v)) if isinstance(v, np.integer) else Fraction(v) for v in values]
         elif kind == FLOAT:
             arr = np.asarray(values, dtype=np.float64).copy()
         else:
@@ -140,9 +151,14 @@ class GridFunction:
         if self.kind == RATIONAL:
             a, L = self.integer_form()
             return Fraction(a.sum(), L * self.size)
-        if self.kind == FLOAT:
-            return math.fsum(self.values) / self.size
-        return complex(math.fsum(self.values.real), math.fsum(self.values.imag)) / self.size
+        try:
+            if self.kind == FLOAT:
+                return math.fsum(self.values) / self.size
+            return complex(math.fsum(self.values.real), math.fsum(self.values.imag)) / self.size
+        except OverflowError:  # a partial sum passed the float range, so P max|f| did too
+            top = float(np.max(np.abs(self.values.view(np.float64))))  # complex values as (Re, Im) pairs
+            formula = "p^(kn) max|f|" if self.kind == FLOAT else "p^(kn) max|Re f, Im f|"
+            raise float_range_error(formula, math.log10(self.size) + math.log10(top)) from None
 
     def l2_norm_sq(self):
         if self.kind == RATIONAL:

@@ -223,7 +223,7 @@ def smoothed_3pt_count(f: np.ndarray, group: FiniteGroupSpec, B: BohrSet, tol: f
     N = group.size
     nu = convolved_measure(B)
     support = np.nonzero(nu)[0]
-    shifts = [group._digits[group.apply(which, support)] for which in (1, 2)]
+    shifts = [group.apply(which, support) for which in (1, 2)]
     direct = 0.0
     for d, s in zip(support, pattern_sums(f, group.modulus, group.m, shifts, group.guard)):
         direct += float(nu[d]) * (s / N)
@@ -358,7 +358,7 @@ def popular_3pt_search(indicator: np.ndarray, group: FiniteGroupSpec, epsilon: f
     f = np.asarray(indicator, dtype=np.float64)
     N = group.size
     alpha = float(f.mean())
-    shifts = [group._digits[group.apply(which, np.arange(N))] for which in (1, 2)]
+    shifts = [group.apply(which, np.arange(N)) for which in (1, 2)]
     betas = [s / N for s in pattern_sums(f, group.modulus, group.m, shifts, group.guard)]
     return popular_report(betas, alpha, alpha**3 - epsilon, 3, epsilon, exact=False)
 

@@ -305,12 +305,12 @@ def test_batched_pattern_sums_match_fraction_oracle(shape, case, data):
     chunk = data.draw(st.sampled_from((1, 3 * P, 7 * P * 8, analysis.CHUNK_BYTES)))
     seen = []
 
-    class SpyTranslates(analysis.Translates):
+    class SpyRowTable(analysis.RowTable):
         def __init__(self, values, *args):
             seen.append(np.asarray(values).dtype)
             super().__init__(values, *args)
 
-    with mock.patch.object(analysis, "Translates", SpyTranslates), mock.patch.object(analysis, "CHUNK_BYTES", chunk):
+    with mock.patch.object(analysis, "RowTable", SpyRowTable), mock.patch.object(analysis, "CHUNK_BYTES", chunk):
         sums, den = analysis._pattern_sums(f, analysis._pattern_mats(f, spec, points), d_indices, guard)
     assert seen == [np.dtype(want_dtype)]
     assert len(sums) == len(d_indices)
@@ -320,6 +320,35 @@ def test_batched_pattern_sums_match_fraction_oracle(shape, case, data):
             assert type(s) is int and Fraction(s, den * P) == want
         else:
             assert type(s) is float and struct.pack("<d", s / P) == struct.pack("<d", want)
+
+
+@pytest.mark.parametrize("N", (65521, 65535, 65536, 65537))
+def test_zero_one_counts_reach_p_exactly(N):
+    # 0/1 rows are counted in uint16 while P < 2^16 and in int64 from 2^16
+    # on; all ones make every count P, the largest a count can be
+    shifts = [np.array([0, 1, N - 1, 12345])] * 2
+    assert analysis.pattern_sums(np.ones(N), N, 1, shifts) == [float(N)] * 4
+    sums = analysis.pattern_sums(np.array([1] * N, dtype=object), N, 1, shifts)
+    assert sums == [N] * 4 and all(type(s) is int for s in sums)
+
+
+def test_vector_search_table_memory():
+    # a three-point search on F_3^7 reads its translates from the 5 * 3^12
+    # byte bool table (2.5 MiB), with no index array of the table's size
+    group = FiniteGroupSpec("vector", p=3, k=1, n=7, M1=[[1]], M2=[[2]])
+    indicator = (np.random.default_rng(6).random(group.size) < 0.4).astype(float)
+    popular_3pt_search(indicator[:243], FiniteGroupSpec("vector", p=3, k=1, n=5, M1=[[1]], M2=[[2]]), 0.1)
+    tracemalloc.start()
+    try:
+        rep = popular_3pt_search(indicator, group, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    for d in (1, 2, 1000, group.size - 1):
+        t1, t2 = (indicator[group.add_perm(int(group.apply(which, d)))] for which in (1, 2))
+        want = sum(indicator * t1 * t2)
+        assert rep.counts[d] == want / group.size
 
 
 def test_batched_cyclic_search_memory_stays_chunked():

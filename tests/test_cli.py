@@ -298,9 +298,9 @@ def test_non_finite_plgf_is_refused(capsys, tmp_path, scalar_spec_file):
             assert err["error"] == "CorruptLength" and message in err["message"]
 
 
-def _plgf_with(path, value):
-    """A float PLGF file on (F_5^2)^2 (p = 5, k = 2, n = 2): ones, and value at index 5."""
-    f = GridFunction(5, 2, 2, np.where(np.arange(625) == 5, value, 1.0), FLOAT)
+def _plgf_with(path, value, fill=1.0):
+    """A float PLGF file on (F_5^2)^2 (p = 5, k = 2, n = 2): fill, and value at index 5."""
+    f = GridFunction(5, 2, 2, np.where(np.arange(625) == 5, value, fill), FLOAT)
     write_grid_function(f, str(path))
     return str(path)
 
@@ -339,6 +339,26 @@ def test_overflowing_float_results_are_refused(capsys, tmp_path, spec_file):
                            env=env, capture_output=True, text=True, timeout=30)
     assert (child.returncode, child.stdout) == (1, "")
     assert "RuntimeWarning: overflow" in child.stderr and json.loads(child.stderr.splitlines()[-1]) == refusal
+
+
+def test_fnio_info_refuses_an_overflowing_mean(capsys, tmp_path):
+    # every value 1e307 on (F_5^2)^2: the mean is finite, but the float sum
+    # of the values is not, so fsum used to end in an OverflowError traceback
+    path = _plgf_with(tmp_path / "1e307.plgf", 1e307, fill=1e307)
+    refusal = {"tool": "popdiff", "error": "TooLarge",
+               "message": "p^(kn) max|f| = 6.25e+309 exceeds guard 1.79769e+308"}
+    assert dispatch(["fnio", "info", "--fn", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and [json.loads(line) for line in captured.err.splitlines()] == [refusal]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    child = subprocess.run([sys.executable, "-m", "popdiff.cli", "fnio", "info", "--fn", path],
+                           env=env, capture_output=True, text=True, timeout=30)
+    assert (child.returncode, child.stdout) == (1, "")
+    assert [json.loads(line) for line in child.stderr.splitlines()] == [refusal]
+    # a sum that stays in range still reports its mean
+    path = _plgf_with(tmp_path / "1e305.plgf", 1e305, fill=1e305)
+    assert dispatch(["fnio", "info", "--fn", path]) == 0
+    assert json.loads(capsys.readouterr().out)["report"]["mean"] == pytest.approx(1e305)
 
 
 @pytest.mark.parametrize("backend", ["exact", "float"])
@@ -522,9 +542,10 @@ def grammar_files(tmp_path_factory):
     docs = {"spec": {"p": 5, "k": 1, "M1": [[1]], "M2": [[2]]}, "group": {"kind": "Z_N", "N": 61, "M1": 2, "M2": 3},
             "factor": {"p": 3, "n": 2, "b1": [[1, 0]], "b2": [[[1, 0], [0, 1]]], "b3": [[[0, 1], [2, 0]]]},
             "rotated": {"p": 5, "k": 2, "M1": [[1, 0], [0, 1]], "M2": [[0, -1], [1, 0]]}}
-    # finite PLGF values on (F_5^2)^2 whose pattern sums overflow
+    # finite PLGF values on (F_5^2)^2 whose pattern sums, or whose plain sum, overflow
     paths = {"out": str(tmp / "out.plgf"), "fn-1e78": _plgf_with(tmp / "fn-1e78.plgf", 1e78),
-             "fn-1e200": _plgf_with(tmp / "fn-1e200.plgf", 1e200)}
+             "fn-1e200": _plgf_with(tmp / "fn-1e200.plgf", 1e200),
+             "fn-1e307": _plgf_with(tmp / "fn-1e307.plgf", 1e307, fill=1e307)}
     for name, doc in docs.items():
         paths[name] = str(tmp / f"{name}.json")
         (tmp / f"{name}.json").write_text(json.dumps(doc))
@@ -564,6 +585,7 @@ def _run_with_alarm(argv, seconds=10):
 @example(["popular", "--spec", "@rotated", "--fn", "@fn-1e78", "--full"])
 @example(["popular", "--spec", "@rotated", "--fn", "@fn-1e200"])
 @example(["popular", "--spec", "@rotated", "--k", "2", "--n", "0"])
+@example(["fnio", "info", "--fn", "@fn-1e307"])
 @settings(max_examples=60, deadline=None)
 def test_cli_argv_grammar_never_hangs_or_raises(grammar_files, argv):
     # one numeric flag of one subcommand set to a sweep value: the run ends
