@@ -13,7 +13,7 @@ exits 1 if there is any and 0 otherwise.
 
 The list: `check`/`subspaces` on three specs; `equidist` on three factors
 (abstract at k = 1, 2, linquad, and tuple with and without --restrict-h at
-k = 1, 2); the counterexample stages (core, dress at n = 1-4, eight-tuple,
+k = 1, 2); the counterexample stages (core, dress at n = 1-5, eight-tuple,
 hypergraph, report at n = 1-5, assemble at n = 1, 3, 4); exact and float
 `popular`; `popular` (4 and 3 points) and `count --d` on PLGF files this
 script writes, one per branch
@@ -22,8 +22,11 @@ denominators, rationals past the int64 sums, non-integer floats); `popular
 --full` on (F_7^2)^2 and (F_3^4)^2 in both backends, and on small integers
 over (F_3^4)^2; 0/1 `count`s on F_3^11, past 2^16 points; every argv
 of tests/equidist_reference.json and tests/subspaces_reference.json; the
-recorded `cex report` seeds of perfbench/cex_reference.json; `threept search`
-on Z_61, Z_1009, Z_10007, F_3^6 and F_3^7; and input errors that must end in
+recorded `cex report` seeds of perfbench/cex_reference.json; recursive
+`gowers` at s = 3, 4, 5 (F_3^5, F_7^2; F_3^3; F_3^2) and `--mode direct` at
+s = 3 (F_3^2, F_5^2), which read single translates and row blocks; `threept
+search` on Z_61, Z_1009, Z_10007, F_3^6 and F_3^7, `threept lift` at N = 30
+and 60, and `threept decompose` on Z_61; and input errors that must end in
 one JSON error line, PLGF files holding inf or nan among them.
 """
 
@@ -123,6 +126,7 @@ def invocations(refs: dict) -> list[list[str]]:
         ["cex", "dress", "--n", "3", "--L", "7", "--seeds", "5", "--seed", "4"],
         ["cex", "dress", "--n", "4", "--L", "5", "--seeds", "2"],
         ["cex", "dress", "--n", "4", "--L", "7", "--seeds", "3", "--seed", "1"],
+        ["cex", "dress", "--n", "5", "--L", "7", "--seeds", "2"],
         ["cex", "eight-tuple", "--n", "2", "--a", "[1,0]", "--b", "[0,1]"],
         ["cex", "eight-tuple", "--n", "2", "--a", "[1,1]", "--b", "[1,2]"],
         ["cex", "eight-tuple", "--n", "3"],
@@ -186,6 +190,14 @@ def invocations(refs: dict) -> list[list[str]]:
         ["threept", "search", "--group", "@group-f3-7", "--eps", "0.05", "--density", "0.4", "--seed", "7"],
         ["threept", "search", "--group", "@group-z10007", "--eps", "0.05", "--density", "0.45", "--seed", "8"],
         ["threept", "lift", "--N", "30", "--eps", "0.2", "--seed", "3"],
+        ["threept", "lift", "--N", "60", "--eps", "0.3"],
+        ["threept", "decompose", "--group", "@group"],
+        ["gowers", "--p", "3", "--n", "5", "--s", "3", "--seed", "1"],
+        ["gowers", "--p", "7", "--n", "2", "--s", "3", "--seed", "2"],
+        ["gowers", "--p", "3", "--n", "3", "--s", "4", "--seed", "3"],
+        ["gowers", "--p", "3", "--n", "2", "--s", "5", "--seed", "4"],
+        ["gowers", "--p", "3", "--n", "2", "--s", "3", "--mode", "direct", "--seed", "5"],
+        ["gowers", "--p", "5", "--n", "2", "--s", "3", "--mode", "direct", "--seed", "6"],
     ]
     return argvs
 

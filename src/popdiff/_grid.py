@@ -7,12 +7,11 @@ k x n matrix X over F_p flattens row-major, so digit (i*n + j) is entry
 radix-N, one-digit case (p = N, m = 1, k = n = 1).
 
 Linear maps and sums of elements are gathers through index arrays built
-here, the full addition table among them (add_table). Translates are views:
-Translates pads the (p,)*m tensor of an array periodically once, and a
-translate is a slice of that extension. RowTable serves blocks of
-translates: it lays the low digits out so that each translate is one
-contiguous window of a (2p - 1) p^(2m - 2)-entry table, and a block of them is
-one fancy index into that table's sliding windows.
+here, the full addition table among them (add_table). Translates serves the
+translates of an array by the index of the shift: one translate is a slice of
+the array's periodic extension, and a block of them is one fancy index into
+the sliding windows of a table that lays each translate out contiguously. Past
+the guard either is one gather through add_index.
 """
 
 from __future__ import annotations
@@ -77,72 +76,54 @@ def add_perm(p: int, m: int, shift_digits) -> np.ndarray:
     return q
 
 
-def translate_view(ext: np.ndarray, shift_digits) -> np.ndarray:
-    """v(x + s) for x in (Z/pZ)^m, as a view of ext, the periodic extension of
-    v made by Translates; axis j of both is digit m - 1 - j."""
-    p = (ext.shape[0] + 1) // 2 if len(shift_digits) else 1
-    s = [int(d) % p for d in shift_digits]
-    return ext[tuple(slice(d, d + p) for d in reversed(s)) + (Ellipsis,)]
-
-
 class Translates:
-    """The translates v(x + s) of an array v in index order (axes past the
-    first ride along). While the (2p - 1)^m points of the periodic extension
-    fit the guard, base is v as the (p,)*m tensor with digit 0 last, so that C
-    order is index order, and a translate is a view of the extension;
-    otherwise base is v and a translate is a gather through add_perm. Either
-    way a product of base and translates, flattened, is in index order."""
+    """The translates v(x + s) of a 1-d array v in index order, by the index of
+    s: at(s) is one translate, rows(shifts) a block of them as (B, p^m) rows.
+
+    ext is v as the (p,)*m tensor (axis 0 the top digit) padded periodically
+    to (2p - 1)^m points, and a single translate is a slice of it. A block reads
+    the table T[c, y, x] = v(top digit y mod p, low digits x + c) with
+    lo = p^(m - 1), of shape (lo, 2p - 1, lo), copied from strided views of ext
+    on the first call of rows, when ext is dropped: the translate by a shift
+    with low digits c and top digit y is the p^m values from offset
+    (c (2p - 1) + y) lo of T flattened, so a block is one fancy index into the
+    table's sliding windows. For m = 1 (Z_N, F_p) T is v doubled; for m = 0 it
+    is v. ext is built only while its points fit the guard, and T only while
+    its (2p - 1) p^(2m - 2) entries do; past that a translate or a block is
+    one gather through add_index."""
 
     def __init__(self, values, p: int, m: int, guard: int = DEFAULT_GUARD):
-        self.p, self.m, self.base, self.ext = p, m, np.asarray(values), None
-        if (2 * p - 1) ** m <= guard:
-            self.base = self.ext = self.base.reshape((p,) * m + self.base.shape[1:])
-            for j in range(m):  # append the first p - 1 slices along axis j
-                self.ext = np.concatenate([self.ext, self.ext[(slice(None),) * j + (slice(0, p - 1),)]], axis=j)
+        self.p, self.m, self.guard, self.base = p, m, guard, np.asarray(values)
+        self.ext = self.table = None
 
-    def __call__(self, shift_digits) -> np.ndarray:
+    def _extension(self) -> np.ndarray:
         if self.ext is None:
-            return self.base[add_perm(self.p, self.m, shift_digits)]
-        return translate_view(self.ext, shift_digits)
+            self.ext = np.pad(self.base.reshape((self.p,) * self.m), (0, self.p - 1), mode="wrap")
+        return self.ext
 
-    def at(self, index: int) -> np.ndarray:  # the translate by an element's index
-        return self(decode_index(self.p, self.m, int(index)))
+    def _gather(self, idx) -> np.ndarray:
+        return self.base[add_index(self.p, self.m, idx, np.arange(len(self.base)))]
 
-
-def row_table_size(p: int, m: int) -> int:
-    """Entries of a RowTable's table: (2p - 1) p^(2m - 2), or 1 for m = 0."""
-    return (2 * p - 1) * p ** (2 * m - 2) if m else 1
-
-
-class RowTable:
-    """The translates v(x + s) of a 1-d array v in index order, a block of
-    shifts at a time, as (B, p^m) rows.
-
-    With lo = p^(m - 1), the table is T[c, y, x] = v(top digit y mod p, low
-    digits x + c), of shape (lo, 2p - 1, lo), copied once from strided views
-    of the periodic extension. The translate by a shift with low digits c and
-    top digit y is then the p^m values from offset (c (2p - 1) + y) lo of T
-    flattened, so a block of translates is one fancy index into the table's
-    sliding windows. For m = 1 (Z_N, F_p) T is v doubled; for m = 0 it is v.
-    Past the guard table is None and a block is one gather through add_index."""
-
-    def __init__(self, values, p: int, m: int, guard: int = DEFAULT_GUARD):
-        self.p, self.m, self.base, self.table = p, m, np.asarray(values), None
-        if row_table_size(p, m) <= guard:
-            self.table = self.base
-            if m:
-                ext = np.pad(self.base.reshape((p,) * m), (0, p - 1), mode="wrap")  # axis 0 is the top digit
-                low = np.lib.stride_tricks.sliding_window_view(ext, (p,) * (m - 1), axis=tuple(range(1, m)))
-                # low[y, c..., x...] = ext[y, c + x]; move the c axes to the front
-                order = tuple(range(1, m)) + (0,) + tuple(range(m, 2 * m - 1))
-                self.table = np.ascontiguousarray(low.transpose(order)).reshape(-1)
-            self._windows = np.lib.stride_tricks.sliding_window_view(self.table, len(self.base))
+    def at(self, index: int) -> np.ndarray:
+        """The p^m values v(x + s) for the index of one shift s."""
+        p, m, index = self.p, self.m, int(index)
+        if (2 * p - 1) ** m > self.guard:
+            return self._gather(index)
+        return self._extension()[tuple(slice(d, d + p) for d in reversed(decode_index(p, m, index)))].reshape(-1)
 
     def rows(self, shift_indices) -> np.ndarray:
         """The (B, p^m) rows v(x + s_b) for the indices of a block of B shifts."""
         p, m, idx = self.p, self.m, np.asarray(shift_indices, dtype=np.int64)
+        if self.table is None and ((2 * p - 1) * p ** (2 * m - 2) if m else 1) <= self.guard:
+            self.table = self.base
+            if m:
+                low = np.lib.stride_tricks.sliding_window_view(self._extension(), (p,) * (m - 1), axis=tuple(range(1, m)))
+                # low[y, c..., x...] = ext[y, c + x]; move the c axes to the front
+                order = tuple(range(1, m)) + (0,) + tuple(range(m, 2 * m - 1))
+                self.table = np.ascontiguousarray(low.transpose(order)).reshape(-1)
+            self.ext, self._windows = None, np.lib.stride_tricks.sliding_window_view(self.table, len(self.base))
         if self.table is None:
-            return self.base[add_index(p, m, idx[:, None], np.arange(len(self.base)))]
+            return self._gather(idx[:, None])
         lo = p ** (m - 1) if m else 1
         low = idx % lo
         return self._windows[low * ((2 * p - 1) * lo) + (idx - low)]

@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import DEFAULT_GUARD
-from ._grid import RowTable, Translates, add_table, decode_digits, dft, digit_table, encode_digits, encode_index, linear_digits, linear_perm
+from ._grid import Translates, add_table, decode_digits, dft, digit_table, encode_digits, encode_index, linear_digits, linear_perm
 from .errors import DimensionMismatch, NotAutomorphism, NotMeasurable, TooLarge
 from .ffalg import FpMatrix, is_invertible, row_space_rank
 from .gridfn import (
@@ -128,7 +128,7 @@ class EquidistributionReport:
 
 def translate(f: GridFunction, shift: FpMatrix) -> np.ndarray:
     """Array of f(X + shift) indexed by X; the k x n shift's row-major entries are its digits."""
-    return Translates(f.values, f.p, f.k * f.n)(shift.entries).reshape(-1)
+    return Translates(f.values, f.p, f.k * f.n).at(encode_index(f.p, shift.entries))
 
 
 # ---------------------------------------------------------------------------
@@ -165,9 +165,10 @@ def pattern_sums(v: np.ndarray, p: int, m: int, shifts: list, guard: int = DEFAU
     and max|v|^points P < 2^62, math.fsum of each row otherwise. Blocks of
     translates are multiplied left to right, integers in bool for 0/1 values
     and in int64 otherwise; 0/1 rows are counted in uint16 while P < 2^16, as
-    no count exceeds P. Each translate is one window of a RowTable, whose
-    (2p - 1) p^(2m - 2)-entry table is built only within both guard and the
-    points D P reads; past that a block of translates is one gather."""
+    no count exceeds P. Each translate is one window of the row table of a
+    Translates, whose (2p - 1) p^(2m - 2) entries are built only within both
+    guard and the points D P reads; past that a block of translates is one
+    gather."""
     points, exact, P, D = len(shifts) + 1, v.dtype == object, len(v), len(shifts[0])
     if exact:
         bound = max(abs(x) for x in v) ** points
@@ -184,7 +185,7 @@ def pattern_sums(v: np.ndarray, p: int, m: int, shifts: list, guard: int = DEFAU
         total = lambda prod: prod.sum(axis=1, dtype=np.int64 if fits else object)
     else:
         total = lambda prod: np.array([math.fsum(row) for row in prod.tolist()])
-    tr = RowTable(v, p, m, min(guard, points * D * P))
+    tr = Translates(v, p, m, min(guard, points * D * P))
     base, step = tr.base, max(1, CHUNK_BYTES // (P * v.itemsize))
     sums = []
     with np.errstate(invalid="ignore"):  # inf * 0 is nan; finite overflow still warns
@@ -311,18 +312,16 @@ def _gowers_power_recursive(vals: np.ndarray, p: int, m: int, s: int, guard: int
         return abs(vals.mean()) ** 2
     if s == 2:
         return float(np.sum(np.abs(dft(vals, p, m) / len(vals)) ** 4))
-    digs = digit_table(p, m)
     tr = Translates(vals, p, m, guard)
     total = 0.0
-    for shift in digs:
-        deriv = (tr.base * np.conj(tr(shift))).reshape(-1)
-        total += _gowers_power_recursive(deriv, p, m, s - 1, guard)
-    return total / len(digs)
+    for h in range(len(vals)):
+        total += _gowers_power_recursive(vals * np.conj(tr.at(h)), p, m, s - 1, guard)
+    return total / len(vals)
 
 
 def _gowers_power_direct(vals: np.ndarray, p: int, m: int, s: int, guard: int) -> float:
     P = p**m
-    shifted = RowTable(vals, p, m, guard).rows(np.arange(P))
+    shifted = Translates(vals, p, m, guard).rows(np.arange(P))
     add = add_table(p, m)
     total = 0.0
     for h_tuple in itertools.product(range(P), repeat=s):
@@ -364,13 +363,13 @@ def von_neumann_check(fs: list[GridFunction], autos: list[FpMatrix], slack: floa
     p, k, n = base.p, base.k, base.n
     P = grid_size(p, k, n)
     trs = [Translates(f.values.astype(np.complex128), p, k * n) for f in fs]
-    shifts = [linear_digits(p, k, n, A.to_lists(), digit_table(p, k * n)) for A in autos]
+    shifts = [linear_perm(p, k, n, A.to_lists()) for A in autos]
     acc = 0.0 + 0.0j
     for d_idx in range(P):
-        prod = np.ones(trs[0].base.shape, dtype=np.complex128)
+        prod = np.ones(P, dtype=np.complex128)
         for tr, S in zip(trs, shifts):
-            prod = prod * tr(S[d_idx])
-        acc += prod.reshape(-1).mean()
+            prod = prod * tr.at(S[d_idx])
+        acc += prod.mean()
     lhs = abs(acc / P)
     rhs = min(gowers_norm(f, s - 1) for f in fs)
     return {"lhs": lhs, "rhs": rhs, "holds": lhs <= rhs + slack, "slack": slack}

@@ -67,8 +67,8 @@ def _emit(args: argparse.Namespace, payload: dict, t0: float) -> None:
         "wall_time_s": round(time.perf_counter() - t0, 6),
         "report": _jsonable(payload),
     }
-    # a cex ratio over an empty support is Infinity; elsewhere dispatch refuses inf and nan
-    text = json.dumps(line, sort_keys=True, allow_nan=args.subcommand == "cex")
+    # a report that holds inf or nan is not JSON; dispatch prints one error line instead
+    text = json.dumps(line, sort_keys=True, allow_nan=False)
     if args.json_out:
         with open(args.json_out, "a") as fh:
             fh.write(text + "\n")

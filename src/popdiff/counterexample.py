@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import DEFAULT_GUARD
-from ._grid import Translates, add_table, decode_index, digit_table, linear_perm
+from ._grid import add_table, decode_index, digit_table, encode_index, linear_perm
 from .errors import DependentDirections, TooLarge, ensure
 from .ffalg import FpMatrix, inverse_stack, is_invertible, mat_inverse, nullspace, row_space_rank
 from .gridfn import FLOAT, GridFunction
@@ -157,23 +157,32 @@ def f1_exact_mean(core: CexCore, n: int, guard: int = DEFAULT_GUARD) -> Fraction
 def f1_pattern_count_exact(core: CexCore, n: int, a, b, guard: int = DEFAULT_GUARD) -> Fraction:
     """beta_1(a, b): exact four-point density of f1 at the difference (a, b)."""
     F = f1_matrix(core, n, guard)
-    return Fraction(_pattern_count_matrix(_matrix_translates(F, n, guard), a, b), F.size)
+    return Fraction(support_pattern_counts(F, n, [(a, b)])[0], F.size)
 
 
-def _matrix_translates(F: np.ndarray, n: int, guard: int) -> tuple[Translates, Translates]:
-    """Translates over x of the rows of the (x, y)-indexed matrix F, and over
-    y of the column index: F(x + u, y + w) is rows(u) at columns cols(w)."""
-    return Translates(F, P5, n, guard), Translates(np.arange(F.shape[1]), P5, n, guard)
+def support_pattern_counts(F: np.ndarray, n: int, differences) -> list[int]:
+    """sum over (x, y) of prod_c F(x + cx a, y + cy b) over SHIFT_COEFFS, for
+    each (a, b) in differences, of the (x, y)-indexed (5^n, 5^n) matrix F.
 
-
-def _pattern_count_matrix(trs: tuple[Translates, Translates], a, b) -> int:
-    """sum over (x, y) of prod_c F(x + cx a, y + cy b) over SHIFT_COEFFS."""
-    rows, cols = trs
-    a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
-    prod = rows.base.astype(np.int64)
-    for cx, cy in SHIFT_COEFFS[1:]:
-        prod = prod * np.take(rows(cx * a), cols(cy * b).reshape(-1), axis=-1)
-    return int(prod.sum())
+    Only the support of F contributes, so each block of rows is scanned once
+    for its nonzero points, whose int64 values are multiplied by F read at the
+    shifted points through rows of the addition table."""
+    P = 5**n
+    add = add_table(P5, n)
+    reads = [[(add[encode_index(P5, cx * np.asarray(a))], add[encode_index(P5, cy * np.asarray(b))])
+              for cx, cy in SHIFT_COEFFS[1:]] for a, b in differences]
+    counts = [0] * len(differences)
+    step = max(1, 2**16 // P)
+    for start in range(0, P, step):
+        xs, ys = np.nonzero(F[start:start + step])
+        xs += start
+        weights = F[xs, ys].astype(np.int64)
+        for i, shifted in enumerate(reads):
+            prod = weights
+            for row_x, row_y in shifted:
+                prod = prod * F[row_x[xs], row_y[ys]]
+            counts[i] += int(prod.sum())
+    return counts
 
 
 def eight_tuple_distribution(a, b, n: int, guard: int = DEFAULT_GUARD) -> EquidistributionReport:
@@ -462,9 +471,12 @@ def dressed_h_matrix(core: CexCore, h: Hypergraphon, n: int, master_seed: int, s
     cells = [h.cells(_uniform_table(master_seed, seed_index, tid, P)) for tid in range(6)]
     lin = {c: linear_perm(P5, 1, n, [[c]]) for c in range(1, P5)}
     code = np.zeros((P, P), dtype=code_type)
+    step = max(1, 2**16 // P)  # np.take copies its int32 indices to intp: a block of rows at a time
     for cell, (alpha, beta) in zip(cells, F2_COMBOS):
+        table, rows = cell.astype(code_type)[lin[alpha % P5]], lin[beta * pow(alpha, -1, P5) % P5]
         code *= L
-        code += np.take(cell.astype(code_type)[lin[alpha % P5]], add)[lin[beta * pow(alpha, -1, P5) % P5]]
+        for start in range(0, P, step):
+            code[start:start + step] += np.take(table, add[rows[start:start + step]])
     out = f1.T * g2[code]
     ys, xs = np.nonzero(out)
     code = np.zeros(len(xs), dtype=np.int64)
@@ -542,8 +554,8 @@ def dress_and_measure(
     evidence, so the window never falls below the per-seed resolution over
     sqrt(seeds).
     """
-    if n < 1 or seeds < 1:
-        raise ValueError(f"n and seeds must be at least 1, got n = {n}, seeds = {seeds}")
+    if n < 1 or seeds < 2:  # an SE needs two samples
+        raise ValueError(f"n must be at least 1 and seeds at least 2, got n = {n}, seeds = {seeds}")
     P = 5**n
     exps = hypergraph_expectations(h)
     mean_g2 = exps["mean_g2"]
@@ -559,22 +571,21 @@ def dress_and_measure(
         differences.append(("a=0", np.zeros(n, dtype=np.int64), b))
 
     classes = [_difference_class(a, b) for _, a, b in differences]
+    pairs = [(a, b) for _, a, b in differences]
     alphas = []
     betas = [[] for _ in differences]
     for sidx in range(seeds):
         hm = dressed_h_matrix(core, h, n, master_seed, sidx, guard)
         alphas.append(hm.sum() / hm.size)
-        tr = _matrix_translates(hm, n, guard)
-        for i, (_, a, b) in enumerate(differences):
-            betas[i].append(_pattern_count_matrix(tr, a, b) / hm.size)
+        for series, count in zip(betas, support_pattern_counts(hm, n, pairs)):
+            series.append(count / hm.size)
 
     def within(measured, se, predicted):
         return abs(measured - predicted) <= 3 * max(se, 1 / (P * P * math.sqrt(seeds))) + FLOAT_SLACK
 
     def mc(vals):
         arr = np.asarray(vals, dtype=np.float64)
-        se = float(arr.std(ddof=1) / math.sqrt(len(arr))) if len(arr) > 1 else 0.0
-        return float(arr.mean()), se
+        return float(arr.mean()), float(arr.std(ddof=1) / math.sqrt(len(arr)))
 
     alpha_mean, alpha_se = mc(alphas)
     alpha_pred = f1_exact_mean(core, n) * mean_g2**2
@@ -592,9 +603,9 @@ def dress_and_measure(
         },
         "differences": [],
     }
-    f1 = _matrix_translates(f1_matrix(core, n, guard), n, guard)
-    for (label, a, b), lam_class, series in zip(differences, classes, betas):
-        beta1 = Fraction(_pattern_count_matrix(f1, a, b), P * P)
+    f1_counts = support_pattern_counts(f1_matrix(core, n, guard), n, pairs)
+    for (label, a, b), lam_class, series, count in zip(differences, classes, betas, f1_counts):
+        beta1 = Fraction(count, P * P)
         if lam_class == "generic":
             factor = mean_g2**8
         else:
@@ -819,7 +830,7 @@ def final_assembly(
         "subchecks": subchecks,
         "max_nonzero_beta": sparse["max_beta"],
         "argmax_ab": sparse["argmax"],
-        "max_ratio_to_alpha4": (sparse["max_beta"] / alpha_f**4) if alpha_f > 0 else float("inf"),
+        "max_ratio_to_alpha4": (sparse["max_beta"] / alpha_f**4) if alpha_f > 0 else None,  # undefined on an empty support
     }
 
 
@@ -883,15 +894,13 @@ def cex_report(params: DressingParams, seeds: int = 50, guard: int = DEFAULT_GUA
     h = Hypergraphon(params.L, lam)
     table = core_expectation_table(core)
     exps = hypergraph_expectations(h)
-    below = 0
     ratios = []
     alphas = []
     for sidx in range(seeds):
         rep = final_assembly(core, h, params, sidx, guard)
-        ratios.append(rep["max_ratio_to_alpha4"])
+        ratios.append(math.inf if rep["max_ratio_to_alpha4"] is None else rep["max_ratio_to_alpha4"])
         alphas.append(rep["alpha_f"])
-        if rep["max_ratio_to_alpha4"] < 1.0:
-            below += 1
+    quantiles = (float(np.min(ratios)), _median(ratios), float(np.max(ratios)))
     return {
         "params": {"n": params.n, "L": params.L, "gamma": params.gamma, "seed": params.seed},
         "seeds": seeds,
@@ -907,9 +916,9 @@ def cex_report(params: DressingParams, seeds: int = 50, guard: int = DEFAULT_GUA
             "exponent_ok": math.log(25 / 3) / math.log(5 / 3) >= 4.15,
         },
         "monte_carlo": {
-            "seeds_with_max_ratio_below_1": below,
+            "seeds_with_max_ratio_below_1": sum(1 for r in ratios if r < 1.0),
             "mean_alpha_f": float(np.mean(alphas)),
-            "max_ratio_quantiles": [float(np.min(ratios)), _median(ratios), float(np.max(ratios))],
+            "max_ratio_quantiles": [q if q < math.inf else None for q in quantiles],
         },
         "scope": {
             "constant_c_certified": False,

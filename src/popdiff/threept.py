@@ -441,7 +441,7 @@ def lift_to_interval(A, N: int, M1, M2, epsilon: float, guard: int = DEFAULT_GUA
         if d == 0:
             continue
         m1d, m2d = int(m1[d]), int(m2[d])
-        ok = (tr.base & tr.at(m1d) & tr.at(m2d)).reshape(-1) & band
+        ok = tr.base & tr.at(m1d) & tr.at(m2d) & band
         xs = x_all[ok]
         m1_shift = [signed(int(v)) for v in digs[m1d]]
         m2_shift = [signed(int(v)) for v in digs[m2d]]

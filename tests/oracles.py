@@ -20,6 +20,9 @@ factor-rank oracle ranks one FpMatrix combination at a time. The
 support-pair oracle finds the counterexample's last two pattern points by
 digit arithmetic and tests their membership with np.isin against the sorted
 support, the way sparse_pattern_max did before it read the addition table.
+The matrix pattern-count oracle multiplies np.roll translates of the whole
+dense matrix, the way the dressing was measured before it summed over the
+support.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from fractions import Fraction
 import numpy as np
 
 from popdiff._grid import add_index, digit_table, encode_digits, linear_perm
-from popdiff.counterexample import F2_COMBOS, F3_COMBOS, _uniform_table, f1_matrix
+from popdiff.counterexample import F2_COMBOS, F3_COMBOS, SHIFT_COEFFS, _uniform_table, f1_matrix
 from popdiff.errors import Singular
 from popdiff.ffalg import FpMatrix, FpPoly, char_poly, mat_inverse, negate_argument
 from popdiff.gridfn import RATIONAL, factor_image_coords, grid_decode, h_coset_labels
@@ -214,6 +217,18 @@ def dressed_h_by_combo_index(core, h, n: int, master_seed: int, seed_index: int,
             vals.append(cells[combo])
         out = out * h.tensor[vals[0], vals[1], vals[2]].astype(np.uint8)
     return out
+
+
+def pattern_count_by_roll(F: np.ndarray, n: int, a, b) -> int:
+    """sum over (x, y) of prod_c F(x + cx a, y + cy b) over SHIFT_COEFFS for
+    the (x, y)-indexed (5^n, 5^n) matrix F, by np.roll of the (5,)*n x (5,)*n
+    tensor whose axis j is digit j of x and axis n + j digit j of y."""
+    T = np.asarray(F, dtype=np.int64).reshape((5,) * (2 * n), order="F")
+    prod = T
+    for cx, cy in SHIFT_COEFFS[1:]:
+        shift = [-cx * int(d) for d in a] + [-cy * int(d) for d in b]
+        prod = prod * np.roll(T, shift=tuple(shift), axis=tuple(range(2 * n)))
+    return int(prod.sum())
 
 
 def sparse_pattern_max_by_isin(fm: np.ndarray, n: int, chunk_pairs: int = 2_000_000) -> dict:

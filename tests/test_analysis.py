@@ -305,12 +305,12 @@ def test_batched_pattern_sums_match_fraction_oracle(shape, case, data):
     chunk = data.draw(st.sampled_from((1, 3 * P, 7 * P * 8, analysis.CHUNK_BYTES)))
     seen = []
 
-    class SpyRowTable(analysis.RowTable):
+    class SpyTranslates(analysis.Translates):
         def __init__(self, values, *args):
             seen.append(np.asarray(values).dtype)
             super().__init__(values, *args)
 
-    with mock.patch.object(analysis, "RowTable", SpyRowTable), mock.patch.object(analysis, "CHUNK_BYTES", chunk):
+    with mock.patch.object(analysis, "Translates", SpyTranslates), mock.patch.object(analysis, "CHUNK_BYTES", chunk):
         sums, den = analysis._pattern_sums(f, analysis._pattern_mats(f, spec, points), d_indices, guard)
     assert seen == [np.dtype(want_dtype)]
     assert len(sums) == len(d_indices)

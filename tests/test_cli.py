@@ -230,8 +230,12 @@ def test_all_subcommand_paths_emit_valid_json(tmp_path, capsys, scalar_spec_file
         ["threept", "lift", "--N", "30", "--eps", "0.2", "--seed", "3"],
         ["fnio", "info", "--fn", str(plgf)],
     ]
+    def refuse(constant):
+        raise AssertionError(f"bare {constant} is not JSON")
+
     for argv in argvs:
-        code, lines = run_lines(capsys, argv)
+        code = dispatch(argv)
+        lines = [json.loads(line, parse_constant=refuse) for line in capsys.readouterr().out.splitlines() if line]
         assert code == 0, argv
         assert lines and lines[0]["tool"] == "popdiff", argv
 
@@ -478,6 +482,17 @@ def test_missing_or_malformed_input_is_one_error_line(capsys, tmp_path, argv, na
     assert err["tool"] == "popdiff"
     for name in names:
         assert resolve(name) in err["message"]
+
+
+@pytest.mark.parametrize("n", ["1", "4"])
+def test_cex_dress_refuses_a_single_seed(capsys, n):
+    # one seed has no standard error (at n = 4 it used to read 0 and fail the
+    # window); the refusal is one JSON error line
+    assert dispatch(["cex", "dress", "--n", n, "--L", "5", "--seeds", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and json.loads(captured.err) == {
+        "tool": "popdiff", "error": "ValueError",
+        "message": f"n must be at least 1 and seeds at least 2, got n = {n}, seeds = 1"}
 
 
 @pytest.mark.parametrize("n", ["1", "3"])

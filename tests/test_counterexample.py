@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -33,12 +34,13 @@ from popdiff.counterexample import (
     hypergraph_expectations,
     is_3ap_free,
     sparse_pattern_max,
+    support_pattern_counts,
     unique_triangle_check,
 )
 import popdiff.counterexample as cex
 from popdiff.counterexample import _GeneratorStack, _affine_membership
 
-from oracles import dressed_h_by_combo_index, membership_masks_by_inverse, sparse_pattern_max_by_isin
+from oracles import dressed_h_by_combo_index, membership_masks_by_inverse, pattern_count_by_roll, sparse_pattern_max_by_isin
 
 
 def test_core_invariants():
@@ -444,7 +446,7 @@ def test_dress_and_measure_predicts_from_vectors():
     assert wrong["differences"][0]["predicted"] == b2a["predicted"]
     assert wrong["differences"][0]["predicted"] != base["differences"][5]["predicted"]
     with pytest.raises(DependentDirections):
-        dress_and_measure(core, h, 2, 1, master_seed=3, differences=[("zero", [0, 0], [5, 0])])
+        dress_and_measure(core, h, 2, 2, master_seed=3, differences=[("zero", [0, 0], [5, 0])])
 
 
 def test_dress_default_differences_at_n1_have_no_generic_pair():
@@ -454,6 +456,38 @@ def test_dress_default_differences_at_n1_have_no_generic_pair():
     labels = [d["label"] for d in dress_and_measure(core, h, 1, 2, master_seed=3)["differences"]]
     assert labels == ["b=1a", "b=2a", "b=3a", "b=4a", "b=0", "a=0"]
     assert dress_and_measure(core, h, 2, 2, master_seed=3)["differences"][0]["label"] == "generic"
+
+
+@given(st.integers(1, 3), st.sampled_from(["0/1", "small"]), st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_support_pattern_counts_match_roll_oracle(n, values, seed):
+    # random 0/1 and small signed integer matrices; the differences include
+    # zero, b = lambda a, b = 0, a = 0 and a random pair
+    P = 5**n
+    rng = np.random.default_rng(seed)
+    F = rng.random((P, P)) < rng.uniform(0.05, 0.7)
+    F = F.astype(np.uint8) if values == "0/1" else F * rng.integers(-3, 4, (P, P))
+    a, b, zero = rng.integers(0, 5, n), rng.integers(0, 5, n), np.zeros(n, dtype=np.int64)
+    differences = [(zero, zero), (a, int(rng.integers(1, 5)) * a), (a, zero), (zero, b), (a, b)]
+    want = [pattern_count_by_roll(F, n, a, b) for a, b in differences]
+    assert support_pattern_counts(F, n, differences) == want
+    assert support_pattern_counts(np.asfortranarray(F), n, differences[::-1]) == want[::-1]
+
+
+def test_dress_and_measure_memory_stays_below_a_matrix_extension():
+    # the dressing is counted over its support: at n = 4 the whole
+    # measurement peaks below the 9^n x 5^n bytes of one periodic extension
+    # of the (5^n, 5^n) uint8 matrix over its rows
+    core, h, n = build_core(), Hypergraphon(7, ap3_free_set(7, "exhaustive-max")), 4
+    want = dress_and_measure(core, h, n, 2, master_seed=1)  # fills the table caches outside the measurement
+    tracemalloc.start()
+    try:
+        got = dress_and_measure(core, h, n, 2, master_seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak < 9**n * 5**n
 
 
 def test_final_assembly_and_sparse_max():

@@ -37,15 +37,14 @@ from popdiff.gridfn import (
 )
 from popdiff import DEFAULT_GUARD
 from popdiff._grid import (
-    RowTable,
     Translates,
     add_index,
     add_perm,
     add_table,
+    decode_index,
     digit_table,
     encode_digits,
-    row_table_size,
-    translate_view,
+    encode_index,
 )
 from popdiff.analysis import translate
 from popdiff.patterns import coord_index
@@ -104,52 +103,54 @@ def translate_cases(draw):
 @given(translate_cases(), st.integers(0, 2**32 - 1))
 @settings(max_examples=150, deadline=None)
 def test_translate_view_matches_roll_oracle(case, seed):
-    # a view of the periodic extension, and the gather forced by guard 0,
-    # both equal np.roll; so do products with base and trailing axes
+    # a slice of the periodic extension, and the gather forced by guard 0,
+    # both equal np.roll; so do products with base
     p, m, shift = case
     rng = np.random.default_rng(seed)
-    vals, pairs = rng.random(p**m), rng.random((p**m, 2))
+    vals = rng.random(p**m)
     expected = roll_translate(vals, p, m, [s % p for s in shift])
     for guard in (DEFAULT_GUARD, 0):
         tr = Translates(vals, p, m, guard)
+        got = tr.at(encode_index(p, shift))
         assert (tr.ext is None) == (guard == 0)
-        if tr.ext is not None:
-            view = translate_view(tr.ext, shift)
-            assert np.shares_memory(view, tr.ext) and view.shape == (p,) * m
-            assert np.array_equal(view.reshape(-1), expected)
-        assert np.array_equal(tr(shift).reshape(-1), expected)
-        assert np.array_equal((tr.base * tr(shift)).reshape(-1), vals * expected)
-        got = Translates(pairs, p, m, guard)(shift).reshape(-1, 2)
-        for c in range(2):
-            assert np.array_equal(got[:, c], roll_translate(pairs[:, c], p, m, [s % p for s in shift]))
+        assert got.shape == (p**m,) and np.array_equal(got, expected)
+        assert np.array_equal(tr.base * got, vals * expected)
 
 
 @given(st.data())
 @settings(max_examples=120, deadline=None)
 def test_row_table_matches_add_perm_oracle(data):
-    # every row of a block of shifts is v gathered through add_perm: a window
-    # of the table at the guard, the add_index gather one below it; on F_p^m
-    # for p in {3, 5, 7} and m in 0..4, and on Z_N, for every value dtype
+    # one translate (at) and every row of a block of shifts (rows) is v
+    # gathered through add_perm, with the guard at the row table's size, at
+    # the periodic extension's, and one below each: a slice of the extension,
+    # a window of the table or the add_index gather. at alone never builds
+    # the table, and the table replaces the extension. On F_p^m for p in
+    # {3, 5, 7} and m in 0..4, and on Z_N, for every value dtype
     if data.draw(st.booleans()):
         p, m = data.draw(st.integers(2, 300)), 1
     else:
         p, m = data.draw(st.sampled_from([3, 5, 7])), data.draw(st.integers(0, 4))
-    P, size = p**m, row_table_size(p, m)
+    P, ext_size, table_size = p**m, (2 * p - 1) ** m, (2 * p - 1) * p ** (2 * m - 2) if m else 1
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     dtype = data.draw(st.sampled_from([bool, np.int64, np.float64, np.complex128, object]))
     vals = rng.integers(-50, 50, P).astype(dtype)
     if dtype is object:
         vals = np.array([int(x) * 10**20 for x in vals], dtype=object)
     shifts = data.draw(st.lists(st.lists(st.integers(-2 * p, 2 * p), min_size=m, max_size=m), min_size=1, max_size=12))
-    guard = data.draw(st.sampled_from((size, size - 1)))
-    tr = RowTable(vals, p, m, guard)
-    assert (tr.table is None) == (guard < size)
+    indices = encode_digits(np.array(shifts, dtype=np.int64).reshape(len(shifts), m), p)
+    guard = data.draw(st.sampled_from((table_size, table_size - 1, ext_size, ext_size - 1)))
+    tr = Translates(vals, p, m, guard)
+    for s in indices:
+        assert np.array_equal(tr.at(s), vals[add_perm(p, m, decode_index(p, m, int(s)))])
+    assert tr.table is None and (tr.ext is not None) == (guard >= ext_size)
+    rows = tr.rows(indices)
+    assert (tr.table is None) == (guard < table_size)
     if tr.table is not None:
-        assert tr.table.shape == (size,) and tr.table.dtype == vals.dtype
-    rows = tr.rows(encode_digits(np.array(shifts, dtype=np.int64).reshape(len(shifts), m), p))
+        assert tr.table.shape == (table_size,) and tr.table.dtype == vals.dtype and tr.ext is None
     assert rows.shape == (len(shifts), P) and rows.dtype == vals.dtype
     for s, row in zip(shifts, rows):
         assert np.array_equal(row, vals[add_perm(p, m, s)])
+        assert np.array_equal(tr.at(encode_index(p, s)), row)
 
 
 def test_rational_values_hold_python_ints():
