@@ -26,8 +26,12 @@ recorded `cex report` seeds of perfbench/cex_reference.json; recursive
 `gowers` at s = 3, 4, 5 (F_3^5, F_7^2; F_3^3; F_3^2) and `--mode direct` at
 s = 3 (F_3^2, F_5^2), which read single translates and row blocks; `threept
 search` on Z_61, Z_1009, Z_10007, F_3^6 and F_3^7, `threept lift` at N = 30
-and 60, and `threept decompose` on Z_61; and input errors that must end in
-one JSON error line, PLGF files holding inf or nan among them.
+and 60, and `threept decompose` on Z_61; input errors that must end in one
+JSON error line, PLGF files holding inf or nan among them; and one guard
+refusal per check the CLI reaches, at a `--guard` one below its estimate:
+`popular`, recursive and direct `gowers`, `equidist` linquad, tuple and
+abstract, `cex eight-tuple`, `dress`, `assemble` and `report`, and `threept
+lift`.
 """
 
 from __future__ import annotations
@@ -198,6 +202,20 @@ def invocations(refs: dict) -> list[list[str]]:
         ["gowers", "--p", "3", "--n", "2", "--s", "5", "--seed", "4"],
         ["gowers", "--p", "3", "--n", "2", "--s", "3", "--mode", "direct", "--seed", "5"],
         ["gowers", "--p", "5", "--n", "2", "--s", "3", "--mode", "direct", "--seed", "6"],
+    ]
+    # every guard refusal the CLI reaches, each at a guard one below its estimate
+    argvs += [
+        ["popular", "--spec", "@scalar-p5", "--p", "5", "--n", "2", "--guard", "624"],
+        ["gowers", "--p", "3", "--n", "2", "--s", "3", "--guard", "80"],
+        ["gowers", "--p", "3", "--n", "2", "--s", "3", "--mode", "direct", "--guard", "6560"],
+        ["equidist", "--factor", "@sym-p3", "--mode", "linquad", "--guard", "26"],
+        ["equidist", "--factor", "@sym-p3", "--mode", "tuple", "--J", "[[2]]", "--guard", "728"],
+        ["equidist", "--factor", "@sym-p3", "--mode", "abstract", "--k", "1", "--guard", "728"],
+        ["cex", "eight-tuple", "--n", "2", "--a", "[1,0]", "--b", "[0,1]", "--guard", "624"],
+        ["cex", "dress", "--n", "2", "--L", "5", "--seeds", "2", "--guard", "624"],
+        ["cex", "assemble", "--n", "2", "--L", "5", "--guard", "624"],
+        ["cex", "report", "--n", "2", "--L", "5", "--seeds", "2", "--guard", "624"],
+        ["threept", "lift", "--N", "30", "--eps", "0.2", "--guard", "30"],
     ]
     return argvs
 

@@ -17,20 +17,17 @@ import numpy as np
 
 from . import DEFAULT_GUARD
 from ._grid import Translates, add_table, decode_digits, dft, digit_table, encode_digits, encode_index, linear_digits, linear_perm
-from .errors import DimensionMismatch, NotAutomorphism, NotMeasurable, TooLarge
+from .errors import FLOAT_MAX, DimensionMismatch, NotAutomorphism, NotMeasurable, TooLarge, check_guard, float_range_error
 from .ffalg import FpMatrix, is_invertible, row_space_rank
 from .gridfn import (
     COMPLEX,
     FLOAT,
-    FLOAT_MAX,
     RATIONAL,
     GridFunction,
     GridPoint,
     QuadraticFactor,
     atom_images,
-    atom_partition,
     conditional_expectation,
-    float_range_error,
     grid_size,
     h_coset_labels,
 )
@@ -239,8 +236,7 @@ def popular_search(
     """
     mats = _pattern_mats(f, spec, points)
     P = f.size
-    if P * P > guard:
-        raise TooLarge(f"p^(2kn) = {P * P} exceeds guard {guard}")
+    check_guard("p^(2kn)", P * P, guard)
     alpha = f.mean()
     exact = f.kind == RATIONAL
     threshold = alpha**points - (Fraction(epsilon).limit_denominator(10**9) if exact else epsilon)
@@ -294,12 +290,10 @@ def gowers_norm(f: GridFunction, s: int, mode: str = "recursive", guard: int = D
     p, m = f.p, f.k * f.n
     vals = f.values.astype(np.complex128) if f.kind != COMPLEX else f.values
     if mode == "recursive":
-        if f.size ** (s - 1) > guard:
-            raise TooLarge(f"p^((s-1)kn) = {f.size ** (s - 1)} exceeds guard {guard}")
+        check_guard("p^((s-1)kn)", f.size ** (s - 1), guard)
         power = _gowers_power_recursive(vals, p, m, s, guard)
     elif mode == "direct":
-        if f.size ** (s + 1) > guard:
-            raise TooLarge(f"p^((s+1)kn) = {f.size ** (s + 1)} exceeds guard {guard}")
+        check_guard("p^((s+1)kn)", f.size ** (s + 1), guard)
         power = _gowers_power_direct(vals, p, m, s, guard)
     else:
         raise ValueError(f"unknown mode {mode!r}")
@@ -384,8 +378,7 @@ def linear_quadratic_distribution(
 ) -> EquidistributionReport:
     """Exact joint histogram of (r_i^T x)_i and (x^T M_i x)_i over F_p^n: the
     atoms of the k = 1 factor with linear part Gamma and quadratic part Phi."""
-    if p**n > guard:
-        raise TooLarge(f"p^n = {p ** n} exceeds guard {guard}")
+    check_guard("p^n", p**n, guard)
     if not all(M.is_symmetric() for M in Phi):
         raise DimensionMismatch("Phi entries must be symmetric")
     factor = QuadraticFactor(p, n, tuple(tuple(r) for r in Gamma), tuple(Phi), ())
@@ -398,11 +391,10 @@ def linear_quadratic_distribution(
 def factor_image_distribution(factor: QuadraticFactor, k: int, guard: int = DEFAULT_GUARD) -> EquidistributionReport:
     """Histogram of the factor image map over all grid points (atom sizes)."""
     p, n = factor.p, factor.n
-    if p ** (k * n) > guard:
-        raise TooLarge(f"p^(kn) = {p ** (k * n)} exceeds guard {guard}")
-    ids, count = atom_partition(factor, k)
+    check_guard("p^(kn)", p ** (k * n), guard)
+    ids, atoms = atom_images(factor, k)
     dim = sum(width * d for width, d in zip(_widths(k).values(), factor.complexity))
-    return EquidistributionReport.from_counts(np.bincount(ids, minlength=count), len(ids), p, dim)
+    return EquidistributionReport.from_counts(np.bincount(ids, minlength=len(atoms)), len(ids), p, dim)
 
 
 def _widths(k: int) -> dict[str, int]:
@@ -458,8 +450,7 @@ def pattern_tuple_histogram(
     p, n = factor.p, factor.n
     k = J.rows
     P = grid_size(p, k, n)
-    if P * P > guard:
-        raise TooLarge(f"p^(2kn) = {P * P} exceeds guard {guard}")
+    check_guard("p^(2kn)", P * P, guard)
     ids, atoms = atom_images(factor, k)
     A = len(atoms)
     if A**4 >= 2**63:
@@ -558,9 +549,9 @@ def abstract_atom_histogram(factor: QuadraticFactor, k: int, guard: int = DEFAUL
     partial codes; ranks keep the order."""
     p, n = factor.p, factor.n
     P = grid_size(p, k, n)
-    if P * P > guard:
-        raise TooLarge(f"p^(2kn) = {P * P} exceeds guard {guard}")
-    ids, A = atom_partition(factor, k)
+    check_guard("p^(2kn)", P * P, guard)
+    ids, atoms = atom_images(factor, k)
+    A = len(atoms)
     code, span = (ids[:, None] * A + ids[None, :]).reshape(-1), A * A
     X = digit_table(p, k * n).reshape(P, k, n)
     for M in list(factor.b2) + list(factor.b3):
@@ -604,8 +595,7 @@ def structured_pattern_average(
         if not np.allclose(proj.values.astype(float), f.values.astype(float), atol=1e-10):
             raise NotMeasurable("f is not constant on the atoms of the factor")
     P = f.size
-    if P * P > guard:
-        raise TooLarge(f"p^(2kn) = {P * P} exceeds guard {guard}")
+    check_guard("p^(2kn)", P * P, guard)
     labels = h_coset_labels(factor, k)
     d_indices = np.nonzero(np.all(labels == 0, axis=1))[0]
     I = FpMatrix.identity(k, p)

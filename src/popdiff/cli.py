@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import DEFAULT_GUARD, __version__
-from .errors import CheckFailed, PopdiffError, TooLarge
+from .errors import CheckFailed, PopdiffError, check_guard, is_int_tree
 from .ffalg import FpMatrix
 from .gridfn import (
     FLOAT,
@@ -105,11 +105,6 @@ def _load_json(args, flag: str, cls=None):
         raise ValueError(f"--{flag} {path}: {exc}") from None
 
 
-def _is_int_list(value, depth: int) -> bool:
-    return isinstance(value, list) and all(
-        _is_int_list(v, depth - 1) if depth > 1 else type(v) is int for v in value)
-
-
 def _int_lists(args, flag: str, depth: int = 1) -> list:
     """The inline JSON of --flag: a list of integers, or at depth 2 a list of such lists."""
     text = getattr(args, flag)
@@ -117,7 +112,7 @@ def _int_lists(args, flag: str, depth: int = 1) -> list:
         value = json.loads(text)
     except json.JSONDecodeError:
         value = None
-    if not _is_int_list(value, depth):
+    if not is_int_tree(value, depth):
         raise ValueError(f"--{flag} {text}: expected a JSON list of {'lists of ' * (depth - 1)}integers")
     return value
 
@@ -130,8 +125,7 @@ def _coin_flips(args, size: int) -> np.ndarray:
 def _random_fn(args) -> GridFunction:
     """The seeded random 0/1 function on the --p/--k/--n grid, in the --backend's kind."""
     size = grid_size(args.p, args.k, args.n)
-    if size > args.guard:  # before the draw, so that a huge grid allocates nothing
-        raise TooLarge(f"p^(kn) = {size} exceeds guard {args.guard}")
+    check_guard("p^(kn)", size, args.guard)  # before the draw, so that a huge grid allocates nothing
     vals = _coin_flips(args, size).astype(np.int64)
     if args.backend == "exact":
         return GridFunction(args.p, args.k, args.n, vals, RATIONAL, guard=args.guard)
@@ -139,7 +133,10 @@ def _random_fn(args) -> GridFunction:
 
 
 def _load_fn(args) -> GridFunction:
-    return read_grid_function(args.fn) if args.fn else _random_fn(args)
+    """The function in the --fn file, or else the seeded random one; either is refused past --guard."""
+    f = read_grid_function(args.fn) if args.fn else _random_fn(args)
+    check_guard("p^(kn)", f.size, args.guard)
+    return f
 
 
 # -- subcommand handlers; each returns (payload, math_ok) --------------------
@@ -231,7 +228,9 @@ def _cmd_cex(args):
 
 
 def _cmd_threept(args):
-    g = _load_json(args, "group", tp.FiniteGroupSpec) if args.tp_op != "lift" else None
+    if args.tp_op != "lift":
+        g = _load_json(args, "group", tp.FiniteGroupSpec)
+        check_guard("group order", g.size, args.guard)
     if args.tp_op in ("bohr", "count"):
         B = tp.bohr_set(g, _int_lists(args, "S"), Fraction(args.delta).limit_denominator(10**9))
     if args.tp_op == "bohr":
@@ -275,7 +274,8 @@ def _cmd_fnio(args):
         f = _random_fn(args)
         write_grid_function(f, args.out)
         return {"out": args.out, "mean": f.mean()}, True
-    f = read_grid_function(_required(args, "fn"))
+    _required(args, "fn")
+    f = _load_fn(args)
     if args.io_op == "info":
         return {"p": f.p, "k": f.k, "n": f.n, "kind": f.kind, "size": f.size, "mean": f.mean()}, True
     if args.io_op == "roundtrip":

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import DEFAULT_GUARD
 from ._grid import add_table, decode_index, digit_table, encode_index, linear_perm
-from .errors import DependentDirections, TooLarge, ensure
+from .errors import DependentDirections, TooLarge, check_guard, ensure
 from .ffalg import FpMatrix, inverse_stack, is_invertible, mat_inverse, nullspace, row_space_rank
 from .gridfn import FLOAT, GridFunction
 from .patterns import PatternSpec, SubspaceBasis
@@ -43,7 +43,7 @@ F2_COMBOS = ((-1, -1), (-2, 2), (2, 1))
 F3_COMBOS = ((-1, -2), (-2, -1), (2, 2))
 
 
-@dataclass(frozen=True, eq=False)  # immutable and hashed by identity, so f1_matrix can cache per core
+@dataclass(frozen=True, eq=False)  # immutable and hashed by identity, so _f1_cached can cache per core
 class CexCore:
     S: tuple[tuple[int, int], ...]
     g1: np.ndarray  # 5x5 0/1 table, g1[u, v]
@@ -128,11 +128,15 @@ def diagonalize_rotated_square() -> dict:
 # f1 and the eight-tuple distribution
 
 
-@functools.lru_cache(maxsize=1)
 def f1_matrix(core: CexCore, n: int, guard: int = DEFAULT_GUARD) -> np.ndarray:
-    """f1 as a read-only (5^n, 5^n) 0/1 matrix indexed by (x index, y index), kept for the last core."""
-    if 5 ** (2 * n) > guard:
-        raise TooLarge(f"5^(2n) = {5 ** (2 * n)} exceeds guard {guard}")
+    """f1 as a read-only (5^n, 5^n) 0/1 matrix indexed by (x index, y index)."""
+    check_guard("5^(2n)", 5 ** (2 * n), guard)
+    return _f1_cached(core, n)
+
+
+@functools.lru_cache(maxsize=1)
+def _f1_cached(core: CexCore, n: int) -> np.ndarray:
+    """The matrix of f1_matrix, kept for the last (core, n); the guard is checked outside the cache."""
     digs = digit_table(P5, n)
     xx = np.einsum("xi,xi->x", digs, digs) % 5
     xy = (digs @ digs.T) % 5
@@ -200,8 +204,7 @@ def eight_tuple_distribution(a, b, n: int, guard: int = DEFAULT_GUARD) -> Equidi
         raise DependentDirections("direction vectors must have length n")
     if not a.any() or not b.any() or row_space_rank([a, b], 5) < 2:
         raise DependentDirections("a, b must be nonzero and not multiples of each other")
-    if 5 ** (2 * n) > guard:
-        raise TooLarge(f"5^(2n) = {5 ** (2 * n)} exceeds guard {guard}")
+    check_guard("5^(2n)", 5 ** (2 * n), guard)
     digs = digit_table(P5, n)
     P = 5**n
     la = (digs @ a) % 5
@@ -461,8 +464,6 @@ def dressed_h_matrix(core: CexCore, h: Hypergraphon, n: int, master_seed: int, s
     formed in (y, x) order and returned transposed. Where f1 F2 is 0, h is 0
     whatever F3 reads, so F3 is read only at the support of f1 F2.
     """
-    if 5 ** (2 * n) > guard:
-        raise TooLarge(f"5^(2n) = {5 ** (2 * n)} exceeds guard {guard}")
     P = 5**n
     f1 = f1_matrix(core, n, guard)  # first, so its (P, P) int64 temporaries meet no code table
     add = add_table(P5, n)
@@ -588,7 +589,7 @@ def dress_and_measure(
         return float(arr.mean()), float(arr.std(ddof=1) / math.sqrt(len(arr)))
 
     alpha_mean, alpha_se = mc(alphas)
-    alpha_pred = f1_exact_mean(core, n) * mean_g2**2
+    alpha_pred = f1_exact_mean(core, n, guard) * mean_g2**2
     report = {
         "n": n,
         "L": h.L,
@@ -850,7 +851,6 @@ def sparse_pattern_max(fm: np.ndarray, n: int, chunk_pairs: int = 2_000_000) -> 
     add = add_table(P5, n)
     neg, two, three = (linear_perm(P5, 1, n, [[c]]) for c in (-1, 2, 3))
     inside = fm.astype(bool)
-    hits = np.zeros(P * P, dtype=np.int64)
     rows_per_chunk = max(1, chunk_pairs // K)
     for start in range(0, K, rows_per_chunk):
         x1 = xs[start:start + rows_per_chunk, None]
@@ -862,7 +862,8 @@ def sparse_pattern_max(fm: np.ndarray, n: int, chunk_pairs: int = 2_000_000) -> 
         ok = inside[add[x1, two[a]], add[y1, two[nb]]]
         x1, y1, a, nb = x1[ok], y1[ok], a[ok], nb[ok]
         ok = inside[add[x1, three[a]], add[y1, nb]]
-        hits += np.bincount(a[ok].astype(np.int64) * P + neg[nb[ok]], minlength=P * P)
+        counts = np.bincount(a[ok].astype(np.int64) * P + neg[nb[ok]], minlength=P * P)
+        hits = np.add(hits, counts, out=hits) if start else counts  # later chunks add into the first's
     hits[0] = 0  # the zero difference: every support point paired with itself
     best_code = int(np.argmax(hits))
     if hits[best_code] == 0:

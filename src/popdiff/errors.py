@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the checks that raise them."""
+
+import sys
+
+FLOAT_MAX = sys.float_info.max
 
 
 class PopdiffError(Exception):
@@ -66,3 +70,35 @@ def ensure(condition, message: str) -> None:
     check survives python -O."""
     if not condition:
         raise CheckFailed(message)
+
+
+def too_large(formula: str, estimate, limit) -> TooLarge:
+    """The one form of a guard refusal: "<formula> = <estimate> exceeds guard <limit>"."""
+    return TooLarge(f"{formula} = {estimate} exceeds guard {limit}")
+
+
+def check_guard(formula: str, estimate: int, guard: int) -> None:
+    """Raise too_large(formula, estimate, guard) when the integer work estimate passes the guard."""
+    if estimate > guard:
+        raise too_large(formula, estimate, guard)
+
+
+def float_range_error(formula: str, log10_estimate: float) -> TooLarge:
+    """The refusal of a float computation whose estimate, given by its base-10 logarithm, passes the float range."""
+    mantissa, exponent = 10 ** (log10_estimate % 1), int(log10_estimate)
+    return too_large(formula, f"{mantissa:.3g}e+{exponent}", f"{FLOAT_MAX:.6g}")
+
+
+def is_int_tree(value, depth: int) -> bool:
+    """value is an int, not a bool, at depth 0, and a list of depth - 1 such values at depth > 0."""
+    if depth == 0:
+        return type(value) is int
+    return isinstance(value, list) and all(is_int_tree(v, depth - 1) for v in value)
+
+
+def int_field(obj: dict, key: str, depth: int = 0):
+    """obj[key] of a JSON document where is_int_tree(obj[key], depth) holds; else a ValueError naming the key."""
+    if not is_int_tree(obj[key], depth):
+        kind = f"a list of {'lists of ' * (depth - 1)}integers" if depth else "an integer"
+        raise ValueError(f"{key!r} must be {kind}, got {obj[key]!r}")
+    return obj[key]

@@ -178,13 +178,6 @@ class FpMatrix:
     def scalar(cls, n: int, c: int, p: int) -> "FpMatrix":
         return cls(n, n, [c if i == j else 0 for i in range(n) for j in range(n)], p)
 
-    @classmethod
-    def from_json_obj(cls, obj: Sequence[Sequence[int]], p: int) -> "FpMatrix":
-        return cls.from_rows(obj, p)
-
-    def to_json_obj(self) -> list[list[int]]:
-        return self.to_lists()
-
     # -- access -------------------------------------------------------
 
     def __getitem__(self, rc: tuple[int, int]) -> int:

@@ -23,9 +23,12 @@ from .errors import (
     CorruptLength,
     DimensionMismatch,
     NotSymmetric,
-    TooLarge,
     VersionMismatch,
+    check_guard,
     ensure,
+    float_range_error,
+    int_field,
+    too_large,
 )
 from .ffalg import FpMatrix, rank_stack, row_space_rank, rref, validate_odd_prime
 from .patterns import SubspaceBasis, coord_index
@@ -34,16 +37,6 @@ RATIONAL = "rational"
 FLOAT = "float"
 COMPLEX = "complex"
 _KINDS = (RATIONAL, FLOAT, COMPLEX)
-
-
-FLOAT_MAX = float(np.finfo(np.float64).max)
-
-
-def float_range_error(formula: str, log10_estimate: float) -> TooLarge:
-    """The refusal of a float computation whose estimate formula, given by its
-    base-10 logarithm, passes the float range."""
-    mantissa, exponent = 10 ** (log10_estimate % 1), int(log10_estimate)
-    return TooLarge(f"{formula} = {mantissa:.3g}e+{exponent} exceeds guard {FLOAT_MAX:.6g}")
 
 
 # ---------------------------------------------------------------------------
@@ -95,8 +88,7 @@ class GridFunction:
         if kind not in _KINDS:
             raise ValueError(f"unknown value kind {kind!r}")
         size = grid_size(p, k, n)
-        if size > guard:
-            raise TooLarge(f"p^(kn) = {size} exceeds guard {guard}")
+        check_guard("p^(kn)", size, guard)
         if kind == RATIONAL:
             arr = np.empty(size, dtype=object)
             # numpy integers as Python ints: Fraction arithmetic on np.int64 wraps
@@ -117,8 +109,7 @@ class GridFunction:
     @classmethod
     def constant(cls, p: int, k: int, n: int, value, kind: str = FLOAT, guard: int = DEFAULT_GUARD) -> "GridFunction":
         size = grid_size(p, k, n)
-        if size > guard:
-            raise TooLarge(f"p^(kn) = {size} exceeds guard {guard}")
+        check_guard("p^(kn)", size, guard)
         return cls(p, k, n, [value] * size, kind, guard=guard)
 
     @classmethod
@@ -223,13 +214,13 @@ class QuadraticFactor:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "QuadraticFactor":
-        p = obj["p"]
+        p = int_field(obj, "p")
         return cls(
             p,
-            obj["n"],
-            tuple(tuple(r) for r in obj["b1"]),
-            tuple(FpMatrix.from_rows(M, p) for M in obj["b2"]),
-            tuple(FpMatrix.from_rows(N, p) for N in obj["b3"]),
+            int_field(obj, "n"),
+            tuple(tuple(r) for r in int_field(obj, "b1", 2)),
+            tuple(FpMatrix.from_rows(M, p) for M in int_field(obj, "b2", 3)),
+            tuple(FpMatrix.from_rows(N, p) for N in int_field(obj, "b3", 3)),
         )
 
 
@@ -238,9 +229,6 @@ class FactorImage:
     b1: tuple[tuple[int, ...], ...]
     b2: tuple[FpMatrix, ...]
     b3: tuple[FpMatrix, ...]
-
-    def key(self) -> tuple:
-        return (self.b1, tuple(M.entries for M in self.b2), tuple(N.entries for N in self.b3))
 
 
 def factor_eval(factor: QuadraticFactor, X: FpMatrix) -> FactorImage:
@@ -284,12 +272,6 @@ def atom_images(factor: QuadraticFactor, k: int) -> tuple[np.ndarray, np.ndarray
     return ids, atoms
 
 
-def atom_partition(factor: QuadraticFactor, k: int) -> tuple[np.ndarray, int]:
-    """Atom id per grid index (one pass over the image map), and atom count."""
-    ids, atoms = atom_images(factor, k)
-    return ids, len(atoms)
-
-
 def factor_rank(factor: QuadraticFactor, guard: int = 10**7) -> int:
     """Largest r with the linear parts independent and every nontrivial
     combination of the quadratic parts of rank >= r; 0 if the linear part is
@@ -300,8 +282,7 @@ def factor_rank(factor: QuadraticFactor, guard: int = 10**7) -> int:
         return 0
     if d2 + d3 == 0:
         return n
-    if p ** (d2 + d3) > guard:
-        raise TooLarge(f"p^(d2+d3) = {p ** (d2 + d3)} exceeds guard {guard}")
+    check_guard("p^(d2+d3)", p ** (d2 + d3), guard)
     mats = np.array([M.to_lists() for M in (*factor.b2, *factor.b3)], dtype=np.int64)
     coeffs = digit_table(p, d2 + d3)[1:]  # every nontrivial combination
     chunk = max(1, 2**18 // max(n, 1) ** 2)  # matrices ranked per stacked elimination
@@ -320,15 +301,15 @@ def conditional_expectation(f: GridFunction, factor: QuadraticFactor) -> GridFun
     accuracy."""
     if f.kind == COMPLEX:
         raise ValueError("conditional expectation is defined for rational or float values")
-    atom, count = atom_partition(factor, f.k)
-    sizes = np.bincount(atom, minlength=count)
+    atom, atoms = atom_images(factor, f.k)
+    sizes = np.bincount(atom, minlength=len(atoms))
     if f.kind == RATIONAL:
         a, L = f.integer_form()
-        sums = np.zeros(count, dtype=object)
+        sums = np.zeros(len(atoms), dtype=object)
         np.add.at(sums, atom, a)
         means = [Fraction(s, L * int(c)) for s, c in zip(sums, sizes)]
         return f.with_values([means[i] for i in atom])
-    sums = np.bincount(atom, weights=f.values, minlength=count)
+    sums = np.bincount(atom, weights=f.values, minlength=len(atoms))
     return f.with_values(sums[atom] / sizes[atom])
 
 
@@ -466,7 +447,7 @@ def read_grid_function(path) -> GridFunction:
     validate_odd_prime(p)
     # bound the exponent before computing p^(kn), which could take unbounded time
     if k * n * math.log(p) > math.log(DEFAULT_GUARD) + 1e-9:
-        raise TooLarge(f"p^(kn) = {p}^{k * n} exceeds guard {DEFAULT_GUARD}")
+        raise too_large("p^(kn)", f"{p}^{k * n}", DEFAULT_GUARD)
     size = p ** (k * n)
     payload = blob[18:]
     unit = {RATIONAL: 16, FLOAT: 8, COMPLEX: 16}[kind]

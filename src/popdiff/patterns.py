@@ -18,7 +18,7 @@ import numpy as np
 
 from . import DEFAULT_GUARD
 from ._grid import digit_table
-from .errors import DimensionMismatch, NotContained, Singular, TooLarge
+from .errors import DimensionMismatch, NotContained, Singular, check_guard, int_field
 from .ffalg import (
     FpMatrix,
     is_invertible,
@@ -58,9 +58,8 @@ class PatternSpec:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "PatternSpec":
-        p = obj["p"]
-        k = obj["k"]
-        return cls(p, k, FpMatrix.from_rows(obj["M1"], p), FpMatrix.from_rows(obj["M2"], p))
+        p, k = int_field(obj, "p"), int_field(obj, "k")
+        return cls(p, k, FpMatrix.from_rows(int_field(obj, "M1", 2), p), FpMatrix.from_rows(int_field(obj, "M2", 2), p))
 
     def to_json_obj(self) -> dict:
         return {"p": self.p, "k": self.k, "M1": self.M1.to_lists(), "M2": self.M2.to_lists()}
@@ -357,8 +356,7 @@ def annihilator_bruteforce(
     constraint set is vacuous and the full ambient is returned.
     """
     p, k = J.p, J.rows
-    if p ** (2 * k * n) > guard:
-        raise TooLarge(f"p^(2kn) = {p ** (2 * k * n)} exceeds guard {guard}")
+    check_guard("p^(2kn)", p ** (2 * k * n), guard)
     m_basis = matrix_basis(n, p, kind)
     tuple_blocks = matrix_basis(k, p, kind)
 

@@ -18,7 +18,7 @@ import numpy as np
 from . import DEFAULT_GUARD
 from ._grid import Translates, add_index, add_perm as shift_perm, dft, digit_table, encode_digits, linear_perm
 from .analysis import FLOAT_SLACK, PatternCountReport, pattern_sums, popular_report
-from .errors import DimensionMismatch, NonConvergent, NotAutomorphism, TooLarge, ensure
+from .errors import DimensionMismatch, NonConvergent, NotAutomorphism, check_guard, ensure, int_field
 from .ffalg import FpMatrix, is_invertible
 
 
@@ -76,8 +76,7 @@ class FiniteGroupSpec:
         self.m = self.k * self.n
         self.size = self.modulus**self.m
         self.guard = guard
-        if self.size > guard:
-            raise TooLarge(f"group order {self.size} exceeds guard {guard}")
+        check_guard("group order", self.size, guard)
         if kind == "Z_N":
             self.M1 = int(M1) % self.N
             self.M2 = int(M2) % self.N
@@ -140,9 +139,10 @@ class FiniteGroupSpec:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "FiniteGroupSpec":
         if obj["kind"] == "Z_N":
-            return cls("Z_N", N=obj["N"], M1=obj["M1"], M2=obj["M2"])
-        return cls("vector", p=obj["p"], k=obj.get("k", 1), n=obj.get("n", 1),
-                   M1=obj["M1"], M2=obj["M2"])
+            return cls("Z_N", N=int_field(obj, "N"), M1=int_field(obj, "M1"), M2=int_field(obj, "M2"))
+        obj = {"k": 1, "n": 1, **obj}
+        return cls("vector", p=int_field(obj, "p"), k=int_field(obj, "k"), n=int_field(obj, "n"),
+                   M1=int_field(obj, "M1", 2), M2=int_field(obj, "M2", 2))
 
 
 # ---------------------------------------------------------------------------
@@ -410,8 +410,7 @@ def lift_to_interval(A, N: int, M1, M2, epsilon: float, guard: int = DEFAULT_GUA
         if eps_eff / k >= 1:
             p = next(q for q in range(N + 1, 2 * N + 2) if is_prime(q))
             break
-    if p**k > guard:
-        raise TooLarge(f"p^k = {p ** k} exceeds guard {guard}")
+    check_guard("p^k", p**k, guard)
     # FiniteGroupSpec rejects M1, M2 or M1 - M2 singular mod p (so also over Q)
     group = FiniteGroupSpec("vector", p=p, k=k, n=1, M1=M1r, M2=M2r, guard=guard)
     in_A = np.zeros(group.size, dtype=bool)

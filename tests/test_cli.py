@@ -143,6 +143,25 @@ def test_fnio_random_guard_before_the_draw(capsys, tmp_path):
                                         "message": f"p^(kn) = {5**99} exceeds guard {10**8}"}
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["count", "--spec", "@spec", "--d", "1", "--fn", "@fn", "--guard", "10"], "p^(kn) = 625 exceeds guard 10"),
+    (["fnio", "info", "--fn", "@fn", "--guard", "10"], "p^(kn) = 625 exceeds guard 10"),
+    (["threept", "bohr", "--group", "@z1009", "--guard", "10"], "group order = 1009 exceeds guard 10"),
+    (["threept", "search", "--group", "@z1009", "--guard", "100"], "group order = 1009 exceeds guard 100"),
+])
+def test_guard_checks_every_grid_and_group_read(capsys, tmp_path, argv, message):
+    # a grid read from a PLGF file and a group read from a document are held
+    # to --guard, as a drawn grid is
+    paths = {"spec": tmp_path / "spec.json", "fn": tmp_path / "f625.plgf", "z1009": tmp_path / "z1009.json"}
+    paths["spec"].write_text(json.dumps({"p": 5, "k": 1, "M1": [[1]], "M2": [[2]]}))
+    write_grid_function(GridFunction(5, 1, 4, np.linspace(0, 1, 625), FLOAT), paths["fn"])
+    paths["z1009"].write_text(json.dumps({"kind": "Z_N", "N": 1009, "M1": 2, "M2": 3}))
+    assert dispatch([str(paths[a[1:]]) if a.startswith("@") else a for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == json.dumps({"tool": "popdiff", "error": "TooLarge", "message": message}) + "\n"
+
+
 @pytest.mark.parametrize("argv", [["cex", "report", "--n", "4", "--L", "7", "--seed", "-1"],
                                   ["cex", "assemble", "--n", "3", "--L", "7", "--seed-index", "-1"]])
 def test_negative_cex_seed_is_a_usage_error(capsys, argv):
@@ -556,7 +575,12 @@ def grammar_files(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("grammar")
     docs = {"spec": {"p": 5, "k": 1, "M1": [[1]], "M2": [[2]]}, "group": {"kind": "Z_N", "N": 61, "M1": 2, "M2": 3},
             "factor": {"p": 3, "n": 2, "b1": [[1, 0]], "b2": [[[1, 0], [0, 1]]], "b3": [[[0, 1], [2, 0]]]},
-            "rotated": {"p": 5, "k": 2, "M1": [[1, 0], [0, 1]], "M2": [[0, -1], [1, 0]]}}
+            "rotated": {"p": 5, "k": 2, "M1": [[1, 0], [0, 1]], "M2": [[0, -1], [1, 0]]},
+            # documents every builder must refuse: a float where an integer belongs, and a list for an object
+            "bad-spec": {"p": 5, "k": 1, "M1": [[1.5]], "M2": [[2]]},
+            "bad-group": {"kind": "Z_N", "N": 61.9, "M1": 1.7, "M2": 2},
+            "bad-factor": {"p": 3, "n": 2, "b1": [[1.5, 0]], "b2": [[[1, 0], [0, 1]]], "b3": []},
+            "bad-list": [[1, 0], [0, 1]]}
     # finite PLGF values on (F_5^2)^2 whose pattern sums, or whose plain sum, overflow
     paths = {"out": str(tmp / "out.plgf"), "fn-1e78": _plgf_with(tmp / "fn-1e78.plgf", 1e78),
              "fn-1e200": _plgf_with(tmp / "fn-1e200.plgf", 1e200),
@@ -564,6 +588,8 @@ def grammar_files(tmp_path_factory):
     for name, doc in docs.items():
         paths[name] = str(tmp / f"{name}.json")
         (tmp / f"{name}.json").write_text(json.dumps(doc))
+    paths["bad-truncated"] = str(tmp / "bad-truncated.json")
+    (tmp / "bad-truncated.json").write_text(json.dumps(docs["spec"])[:-5])
     return paths
 
 
@@ -601,16 +627,25 @@ def _run_with_alarm(argv, seconds=10):
 @example(["popular", "--spec", "@rotated", "--fn", "@fn-1e200"])
 @example(["popular", "--spec", "@rotated", "--k", "2", "--n", "0"])
 @example(["fnio", "info", "--fn", "@fn-1e307"])
+@example(["check", "--spec", "@bad-spec"])
+@example(["popular", "--spec", "@bad-spec"])
+@example(["threept", "bohr", "--group", "@bad-group"])
+@example(["equidist", "--factor", "@bad-factor"])
+@example(["check", "--spec", "@bad-truncated"])
+@example(["threept", "search", "--group", "@bad-list"])
 @settings(max_examples=60, deadline=None)
 def test_cli_argv_grammar_never_hangs_or_raises(grammar_files, argv):
     # one numeric flag of one subcommand set to a sweep value: the run ends
     # in a report (exit 0 or 2), one JSON error line (exit 1), or argparse's
-    # usage text (exit 1), within 10 s and with no exception escaping
+    # usage text (exit 1), within 10 s and with no exception escaping; a
+    # mistyped @bad- document always ends in one JSON error line
+    refused = any(a.startswith("@bad-") for a in argv)
     argv = [grammar_files[a[1:]] if a.startswith("@") else a for a in argv]
     try:
         code, out, err = _run_with_alarm(argv)
     except _RanTooLong:
         pytest.fail(f"popdiff {' '.join(argv)} ran past 10 s")
+    assert not refused or (code == 1 and out == "" and not err.startswith("usage:")), argv
     if code in (0, 2) and out:
         assert len(out.splitlines()) == 1 and json.loads(out)["tool"] == "popdiff" and err == "", argv
     elif code == 1 and err.startswith("usage:"):

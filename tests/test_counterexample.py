@@ -272,6 +272,14 @@ def test_dressed_h_guard_states_estimate():
         dressed_h_matrix(build_core(), h, 2, 0, 0, guard=624)
 
 
+def test_f1_built_once_per_dress_under_any_guard():
+    # the f1 cache keys on (core, n) alone, and every f1 read of a dressing
+    # checks the caller's guard, so a non-default guard builds f1 once
+    cex._f1_cached.cache_clear()
+    dress_and_measure(build_core(), Hypergraphon(7, (1, 2)), 3, 3, 0, guard=10**9)
+    assert cex._f1_cached.cache_info().misses == 1
+
+
 def _membership_masks(n, gamma, master_seed, seed_index, order=None):
     """The point query at every (x, y), in the given order of the P^2 points,
     as the two (P, P) uint8 masks of membership_masks_by_inverse."""

@@ -209,5 +209,5 @@ def test_nullspace_orthogonality():
 
 
 def test_json_matrix_negative_entries():
-    A = FpMatrix.from_json_obj([[-1, 6], [2, -7]], 5)
-    assert A.to_json_obj() == [[4, 1], [2, 3]]
+    A = FpMatrix.from_rows([[-1, 6], [2, -7]], 5)
+    assert A.to_lists() == [[4, 1], [2, 3]]

@@ -20,7 +20,7 @@ from popdiff.gridfn import (
     GridFunction,
     GridPoint,
     QuadraticFactor,
-    atom_partition,
+    atom_images,
     block_factor_from_phase,
     conditional_expectation,
     factor_eval,
@@ -288,7 +288,7 @@ def test_conditional_expectation_contracts():
     g = conditional_expectation(f, fac)
     assert g.mean() == f.mean()
     # constant on atoms
-    atom, _ = atom_partition(fac, k)
+    atom, _ = atom_images(fac, k)
     by = {}
     for a, v in zip(atom, g.values):
         by.setdefault(a, set()).add(v)
@@ -323,7 +323,8 @@ def test_integer_form_sums_equal_fraction_sums(shape, seed, num_bound):
     assert f.mean() == sum(f.values, Fraction(0)) / P
     assert f.l2_norm_sq() == sum((v * v for v in f.values), Fraction(0)) / P
     fac = QuadraticFactor(p, n, ((1,) + (0,) * (n - 1),), (FpMatrix.identity(n, p),), ())
-    atom, count = atom_partition(fac, k)
+    atom, atoms = atom_images(fac, k)
+    count = len(atoms)
     sums = [Fraction(0)] * count
     sizes = [0] * count
     for i, v in zip(atom, f.values):
@@ -483,7 +484,7 @@ def test_phase_function_examples():
         assert abs(g.l2_norm_sq() - 1) < 1e-12
         # constant on the atoms of the block factor
         fac = block_factor_from_phase(r, M, k, n)
-        atom, _ = atom_partition(fac, k)
+        atom, _ = atom_images(fac, k)
         by = {}
         for a, v in zip(atom, np.round(g.values, 9)):
             by.setdefault(a, set()).add(v)

@@ -41,6 +41,14 @@ def test_library_imports_only_stdlib_and_numpy():
     assert found == []
 
 
+def test_guard_refusals_are_built_only_in_errors():
+    # every "<formula> = <estimate> exceeds guard <limit>" refusal comes from
+    # errors.too_large, so its form is written once
+    found = [f"{path.relative_to(SRC)}:{i}" for path in sorted(SRC.rglob("*.py")) if path.name != "errors.py"
+             for i, line in enumerate(path.read_text().splitlines(), 1) if "exceeds guard" in line]
+    assert found == []
+
+
 def test_tracer_targets_resolve():
     # perfbench/tracer.py wraps each (module, qualname) in TARGETS through
     # vars(owner)[attr]; a library change that drops one breaks every traced
