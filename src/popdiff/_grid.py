@@ -180,8 +180,10 @@ def linear_perm(p: int, k: int, n: int, M_rows) -> np.ndarray:
 
 def dft(values, p: int, m: int, inverse: bool = False) -> np.ndarray:
     """Discrete Fourier transform over (Z/pZ)^m of an array in index order:
-    numpy's fftn, or ifftn if inverse, on the (p,)*m tensor whose axis j is
-    digit j."""
-    T = np.asarray(values, dtype=np.complex128).reshape((p,) * m, order="F")
-    out = np.fft.ifftn(T) if inverse else np.fft.fftn(T)
-    return out.reshape(-1, order="F")
+    numpy's fftn, or ifftn if inverse, over the first m axes of the (p,)*m
+    tensor whose axis j is digit j. Axes of values after the first ride along,
+    so a (p^m, B) array is B transforms."""
+    V = np.asarray(values, dtype=np.complex128)
+    T = V.reshape((p,) * m + V.shape[1:], order="F")
+    out = (np.fft.ifftn if inverse else np.fft.fftn)(T, axes=tuple(range(m)))
+    return out.reshape(V.shape, order="F")

@@ -86,10 +86,11 @@ def _required(args, flag: str) -> str:
     return value
 
 
-def _load_json(args, flag: str, cls=None):
-    """The JSON document at the path given by --flag, built by cls.from_json_obj
-    when cls is given. A document the builder cannot read is a usage error
-    that names the flag, the file and, for a missing key, the key."""
+def _load_json(args, flag: str, cls=None, **kwargs):
+    """The JSON document at the path given by --flag, built by
+    cls.from_json_obj(obj, **kwargs) when cls is given. A document the builder
+    cannot read is a usage error that names the flag, the file and, for a
+    missing key, the key."""
     path = _required(args, flag)
     with open(path) as fh:
         obj = json.load(fh)
@@ -98,7 +99,7 @@ def _load_json(args, flag: str, cls=None):
     try:
         if not isinstance(obj, dict):
             raise TypeError(f"expected a JSON object, not {type(obj).__name__}")
-        return cls.from_json_obj(obj)
+        return cls.from_json_obj(obj, **kwargs)
     except KeyError as exc:
         raise ValueError(f"--{flag} {path}: missing key {exc}") from None
     except (TypeError, IndexError) as exc:
@@ -229,8 +230,7 @@ def _cmd_cex(args):
 
 def _cmd_threept(args):
     if args.tp_op != "lift":
-        g = _load_json(args, "group", tp.FiniteGroupSpec)
-        check_guard("group order", g.size, args.guard)
+        g = _load_json(args, "group", tp.FiniteGroupSpec, guard=args.guard)
     if args.tp_op in ("bohr", "count"):
         B = tp.bohr_set(g, _int_lists(args, "S"), Fraction(args.delta).limit_denominator(10**9))
     if args.tp_op == "bohr":

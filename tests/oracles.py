@@ -8,9 +8,11 @@ table. The pattern-count oracle sums Fraction (or float) products of rolled
 translates, the way pattern_count did before exact sums became integer sums.
 The Gowers oracle recurses through multiplicative derivatives all the way to
 U^1, the way gowers_norm did before its recursion stopped at the Fourier-side
-U^2. The counterexample oracles build one affine map at a time: the
-membership masks pull every point back through A^{-1}, and the dressing
-reads each table through its own alpha*x + beta*y index array. The
+U^2; the per-shift Fourier oracle stops at U^2 with one fftn per shift, the
+way gowers_norm did before its U^2 level ran in blocks of shifts. The
+counterexample oracles build one affine map at a time: the membership masks
+pull every point back through A^{-1}, and the dressing reads each table
+through its own alpha*x + beta*y index array. The
 equidistribution oracles count cells as rows of image coordinates, sorted
 per difference with np.unique(axis=0) and merged by one more row sort, the
 way the histograms were counted before their cells became folded atom ids.
@@ -172,6 +174,20 @@ def gowers_power_by_derivatives(values: np.ndarray, p: int, m: int, s: int) -> f
         deriv = values * np.conj(roll_translate(values, p, m, h))
         total += gowers_power_by_derivatives(deriv, p, m, s - 1)
     return total / p**m
+
+
+def gowers_power_per_shift(values: np.ndarray, p: int, m: int, s: int) -> float:
+    """||f||_{U^s}^{2^s} on (Z/pZ)^m down to U^2 = sum_xi |f^(xi)|^4, with one
+    fftn per derivative f(x) conj(f(x + h)) and the shifts h in index order."""
+    values = np.asarray(values, dtype=np.complex128)
+    P = len(values)
+    if s == 2:
+        F = np.fft.fftn(values.reshape((p,) * m, order="F")).reshape(-1, order="F")
+        return float(np.sum(np.abs(F / P) ** 4))
+    total = 0.0
+    for h in digit_table(p, m):
+        total += gowers_power_per_shift(values * np.conj(roll_translate(values, p, m, h)), p, m, s - 1)
+    return total / P
 
 
 def _random_affine_inverse(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from popdiff.errors import DimensionMismatch, NotAutomorphism, NotMeasurable, TooLarge
 from popdiff.ffalg import FpMatrix, is_invertible, rank_stack, row_space_rank
@@ -43,6 +43,7 @@ from oracles import (
     abstract_atom_histogram_by_rows,
     fraction_pattern_count,
     gowers_power_by_derivatives,
+    gowers_power_per_shift,
     pattern_tuple_histogram_by_rows,
 )
 
@@ -454,6 +455,40 @@ def test_fourier_gowers_matches_direct_and_derivative_oracle(shape, kind, data):
         assert abs(norms[s] - oracle) < 1e-12
     for s in (1, 2, 3):
         assert norms[s] <= norms[s + 1] + 1e-12
+
+
+@given(
+    st.sampled_from([(3, 0, 5), (11, 0, 3), (3, 1, 3), (11, 1, 5), (5, 2, 2), (3, 2, 5), (7, 2, 4), (11, 2, 3),
+                     (5, 3, 3), (3, 4, 3), (3, 5, 3), (5, 4, 2), (5, 4, 3)]),
+    st.sampled_from(["0/1", "float", "complex"]),
+    st.integers(0, 2**32 - 1),
+)
+@example((5, 4, 3), "complex", 0)
+@example((3, 0, 5), "float", 1)
+@settings(max_examples=25, deadline=None)
+def test_batched_gowers_recursion_matches_per_shift_bits(shape, kind, seed):
+    # the U^2 level in blocks of shifts gives the same float64 bits as one fftn
+    # per shift; F_5^4 (P = 625) leaves a last block of one shift
+    p, m, s = shape
+    rng = np.random.default_rng(seed)
+    vals = {"0/1": lambda: (rng.random(p**m) < 0.4).astype(float), "float": lambda: rng.standard_normal(p**m),
+            "complex": lambda: rng.standard_normal(p**m) + 1j * rng.standard_normal(p**m)}[kind]()
+    f = GridFunction(p, 1, m, vals, COMPLEX if kind == "complex" else FLOAT)
+    want = gowers_power_per_shift(vals, p, m, s) ** (1.0 / 2**s)
+    assert gowers_norm(f, s).hex() == max(want, 0.0).hex()
+
+
+def test_recursive_u3_reads_translates_without_a_row_table():
+    # U^3 on F_3^7 reads each block of translates from the periodic extension
+    # (5^7 points), never the (2p - 1) p^(2m - 2) row table of 42.5 MB
+    f = GridFunction(3, 1, 7, np.random.default_rng(5).random(3**7), FLOAT)
+    tracemalloc.start()
+    try:
+        gowers_norm(f, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 # -- generalized von Neumann ---------------------------------------------------

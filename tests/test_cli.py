@@ -8,13 +8,14 @@ import subprocess
 import sys
 import time
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from popdiff.analysis import gowers_norm
-from popdiff import cli
+from popdiff import cli, threept as tp
 from popdiff.cli import dispatch
 from popdiff.errors import TooLarge
 from popdiff.gridfn import FLOAT, GridFunction, write_grid_function
@@ -160,6 +161,21 @@ def test_guard_checks_every_grid_and_group_read(capsys, tmp_path, argv, message)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == json.dumps({"tool": "popdiff", "error": "TooLarge", "message": message}) + "\n"
+
+
+def test_threept_group_is_built_with_the_cli_guard(capsys, tmp_path):
+    # the guard also sizes the group's translate tables: at --guard 3000 every
+    # translate on F_3^7 (2187 points) is a gather, and the report is the same
+    path = tmp_path / "f3-7.json"
+    path.write_text(json.dumps({"kind": "vector", "p": 3, "n": 7, "M1": [[1]], "M2": [[2]]}))
+    argv = ["threept", "search", "--group", str(path), "--eps", "0.05", "--density", "0.4", "--seed", "7", "--guard"]
+    reports = []
+    for guard in (3000, 10**8):
+        with mock.patch.object(tp, "popular_3pt_search", wraps=tp.popular_3pt_search) as search:
+            code, lines = run_lines(capsys, argv + [str(guard)])
+        assert code == 0 and search.call_args.args[1].guard == guard
+        reports.append(lines[0]["report"])
+    assert reports[0] == reports[1]
 
 
 @pytest.mark.parametrize("argv", [["cex", "report", "--n", "4", "--L", "7", "--seed", "-1"],
@@ -576,11 +592,12 @@ def grammar_files(tmp_path_factory):
     docs = {"spec": {"p": 5, "k": 1, "M1": [[1]], "M2": [[2]]}, "group": {"kind": "Z_N", "N": 61, "M1": 2, "M2": 3},
             "factor": {"p": 3, "n": 2, "b1": [[1, 0]], "b2": [[[1, 0], [0, 1]]], "b3": [[[0, 1], [2, 0]]]},
             "rotated": {"p": 5, "k": 2, "M1": [[1, 0], [0, 1]], "M2": [[0, -1], [1, 0]]},
-            # documents every builder must refuse: a float where an integer belongs, and a list for an object
+            # documents every builder must refuse: a float where an integer belongs, a list for an object
+            # and an unknown group kind
             "bad-spec": {"p": 5, "k": 1, "M1": [[1.5]], "M2": [[2]]},
             "bad-group": {"kind": "Z_N", "N": 61.9, "M1": 1.7, "M2": 2},
             "bad-factor": {"p": 3, "n": 2, "b1": [[1.5, 0]], "b2": [[[1, 0], [0, 1]]], "b3": []},
-            "bad-list": [[1, 0], [0, 1]]}
+            "bad-list": [[1, 0], [0, 1]], "bad-kind": {"kind": "foo", "p": 3, "n": 2, "M1": [[1]], "M2": [[2]]}}
     # finite PLGF values on (F_5^2)^2 whose pattern sums, or whose plain sum, overflow
     paths = {"out": str(tmp / "out.plgf"), "fn-1e78": _plgf_with(tmp / "fn-1e78.plgf", 1e78),
              "fn-1e200": _plgf_with(tmp / "fn-1e200.plgf", 1e200),
@@ -633,6 +650,7 @@ def _run_with_alarm(argv, seconds=10):
 @example(["equidist", "--factor", "@bad-factor"])
 @example(["check", "--spec", "@bad-truncated"])
 @example(["threept", "search", "--group", "@bad-list"])
+@example(["threept", "bohr", "--group", "@bad-kind"])
 @settings(max_examples=60, deadline=None)
 def test_cli_argv_grammar_never_hangs_or_raises(grammar_files, argv):
     # one numeric flag of one subcommand set to a sweep value: the run ends
