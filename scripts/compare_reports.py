@@ -23,12 +23,14 @@ denominators, rationals past the int64 sums, non-integer floats); `popular
 over (F_3^4)^2; 0/1 `count`s on F_3^11, past 2^16 points; every argv
 of tests/equidist_reference.json and tests/subspaces_reference.json; the
 recorded `cex report` seeds of perfbench/cex_reference.json; recursive
-`gowers` at s = 3, 4, 5 (F_3^5, F_7^2, F_5^4, F_3^7; F_3^3, F_5^2, F_7^2;
-F_3^2, F_3^3), whose U^2 level runs in blocks of shifts, and `--mode direct`
-at s = 3 (F_3^2, F_5^2), which reads row blocks; `threept search` on Z_61,
-Z_1009, Z_10007, F_3^6 and F_3^7, `threept lift` at N = 30 and 60, and
-`threept decompose` on Z_61; input errors that must end in one JSON error
-line, PLGF files holding inf or nan and a group of unknown kind among them;
+`gowers` at s = 3, 4, 5 (F_3^5, F_7^2, F_5^4, F_3^7, F_3^1, (F_3^2)^2;
+F_3^3, F_5^2, F_7^2; F_3^2, F_3^3), whose U^2 level runs in blocks of shifts,
+at s = 2 on F_3^4 (one 1-d transform), and `--mode direct` at s = 3 (F_3^2,
+F_5^2), which reads row blocks; `threept search` on Z_61, Z_1009, Z_10007,
+F_3^6 and F_3^7, `threept lift` at N = 30 and 60, `threept decompose` on Z_61
+and F_3^6 (the inverse transform), and `threept count` on F_3^6; input errors
+that must end in one JSON error line, PLGF files holding inf or nan and two
+groups of unknown kind, one with no other field, among them;
 and one guard refusal per check the CLI reaches, at a `--guard` one below
 its estimate: `popular`, recursive and direct `gowers`, `equidist` linquad,
 tuple and abstract, `cex eight-tuple`, `dress`, `assemble` and `report`, and
@@ -73,6 +75,7 @@ GROUPS = {
     "group-f3-7": {"kind": "vector", "p": 3, "k": 1, "n": 7, "M1": [[1]], "M2": [[2]]},
     "group-z10007": {"kind": "Z_N", "N": 10007, "M1": 1, "M2": 2},
     "group-bad-kind": {"kind": "foo", "p": 3, "n": 2, "M1": [[1]], "M2": [[2]]},
+    "group-kind-foo": {"kind": "foo"},
 }
 
 # grid functions on (F_5^2)^2, the rotated squares' grid, and the PLGF kind byte of each value kind
@@ -208,6 +211,12 @@ def invocations(refs: dict) -> list[list[str]]:
         ["gowers", "--p", "7", "--n", "2", "--s", "4", "--seed", "10"],
         ["gowers", "--p", "3", "--n", "3", "--s", "5", "--seed", "11"],
         ["threept", "bohr", "--group", "@group-bad-kind"],
+        ["threept", "bohr", "--group", "@group-kind-foo"],
+        ["threept", "decompose", "--group", "@group-f3-6", "--seed", "3"],
+        ["threept", "count", "--group", "@group-f3-6", "--S", "[1,5]", "--delta", "0.3", "--seed", "3"],
+        ["gowers", "--p", "3", "--k", "2", "--n", "2", "--s", "3"],
+        ["gowers", "--p", "3", "--n", "4", "--s", "2"],
+        ["gowers", "--p", "3", "--n", "1", "--s", "3"],
         ["gowers", "--p", "3", "--n", "2", "--s", "3", "--mode", "direct", "--seed", "5"],
         ["gowers", "--p", "5", "--n", "2", "--s", "3", "--mode", "direct", "--seed", "6"],
     ]

@@ -11,7 +11,10 @@ here, the full addition table among them (add_table). Translates serves the
 translates of an array by the index of the shift: one translate is a slice of
 the array's periodic extension, and a block of them is one fancy index into
 the sliding windows of a table that lays each translate out contiguously. Past
-the guard either is one gather through add_index.
+the guard either is one gather through add_index. dft is numpy's fftn over the
+digit axes, but at p = 3 a radix-3 butterfly in pocketfft's op order with numpy's
+bits: that rests on pocketfft and on no FMA contraction in it, and the tests
+compare the words with np.fft's.
 """
 
 from __future__ import annotations
@@ -182,8 +185,28 @@ def dft(values, p: int, m: int, inverse: bool = False) -> np.ndarray:
     """Discrete Fourier transform over (Z/pZ)^m of an array in index order:
     numpy's fftn, or ifftn if inverse, over the first m axes of the (p,)*m
     tensor whose axis j is digit j. Axes of values after the first ride along,
-    so a (p^m, B) array is B transforms."""
+    so a (p^m, B) array is B transforms. At p = 3 it runs pocketfft's pass3 ops
+    on (batch..., digit m - 1, ..., digit 0) in C order, digit m - 1 first as fftn
+    does; real scalings run on float64 views, as a complex multiply adds a*0 terms
+    that can flip signed zeros."""
     V = np.asarray(values, dtype=np.complex128)
-    T = V.reshape((p,) * m + V.shape[1:], order="F")
-    out = (np.fft.ifftn if inverse else np.fft.fftn)(T, axes=tuple(range(m)))
-    return out.reshape(V.shape, order="F")
+    if p != 3:
+        T = V.reshape((p,) * m + V.shape[1:], order="F")
+        out = (np.fft.ifftn if inverse else np.fft.fftn)(T, axes=tuple(range(m)))
+        return out.reshape(V.shape, order="F")
+    # pocketfft's length-3 twiddle, sin(pi/3), negated for the forward transform
+    X, tw = np.array(V.T, order="C"), 0.8660254037844386467637231707529362 * (1 if inverse else -1)
+    for j in reversed(range(m)):
+        c = X.reshape(-1, 3, 3**j)
+        t1, t2, X = c[:, 1] + c[:, 2], c[:, 1] - c[:, 2], np.empty_like(c)
+        np.add(c[:, 0], t1, out=X[:, 0])
+        t1.view(np.float64)[...] *= -0.5
+        t1 += c[:, 0]
+        cb = np.empty_like(t2)
+        np.multiply(t2.imag, -tw, out=cb.real)
+        np.multiply(t2.real, tw, out=cb.imag)
+        np.add(t1, cb, out=X[:, 1])
+        np.subtract(t1, cb, out=X[:, 2])
+        if inverse:
+            X.view(np.float64)[...] *= 1 / 3
+    return X.reshape(V.T.shape).T

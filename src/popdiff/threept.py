@@ -140,8 +140,10 @@ class FiniteGroupSpec:
     def from_json_obj(cls, obj: dict, guard: int = DEFAULT_GUARD) -> "FiniteGroupSpec":
         if obj["kind"] == "Z_N":
             return cls("Z_N", N=int_field(obj, "N"), M1=int_field(obj, "M1"), M2=int_field(obj, "M2"), guard=guard)
+        if obj["kind"] != "vector":
+            raise ValueError(f"unknown group kind {obj['kind']!r}")
         obj = {"k": 1, "n": 1, **obj}
-        return cls(obj["kind"], p=int_field(obj, "p"), k=int_field(obj, "k"), n=int_field(obj, "n"),
+        return cls("vector", p=int_field(obj, "p"), k=int_field(obj, "k"), n=int_field(obj, "n"),
                    M1=int_field(obj, "M1", 2), M2=int_field(obj, "M2", 2), guard=guard)
 
 

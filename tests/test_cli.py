@@ -467,6 +467,7 @@ MISSING_OR_MALFORMED = [
     (["popular", "--spec", "@pair"], ["--spec", "@pair"]),
     (["equidist", "--factor", "@p5"], ["--factor", "@p5", "'n'"]),
     (["threept", "count", "--group", "@pair"], ["--group", "@pair"]),
+    (["threept", "bohr", "--group", "@kind-foo"], ["unknown group kind 'foo'"]),
     (["threept", "count", "--group", "@zn", "--S", "[[1]]"], ["--S"]),
     (["equidist", "--factor", "@factor", "--J", "[1]"], ["--J"]),
     (["cex", "eight-tuple", "--a", "{}"], ["--a"]),
@@ -496,7 +497,7 @@ MISSING_OR_MALFORMED = [
 
 @pytest.mark.parametrize("argv, names", [pytest.param(a, n, id=" ".join(a)) for a, n in MISSING_OR_MALFORMED])
 def test_missing_or_malformed_input_is_one_error_line(capsys, tmp_path, argv, names):
-    files = {"p5": {"p": 5}, "pair": [1, 2], "zn": {"kind": "Z_N", "N": 61, "M1": 2, "M2": 3},
+    files = {"p5": {"p": 5}, "pair": [1, 2], "zn": {"kind": "Z_N", "N": 61, "M1": 2, "M2": 3}, "kind-foo": {"kind": "foo"},
              "scalar": {"p": 5, "k": 1, "M1": [[1]], "M2": [[2]]},
              "points2d": [[1, 2], [3, 4], [5, 6]], "ragged": [[1], [3, 4]],
              "factor": {"p": 3, "n": 3, "b1": [[1, 0, 0]], "b2": [[[1, 0, 0], [0, 1, 0], [0, 0, 1]]], "b3": []}}
@@ -597,7 +598,8 @@ def grammar_files(tmp_path_factory):
             "bad-spec": {"p": 5, "k": 1, "M1": [[1.5]], "M2": [[2]]},
             "bad-group": {"kind": "Z_N", "N": 61.9, "M1": 1.7, "M2": 2},
             "bad-factor": {"p": 3, "n": 2, "b1": [[1.5, 0]], "b2": [[[1, 0], [0, 1]]], "b3": []},
-            "bad-list": [[1, 0], [0, 1]], "bad-kind": {"kind": "foo", "p": 3, "n": 2, "M1": [[1]], "M2": [[2]]}}
+            "bad-list": [[1, 0], [0, 1]], "bad-kind": {"kind": "foo", "p": 3, "n": 2, "M1": [[1]], "M2": [[2]]},
+            "bad-kind-bare": {"kind": "foo"}}
     # finite PLGF values on (F_5^2)^2 whose pattern sums, or whose plain sum, overflow
     paths = {"out": str(tmp / "out.plgf"), "fn-1e78": _plgf_with(tmp / "fn-1e78.plgf", 1e78),
              "fn-1e200": _plgf_with(tmp / "fn-1e200.plgf", 1e200),
@@ -651,6 +653,7 @@ def _run_with_alarm(argv, seconds=10):
 @example(["check", "--spec", "@bad-truncated"])
 @example(["threept", "search", "--group", "@bad-list"])
 @example(["threept", "bohr", "--group", "@bad-kind"])
+@example(["threept", "bohr", "--group", "@bad-kind-bare"])
 @settings(max_examples=60, deadline=None)
 def test_cli_argv_grammar_never_hangs_or_raises(grammar_files, argv):
     # one numeric flag of one subcommand set to a sweep value: the run ends

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from popdiff.errors import BadMagic, CorruptLength, NotSymmetric, PopdiffError, TooLarge, VersionMismatch
 from popdiff.ffalg import FpMatrix
@@ -42,6 +42,7 @@ from popdiff._grid import (
     add_perm,
     add_table,
     decode_index,
+    dft,
     digit_table,
     encode_digits,
     encode_index,
@@ -151,6 +152,67 @@ def test_row_table_matches_add_perm_oracle(data):
     for s, row in zip(shifts, rows):
         assert np.array_equal(row, vals[add_perm(p, m, s)])
         assert np.array_equal(tr.at(encode_index(p, s)), row)
+
+
+def _numpy_dft(values, m, inverse):
+    """The transform as np.fft computes it: fftn or ifftn over the first m
+    axes of the (3,)*m tensor whose axis j is digit j, batch axes riding along."""
+    V = np.asarray(values, dtype=np.complex128)
+    T = V.reshape((3,) * m + V.shape[1:], order="F")
+    return (np.fft.ifftn if inverse else np.fft.fftn)(T, axes=tuple(range(m))).reshape(V.shape, order="F")
+
+
+def _words(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@given(st.integers(0, 8), st.sampled_from([None, 1, 7, 67]), st.booleans(),
+       st.sampled_from(["signed-zeros", "dyadic", "gaussian", "real"]), st.integers(0, 2**32 - 1))
+@example(0, 67, False, "gaussian", 0)  # m = 0: no digit to transform
+@example(5, 67, False, "gaussian", 1)  # a block of 67 shifts on F_3^5, as the recursive U^3 level forms it
+@example(5, 67, False, "signed-zeros", 0)  # flips a zero if cb were t2 * (1j * tw)
+@example(5, 67, True, "dyadic", 2)
+@settings(max_examples=80, deadline=None)
+def test_dft_at_p3_has_the_words_of_numpy_fftn(m, width, inverse, values, seed):
+    # the radix-3 butterfly against np.fft.fftn / ifftn, every uint64 word,
+    # on a 1-d array and on a (B, P) block passed transposed, as
+    # _gowers_power_recursive passes it; signed zeros sit among the values,
+    # because a complex multiply by a real twiddle could flip them
+    rng = np.random.default_rng(seed)
+    shape = (3**m,) if width is None else (width, 3**m)
+    pool = np.array([0.0, -0.0, 1.0, -1.0, 0.5, -2.0, 0.25, -0.75])
+    if values == "signed-zeros":
+        z = rng.choice(pool[:2], shape) + 0j
+        z.imag = rng.choice(pool[:2], shape)
+    elif values == "dyadic":
+        z = rng.choice(pool, shape) + 0j
+        z.imag = rng.choice(pool, shape)
+    else:
+        z = np.where(rng.random(shape) < 0.2, rng.choice(pool[:2], shape), rng.standard_normal(shape))
+        if values == "gaussian":
+            z = z + 1j * rng.standard_normal(shape)
+    v = z if width is None else z.T
+    got, want = dft(v, 3, m, inverse), _numpy_dft(v, m, inverse)
+    assert got.shape == want.shape == v.shape
+    assert np.array_equal(_words(got), _words(want))
+
+
+def test_dft_at_p3_never_calls_numpy_fft(monkeypatch):
+    # the butterfly is the whole p = 3 path: with np.fft's n-d transforms
+    # made to raise, every size, layout and direction still transforms
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.fft reached at p = 3")
+
+    rng = np.random.default_rng(4)
+    cases = [(m, inverse, rng.standard_normal((width, 3**m))) for m in range(6) for inverse in (False, True) for width in (1, 7)]
+    want = [_numpy_dft(block.T, m, inverse) for m, inverse, block in cases]
+    monkeypatch.setattr(np.fft, "fftn", refuse)
+    monkeypatch.setattr(np.fft, "ifftn", refuse)
+    for (m, inverse, block), expected in zip(cases, want):
+        assert np.array_equal(_words(dft(block.T, 3, m, inverse)), _words(expected))
+        assert dft(block[0], 3, m, inverse).shape == (3**m,)
+    with pytest.raises(AssertionError, match="np.fft reached"):
+        dft(np.ones(5), 5, 1)
 
 
 def test_rational_values_hold_python_ints():
