@@ -27,7 +27,9 @@ recorded `cex report` seeds of perfbench/cex_reference.json; recursive
 F_3^3, F_5^2, F_7^2; F_3^2, F_3^3), whose U^2 level runs in blocks of shifts,
 at s = 2 on F_3^4 (one 1-d transform), and `--mode direct` at s = 3 (F_3^2,
 F_5^2), which reads row blocks; `threept search` on Z_61, Z_1009, Z_10007,
-F_3^6 and F_3^7, `threept lift` at N = 30 and 60, `threept decompose` on Z_61
+F_3^6 and F_3^7, `threept lift` at N = 30 and 60, and at N = 1 (on the
+one-point set [1]) and N = 2, whose windows hold no odd prime until they
+widen, `threept decompose` on Z_61
 and F_3^6 (the inverse transform), and `threept count` on F_3^6; input errors
 that must end in one JSON error line, PLGF files holding inf or nan and two
 groups of unknown kind, one with no other field, among them;
@@ -77,6 +79,8 @@ GROUPS = {
     "group-bad-kind": {"kind": "foo", "p": 3, "n": 2, "M1": [[1]], "M2": [[2]]},
     "group-kind-foo": {"kind": "foo"},
 }
+
+POINTS = {"one-point": [1]}
 
 # grid functions on (F_5^2)^2, the rotated squares' grid, and the PLGF kind byte of each value kind
 FN_SHAPE = (5, 2, 2)
@@ -200,6 +204,8 @@ def invocations(refs: dict) -> list[list[str]]:
         ["threept", "search", "--group", "@group-z10007", "--eps", "0.05", "--density", "0.45", "--seed", "8"],
         ["threept", "lift", "--N", "30", "--eps", "0.2", "--seed", "3"],
         ["threept", "lift", "--N", "60", "--eps", "0.3"],
+        ["threept", "lift", "--N", "1", "--A", "@one-point"],
+        ["threept", "lift", "--N", "2", "--eps", "0.1"],
         ["threept", "decompose", "--group", "@group"],
         ["gowers", "--p", "3", "--n", "5", "--s", "3", "--seed", "1"],
         ["gowers", "--p", "7", "--n", "2", "--s", "3", "--seed", "2"],
@@ -243,7 +249,7 @@ def write_inputs(tmp: pathlib.Path) -> tuple[dict, dict]:
         ("equidist_reference", "tests/equidist_reference.json"),
         ("subspaces_reference", "tests/subspaces_reference.json"),
         ("cex_reference", "perfbench/cex_reference.json"))}
-    docs = dict(SPECS, **GROUPS, **{name: factor for name, (factor, _) in FACTORS.items()})
+    docs = dict(SPECS, **GROUPS, **POINTS, **{name: factor for name, (factor, _) in FACTORS.items()})
     docs.update({f"equidist-{i}": c["factor"] for i, c in enumerate(refs["equidist_reference"]["invocations"])})
     docs.update({f"subspaces-{i}": c["spec"] for i, c in enumerate(refs["subspaces_reference"]["invocations"])})
     paths = {"out": str(tmp / "out.plgf")}

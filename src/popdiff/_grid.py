@@ -63,20 +63,8 @@ def decode_index(p: int, m: int, index: int) -> list[int]:
 
 
 def add_perm(p: int, m: int, shift_digits) -> np.ndarray:
-    """Permutation array q with q[x] = index of (x + shift).
-
-    Base-p addition has no carries, so q is the outer sum of the m one-digit
-    tables ((d + s_j) mod p) * p^j.
-    """
-    shift = np.asarray(shift_digits, dtype=np.int64) % p
-    digit = np.arange(p, dtype=np.int64)
-    q = np.zeros(1, dtype=np.int64)
-    for j in range(m):
-        s = int(shift[j])
-        # (d + s) mod p for every digit d, by rotation rather than division
-        column = np.concatenate((digit[s:], digit[:s])) * p**j
-        q = (column[:, None] + q).reshape(-1)
-    return q
+    """Permutation array q with q[x] = index of (x + shift)."""
+    return add_index(p, m, np.arange(p**m), encode_index(p, shift_digits))
 
 
 class Translates:

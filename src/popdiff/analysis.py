@@ -389,11 +389,7 @@ def linear_quadratic_distribution(
     check_guard("p^n", p**n, guard)
     if not all(M.is_symmetric() for M in Phi):
         raise DimensionMismatch("Phi entries must be symmetric")
-    factor = QuadraticFactor(p, n, tuple(tuple(r) for r in Gamma), tuple(Phi), ())
-    ids, cells = atom_images(factor, 1)
-    dim = row_space_rank(factor.b1, p) + len(Phi)
-    # support_ok: every observed Gamma part is Gamma x, so rank [Gamma | a] = rank Gamma
-    return EquidistributionReport.from_counts(np.bincount(ids, minlength=len(cells)), len(ids), p, dim)
+    return factor_image_distribution(QuadraticFactor(p, n, tuple(tuple(r) for r in Gamma), tuple(Phi), ()), 1, guard)
 
 
 def factor_image_distribution(factor: QuadraticFactor, k: int, guard: int = DEFAULT_GUARD) -> EquidistributionReport:
@@ -401,7 +397,9 @@ def factor_image_distribution(factor: QuadraticFactor, k: int, guard: int = DEFA
     p, n = factor.p, factor.n
     check_guard("p^(kn)", p ** (k * n), guard)
     ids, atoms = atom_images(factor, k)
-    dim = sum(width * d for width, d in zip(_widths(k).values(), factor.complexity))
+    # every linear image X b1^T lies in a space of dimension k rank(b1), so support_ok holds
+    d1 = row_space_rank(factor.b1, p)
+    dim = sum(width * d for width, d in zip(_widths(k).values(), (d1, *factor.complexity[1:])))
     return EquidistributionReport.from_counts(np.bincount(ids, minlength=len(atoms)), len(ids), p, dim)
 
 

@@ -102,7 +102,7 @@ def _load_json(args, flag: str, cls=None, **kwargs):
         return cls.from_json_obj(obj, **kwargs)
     except KeyError as exc:
         raise ValueError(f"--{flag} {path}: missing key {exc}") from None
-    except (TypeError, IndexError) as exc:
+    except (TypeError, IndexError, ValueError) as exc:
         raise ValueError(f"--{flag} {path}: {exc}") from None
 
 

@@ -2,11 +2,12 @@
 
 Everything in this module is exact integer-residue arithmetic; no floating
 point. Matrices are immutable, entries stored row-major as plain ints in
-[0, p). p must be an odd prime (validated by trial division, p <= 10**6).
+[0, p). p must be an odd prime (validated by Miller-Rabin, p <= 10**6).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import Iterable, Sequence
@@ -15,22 +16,34 @@ import numpy as np
 
 from .errors import BothZero, DimensionMismatch, Singular
 
-_PRIME_CACHE: dict[int, bool] = {}
 
-
-def is_odd_prime(p: int) -> bool:
-    if p in _PRIME_CACHE:
-        return _PRIME_CACHE[p]
-    ok = p >= 3 and p % 2 == 1
-    if ok:
-        f = 3
-        while f * f <= p:
-            if p % f == 0:
-                ok = False
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin, valid for the full 64-bit range."""
+    if n < 2:
+        return False
+    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
                 break
-            f += 2
-    _PRIME_CACHE[p] = ok
-    return ok
+        else:
+            return False
+    return True
+
+
+@functools.lru_cache
+def is_odd_prime(p: int) -> bool:
+    return p % 2 == 1 and is_prime(p)
 
 
 def validate_odd_prime(p: int) -> int:

@@ -196,6 +196,12 @@ def vector_tuple_ambient(p: int, k: int, arity: int = 4) -> SubspaceBasis:
     return SubspaceBasis(p, m, basis, "vectors-of-F_p^k-tuples")
 
 
+def _combine(coeffs: list[list[int]], vectors: np.ndarray, p: int) -> np.ndarray:
+    """The combinations sum_j c_j v_j mod p, one row per coefficient list c,
+    of the rows v_j of the (g, m) array vectors."""
+    return np.array(coeffs, dtype=np.int64).reshape(len(coeffs), len(vectors)) @ vectors % p
+
+
 def orth_complement(space: SubspaceBasis, ambient: SubspaceBasis) -> SubspaceBasis:
     """{v in ambient : <v, w> = 0 for all w in space} under the entrywise
     (Hilbert-Schmidt) inner product in flattened coordinates."""
@@ -208,16 +214,8 @@ def orth_complement(space: SubspaceBasis, ambient: SubspaceBasis) -> SubspaceBas
         return SubspaceBasis(p, ambient.ambient_dim, (), ambient.ambient_kind)
     # constraints on coefficients x of v = sum x_j e_j
     rows = [[sum(a * b for a, b in zip(e, w)) % p for e in ambient.basis] for w in space.basis]
-    coeff_basis = nullspace(rows, p, ncols=len(ambient.basis))
-    vecs = []
-    for coeff in coeff_basis:
-        v = [0] * ambient.ambient_dim
-        for c, e in zip(coeff, ambient.basis):
-            if c:
-                for idx, val in enumerate(e):
-                    v[idx] = (v[idx] + c * val) % p
-        vecs.append(tuple(v))
-    return SubspaceBasis(p, ambient.ambient_dim, tuple(vecs), ambient.ambient_kind)
+    vecs = _combine(nullspace(rows, p, ncols=len(ambient.basis)), np.array(ambient.basis, dtype=np.int64), p)
+    return SubspaceBasis(p, ambient.ambient_dim, tuple(map(tuple, vecs.tolist())), ambient.ambient_kind)
 
 
 # ---------------------------------------------------------------------------
@@ -228,14 +226,8 @@ def _solve_matrix_condition(p: int, k: int, generators: list[FpMatrix], conditio
     """Kernel of a linear matrix map within span(generators)."""
     rows = [list(condition(E).flatten()) for E in generators]
     coeffs = nullspace([list(c) for c in zip(*rows)], p, ncols=len(generators))
-    out = []
-    for coeff in coeffs:
-        A = FpMatrix.zero(k, k, p)
-        for c, E in zip(coeff, generators):
-            if c:
-                A = A.add(E.scale_by(c))
-        out.append(A)
-    return out
+    gens = np.array([E.flatten() for E in generators], dtype=np.int64).reshape(len(generators), k * k)
+    return [FpMatrix(k, k, A, p) for A in _combine(coeffs, gens, p).tolist()]
 
 
 def _tuple_map(A: FpMatrix, B: FpMatrix) -> tuple[int, ...]:
@@ -264,12 +256,7 @@ def constraint_spaces(J: FpMatrix, p: int | None = None) -> dict[str, SubspaceBa
     B = I.add(J).mul(mat_inverse(I.sub(J)))
     Jt = J.transpose()
 
-    full_basis = []
-    for i in range(k):
-        for j in range(k):
-            rows = [[0] * k for _ in range(k)]
-            rows[i][j] = 1
-            full_basis.append(FpMatrix.from_rows(rows, p))
+    full_basis = [FpMatrix(k, k, E, p) for E in np.eye(k * k, dtype=np.int64).tolist()]
 
     # Xi_J = {A : (JA)^T = JA}
     xi_mats = _solve_matrix_condition(p, k, full_basis, lambda A: J.mul(A).sub(J.mul(A).transpose()))
@@ -288,21 +275,8 @@ def constraint_spaces(J: FpMatrix, p: int | None = None) -> dict[str, SubspaceBa
     omegap = SubspaceBasis(p, 2 * k * k, tuple(_pair_map(A, B) for A in gen_skew), "pair-tuples")
 
     # Psi_J: x1 - x2 - x3 + x4 = 0 and x4 - x2 = J(x2 - x1), solved in F_p^{4k}
-    rows = []
-    for r in range(k):
-        row = [0] * (4 * k)
-        row[0 * k + r] = 1
-        row[1 * k + r] = -1
-        row[2 * k + r] = -1
-        row[3 * k + r] = 1
-        rows.append([x % p for x in row])
-    for r in range(k):
-        row = [0] * (4 * k)
-        for c in range(k):
-            row[0 * k + c] = J[r, c]
-            row[1 * k + c] = (-J[r, c] - (1 if r == c else 0)) % p
-        row[3 * k + r] = (row[3 * k + r] + 1) % p
-        rows.append([x % p for x in row])
+    Ik, Jm = np.eye(k, dtype=np.int64), np.array(J.entries, dtype=np.int64).reshape(k, k)
+    rows = np.block([[Ik, -Ik, -Ik, Ik], [Jm, -Jm - Ik, np.zeros_like(Ik), Ik]]) % p
     psi_vecs = nullspace(rows, p, ncols=4 * k)
     psi = SubspaceBasis(p, 4 * k, tuple(tuple(v) for v in psi_vecs), "vectors-of-F_p^k-tuples")
 
@@ -390,19 +364,10 @@ def annihilator_bruteforce(
                 cols.append(np.einsum("ab,xyab->xy", E, Q) % p)
         # each block reduced to its (at most tdim) echelon rows before the next
         reduced += rref(np.stack([c.reshape(-1) for c in cols], axis=1), p)[0]
-    basis_coeffs = nullspace(reduced, p, ncols=tdim)
-
-    vecs = []
-    for coeff in basis_coeffs:
-        mats = []
-        for s in range(4):
-            A = FpMatrix.zero(k, k, p)
-            for c, E in zip(coeff[s * len(tuple_blocks) : (s + 1) * len(tuple_blocks)], tuple_blocks):
-                if c:
-                    A = A.add(E.scale_by(c))
-            mats.append(A)
-        vecs.append(_embed_tuple(mats))
-    return SubspaceBasis(p, 4 * k * k, tuple(vecs), f"{kind}-matrix-4-tuples")
+    # coefficient s * len(tuple_blocks) + j weighs block j in slot s
+    slots = np.kron(np.eye(4, dtype=np.int64), np.array(E_arrs).reshape(len(E_arrs), k * k))
+    vecs = _combine(nullspace(reduced, p, ncols=tdim), slots, p)
+    return SubspaceBasis(p, 4 * k * k, tuple(map(tuple, vecs.tolist())), f"{kind}-matrix-4-tuples")
 
 
 def enumerate_admissible_spectral_J(p: int, k: int) -> Iterator[FpMatrix]:

@@ -19,31 +19,7 @@ from . import DEFAULT_GUARD
 from ._grid import Translates, add_index, add_perm as shift_perm, dft, digit_table, encode_digits, linear_perm
 from .analysis import FLOAT_SLACK, PatternCountReport, pattern_sums, popular_report
 from .errors import DimensionMismatch, NonConvergent, NotAutomorphism, check_guard, ensure, int_field
-from .ffalg import FpMatrix, is_invertible
-
-
-def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid for the full 64-bit range."""
-    if n < 2:
-        return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % q == 0:
-            return n == q
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+from .ffalg import FpMatrix, is_invertible, is_odd_prime
 
 
 # ---------------------------------------------------------------------------
@@ -379,19 +355,19 @@ def _square_rows(M, k: int, name: str) -> list[list[int]]:
 
 def lift_to_interval(A, N: int, M1, M2, epsilon: float, guard: int = DEFAULT_GUARD) -> dict:
     """Popular-difference search for A inside the integer box [N]^k, via the
-    embedding into (Z/pZ)^k for a prime N < p < (1 + eps/k) N.
+    embedding into (Z/pZ)^k for the least odd prime N < p < (1 + eps/k) N.
 
     Differences are restricted to the Bohr set on the 2k coordinate
     functionals of M1, M2 with radius eps/(2k); points too close to the box
     boundary are discarded, and every returned triple is audited to lie in
     [N]^k with all three points in A.
     """
-    if not epsilon > 0:  # NaN too; the window search doubles epsilon until it holds a prime
+    if not epsilon > 0:  # NaN too; the window search doubles epsilon until it holds an odd prime
         raise ValueError(f"epsilon must be positive, got epsilon = {epsilon}")
     A = list(A)
     if not A:
         raise ValueError("A must be nonempty")
-    if N < 1:  # (N, 2N + 1] holds a prime only from N = 1 on
+    if N < 1:  # (N, 2N + 1] holds an odd prime only from N = 1 on
         raise ValueError(f"N must be at least 1, got N = {N}")
     pts = [(a,) if isinstance(a, int) else tuple(a) for a in A]
     k = len(pts[0])
@@ -404,13 +380,13 @@ def lift_to_interval(A, N: int, M1, M2, epsilon: float, guard: int = DEFAULT_GUA
     widened = False
     while True:
         lo, hi = N, math.floor((1 + eps_eff / k) * N)
-        p = next((q for q in range(lo + 1, hi + 1) if is_prime(q)), None)
+        p = next((q for q in range(lo + 1, hi + 1) if is_odd_prime(q)), None)
         if p is not None:
             break
         widened = True
         eps_eff *= 2
         if eps_eff / k >= 1:
-            p = next(q for q in range(N + 1, 2 * N + 2) if is_prime(q))
+            p = next(q for q in range(N + 1, 2 * N + 2) if is_odd_prime(q))
             break
     check_guard("p^k", p**k, guard)
     # FiniteGroupSpec rejects M1, M2 or M1 - M2 singular mod p (so also over Q)

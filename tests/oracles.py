@@ -24,7 +24,8 @@ digit arithmetic and tests their membership with np.isin against the sorted
 support, the way sparse_pattern_max did before it read the addition table.
 The matrix pattern-count oracle multiplies np.roll translates of the whole
 dense matrix, the way the dressing was measured before it summed over the
-support.
+support. The primality oracle is the trial division that validated every
+modulus before ffalg.is_odd_prime ran Miller-Rabin.
 """
 
 from __future__ import annotations
@@ -108,6 +109,18 @@ def spectral_oracle(A: FpMatrix) -> bool:
         if negate_argument(q).monic() in fset:
             return False
     return True
+
+
+def is_odd_prime_by_trial_division(p: int) -> bool:
+    ok = p >= 3 and p % 2 == 1
+    if ok:
+        f = 3
+        while f * f <= p:
+            if p % f == 0:
+                ok = False
+                break
+            f += 2
+    return ok
 
 
 def rref_by_lists(rows, p: int) -> tuple[list[list[int]], list[int]]:

@@ -28,6 +28,7 @@ from popdiff.analysis import (
     abstract_atom_distribution,
     abstract_atom_histogram,
     abstract_atom_report,
+    factor_image_distribution,
     gowers_norm,
     linear_quadratic_distribution,
     pattern_count,
@@ -552,6 +553,15 @@ def test_linquad_full_rank_quadratic_shrinks():
 def test_linquad_dependent_support():
     rep = linear_quadratic_distribution([(1, 0, 0), (2, 0, 0)], [], 3, 5)
     assert rep.support_ok and rep.cells_observed == 5 and rep.predicted_support_size == 5
+
+
+def test_factor_image_support_counts_the_rank_of_b1():
+    # two dependent linear rows span one coordinate: 5 linear cells times 5 values of x^T x
+    p, n = 5, 3
+    fac = QuadraticFactor(p, n, ((1, 0, 0), (2, 0, 0)), (FpMatrix.identity(n, p),), ())
+    rep = factor_image_distribution(fac, 1)
+    assert rep.predicted_support_size == 25 and rep.cells_observed == 25 and rep.support_equal
+    assert rep == linear_quadratic_distribution(list(fac.b1), list(fac.b2), n, p)
 
 
 @given(st.sampled_from([3, 5]), st.integers(2, 3), st.data())

@@ -467,7 +467,8 @@ MISSING_OR_MALFORMED = [
     (["popular", "--spec", "@pair"], ["--spec", "@pair"]),
     (["equidist", "--factor", "@p5"], ["--factor", "@p5", "'n'"]),
     (["threept", "count", "--group", "@pair"], ["--group", "@pair"]),
-    (["threept", "bohr", "--group", "@kind-foo"], ["unknown group kind 'foo'"]),
+    (["threept", "bohr", "--group", "@kind-foo"], ["--group", "@kind-foo", "unknown group kind 'foo'"]),
+    (["check", "--spec", "@float-k"], ["--spec", "@float-k", "'k' must be an integer"]),
     (["threept", "count", "--group", "@zn", "--S", "[[1]]"], ["--S"]),
     (["equidist", "--factor", "@factor", "--J", "[1]"], ["--J"]),
     (["cex", "eight-tuple", "--a", "{}"], ["--a"]),
@@ -498,7 +499,7 @@ MISSING_OR_MALFORMED = [
 @pytest.mark.parametrize("argv, names", [pytest.param(a, n, id=" ".join(a)) for a, n in MISSING_OR_MALFORMED])
 def test_missing_or_malformed_input_is_one_error_line(capsys, tmp_path, argv, names):
     files = {"p5": {"p": 5}, "pair": [1, 2], "zn": {"kind": "Z_N", "N": 61, "M1": 2, "M2": 3}, "kind-foo": {"kind": "foo"},
-             "scalar": {"p": 5, "k": 1, "M1": [[1]], "M2": [[2]]},
+             "scalar": {"p": 5, "k": 1, "M1": [[1]], "M2": [[2]]}, "float-k": {"p": 5, "k": 1.0, "M1": [[1]], "M2": [[2]]},
              "points2d": [[1, 2], [3, 4], [5, 6]], "ragged": [[1], [3, 4]],
              "factor": {"p": 3, "n": 3, "b1": [[1, 0, 0]], "b2": [[[1, 0, 0], [0, 1, 0], [0, 0, 1]]], "b3": []}}
     paths = {name: str(tmp_path / f"{name}.json") for name in files}

@@ -8,6 +8,7 @@ from popdiff.ffalg import (
     char_poly,
     inverse_stack,
     is_invertible,
+    is_odd_prime,
     mat_inverse,
     mat_rank,
     min_poly,
@@ -21,7 +22,7 @@ from popdiff.ffalg import (
 )
 
 import numpy as np
-from oracles import rref_by_lists
+from oracles import is_odd_prime_by_trial_division, rref_by_lists
 
 
 def test_prime_validation():
@@ -29,6 +30,10 @@ def test_prime_validation():
     for bad in (2, 4, 9, 1, -3):
         with pytest.raises(ValueError):
             validate_odd_prime(bad)
+
+
+def test_is_odd_prime_matches_trial_division():
+    assert all(is_odd_prime(n) == is_odd_prime_by_trial_division(n) for n in range(-10, 10**5))
 
 
 def test_inverse_examples():

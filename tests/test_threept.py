@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from popdiff.errors import DimensionMismatch, NonConvergent, NotAutomorphism
+from popdiff.ffalg import is_prime
 from popdiff.threept import (
     FiniteGroupSpec,
     bohr_set,
     convolved_measure,
     derived_bohr,
-    is_prime,
     lift_to_interval,
     popular_3pt_search,
     regularity_decompose,
@@ -312,6 +312,13 @@ def test_lift_examples():
         (x,), (y,), (z,) = tri
         assert x in Aset and y in Aset and z in Aset
         assert y - x == (rep["best_d"][0]) and z - x == 2 * rep["best_d"][0]
+
+
+def test_lift_embeds_into_an_odd_prime():
+    # the window (1, 1.1] is empty and widening reaches (1, 3]: 2 is prime but
+    # not a modulus any group accepts, so the embedding is mod 3
+    rep = lift_to_interval([1], 1, 1, 2, 0.1)
+    assert rep["p"] == 3 and rep["widened"] and rep["audit_ok"]
 
 
 def test_lift_two_dimensional_points():
