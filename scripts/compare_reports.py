@@ -13,7 +13,7 @@ exits 1 if there is any and 0 otherwise.
 
 The list: `check`/`subspaces` on three specs; `equidist` on three factors
 (abstract at k = 1, 2, linquad, and tuple with and without --restrict-h at
-k = 1, 2); the counterexample stages (core, dress at n = 1-5, eight-tuple,
+k = 1, 2, with --k 2 for the 2 x 2 --J); the counterexample stages (core, dress at n = 1-5, eight-tuple,
 hypergraph, report at n = 1-5, assemble at n = 1, 3, 4); exact and float
 `popular`; `popular` (4 and 3 points) and `count --d` on PLGF files this
 script writes, one per branch
@@ -26,13 +26,16 @@ recorded `cex report` seeds of perfbench/cex_reference.json; recursive
 `gowers` at s = 3, 4, 5 (F_3^5, F_7^2, F_5^4, F_3^7, F_3^1, (F_3^2)^2;
 F_3^3, F_5^2, F_7^2; F_3^2, F_3^3), whose U^2 level runs in blocks of shifts,
 at s = 2 on F_3^4 (one 1-d transform), and `--mode direct` at s = 3 (F_3^2,
-F_5^2), which reads row blocks; `threept search` on Z_61, Z_1009, Z_10007,
-F_3^6 and F_3^7, `threept lift` at N = 30 and 60, and at N = 1 (on the
+F_5^2), which reads row blocks; `threept search` on Z_61, Z_63 and Z_65 (0/1 rows
+that end 1 short of and 1 past a 64-bit word), Z_1009 (also at --guard 1500,
+where the group fits the guard but its 2N-entry table does not, so the
+translates are gathered and packed), Z_10007, F_3^6 and F_3^7, `threept lift` at N = 30 and 60, and at N = 1 (on the
 one-point set [1]) and N = 2, whose windows hold no odd prime until they
 widen, `threept decompose` on Z_61
 and F_3^6 (the inverse transform), and `threept count` on F_3^6; input errors
-that must end in one JSON error line, PLGF files holding inf or nan and two
-groups of unknown kind, one with no other field, among them;
+that must end in one JSON error line, PLGF files holding inf or nan, two
+groups of unknown kind, one with no other field, and an `equidist --mode
+tuple` whose default --k 1 differs from the size of its 2 x 2 --J among them;
 and one guard refusal per check the CLI reaches, at a `--guard` one below
 its estimate: `popular`, recursive and direct `gowers`, `equidist` linquad,
 tuple and abstract, `cex eight-tuple`, `dress`, `assemble` and `report`, and
@@ -72,6 +75,8 @@ FACTORS = {
 
 GROUPS = {
     "group": {"kind": "Z_N", "N": 61, "M1": 2, "M2": 3},
+    "group-z63": {"kind": "Z_N", "N": 63, "M1": 1, "M2": 2},
+    "group-z65": {"kind": "Z_N", "N": 65, "M1": 1, "M2": 2},
     "group-z1009": {"kind": "Z_N", "N": 1009, "M1": 2, "M2": 3},
     "group-f3-6": {"kind": "vector", "p": 3, "k": 1, "n": 6, "M1": [[1]], "M2": [[2]]},
     "group-f3-7": {"kind": "vector", "p": 3, "k": 1, "n": 7, "M1": [[1]], "M2": [[2]]},
@@ -128,8 +133,8 @@ def invocations(refs: dict) -> list[list[str]]:
         factor = ["equidist", "--factor", f"@{name}"]
         argvs += [factor + ["--mode", "abstract", "--k", "1"], factor + ["--mode", "abstract", "--k", "2"],
                   factor + ["--mode", "linquad"]]
-        for J in ("[[2]]", J2):
-            argvs += [factor + ["--mode", "tuple", "--J", J], factor + ["--mode", "tuple", "--J", J, "--restrict-h"]]
+        for J, k in (("[[2]]", []), (J2, ["--k", "2"])):
+            argvs += [factor + ["--mode", "tuple", "--J", J] + k, factor + ["--mode", "tuple", "--J", J, "--restrict-h"] + k]
     argvs += [
         ["cex", "core"],
         ["cex", "dress", "--n", "1", "--L", "5", "--seeds", "3"],
@@ -197,8 +202,12 @@ def invocations(refs: dict) -> list[list[str]]:
         ["fnio", "random", "--out", "@out", "--k", "-1"],
         ["fnio", "random", "--out", "@out", "--n", "-1"],
         ["equidist", "--mode", "abstract", "--factor", "@sym-p3", "--k", "-1"],
+        ["equidist", "--mode", "tuple", "--factor", "@sym-p3", "--J", "[[0,1],[1,2]]"],
         ["threept", "search", "--group", "@group", "--eps", "0.1"],
+        ["threept", "search", "--group", "@group-z63", "--eps", "0.05", "--density", "0.5", "--seed", "3"],
+        ["threept", "search", "--group", "@group-z65", "--eps", "0.05", "--density", "0.5", "--seed", "4"],
         ["threept", "search", "--group", "@group-z1009", "--eps", "0.05"],
+        ["threept", "search", "--group", "@group-z1009", "--eps", "0.05", "--guard", "1500"],
         ["threept", "search", "--group", "@group-f3-6", "--eps", "0.05", "--density", "0.3", "--seed", "2"],
         ["threept", "search", "--group", "@group-f3-7", "--eps", "0.05", "--density", "0.4", "--seed", "7"],
         ["threept", "search", "--group", "@group-z10007", "--eps", "0.05", "--density", "0.45", "--seed", "8"],

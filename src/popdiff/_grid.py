@@ -10,8 +10,10 @@ Linear maps and sums of elements are gathers through index arrays built
 here, the full addition table among them (add_table). Translates serves the
 translates of an array by the index of the shift: one translate is a slice of
 the array's periodic extension, and a block of them is one fancy index into
-the sliding windows of a table that lays each translate out contiguously. Past
-the guard either is one gather through add_index. dft is numpy's fftn over the
+the sliding windows of a table that lays each translate out contiguously, or,
+for 0/1 values, into byte windows of 8 bit-shifted copies of the packed table,
+read as uint64 words (pack_rows packs rows the same way). Past the guard
+either is one gather through add_index. dft is numpy's fftn over the
 digit axes, but at p = 3 a radix-3 butterfly in pocketfft's op order with numpy's
 bits: that rests on pocketfft and on no FMA contraction in it, and the tests
 compare the words with np.fft's.
@@ -69,23 +71,28 @@ def add_perm(p: int, m: int, shift_digits) -> np.ndarray:
 
 class Translates:
     """The translates v(x + s) of a 1-d array v in index order, by the index of
-    s: at(s) is one translate, rows(shifts) a block of them as (B, p^m) rows.
+    s: at(s) is one translate, rows(shifts) a block of them as (B, p^m) rows,
+    and packed(shifts) such a block of a bool v as pack_rows words.
 
     ext is v as the (p,)*m tensor (axis 0 the top digit) padded periodically
     to (2p - 1)^m points, and a single translate is a slice of it. A block reads
     the table T[c, y, x] = v(top digit y mod p, low digits x + c) with
-    lo = p^(m - 1), of shape (lo, 2p - 1, lo), copied from strided views of ext
-    on the first call of rows, when ext is dropped: the translate by a shift
-    with low digits c and top digit y is the p^m values from offset
-    (c (2p - 1) + y) lo of T flattened, so a block is one fancy index into the
-    table's sliding windows. For m = 1 (Z_N, F_p) T is v doubled; for m = 0 it
-    is v. ext is built only while its points fit the guard, and T only while
-    its (2p - 1) p^(2m - 2) entries do; past that a translate or a block is
-    one gather through add_index."""
+    lo = p^(m - 1), of shape (lo, 2p - 1, lo), built from ext (_row_table),
+    which is then dropped: the translate by a shift with low digits c and top
+    digit y is the p^m values from offset (c (2p - 1) + y) lo of T flattened, so
+    a block is one fancy index into the table's sliding windows. For m = 1 (Z_N,
+    F_p) T is v doubled; for m = 0 it is v. rows keeps T. packed packs T into
+    bits, drops it, and keeps 8 copies of the bits, copy r starting at bit r:
+    the translate at offset o is the 8 ceil(p^m / 64) bytes from byte o >> 3 of
+    copy o & 7, read as uint64 words whose bits past p^m are T's next ones. ext
+    is built only while its points fit the guard, and T only while its
+    (2p - 1) p^(2m - 2) entries do; past that a translate or a block is one
+    gather through add_index, which packed packs with pack_rows."""
 
     def __init__(self, values, p: int, m: int, guard: int = DEFAULT_GUARD):
         self.p, self.m, self.guard, self.base = p, m, guard, np.asarray(values)
-        self.ext = self.table = None
+        self.ext = self.table = self._windows = self._packed = None
+        self._table_fits = ((2 * p - 1) * p ** (2 * m - 2) if m else 1) <= guard
 
     def _extension(self) -> np.ndarray:
         if self.ext is None:
@@ -94,6 +101,37 @@ class Translates:
 
     def _gather(self, idx) -> np.ndarray:
         return self.base[add_index(self.p, self.m, idx, np.arange(len(self.base)))]
+
+    def _row_table(self) -> np.ndarray:
+        """T flattened, as rows keeps it; ext is dropped. The lowest b = m - 1 - a
+        low digits come from strided views of ext, as G[c_B, y, z, x_B] =
+        v(y mod p, upper low digits z, x_B + c_B), and the a digits above them
+        from one gather of G through their sums, in runs of p^b points; a is the
+        most that keeps p^a <= 10 and b >= 1, which ran fastest."""
+        p, m, table = self.p, self.m, self.table
+        if table is None:
+            table = self.base
+            if m:
+                a = 0
+                while a < m - 2 and p ** (a + 1) <= 10:
+                    a += 1
+                b, ext = m - 1 - a, self._extension()[(slice(None),) + (slice(0, p),) * a]
+                low = np.lib.stride_tricks.sliding_window_view(ext, (p,) * b, axis=tuple(range(a + 1, m)))
+                # low[y, z..., c..., x...] = ext[y, z, c + x]; move the c axes to the front
+                order = tuple(range(a + 1, m)) + tuple(range(a + 1)) + tuple(range(m, m + b))
+                G = np.ascontiguousarray(low.transpose(order)).reshape(p**b, 2 * p - 1, p**a, p**b)
+                if a:
+                    up = np.arange(p**a)
+                    G = G[np.arange(p**b)[:, None, None], np.arange(2 * p - 1)[:, None], add_index(p, a, up[:, None, None, None], up)]
+                table = G.reshape(-1)
+        self.ext = None
+        return table
+
+    def _offsets(self, idx: np.ndarray) -> np.ndarray:
+        """Offset in T of the translate by each shift index."""
+        lo = self.p ** (self.m - 1) if self.m else 1
+        low = idx % lo
+        return low * ((2 * self.p - 1) * lo) + (idx - low)
 
     def at(self, index: int) -> np.ndarray:
         """The p^m values v(x + s) for the index of one shift s."""
@@ -104,20 +142,46 @@ class Translates:
 
     def rows(self, shift_indices) -> np.ndarray:
         """The (B, p^m) rows v(x + s_b) for the indices of a block of B shifts."""
-        p, m, idx = self.p, self.m, np.asarray(shift_indices, dtype=np.int64)
-        if self.table is None and ((2 * p - 1) * p ** (2 * m - 2) if m else 1) <= self.guard:
-            self.table = self.base
-            if m:
-                low = np.lib.stride_tricks.sliding_window_view(self._extension(), (p,) * (m - 1), axis=tuple(range(1, m)))
-                # low[y, c..., x...] = ext[y, c + x]; move the c axes to the front
-                order = tuple(range(1, m)) + (0,) + tuple(range(m, 2 * m - 1))
-                self.table = np.ascontiguousarray(low.transpose(order)).reshape(-1)
-            self.ext, self._windows = None, np.lib.stride_tricks.sliding_window_view(self.table, len(self.base))
-        if self.table is None:
+        idx = np.asarray(shift_indices, dtype=np.int64)
+        if not self._table_fits:
             return self._gather(idx[:, None])
-        lo = p ** (m - 1) if m else 1
-        low = idx % lo
-        return self._windows[low * ((2 * p - 1) * lo) + (idx - low)]
+        if self.table is None:
+            self.table = self._row_table()
+            self._windows = np.lib.stride_tricks.sliding_window_view(self.table, len(self.base))
+        return self._windows[self._offsets(idx)]
+
+    def packed(self, shift_indices) -> np.ndarray:
+        """rows(shift_indices) of a bool v as (B, ceil(p^m / 64)) words: the
+        first p^m bits of each row are pack_rows's, the rest are arbitrary."""
+        idx = np.asarray(shift_indices, dtype=np.int64)
+        if not self._table_fits:
+            return pack_rows(self._gather(idx[:, None]))
+        if self._packed is None:
+            table = self._row_table()
+            P, pk = len(self.base), np.packbits(table, bitorder="little")
+            width = 8 * -(-P // 64)  # bytes in a row of words
+            # the last window ends at byte ((len(T) - P) >> 3) + width; a zero word past it feeds the copies' top bits
+            words = -(-max(len(pk), ((len(table) - P) >> 3) + width) // 8) + 1
+            del table  # before the copies, so T and its copies are never held at once
+            shifted = np.zeros((8, words), dtype="<u8")
+            shifted[0].view(np.uint8)[:len(pk)] = pk
+            del pk
+            # copy r: copy 0's words shifted down by r bits, each topped by the next word's low r bits
+            for r in range(1, 8):
+                np.right_shift(shifted[0, :-1], r, out=shifted[r, :-1])
+                shifted[r, :-1] |= shifted[0, 1:] << (64 - r)
+            self._packed = np.lib.stride_tricks.sliding_window_view(shifted.view(np.uint8), width, axis=1)
+        o = self._offsets(idx)
+        return self._packed[o & 7, o >> 3].view("<u8")
+
+
+def pack_rows(rows) -> np.ndarray:
+    """(B, n) 0/1 rows as (B, ceil(n / 64)) little-endian uint64 words: value
+    64 j + i of a row is bit i of its word j, and the bits past n are zero."""
+    B, n = np.shape(rows)
+    out = np.zeros((B, 8 * -(-n // 64)), dtype=np.uint8)
+    out[:, :-(-n // 8)] = np.packbits(rows, axis=1, bitorder="little")
+    return out.view("<u8")
 
 
 def add_index(p: int, m: int, a, b) -> np.ndarray:

@@ -185,6 +185,8 @@ def _cmd_equidist(args):
     factor = _load_json(args, "factor", QuadraticFactor)
     if args.mode == "tuple":
         J = FpMatrix.from_rows(_int_lists(args, "J", depth=2), factor.p)
+        if J.rows != args.k:
+            raise ValueError(f"--k {args.k} differs from the size of --J {args.J}, a {J.rows} x {J.cols} matrix")
         rep = pattern_tuple_distribution(factor, J, restrict_to_H=args.restrict_h, guard=args.guard)
     elif args.mode == "abstract":
         rep = abstract_atom_distribution(factor, args.k, guard=args.guard)

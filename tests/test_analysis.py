@@ -23,7 +23,7 @@ from popdiff.gridfn import (
 )
 from popdiff.patterns import PatternSpec
 from popdiff.threept import FiniteGroupSpec, popular_3pt_search
-from popdiff import analysis
+from popdiff import DEFAULT_GUARD, analysis
 from popdiff.analysis import (
     abstract_atom_distribution,
     abstract_atom_histogram,
@@ -325,17 +325,31 @@ def test_batched_pattern_sums_match_fraction_oracle(shape, case, data):
 
 @pytest.mark.parametrize("N", (65521, 65535, 65536, 65537))
 def test_zero_one_counts_reach_p_exactly(N):
-    # 0/1 rows are counted in uint16 while P < 2^16 and in int64 from 2^16
-    # on; all ones make every count P, the largest a count can be
+    # 0/1 rows are popcounts of packed words, summed in int64, on both sides
+    # of 2^16; all ones make every count P, the largest a count can be
     shifts = [np.array([0, 1, N - 1, 12345])] * 2
     assert analysis.pattern_sums(np.ones(N), N, 1, shifts) == [float(N)] * 4
     sums = analysis.pattern_sums(np.array([1] * N, dtype=object), N, 1, shifts)
     assert sums == [N] * 4 and all(type(s) is int for s in sums)
 
 
+@pytest.mark.parametrize("p, m", [(3, 0), (63, 1), (65, 1), (127, 1), (129, 1), (3, 4)])
+@pytest.mark.parametrize("guard", (DEFAULT_GUARD, 1))
+def test_all_ones_counts_fill_the_last_word(p, m, guard):
+    # 0/1 rows of P = 1, 63, 65, 127, 129 and 81 points end short of or just
+    # past a 64-bit word; all ones make every count P, so a lost or stray bit
+    # in the last word shows. Guard 1 packs the gathered rows
+    P = p**m
+    shifts = [np.arange(P) * j % P for j in (1, 2, 3)]
+    for points in (3, 4):
+        assert analysis.pattern_sums(np.ones(P), p, m, shifts[:points - 1], guard) == [float(P)] * P
+        assert analysis.pattern_sums(np.array([1] * P, dtype=object), p, m, shifts[:points - 1], guard) == [P] * P
+
+
 def test_vector_search_table_memory():
-    # a three-point search on F_3^7 reads its translates from the 5 * 3^12
-    # byte bool table (2.5 MiB), with no index array of the table's size
+    # a three-point search on F_3^7 reads its translates from 8 bit-shifted
+    # copies of the packed 5 * 3^12 entry table (2.5 MiB in all), made after
+    # the bool table is dropped, with no index array of the table's size
     group = FiniteGroupSpec("vector", p=3, k=1, n=7, M1=[[1]], M2=[[2]])
     indicator = (np.random.default_rng(6).random(group.size) < 0.4).astype(float)
     popular_3pt_search(indicator[:243], FiniteGroupSpec("vector", p=3, k=1, n=5, M1=[[1]], M2=[[2]]), 0.1)

@@ -493,6 +493,7 @@ MISSING_OR_MALFORMED = [
     (["fnio", "random", "--out", "@out", "--k", "-1"], ["k = -1"]),
     (["fnio", "random", "--out", "@out", "--n", "-1"], ["n = -1"]),
     (["equidist", "--mode", "abstract", "--factor", "@factor", "--k", "-1"], ["k = -1"]),
+    (["equidist", "--mode", "tuple", "--factor", "@factor", "--k", "2"], ["--k 2", "--J [[2]]", "1 x 1"]),
 ]
 
 

@@ -46,6 +46,7 @@ from popdiff._grid import (
     digit_table,
     encode_digits,
     encode_index,
+    pack_rows,
 )
 from popdiff.analysis import translate
 from popdiff.patterns import coord_index
@@ -152,6 +153,34 @@ def test_row_table_matches_add_perm_oracle(data):
     for s, row in zip(shifts, rows):
         assert np.array_equal(row, vals[add_perm(p, m, s)])
         assert np.array_equal(tr.at(encode_index(p, s)), row)
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_packed_rows_unpack_to_add_perm_oracle(data):
+    # every packed row of a block of shifts unpacks to the bool v gathered
+    # through add_perm, with the guard at the row table's size (byte windows of
+    # the bit-shifted copies) and one below (the gather, packed by pack_rows);
+    # the gathered rows, like pack_rows(v), have zero bits past p^m. On Z_N
+    # and on F_p^m for p in {3, 5, 7} and m in 0..4
+    if data.draw(st.booleans()):
+        p, m = data.draw(st.integers(2, 300)), 1
+    else:
+        p, m = data.draw(st.sampled_from([3, 5, 7])), data.draw(st.integers(0, 4))
+    P, table_size = p**m, (2 * p - 1) * p ** (2 * m - 2) if m else 1
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    vals = rng.random(P) < data.draw(st.sampled_from([0.1, 0.5, 0.9]))
+    shifts = data.draw(st.lists(st.lists(st.integers(-2 * p, 2 * p), min_size=m, max_size=m), min_size=1, max_size=12))
+    indices = encode_digits(np.array(shifts, dtype=np.int64).reshape(len(shifts), m), p)
+    guard = data.draw(st.sampled_from((table_size, table_size - 1)))
+    words = Translates(vals, p, m, guard).packed(indices)
+    assert words.shape == (len(shifts), -(-P // 64)) and words.dtype == np.dtype("<u8")
+    bits = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little").astype(bool)
+    for s, row in zip(shifts, bits):
+        assert np.array_equal(row[:P], vals[add_perm(p, m, s)])
+    assert guard == table_size or not bits[:, P:].any()
+    base = np.unpackbits(pack_rows(vals[None]).view(np.uint8), bitorder="little").astype(bool)
+    assert np.array_equal(base[:P], vals) and not base[P:].any()
 
 
 def _numpy_dft(values, m, inverse):
