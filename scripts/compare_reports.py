@@ -11,7 +11,10 @@ input files. Stdout (with `wall_time_s` removed from every report line),
 stderr and the exit code must agree. Each difference is printed; the script
 exits 1 if there is any and 0 otherwise.
 
-The list: `check`/`subspaces` on three specs; `equidist` on three factors
+The list: `check`/`subspaces` on five specs; `check` on the spectral gate's
+edge cases (the rotation over F_3, whose eigenvalues +-i lie in F_9; a
+singular M1, which fails through the eigenvalue 0; a singular M2, which must
+end in one JSON error line; and a 4 x 4 spec); `equidist` on three factors
 (abstract at k = 1, 2, linquad, and tuple with and without --restrict-h at
 k = 1, 2, with --k 2 for the 2 x 2 --J); the counterexample stages (core, dress at n = 1-5, eight-tuple,
 hypergraph, report at n = 1-5, assemble at n = 1, 3, 4); exact and float
@@ -62,6 +65,15 @@ SPECS = {
     "spectral-2x2-p3": {"p": 3, "k": 2, "M1": [[1, 0], [0, 1]], "M2": [[0, 1], [1, 2]]},
     "rotated-squares-p7": {"p": 7, "k": 2, "M1": [[1, 0], [0, 1]], "M2": [[0, -1], [1, 0]]},
     "scalar-p3": {"p": 3, "k": 1, "M1": [[1]], "M2": [[2]]},
+}
+
+# specs for `check` alone: the spectral gate's edge cases
+CHECK_SPECS = {
+    "rotation-p3": {"p": 3, "k": 2, "M1": [[0, -1], [1, 0]], "M2": [[1, 0], [0, 1]]},
+    "singular-m1-p5": {"p": 5, "k": 2, "M1": [[1, 2], [2, 4]], "M2": [[1, 0], [0, 1]]},
+    "singular-m2-p5": {"p": 5, "k": 2, "M1": [[1, 0], [0, 1]], "M2": [[1, 2], [2, 4]]},
+    "k4-p5": {"p": 5, "k": 4, "M1": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+              "M2": [[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [1, 0, 0, 2]]},
 }
 
 # each factor with a 2 x 2 J that keeps I - J invertible
@@ -129,6 +141,7 @@ def invocations(refs: dict) -> list[list[str]]:
     argvs = []
     for name in SPECS:
         argvs += [["check", "--spec", f"@{name}"], ["subspaces", "--spec", f"@{name}"]]
+    argvs += [["check", "--spec", f"@{name}"] for name in CHECK_SPECS]
     for name, (_, J2) in FACTORS.items():
         factor = ["equidist", "--factor", f"@{name}"]
         argvs += [factor + ["--mode", "abstract", "--k", "1"], factor + ["--mode", "abstract", "--k", "2"],
@@ -258,7 +271,7 @@ def write_inputs(tmp: pathlib.Path) -> tuple[dict, dict]:
         ("equidist_reference", "tests/equidist_reference.json"),
         ("subspaces_reference", "tests/subspaces_reference.json"),
         ("cex_reference", "perfbench/cex_reference.json"))}
-    docs = dict(SPECS, **GROUPS, **POINTS, **{name: factor for name, (factor, _) in FACTORS.items()})
+    docs = dict(SPECS, **CHECK_SPECS, **GROUPS, **POINTS, **{name: factor for name, (factor, _) in FACTORS.items()})
     docs.update({f"equidist-{i}": c["factor"] for i, c in enumerate(refs["equidist_reference"]["invocations"])})
     docs.update({f"subspaces-{i}": c["spec"] for i, c in enumerate(refs["subspaces_reference"]["invocations"])})
     paths = {"out": str(tmp / "out.plgf")}

@@ -489,7 +489,8 @@ def pattern_tuple_report(
 ) -> EquidistributionReport:
     """The pattern_tuple_distribution report of a pattern_tuple_histogram."""
     p, k = factor.p, J.rows
-    d1, d2, d3 = factor.complexity
+    _, d2, d3 = factor.complexity
+    d1 = row_space_rank(factor.b1, p)  # dependent rows of b1 add no dimension
     I = FpMatrix.identity(k, p)
     spaces = constraint_spaces(J)
     sym_amb = matrix_tuple_ambient(p, k, 4, "symmetric")
@@ -576,9 +577,10 @@ def abstract_atom_histogram(factor: QuadraticFactor, k: int, guard: int = DEFAUL
 
 def abstract_atom_report(factor: QuadraticFactor, k: int, counts: np.ndarray) -> EquidistributionReport:
     """The abstract_atom_distribution report of an abstract_atom_histogram."""
-    p, (d1, d2, d3), (w1, w2, w3) = factor.p, factor.complexity, _widths(k).values()
-    # X and D each carry the factor's coordinates; each quadratic part adds the k^2 entries of X M D^T
-    dim = 2 * w1 * d1 + (2 * w2 + k * k) * d2 + (2 * w3 + k * k) * d3
+    p, (_, d2, d3), (w1, w2, w3) = factor.p, factor.complexity, _widths(k).values()
+    # X and D each carry the factor's coordinates, the linear ones in k rank(b1)
+    # dimensions; each quadratic part adds the k^2 entries of X M D^T
+    dim = 2 * w1 * row_space_rank(factor.b1, p) + (2 * w2 + k * k) * d2 + (2 * w3 + k * k) * d3
     return EquidistributionReport.from_counts(counts, grid_size(p, k, factor.n) ** 2, p, dim)
 
 

@@ -13,10 +13,6 @@ class Singular(PopdiffError):
     """A matrix that needed an inverse is not invertible."""
 
 
-class BothZero(PopdiffError):
-    """gcd of two zero polynomials is undefined."""
-
-
 class DimensionMismatch(PopdiffError):
     """Operands have incompatible shapes or moduli."""
 

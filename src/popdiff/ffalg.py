@@ -1,20 +1,21 @@
-"""Exact arithmetic over F_p: polynomials and dense matrices.
+"""Exact arithmetic over F_p: dense matrices and their elimination.
 
 Everything in this module is exact integer-residue arithmetic; no floating
 point. Matrices are immutable, entries stored row-major as plain ints in
 [0, p). p must be an odd prime (validated by Miller-Rabin, p <= 10**6).
+Ranks, null spaces, solutions and inverses all come from one row reduction
+that runs on a stack of int64 matrices at once.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import BothZero, DimensionMismatch, Singular
+from .errors import DimensionMismatch, Singular
 
 
 def is_prime(n: int) -> bool:
@@ -52,109 +53,6 @@ def validate_odd_prime(p: int) -> int:
     return p
 
 
-class FpPoly:
-    """Polynomial over F_p, coefficients lowest degree first, trimmed."""
-
-    __slots__ = ("coeffs", "p")
-
-    def __init__(self, coeffs: Iterable[int], p: int):
-        validate_odd_prime(p)
-        c = [x % p for x in coeffs]
-        while c and c[-1] == 0:
-            c.pop()
-        self.coeffs = tuple(c)
-        self.p = p
-
-    @classmethod
-    def zero(cls, p: int) -> "FpPoly":
-        return cls([], p)
-
-    @classmethod
-    def one(cls, p: int) -> "FpPoly":
-        return cls([1], p)
-
-    @property
-    def degree(self) -> int:
-        # degree of the zero polynomial is reported as -1
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FpPoly) and self.p == other.p and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.coeffs, self.p))
-
-    def __add__(self, other: "FpPoly") -> "FpPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [0] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [0] * (n - len(other.coeffs))
-        return FpPoly([x + y for x, y in zip(a, b)], self.p)
-
-    def __sub__(self, other: "FpPoly") -> "FpPoly":
-        return self + other.scale(-1)
-
-    def __mul__(self, other: "FpPoly") -> "FpPoly":
-        if self.is_zero() or other.is_zero():
-            return FpPoly.zero(self.p)
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return FpPoly(out, self.p)
-
-    def scale(self, c: int) -> "FpPoly":
-        return FpPoly([c * a for a in self.coeffs], self.p)
-
-    def monic(self) -> "FpPoly":
-        if self.is_zero():
-            return self
-        inv = pow(self.coeffs[-1], -1, self.p)
-        return self.scale(inv)
-
-    def divmod(self, other: "FpPoly") -> tuple["FpPoly", "FpPoly"]:
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        p = self.p
-        rem = list(self.coeffs)
-        q = [0] * max(0, len(rem) - len(other.coeffs) + 1)
-        inv_lead = pow(other.coeffs[-1], -1, p)
-        for i in range(len(rem) - len(other.coeffs), -1, -1):
-            c = rem[i + len(other.coeffs) - 1] * inv_lead % p
-            if c:
-                q[i] = c
-                for j, b in enumerate(other.coeffs):
-                    rem[i + j] = (rem[i + j] - c * b) % p
-        return FpPoly(q, p), FpPoly(rem, p)
-
-    def eval_matrix(self, A: "FpMatrix") -> "FpMatrix":
-        acc = FpMatrix.zero(A.rows, A.cols, A.p)
-        for a in reversed(self.coeffs):
-            acc = acc.mul(A).add(FpMatrix.scalar(A.rows, a, A.p))
-        return acc
-
-    def __repr__(self):
-        return f"FpPoly({list(self.coeffs)}, p={self.p})"
-
-
-def poly_gcd(f: FpPoly, g: FpPoly) -> FpPoly:
-    """Monic gcd over F_p[t] via the Euclidean algorithm."""
-    if f.is_zero() and g.is_zero():
-        raise BothZero("gcd(0, 0) is undefined")
-    a, b = f, g
-    while not b.is_zero():
-        _, r = a.divmod(b)
-        a, b = b, r
-    return a.monic()
-
-
-def negate_argument(f: FpPoly) -> FpPoly:
-    """f(t) -> f(-t): coefficient c_i -> (-1)^i c_i."""
-    return FpPoly([(-c if i % 2 else c) for i, c in enumerate(f.coeffs)], f.p)
-
-
 class FpMatrix:
     """Dense matrix over F_p; immutable, entries row-major in [0, p)."""
 
@@ -186,10 +84,6 @@ class FpMatrix:
     @classmethod
     def identity(cls, n: int, p: int) -> "FpMatrix":
         return cls(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)], p)
-
-    @classmethod
-    def scalar(cls, n: int, c: int, p: int) -> "FpMatrix":
-        return cls(n, n, [c if i == j else 0 for i in range(n) for j in range(n)], p)
 
     # -- access -------------------------------------------------------
 
@@ -415,63 +309,3 @@ def inverse_stack(A, p: int) -> tuple[np.ndarray, np.ndarray]:
 
 def mat_rank(A: FpMatrix) -> int:
     return row_space_rank(A.to_lists(), A.p)
-
-
-def min_poly(A: FpMatrix) -> FpPoly:
-    """Monic polynomial of least degree annihilating A (Krylov dependence search)."""
-    if A.rows != A.cols:
-        raise DimensionMismatch("minimal polynomial of a non-square matrix")
-    p = A.p
-    power = FpMatrix.identity(A.rows, p)
-    basis_rows: list[list[int]] = []
-    while True:
-        vec = list(power.flatten())
-        coeffs = _express_in_span(basis_rows, vec, p)
-        if coeffs is not None:
-            # power = sum coeffs[i] * A^i, so t^d - sum coeffs[i] t^i kills A
-            return FpPoly([(-c) % p for c in coeffs] + [1], p)
-        basis_rows.append(vec)
-        power = power.mul(A)
-
-
-def _express_in_span(span_rows: list[list[int]], vec: list[int], p: int) -> list[int] | None:
-    if not span_rows:
-        return None if any(vec) else []
-    cols = [list(col) for col in zip(*span_rows)]
-    return solve_linear(cols, vec, p)
-
-
-def char_poly(A: FpMatrix) -> FpPoly:
-    """Characteristic polynomial det(tI - A) by Leibniz expansion (k <= ~6)."""
-    if A.rows != A.cols:
-        raise DimensionMismatch("characteristic polynomial of a non-square matrix")
-    n, p = A.rows, A.p
-    acc = FpPoly.zero(p)
-    for perm in itertools.permutations(range(n)):
-        sign = _perm_sign(perm)
-        term = FpPoly([sign % p], p)
-        for i in range(n):
-            j = perm[i]
-            if i == j:
-                term = term * FpPoly([(-A[i, j]) % p, 1], p)
-            else:
-                term = term * FpPoly([(-A[i, j]) % p], p)
-        acc = acc + term
-    return acc
-
-
-def _perm_sign(perm: tuple[int, ...]) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j = i
-        clen = 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            clen += 1
-        if clen % 2 == 0:
-            sign = -sign
-    return sign

@@ -23,10 +23,7 @@ from .ffalg import (
     FpMatrix,
     is_invertible,
     mat_inverse,
-    min_poly,
-    negate_argument,
     nullspace,
-    poly_gcd,
     row_space_rank,
     rref,
     solve_linear,
@@ -72,16 +69,16 @@ def check_admissible(spec: PatternSpec) -> bool:
 
 
 def check_spectral(spec: PatternSpec) -> bool:
-    """True iff no two eigenvalues of M1 M2^{-1} (over the algebraic closure)
-    are negatives of each other; decided by gcd(Q(t), Q(-t)) = 1 for the
-    minimal polynomial Q, which has the same root set as the characteristic
-    polynomial."""
+    """True iff no two eigenvalues of A = M1 M2^{-1} (over the algebraic
+    closure) are negatives of each other. The map X -> AX + XA on k x k
+    matrices has the eigenvalues lambda_i + lambda_j (Sylvester), so the
+    condition holds exactly when its matrix I (x) A + A^T (x) I has full rank
+    k^2 over F_p. An eigenvalue 0 pairs with itself, so a singular M1 fails."""
     if not is_invertible(spec.M2):
         raise Singular("M2 must be invertible for the spectral test")
-    A = spec.M1.mul(mat_inverse(spec.M2))
-    q = min_poly(A)
-    g = poly_gcd(q, negate_argument(q).monic())
-    return g.degree == 0
+    A = np.array(spec.M1.mul(mat_inverse(spec.M2)).to_lists(), dtype=np.int64)
+    I = np.eye(spec.k, dtype=np.int64)
+    return row_space_rank(np.kron(I, A) + np.kron(A.T, I), spec.p) == spec.k * spec.k
 
 
 def reduce_to_identity_form(spec: PatternSpec) -> PatternSpec:

@@ -1,8 +1,9 @@
 """Independent oracles used by the test suite.
 
-These deliberately avoid the library's minimal-polynomial path: the spectral
-oracle factors the characteristic polynomial into irreducibles by trial
-division and pairs root sets through sign-flipped factors. The translate
+The spectral oracle shares no code with the library's rank test: it expands
+the characteristic polynomial by Leibniz over plain coefficient lists,
+factors it into irreducibles by trial division and pairs root sets through
+sign-flipped factors. The translate
 oracle rolls the (p,)*m value tensor instead of gathering through an index
 table. The pattern-count oracle sums Fraction (or float) products of rolled
 translates, the way pattern_count did before exact sums became integer sums.
@@ -39,76 +40,107 @@ import numpy as np
 from popdiff._grid import add_index, digit_table, encode_digits, linear_perm
 from popdiff.counterexample import F2_COMBOS, F3_COMBOS, SHIFT_COEFFS, _uniform_table, f1_matrix
 from popdiff.errors import Singular
-from popdiff.ffalg import FpMatrix, FpPoly, char_poly, mat_inverse, negate_argument
+from popdiff.ffalg import FpMatrix, mat_inverse
 from popdiff.gridfn import RATIONAL, factor_image_coords, grid_decode, h_coset_labels
+
+
+# Polynomials over F_p are coefficient lists, lowest degree first, trimmed of
+# trailing zeros; the zero polynomial is [].
+
+
+def poly_trim(f, p: int) -> list[int]:
+    f = [c % p for c in f]
+    while f and f[-1] == 0:
+        f.pop()
+    return f
+
+
+def poly_mul(f, g, p: int) -> list[int]:
+    if not f or not g:
+        return []
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return poly_trim(out, p)
+
+
+def poly_divmod(f, g, p: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of f by a nonzero g."""
+    rem = list(f)
+    quo = [0] * max(0, len(f) - len(g) + 1)
+    inv_lead = pow(g[-1], -1, p)
+    for i in range(len(quo) - 1, -1, -1):
+        c = rem[i + len(g) - 1] * inv_lead % p
+        quo[i] = c
+        for j, b in enumerate(g):
+            rem[i + j] = (rem[i + j] - c * b) % p
+    return poly_trim(quo, p), poly_trim(rem, p)
+
+
+def poly_monic(f, p: int) -> list[int]:
+    inv = pow(f[-1], -1, p)
+    return [c * inv % p for c in f]
+
+
+def poly_negate_argument(f, p: int) -> list[int]:
+    """f(t) -> f(-t): coefficient c_i -> (-1)^i c_i."""
+    return poly_trim([-c if i % 2 else c for i, c in enumerate(f)], p)
+
+
+def char_poly(A: FpMatrix) -> list[int]:
+    """det(tI - A) by Leibniz expansion (k <= ~6)."""
+    n, p = A.rows, A.p
+    acc = [0] * (n + 1)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = [(-1) ** inversions]
+        for i, j in enumerate(perm):
+            term = poly_mul(term, [-A[i, j], 1] if i == j else [-A[i, j]], p)
+        for d, c in enumerate(term):
+            acc[d] += c
+    return poly_trim(acc, p)
 
 
 def all_monic_polys(p: int, degree: int):
     for tail in itertools.product(range(p), repeat=degree):
-        yield FpPoly(list(tail) + [1], p)
+        yield list(tail) + [1]
 
 
-def is_irreducible(q: FpPoly) -> bool:
-    if q.degree <= 0:
-        return False
-    if q.degree == 1:
-        return True
-    for d in range(1, q.degree // 2 + 1):
-        for cand in all_monic_polys(q.p, d):
-            _, rem = q.divmod(cand)
-            if rem.is_zero():
-                return False
-    return True
-
-
-def irreducible_factors(q: FpPoly) -> list[FpPoly]:
-    """Distinct monic irreducible factors, by recursive trial division."""
-    q = q.monic()
-    factors: list[FpPoly] = []
+def irreducible_factors(q, p: int) -> list[tuple[int, ...]]:
+    """Distinct monic irreducible factors of a nonzero q, by trial division
+    with monic candidates of rising degree; each factor found is divided out
+    to its full power."""
+    q = poly_monic(q, p)
+    factors: list[tuple[int, ...]] = []
     d = 1
-    while q.degree > 0:
-        found = None
-        if d > q.degree // 2:
-            found = q  # irreducible remainder
-        else:
-            for cand in all_monic_polys(q.p, d):
-                quo, rem = q.divmod(cand)
-                if rem.is_zero():
-                    found = cand
-                    q = quo
-                    break
-            if found is None:
-                d += 1
-                continue
-        if found is q:
-            factors.append(q)
+    while len(q) > 1:
+        if d > (len(q) - 1) // 2:
+            factors.append(tuple(q))  # irreducible remainder
             break
-        factors.append(found)
-        while True:
-            quo, rem = q.divmod(found)
-            if rem.is_zero():
-                q = quo
-            else:
+        for cand in all_monic_polys(p, d):
+            quo, rem = poly_divmod(q, cand, p)
+            if not rem:
                 break
-    out = []
-    for f in factors:
-        if all(f != g for g in out):
-            out.append(f)
-    return out
+        else:
+            d += 1
+            continue
+        factors.append(tuple(cand))
+        while not rem:
+            q = quo
+            quo, rem = poly_divmod(q, cand, p)
+    return factors
 
 
 def spectral_oracle(A: FpMatrix) -> bool:
     """True iff no two eigenvalues of A over the algebraic closure are
     negatives of each other: no irreducible factor q of the characteristic
     polynomial has monic q(-t) also dividing it (a self-paired factor has a
-    negation-closed root set, which for invertible A forces a +-pair)."""
-    cp = char_poly(A)
-    factors = irreducible_factors(cp)
-    fset = set(factors)
-    for q in factors:
-        if negate_argument(q).monic() in fset:
-            return False
-    return True
+    negation-closed root set: a +-pair, or the root 0, which pairs with
+    itself)."""
+    p = A.p
+    factors = irreducible_factors(char_poly(A), p)
+    return all(tuple(poly_monic(poly_negate_argument(q, p), p)) not in factors for q in factors)
 
 
 def is_odd_prime_by_trial_division(p: int) -> bool:

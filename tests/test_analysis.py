@@ -669,10 +669,19 @@ def test_abstract_atom_distribution():
     rep5 = abstract_atom_distribution(fac5, k)
     assert rep5.support_equal
     assert rep5.max_multiplicative_deviation < rep.max_multiplicative_deviation
-    # dependent linear parts collapse the support
-    bad = QuadraticFactor(p, 3, ((1, 0, 0), (2, 0, 0)), (), ())
-    repb = abstract_atom_distribution(bad, k)
-    assert not repb.support_equal
+    # dependent linear parts add no dimension: B(X), B(D) take 3 x 3 values
+    dep = QuadraticFactor(p, 3, ((1, 0, 0), (2, 0, 0)), (), ())
+    repd = abstract_atom_distribution(dep, k)
+    assert repd.support_equal and repd.predicted_support_size == 9
+
+
+def test_pattern_tuple_dependent_linear_parts_add_no_dimension():
+    # b1 = (x1, 2 x1): the four slot images are those of x1 alone, Psi-many
+    dep = QuadraticFactor(3, 3, ((1, 0, 0), (2, 0, 0)), (), ())
+    J = FpMatrix.from_rows([[2]], 3)
+    for restrict_to_H, size in ((False, 9), (True, 3)):
+        rep = pattern_tuple_distribution(dep, J, restrict_to_H)
+        assert rep.support_equal and rep.predicted_support_size == size
 
 
 def random_factor(p, n, seed):

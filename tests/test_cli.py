@@ -595,13 +595,14 @@ def grammar_files(tmp_path_factory):
     docs = {"spec": {"p": 5, "k": 1, "M1": [[1]], "M2": [[2]]}, "group": {"kind": "Z_N", "N": 61, "M1": 2, "M2": 3},
             "factor": {"p": 3, "n": 2, "b1": [[1, 0]], "b2": [[[1, 0], [0, 1]]], "b3": [[[0, 1], [2, 0]]]},
             "rotated": {"p": 5, "k": 2, "M1": [[1, 0], [0, 1]], "M2": [[0, -1], [1, 0]]},
-            # documents every builder must refuse: a float where an integer belongs, a list for an object
-            # and an unknown group kind
+            # documents that must be refused: a float where an integer belongs, a list for an object,
+            # an unknown group kind, and a singular M2, which has no spectral test
             "bad-spec": {"p": 5, "k": 1, "M1": [[1.5]], "M2": [[2]]},
             "bad-group": {"kind": "Z_N", "N": 61.9, "M1": 1.7, "M2": 2},
             "bad-factor": {"p": 3, "n": 2, "b1": [[1.5, 0]], "b2": [[[1, 0], [0, 1]]], "b3": []},
             "bad-list": [[1, 0], [0, 1]], "bad-kind": {"kind": "foo", "p": 3, "n": 2, "M1": [[1]], "M2": [[2]]},
-            "bad-kind-bare": {"kind": "foo"}}
+            "bad-kind-bare": {"kind": "foo"},
+            "bad-singular-m2": {"p": 5, "k": 2, "M1": [[1, 0], [0, 1]], "M2": [[1, 2], [2, 4]]}}
     # finite PLGF values on (F_5^2)^2 whose pattern sums, or whose plain sum, overflow
     paths = {"out": str(tmp / "out.plgf"), "fn-1e78": _plgf_with(tmp / "fn-1e78.plgf", 1e78),
              "fn-1e200": _plgf_with(tmp / "fn-1e200.plgf", 1e200),
@@ -656,12 +657,13 @@ def _run_with_alarm(argv, seconds=10):
 @example(["threept", "search", "--group", "@bad-list"])
 @example(["threept", "bohr", "--group", "@bad-kind"])
 @example(["threept", "bohr", "--group", "@bad-kind-bare"])
+@example(["check", "--spec", "@bad-singular-m2"])
 @settings(max_examples=60, deadline=None)
 def test_cli_argv_grammar_never_hangs_or_raises(grammar_files, argv):
     # one numeric flag of one subcommand set to a sweep value: the run ends
     # in a report (exit 0 or 2), one JSON error line (exit 1), or argparse's
     # usage text (exit 1), within 10 s and with no exception escaping; a
-    # mistyped @bad- document always ends in one JSON error line
+    # refused @bad- document always ends in one JSON error line
     refused = any(a.startswith("@bad-") for a in argv)
     argv = [grammar_files[a[1:]] if a.startswith("@") else a for a in argv]
     try:

@@ -1,20 +1,15 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from popdiff.errors import BothZero, Singular
+from popdiff.errors import Singular
 from popdiff.ffalg import (
     FpMatrix,
-    FpPoly,
-    char_poly,
     inverse_stack,
     is_invertible,
     is_odd_prime,
     mat_inverse,
     mat_rank,
-    min_poly,
-    negate_argument,
     nullspace,
-    poly_gcd,
     rank_stack,
     row_space_rank,
     rref,
@@ -59,59 +54,6 @@ def test_rank_transpose_invariant():
             for _ in range(200):
                 A = FpMatrix(k, k, [int(x) for x in rng.integers(0, p, k * k)], p)
                 assert mat_rank(A) == mat_rank(A.transpose())
-
-
-def test_min_poly_examples():
-    J = FpMatrix.from_rows([[0, 4], [1, 0]], 5)
-    assert min_poly(J) == FpPoly([1, 0, 1], 5)  # t^2 + 1
-    assert min_poly(FpMatrix.identity(2, 5)) == FpPoly([-1, 1], 5)
-    assert min_poly(FpMatrix.from_rows([[2]], 5)) == FpPoly([-2, 1], 5)
-
-
-def test_min_poly_annihilates():
-    rng = np.random.default_rng(7)
-    for p in (3, 5):
-        for k in (1, 2, 3, 4):
-            for _ in range(10):
-                A = FpMatrix(k, k, [int(x) for x in rng.integers(0, p, k * k)], p)
-                q = min_poly(A)
-                assert q.eval_matrix(A) == FpMatrix.zero(k, k, p)
-                # and divides the characteristic polynomial
-                _, rem = char_poly(A).divmod(q)
-                assert rem.is_zero()
-
-
-def test_poly_gcd_examples():
-    t2p1 = FpPoly([1, 0, 1], 5)
-    assert poly_gcd(t2p1, t2p1) == t2p1
-    assert poly_gcd(FpPoly([-2, 1], 5), FpPoly([2, 1], 5)) == FpPoly.one(5)
-    assert poly_gcd(FpPoly([-1, 0, 1], 3), FpPoly([-1, 1], 3)) == FpPoly([-1, 1], 3)
-    with pytest.raises(BothZero):
-        poly_gcd(FpPoly.zero(5), FpPoly.zero(5))
-
-
-@given(st.integers(0, 5**6 - 1), st.integers(0, 5**6 - 1))
-@settings(max_examples=80, deadline=None)
-def test_poly_gcd_divides(ca, cb):
-    p = 5
-
-    def poly_from(seed):
-        return FpPoly([(seed // p**i) % p for i in range(6)], p)
-
-    f, g = poly_from(ca), poly_from(cb)
-    if f.is_zero() and g.is_zero():
-        return
-    d = poly_gcd(f, g)
-    for h in (f, g):
-        if not h.is_zero():
-            _, rem = h.divmod(d)
-            assert rem.is_zero()
-
-
-def test_negate_argument_examples():
-    assert negate_argument(FpPoly([1, 0, 1], 5)) == FpPoly([1, 0, 1], 5)
-    assert negate_argument(FpPoly([-2, 1], 5)).monic() == FpPoly([2, 1], 5)
-    assert negate_argument(FpPoly([0, 0, 0, 1], 5)).monic() == FpPoly([0, 0, 0, 1], 5)
 
 
 def test_inverse_roundtrip_random():

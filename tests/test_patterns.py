@@ -2,9 +2,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from popdiff.errors import NotContained, Singular
-from popdiff.ffalg import FpMatrix, is_invertible
+from popdiff.ffalg import FpMatrix, is_invertible, mat_inverse
 from popdiff.patterns import (
     PatternSpec,
     SubspaceBasis,
@@ -207,11 +208,34 @@ def test_spectral_oracle_agreement_sample():
         M2 = FpMatrix(k, k, [int(x) for x in rng.integers(0, p, k * k)], p)
         if not (is_invertible(M1) and is_invertible(M2)):
             continue
-        from popdiff.ffalg import mat_inverse
-
         A = M1.mul(mat_inverse(M2))
         assert check_spectral(PatternSpec(p, k, M1, M2)) == spectral_oracle(A)
         done += 1
+
+
+def test_spectral_matches_oracle_exhaustive_small():
+    # every A with k <= 2 over F_3, F_5, F_7, singular ones included: an
+    # eigenvalue 0 pairs with itself, so a singular M1 fails the gate
+    count = 0
+    for p in (3, 5, 7):
+        for k in (1, 2):
+            I = FpMatrix.identity(k, p)
+            for entries in itertools.product(range(p), repeat=k * k):
+                A = FpMatrix(k, k, list(entries), p)
+                assert check_spectral(PatternSpec(p, k, A, I)) == spectral_oracle(A), A
+                count += 1
+    assert count == 3122
+
+
+@given(st.sampled_from([3, 5, 7]), st.sampled_from([3, 4]), st.data())
+@settings(max_examples=80, deadline=None)
+def test_spectral_matches_oracle_random(p, k, data):
+    def matrix():
+        return FpMatrix(k, k, data.draw(st.lists(st.integers(0, p - 1), min_size=k * k, max_size=k * k)), p)
+
+    M1, M2 = matrix(), matrix()
+    assume(is_invertible(M2))
+    assert check_spectral(PatternSpec(p, k, M1, M2)) == spectral_oracle(M1.mul(mat_inverse(M2)))
 
 
 def test_annihilator_matches_constraint_spaces_sample():
