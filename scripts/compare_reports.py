@@ -17,7 +17,8 @@ singular M1, which fails through the eigenvalue 0; a singular M2, which must
 end in one JSON error line; and a 4 x 4 spec); `equidist` on three factors
 (abstract at k = 1, 2, linquad, and tuple with and without --restrict-h at
 k = 1, 2, with --k 2 for the 2 x 2 --J); the counterexample stages (core, dress at n = 1-5, eight-tuple,
-hypergraph, report at n = 1-5, assemble at n = 1, 3, 4); exact and float
+hypergraph at L = 5, 7, 11, 13, 17, 25, report at n = 1-5, and at L = 17 and
+with --method greedy, assemble at n = 1, 3, 4); exact and float
 `popular`; `popular` (4 and 3 points) and `count --d` on PLGF files this
 script writes, one per branch
 of the pattern-sum kernel (0/1 floats, small signed integers, rationals with
@@ -163,7 +164,7 @@ def invocations(refs: dict) -> list[list[str]]:
         ["cex", "eight-tuple", "--n", "3"],
         ["cex", "eight-tuple", "--n", "4", "--a", "[1,2,0,3]", "--b", "[0,1,1,4]"],
     ]
-    argvs += [["cex", "hypergraph", "--L", L] for L in ("5", "7", "11", "13")]
+    argvs += [["cex", "hypergraph", "--L", L] for L in ("5", "7", "11", "13", "17", "25")]
     argvs += [
         ["cex", "report", "--n", "2", "--L", "5", "--seeds", "3", "--seed", "2"],
         ["cex", "report", "--n", "3", "--L", "7", "--seeds", "3"],
@@ -175,6 +176,9 @@ def invocations(refs: dict) -> list[list[str]]:
         ["cex", "report", "--n", "1", "--L", "7", "--seeds", "4"],
         ["cex", "assemble", "--n", "1", "--L", "5", "--seed", "3"],
         ["cex", "assemble", "--n", "4", "--L", "7", "--gamma", "4", "--seed", "2"],
+        # report's difference set: L past 13 and an explicit --method
+        ["cex", "report", "--n", "2", "--L", "17", "--seeds", "2"],
+        ["cex", "report", "--n", "2", "--L", "7", "--seeds", "2", "--method", "greedy"],
         ["popular", "--spec", "@scalar-p5", "--p", "5", "--n", "2", "--seed", "3", "--full"],
         ["popular", "--spec", "@rotated-squares-p5", "--p", "5", "--k", "2", "--n", "2", "--backend", "float",
          "--density", "0.4", "--seed", "1"],

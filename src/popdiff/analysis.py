@@ -592,8 +592,9 @@ def structured_pattern_average(
     f: GridFunction, factor: QuadraticFactor, J: FpMatrix, guard: int = DEFAULT_GUARD
 ) -> dict:
     """lhs = E_{X,D} f(X) f(X+D) f(X+JD) f(X+(I+J)D) 1_H(D), exactly, against
-    the bound p^{-k d1} (E f)^4 (1 - tol); tol is derived from the measured
-    multiplicative deviation of the restricted pattern-tuple distribution."""
+    the bound p^{-k d1} (E f)^4 (1 - tol) with d1 = rank(b1); tol is derived
+    from the measured multiplicative deviation of the restricted pattern-tuple
+    distribution."""
     p, n, k = f.p, f.n, f.k
     if factor.p != p or factor.n != n or J.rows != k:
         raise DimensionMismatch("factor / pattern shape mismatch")
@@ -617,7 +618,7 @@ def structured_pattern_average(
     for s in sums:
         acc += s
     lhs = Fraction(acc, den * P * P) if exact else acc / (P * P)
-    d1 = len(factor.b1)
+    d1 = row_space_rank(factor.b1, p)  # 1_H(D) has mean p^(-k rank(b1))
     dev = pattern_tuple_distribution(factor, J, restrict_to_H=True, guard=guard).max_multiplicative_deviation
     tol = min(0.9, 4.0 * dev)
     mean = f.mean()

@@ -209,8 +209,7 @@ def _cmd_cex(args):
     if args.cex_op == "eight-tuple":
         rep = cex.eight_tuple_distribution(_int_lists(args, "a"), _int_lists(args, "b"), args.n, guard=args.guard)
         return rep.to_json_obj(), rep.support_ok
-    if args.cex_op in ("hypergraph", "dress", "assemble"):
-        h = cex.Hypergraphon(args.L, cex.ap3_free_set(args.L, args.method))
+    h = cex.Hypergraphon(args.L, cex.ap3_free_set(args.L, args.method))
     if args.cex_op == "hypergraph":
         exps = cex.hypergraph_expectations(h)
         ok = exps["patternA_matches"] and exps["patternB_bound_holds"] and exps["unique_triangles_ok"]
@@ -219,13 +218,12 @@ def _cmd_cex(args):
         rep = cex.dress_and_measure(core, h, args.n, args.seeds, args.seed, guard=args.guard)
         ok = rep["alpha"]["within"] and all(d["within"] for d in rep["differences"])
         return rep, ok
+    params = cex.DressingParams(seed=args.seed, n=args.n, gamma=args.gamma)
     if args.cex_op == "assemble":
-        params = cex.DressingParams(seed=args.seed, n=args.n, L=args.L, gamma=args.gamma)
         rep = cex.final_assembly(core, h, params, args.seed_index, guard=args.guard)
         return rep, all(rep["subchecks"][k] for k in ("digit_set_4ap_free", "exponent_ok", "gamma_bound_ok"))
     if args.cex_op == "report":
-        params = cex.DressingParams(seed=args.seed, n=args.n, L=args.L, gamma=args.gamma)
-        rep = cex.cex_report(params, seeds=args.seeds, guard=args.guard)
+        rep = cex.cex_report(core, h, params, seeds=args.seeds, guard=args.guard)
         return rep, all(bool(v) for v in rep["certified"].values())
     raise ValueError(f"unknown cex operation {args.cex_op!r}")
 

@@ -197,7 +197,6 @@ def eight_tuple_distribution(a, b, n: int, guard: int = DEFAULT_GUARD) -> Equidi
     five-dimensional subspace; the report also records whether every coset
     point is attained and whether the observed points affinely span it.
     """
-    core = build_core()
     a = np.asarray(a, dtype=np.int64) % 5
     b = np.asarray(b, dtype=np.int64) % 5
     if len(a) != n or len(b) != n:
@@ -364,67 +363,39 @@ class Hypergraphon:
 
 
 def unique_triangle_check(h: Hypergraphon) -> bool:
-    """Every edge of each bipartite part has exactly one completing vertex."""
-    L, lam = h.L, set(h.lam)
-    lam2 = set((2 * t) % L for t in h.lam)
-    for s in range(L):
-        for t in h.lam:
-            u, v = s, (s + t) % L
-            # UV edge: w with v-w ... w - v in lam and w - u in 2*lam
-            comps = [w for w in range(L) if (w - v) % L in lam and (w - u) % L in lam2]
-            if len(comps) != 1:
-                return False
-            v2, w2 = s, (s + t) % L
-            # VW edge: u with v2 - u in lam and w2 - u in 2*lam
-            comps = [uu for uu in range(L) if (v2 - uu) % L in lam and (w2 - uu) % L in lam2]
-            if len(comps) != 1:
-                return False
-            u3, w3 = s, (s + 2 * t) % L
-            # UW edge: v with v - u3 in lam and w3 - v in lam
-            comps = [vv for vv in range(L) if (vv - u3) % L in lam and (w3 - vv) % L in lam]
-            if len(comps) != 1:
-                return False
-    return True
+    """Every edge of each bipartite part has exactly one completing vertex.
 
-
-# four-cell patterns arising from the dependent-direction collisions
-_PATTERN_SUBSCRIPTS = {
-    "A": "avc,bvd,aef,bec->",
-    "B": "avc,bef,bgc,hvf->",
-    "C": "avc,aef,bvf,beh->",
-    "D": "avc,bec,def,ahf->",
-}
+    The parts are the projections of the cell indicator; an edge's
+    completions are counted by one integer product of the other two parts."""
+    uv, vw, uw = (h.tensor.any(axis=axis).astype(np.int64) for axis in (2, 0, 1))
+    return all((counts[edges > 0] == 1).all() for edges, counts in ((uv, uw @ vw.T), (vw, uv.T @ uw), (uw, uv @ vw)))
 
 
 def hypergraph_expectations(h: Hypergraphon) -> dict:
     """Exact mean and four-cell pattern expectations of the hypergraphon.
 
     mean = |lam| / L^2; the unique-triangle-forced pattern equals
-    |lam| / L^6 exactly; the loose pattern is at most L^{-4}.
+    |lam| / L^6 exactly; the loose pattern is at most L^{-4}. The four-cell
+    table is the class b = a of class_pattern_expectations: A = C is its F2
+    product and B = D its F3 product.
     """
     if h.L > 30:
         raise TooLarge("exact pattern enumeration supports L <= 30")
-    G = h.tensor
     L = h.L
-    mean = Fraction(int(G.sum()), L**3)
-    table: dict[str, Fraction] = {}
-    for name, sub in _PATTERN_SUBSCRIPTS.items():
-        nvars = len(set(sub.replace(",", "").replace("->", "")))
-        cnt = int(np.einsum(sub, G, G, G, G, optimize=True))
-        table[name] = Fraction(cnt, L**nvars)
-    patternA = table["A"]
-    patternB = table["B"]
+    mean = Fraction(int(h.tensor.sum()), L**3)
+    patternA, patternB = class_pattern_expectations(h, 1)
+    expected = Fraction(len(h.lam), L**6)
     return {
         "L": L,
         "lam": list(h.lam),
         "mean_g2": mean,
         "patternA": patternA,
-        "patternA_expected": Fraction(len(h.lam), L**6),
-        "patternA_matches": patternA == Fraction(len(h.lam), L**6),
+        "patternA_expected": expected,
+        "patternA_matches": patternA == expected,
         "patternB": patternB,
         "patternB_bound_holds": patternB <= Fraction(1, L**4),
         "unique_triangles_ok": unique_triangle_check(h),
-        "pattern_table": table,
+        "pattern_table": {"A": patternA, "B": patternB, "C": patternA, "D": patternB},
     }
 
 
@@ -436,7 +407,6 @@ def hypergraph_expectations(h: Hypergraphon) -> dict:
 class DressingParams:
     seed: int
     n: int
-    L: int
     gamma: int
 
     def __post_init__(self):
@@ -792,6 +762,19 @@ def _affine_membership(n: int, gamma: int, master_seed: int, seed_index: int,
     return found[0], found[1]
 
 
+def assembly_subchecks() -> dict:
+    """The exact subchecks of the assembly: the digit set {0,1,2} has no
+    nontrivial 4-AP mod 5, log(25/3) / log(5/3) >= 4.15, and
+    (3/25)^g <= ((3/5)^g)^4.15 for g = 1..12."""
+    exponent = math.log(25 / 3) / math.log(5 / 3)
+    return {
+        "digit_set_4ap_free": not has_nontrivial_4ap((0, 1, 2)),
+        "exponent_value": exponent,
+        "exponent_ok": exponent >= 4.15,
+        "gamma_bound_ok": all((3 / 25) ** g <= ((3 / 5) ** g) ** 4.15 for g in range(1, 13)),
+    }
+
+
 def final_assembly(
     core: CexCore,
     h: Hypergraphon,
@@ -800,8 +783,8 @@ def final_assembly(
     guard: int = DEFAULT_GUARD,
 ) -> dict:
     """One seeded end-to-end sample: f = h * [x in phi(y)T] * [y in phi'(x)T],
-    with the exact subchecks on the digit set {0,1,2} and the 4.15 exponent.
-    The affine memberships are tested only at the support of h."""
+    with the exact assembly_subchecks. The affine memberships are tested only
+    at the support of h."""
     n, gamma = params.n, params.gamma
     hm = dressed_h_matrix(core, h, n, params.seed, seed_index, guard)
     ys, xs = np.nonzero(hm.T)  # hm.T is C-contiguous, so this scan is the fast one
@@ -809,14 +792,6 @@ def final_assembly(
     fm = np.zeros(hm.shape, dtype=hm.dtype)
     fm[xs[keep], ys[keep]] = 1
     alpha_f = fm.sum() / fm.size
-    beta = float(params.beta)
-    exponent = math.log(25 / 3) / math.log(5 / 3)
-    subchecks = {
-        "digit_set_4ap_free": not has_nontrivial_4ap((0, 1, 2)),
-        "exponent_value": exponent,
-        "exponent_ok": exponent >= 4.15,
-        "gamma_bound_ok": all((3 / 25) ** g <= ((3 / 5) ** g) ** 4.15 for g in range(1, 13)),
-    }
     sparse = sparse_pattern_max(fm, n)
     return {
         "n": n,
@@ -826,9 +801,9 @@ def final_assembly(
         "seed_index": seed_index,
         "alpha_f": float(alpha_f),
         "alpha_h": float(hm.sum() / hm.size),
-        "beta_T": beta,
+        "beta_T": float(params.beta),
         "support_size": int(fm.sum()),
-        "subchecks": subchecks,
+        "subchecks": assembly_subchecks(),
         "max_nonzero_beta": sparse["max_beta"],
         "argmax_ab": sparse["argmax"],
         "max_ratio_to_alpha4": (sparse["max_beta"] / alpha_f**4) if alpha_f > 0 else None,  # undefined on an empty support
@@ -881,40 +856,37 @@ def _median(values: list[float]) -> float:
     return float(v[mid] if len(v) % 2 else (v[mid - 1] + v[mid]) / 2)
 
 
-def cex_report(params: DressingParams, seeds: int = 50, guard: int = DEFAULT_GUARD) -> dict:
-    """End-to-end report: exact certified inequalities (core table, hypergraph
-    identities, digit-set subchecks) plus the per-seed exhaustive max of
+def cex_report(core: CexCore, h: Hypergraphon, params: DressingParams, seeds: int = 50,
+               guard: int = DEFAULT_GUARD) -> dict:
+    """End-to-end report on the hypergraphon h: exact certified inequalities
+    (core table, hypergraph identities, digit-set subchecks) plus the per-seed exhaustive max of
     beta(a, b) / alpha^4 for the assembled function.
 
     The absolute constant of the no-popular-difference statement is labelled
     not certified: it needs L and gamma beyond desk scale."""
     if seeds < 1:
         raise ValueError(f"seeds must be at least 1, got {seeds}")
-    core = build_core()
-    lam = ap3_free_set(params.L, "exhaustive-max" if params.L <= 13 else "greedy")
-    h = Hypergraphon(params.L, lam)
     table = core_expectation_table(core)
     exps = hypergraph_expectations(h)
-    ratios = []
-    alphas = []
-    for sidx in range(seeds):
-        rep = final_assembly(core, h, params, sidx, guard)
-        ratios.append(math.inf if rep["max_ratio_to_alpha4"] is None else rep["max_ratio_to_alpha4"])
-        alphas.append(rep["alpha_f"])
+    subchecks = assembly_subchecks()
+    reps = [final_assembly(core, h, params, sidx, guard) for sidx in range(seeds)]
+    ratios = [math.inf if rep["max_ratio_to_alpha4"] is None else rep["max_ratio_to_alpha4"] for rep in reps]
+    alphas = [rep["alpha_f"] for rep in reps]
     quantiles = (float(np.min(ratios)), _median(ratios), float(np.max(ratios)))
+    core_ratio = table["sup"] / table["mean_g1"] ** 4
     return {
-        "params": {"n": params.n, "L": params.L, "gamma": params.gamma, "seed": params.seed},
+        "params": {"n": params.n, "L": h.L, "gamma": params.gamma, "seed": params.seed},
         "seeds": seeds,
         "certified": {
             "core_sup": f"{table['sup'].numerator}/{table['sup'].denominator}",
             "core_mean": f"{table['mean_g1'].numerator}/{table['mean_g1'].denominator}",
-            "core_ratio_num_den": [73, 80],
+            "core_ratio_num_den": [core_ratio.numerator, core_ratio.denominator],
             "core_strict": table["strict"],
             "hypergraph_patternA_matches": exps["patternA_matches"],
             "hypergraph_patternB_bound": exps["patternB_bound_holds"],
             "unique_triangles": exps["unique_triangles_ok"],
-            "digit_set_4ap_free": not has_nontrivial_4ap((0, 1, 2)),
-            "exponent_ok": math.log(25 / 3) / math.log(5 / 3) >= 4.15,
+            "digit_set_4ap_free": subchecks["digit_set_4ap_free"],
+            "exponent_ok": subchecks["exponent_ok"],
         },
         "monte_carlo": {
             "seeds_with_max_ratio_below_1": sum(1 for r in ratios if r < 1.0),

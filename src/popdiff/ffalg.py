@@ -259,18 +259,6 @@ def nullspace(rows, p: int, ncols: int | None = None) -> list[list[int]]:
     return basis
 
 
-def solve_linear(rows: list[list[int]], rhs: list[int], p: int) -> list[int] | None:
-    """One solution of M x = rhs over F_p, or None if inconsistent."""
-    ncols = len(rows[0]) if rows else 0
-    red, pivots = rref([list(row) + [b] for row, b in zip(rows, rhs)], p)
-    if ncols in pivots:  # a row 0 = nonzero
-        return None
-    x = [0] * ncols
-    for row, pc in zip(red, pivots):
-        x[pc] = row[ncols]
-    return x
-
-
 # -- spec operations --------------------------------------------------
 
 

@@ -26,7 +26,6 @@ from .ffalg import (
     nullspace,
     row_space_rank,
     rref,
-    solve_linear,
     validate_odd_prime,
 )
 
@@ -296,7 +295,8 @@ def lambda_perp(J: FpMatrix, kind: str) -> SubspaceBasis:
 
 
 def in_algebra_of_square(A: FpMatrix) -> bool:
-    """True iff A is an F_p-linear combination of I, A^2, A^4, ..., A^{2(k-1)}."""
+    """True iff A is an F_p-linear combination of I, A^2, A^4, ..., A^{2(k-1)},
+    that is, iff adding A to their span leaves its rank unchanged."""
     if A.rows != A.cols:
         raise DimensionMismatch("square matrix required")
     k, p = A.rows, A.p
@@ -306,8 +306,7 @@ def in_algebra_of_square(A: FpMatrix) -> bool:
     for _ in range(k):
         span_rows.append(list(power.flatten()))
         power = power.mul(A2)
-    cols = [list(c) for c in zip(*span_rows)]
-    return solve_linear(cols, list(A.flatten()), p) is not None
+    return row_space_rank(span_rows + [list(A.flatten())], p) == row_space_rank(span_rows, p)
 
 
 # ---------------------------------------------------------------------------

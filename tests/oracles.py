@@ -26,7 +26,11 @@ support, the way sparse_pattern_max did before it read the addition table.
 The matrix pattern-count oracle multiplies np.roll translates of the whole
 dense matrix, the way the dressing was measured before it summed over the
 support. The primality oracle is the trial division that validated every
-modulus before ffalg.is_odd_prime ran Miller-Rabin.
+modulus before ffalg.is_odd_prime ran Miller-Rabin. The hypergraphon
+oracles are the per-edge scan of the unique-triangle check and the four
+einsums of the four-cell table, as they ran before both were read off the
+cell tensor: the check as matrix products of its edge sets, the table as the
+class b = a of the per-class predictions.
 """
 
 from __future__ import annotations
@@ -290,6 +294,48 @@ def pattern_count_by_roll(F: np.ndarray, n: int, a, b) -> int:
         shift = [-cx * int(d) for d in a] + [-cy * int(d) for d in b]
         prod = prod * np.roll(T, shift=tuple(shift), axis=tuple(range(2 * n)))
     return int(prod.sum())
+
+
+def unique_triangles_by_edge_scan(h) -> bool:
+    """Every edge of each bipartite part of h has exactly one completing
+    vertex, by scanning the edges (s, s + t), (s, s + t) and (s, s + 2t) for
+    t in h.lam and testing every vertex against lam and 2 lam."""
+    L, lam = h.L, set(h.lam)
+    lam2 = set((2 * t) % L for t in h.lam)
+    for s in range(L):
+        for t in h.lam:
+            u, v = s, (s + t) % L
+            # UV edge: w with w - v in lam and w - u in 2 lam
+            if len([w for w in range(L) if (w - v) % L in lam and (w - u) % L in lam2]) != 1:
+                return False
+            v2, w2 = s, (s + t) % L
+            # VW edge: u with v2 - u in lam and w2 - u in 2 lam
+            if len([uu for uu in range(L) if (v2 - uu) % L in lam and (w2 - uu) % L in lam2]) != 1:
+                return False
+            u3, w3 = s, (s + 2 * t) % L
+            # UW edge: v with v - u3 in lam and w3 - v in lam
+            if len([vv for vv in range(L) if (vv - u3) % L in lam and (w3 - vv) % L in lam]) != 1:
+                return False
+    return True
+
+
+# the four-cell patterns of the dependent-direction collisions, one einsum each
+PATTERN_SUBSCRIPTS = {
+    "A": "avc,bvd,aef,bec->",
+    "B": "avc,bef,bgc,hvf->",
+    "C": "avc,aef,bvf,beh->",
+    "D": "avc,bec,def,ahf->",
+}
+
+
+def pattern_table_by_einsum(h) -> dict:
+    """The four-cell pattern table of h: each pattern's count over L^(its letters)."""
+    G = h.tensor
+    table = {}
+    for name, sub in PATTERN_SUBSCRIPTS.items():
+        nvars = len(set(sub.replace(",", "").replace("->", "")))
+        table[name] = Fraction(int(np.einsum(sub, G, G, G, G, optimize=True)), h.L**nvars)
+    return table
 
 
 def sparse_pattern_max_by_isin(fm: np.ndarray, n: int, chunk_pairs: int = 2_000_000) -> dict:

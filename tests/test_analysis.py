@@ -814,6 +814,16 @@ def test_structured_average_random_projection():
     assert r2["lhs"] > 0
 
 
+def test_structured_average_bound_uses_rank_of_b1():
+    # a dependent row of b1 cuts H no further, so the bound keeps p^(-k rank(b1)):
+    # the constant 2/5 meets it with equality
+    p, n = 3, 3
+    f = GridFunction.constant(p, 1, n, Fraction(2, 5), RATIONAL)
+    fac = QuadraticFactor(p, n, ((1, 0, 0), (2, 0, 0)), (), ())
+    r = structured_pattern_average(f, fac, FpMatrix.from_rows([[2]], p))
+    assert r["lhs"] == r["bound"] == Fraction(16, 1875) and r["holds"]
+
+
 def test_structured_average_guard_states_estimate():
     p, n = 3, 2
     f = GridFunction.constant(p, 1, n, Fraction(2, 5), RATIONAL)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from popdiff.analysis import gowers_norm
-from popdiff import cli, threept as tp
+from popdiff import cli, counterexample as cex, threept as tp
 from popdiff.cli import dispatch
 from popdiff.errors import TooLarge
 from popdiff.gridfn import FLOAT, GridFunction, write_grid_function
@@ -83,6 +83,19 @@ def test_cex_report_matches_recorded_reference(capsys, seed):
     lines = [json.loads(line) for line in capsys.readouterr().out.splitlines() if line]
     assert code == 0 and len(lines) == 1
     assert _report_mismatches(lines[0]["report"], reference) == []
+
+
+def test_cex_report_builds_h_from_method(capsys):
+    # report takes its difference set from --method, as hypergraph, dress and
+    # assemble do; at L = 17 the greedy and maximum sets differ, and at n = 4
+    # their assembled supports are not empty
+    argv = ["cex", "report", "--n", "4", "--L", "17", "--seeds", "2"]
+    code, greedy = run_lines(capsys, argv + ["--method", "greedy"])
+    h = cex.Hypergraphon(17, cex.ap3_free_set(17, "greedy"))
+    want = cex.cex_report(cex.build_core(), h, cex.DressingParams(seed=0, n=4, gamma=1), seeds=2)
+    assert code == 0 and greedy[0]["report"] == json.loads(json.dumps(want))
+    code, maximum = run_lines(capsys, argv + ["--method", "exhaustive-max"])
+    assert code == 0 and maximum[0]["report"] != greedy[0]["report"]
 
 
 EQUIDIST_REFERENCE = os.path.join(os.path.dirname(__file__), "equidist_reference.json")
@@ -543,8 +556,9 @@ def test_cex_dress_window_has_a_resolution_floor(capsys, n):
     assert all(d["within"] for d in lines[0]["report"]["differences"])
 
 
-# The argv grammar: each base argv, with the common flags, and every numeric
-# flag's value replaced in turn by one of SWEEP. @name is an input file.
+# The argv grammar: each base argv, with the common flags, and either every
+# numeric flag's value replaced in turn by one of SWEEP, one flag dropped with
+# its value, or one unknown flag added. @name is an input file.
 GRAMMAR = [
     "check --spec @spec",
     "subspaces --spec @spec",
@@ -585,7 +599,16 @@ def _numeric_flag_positions(argv):
 @st.composite
 def grammar_argvs(draw):
     argv = draw(st.sampled_from(GRAMMAR)).split() + ["--guard", "100000000", "--seed", "0"]
-    argv[draw(st.sampled_from(_numeric_flag_positions(argv)))] = draw(st.sampled_from(SWEEP))
+    flags = [i for i, a in enumerate(argv) if a.startswith("--")]
+    edit = draw(st.sampled_from(["sweep", "drop", "unknown"]))
+    if edit == "sweep":
+        argv[draw(st.sampled_from(_numeric_flag_positions(argv)))] = draw(st.sampled_from(SWEEP))
+    elif edit == "drop":
+        i = draw(st.sampled_from(flags))
+        del argv[i:i + 2]  # every flag of GRAMMAR takes a value
+    else:
+        i = draw(st.sampled_from(flags + [len(argv)]))
+        argv[i:i] = ["--no-such-flag"] + draw(st.sampled_from([[], ["1"]]))
     return argv
 
 
@@ -658,11 +681,14 @@ def _run_with_alarm(argv, seconds=10):
 @example(["threept", "bohr", "--group", "@bad-kind"])
 @example(["threept", "bohr", "--group", "@bad-kind-bare"])
 @example(["check", "--spec", "@bad-singular-m2"])
-@settings(max_examples=60, deadline=None)
+@example(["equidist", "--mode", "tuple", "--J", "[[2]]", "--guard", "100000000", "--seed", "0"])
+@example(["cex", "report", "--n", "2", "--L", "5", "--no-such-flag", "1", "--gamma", "1", "--seeds", "2"])
+@settings(max_examples=180, deadline=None)
 def test_cli_argv_grammar_never_hangs_or_raises(grammar_files, argv):
-    # one numeric flag of one subcommand set to a sweep value: the run ends
-    # in a report (exit 0 or 2), one JSON error line (exit 1), or argparse's
-    # usage text (exit 1), within 10 s and with no exception escaping; a
+    # one numeric flag of one subcommand set to a sweep value, one flag
+    # dropped, or one unknown flag added: the run ends in a report (exit 0
+    # or 2), one JSON error line (exit 1), or argparse's usage text (exit 1),
+    # within 10 s and with no exception escaping; a
     # refused @bad- document always ends in one JSON error line
     refused = any(a.startswith("@bad-") for a in argv)
     argv = [grammar_files[a[1:]] if a.startswith("@") else a for a in argv]

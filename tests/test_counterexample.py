@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -40,7 +41,14 @@ from popdiff.counterexample import (
 import popdiff.counterexample as cex
 from popdiff.counterexample import _GeneratorStack, _affine_membership
 
-from oracles import dressed_h_by_combo_index, membership_masks_by_inverse, pattern_count_by_roll, sparse_pattern_max_by_isin
+from oracles import (
+    dressed_h_by_combo_index,
+    membership_masks_by_inverse,
+    pattern_count_by_roll,
+    pattern_table_by_einsum,
+    sparse_pattern_max_by_isin,
+    unique_triangles_by_edge_scan,
+)
 
 
 def test_core_invariants():
@@ -185,6 +193,37 @@ def test_hypergraph_expectations_examples():
         assert e["patternB_bound_holds"]
         assert e["unique_triangles_ok"]
         assert unique_triangle_check(h)
+
+
+def _unvalidated_hypergraphon(L, lam):
+    """The Hypergraphon of lam without the constructor's 3-AP refusal."""
+    h = object.__new__(Hypergraphon)
+    object.__setattr__(h, "L", L)
+    object.__setattr__(h, "lam", lam)
+    return h
+
+
+@pytest.mark.parametrize("L", range(1, 31))
+def test_hypergraph_checks_match_edge_scan_and_einsum_oracles(L):
+    # every set ap3_free_set returns, and every set of size <= 3 up to
+    # x -> u x + c (u a unit mod L): the hypergraphon of u lam + c is that of
+    # lam with its parts relabelled (s -> u s, v -> u v + c, w -> u w + 2c),
+    # which moves neither check, so one set per orbit stands for the orbit.
+    # Sets holding a 3-AP, built past the refusal, have edges with two
+    # completions, so the check must also say False where the scan does
+    units = [u for u in range(1, L) if math.gcd(u, L) == 1] or [0]
+    sets = {ap3_free_set(L, method) for method in ("greedy", "exhaustive-max", "behrend")}
+    seen = set()
+    for lam in itertools.chain.from_iterable(itertools.combinations(range(L), r) for r in range(4)):
+        if lam not in seen:
+            seen.update(tuple(sorted((u * t + c) % L for t in lam)) for u in units for c in range(L))
+            sets.add(lam)
+    for lam in sets:
+        h = _unvalidated_hypergraphon(L, lam)
+        assert unique_triangle_check(h) == unique_triangles_by_edge_scan(h), lam
+        assert hypergraph_expectations(h)["pattern_table"] == pattern_table_by_einsum(h), lam
+    if L >= 3:
+        assert not unique_triangle_check(_unvalidated_hypergraphon(L, (0, 1, 2)))
 
 
 def test_hypergraphon_rejects_ap():
@@ -501,7 +540,7 @@ def test_dress_and_measure_memory_stays_below_a_matrix_extension():
 def test_final_assembly_and_sparse_max():
     core = build_core()
     h = Hypergraphon(5, (1, 2))
-    params = DressingParams(seed=8, n=2, L=5, gamma=1)
+    params = DressingParams(seed=8, n=2, gamma=1)
     rep = final_assembly(core, h, params, 0)
     assert rep["subchecks"]["digit_set_4ap_free"]
     assert rep["subchecks"]["exponent_ok"]
@@ -595,7 +634,7 @@ def test_assembly_mean_matches_prediction():
     means = []
     preds = []
     for sidx in range(50):
-        params = DressingParams(seed=40, n=3, L=5, gamma=1)
+        params = DressingParams(seed=40, n=3, gamma=1)
         rep = final_assembly(core, h, params, sidx)
         means.append(rep["alpha_f"])
         preds.append(rep["beta_T"] ** 2 * rep["alpha_h"])
@@ -608,7 +647,8 @@ def test_assembly_mean_matches_prediction():
 def test_cex_report_example_scale():
     # the assembled set at n=4, L=7, gamma=1: nearly every seed has its
     # exhaustive max over nonzero differences below the random-set bound
-    rep = cex_report(DressingParams(seed=20260809, n=4, L=7, gamma=1), seeds=12)
+    h = Hypergraphon(7, ap3_free_set(7, "exhaustive-max"))
+    rep = cex_report(build_core(), h, DressingParams(seed=20260809, n=4, gamma=1), seeds=12)
     assert rep["monte_carlo"]["seeds_with_max_ratio_below_1"] >= 11
     assert all(bool(v) for v in rep["certified"].values())
 
@@ -619,7 +659,8 @@ def test_4ap_check():
 
 
 def test_cex_report_small():
-    rep = cex_report(DressingParams(seed=5, n=2, L=5, gamma=1), seeds=6)
+    h = Hypergraphon(5, ap3_free_set(5, "exhaustive-max"))
+    rep = cex_report(build_core(), h, DressingParams(seed=5, n=2, gamma=1), seeds=6)
     assert rep["certified"]["core_strict"]
     assert rep["certified"]["hypergraph_patternA_matches"]
     assert not rep["scope"]["constant_c_certified"]
