@@ -18,7 +18,11 @@ end in one JSON error line; and a 4 x 4 spec); `equidist` on three factors
 (abstract at k = 1, 2, linquad, and tuple with and without --restrict-h at
 k = 1, 2, with --k 2 for the 2 x 2 --J); the counterexample stages (core, dress at n = 1-5, eight-tuple,
 hypergraph at L = 5, 7, 11, 13, 17, 25, report at n = 1-5, and at L = 17 and
-with --method greedy, assemble at n = 1, 3, 4); exact and float
+with --method greedy, `cex report --n 4 --L 17 --seeds 2` with and without
+--method greedy, `cex report --n 3 --L 7 --seeds 12 --seed 4294967299` (a
+master seed of two 32-bit words), `cex report --n 4 --L 7 --gamma 3 --seeds
+6`, assemble at n = 1, 3, 4, and `cex assemble --n 3 --L 7 --seed-index
+4294967296`); exact and float
 `popular`; `popular` (4 and 3 points) and `count --d` on PLGF files this
 script writes, one per branch
 of the pattern-sum kernel (0/1 floats, small signed integers, rationals with
@@ -179,6 +183,14 @@ def invocations(refs: dict) -> list[list[str]]:
         # report's difference set: L past 13 and an explicit --method
         ["cex", "report", "--n", "2", "--L", "17", "--seeds", "2"],
         ["cex", "report", "--n", "2", "--L", "7", "--seeds", "2", "--method", "greedy"],
+        # at n = 4 the greedy and maximum sets at L = 17 give different reports
+        ["cex", "report", "--n", "4", "--L", "17", "--seeds", "2"],
+        ["cex", "report", "--n", "4", "--L", "17", "--seeds", "2", "--method", "greedy"],
+        # seeds sharing one generator stack: a two-word master seed, a two-word
+        # seed index, and gamma = 3 over six seeds
+        ["cex", "report", "--n", "3", "--L", "7", "--seeds", "12", "--seed", "4294967299"],
+        ["cex", "assemble", "--n", "3", "--L", "7", "--seed-index", "4294967296"],
+        ["cex", "report", "--n", "4", "--L", "7", "--gamma", "3", "--seeds", "6"],
         ["popular", "--spec", "@scalar-p5", "--p", "5", "--n", "2", "--seed", "3", "--full"],
         ["popular", "--spec", "@rotated-squares-p5", "--p", "5", "--k", "2", "--n", "2", "--backend", "float",
          "--density", "0.4", "--seed", "1"],

@@ -319,7 +319,8 @@ def _gowers_power_recursive(vals: np.ndarray, p: int, m: int, s: int, guard: int
     # the U^2 level per block of shifts: each shift's sum of |F/P|^4 runs along one contiguous row, as a 1-d sum does
     step = max(1, 2**14 // P)
     for start in range(0, P, step):
-        block = vals * np.conj(np.stack([tr.at(h) for h in range(start, min(start + step, P))]))
+        # vals as a (1, P) row: at P = 1 a (1,) operand takes numpy's scalar loop, a bit off the per-shift product
+        block = vals[None, :] * np.conj(np.stack([tr.at(h) for h in range(start, min(start + step, P))]))
         for power in np.sum(np.abs(dft(block.T, p, m).T / P) ** 4, axis=1).tolist():
             total += power
     return total / P

@@ -280,8 +280,18 @@ def ap3_free_set(L: int, method: str = "greedy") -> tuple[int, ...]:
 
 
 def _max_ap3_free(L: int) -> list[int]:
-    """Branch and bound over elements in increasing order."""
+    """Branch and bound over elements in increasing order. blocked[r] counts the 3-APs that r
+    would complete with the chosen elements: with each chosen y, v makes one with 2v - y, 2y - v
+    and each m of mids[v + y], 2m = v + y; y = v blocks v + L/2 (t = L/2) at even L."""
     best: list[int] = []
+    blocked = [0] * L
+    mids = [[s * (L + 1) // 2 % L] if L % 2 else [] if s % 2 else [s // 2 % L, (s // 2 + L // 2) % L] for s in range(2 * L)]
+
+    def completions(v: int, chosen: list[int]) -> list[int]:
+        out = []
+        for y in chosen + [v]:
+            out += [(2 * v - y) % L, (2 * y - v) % L] + mids[v + y]
+        return out
 
     def extend(start: int, chosen: list[int]):
         nonlocal best
@@ -291,10 +301,15 @@ def _max_ap3_free(L: int) -> list[int]:
             if len(chosen) > len(best):
                 best = list(chosen)
             return
-        chosen.append(start)
-        if is_3ap_free(chosen, L):
+        if not blocked[start]:
+            marks = completions(start, chosen)
+            for r in marks:
+                blocked[r] += 1
+            chosen.append(start)
             extend(start + 1, chosen)
-        chosen.pop()
+            chosen.pop()
+            for r in marks:
+                blocked[r] -= 1
         extend(start + 1, chosen)
 
     extend(0, [])
@@ -692,25 +707,30 @@ def _pcg64_halves(state: np.ndarray, inc: np.ndarray, steps: int) -> tuple[np.nd
 
 
 class _GeneratorStack:
-    """The generators np.random.default_rng(key + [g]) for g < count, advanced
-    as one stack: row g of state and inc holds g's PCG64 state and increment
-    as (high, low) uint64 words. integers5 draws what each generator's
-    integers(0, 5, size) would, in turn. Like numpy, a draw takes one 32-bit
-    half of an output, and the spare high half carries over to the generator's
-    next call. Lemire's method rejects only a zero half ((2^32 - 5) mod 5 = 1);
-    a generator that meets one is replayed through numpy from then on."""
+    """The generators np.random.default_rng(prefix + [g]) for each prefix and
+    g < count, advanced as one stack: row i count + g of state and inc holds
+    the PCG64 state and increment of (prefixes[i], g) as (high, low) uint64
+    words. integers5 draws what each generator's integers(0, 5, size) would,
+    in turn. Like numpy, a draw takes one 32-bit half of an output, and the
+    spare high half carries over to the generator's next call. Lemire's
+    method rejects only a zero half ((2^32 - 5) mod 5 = 1); a generator that
+    meets one is replayed through numpy from then on."""
 
-    def __init__(self, key: list[int], count: int):
-        np.random.SeedSequence(key)  # numpy's own check of the key
-        self.key = [int(k) for k in key]
-        # each key as SeedSequence reads it: little-endian 32-bit words, at least one
-        head = [k >> 32 * i & _MASK32 for k in self.key for i in range(max(1, -(-k.bit_length() // 32)))]
-        words = np.empty((count, len(head) + 1), dtype=np.uint32)
-        words[:, :-1] = head
-        words[:, -1] = np.arange(count)
-        self.state, self.inc = _pcg64_seeded(words)
-        self.carry = np.full(count, -1, dtype=np.int64)  # the carried half, or -1
-        self.drawn = np.zeros(count, dtype=np.int64)
+    def __init__(self, prefixes: list[list[int]], count: int):
+        self.prefixes, self.count = [[int(k) for k in prefix] for prefix in prefixes], count
+        for prefix in self.prefixes:
+            np.random.SeedSequence(prefix)  # numpy's own check of the keys
+        # each prefix as SeedSequence reads it: little-endian 32-bit words, at least one per key
+        heads = [[k >> 32 * i & _MASK32 for k in prefix for i in range(max(1, -(-k.bit_length() // 32)))]
+                 for prefix in self.prefixes]
+        self.state, self.inc = np.empty((2, len(heads) * count, 2), dtype=np.uint64)
+        for width in set(map(len, heads)):  # SeedSequence mixes the words past its pool by position
+            which = [i for i, head in enumerate(heads) if len(head) == width]
+            rows = (np.array(which)[:, None] * count + np.arange(count)).reshape(-1)
+            words = np.column_stack([np.repeat([heads[i] for i in which], count, axis=0), rows % count])
+            self.state[rows], self.inc[rows] = _pcg64_seeded(words.astype(np.uint32))
+        self.carry = np.full(len(self.state), -1, dtype=np.int64)  # the carried half, or -1
+        self.drawn = np.zeros(len(self.state), dtype=np.int64)
         self.replay: dict[int, np.random.Generator] = {}
 
     def integers5(self, rows: np.ndarray, count: int) -> np.ndarray:
@@ -729,7 +749,7 @@ class _GeneratorStack:
             halves = halves[:, :count]
             out[sel] = (halves * 5) >> 32
             for g in r[(halves == 0).any(axis=1)].tolist():
-                rng = np.random.default_rng(self.key + [g])
+                rng = np.random.default_rng(self.prefixes[g // self.count] + [g % self.count])
                 rng.integers(0, 5, size=int(self.drawn[g]))
                 self.replay[g] = rng
         for i in np.nonzero(np.isin(rows, list(self.replay)))[0]:
@@ -738,28 +758,29 @@ class _GeneratorStack:
         return out
 
 
-def _affine_membership(n: int, gamma: int, master_seed: int, seed_index: int,
-                       xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """[x in phi_y(T)] and [y in phi'_x(T)] at each point (xs[i], ys[i]).
-
-    phi_g(t) = A t + c is drawn from generator g's stream of a _GeneratorStack:
-    A by rejection until invertible over F_5, then c. Only the generators the
-    points read are drawn. z is in phi_g(T), T = {t : t_i < 3 for i < gamma},
-    when the first gamma coordinates of A^-1 (z - c) are all below 3."""
+def _affine_membership(n: int, gamma: int, master_seed: int, supports) -> list[tuple[np.ndarray, np.ndarray]]:
+    """[x in phi_y(T)] and [y in phi'_x(T)] at each point (xs[i], ys[i]) of
+    each (seed_index, xs, ys) of supports. phi_g(t) = A t + c is drawn from
+    generator g of the seed's table 101 (phi) or 102 (phi'): A by rejection
+    until invertible over F_5, then c. The tables of every seed are one
+    _GeneratorStack, and only the generators the points read are drawn. z is
+    in phi_g(T), T = {t : t_i < 3 for i < gamma}, when the first gamma
+    coordinates of A^-1 (z - c) are all below 3."""
     P = 5**n
-    digits = digit_table(P5, n)
-    found = []
-    for table_id, points, gens in ((101, xs, ys), (102, ys, xs)):
-        streams = _GeneratorStack([master_seed, seed_index, table_id], P)
-        need = np.flatnonzero(np.bincount(gens, minlength=P))
-        inverse, c, todo = np.empty((P, n, n), dtype=np.int64), np.empty((P, n), dtype=np.int64), need
-        while len(todo):
-            invertible, inverse[todo] = inverse_stack(streams.integers5(todo, n * n).reshape(-1, n, n), P5)
-            todo = todo[~invertible]
-        c[need] = streams.integers5(need, n)
-        t = np.einsum("kij,kj->ki", inverse[gens, :gamma], digits[points] - c[gens]) % P5
-        found.append((t < 3).all(axis=1))
-    return found[0], found[1]
+    stack = _GeneratorStack([[master_seed, sidx, tid] for sidx, _, _ in supports for tid in (101, 102)], P)
+    # table j of seed i reads its stack row (2 i + j) P + y (phi) or + x (phi') at the point's x or y
+    gens = np.concatenate([(2 * i + j) * P + g for i, (_, xs, ys) in enumerate(supports) for j, g in enumerate((ys, xs))])
+    points = np.concatenate([z for _, xs, ys in supports for z in (xs, ys)])
+    need = np.flatnonzero(np.bincount(gens, minlength=len(stack.state)))
+    inverse, todo = np.empty((len(need), gamma, n), dtype=np.int64), np.arange(len(need))  # by position in need
+    while len(todo):
+        # int8 draws: the int64 ones are freed before the elimination makes its own copies
+        invertible, inv = inverse_stack(stack.integers5(need[todo], n * n).astype(np.int8).reshape(-1, n, n), P5)
+        inverse[todo], todo = inv[:, :gamma], todo[~invertible]
+    at, c = np.searchsorted(need, gens), stack.integers5(need, n)
+    t = np.einsum("kij,kj->ki", inverse[at], digit_table(P5, n)[points] - c[at]) % P5
+    found = np.split((t < 3).all(axis=1), np.cumsum([len(xs) for _, xs, _ in supports for _ in (101, 102)])[:-1])
+    return list(zip(found[0::2], found[1::2]))
 
 
 def assembly_subchecks() -> dict:
@@ -775,71 +796,74 @@ def assembly_subchecks() -> dict:
     }
 
 
-def final_assembly(
-    core: CexCore,
-    h: Hypergraphon,
-    params: DressingParams,
-    seed_index: int = 0,
-    guard: int = DEFAULT_GUARD,
-) -> dict:
+_STACK_ROWS = 2**14  # generator rows of one _GeneratorStack; the seeds of a stack share its numpy calls
+
+
+def final_assembly(core: CexCore, h: Hypergraphon, params: DressingParams, seed_index: int = 0,
+                   guard: int = DEFAULT_GUARD) -> dict:
     """One seeded end-to-end sample: f = h * [x in phi(y)T] * [y in phi'(x)T],
-    with the exact assembly_subchecks. The affine memberships are tested only
-    at the support of h."""
-    n, gamma = params.n, params.gamma
-    hm = dressed_h_matrix(core, h, n, params.seed, seed_index, guard)
-    ys, xs = np.nonzero(hm.T)  # hm.T is C-contiguous, so this scan is the fast one
-    keep = np.logical_and(*_affine_membership(n, gamma, params.seed, seed_index, xs, ys))
-    fm = np.zeros(hm.shape, dtype=hm.dtype)
-    fm[xs[keep], ys[keep]] = 1
-    alpha_f = fm.sum() / fm.size
-    sparse = sparse_pattern_max(fm, n)
-    return {
-        "n": n,
-        "gamma": gamma,
-        "L": h.L,
-        "seed": params.seed,
-        "seed_index": seed_index,
-        "alpha_f": float(alpha_f),
-        "alpha_h": float(hm.sum() / hm.size),
-        "beta_T": float(params.beta),
-        "support_size": int(fm.sum()),
-        "subchecks": assembly_subchecks(),
-        "max_nonzero_beta": sparse["max_beta"],
-        "argmax_ab": sparse["argmax"],
-        "max_ratio_to_alpha4": (sparse["max_beta"] / alpha_f**4) if alpha_f > 0 else None,  # undefined on an empty support
-    }
+    with the exact assembly_subchecks; the one-seed case of assemble_seeds."""
+    return assemble_seeds(core, h, params, [seed_index], guard)[0]
+
+
+def assemble_seeds(core: CexCore, h: Hypergraphon, params: DressingParams, seed_indices,
+                   guard: int = DEFAULT_GUARD) -> list[dict]:
+    """final_assembly at each seed index. Each seed is dressed in turn and
+    keeps only the support of h; the affine memberships are tested there,
+    with up to _STACK_ROWS // (2 5^n) seeds' maps drawn from one stack."""
+    n, gamma, P = params.n, params.gamma, 5**params.n
+    # (seed index, xs, ys) of h's support; h.T is C-contiguous, so its scan is the fast one
+    supports = [(sidx, *np.nonzero(dressed_h_matrix(core, h, n, params.seed, sidx, guard).T)[::-1])
+                for sidx in seed_indices]
+    per_stack, subchecks, reps = max(1, _STACK_ROWS // (2 * P)), assembly_subchecks(), []
+    for start in range(0, len(supports), per_stack):
+        batch = supports[start:start + per_stack]
+        for (sidx, xs, ys), found in zip(batch, _affine_membership(n, gamma, params.seed, batch)):
+            keep = np.logical_and(*found)
+            fm = np.zeros((P, P), dtype=np.uint8)
+            fm[xs[keep], ys[keep]] = 1
+            alpha_f, sparse = fm.sum() / fm.size, sparse_pattern_max(fm, n)
+            reps.append({"n": n, "gamma": gamma, "L": h.L, "seed": params.seed, "seed_index": sidx,
+                         "alpha_f": float(alpha_f), "alpha_h": len(xs) / fm.size, "beta_T": float(params.beta),
+                         "support_size": int(fm.sum()), "subchecks": subchecks,
+                         "max_nonzero_beta": sparse["max_beta"], "argmax_ab": sparse["argmax"],
+                         "max_ratio_to_alpha4": (sparse["max_beta"] / alpha_f**4) if alpha_f > 0 else None})  # undefined on an empty support
+    return reps
+
+
+def support_pair_hits(fm: np.ndarray, n: int, chunk_pairs: int = 2_000_000) -> np.ndarray:
+    """Histogram over codes a P + b of the support pairs of the 0/1 matrix fm
+    that open a pattern (as its first two points) whose last two points lie in
+    the support; the zero difference counts each support point once. Per block
+    of about chunk_pairs pairs, the int32 code x3 P + y3 (P^2 < 2^31 to n = 6) of
+    the third point (2 x2 - x1, 3 y1 - 2 y2) is read off rows of the addition
+    table, and a, b and the fourth point are formed for its survivors only."""
+    P = 5**n
+    xs, ys = np.nonzero(fm)
+    K = len(xs)
+    add, inside = add_table(P5, n), fm.astype(bool)
+    neg, two, three = (linear_perm(P5, 1, n, [[c]]) for c in (-1, 2, 3))
+    two_x2, neg_two_y2 = two[xs], neg[two[ys]]
+    rows_per_chunk, codes = max(1, chunk_pairs // max(1, K)), [np.zeros(0, dtype=np.int64)]
+    for start in range(0, K, rows_per_chunk):
+        x1, y1 = xs[start:start + rows_per_chunk], ys[start:start + rows_per_chunk]
+        third = np.take(add[neg[x1]] * np.int32(P), two_x2, axis=1)
+        third += np.take(add[three[y1]], neg_two_y2, axis=1)
+        i, j = np.divmod(np.flatnonzero(np.take(inside.reshape(-1), third, mode="clip")), K)
+        x1, y1 = x1[i], y1[i]
+        a, nb = add[xs[j], neg[x1]], add[y1, neg[ys[j]]]  # x2 - x1 and -(y2 - y1)
+        ok = inside[add[x1, three[a]], add[y1, nb]]  # the fourth point (x1 + 3a, y1 - b)
+        codes.append(a[ok].astype(np.int64) * P + neg[nb[ok]])
+    return np.bincount(np.concatenate(codes), minlength=P * P)
 
 
 def sparse_pattern_max(fm: np.ndarray, n: int, chunk_pairs: int = 2_000_000) -> dict:
     """Exhaustive max over nonzero differences (a, b) of the pattern count of
-    the 0/1 matrix fm, via enumeration of support-point pairs: the first two
-    pattern points determine (a, b), and the other two are reached through the
-    addition table and looked up in fm. Pairs are processed in chunks of about
-    chunk_pairs so a dense support stays within memory; hits accumulate in one
-    histogram over the P^2 difference codes a P + b, whose first argmax is the
-    smallest code among the maxima."""
+    the 0/1 matrix fm, from the support_pair_hits histogram, whose first
+    argmax is the smallest code a P + b among the maxima."""
     P = 5**n
-    xs, ys = np.nonzero(fm)
-    K = len(xs)
-    if K == 0:
-        return {"max_beta": 0.0, "argmax": None, "support": 0}
-    add = add_table(P5, n)
-    neg, two, three = (linear_perm(P5, 1, n, [[c]]) for c in (-1, 2, 3))
-    inside = fm.astype(bool)
-    rows_per_chunk = max(1, chunk_pairs // K)
-    for start in range(0, K, rows_per_chunk):
-        x1 = xs[start:start + rows_per_chunk, None]
-        y1 = ys[start:start + rows_per_chunk, None]
-        a = add[xs, neg[x1]]  # x2 - x1 against every second point: (rows, K)
-        nb = add[y1, neg[ys]]  # -(y2 - y1)
-        # third point (x1 + 2a, y1 - 2b), then the fourth (x1 + 3a, y1 - b)
-        x1, y1 = np.broadcast_to(x1, a.shape), np.broadcast_to(y1, a.shape)
-        ok = inside[add[x1, two[a]], add[y1, two[nb]]]
-        x1, y1, a, nb = x1[ok], y1[ok], a[ok], nb[ok]
-        ok = inside[add[x1, three[a]], add[y1, nb]]
-        counts = np.bincount(a[ok].astype(np.int64) * P + neg[nb[ok]], minlength=P * P)
-        hits = np.add(hits, counts, out=hits) if start else counts  # later chunks add into the first's
-    hits[0] = 0  # the zero difference: every support point paired with itself
+    hits = support_pair_hits(fm, n, chunk_pairs)
+    K, hits[0] = int(hits[0]), 0  # the zero difference: every support point paired with itself
     best_code = int(np.argmax(hits))
     if hits[best_code] == 0:
         return {"max_beta": 0.0, "argmax": None, "support": K}
@@ -868,8 +892,8 @@ def cex_report(core: CexCore, h: Hypergraphon, params: DressingParams, seeds: in
         raise ValueError(f"seeds must be at least 1, got {seeds}")
     table = core_expectation_table(core)
     exps = hypergraph_expectations(h)
-    subchecks = assembly_subchecks()
-    reps = [final_assembly(core, h, params, sidx, guard) for sidx in range(seeds)]
+    reps = assemble_seeds(core, h, params, range(seeds), guard)
+    subchecks = reps[0]["subchecks"]
     ratios = [math.inf if rep["max_ratio_to_alpha4"] is None else rep["max_ratio_to_alpha4"] for rep in reps]
     alphas = [rep["alpha_f"] for rep in reps]
     quantiles = (float(np.min(ratios)), _median(ratios), float(np.max(ratios)))

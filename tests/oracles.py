@@ -30,7 +30,11 @@ modulus before ffalg.is_odd_prime ran Miller-Rabin. The hypergraphon
 oracles are the per-edge scan of the unique-triangle check and the four
 einsums of the four-cell table, as they ran before both were read off the
 cell tensor: the check as matrix products of its edge sets, the table as the
-class b = a of the per-class predictions.
+class b = a of the per-class predictions. The support-pair histogram oracle
+forms a and -b for every pair of support points and reaches both later
+pattern points through the addition table, the way sparse_pattern_max counted
+before it tested the third point first. The maximum 3-AP-free set oracle is
+the branch and bound that re-checked the whole chosen list at every node.
 """
 
 from __future__ import annotations
@@ -41,8 +45,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from popdiff._grid import add_index, digit_table, encode_digits, linear_perm
-from popdiff.counterexample import F2_COMBOS, F3_COMBOS, SHIFT_COEFFS, _uniform_table, f1_matrix
+from popdiff._grid import add_index, add_table, digit_table, encode_digits, linear_perm
+from popdiff.counterexample import F2_COMBOS, F3_COMBOS, SHIFT_COEFFS, _uniform_table, f1_matrix, is_3ap_free
 from popdiff.errors import Singular
 from popdiff.ffalg import FpMatrix, mat_inverse
 from popdiff.gridfn import RATIONAL, factor_image_coords, grid_decode, h_coset_labels
@@ -375,6 +379,54 @@ def sparse_pattern_max_by_isin(fm: np.ndarray, n: int, chunk_pairs: int = 2_000_
         "argmax": [list(map(int, digs[a_idx])), list(map(int, digs[b_idx]))],
         "support": K,
     }
+
+
+def support_pair_hits_by_pair_differences(fm: np.ndarray, n: int, chunk_pairs: int = 2_000_000) -> np.ndarray:
+    """support_pair_hits with a = x2 - x1 and -b = y1 - y2 formed for every
+    pair, and the third point (x1 + 2a, y1 - 2b) and fourth (x1 + 3a, y1 - b)
+    read through the addition table."""
+    P = 5**n
+    xs, ys = np.nonzero(fm)
+    K = len(xs)
+    hits = np.zeros(P * P, dtype=np.int64)
+    add = add_table(5, n)
+    neg, two, three = (linear_perm(5, 1, n, [[c]]) for c in (-1, 2, 3))
+    inside = fm.astype(bool)
+    rows_per_chunk = max(1, chunk_pairs // max(1, K))
+    for start in range(0, K, rows_per_chunk):
+        x1 = xs[start:start + rows_per_chunk, None]
+        y1 = ys[start:start + rows_per_chunk, None]
+        a = add[xs, neg[x1]]
+        nb = add[y1, neg[ys]]
+        x1, y1 = np.broadcast_to(x1, a.shape), np.broadcast_to(y1, a.shape)
+        ok = inside[add[x1, two[a]], add[y1, two[nb]]]
+        x1, y1, a, nb = x1[ok], y1[ok], a[ok], nb[ok]
+        ok = inside[add[x1, three[a]], add[y1, nb]]
+        hits += np.bincount(a[ok].astype(np.int64) * P + neg[nb[ok]], minlength=P * P)
+    return hits
+
+
+def max_ap3_free_by_whole_set_check(L: int) -> list[int]:
+    """A maximum 3-AP-free subset of Z/LZ by branch and bound over elements
+    in increasing order, testing the whole chosen list at every node."""
+    best: list[int] = []
+
+    def extend(start: int, chosen: list[int]):
+        nonlocal best
+        if len(chosen) + (L - start) <= len(best):
+            return
+        if start == L:
+            if len(chosen) > len(best):
+                best = list(chosen)
+            return
+        chosen.append(start)
+        if is_3ap_free(chosen, L):
+            extend(start + 1, chosen)
+        chosen.pop()
+        extend(start + 1, chosen)
+
+    extend(0, [])
+    return best
 
 
 def factor_rank_by_combinations(factor) -> int:

@@ -18,6 +18,7 @@ from popdiff.counterexample import (
     DressingParams,
     Hypergraphon,
     ap3_free_set,
+    assemble_seeds,
     build_core,
     build_f1,
     cex_report,
@@ -35,6 +36,7 @@ from popdiff.counterexample import (
     hypergraph_expectations,
     is_3ap_free,
     sparse_pattern_max,
+    support_pair_hits,
     support_pattern_counts,
     unique_triangle_check,
 )
@@ -43,10 +45,12 @@ from popdiff.counterexample import _GeneratorStack, _affine_membership
 
 from oracles import (
     dressed_h_by_combo_index,
+    max_ap3_free_by_whole_set_check,
     membership_masks_by_inverse,
     pattern_count_by_roll,
     pattern_table_by_einsum,
     sparse_pattern_max_by_isin,
+    support_pair_hits_by_pair_differences,
     unique_triangles_by_edge_scan,
 )
 
@@ -177,6 +181,13 @@ def test_ap3_free_sets():
             if is_3ap_free(s, L):
                 best = max(best, len(s))
         assert len(ap3_free_set(L, "exhaustive-max")) == best
+
+
+@pytest.mark.parametrize("L", range(1, 31))
+def test_exhaustive_max_matches_whole_set_check_oracle(L):
+    # the per-residue counts pick the set that re-checking the whole chosen
+    # list picks, at odd and even L (where t = L/2 pairs z with z + L/2)
+    assert ap3_free_set(L, "exhaustive-max") == tuple(max_ap3_free_by_whole_set_check(L))
 
 
 def test_hypergraph_expectations_examples():
@@ -326,7 +337,7 @@ def _membership_masks(n, gamma, master_seed, seed_index, order=None):
     order = np.arange(P * P) if order is None else np.asarray(order)
     xs, ys = np.divmod(order, P)
     masks = []
-    for found in _affine_membership(n, gamma, master_seed, seed_index, xs, ys):
+    for found in _affine_membership(n, gamma, master_seed, [(seed_index, xs, ys)])[0]:
         mask = np.zeros(P * P, dtype=np.uint8)
         mask[order] = found
         masks.append(mask.reshape(P, P))
@@ -355,13 +366,34 @@ def test_generator_stack_matches_numpy_streams(key, count, data):
     # odd and even draw sizes in turn, so a carried half opens some draws
     odd, even = 2 * data.draw(st.integers(0, 4)) + 1, 2 * data.draw(st.integers(1, 4))
     sizes = data.draw(st.permutations([odd, even] + data.draw(st.lists(st.integers(1, 9), max_size=3))))
-    stack = _GeneratorStack(key, count)
+    stack = _GeneratorStack([key], count)
     rngs = [np.random.default_rng(key + [g]) for g in range(count)]
     for size in sizes:
         rows = np.array(sorted(data.draw(st.sets(st.integers(0, count - 1), min_size=1))))
         want = np.stack([rngs[g].integers(0, 5, size=size) for g in rows])
         got = stack.integers5(rows, size)
         assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert not stack.replay
+
+
+@given(st.sampled_from([0, 7, 2**32 - 1, 2**32 + 3, 2**64 + 5]),
+       st.lists(st.tuples(st.sampled_from([0, 1, 4, 2**32 - 1, 2**32]), st.sampled_from([101, 102])),
+                min_size=1, max_size=5, unique=True),
+       st.integers(1, 9), st.data())
+@settings(max_examples=30, deadline=None)
+def test_multi_prefix_stack_matches_numpy_row_by_row(master_seed, tables, count, data):
+    # seed indices of one and two 32-bit words share a stack with both tables;
+    # row i count + g is seeded as default_rng(prefixes[i] + [g]) and draws as it
+    prefixes = [[master_seed, sidx, tid] for sidx, tid in tables]
+    stack = _GeneratorStack(prefixes, count)
+    rngs = [np.random.default_rng(prefix + [g]) for prefix in prefixes for g in range(count)]
+    for row, rng in enumerate(rngs):
+        want = rng.bit_generator.state["state"]
+        assert [int(w[row, 0]) << 64 | int(w[row, 1]) for w in (stack.state, stack.inc)] == [want["state"], want["inc"]]
+    for size in data.draw(st.lists(st.integers(1, 9), min_size=1, max_size=4)):  # odd sizes carry a half
+        rows = np.array(sorted(data.draw(st.sets(st.integers(0, len(rngs) - 1), min_size=1))))
+        want = np.stack([rngs[r].integers(0, 5, size=size) for r in rows])
+        assert np.array_equal(stack.integers5(rows, size), want)
     assert not stack.replay
 
 
@@ -382,13 +414,14 @@ def _zero_half_at(monkeypatch, position):
 @pytest.mark.parametrize("position", [0, 2, 3])  # drawn halves, then the carried one
 def test_generator_stack_replays_a_zero_half_through_numpy(monkeypatch, position):
     _zero_half_at(monkeypatch, position)
-    key, count = [2**32 + 3, 1, 101], 5
-    stack = _GeneratorStack(key, count)
-    rngs = [np.random.default_rng(key + [g]) for g in range(count)]
-    for size, rows in ((3, [0, 1, 2, 3, 4]), (4, [0, 2]), (1, [0, 1, 2, 3, 4]), (2, [1, 0])):
+    # row 7, the first row of the first draw, is generator 2 of the second prefix
+    prefixes, count = [[2**32 + 3, 1, 101], [2**32 + 3, 1, 102]], 5
+    stack = _GeneratorStack(prefixes, count)
+    rngs = [np.random.default_rng(prefix + [g]) for prefix in prefixes for g in range(count)]
+    for size, rows in ((3, [7, 0, 1, 2, 3, 4]), (4, [7, 2]), (1, [0, 1, 7, 3, 4]), (2, [1, 7])):
         want = np.stack([rngs[g].integers(0, 5, size=size) for g in rows])
         assert np.array_equal(stack.integers5(np.array(rows), size), want)
-    assert list(stack.replay) == [0]
+    assert list(stack.replay) == [7]
 
 
 def test_membership_masks_after_a_zero_half(monkeypatch):
@@ -417,15 +450,19 @@ def test_membership_masks_construct_no_generator(monkeypatch):
 def test_membership_draws_only_the_generators_it_reads(monkeypatch):
     # the point (x, y) reads generator y of table 101 and generator x of table
     # 102; a query at a few points equals the full masks there
-    drawn, real = {101: set(), 102: set()}, _GeneratorStack.integers5
-    monkeypatch.setattr(_GeneratorStack, "integers5",
-                        lambda self, rows, count: drawn[self.key[2]].update(rows.tolist()) or real(self, rows, count))
+    drawn, real = set(), _GeneratorStack.integers5
+
+    def spy(self, rows, count):
+        drawn.update((self.prefixes[r // self.count][2], r % self.count) for r in rows.tolist())
+        return real(self, rows, count)
+
+    monkeypatch.setattr(_GeneratorStack, "integers5", spy)
     xs, ys = np.array([0, 7, 7, 124, 60]), np.array([3, 3, 99, 0, 60])
-    got = _affine_membership(3, 2, 5, 1, xs, ys)
-    assert drawn == {101: set(ys.tolist()), 102: set(xs.tolist())}
+    got = _affine_membership(3, 2, 5, [(1, xs, ys)])[0]
+    assert drawn == {(101, y) for y in ys.tolist()} | {(102, x) for x in xs.tolist()}
     for g, w in zip(got, membership_masks_by_inverse(3, 2, 5, 1)):
         assert g.dtype == bool and g.tolist() == w[xs, ys].astype(bool).tolist()
-    assert [len(g) for g in _affine_membership(3, 2, 5, 1, xs[:0], ys[:0])] == [0, 0]
+    assert [len(g) for g in _affine_membership(3, 2, 5, [(1, xs[:0], ys[:0])])[0]] == [0, 0]
 
 
 @pytest.mark.parametrize("master_seed, seed_index", [(-1, 0), (0, -1)])
@@ -620,6 +657,28 @@ def test_sparse_pattern_max_matches_isin_oracle_at_n3(case, chunk_pairs, seed):
         assert got["max_beta"] >= 5 * P / P**2  # a = 0 alone keeps the five full rows
 
 
+@given(st.integers(1, 3), st.integers(0, 700), st.booleans(), st.sampled_from([1, 97, 5000, 2_000_000]),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_support_pair_hits_match_pair_difference_oracle(n, size, lines, chunk_pairs, seed):
+    # random supports, and with lines on, the product of a line in x and a
+    # line in y (with noise), whose patterns hit along both lines; the whole
+    # histogram must agree, not only its max
+    P = 5**n
+    rng = np.random.default_rng(seed)
+    fm = np.zeros(P * P, dtype=np.uint8)
+    fm[rng.choice(P * P, size=min(size, P * P), replace=False)] = 1
+    fm = fm.reshape(P, P)
+    if lines:
+        digs = digit_table(5, n)
+        line = lambda: (np.arange(5)[:, None] * digs[rng.integers(1, P)] + digs[rng.integers(P)]) % 5 @ 5 ** np.arange(n)
+        fm[np.ix_(line(), line())] = 1
+    got = support_pair_hits(fm, n, chunk_pairs)
+    want = support_pair_hits_by_pair_differences(fm, n, chunk_pairs)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert got[0] == fm.sum()
+
+
 def test_sparse_pattern_max_without_hits():
     fm = np.zeros((25, 25), dtype=np.uint8)
     assert sparse_pattern_max(fm, 2) == {"max_beta": 0.0, "argmax": None, "support": 0}
@@ -651,6 +710,34 @@ def test_cex_report_example_scale():
     rep = cex_report(build_core(), h, DressingParams(seed=20260809, n=4, gamma=1), seeds=12)
     assert rep["monte_carlo"]["seeds_with_max_ratio_below_1"] >= 11
     assert all(bool(v) for v in rep["certified"].values())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cex_report_across_stacks_matches_per_seed_assembly(monkeypatch, n):
+    # with room for 1, 2 or 3 seeds in a stack, 1..7 seeds span up to 7
+    # stacks; each seed's assembly equals final_assembly at that seed alone,
+    # and the report's Monte Carlo block is built from those results
+    core, h = build_core(), Hypergraphon(7, ap3_free_set(7, "exhaustive-max"))
+    params = DressingParams(seed=2**32 + 3, n=n, gamma=1)
+    singles = [final_assembly(core, h, params, sidx) for sidx in range(7)]
+    stacks, real_init = [], _GeneratorStack.__init__
+    monkeypatch.setattr(_GeneratorStack, "__init__",
+                        lambda self, prefixes, count: stacks.append(len(prefixes)) or real_init(self, prefixes, count))
+    for per_stack in (1, 2, 3):
+        monkeypatch.setattr(cex, "_STACK_ROWS", per_stack * 2 * 5**n + 1)
+        for seeds in range(1, 8):
+            stacks.clear()
+            assert assemble_seeds(core, h, params, range(seeds)) == singles[:seeds]
+            full, rest = divmod(seeds, per_stack)
+            assert stacks == [2 * per_stack] * full + [2 * rest] * (rest > 0)
+            ratios = [math.inf if s["max_ratio_to_alpha4"] is None else s["max_ratio_to_alpha4"] for s in singles[:seeds]]
+            quantiles = [min(ratios), float(np.median(ratios)), max(ratios)]
+            assert cex_report(core, h, params, seeds)["monte_carlo"] == {
+                "seeds_with_max_ratio_below_1": sum(r < 1 for r in ratios),
+                "mean_alpha_f": float(np.mean([s["alpha_f"] for s in singles[:seeds]])),
+                "max_ratio_quantiles": [q if q < math.inf else None for q in quantiles],
+            }
+    assert any(s["support_size"] for s in singles) or n < 3  # at n = 3 some seed keeps a support
 
 
 def test_4ap_check():
