@@ -21,8 +21,12 @@ hypergraph at L = 5, 7, 11, 13, 17, 25, report at n = 1-5, and at L = 17 and
 with --method greedy, `cex report --n 4 --L 17 --seeds 2` with and without
 --method greedy, `cex report --n 3 --L 7 --seeds 12 --seed 4294967299` (a
 master seed of two 32-bit words), `cex report --n 4 --L 7 --gamma 3 --seeds
-6`, assemble at n = 1, 3, 4, and `cex assemble --n 3 --L 7 --seed-index
-4294967296`); exact and float
+6`, assemble at n = 1, 3, 4, `cex assemble --n 3 --L 7 --seed-index
+4294967296`, the negative keys `cex report --n 2 --L 5 --seeds 2 --seed -1`,
+`cex assemble --n 2 --L 5 --seed-index -1` and `cex dress --n 2 --L 5
+--seeds 3 --seed -2`, each of which ends in numpy's error line, and `cex
+report --n 3 --L 7 --seeds 2 --seed 18446744073709551617` (a master seed of
+three 32-bit words)); exact and float
 `popular`; `popular` (4 and 3 points) and `count --d` on PLGF files this
 script writes, one per branch
 of the pattern-sum kernel (0/1 floats, small signed integers, rationals with
@@ -191,6 +195,12 @@ def invocations(refs: dict) -> list[list[str]]:
         ["cex", "report", "--n", "3", "--L", "7", "--seeds", "12", "--seed", "4294967299"],
         ["cex", "assemble", "--n", "3", "--L", "7", "--seed-index", "4294967296"],
         ["cex", "report", "--n", "4", "--L", "7", "--gamma", "3", "--seeds", "6"],
+        # seeding edges checked without numpy.random: negative keys end in
+        # numpy's error line, and a master seed of three 32-bit words
+        ["cex", "report", "--n", "2", "--L", "5", "--seeds", "2", "--seed", "-1"],
+        ["cex", "assemble", "--n", "2", "--L", "5", "--seed-index", "-1"],
+        ["cex", "dress", "--n", "2", "--L", "5", "--seeds", "3", "--seed", "-2"],
+        ["cex", "report", "--n", "3", "--L", "7", "--seeds", "2", "--seed", "18446744073709551617"],
         ["popular", "--spec", "@scalar-p5", "--p", "5", "--n", "2", "--seed", "3", "--full"],
         ["popular", "--spec", "@rotated-squares-p5", "--p", "5", "--k", "2", "--n", "2", "--backend", "float",
          "--density", "0.4", "--seed", "1"],

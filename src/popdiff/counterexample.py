@@ -19,9 +19,8 @@ import numpy as np
 from . import DEFAULT_GUARD
 from ._grid import add_table, decode_index, digit_table, encode_index, linear_perm
 from .errors import DependentDirections, TooLarge, check_guard, ensure
-from .ffalg import FpMatrix, inverse_stack, is_invertible, mat_inverse, nullspace, row_space_rank
-from .gridfn import FLOAT, GridFunction
-from .patterns import PatternSpec, SubspaceBasis
+from .ffalg import inverse_stack, nullspace, row_space_rank
+from .patterns import SubspaceBasis
 from .analysis import EquidistributionReport, FLOAT_SLACK
 
 P5 = 5
@@ -97,34 +96,6 @@ def core_expectation_table(core: CexCore) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Diagonalization of the rotated-squares pattern
-
-
-def diagonalize_rotated_square() -> dict:
-    """The change of variables (x,y) -> (x-2y, x+2y) turning rotated squares
-    into the diagonal pattern with matrices (I, diag(2,-2)); returns the
-    diagonalized PatternSpec plus the exact identity checks."""
-    p = P5
-    gamma = FpMatrix.from_rows([[1, -2], [1, 2]], p)
-    # matrix reproducing the third point (x+b, y-a) of the rotated square
-    m2_pattern = FpMatrix.from_rows([[0, 1], [-1, 0]], p)
-    diag = FpMatrix.from_rows([[2, 0], [0, -2]], p)
-    conj = gamma.mul(m2_pattern).mul(mat_inverse(gamma))
-    # second coordinates of the diagonal pattern are y, y+b, y-2b, y-b
-    mults = [cy % p for _, cy in SHIFT_COEFFS]
-    spec = PatternSpec(p, 2, FpMatrix.identity(2, p), diag)
-    return {
-        "spec": spec,
-        "gamma": gamma,
-        "gamma_invertible": is_invertible(gamma),
-        "conjugation_identity": conj == diag,
-        "second_coordinate_multipliers": tuple(mults),
-        "second_coordinates_ok": tuple(mults) == (0, 1, (-2) % p, (-1) % p),
-        "negated_matrix_conjugate": gamma.mul(m2_pattern.neg()).mul(mat_inverse(gamma)).to_lists(),
-    }
-
-
-# ---------------------------------------------------------------------------
 # f1 and the eight-tuple distribution
 
 
@@ -136,32 +107,26 @@ def f1_matrix(core: CexCore, n: int, guard: int = DEFAULT_GUARD) -> np.ndarray:
 
 @functools.lru_cache(maxsize=1)
 def _f1_cached(core: CexCore, n: int) -> np.ndarray:
-    """The matrix of f1_matrix, kept for the last (core, n); the guard is checked outside the cache."""
-    digs = digit_table(P5, n)
-    xx = np.einsum("xi,xi->x", digs, digs) % 5
-    xy = (digs @ digs.T) % 5
-    F = core.g1[xx[:, None], xy].astype(np.uint8)
+    """The matrix of f1_matrix, kept for the last (core, n); the guard is checked outside the cache.
+    x.x and x.y are built digit by digit in uint8: with x = 5^m a + x' and y = 5^m b + y', x.x is
+    a^2 + x'.x' and x.y is a b + x'.y'. Bit u of rows[c, v] is g1[v, (u + c) mod 5], so the block
+    of top digits (a, b) of f1 is rows[a b, x.x] shifted right by x'.y'."""
+    d = np.arange(P5, dtype=np.uint8)
+    sq, ab = d * d % P5, np.multiply.outer(d, d) % P5
+    xx, xy = np.zeros(1, dtype=np.uint8), np.zeros((1, 1), dtype=np.uint8)  # of the low digits x', y'
+    for _ in range(n - 1):
+        xy = (ab[:, None, :, None] + xy[None, :, None, :]).reshape(5 * len(xx), -1) % P5
+        xx = (sq[:, None] + xx).reshape(-1) % P5
+    rows = (core.g1[:, (d[:, None] + d) % P5] << d).sum(axis=-1).T.astype(np.uint8)
+    F = rows[ab[:, None, :], ((sq[:, None] + xx) % P5)[..., None], None] >> xy[None, :, None, :] & 1
+    F = F.reshape(5**n, 5**n)
     F.setflags(write=False)
     return F
-
-
-def build_f1(core: CexCore, n: int, guard: int = DEFAULT_GUARD) -> GridFunction:
-    """f1(x, y) = g1(x.x, x.y) as a grid function on (F_5^n)^2."""
-    F = f1_matrix(core, n, guard)
-    # grid index for k=2 is ix + 5^n * iy
-    values = F.T.reshape(-1).astype(np.float64)
-    return GridFunction(5, 2, n, values, FLOAT, guard=guard)
 
 
 def f1_exact_mean(core: CexCore, n: int, guard: int = DEFAULT_GUARD) -> Fraction:
     F = f1_matrix(core, n, guard)
     return Fraction(int(F.sum()), F.size)
-
-
-def f1_pattern_count_exact(core: CexCore, n: int, a, b, guard: int = DEFAULT_GUARD) -> Fraction:
-    """beta_1(a, b): exact four-point density of f1 at the difference (a, b)."""
-    F = f1_matrix(core, n, guard)
-    return Fraction(support_pattern_counts(F, n, [(a, b)])[0], F.size)
 
 
 def support_pattern_counts(F: np.ndarray, n: int, differences) -> list[int]:
@@ -433,28 +398,23 @@ class DressingParams:
         return Fraction(3, 5) ** self.gamma
 
 
-def _uniform_table(master_seed: int, seed_index: int, table_id: int, size: int) -> np.ndarray:
-    rng = np.random.default_rng([int(master_seed), int(seed_index), int(table_id)])
-    return rng.random(size)
-
-
-def dressed_h_matrix(core: CexCore, h: Hypergraphon, n: int, master_seed: int, seed_index: int,
-                     guard: int = DEFAULT_GUARD) -> np.ndarray:
-    """One sample of h = f1 * F2 * F3 as a (5^n, 5^n) 0/1 matrix.
+def _dressed_h_support(core: CexCore, h: Hypergraphon, n: int, master_seed: int, seed_index: int,
+                       guard: int = DEFAULT_GUARD) -> tuple[np.ndarray, np.ndarray]:
+    """The support (xs, ys) of one sample of h = f1 * F2 * F3, ordered by y, then x.
 
     A table read at alpha*x + beta*y = alpha*(r*y + x), r = beta/alpha, is
     cells(alpha *)[add][lin_r] in (y, x) order, since add is symmetric: whole
     rows of add, gathered. The three cells of F2 fold into one small-int code
     (cu L + cv) L + cw, looked up once in the flattened hypergraphon; f1 F2 is
-    formed in (y, x) order and returned transposed. Where f1 F2 is 0, h is 0
-    whatever F3 reads, so F3 is read only at the support of f1 F2.
+    formed in (y, x) order. Where f1 F2 is 0, h is 0 whatever F3 reads, so F3
+    is read only at the support of f1 F2, and h's support is what F3 keeps of it.
     """
     P = 5**n
-    f1 = f1_matrix(core, n, guard)  # first, so its (P, P) int64 temporaries meet no code table
+    f1 = f1_matrix(core, n, guard)
     add = add_table(P5, n)
     L, g2 = h.L, h.tensor.reshape(-1).astype(np.uint8)
     code_type = np.min_scalar_type(L**3 - 1)
-    cells = [h.cells(_uniform_table(master_seed, seed_index, tid, P)) for tid in range(6)]
+    cells = [h.cells(u) for u in _uniform_tables([[master_seed, seed_index]], 6, P)]
     lin = {c: linear_perm(P5, 1, n, [[c]]) for c in range(1, P5)}
     code = np.zeros((P, P), dtype=code_type)
     step = max(1, 2**16 // P)  # np.take copies its int32 indices to intp: a block of rows at a time
@@ -463,13 +423,21 @@ def dressed_h_matrix(core: CexCore, h: Hypergraphon, n: int, master_seed: int, s
         code *= L
         for start in range(0, P, step):
             code[start:start + step] += np.take(table, add[rows[start:start + step]])
-    out = f1.T * g2[code]
-    ys, xs = np.nonzero(out)
+    ys, xs = np.nonzero(f1.T * g2[code])
     code = np.zeros(len(xs), dtype=np.int64)
     for cell, (alpha, beta) in zip(cells[3:], F3_COMBOS):
         code = code * L + cell[add[lin[alpha % P5][xs], lin[beta % P5][ys]]]
-    out[ys, xs] = g2[code]
-    return out.T
+    keep = g2[code].astype(bool)
+    return xs[keep], ys[keep]
+
+
+def dressed_h_matrix(core: CexCore, h: Hypergraphon, n: int, master_seed: int, seed_index: int,
+                     guard: int = DEFAULT_GUARD) -> np.ndarray:
+    """One sample of h = f1 * F2 * F3 as a (5^n, 5^n) 0/1 uint8 matrix: the view of _dressed_h_support."""
+    xs, ys = _dressed_h_support(core, h, n, master_seed, seed_index, guard)
+    out = np.zeros((5**n, 5**n), dtype=np.uint8)
+    out[xs, ys] = 1
+    return out
 
 
 def _difference_class(a, b):
@@ -632,23 +600,47 @@ def has_nontrivial_4ap(digits: tuple[int, ...], p: int = 5) -> bool:
 _MASK32 = (1 << 32) - 1
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT_HI, _PCG_MULT_LO = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645)
-_U1, _U32, _U58, _U63, _LOW32 = (np.uint64(v) for v in (1, 32, 58, 63, _MASK32))
-_MULT_LO0, _MULT_LO1 = _PCG_MULT_LO & _LOW32, _PCG_MULT_LO >> _U32
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG_MULT_HI, _PCG_MULT_LO = (np.uint64(w) for w in divmod(_PCG_MULT, 1 << 64))
+_U1, _U11, _U32, _U58, _U63, _LOW32 = (np.uint64(v) for v in (1, 11, 32, 58, 63, _MASK32))
 
 
-def _pcg64_step(state: np.ndarray, inc: np.ndarray) -> np.ndarray:
-    """state * multiplier + inc mod 2^128 for (rows, 2) uint64 arrays of
-    (high, low) words. uint64 arithmetic wraps silently; the high word of
-    lo * the multiplier's low word is summed from 32-bit halves."""
-    hi, lo = state[:, 0], state[:, 1]
-    lo0, lo1 = lo & _LOW32, lo >> _U32
-    p01, p10 = lo0 * _MULT_LO1, lo1 * _MULT_LO0
-    mid = (lo0 * _MULT_LO0 >> _U32) + (p01 & _LOW32) + (p10 & _LOW32)
-    low = lo * _PCG_MULT_LO + inc[:, 1]
-    high = (lo1 * _MULT_LO1 + (p01 >> _U32) + (p10 >> _U32) + (mid >> _U32) + lo * _PCG_MULT_HI + hi * _PCG_MULT_LO
-            + inc[:, 0] + (low < inc[:, 1]))
-    return np.stack([high, low], axis=1)
+def _mul128(a_hi, a_lo, b_hi, b_lo):
+    """(high, low) uint64 words of a * b mod 2^128. uint64 arithmetic wraps
+    silently; the high word of a_lo * b_lo is summed from 32-bit halves."""
+    a0, a1, b0, b1 = a_lo & _LOW32, a_lo >> _U32, b_lo & _LOW32, b_lo >> _U32
+    p01, p10 = a0 * b1, a1 * b0
+    mid = (a0 * b0 >> _U32) + (p01 & _LOW32) + (p10 & _LOW32)
+    return a1 * b1 + (p01 >> _U32) + (p10 >> _U32) + (mid >> _U32) + a_lo * b_hi + a_hi * b_lo, a_lo * b_lo
+
+
+def _add128(a_hi, a_lo, b_hi, b_lo):
+    """(high, low) words of a + b mod 2^128."""
+    low = a_lo + b_lo
+    return a_hi + b_hi + (low < b_lo), low
+
+
+@functools.lru_cache(maxsize=8)
+def _pcg64_jumps(steps: int) -> tuple[np.ndarray, ...]:
+    """The high and low uint64 words of M^k and of M^(k-1) + ... + 1 mod 2^128
+    for k = 0..steps, M the PCG64 multiplier, computed with Python ints."""
+    mult, cum, words = 1, 0, [(0, 1, 0, 0)]
+    for _ in range(steps):
+        mult, cum = mult * _PCG_MULT % (1 << 128), (cum * _PCG_MULT + 1) % (1 << 128)
+        words.append((*divmod(mult, 1 << 64), *divmod(cum, 1 << 64)))
+    return tuple(np.array(words, dtype=np.uint64).T)
+
+
+def _pcg64_outputs(state: np.ndarray, inc: np.ndarray, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """The next steps outputs of each PCG64 generator, shape (rows, steps), and
+    its state after them, for (rows, 2) uint64 (high, low) words of state and
+    inc. By jump-ahead, k steps take s to M^k s + (M^(k-1) + ... + 1) inc mod
+    2^128; output k is the XSL-RR of state k + 1."""
+    mult_hi, mult_lo, cum_hi, cum_lo = _pcg64_jumps(steps)
+    moved = _mul128(mult_hi, mult_lo, *state.T[:, :, None])
+    hi, lo = _add128(*moved, *_mul128(cum_hi, cum_lo, *inc.T[:, :, None]))
+    x, rot = hi[:, 1:] ^ lo[:, 1:], hi[:, 1:] >> _U58  # XSL-RR: rotate right by the top 6 bits
+    return (x >> rot) | (x << ((np.uint64(64) - rot) & _U63)), np.column_stack([hi[:, -1], lo[:, -1]])
 
 
 def _pcg64_seeded(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -688,22 +680,32 @@ def _pcg64_seeded(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # pcg64_set_seed: seed = (w0, w1) and initseq = (w2, w3) as (high, low);
     # inc = 2 initseq + 1, and the state is stepped once from inc + seed
     inc = np.stack([(w[2] << _U1) | (w[3] >> _U63), (w[3] << _U1) | _U1], axis=1)
-    low = inc[:, 1] + w[1]
-    state = np.stack([inc[:, 0] + w[0] + (low < w[1]), low], axis=1)
-    return _pcg64_step(state, inc), inc
+    return _pcg64_outputs(np.stack(_add128(inc[:, 0], inc[:, 1], w[0], w[1]), axis=1), inc, 1)[1], inc
 
 
 def _pcg64_halves(state: np.ndarray, inc: np.ndarray, steps: int) -> tuple[np.ndarray, np.ndarray]:
     """Advance each PCG64 state by steps outputs; return the new states and
     the 32-bit halves of the outputs, low half first, shape (rows, 2 steps)."""
-    halves = np.empty((len(state), 2 * steps), dtype=np.int64)
-    for s in range(steps):
-        state = _pcg64_step(state, inc)
-        x, rot = state[:, 0] ^ state[:, 1], state[:, 0] >> _U58  # XSL-RR: rotate right by the top 6 bits
-        out = (x >> rot) | (x << ((np.uint64(64) - rot) & _U63))
-        halves[:, 2 * s] = out & _LOW32
-        halves[:, 2 * s + 1] = out >> _U32
-    return state, halves
+    out, state = _pcg64_outputs(state, inc, steps)
+    halves = out[:, :, None] >> np.array([0, 32], dtype=np.uint64) & _LOW32
+    return state, halves.astype(np.int64).reshape(len(state), -1)
+
+
+def _pcg64_streams(prefixes: list[list[int]], count: int) -> tuple[np.ndarray, np.ndarray]:
+    """(state, inc) of np.random.default_rng(prefixes[i] + [g]) at row i count + g, for g < count,
+    as (rows, 2) uint64 (high, low) words; a negative key is refused as numpy refuses it."""
+    if any(k < 0 for prefix in prefixes for k in prefix):
+        raise ValueError("expected non-negative integer")
+    # each prefix as SeedSequence reads it: little-endian 32-bit words, at least one per key
+    heads = [[k >> 32 * i & _MASK32 for k in prefix for i in range(max(1, -(-k.bit_length() // 32)))]
+             for prefix in prefixes]
+    state, inc = np.empty((2, len(heads) * count, 2), dtype=np.uint64)
+    for width in set(map(len, heads)):  # SeedSequence mixes the words past its pool by position
+        which = [i for i, head in enumerate(heads) if len(head) == width]
+        rows = (np.array(which)[:, None] * count + np.arange(count)).reshape(-1)
+        words = np.column_stack([np.repeat([heads[i] for i in which], count, axis=0), rows % count])
+        state[rows], inc[rows] = _pcg64_seeded(words.astype(np.uint32))
+    return state, inc
 
 
 class _GeneratorStack:
@@ -718,17 +720,7 @@ class _GeneratorStack:
 
     def __init__(self, prefixes: list[list[int]], count: int):
         self.prefixes, self.count = [[int(k) for k in prefix] for prefix in prefixes], count
-        for prefix in self.prefixes:
-            np.random.SeedSequence(prefix)  # numpy's own check of the keys
-        # each prefix as SeedSequence reads it: little-endian 32-bit words, at least one per key
-        heads = [[k >> 32 * i & _MASK32 for k in prefix for i in range(max(1, -(-k.bit_length() // 32)))]
-                 for prefix in self.prefixes]
-        self.state, self.inc = np.empty((2, len(heads) * count, 2), dtype=np.uint64)
-        for width in set(map(len, heads)):  # SeedSequence mixes the words past its pool by position
-            which = [i for i, head in enumerate(heads) if len(head) == width]
-            rows = (np.array(which)[:, None] * count + np.arange(count)).reshape(-1)
-            words = np.column_stack([np.repeat([heads[i] for i in which], count, axis=0), rows % count])
-            self.state[rows], self.inc[rows] = _pcg64_seeded(words.astype(np.uint32))
+        self.state, self.inc = _pcg64_streams(self.prefixes, count)
         self.carry = np.full(len(self.state), -1, dtype=np.int64)  # the carried half, or -1
         self.drawn = np.zeros(len(self.state), dtype=np.int64)
         self.replay: dict[int, np.random.Generator] = {}
@@ -758,6 +750,13 @@ class _GeneratorStack:
         return out
 
 
+def _uniform_tables(prefixes: list[list[int]], count: int, size: int) -> np.ndarray:
+    """np.random.default_rng(prefixes[i] + [g]).random(size) at row i count + g,
+    without numpy.random: each double is (output >> 11) 2^-53, as numpy's."""
+    streams = _pcg64_streams([[int(k) for k in prefix] for prefix in prefixes], count)
+    return (_pcg64_outputs(*streams, size)[0] >> _U11) * 2.0**-53
+
+
 def _affine_membership(n: int, gamma: int, master_seed: int, supports) -> list[tuple[np.ndarray, np.ndarray]]:
     """[x in phi_y(T)] and [y in phi'_x(T)] at each point (xs[i], ys[i]) of
     each (seed_index, xs, ys) of supports. phi_g(t) = A t + c is drawn from
@@ -774,8 +773,7 @@ def _affine_membership(n: int, gamma: int, master_seed: int, supports) -> list[t
     need = np.flatnonzero(np.bincount(gens, minlength=len(stack.state)))
     inverse, todo = np.empty((len(need), gamma, n), dtype=np.int64), np.arange(len(need))  # by position in need
     while len(todo):
-        # int8 draws: the int64 ones are freed before the elimination makes its own copies
-        invertible, inv = inverse_stack(stack.integers5(need[todo], n * n).astype(np.int8).reshape(-1, n, n), P5)
+        invertible, inv = inverse_stack(stack.integers5(need[todo], n * n).reshape(-1, n, n), P5)
         inverse[todo], todo = inv[:, :gamma], todo[~invertible]
     at, c = np.searchsorted(need, gens), stack.integers5(need, n)
     t = np.einsum("kij,kj->ki", inverse[at], digit_table(P5, n)[points] - c[at]) % P5
@@ -812,9 +810,7 @@ def assemble_seeds(core: CexCore, h: Hypergraphon, params: DressingParams, seed_
     keeps only the support of h; the affine memberships are tested there,
     with up to _STACK_ROWS // (2 5^n) seeds' maps drawn from one stack."""
     n, gamma, P = params.n, params.gamma, 5**params.n
-    # (seed index, xs, ys) of h's support; h.T is C-contiguous, so its scan is the fast one
-    supports = [(sidx, *np.nonzero(dressed_h_matrix(core, h, n, params.seed, sidx, guard).T)[::-1])
-                for sidx in seed_indices]
+    supports = [(sidx, *_dressed_h_support(core, h, n, params.seed, sidx, guard)) for sidx in seed_indices]
     per_stack, subchecks, reps = max(1, _STACK_ROWS // (2 * P)), assembly_subchecks(), []
     for start in range(0, len(supports), per_stack):
         batch = supports[start:start + per_stack]

@@ -4,7 +4,8 @@ Everything in this module is exact integer-residue arithmetic; no floating
 point. Matrices are immutable, entries stored row-major as plain ints in
 [0, p). p must be an odd prime (validated by Miller-Rabin, p <= 10**6).
 Ranks, null spaces, solutions and inverses all come from one row reduction
-that runs on a stack of int64 matrices at once.
+that runs on a stack of matrices at once, in unsigned words that hold p^2;
+results are returned as int64 arrays or Python ints.
 """
 
 from __future__ import annotations
@@ -164,9 +165,15 @@ class FpMatrix:
 # -- elimination ------------------------------------------------------
 
 
+def _reduce(x: np.ndarray, p: int) -> np.ndarray:
+    """x mod p in place, by floor division: numpy divides by a scalar through libdivide, but not for %."""
+    x -= x // p * p
+    return x
+
+
 def _inverse_mod(x: np.ndarray, p: int) -> np.ndarray:
-    """x^-1 mod p of nonzero int64 residues: x^(p-2) by repeated squaring
-    (products stay below p^2 < 2^63)."""
+    """x^-1 mod p of nonzero residues in words that hold p^2: x^(p-2) by repeated
+    squaring. x holds one pivot per matrix, few enough for % to cost little."""
     inv = np.ones_like(x)
     e = p - 2
     while e:
@@ -177,41 +184,46 @@ def _inverse_mod(x: np.ndarray, p: int) -> np.ndarray:
     return inv
 
 
-def _rref_stack(M: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Reduced row echelon form over F_p of each matrix of an int64 stack of
-    shape (B, r, c) with entries in [0, p), nonzero rows first, and the rank
-    of each matrix. M is reduced in place; column j is eliminated in the
-    whole stack at once, with one row counter per matrix."""
-    B, r, c = M.shape
-    rank = np.zeros(B, dtype=np.int64)
-    row = np.arange(r)
-    for j in range(c):
+def _rref_stack(M: np.ndarray, p: int, pivot_cols: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced row echelon form over F_p of each matrix of a stack of shape
+    (r, c, B), stack axis last, in unsigned words of np.min_scalar_type(p * p)
+    with entries in [0, p), nonzero rows first, and the rank of each matrix.
+    M is reduced in place, column j < pivot_cols in the whole stack at once,
+    with one row counter per matrix. Row i becomes i + p(p - 1) - M[i, j]
+    pivot, in [0, p^2). No row is swapped: the first live row is added to the
+    target row, which keeps the row space and so the unique RREF. Where the
+    target row is live, it is the first live row itself, and normalizing the
+    doubled row gives the same pivot row."""
+    r, c, B = M.shape
+    rank, row, bias = np.zeros(B, dtype=np.int64), np.arange(r)[:, None], M.dtype.type(p * (p - 1))
+    for j in range(c if pivot_cols is None else pivot_cols):
         # rows at or past the row counter are zero in every earlier column
-        live = (M[:, :, j] != 0) & (row >= rank[:, None])
-        has = live.any(axis=1)
-        b = np.nonzero(has)[0]
+        live = (M[:, j] != 0) & (row >= rank)
+        b = live.any(axis=0).nonzero()[0]
         if not len(b):
             continue
-        sel = slice(None) if len(b) == B else b
-        rk, piv = rank[b], live[b].argmax(axis=1)
-        pivot_rows = M[b, piv, j:]
-        M[b, piv, j:] = M[b, rk, j:]
-        pivot_rows = pivot_rows * _inverse_mod(pivot_rows[:, :1], p) % p
+        rk, first = rank[b], live[:, b].argmax(axis=0)
+        pivot_rows = _reduce(M[first, j:, b] + M[rk, j:, b], p)
+        pivot_rows = _reduce(pivot_rows * _inverse_mod(pivot_rows[:, 0], p)[:, None], p)
+        pivots = np.zeros((c - j, B), dtype=M.dtype)  # matrices with no pivot here subtract 0
+        pivots[:, b] = pivot_rows.T
         # row rk is cleared here too, then overwritten by the pivot row
-        M[sel, :, j:] = (M[sel, :, j:] - M[sel, :, j, None] * pivot_rows[:, None, :]) % p
-        M[b, rk, j:] = pivot_rows
+        M[:, j:] += bias - M[:, j, None] * pivots
+        _reduce(M[:, j:], p)
+        M[rk, j:, b] = pivot_rows
         rank[b] += 1
         if rank.min() == r:
             break
     return M, rank
 
 
-def _as_stack(A, p: int) -> np.ndarray:
-    """Integer array of shape (..., r, c) reduced into [0, p) as int64."""
-    A = np.asarray(A)
+def _as_stack(A: np.ndarray, p: int) -> np.ndarray:
+    """An integer array of shape (..., r, c) as the kernel's stack: shape (r, c, B) over the
+    flattened leading axes, in words of np.min_scalar_type(p * p) reduced into [0, p)."""
     if A.dtype == object:
         A = A % p
-    return A.astype(np.int64) % p
+    A = _reduce(A.astype(np.int64), p).reshape((math.prod(A.shape[:-2]),) + A.shape[-2:])
+    return np.ascontiguousarray(A.transpose(1, 2, 0), dtype=np.min_scalar_type(p * p))
 
 
 def rref(rows, p: int) -> tuple[list[list[int]], list[int]]:
@@ -220,8 +232,8 @@ def rref(rows, p: int) -> tuple[list[list[int]], list[int]]:
     columns)."""
     if not len(rows):
         return [], []
-    M, rank = _rref_stack(_as_stack(rows, p)[None], p)
-    red = M[0, : rank[0]]
+    M, rank = _rref_stack(_as_stack(np.asarray(rows), p), p)
+    red = M[: rank[0], :, 0]
     return red.tolist(), (red != 0).argmax(axis=1).tolist() if len(red) else []
 
 
@@ -229,11 +241,10 @@ def rank_stack(A, p: int) -> np.ndarray:
     """Ranks over F_p of a stack of integer matrices, shape (..., r, c); an
     int64 array of the stack's shape."""
     validate_odd_prime(p)
-    M = _as_stack(A, p)
-    if M.ndim < 2:
+    A = np.asarray(A)
+    if A.ndim < 2:
         raise DimensionMismatch("rank_stack needs a stack of matrices")
-    batch = M.shape[:-2]
-    return _rref_stack(M.reshape((math.prod(batch),) + M.shape[-2:]), p)[1].reshape(batch)
+    return _rref_stack(_as_stack(A, p), p)[1].reshape(A.shape[:-2])
 
 
 def row_space_rank(rows, p: int) -> int:
@@ -283,16 +294,17 @@ def is_invertible(A: FpMatrix) -> bool:
 def inverse_stack(A, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Which matrices of a stack of square integer matrices, shape (..., n, n),
     are invertible over F_p (a bool array of the stack's shape), and their
-    inverses (unspecified where singular), from one elimination of [A | I]."""
+    int64 inverses (unspecified where singular), from one elimination of
+    [A | I] that seeks pivots in the A half only: A is invertible exactly
+    when it has n pivots, and then the I half is A^-1."""
     validate_odd_prime(p)
-    M = _as_stack(A, p)
-    if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
+    A = np.asarray(A)
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
         raise DimensionMismatch("inverse_stack needs a stack of square matrices")
-    n = M.shape[-1]
-    M = np.concatenate([M, np.broadcast_to(np.eye(n, dtype=np.int64), M.shape)], axis=-1)
-    R = _rref_stack(M.reshape((math.prod(M.shape[:-2]), n, 2 * n)), p)[0].reshape(M.shape)
-    # the A half of the reduced [A | I] is I if A is invertible, else it ends in a zero row
-    return R[..., :n].diagonal(axis1=-2, axis2=-1).all(axis=-1), R[..., n:]
+    n = A.shape[-1]
+    M = _as_stack(np.concatenate([A, np.broadcast_to(np.eye(n, dtype=A.dtype), A.shape)], axis=-1), p)
+    R, rank = _rref_stack(M, p, pivot_cols=n)
+    return (rank == n).reshape(A.shape[:-2]), np.moveaxis(R[:, n:], -1, 0).astype(np.int64).reshape(A.shape)
 
 
 def mat_rank(A: FpMatrix) -> int:

@@ -13,7 +13,13 @@ U^2; the per-shift Fourier oracle stops at U^2 with one fftn per shift, the
 way gowers_norm did before its U^2 level ran in blocks of shifts. The
 counterexample oracles build one affine map at a time: the membership masks
 pull every point back through A^{-1}, and the dressing reads each table
-through its own alpha*x + beta*y index array. The
+through its own alpha*x + beta*y index array, with its uniform tables drawn
+by numpy.random itself. The f1 oracle takes x.x and x.y mod 5 from int64
+dot products of whole digit vectors, the way f1 was built before it was
+built digit by digit in uint8; build_f1 and f1_pattern_count_exact, the
+grid-function and pattern-count views of f1 that only tests read, sit beside
+it, as does diagonalize_rotated_square, the exact identity checks of the
+change of variables that turns rotated squares into the diagonal pattern. The
 equidistribution oracles count cells as rows of image coordinates, sorted
 per difference with np.unique(axis=0) and merged by one more row sort, the
 way the histograms were counted before their cells became folded atom ids.
@@ -46,10 +52,12 @@ from fractions import Fraction
 import numpy as np
 
 from popdiff._grid import add_index, add_table, digit_table, encode_digits, linear_perm
-from popdiff.counterexample import F2_COMBOS, F3_COMBOS, SHIFT_COEFFS, _uniform_table, f1_matrix, is_3ap_free
+from popdiff import DEFAULT_GUARD
+from popdiff.counterexample import F2_COMBOS, F3_COMBOS, SHIFT_COEFFS, f1_matrix, is_3ap_free, support_pattern_counts
 from popdiff.errors import Singular
-from popdiff.ffalg import FpMatrix, mat_inverse
-from popdiff.gridfn import RATIONAL, factor_image_coords, grid_decode, h_coset_labels
+from popdiff.ffalg import FpMatrix, is_invertible, mat_inverse
+from popdiff.gridfn import FLOAT, RATIONAL, GridFunction, factor_image_coords, grid_decode, h_coset_labels
+from popdiff.patterns import PatternSpec
 
 
 # Polynomials over F_p are coefficient lists, lowest degree first, trimmed of
@@ -273,15 +281,63 @@ def membership_masks_by_inverse(n: int, gamma: int, master_seed: int, seed_index
     return masks[0], masks[1].T
 
 
+def diagonalize_rotated_square() -> dict:
+    """The change of variables (x,y) -> (x-2y, x+2y) turning rotated squares
+    into the diagonal pattern with matrices (I, diag(2,-2)); returns the
+    diagonalized PatternSpec plus the exact identity checks."""
+    p = 5
+    gamma = FpMatrix.from_rows([[1, -2], [1, 2]], p)
+    # matrix reproducing the third point (x+b, y-a) of the rotated square
+    m2_pattern = FpMatrix.from_rows([[0, 1], [-1, 0]], p)
+    diag = FpMatrix.from_rows([[2, 0], [0, -2]], p)
+    conj = gamma.mul(m2_pattern).mul(mat_inverse(gamma))
+    # second coordinates of the diagonal pattern are y, y+b, y-2b, y-b
+    mults = [cy % p for _, cy in SHIFT_COEFFS]
+    spec = PatternSpec(p, 2, FpMatrix.identity(2, p), diag)
+    return {
+        "spec": spec,
+        "gamma": gamma,
+        "gamma_invertible": is_invertible(gamma),
+        "conjugation_identity": conj == diag,
+        "second_coordinate_multipliers": tuple(mults),
+        "second_coordinates_ok": tuple(mults) == (0, 1, (-2) % p, (-1) % p),
+        "negated_matrix_conjugate": gamma.mul(m2_pattern.neg()).mul(mat_inverse(gamma)).to_lists(),
+    }
+
+
+def f1_matrix_by_einsum(core, n: int) -> np.ndarray:
+    """f1[x, y] = g1[x.x mod 5, x.y mod 5] from int64 dot products of whole
+    digit vectors."""
+    digs = digit_table(5, n)
+    xx = np.einsum("xi,xi->x", digs, digs) % 5
+    xy = (digs @ digs.T) % 5
+    return core.g1[xx[:, None], xy].astype(np.uint8)
+
+
+def build_f1(core, n: int, guard: int = DEFAULT_GUARD) -> GridFunction:
+    """f1(x, y) = g1(x.x, x.y) as a grid function on (F_5^n)^2."""
+    F = f1_matrix(core, n, guard)
+    # grid index for k=2 is ix + 5^n * iy
+    values = F.T.reshape(-1).astype(np.float64)
+    return GridFunction(5, 2, n, values, FLOAT, guard=guard)
+
+
+def f1_pattern_count_exact(core, n: int, a, b, guard: int = DEFAULT_GUARD) -> Fraction:
+    """beta_1(a, b): exact four-point density of f1 at the difference (a, b)."""
+    F = f1_matrix(core, n, guard)
+    return Fraction(support_pattern_counts(F, n, [(a, b)])[0], F.size)
+
+
 def dressed_h_by_combo_index(core, h, n: int, master_seed: int, seed_index: int, blocks: int = 2) -> np.ndarray:
-    """h = f1 * F2 * F3 (f1 * F2 for blocks = 1) with each table read through
-    its own (P, P) array of the indices of alpha*x + beta*y."""
+    """h = f1 * F2 * F3 (f1 * F2 for blocks = 1) with each table drawn by
+    np.random.default_rng([master_seed, seed_index, table]).random and read
+    through its own (P, P) array of the indices of alpha*x + beta*y."""
     P = 5**n
     out = f1_matrix(core, n).copy()
     for block, combos in enumerate((F2_COMBOS, F3_COMBOS)[:blocks]):
         vals = []
         for tid, (alpha, beta) in enumerate(combos):
-            cells = h.cells(_uniform_table(master_seed, seed_index, 3 * block + tid, P))
+            cells = h.cells(np.random.default_rng([master_seed, seed_index, 3 * block + tid]).random(P))
             combo = add_index(5, n, linear_perm(5, 1, n, [[alpha]])[:, None], linear_perm(5, 1, n, [[beta]])[None, :])
             vals.append(cells[combo])
         out = out * h.tensor[vals[0], vals[1], vals[2]].astype(np.uint8)

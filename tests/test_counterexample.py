@@ -1,5 +1,8 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -20,17 +23,14 @@ from popdiff.counterexample import (
     ap3_free_set,
     assemble_seeds,
     build_core,
-    build_f1,
     cex_report,
     class_pattern_expectations,
     core_expectation_table,
-    diagonalize_rotated_square,
     dress_and_measure,
     dressed_h_matrix,
     eight_tuple_distribution,
     f1_exact_mean,
     f1_matrix,
-    f1_pattern_count_exact,
     final_assembly,
     has_nontrivial_4ap,
     hypergraph_expectations,
@@ -41,10 +41,14 @@ from popdiff.counterexample import (
     unique_triangle_check,
 )
 import popdiff.counterexample as cex
-from popdiff.counterexample import _GeneratorStack, _affine_membership
+from popdiff.counterexample import _GeneratorStack, _affine_membership, _uniform_tables
 
 from oracles import (
+    build_f1,
+    diagonalize_rotated_square,
     dressed_h_by_combo_index,
+    f1_matrix_by_einsum,
+    f1_pattern_count_exact,
     max_ap3_free_by_whole_set_check,
     membership_masks_by_inverse,
     pattern_count_by_roll,
@@ -118,6 +122,14 @@ def test_conjugation_preserves_count_multisets():
     r1 = popular_search(f, rot_spec, 0.05)
     r2 = popular_search(g, diag_spec, 0.05)
     assert sorted(r1.counts.values()) == pytest.approx(sorted(r2.counts.values()))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_f1_matches_einsum_oracle(n):
+    cex._f1_cached.cache_clear()
+    got = f1_matrix(build_core(), n)
+    want = f1_matrix_by_einsum(build_core(), n)
+    assert got.dtype == want.dtype and np.array_equal(got, want) and not got.flags.writeable
 
 
 def test_f1_small_cases():
@@ -463,6 +475,44 @@ def test_membership_draws_only_the_generators_it_reads(monkeypatch):
     for g, w in zip(got, membership_masks_by_inverse(3, 2, 5, 1)):
         assert g.dtype == bool and g.tolist() == w[xs, ys].astype(bool).tolist()
     assert [len(g) for g in _affine_membership(3, 2, 5, [(1, xs[:0], ys[:0])])[0]] == [0, 0]
+
+
+# keys of one, two and three 32-bit words
+UNIFORM_KEYS = [0, 5, 2**32 - 1, 2**32, 2**32 + 3, 2**64 - 1, 2**64 + 5, 2**96 - 1]
+
+
+@given(st.lists(st.lists(st.sampled_from(UNIFORM_KEYS), min_size=1, max_size=3), min_size=1, max_size=3),
+       st.integers(1, 4), st.integers(1, 3125))
+@example([[0, 0]], 6, 625)
+@example([[2**64 + 5, 2**32 - 1], [7, 2**96 - 1, 0]], 2, 1)
+@settings(max_examples=25, deadline=None)
+def test_uniform_tables_match_numpy_bit_for_bit(prefixes, count, size):
+    # prefixes of mixed word widths share one call; row i count + g is default_rng(prefixes[i] + [g])
+    got = _uniform_tables(prefixes, count, size)
+    want = np.stack([np.random.default_rng(prefix + [g]).random(size) for prefix in prefixes for g in range(count)])
+    assert got.dtype == np.float64 and got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("prefix", [[-1], [0, -1], [2**64, -(2**40)]])
+def test_uniform_tables_refuse_a_negative_key_as_numpy_does(prefix):
+    with pytest.raises(ValueError) as numpy_error:
+        np.random.default_rng(prefix + [0])
+    with pytest.raises(ValueError) as ours:
+        _uniform_tables([prefix], 2, 3)
+    assert str(ours.value) == str(numpy_error.value) == "expected non-negative integer"
+
+
+def test_cex_report_does_not_import_numpy_random():
+    code = ("import sys\n"
+            "from popdiff import counterexample as cex\n"
+            "h = cex.Hypergraphon(7, cex.ap3_free_set(7, 'exhaustive-max'))\n"
+            "cex.cex_report(cex.build_core(), h, cex.DressingParams(seed=3, n=2, gamma=1), seeds=4)\n"
+            "print('numpy.random' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("master_seed, seed_index", [(-1, 0), (0, -1)])

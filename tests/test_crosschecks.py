@@ -16,14 +16,14 @@ from popdiff.counterexample import (
     F3_COMBOS,
     SHIFT_COEFFS,
     Hypergraphon,
-    _uniform_table,
     build_core,
     dressed_h_matrix,
     eight_tuple_distribution,
     f1_matrix,
-    f1_pattern_count_exact,
 )
 from popdiff.threept import FiniteGroupSpec, bohr_set, smoothed_3pt_count
+
+from oracles import f1_pattern_count_exact
 
 
 def test_smoothed_count_matrix_automorphisms():
@@ -95,7 +95,7 @@ def test_dressed_h_against_pointwise_lookup():
     n, master, sidx = 2, 31, 4
     hm = dressed_h_matrix(core, h, n, master, sidx)
     F = f1_matrix(core, n)
-    tables = [_uniform_table(master, sidx, tid, 25) for tid in range(6)]
+    tables = [np.random.default_rng([master, sidx, tid]).random(25) for tid in range(6)]
     cells = [h.cells(t) for t in tables]
     G = h.tensor
     pows = np.array([1, 5])

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from popdiff.errors import Singular
 from popdiff.ffalg import (
@@ -80,7 +80,15 @@ def _assert_inverses(A, ok, inv, p):
         assert np.all(np.einsum("bij,bjk->bik", a, b) % p == np.eye(n, dtype=np.int64))
 
 
-@given(st.sampled_from([3, 5, 7]), st.integers(1, 5), st.integers(0, 2**32 - 1))
+# the kernel's words are np.min_scalar_type(p^2): uint8 to p = 13, uint16 at
+# 251, uint32 at 65521 and uint64 at 999983
+WORD_PRIMES = [251, 65521, 999983]
+
+
+@given(st.sampled_from([3, 5, 7] + WORD_PRIMES), st.integers(1, 5), st.integers(0, 2**32 - 1))
+@example(251, 3, 1)
+@example(65521, 4, 2)
+@example(999983, 5, 3)
 @settings(max_examples=40, deadline=None)
 def test_inverse_stack_matches_is_invertible(p, n, seed):
     rng = np.random.default_rng(seed)
@@ -105,7 +113,11 @@ def test_inverse_stack_matches_is_invertible(p, n, seed):
     _assert_inverses(A, got4, inv4, p)
 
 
-@given(st.sampled_from([3, 5, 7, 999983]), st.integers(1, 3), st.booleans(), st.integers(1, 20), st.integers(0, 2**32 - 1))
+@given(st.sampled_from([3, 5, 7] + WORD_PRIMES), st.integers(1, 3), st.booleans(), st.integers(1, 20),
+       st.integers(0, 2**32 - 1))
+@example(251, 2, False, 9, 1)
+@example(65521, 2, True, 5, 2)
+@example(999983, 3, False, 12, 3)
 @settings(max_examples=60, deadline=None)
 def test_elimination_matches_list_oracle(p, batch, tall, c, seed):
     rng = np.random.default_rng(seed)
