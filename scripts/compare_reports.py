@@ -14,9 +14,12 @@ exits 1 if there is any and 0 otherwise.
 The list: `check`/`subspaces` on five specs; `check` on the spectral gate's
 edge cases (the rotation over F_3, whose eigenvalues +-i lie in F_9; a
 singular M1, which fails through the eigenvalue 0; a singular M2, which must
-end in one JSON error line; and a 4 x 4 spec); `equidist` on three factors
-(abstract at k = 1, 2, linquad, and tuple with and without --restrict-h at
-k = 1, 2, with --k 2 for the 2 x 2 --J); the counterexample stages (core, dress at n = 1-5, eight-tuple,
+end in one JSON error line; and a 4 x 4 spec); `subspaces` at k >= 3, on
+that 4 x 4 spec and on a non-symmetric 3 x 3 J over F_7 whose LambdaPrime
+is nonzero; `equidist` on three factors (abstract at k = 1, 2, linquad, and
+tuple with and without --restrict-h at k = 1, 2, with --k 2 for the 2 x 2
+--J), and `equidist --mode tuple --k 3` on a factor over F_3^2 with one
+entry of each kind; the counterexample stages (core, dress at n = 1-5, eight-tuple,
 hypergraph at L = 5, 7, 11, 13, 17, 25, report at n = 1-5, and at L = 17 and
 with --method greedy, `cex report --n 4 --L 17 --seeds 2` with and without
 --method greedy, `cex report --n 3 --L 7 --seeds 12 --seed 4294967299` (a
@@ -85,6 +88,14 @@ CHECK_SPECS = {
               "M2": [[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [1, 0, 0, 2]]},
 }
 
+# `subspaces` at k = 3: a non-symmetric J over F_7 whose LambdaPrime and OmegaPrime are nonzero
+SUBSPACE_SPECS = {
+    "skew-3x3-p7": {"p": 7, "k": 3, "M1": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "M2": [[6, 1, 1], [5, 3, 5], [0, 0, 5]]},
+}
+
+# `equidist --mode tuple` at k = 3: a factor on F_3^2 with one entry of each kind
+FACTOR_K3 = {"p": 3, "n": 2, "b1": [[1, 1]], "b2": [[[1, 0], [0, 2]]], "b3": [[[0, 1], [2, 0]]]}
+
 # each factor with a 2 x 2 J that keeps I - J invertible
 FACTORS = {
     "sym-p3": ({"p": 3, "n": 3, "b1": [[1, 0, 0]], "b2": [[[1, 0, 0], [0, 1, 0], [0, 0, 1]]], "b3": []},
@@ -151,6 +162,8 @@ def invocations(refs: dict) -> list[list[str]]:
     for name in SPECS:
         argvs += [["check", "--spec", f"@{name}"], ["subspaces", "--spec", f"@{name}"]]
     argvs += [["check", "--spec", f"@{name}"] for name in CHECK_SPECS]
+    argvs += [["subspaces", "--spec", "@k4-p5"], ["subspaces", "--spec", "@skew-3x3-p7"],
+              ["equidist", "--factor", "@factor-k3-p3", "--mode", "tuple", "--k", "3", "--J", "[[0,1,0],[0,0,1],[1,1,0]]"]]
     for name, (_, J2) in FACTORS.items():
         factor = ["equidist", "--factor", f"@{name}"]
         argvs += [factor + ["--mode", "abstract", "--k", "1"], factor + ["--mode", "abstract", "--k", "2"],
@@ -297,7 +310,8 @@ def write_inputs(tmp: pathlib.Path) -> tuple[dict, dict]:
         ("equidist_reference", "tests/equidist_reference.json"),
         ("subspaces_reference", "tests/subspaces_reference.json"),
         ("cex_reference", "perfbench/cex_reference.json"))}
-    docs = dict(SPECS, **CHECK_SPECS, **GROUPS, **POINTS, **{name: factor for name, (factor, _) in FACTORS.items()})
+    docs = dict(SPECS, **CHECK_SPECS, **SUBSPACE_SPECS, **GROUPS, **POINTS, **{"factor-k3-p3": FACTOR_K3},
+                **{name: factor for name, (factor, _) in FACTORS.items()})
     docs.update({f"equidist-{i}": c["factor"] for i, c in enumerate(refs["equidist_reference"]["invocations"])})
     docs.update({f"subspaces-{i}": c["spec"] for i, c in enumerate(refs["subspaces_reference"]["invocations"])})
     paths = {"out": str(tmp / "out.plgf")}

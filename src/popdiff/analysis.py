@@ -425,8 +425,7 @@ def _expand_matrix_coords(cols: np.ndarray, k: int, p: int, kind: str) -> np.nda
     """Expand the packed matrix coordinates of the 4 slots, shape (cells, 4,
     packed), into full k x k flattenings, shape (cells, 4 k^2): coordinates
     are coefficients on patterns.matrix_basis."""
-    basis = np.array([B.flatten() for B in matrix_basis(k, p, kind)], dtype=np.int64).reshape(-1, k * k)
-    return (cols @ basis % p).reshape(len(cols), 4 * k * k)
+    return (cols @ matrix_basis(k, p, kind).reshape(-1, k * k) % p).reshape(len(cols), 4 * k * k)
 
 
 def pattern_tuple_distribution(

@@ -326,15 +326,10 @@ def linear_kernel_H(factor: QuadraticFactor, k: int) -> dict:
     P = grid_size(p, k, n)
     member = np.all(h_coset_labels(factor, k) == 0, axis=1)
     indicator = GridFunction(p, k, n, member.astype(np.int64), RATIONAL)
-    # H-perp inside F_p^{kn}: row a tensored with each r_i
-    basis = []
-    for row_vec in red:
-        for a in range(k):
-            v = [0] * (k * n)
-            for j in range(n):
-                v[a * n + j] = row_vec[j]
-            basis.append(tuple(v))
-    h_perp = SubspaceBasis(p, k * n, tuple(basis), "grid-characters")
+    # H-perp inside F_p^{kn}: basis vector (i, a) is e_a tensored with r_i, [i, a, b, j] = delta_ab r_i[j]
+    R = np.array(red, dtype=np.int64).reshape(rank, n)
+    basis = np.einsum("ab,ij->iabj", np.eye(k, dtype=np.int64), R).reshape(rank * k, k * n)
+    h_perp = SubspaceBasis(p, k * n, basis, "grid-characters")
     density = Fraction(int(member.sum()), P)
     ensure(density == Fraction(1, p ** (k * rank)), f"linear_kernel_H: density {density} != p^-(k rank)")
     return {"H": indicator, "H_perp": h_perp, "density": density, "rank": rank}

@@ -5,7 +5,10 @@ A pattern is {x, x + M1 d, x + M2 d, x + (M1+M2) d} acting on (F_p^n)^k.
 After reducing to (I, J) form, the distribution of factor images along the
 pattern is governed by linear subspaces of tuple spaces; this module
 computes their bases exactly and provides the brute-force annihilator that
-certifies them.
+certifies them. Matrices are int64 arrays flattened row-major, so each
+constraint space is the nullspace of one Kronecker operator on a stacked
+basis (matrix_basis), each tuple ambient one np.kron, and each containment
+test one rank.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from ._grid import digit_table
 from .errors import DimensionMismatch, NotContained, Singular, check_guard, int_field
 from .ffalg import (
     FpMatrix,
+    inverse_stack,
     is_invertible,
     mat_inverse,
     nullspace,
@@ -102,32 +106,34 @@ class SubspaceBasis:
 
     def __post_init__(self):
         validate_odd_prime(self.p)
-        red = []
-        for v in self.basis:
-            if len(v) != self.ambient_dim:
-                raise DimensionMismatch("basis vector has wrong length")
-            red.append(tuple(x % self.p for x in v))
-        object.__setattr__(self, "basis", tuple(red))
-        if self.basis and row_space_rank(self.basis, self.p) != len(self.basis):
+        vecs = [list(v) for v in self.basis]
+        if any(len(v) != self.ambient_dim for v in vecs):
+            raise DimensionMismatch("basis vector has wrong length")
+        B = np.array(vecs, dtype=np.int64).reshape(len(vecs), self.ambient_dim) % self.p
+        object.__setattr__(self, "basis", tuple(map(tuple, B.tolist())))
+        if len(B) and row_space_rank(B, self.p) != len(B):
             raise ValueError("basis vectors are linearly dependent")
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
-    def contains(self, vec) -> bool:
-        v = [x % self.p for x in vec]
-        if len(v) != self.ambient_dim:
+    @property
+    def array(self) -> np.ndarray:
+        """The basis as an int64 array of shape (dim, ambient_dim)."""
+        return np.array(self.basis, dtype=np.int64).reshape(self.dim, self.ambient_dim)
+
+    def _spans(self, vecs: np.ndarray) -> bool:
+        """True iff every row of vecs lies in this space: adding them leaves the rank at dim."""
+        if vecs.shape[-1] != self.ambient_dim:
             raise DimensionMismatch("vector has wrong length")
-        if not any(v):
-            return True
-        if not self.basis:
-            return False
-        rows = [list(b) for b in self.basis]
-        return row_space_rank(rows + [v], self.p) == len(self.basis)
+        return row_space_rank(np.vstack([self.array, vecs]), self.p) == self.dim
+
+    def contains(self, vec) -> bool:
+        return self._spans(np.asarray(vec, dtype=np.int64).reshape(1, -1))
 
     def is_subspace_of(self, other: "SubspaceBasis") -> bool:
-        return all(other.contains(v) for v in self.basis)
+        return other._spans(self.array)
 
     def equals(self, other: "SubspaceBasis") -> bool:
         """Exact subspace equality by double containment."""
@@ -154,47 +160,35 @@ def coord_index(k: int, kind: str) -> list[tuple[int, int]]:
     return [(i, j) for i in range(k) for j in range(i + (kind == "skew"), k)]
 
 
-def matrix_basis(k: int, p: int, kind: str) -> list[FpMatrix]:
+def matrix_basis(k: int, p: int, kind: str) -> np.ndarray:
     """E_ij + E_ji (symmetric) or E_ij - E_ji (skew) at each (i, j) of
-    coord_index(k, kind): packed coordinates are coefficients on this basis."""
-    out = []
-    for i, j in coord_index(k, kind):
-        rows = [[0] * k for _ in range(k)]
-        rows[j][i] = 1 if kind == "symmetric" else -1
-        rows[i][j] = 1
-        out.append(FpMatrix.from_rows(rows, p))
+    coord_index(k, kind), entries in [0, p), as an int64 array of shape
+    (len, k, k): packed coordinates are coefficients on this basis."""
+    idx = coord_index(k, kind)
+    i, j = np.array(idx, dtype=np.int64).reshape(-1, 2).T
+    c = np.arange(len(idx))
+    out = np.zeros((len(idx), k, k), dtype=np.int64)
+    out[c, j, i] = 1 if kind == "symmetric" else p - 1
+    out[c, i, j] = 1
     return out
 
 
-def _embed_tuple(mats: list[FpMatrix]) -> tuple[int, ...]:
-    out: list[int] = []
-    for M in mats:
-        out.extend(M.flatten())
-    return tuple(out)
-
-
 def matrix_tuple_ambient(p: int, k: int, arity: int, kind: str) -> SubspaceBasis:
-    """Ambient (S_k)^arity or (S'_k)^arity inside F_p^{arity*k^2} coordinates."""
-    blocks = matrix_basis(k, p, kind)
-    zero = FpMatrix.zero(k, k, p)
-    basis = []
-    for slot in range(arity):
-        for B in blocks:
-            mats = [zero] * arity
-            mats[slot] = B
-            basis.append(_embed_tuple(mats))
-    return SubspaceBasis(p, arity * k * k, tuple(basis), f"{kind}-matrix-{arity}-tuples")
+    """Ambient (S_k)^arity or (S'_k)^arity inside F_p^{arity*k^2} coordinates:
+    slot by slot, each matrix_basis element in row-major flattening."""
+    blocks = matrix_basis(k, p, kind).reshape(-1, k * k)
+    return SubspaceBasis(p, arity * k * k, np.kron(np.eye(arity, dtype=np.int64), blocks),
+                         f"{kind}-matrix-{arity}-tuples")
 
 
 def vector_tuple_ambient(p: int, k: int, arity: int = 4) -> SubspaceBasis:
-    m = arity * k
-    basis = tuple(tuple(1 if i == j else 0 for j in range(m)) for i in range(m))
-    return SubspaceBasis(p, m, basis, "vectors-of-F_p^k-tuples")
+    return SubspaceBasis(p, arity * k, np.eye(arity * k, dtype=np.int64), "vectors-of-F_p^k-tuples")
 
 
-def _combine(coeffs: list[list[int]], vectors: np.ndarray, p: int) -> np.ndarray:
-    """The combinations sum_j c_j v_j mod p, one row per coefficient list c,
-    of the rows v_j of the (g, m) array vectors."""
+def _kernel(operator: np.ndarray, vectors: np.ndarray, p: int) -> np.ndarray:
+    """The combinations x of the rows of vectors, shape (g, m), with operator x = 0
+    mod p, as rows v = sum_j x_j vectors[j]: one nullspace of the (r, g) operator."""
+    coeffs = nullspace(operator, p, ncols=len(vectors))
     return np.array(coeffs, dtype=np.int64).reshape(len(coeffs), len(vectors)) @ vectors % p
 
 
@@ -205,84 +199,62 @@ def orth_complement(space: SubspaceBasis, ambient: SubspaceBasis) -> SubspaceBas
         raise DimensionMismatch("space and ambient live in different coordinate spaces")
     if not space.is_subspace_of(ambient):
         raise NotContained("space is not contained in the ambient")
-    p = space.p
-    if not ambient.basis:
-        return SubspaceBasis(p, ambient.ambient_dim, (), ambient.ambient_kind)
-    # constraints on coefficients x of v = sum x_j e_j
-    rows = [[sum(a * b for a, b in zip(e, w)) % p for e in ambient.basis] for w in space.basis]
-    vecs = _combine(nullspace(rows, p, ncols=len(ambient.basis)), np.array(ambient.basis, dtype=np.int64), p)
-    return SubspaceBasis(p, ambient.ambient_dim, tuple(map(tuple, vecs.tolist())), ambient.ambient_kind)
+    E = ambient.array
+    return SubspaceBasis(space.p, ambient.ambient_dim, _kernel(space.array @ E.T, E, space.p), ambient.ambient_kind)
 
 
 # ---------------------------------------------------------------------------
 # Constraint spaces for a reduced pattern (I, J)
+#
+# A k x k matrix X is the row-major vector vec(X), X[a, b] at a k + b. A map
+# A -> XA is then the matrix X (x) I, A -> AX is I (x) X^T, and A -> A^T is
+# the permutation T of the k^2 coordinates; each space below is the kernel
+# of one such operator.
 
 
-def _solve_matrix_condition(p: int, k: int, generators: list[FpMatrix], condition) -> list[FpMatrix]:
-    """Kernel of a linear matrix map within span(generators)."""
-    rows = [list(condition(E).flatten()) for E in generators]
-    coeffs = nullspace([list(c) for c in zip(*rows)], p, ncols=len(generators))
-    gens = np.array([E.flatten() for E in generators], dtype=np.int64).reshape(len(generators), k * k)
-    return [FpMatrix(k, k, A, p) for A in _combine(coeffs, gens, p).tolist()]
-
-
-def _tuple_map(A: FpMatrix, B: FpMatrix) -> tuple[int, ...]:
-    AB = A.mul(B)
-    return _embed_tuple([A.neg(), AB.neg(), AB, A])
-
-
-def _pair_map(A: FpMatrix, B: FpMatrix) -> tuple[int, ...]:
-    return _embed_tuple([A.neg(), A.mul(B).neg()])
-
-
-def constraint_spaces(J: FpMatrix, p: int | None = None) -> dict[str, SubspaceBasis]:
+def constraint_spaces(J: FpMatrix) -> dict[str, SubspaceBasis]:
     """Bases of Xi, Lambda, LambdaPrime, Psi, Omega, OmegaPrime for pattern
     matrices (I, J).
 
     Requires I - J invertible; I + J may be singular (the tuple formulas
     only invert I - J, and the degenerate I + J = 0 case is meaningful).
     """
-    p = J.p if p is None else p
-    k = J.rows
+    p, k = J.p, J.rows
     if J.cols != k:
         raise DimensionMismatch("J must be square")
-    I = FpMatrix.identity(k, p)
-    if not is_invertible(I.sub(J)):
+    Jm, Ik, kk = np.array(J.to_lists(), dtype=np.int64), np.eye(k, dtype=np.int64), k * k
+    invertible, inv = inverse_stack(Ik - Jm, p)
+    if not invertible:
         raise Singular("I - J must be invertible")
-    B = I.add(J).mul(mat_inverse(I.sub(J)))
-    Jt = J.transpose()
+    B = (Ik + Jm) @ inv % p
+    T = np.eye(kk, dtype=np.int64).reshape(k, k, kk).transpose(1, 0, 2).reshape(kk, kk)
 
-    full_basis = [FpMatrix(k, k, E, p) for E in np.eye(k * k, dtype=np.int64).tolist()]
+    # Xi_J = {A : (JA)^T = JA}, the kernel of (I - T)(J (x) I)
+    E = np.eye(kk, dtype=np.int64)
+    xi = SubspaceBasis(p, kk, _kernel((E - T) @ np.kron(Jm, Ik), E, p), "matrices")
 
-    # Xi_J = {A : (JA)^T = JA}
-    xi_mats = _solve_matrix_condition(p, k, full_basis, lambda A: J.mul(A).sub(J.mul(A).transpose()))
-    xi = SubspaceBasis(p, k * k, tuple(tuple(A.flatten()) for A in xi_mats), "matrices")
+    def tuples(kind: str) -> np.ndarray:
+        """The 4-tuples (-A, -AB, AB, A) of the generators A of Lambda (S_k) or
+        LambdaPrime (S'_k): the solutions of A J = J^T A, the kernel of
+        I (x) J^T - J^T (x) I on the basis. (This is the condition the pattern
+        trace identity actually forces; it makes every slot of the 4-tuple
+        land back in the right symmetry class.)"""
+        basis = matrix_basis(k, p, kind).reshape(-1, kk)
+        A = _kernel((np.kron(Ik, Jm.T) - np.kron(Jm.T, Ik)) @ basis.T, basis, p).reshape(-1, k, k)
+        AB = A @ B % p
+        return np.concatenate([-A, -AB, AB, A], axis=1).reshape(len(A), 4 * kk) % p
 
-    # Generators of Lambda / LambdaPrime: A J = J^T A within S_k resp. S'_k.
-    # (This is the condition the pattern trace identity actually forces; it
-    # makes every slot of the 4-tuple land back in the right symmetry class.)
-    twist = lambda A: A.mul(J).sub(Jt.mul(A))
-    gen_sym = _solve_matrix_condition(p, k, matrix_basis(k, p, "symmetric"), twist)
-    gen_skew = _solve_matrix_condition(p, k, matrix_basis(k, p, "skew"), twist)
-
-    lam = SubspaceBasis(p, 4 * k * k, tuple(_tuple_map(A, B) for A in gen_sym), "symmetric-matrix-4-tuples")
-    lamp = SubspaceBasis(p, 4 * k * k, tuple(_tuple_map(A, B) for A in gen_skew), "skew-matrix-4-tuples")
-    omega = SubspaceBasis(p, 2 * k * k, tuple(_pair_map(A, B) for A in gen_sym), "pair-tuples")
-    omegap = SubspaceBasis(p, 2 * k * k, tuple(_pair_map(A, B) for A in gen_skew), "pair-tuples")
-
+    sym, skew = tuples("symmetric"), tuples("skew")
     # Psi_J: x1 - x2 - x3 + x4 = 0 and x4 - x2 = J(x2 - x1), solved in F_p^{4k}
-    Ik, Jm = np.eye(k, dtype=np.int64), np.array(J.entries, dtype=np.int64).reshape(k, k)
     rows = np.block([[Ik, -Ik, -Ik, Ik], [Jm, -Jm - Ik, np.zeros_like(Ik), Ik]]) % p
-    psi_vecs = nullspace(rows, p, ncols=4 * k)
-    psi = SubspaceBasis(p, 4 * k, tuple(tuple(v) for v in psi_vecs), "vectors-of-F_p^k-tuples")
-
+    # Omega and OmegaPrime hold the pairs (-A, -AB), the first half of each tuple
     return {
         "Xi": xi,
-        "Lambda": lam,
-        "LambdaPrime": lamp,
-        "Psi": psi,
-        "Omega": omega,
-        "OmegaPrime": omegap,
+        "Lambda": SubspaceBasis(p, 4 * kk, sym, "symmetric-matrix-4-tuples"),
+        "LambdaPrime": SubspaceBasis(p, 4 * kk, skew, "skew-matrix-4-tuples"),
+        "Psi": SubspaceBasis(p, 4 * k, nullspace(rows, p, ncols=4 * k), "vectors-of-F_p^k-tuples"),
+        "Omega": SubspaceBasis(p, 2 * kk, sym[:, : 2 * kk], "pair-tuples"),
+        "OmegaPrime": SubspaceBasis(p, 2 * kk, skew[:, : 2 * kk], "pair-tuples"),
     }
 
 
@@ -328,27 +300,24 @@ def annihilator_bruteforce(
     p, k = J.p, J.rows
     check_guard("p^(2kn)", p ** (2 * k * n), guard)
     m_basis = matrix_basis(n, p, kind)
-    tuple_blocks = matrix_basis(k, p, kind)
-
-    tdim = 4 * len(tuple_blocks)
-    if not m_basis or tdim == 0:
+    ambient = matrix_tuple_ambient(p, k, 4, kind)
+    if not len(m_basis) or not ambient.dim:
         # no nonzero M of this kind exists (skew with n = 1), or the tuple
         # ambient itself is the zero space (skew with k = 1)
-        return matrix_tuple_ambient(p, k, 4, kind)
+        return ambient
 
     P = p ** (k * n)
     X = digit_table(p, k * n).reshape(P, k, n)
     I = np.eye(k, dtype=np.int64)
     Jm = np.array(J.to_lists(), dtype=np.int64)
     slot_coeffs = [np.zeros((k, k), dtype=np.int64), I, Jm % p, (I + Jm) % p]
-    E_arrs = [np.array(E.to_lists(), dtype=np.int64) for E in tuple_blocks]
+    E = matrix_basis(k, p, kind)
 
     reduced = []
     for M in m_basis:
-        Mm = np.array(M.to_lists(), dtype=np.int64)
-        G1 = np.einsum("xan,nm,xbm->xab", X, Mm, X) % p        # X M X^T (also D M D^T)
-        XMD = np.einsum("xan,nm,ybm->xyab", X, Mm, X) % p      # X M D^T, D indexed by y
-        DMX = np.einsum("yan,nm,xbm->xyab", X, Mm, X) % p      # D M X^T (not its transpose: M may be skew)
+        G1 = np.einsum("xan,nm,xbm->xab", X, M, X) % p         # X M X^T (also D M D^T)
+        XMD = np.einsum("xan,nm,ybm->xyab", X, M, X) % p       # X M D^T, D indexed by y
+        DMX = np.einsum("yan,nm,xbm->xyab", X, M, X) % p       # D M X^T (not its transpose: M may be skew)
         cols = []
         for C in slot_coeffs:
             # Q = (X + C D) M (X + C D)^T over all pairs (x, y = D)
@@ -356,14 +325,12 @@ def annihilator_bruteforce(
             term3 = np.einsum("ca,xyab->xycb", C, DMX)         # C D M X^T
             term4 = np.einsum("ca,yab,db->ycd", C, G1, C)      # C D M D^T C^T
             Q = (G1[:, None, :, :] + term2 + term3 + term4[None, :, :, :]) % p
-            for E in E_arrs:
-                cols.append(np.einsum("ab,xyab->xy", E, Q) % p)
-        # each block reduced to its (at most tdim) echelon rows before the next
-        reduced += rref(np.stack([c.reshape(-1) for c in cols], axis=1), p)[0]
-    # coefficient s * len(tuple_blocks) + j weighs block j in slot s
-    slots = np.kron(np.eye(4, dtype=np.int64), np.array(E_arrs).reshape(len(E_arrs), k * k))
-    vecs = _combine(nullspace(reduced, p, ncols=tdim), slots, p)
-    return SubspaceBasis(p, 4 * k * k, tuple(map(tuple, vecs.tolist())), f"{kind}-matrix-4-tuples")
+            cols.append(np.einsum("eab,xyab->xye", E, Q) % p)
+        # each block reduced to its (at most 4 len(E)) echelon rows before the next
+        reduced += rref(np.concatenate(cols, axis=-1).reshape(P * P, ambient.dim), p)[0]
+    # coefficient s * len(E) + j weighs block j in slot s, as in the ambient's basis
+    constraints = np.array(reduced, dtype=np.int64).reshape(-1, ambient.dim)
+    return SubspaceBasis(p, 4 * k * k, _kernel(constraints, ambient.array, p), ambient.ambient_kind)
 
 
 def enumerate_admissible_spectral_J(p: int, k: int) -> Iterator[FpMatrix]:

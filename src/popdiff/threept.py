@@ -237,22 +237,11 @@ class RegularityDecomposition:
     contracts: dict = field(default_factory=dict)
 
 
-def _default_omega1(x: float) -> float:
-    return 2.0 * x
-
-
-def _default_omega2(x: float) -> float:
-    return x * x
-
-
 def regularity_decompose(
     f: np.ndarray,
     group: FiniteGroupSpec,
     epsilon: float,
-    delta: float = 0.5,
     S0=(),
-    omega1=None,
-    omega2=None,
     lipschitz_target: float = 2.0,
 ) -> RegularityDecomposition:
     """Split f = f1 + f2 + f3 with f1 = f * mu_B * mu_B for a Bohr set B on
@@ -261,14 +250,12 @@ def regularity_decompose(
     Only the measured contracts are promised: mean(f1) = mean(f), all parts
     1-bounded, ||f2||_2 <= epsilon, ||f3^||_inf <= gamma2, and the Bohr
     Lipschitz bound |f1(x+r) - f1(x)| <= C epsilon on B(T, gamma1). The
-    radius gamma1 shrinks until they hold; with the default polynomial
-    growth functions this terminates at desk scale (a fast exponential
-    omega2 collapses immediately to the trivial split f1 = f).
+    radius gamma1 starts at 1 / ceil(2 (|S0| + 2 + 1/epsilon)), gamma2 is
+    gamma1^2, and gamma1 halves until they hold, at most 4 / epsilon^2 times;
+    with these polynomial growth functions it terminates at desk scale.
     """
     if not epsilon > 0:  # NaN too
         raise ValueError(f"epsilon must be positive, got epsilon = {epsilon}")
-    omega1 = omega1 or _default_omega1
-    omega2 = omega2 or _default_omega2
     f = np.asarray(f, dtype=np.float64)
     if f.min() < 0 or f.max() > 1:
         raise ValueError("f must be [0,1]-valued")
@@ -276,10 +263,11 @@ def regularity_decompose(
     S0 = tuple(sorted(set(int(x) for x in S0)))
     mean = float(f.mean())
     F = group.fft(f)
-    gamma1 = Fraction(1, max(2, math.ceil(omega1(len(S0) + 1.0 / delta + 1.0 / epsilon))))
-    cap = math.ceil(epsilon**-2 * delta**-2)
+    gamma1 = Fraction(1, max(2, math.ceil(2.0 * (len(S0) + 2.0 + 1.0 / epsilon))))
+    cap = math.ceil(epsilon**-2 * 4.0)
     for stage in range(1, cap + 1):
-        gamma2 = 1.0 / omega2(float(1 / gamma1))
+        inv = float(1 / gamma1)
+        gamma2 = 1.0 / (inv * inv)
         large = np.nonzero(np.abs(F) > gamma2)[0]
         T = tuple(sorted(set(S0) | set(int(x) for x in large)))
         B = bohr_set(group, T, gamma1)

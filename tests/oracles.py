@@ -41,10 +41,14 @@ forms a and -b for every pair of support points and reaches both later
 pattern points through the addition table, the way sparse_pattern_max counted
 before it tested the third point first. The maximum 3-AP-free set oracle is
 the branch and bound that re-checked the whole chosen list at every node.
+The constraint-space oracle solves each condition on one FpMatrix generator
+at a time and builds each tuple ambient slot by slot from zero matrices, the
+way the pattern layer did before each space became one Kronecker kernel.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -55,9 +59,9 @@ from popdiff._grid import add_index, add_table, digit_table, encode_digits, line
 from popdiff import DEFAULT_GUARD
 from popdiff.counterexample import F2_COMBOS, F3_COMBOS, SHIFT_COEFFS, f1_matrix, is_3ap_free, support_pattern_counts
 from popdiff.errors import Singular
-from popdiff.ffalg import FpMatrix, is_invertible, mat_inverse
+from popdiff.ffalg import FpMatrix, is_invertible, mat_inverse, nullspace
 from popdiff.gridfn import FLOAT, RATIONAL, GridFunction, factor_image_coords, grid_decode, h_coset_labels
-from popdiff.patterns import PatternSpec
+from popdiff.patterns import PatternSpec, SubspaceBasis
 
 
 # Polynomials over F_p are coefficient lists, lowest degree first, trimmed of
@@ -548,3 +552,68 @@ def abstract_atom_histogram_by_rows(factor, k: int):
         cells.append(rows)
         counts.append(cnt)
     return _merge_row_histograms(cells, counts)
+
+
+def _symmetry_basis_by_rows(k: int, p: int, kind: str) -> list[FpMatrix]:
+    """E_ij + E_ji (symmetric, i <= j) or E_ij - E_ji (skew, i < j), row by
+    row, one FpMatrix each."""
+    out = []
+    for i in range(k):
+        for j in range(i + (kind == "skew"), k):
+            rows = [[0] * k for _ in range(k)]
+            rows[j][i] = 1 if kind == "symmetric" else -1
+            rows[i][j] = 1
+            out.append(FpMatrix.from_rows(rows, p))
+    return out
+
+
+def _solve_by_generators(generators: list[FpMatrix], condition, p: int) -> list[FpMatrix]:
+    """Kernel of a linear matrix map within span(generators): the map's
+    matrix has one column per generator image."""
+    images = [condition(E).flatten() for E in generators]
+    coeffs = nullspace([list(c) for c in zip(*images)], p, ncols=len(generators))
+    return [functools.reduce(FpMatrix.add, (E.scale_by(c) for c, E in zip(cvec, generators))) for cvec in coeffs]
+
+
+def _flat(mats: list[FpMatrix]) -> tuple[int, ...]:
+    return tuple(x for M in mats for x in M.flatten())
+
+
+def _orth_complement_by_inner_products(space: SubspaceBasis, ambient: SubspaceBasis) -> SubspaceBasis:
+    """Solve <sum_j x_j e_j, w> = 0 for every w in space, one inner product
+    per (w, ambient basis vector e_j)."""
+    p, m = space.p, ambient.ambient_dim
+    rows = [[sum(a * b for a, b in zip(e, w)) % p for e in ambient.basis] for w in space.basis]
+    coeffs = nullspace(rows, p, ncols=len(ambient.basis))
+    vecs = [tuple(sum(c * e[i] for c, e in zip(cvec, ambient.basis)) % p for i in range(m)) for cvec in coeffs]
+    return SubspaceBasis(p, m, tuple(vecs), ambient.ambient_kind)
+
+
+def constraint_spaces_by_generators(J: FpMatrix) -> dict:
+    """Xi, Lambda, LambdaPrime, Psi, Omega and OmegaPrime of the pattern (I, J),
+    and the complements LambdaPerp and LambdaPrimePerp, each condition applied
+    to one FpMatrix generator at a time, each ambient built slot by slot from
+    zero matrices, the way patterns.constraint_spaces ran before every space
+    became the kernel of one Kronecker operator."""
+    p, k = J.p, J.rows
+    I = FpMatrix.identity(k, p)
+    B = I.add(J).mul(mat_inverse(I.sub(J)))
+    Jt = J.transpose()
+    full = [FpMatrix(k, k, E, p) for E in np.eye(k * k, dtype=np.int64).tolist()]
+    xi = _solve_by_generators(full, lambda A: J.mul(A).sub(J.mul(A).transpose()), p)
+    out = {"Xi": SubspaceBasis(p, k * k, tuple(A.flatten() for A in xi), "matrices")}
+    zero = FpMatrix.zero(k, k, p)
+    for kind, lam, om in (("symmetric", "Lambda", "Omega"), ("skew", "LambdaPrime", "OmegaPrime")):
+        blocks = _symmetry_basis_by_rows(k, p, kind)
+        gens = _solve_by_generators(blocks, lambda A: A.mul(J).sub(Jt.mul(A)), p)
+        kind4 = f"{kind}-matrix-4-tuples"
+        out[lam] = SubspaceBasis(p, 4 * k * k, tuple(_flat([A.neg(), A.mul(B).neg(), A.mul(B), A]) for A in gens), kind4)
+        out[om] = SubspaceBasis(p, 2 * k * k, tuple(_flat([A.neg(), A.mul(B).neg()]) for A in gens), "pair-tuples")
+        ambient = tuple(_flat([E if s == slot else zero for s in range(4)]) for slot in range(4) for E in blocks)
+        out[lam + "Perp"] = _orth_complement_by_inner_products(out[lam], SubspaceBasis(p, 4 * k * k, ambient, kind4))
+    # Psi_J: x1 - x2 - x3 + x4 = 0 and x4 - x2 = J(x2 - x1), in F_p^{4k}
+    Ir, Jr = I.to_lists(), J.to_lists()
+    rows = [[*Ir[a], *(-x for x in Ir[a]), *(-x for x in Ir[a]), *Ir[a]] for a in range(k)]
+    rows += [[*Jr[a], *(-x - y for x, y in zip(Jr[a], Ir[a])), *[0] * k, *Ir[a]] for a in range(k)]
+    out["Psi"] = SubspaceBasis(p, 4 * k, tuple(map(tuple, nullspace(rows, p, ncols=4 * k))), "vectors-of-F_p^k-tuples")
+    return out

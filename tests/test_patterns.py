@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from popdiff.errors import NotContained, Singular
 from popdiff.ffalg import FpMatrix, is_invertible, mat_inverse
@@ -24,7 +24,7 @@ from popdiff.patterns import (
     vector_tuple_ambient,
 )
 
-from oracles import spectral_oracle
+from oracles import constraint_spaces_by_generators, spectral_oracle
 
 ROT = FpMatrix.from_rows([[0, -1], [1, 0]], 5)
 I2 = FpMatrix.identity(2, 5)
@@ -149,12 +149,12 @@ def test_matrix_basis_follows_the_one_coordinate_order(k, kind, sign):
     want = [(i, j) for i in range(k) for j in range(k) if (i <= j if kind == "symmetric" else i < j)]
     assert coord_index(k, kind) == want
     basis = matrix_basis(k, p, kind)
-    assert len(basis) == len(want)
+    assert basis.dtype == np.int64 and basis.shape == (len(want), k, k)
     for B, (i, j) in zip(basis, want):
         E = np.zeros((k, k), dtype=np.int64)
         E[i, j] += 1
         E[j, i] += sign if i != j else 0
-        assert B.to_lists() == (E % p).tolist()
+        assert B.tolist() == (E % p).tolist()
     # the ambient tuple space is spanned slot by slot by this basis
     amb = matrix_tuple_ambient(p, k, 2, kind)
     assert amb.ambient_kind == f"{kind}-matrix-2-tuples"
@@ -177,6 +177,25 @@ def test_dimension_sums():
         skp = k * (k - 1) // 2
         assert cs["Lambda"].dim + lambda_perp(J, "symmetric").dim == 4 * sk
         assert cs["LambdaPrime"].dim + lambda_perp(J, "skew").dim == 4 * skp
+
+
+@st.composite
+def reduced_J(draw):
+    p = draw(st.sampled_from([3, 5, 7, 11]))
+    k = draw(st.integers(1, 4))
+    return FpMatrix(k, k, draw(st.lists(st.integers(0, p - 1), min_size=k * k, max_size=k * k)), p)
+
+
+@given(reduced_J())
+@example(FpMatrix.from_rows([[2]], 5))  # k = 1: the skew ambient is the zero space
+@example(FpMatrix.from_rows([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [1, 0, 0, 2]], 5))
+@example(FpMatrix.from_rows((2 * np.eye(4, dtype=np.int64)).tolist(), 7))  # every symmetric A generates Lambda
+@settings(max_examples=60, deadline=None)
+def test_constraint_spaces_match_generator_oracle(J):
+    assume(is_invertible(FpMatrix.identity(J.rows, J.p).sub(J)))
+    got = dict(constraint_spaces(J), LambdaPerp=lambda_perp(J, "symmetric"), LambdaPrimePerp=lambda_perp(J, "skew"))
+    want = constraint_spaces_by_generators(J)
+    assert {name: sp.to_json_obj() for name, sp in got.items()} == {name: sp.to_json_obj() for name, sp in want.items()}
 
 
 def test_in_algebra_of_square_examples():
