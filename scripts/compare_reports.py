@@ -14,7 +14,10 @@ exits 1 if there is any and 0 otherwise.
 The list: `check`/`subspaces` on five specs; `check` on the spectral gate's
 edge cases (the rotation over F_3, whose eigenvalues +-i lie in F_9; a
 singular M1, which fails through the eigenvalue 0; a singular M2, which must
-end in one JSON error line; and a 4 x 4 spec); `subspaces` at k >= 3, on
+end in one JSON error line; and a 4 x 4 spec); JSON entries past int64
+(10^30 + 1, -4 and 2^64 + 1), in `check` and `popular --p 5 --k 2 --n 1` on
+one spec, in `threept search` on a vector group over F_3 at k = n = 2, and in
+the --J of an `equidist --mode tuple --k 2`; `subspaces` at k >= 3, on
 that 4 x 4 spec and on a non-symmetric 3 x 3 J over F_7 whose LambdaPrime
 is nonzero; `equidist` on three factors (abstract at k = 1, 2, linquad, and
 tuple with and without --restrict-h at k = 1, 2, with --k 2 for the 2 x 2
@@ -79,8 +82,14 @@ SPECS = {
     "scalar-p3": {"p": 3, "k": 1, "M1": [[1]], "M2": [[2]]},
 }
 
-# specs for `check` alone: the spectral gate's edge cases
+# JSON integers past int64, each reduced as a Python int: M1 = [[1, 1], [2, 0]] and
+# M2 = [[0, 1], [1, 2]] mod 5, and over F_3 M1 = [[2, 2], [2, 0]] and M2 = I
+BIG = [[10**30 + 1, -4], [2**64 + 1, 0]]
+BIG_J = "[[0,18446744073709551619],[1,1000000000000000000000000000000]]"  # [[0, -1], [1, 0]] mod 5
+
+# specs for `check` alone: the spectral gate's edge cases, and entries past int64
 CHECK_SPECS = {
+    "big-entries-p5": {"p": 5, "k": 2, "M1": BIG, "M2": [[0, 1], [1, 2**64 + 1]]},
     "rotation-p3": {"p": 3, "k": 2, "M1": [[0, -1], [1, 0]], "M2": [[1, 0], [0, 1]]},
     "singular-m1-p5": {"p": 5, "k": 2, "M1": [[1, 2], [2, 4]], "M2": [[1, 0], [0, 1]]},
     "singular-m2-p5": {"p": 5, "k": 2, "M1": [[1, 0], [0, 1]], "M2": [[1, 2], [2, 4]]},
@@ -115,6 +124,7 @@ GROUPS = {
     "group-z10007": {"kind": "Z_N", "N": 10007, "M1": 1, "M2": 2},
     "group-bad-kind": {"kind": "foo", "p": 3, "n": 2, "M1": [[1]], "M2": [[2]]},
     "group-kind-foo": {"kind": "foo"},
+    "group-big-entries-f3": {"kind": "vector", "p": 3, "k": 2, "n": 2, "M1": BIG, "M2": [[2**64 + 3, 0], [0, 1]]},
 }
 
 POINTS = {"one-point": [1]}
@@ -162,6 +172,9 @@ def invocations(refs: dict) -> list[list[str]]:
     for name in SPECS:
         argvs += [["check", "--spec", f"@{name}"], ["subspaces", "--spec", f"@{name}"]]
     argvs += [["check", "--spec", f"@{name}"] for name in CHECK_SPECS]
+    argvs += [["popular", "--spec", "@big-entries-p5", "--p", "5", "--k", "2", "--n", "1"],
+              ["threept", "search", "--group", "@group-big-entries-f3", "--eps", "0.05", "--density", "0.4", "--seed", "2"],
+              ["equidist", "--factor", "@mixed-p5", "--mode", "tuple", "--k", "2", "--J", BIG_J]]
     argvs += [["subspaces", "--spec", "@k4-p5"], ["subspaces", "--spec", "@skew-3x3-p7"],
               ["equidist", "--factor", "@factor-k3-p3", "--mode", "tuple", "--k", "3", "--J", "[[0,1,0],[0,0,1],[1,1,0]]"]]
     for name, (_, J2) in FACTORS.items():

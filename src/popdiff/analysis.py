@@ -134,7 +134,7 @@ def translate(f: GridFunction, shift: FpMatrix) -> np.ndarray:
 
 def _pattern_mats(f: GridFunction, spec: PatternSpec, points: int) -> list:
     """Validate f against the pattern; return the shift matrices M1, M2
-    [, M1 + M2] as row lists."""
+    [, M1 + M2] as int64 arrays."""
     if points not in (3, 4):
         raise ValueError("points must be 3 or 4")
     if f.p != spec.p:
@@ -148,7 +148,7 @@ def _pattern_mats(f: GridFunction, spec: PatternSpec, points: int) -> list:
     if log_sum > math.log10(FLOAT_MAX):  # a finite sum could overflow (or fsum raise); inf and nan keep their bits
         raise float_range_error(f"p^(kn) max|f|^{points}", log_sum)
     mats = [spec.M1, spec.M2] + ([spec.M1.add(spec.M2)] if points == 4 else [])
-    return [M.to_lists() for M in mats]
+    return [M.array for M in mats]
 
 
 def pattern_sums(v: np.ndarray, p: int, m: int, shifts: list, guard: int = DEFAULT_GUARD) -> list:
@@ -200,7 +200,7 @@ def pattern_sums(v: np.ndarray, p: int, m: int, shifts: list, guard: int = DEFAU
 
 def _pattern_sums(f: GridFunction, mats: list, d_indices, guard: int = DEFAULT_GUARD) -> tuple[list, int]:
     """pattern_sums of f at the difference indices, shifted by T_i D for the
-    k x k row lists T_i in mats, and the denominator den of the averages
+    k x k int64 arrays T_i in mats, and the denominator den of the averages
     S(d) / (den P): L^points for the integer form a / L of a rational f, else 1."""
     p, k, n = f.p, f.k, f.n
     D = decode_digits(p, k * n, d_indices)
@@ -370,7 +370,7 @@ def von_neumann_check(fs: list[GridFunction], autos: list[FpMatrix], slack: floa
     p, k, n = base.p, base.k, base.n
     P = grid_size(p, k, n)
     trs = [Translates(f.values.astype(np.complex128), p, k * n) for f in fs]
-    shifts = [linear_perm(p, k, n, A.to_lists()) for A in autos]
+    shifts = [linear_perm(p, k, n, A.array) for A in autos]
     acc = 0.0 + 0.0j
     for d_idx in range(P):
         prod = np.ones(P, dtype=np.complex128)
@@ -470,8 +470,8 @@ def pattern_tuple_histogram(
     else:
         d_indices = np.arange(P)
     tr = Translates(ids, p, k * n, guard)
-    jperm = linear_perm(p, k, n, J.to_lists())
-    ijperm = linear_perm(p, k, n, FpMatrix.identity(k, p).add(J).to_lists())
+    jperm = linear_perm(p, k, n, J.array)
+    ijperm = linear_perm(p, k, n, np.eye(k, dtype=np.int64) + J.array)
     per_d = []
     for d in d_indices:
         code = tr.base
@@ -513,16 +513,14 @@ def pattern_tuple_report(
             if restrict_to_H:
                 support_ok &= bool(np.all(cols == cols[:, :1]))
             elif psi_perp.dim:
-                W = np.array([list(w) for w in psi_perp.basis], dtype=np.int64)
-                support_ok &= bool(np.all(cols.reshape(len(cols), -1) @ W.T % p == 0))
+                support_ok &= bool(np.all(cols.reshape(len(cols), -1) @ psi_perp.array.T % p == 0))
         else:
             full = _expand_matrix_coords(cols, k, p, kind)
             space = spaces["Lambda"] if kind == "symmetric" else spaces["LambdaPrime"]
             if kind == "symmetric":
                 quad_mats.append(full)
             if space.dim:
-                W = np.array([list(w) for w in space.basis], dtype=np.int64)
-                support_ok &= bool(np.all(full @ W.T % p == 0))
+                support_ok &= bool(np.all(full @ space.array.T % p == 0))
 
     if restrict_to_H:
         support_dim = k * d1 + lam_perp.dim * d2 + lamp_perp.dim * d3
@@ -566,7 +564,7 @@ def abstract_atom_histogram(factor: QuadraticFactor, k: int, guard: int = DEFAUL
     code, span = (ids[:, None] * A + ids[None, :]).reshape(-1), A * A
     X = digit_table(p, k * n).reshape(P, k, n)
     for M in list(factor.b2) + list(factor.b3):
-        cross = np.einsum("xan,nm,ybm->xyab", X, np.array(M.to_lists(), dtype=np.int64), X) % p  # X M D^T
+        cross = np.einsum("xan,nm,ybm->xyab", X, M.array, X) % p  # X M D^T
         for entry in cross.reshape(P * P, k * k).T:
             if span * p > 2**63:
                 _, code = np.unique(code, return_inverse=True)
@@ -611,8 +609,8 @@ def structured_pattern_average(
     check_guard("p^(2kn)", P * P, guard)
     labels = h_coset_labels(factor, k)
     d_indices = np.nonzero(np.all(labels == 0, axis=1))[0]
-    I = FpMatrix.identity(k, p)
-    sums, den = _pattern_sums(f, [I.to_lists(), J.to_lists(), I.add(J).to_lists()], d_indices, guard)
+    I = np.eye(k, dtype=np.int64)
+    sums, den = _pattern_sums(f, [I, J.array, I + J.array], d_indices, guard)
     exact = f.kind == RATIONAL
     acc = 0
     for s in sums:

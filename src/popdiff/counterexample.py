@@ -68,7 +68,7 @@ def build_core() -> CexCore:
 def lambda2_points(core: CexCore) -> np.ndarray:
     """All 5^5 points of the support subspace, shape (3125, 8)."""
     coeffs = digit_table(P5, 5)
-    basis = np.array([list(v) for v in core.Lambda2.basis], dtype=np.int64)
+    basis = core.Lambda2.array
     return (coeffs @ basis) % P5
 
 

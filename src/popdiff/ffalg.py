@@ -1,8 +1,9 @@
 """Exact arithmetic over F_p: dense matrices and their elimination.
 
 Everything in this module is exact integer-residue arithmetic; no floating
-point. Matrices are immutable, entries stored row-major as plain ints in
-[0, p). p must be an odd prime (validated by Miller-Rabin, p <= 10**6).
+point. A matrix is one read-only int64 array with entries in [0, p), and
+each ring operation one numpy expression reduced mod p. p must be an odd
+prime (validated by Miller-Rabin, p <= 10**6).
 Ranks, null spaces, solutions and inverses all come from one row reduction
 that runs on a stack of matrices at once, in unsigned words that hold p^2;
 results are returned as int64 arrays or Python ints.
@@ -55,18 +56,25 @@ def validate_odd_prime(p: int) -> int:
 
 
 class FpMatrix:
-    """Dense matrix over F_p; immutable, entries row-major in [0, p)."""
+    """Dense matrix over F_p: one read-only int64 array, shape (rows, cols), entries in [0, p)."""
 
-    __slots__ = ("rows", "cols", "entries", "p")
+    __slots__ = ("array", "p")
 
     def __init__(self, rows: int, cols: int, entries: Sequence[int], p: int):
         validate_odd_prime(p)
         if len(entries) != rows * cols:
             raise DimensionMismatch(f"need {rows * cols} entries, got {len(entries)}")
-        self.rows = rows
-        self.cols = cols
-        self.entries = tuple(x % p for x in entries)
+        # each entry reduced as a Python int: JSON entries may lie past int64
+        self.array = np.array([int(x) % p for x in entries], dtype=np.int64).reshape(rows, cols)
+        self.array.setflags(write=False)
         self.p = p
+
+    def _of(self, array: np.ndarray) -> "FpMatrix":
+        """The matrix over this one's F_p holding the int64 array reduced mod p."""
+        out = object.__new__(FpMatrix)
+        out.array, out.p = array % self.p, self.p
+        out.array.setflags(write=False)
+        return out
 
     # -- constructors -------------------------------------------------
 
@@ -88,27 +96,29 @@ class FpMatrix:
 
     # -- access -------------------------------------------------------
 
-    def __getitem__(self, rc: tuple[int, int]) -> int:
-        i, j = rc
-        return self.entries[i * self.cols + j]
+    @property
+    def rows(self) -> int:
+        return self.array.shape[0]
 
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
+    @property
+    def cols(self) -> int:
+        return self.array.shape[1]
+
+    @property
+    def entries(self) -> tuple[int, ...]:
+        return tuple(self.array.ravel().tolist())
+
+    def __getitem__(self, rc: tuple[int, int]) -> int:
+        return int(self.array[rc])
 
     def to_lists(self) -> list[list[int]]:
-        return [list(self.row(i)) for i in range(self.rows)]
+        return self.array.tolist()
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FpMatrix)
-            and self.p == other.p
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
+        return isinstance(other, FpMatrix) and self.p == other.p and np.array_equal(self.array, other.array)
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.entries, self.p))
+        return hash((self.array.shape, self.array.tobytes(), self.p))
 
     def __repr__(self):
         return f"FpMatrix({self.to_lists()}, p={self.p})"
@@ -116,41 +126,31 @@ class FpMatrix:
     # -- ring operations ----------------------------------------------
 
     def _check_same_shape(self, other: "FpMatrix"):
-        if self.p != other.p or self.rows != other.rows or self.cols != other.cols:
+        if self.p != other.p or self.array.shape != other.array.shape:
             raise DimensionMismatch("shape or modulus mismatch")
 
     def add(self, other: "FpMatrix") -> "FpMatrix":
         self._check_same_shape(other)
-        return FpMatrix(self.rows, self.cols, [a + b for a, b in zip(self.entries, other.entries)], self.p)
+        return self._of(self.array + other.array)
 
     def sub(self, other: "FpMatrix") -> "FpMatrix":
         self._check_same_shape(other)
-        return FpMatrix(self.rows, self.cols, [a - b for a, b in zip(self.entries, other.entries)], self.p)
+        return self._of(self.array - other.array)
 
     def neg(self) -> "FpMatrix":
-        return FpMatrix(self.rows, self.cols, [-a for a in self.entries], self.p)
+        return self._of(-self.array)
 
     def scale_by(self, c: int) -> "FpMatrix":
-        return FpMatrix(self.rows, self.cols, [c * a for a in self.entries], self.p)
+        return self._of(c % self.p * self.array)
 
     def mul(self, other: "FpMatrix") -> "FpMatrix":
+        """The product in int64: each entry sums cols products below p^2 <= 10^12."""
         if self.p != other.p or self.cols != other.rows:
             raise DimensionMismatch("matrix product shape mismatch")
-        p = self.p
-        out = [0] * (self.rows * other.cols)
-        for i in range(self.rows):
-            base = i * self.cols
-            for k in range(self.cols):
-                a = self.entries[base + k]
-                if a:
-                    okbase = k * other.cols
-                    obase = i * other.cols
-                    for j in range(other.cols):
-                        out[obase + j] += a * other.entries[okbase + j]
-        return FpMatrix(self.rows, other.cols, out, p)
+        return self._of(self.array @ other.array)
 
     def transpose(self) -> "FpMatrix":
-        return FpMatrix(self.cols, self.rows, [self[i, j] for j in range(self.cols) for i in range(self.rows)], self.p)
+        return self._of(self.array.T)
 
     def is_symmetric(self) -> bool:
         return self == self.transpose()
@@ -278,17 +278,14 @@ def mat_inverse(A: FpMatrix) -> FpMatrix:
     if A.rows != A.cols:
         raise DimensionMismatch("inverse of a non-square matrix")
     n, p = A.rows, A.p
-    aug = [list(A.row(i)) + [1 if i == j else 0 for j in range(n)] for i in range(n)]
-    red, pivots = rref(aug, p)
+    red, pivots = rref(np.hstack([A.array, np.eye(n, dtype=np.int64)]), p)
     if pivots[:n] != list(range(n)):
         raise Singular("matrix is not invertible")
     return FpMatrix.from_rows([row[n:] for row in red[:n]], p)
 
 
 def is_invertible(A: FpMatrix) -> bool:
-    if A.rows != A.cols:
-        return False
-    return mat_rank(A) == A.rows
+    return A.rows == A.cols and row_space_rank(A.array, A.p) == A.rows
 
 
 def inverse_stack(A, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -305,7 +302,3 @@ def inverse_stack(A, p: int) -> tuple[np.ndarray, np.ndarray]:
     M = _as_stack(np.concatenate([A, np.broadcast_to(np.eye(n, dtype=A.dtype), A.shape)], axis=-1), p)
     R, rank = _rref_stack(M, p, pivot_cols=n)
     return (rank == n).reshape(A.shape[:-2]), np.moveaxis(R[:, n:], -1, 0).astype(np.int64).reshape(A.shape)
-
-
-def mat_rank(A: FpMatrix) -> int:
-    return row_space_rank(A.to_lists(), A.p)

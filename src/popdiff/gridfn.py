@@ -236,10 +236,7 @@ def factor_eval(factor: QuadraticFactor, X: FpMatrix) -> FactorImage:
     if X.cols != factor.n or X.p != factor.p:
         raise DimensionMismatch("point shape does not match the factor")
     Xt = X.transpose()
-    b1 = tuple(
-        tuple(sum(X[a, j] * r[j] for j in range(factor.n)) % factor.p for a in range(X.rows))
-        for r in factor.b1
-    )
+    b1 = tuple(tuple((X.array @ np.array(r, dtype=np.int64) % factor.p).tolist()) for r in factor.b1)
     b2 = tuple(X.mul(M).mul(Xt) for M in factor.b2)
     b3 = tuple(X.mul(N).mul(Xt) for N in factor.b3)
     ensure(all(M.is_symmetric() for M in b2), "factor_eval: X M X^T is not symmetric")
@@ -260,7 +257,7 @@ def factor_image_coords(factor: QuadraticFactor, k: int) -> np.ndarray:
     for kind, mats in (("symmetric", factor.b2), ("skew", factor.b3)):
         i, j = np.array(coord_index(k, kind), dtype=np.int64).reshape(-1, 2).T
         for M in mats:
-            cols.append(np.einsum("xan,nm,xbm->xab", X, np.array(M.to_lists(), dtype=np.int64), X)[:, i, j] % p)
+            cols.append(np.einsum("xan,nm,xbm->xab", X, M.array, X)[:, i, j] % p)
     return np.concatenate(cols, axis=1)
 
 
@@ -283,7 +280,7 @@ def factor_rank(factor: QuadraticFactor, guard: int = 10**7) -> int:
     if d2 + d3 == 0:
         return n
     check_guard("p^(d2+d3)", p ** (d2 + d3), guard)
-    mats = np.array([M.to_lists() for M in (*factor.b2, *factor.b3)], dtype=np.int64)
+    mats = np.array([M.array for M in (*factor.b2, *factor.b3)])
     coeffs = digit_table(p, d2 + d3)[1:]  # every nontrivial combination
     chunk = max(1, 2**18 // max(n, 1) ** 2)  # matrices ranked per stacked elimination
     best = n
@@ -361,8 +358,7 @@ def phase_function(r: Sequence[int], M: FpMatrix, p: int, k: int, n: int) -> Gri
         raise DimensionMismatch("r must have length kn")
     digits = digit_table(p, m)
     rv = np.asarray([x % p for x in r], dtype=np.int64)
-    Mm = np.array(M.to_lists(), dtype=np.int64)
-    t = (digits @ rv + np.einsum("xi,ij,xj->x", digits, Mm, digits)) % p
+    t = (digits @ rv + np.einsum("xi,ij,xj->x", digits, M.array, digits)) % p
     vals = np.exp(2j * np.pi * t / p)
     return GridFunction(p, k, n, vals, COMPLEX)
 
@@ -376,12 +372,12 @@ def block_factor_from_phase(r: Sequence[int], M: FpMatrix, k: int, n: int) -> Qu
     b1 = tuple(tuple(r[i * n + j] % p for j in range(n)) for i in range(k))
     b2 = []
     b3 = []
-    blocks = [[[[M[i * n + a, j * n + b] for b in range(n)] for a in range(n)] for j in range(k)] for i in range(k)]
+    blocks = M.array.reshape(k, n, k, n)  # block (i, j) is blocks[i, :, j]
     for i in range(k):
-        b2.append(FpMatrix.from_rows(blocks[i][i], p))
+        b2.append(FpMatrix.from_rows(blocks[i, :, i], p))
     for i in range(k):
         for j in range(i + 1, k):
-            Mij = FpMatrix.from_rows(blocks[i][j], p)
+            Mij = FpMatrix.from_rows(blocks[i, :, j], p)
             b2.append(Mij.add(Mij.transpose()).scale_by(inv2))
             b3.append(Mij.sub(Mij.transpose()).scale_by(inv2))
     b3 = [N for N in b3 if any(N.flatten())]

@@ -14,7 +14,7 @@ test one rank.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
@@ -79,7 +79,7 @@ def check_spectral(spec: PatternSpec) -> bool:
     k^2 over F_p. An eigenvalue 0 pairs with itself, so a singular M1 fails."""
     if not is_invertible(spec.M2):
         raise Singular("M2 must be invertible for the spectral test")
-    A = np.array(spec.M1.mul(mat_inverse(spec.M2)).to_lists(), dtype=np.int64)
+    A = spec.M1.mul(mat_inverse(spec.M2)).array
     I = np.eye(spec.k, dtype=np.int64)
     return row_space_rank(np.kron(I, A) + np.kron(A.T, I), spec.p) == spec.k * spec.k
 
@@ -103,6 +103,8 @@ class SubspaceBasis:
     ambient_dim: int
     basis: tuple[tuple[int, ...], ...]
     ambient_kind: str = "generic"
+    # the basis as a read-only int64 array of shape (dim, ambient_dim)
+    array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         validate_odd_prime(self.p)
@@ -110,18 +112,15 @@ class SubspaceBasis:
         if any(len(v) != self.ambient_dim for v in vecs):
             raise DimensionMismatch("basis vector has wrong length")
         B = np.array(vecs, dtype=np.int64).reshape(len(vecs), self.ambient_dim) % self.p
+        B.setflags(write=False)
         object.__setattr__(self, "basis", tuple(map(tuple, B.tolist())))
+        object.__setattr__(self, "array", B)
         if len(B) and row_space_rank(B, self.p) != len(B):
             raise ValueError("basis vectors are linearly dependent")
 
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    @property
-    def array(self) -> np.ndarray:
-        """The basis as an int64 array of shape (dim, ambient_dim)."""
-        return np.array(self.basis, dtype=np.int64).reshape(self.dim, self.ambient_dim)
 
     def _spans(self, vecs: np.ndarray) -> bool:
         """True iff every row of vecs lies in this space: adding them leaves the rank at dim."""
@@ -222,7 +221,7 @@ def constraint_spaces(J: FpMatrix) -> dict[str, SubspaceBasis]:
     p, k = J.p, J.rows
     if J.cols != k:
         raise DimensionMismatch("J must be square")
-    Jm, Ik, kk = np.array(J.to_lists(), dtype=np.int64), np.eye(k, dtype=np.int64), k * k
+    Jm, Ik, kk = J.array, np.eye(k, dtype=np.int64), k * k
     invertible, inv = inverse_stack(Ik - Jm, p)
     if not invertible:
         raise Singular("I - J must be invertible")
@@ -272,13 +271,12 @@ def in_algebra_of_square(A: FpMatrix) -> bool:
     if A.rows != A.cols:
         raise DimensionMismatch("square matrix required")
     k, p = A.rows, A.p
-    A2 = A.mul(A)
-    span_rows = []
-    power = FpMatrix.identity(k, p)
+    A2, power, span = A.mul(A), FpMatrix.identity(k, p), []
     for _ in range(k):
-        span_rows.append(list(power.flatten()))
+        span.append(power.array.ravel())
         power = power.mul(A2)
-    return row_space_rank(span_rows + [list(A.flatten())], p) == row_space_rank(span_rows, p)
+    span = np.reshape(span, (k, k * k))
+    return row_space_rank(np.vstack([span, A.array.reshape(1, -1)]), p) == row_space_rank(span, p)
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +307,7 @@ def annihilator_bruteforce(
     P = p ** (k * n)
     X = digit_table(p, k * n).reshape(P, k, n)
     I = np.eye(k, dtype=np.int64)
-    Jm = np.array(J.to_lists(), dtype=np.int64)
+    Jm = J.array
     slot_coeffs = [np.zeros((k, k), dtype=np.int64), I, Jm % p, (I + Jm) % p]
     E = matrix_basis(k, p, kind)
 

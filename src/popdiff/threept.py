@@ -59,19 +59,18 @@ class FiniteGroupSpec:
             for M in (self.M1, self.M2, (self.M1 - self.M2) % self.N):
                 if math.gcd(M, self.N) != 1:
                     raise NotAutomorphism(f"{M} is not a unit mod {self.N}")
-            rows1, rows2 = [[self.M1]], [[self.M2]]
+            rows1, rows2 = np.array([[self.M1]]), np.array([[self.M2]])
         else:
             self.M1 = M1 if isinstance(M1, FpMatrix) else FpMatrix.from_rows(M1, self.p)
             self.M2 = M2 if isinstance(M2, FpMatrix) else FpMatrix.from_rows(M2, self.p)
             for name, M in (("M1", self.M1), ("M2", self.M2), ("M1-M2", self.M1.sub(self.M2))):
                 if not is_invertible(M):
                     raise NotAutomorphism(f"{name} is singular mod {self.p}")
-            rows1, rows2 = self.M1.to_lists(), self.M2.to_lists()
+            rows1, rows2 = self.M1.array, self.M2.array
         self._digits = digit_table(self.modulus, self.m)
-        minus_one = [[-int(i == j) for j in range(self.k)] for i in range(self.k)]
         self._perms = {}
-        for key, rows in (("M1", rows1), ("M2", rows2), ("M1T", list(zip(*rows1))),
-                          ("M2T", list(zip(*rows2))), ("neg", minus_one)):
+        for key, rows in (("M1", rows1), ("M2", rows2), ("M1T", rows1.T), ("M2T", rows2.T),
+                          ("neg", -np.eye(self.k, dtype=np.int64))):
             perm = linear_perm(self.modulus, self.k, self.n, rows)
             perm.setflags(write=False)
             self._perms[key] = perm

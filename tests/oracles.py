@@ -24,8 +24,11 @@ equidistribution oracles count cells as rows of image coordinates, sorted
 per difference with np.unique(axis=0) and merged by one more row sort, the
 way the histograms were counted before their cells became folded atom ids.
 The elimination oracle is the row-at-a-time list loop that ffalg.rref ran
-before every mod-p elimination moved onto one stacked numpy kernel, and the
-factor-rank oracle ranks one FpMatrix combination at a time. The
+before every mod-p elimination moved onto one stacked numpy kernel; the
+matrix ring oracles add, negate, scale, multiply and transpose row-major
+tuples of Python ints entry by entry, the way FpMatrix did before it held
+one int64 array; and the factor-rank oracle ranks one FpMatrix combination
+at a time. The
 support-pair oracle finds the counterexample's last two pattern points by
 digit arithmetic and tests their membership with np.isin against the sorted
 support, the way sparse_pattern_max did before it read the addition table.
@@ -199,6 +202,42 @@ def rref_by_lists(rows, p: int) -> tuple[list[list[int]], list[int]]:
         if r == len(mat):
             break
     return mat[:r], pivots
+
+
+# The ring operations of FpMatrix on a matrix's row-major tuple of Python ints,
+# one entry at a time, as FpMatrix ran them before it held an int64 array. Each
+# returns (rows, cols, entries) with entries reduced into [0, p).
+
+
+def add_by_loops(A: FpMatrix, B: FpMatrix) -> tuple:
+    return A.rows, A.cols, tuple((a + b) % A.p for a, b in zip(A.entries, B.entries))
+
+
+def sub_by_loops(A: FpMatrix, B: FpMatrix) -> tuple:
+    return A.rows, A.cols, tuple((a - b) % A.p for a, b in zip(A.entries, B.entries))
+
+
+def neg_by_loops(A: FpMatrix) -> tuple:
+    return A.rows, A.cols, tuple(-a % A.p for a in A.entries)
+
+
+def scale_by_loops(A: FpMatrix, c: int) -> tuple:
+    return A.rows, A.cols, tuple(c * a % A.p for a in A.entries)
+
+
+def mul_by_loops(A: FpMatrix, B: FpMatrix) -> tuple:
+    out = [0] * (A.rows * B.cols)
+    for i in range(A.rows):
+        for k in range(A.cols):
+            a = A.entries[i * A.cols + k]
+            if a:
+                for j in range(B.cols):
+                    out[i * B.cols + j] += a * B.entries[k * B.cols + j]
+    return A.rows, B.cols, tuple(x % A.p for x in out)
+
+
+def transpose_by_loops(A: FpMatrix) -> tuple:
+    return A.cols, A.rows, tuple(A.entries[i * A.cols + j] for j in range(A.cols) for i in range(A.rows))
 
 
 def roll_translate(values: np.ndarray, p: int, m: int, shift_digits) -> np.ndarray:

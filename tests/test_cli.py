@@ -49,6 +49,15 @@ def test_check_rotated_square(capsys, spec_file):
     assert "wall_time_s" in lines[0]
 
 
+def test_check_spec_entries_past_int64(capsys, tmp_path):
+    # JSON integers are unbounded: M1 = [[1, 1], [2, 0]] and M2 = [[0, 1], [1, 2]] mod 5
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"p": 5, "k": 2, "M1": [[10**30 + 1, -4], [2**64 + 1, 0]], "M2": [[0, 1], [1, 2**64 + 1]]}))
+    code, lines = run_lines(capsys, ["check", "--spec", str(path)])
+    assert code == 0
+    assert lines[0]["report"] == {"admissible": True, "spectral": True}
+
+
 def test_cex_core_values(capsys):
     code, lines = run_lines(capsys, ["cex", "core"])
     assert code == 0

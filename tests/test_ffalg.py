@@ -8,7 +8,6 @@ from popdiff.ffalg import (
     is_invertible,
     is_odd_prime,
     mat_inverse,
-    mat_rank,
     nullspace,
     rank_stack,
     row_space_rank,
@@ -17,7 +16,16 @@ from popdiff.ffalg import (
 )
 
 import numpy as np
-from oracles import is_odd_prime_by_trial_division, rref_by_lists
+from oracles import (
+    add_by_loops,
+    is_odd_prime_by_trial_division,
+    mul_by_loops,
+    neg_by_loops,
+    rref_by_lists,
+    scale_by_loops,
+    sub_by_loops,
+    transpose_by_loops,
+)
 
 
 def test_prime_validation():
@@ -42,9 +50,9 @@ def test_inverse_examples():
 
 
 def test_rank_examples():
-    assert mat_rank(FpMatrix.zero(3, 3, 5)) == 0
-    assert mat_rank(FpMatrix.from_rows([[1, 1], [2, 2]], 5)) == 1
-    assert mat_rank(FpMatrix.identity(4, 3)) == 4
+    assert row_space_rank(FpMatrix.zero(3, 3, 5).array, 5) == 0
+    assert row_space_rank(FpMatrix.from_rows([[1, 1], [2, 2]], 5).array, 5) == 1
+    assert row_space_rank(FpMatrix.identity(4, 3).array, 3) == 4
 
 
 def test_rank_transpose_invariant():
@@ -53,7 +61,7 @@ def test_rank_transpose_invariant():
         for k in (1, 2, 3, 4):
             for _ in range(200):
                 A = FpMatrix(k, k, [int(x) for x in rng.integers(0, p, k * k)], p)
-                assert mat_rank(A) == mat_rank(A.transpose())
+                assert row_space_rank(A.array, p) == row_space_rank(A.transpose().array, p)
 
 
 def test_inverse_roundtrip_random():
@@ -170,3 +178,45 @@ def test_nullspace_orthogonality():
 def test_json_matrix_negative_entries():
     A = FpMatrix.from_rows([[-1, 6], [2, -7]], 5)
     assert A.to_lists() == [[4, 1], [2, 3]]
+
+
+def test_json_matrix_entries_past_int64():
+    # JSON integers are unbounded; each entry is reduced as a Python int
+    A = FpMatrix.from_rows([[10**30 + 1, -4], [2**64 + 1, 0]], 5)
+    assert A == FpMatrix.from_rows([[1, 1], [2, 0]], 5)
+    assert A.array.dtype == np.int64
+
+
+def _as_tuple(M):
+    return M.rows, M.cols, M.entries
+
+
+@st.composite
+def _matrix(draw, p, rows, cols):
+    entry = st.one_of(st.integers(0, p - 1), st.integers(-(2**70), 2**70))
+    return FpMatrix(rows, cols, draw(st.lists(entry, min_size=rows * cols, max_size=rows * cols)), p)
+
+
+@given(st.sampled_from([3, 5, 7, 999983]), st.integers(0, 6), st.integers(0, 6), st.integers(0, 6), st.data())
+@settings(max_examples=150, deadline=None)
+def test_ring_operations_match_loop_oracle(p, r, c, s, data):
+    A, B, C = data.draw(_matrix(p, r, c)), data.draw(_matrix(p, r, c)), data.draw(_matrix(p, c, s))
+    scalar = data.draw(st.integers(-(2**70), 2**70))
+    assert _as_tuple(A.add(B)) == add_by_loops(A, B)
+    assert _as_tuple(A.sub(B)) == sub_by_loops(A, B)
+    assert _as_tuple(A.neg()) == neg_by_loops(A)
+    assert _as_tuple(A.scale_by(scalar)) == scale_by_loops(A, scalar)
+    assert _as_tuple(A.mul(C)) == mul_by_loops(A, C)
+    assert _as_tuple(A.transpose()) == transpose_by_loops(A)
+    for M in (A, A.add(A.transpose()) if r == c else A, A.sub(A.transpose()) if r == c else A):
+        assert M.is_symmetric() == (transpose_by_loops(M) == _as_tuple(M))
+        assert M.is_skew() == (transpose_by_loops(M) == neg_by_loops(M))
+    if is_invertible(A):
+        assert A.mul(mat_inverse(A)) == FpMatrix.identity(r, p)
+    # A.transpose()'s array is in Fortran order: a hash must not depend on memory layout
+    for M, same in ((A, FpMatrix(r, c, A.entries, p)), (A, A.add(FpMatrix.zero(r, c, p))),
+                    (A.transpose(), FpMatrix(c, r, transpose_by_loops(A)[2], p))):
+        assert same == M and hash(same) == hash(M)
+    for M in (A, A.mul(C), A.transpose()):
+        with pytest.raises(ValueError):
+            M.array[...] = 0
