@@ -54,6 +54,10 @@ and F_3^6 (the inverse transform), and `threept count` on F_3^6; input errors
 that must end in one JSON error line, PLGF files holding inf or nan, two
 groups of unknown kind, one with no other field, and an `equidist --mode
 tuple` whose default --k 1 differs from the size of its 2 x 2 --J among them;
+two malformed vector groups in `threept bohr`/`search` (n = -2) and
+`count`/`decompose` (k = 2 with 1 x 1 matrices), a deliberate output change
+against trees that predate their typed errors: the first ended in a raw
+TypeError traceback, the second in numpy's reshape error;
 and one guard refusal per check the CLI reaches, at a `--guard` one below
 its estimate: `popular`, recursive and direct `gowers`, `equidist` linquad,
 tuple and abstract, `cex eight-tuple`, `dress`, `assemble` and `report`, and
@@ -125,6 +129,8 @@ GROUPS = {
     "group-bad-kind": {"kind": "foo", "p": 3, "n": 2, "M1": [[1]], "M2": [[2]]},
     "group-kind-foo": {"kind": "foo"},
     "group-big-entries-f3": {"kind": "vector", "p": 3, "k": 2, "n": 2, "M1": BIG, "M2": [[2**64 + 3, 0], [0, 1]]},
+    "group-negative-n": {"kind": "vector", "p": 3, "k": 1, "n": -2, "M1": [[1]], "M2": [[2]]},
+    "group-k2-1x1": {"kind": "vector", "p": 3, "k": 2, "n": 2, "M1": [[1]], "M2": [[2]]},
 }
 
 POINTS = {"one-point": [1]}
@@ -292,6 +298,10 @@ def invocations(refs: dict) -> list[list[str]]:
         ["gowers", "--p", "3", "--n", "3", "--s", "5", "--seed", "11"],
         ["threept", "bohr", "--group", "@group-bad-kind"],
         ["threept", "bohr", "--group", "@group-kind-foo"],
+        ["threept", "bohr", "--group", "@group-negative-n"],
+        ["threept", "search", "--group", "@group-negative-n"],
+        ["threept", "count", "--group", "@group-k2-1x1"],
+        ["threept", "decompose", "--group", "@group-k2-1x1"],
         ["threept", "decompose", "--group", "@group-f3-6", "--seed", "3"],
         ["threept", "count", "--group", "@group-f3-6", "--S", "[1,5]", "--delta", "0.3", "--seed", "3"],
         ["gowers", "--p", "3", "--k", "2", "--n", "2", "--s", "3"],

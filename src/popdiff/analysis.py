@@ -63,13 +63,12 @@ class PatternCountReport:
     backend: str
 
     def to_json_obj(self) -> dict:
-        enc = lambda v: f"{v.numerator}/{v.denominator}" if isinstance(v, Fraction) else v
         return {
-            "alpha": enc(self.alpha),
-            "beta_max": enc(self.max_d),
-            "max_d": enc(self.max_d),
+            "alpha": self.alpha,
+            "beta_max": self.max_d,
+            "max_d": self.max_d,
             "argmax": self.argmax_d,
-            "threshold": enc(self.threshold),
+            "threshold": self.threshold,
             "hits": self.threshold_hits,
             "points": self.points,
             "eps": self.epsilon,
@@ -89,16 +88,15 @@ class EquidistributionReport:
     extras: dict = field(default_factory=dict)
 
     def to_json_obj(self) -> dict:
-        q = self.predicted_cell_probability
         return {
             "support_ok": self.support_ok,
             "support_equal": self.support_equal,
-            "predicted_cell_probability": f"{q.numerator}/{q.denominator}",
+            "predicted_cell_probability": self.predicted_cell_probability,
             "max_multiplicative_deviation": self.max_multiplicative_deviation,
             "cells_observed": self.cells_observed,
             "predicted_support_size": self.predicted_support_size,
             "prediction_reliable": self.prediction_reliable,
-            **{k: v for k, v in self.extras.items() if isinstance(v, (int, float, bool, str, list))},
+            **self.extras,
         }
 
     @classmethod

@@ -171,7 +171,7 @@ def _cmd_popular(args):
     rep = popular_search(f, spec, args.eps, points=args.points, guard=args.guard)
     payload = rep.to_json_obj()
     if args.full:
-        payload["counts"] = {str(k): _jsonable(v) for k, v in rep.counts.items()}
+        payload["counts"] = rep.counts
     return payload, rep.threshold_hits >= 1
 
 

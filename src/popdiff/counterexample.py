@@ -57,9 +57,7 @@ def build_core() -> CexCore:
     for u, v in S_POINTS:
         g1[u, v] = 1
     g1.setflags(write=False)
-    ortho_rows = [[x % P5 for x in v] for v in LAMBDA2_ORTHO]
-    basis = nullspace(ortho_rows, P5, ncols=8)
-    lam2 = SubspaceBasis(P5, 8, tuple(tuple(v) for v in basis), "eight-tuples")
+    lam2 = SubspaceBasis(P5, 8, nullspace(LAMBDA2_ORTHO, P5, ncols=8), "eight-tuples")
     ensure(lam2.dim == 5, f"build_core: Lambda2 has dimension {lam2.dim}, not 5")
     ensure(lam2.contains(REMARK_VECTOR), "build_core: Lambda2 misses the remark vector")
     return CexCore(S_POINTS, g1, lam2)
@@ -575,7 +573,7 @@ def dress_and_measure(
                 "measured": m,
                 "se": se,
                 "predicted": float(pred),
-                "beta1_exact": f"{beta1.numerator}/{beta1.denominator}",
+                "beta1_exact": beta1,
                 "within": within(m, se, float(pred)),
                 "series": [float(x) for x in series],
             }
@@ -898,8 +896,8 @@ def cex_report(core: CexCore, h: Hypergraphon, params: DressingParams, seeds: in
         "params": {"n": params.n, "L": h.L, "gamma": params.gamma, "seed": params.seed},
         "seeds": seeds,
         "certified": {
-            "core_sup": f"{table['sup'].numerator}/{table['sup'].denominator}",
-            "core_mean": f"{table['mean_g1'].numerator}/{table['mean_g1'].denominator}",
+            "core_sup": table["sup"],
+            "core_mean": table["mean_g1"],
             "core_ratio_num_den": [core_ratio.numerator, core_ratio.denominator],
             "core_strict": table["strict"],
             "hypergraph_patternA_matches": exps["patternA_matches"],

@@ -158,9 +158,6 @@ class FpMatrix:
     def is_skew(self) -> bool:
         return self.neg() == self.transpose()
 
-    def flatten(self) -> tuple[int, ...]:
-        return self.entries
-
 
 # -- elimination ------------------------------------------------------
 
@@ -226,15 +223,14 @@ def _as_stack(A: np.ndarray, p: int) -> np.ndarray:
     return np.ascontiguousarray(A.transpose(1, 2, 0), dtype=np.min_scalar_type(p * p))
 
 
-def rref(rows, p: int) -> tuple[list[list[int]], list[int]]:
+def rref(rows, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Reduced row echelon form over F_p of a matrix given by its rows (a
     list of lists or a 2-d integer array). Returns (nonzero rows, pivot
-    columns)."""
-    if not len(rows):
-        return [], []
-    M, rank = _rref_stack(_as_stack(np.asarray(rows), p), p)
-    red = M[: rank[0], :, 0]
-    return red.tolist(), (red != 0).argmax(axis=1).tolist() if len(red) else []
+    columns): an int64 array of shape (rank, cols) and one of length rank."""
+    M, rank = _rref_stack(_as_stack(np.atleast_2d(rows), p), p)  # [] as one row of no columns
+    red = M[: rank[0], :, 0].astype(np.int64)
+    # entries are non-negative, so a row's cumulative sum is 0 exactly on its leading zeros
+    return red, (red.cumsum(axis=1) == 0).sum(axis=1)
 
 
 def rank_stack(A, p: int) -> np.ndarray:
@@ -251,22 +247,18 @@ def row_space_rank(rows, p: int) -> int:
     return len(rref(rows, p)[0])
 
 
-def nullspace(rows, p: int, ncols: int | None = None) -> list[list[int]]:
+def nullspace(rows, p: int, ncols: int | None = None) -> np.ndarray:
     """Basis of {x : M x = 0} for the matrix with the given rows (a list of
-    lists or a 2-d integer array)."""
+    lists or a 2-d integer array), as an int64 array of shape (ncols - rank,
+    ncols): free column f gives e_f minus the pivot rows' entries in column f."""
     if ncols is None:
         if not len(rows):
             raise ValueError("ncols required for an empty constraint system")
         ncols = len(rows[0])
-    red, pivots = rref(rows, p)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [0] * ncols
-        vec[fc] = 1
-        for r, pc in enumerate(pivots):
-            vec[pc] = (-red[r][fc]) % p
-        basis.append(vec)
+    red, pivots = rref(np.reshape(rows, (len(rows), ncols)), p)
+    free = np.delete(np.arange(ncols), pivots)
+    basis = np.eye(ncols, dtype=np.int64)[free]
+    basis[:, pivots] = -red[:, free].T % p
     return basis
 
 
@@ -279,9 +271,9 @@ def mat_inverse(A: FpMatrix) -> FpMatrix:
         raise DimensionMismatch("inverse of a non-square matrix")
     n, p = A.rows, A.p
     red, pivots = rref(np.hstack([A.array, np.eye(n, dtype=np.int64)]), p)
-    if pivots[:n] != list(range(n)):
+    if not np.array_equal(pivots[:n], np.arange(n)):
         raise Singular("matrix is not invertible")
-    return FpMatrix.from_rows([row[n:] for row in red[:n]], p)
+    return A._of(red[:n, n:])
 
 
 def is_invertible(A: FpMatrix) -> bool:

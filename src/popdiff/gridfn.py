@@ -324,8 +324,7 @@ def linear_kernel_H(factor: QuadraticFactor, k: int) -> dict:
     member = np.all(h_coset_labels(factor, k) == 0, axis=1)
     indicator = GridFunction(p, k, n, member.astype(np.int64), RATIONAL)
     # H-perp inside F_p^{kn}: basis vector (i, a) is e_a tensored with r_i, [i, a, b, j] = delta_ab r_i[j]
-    R = np.array(red, dtype=np.int64).reshape(rank, n)
-    basis = np.einsum("ab,ij->iabj", np.eye(k, dtype=np.int64), R).reshape(rank * k, k * n)
+    basis = np.einsum("ab,ij->iabj", np.eye(k, dtype=np.int64), red.reshape(rank, n)).reshape(rank * k, k * n)
     h_perp = SubspaceBasis(p, k * n, basis, "grid-characters")
     density = Fraction(int(member.sum()), P)
     ensure(density == Fraction(1, p ** (k * rank)), f"linear_kernel_H: density {density} != p^-(k rank)")
@@ -347,16 +346,20 @@ def h_coset_labels(factor: QuadraticFactor, k: int) -> np.ndarray:
 # Phase functions
 
 
-def phase_function(r: Sequence[int], M: FpMatrix, p: int, k: int, n: int) -> GridFunction:
-    """g(x) = e_p(r^T x + x^T M x) on the kn-flattening of the grid."""
-    m = k * n
-    if M.rows != m or M.cols != m or M.p != p:
+def _check_phase(r: Sequence[int], M: FpMatrix, p: int, k: int, n: int) -> None:
+    """The data of a phase e_p(r^T x + x^T M x) on (F_p^n)^k: M symmetric kn x kn over F_p, r of length kn."""
+    if M.array.shape != (k * n, k * n) or M.p != p:
         raise DimensionMismatch("M must be kn x kn over F_p")
     if not M.is_symmetric():
         raise NotSymmetric("phase matrix must be symmetric")
-    if len(r) != m:
+    if len(r) != k * n:
         raise DimensionMismatch("r must have length kn")
-    digits = digit_table(p, m)
+
+
+def phase_function(r: Sequence[int], M: FpMatrix, p: int, k: int, n: int) -> GridFunction:
+    """g(x) = e_p(r^T x + x^T M x) on the kn-flattening of the grid."""
+    _check_phase(r, M, p, k, n)
+    digits = digit_table(p, k * n)
     rv = np.asarray([x % p for x in r], dtype=np.int64)
     t = (digits @ rv + np.einsum("xi,ij,xj->x", digits, M.array, digits)) % p
     vals = np.exp(2j * np.pi * t / p)
@@ -368,20 +371,19 @@ def block_factor_from_phase(r: Sequence[int], M: FpMatrix, k: int, n: int) -> Qu
     of r, the diagonal blocks and symmetrized off-diagonal blocks of M, and
     the skew parts of the off-diagonal blocks."""
     p = M.p
+    _check_phase(r, M, p, k, n)
     inv2 = pow(2, -1, p)
     b1 = tuple(tuple(r[i * n + j] % p for j in range(n)) for i in range(k))
-    b2 = []
-    b3 = []
     blocks = M.array.reshape(k, n, k, n)  # block (i, j) is blocks[i, :, j]
-    for i in range(k):
-        b2.append(FpMatrix.from_rows(blocks[i, :, i], p))
+    b2 = [FpMatrix.from_rows(blocks[i, :, i], p) for i in range(k)]
+    b3 = []
     for i in range(k):
         for j in range(i + 1, k):
             Mij = FpMatrix.from_rows(blocks[i, :, j], p)
             b2.append(Mij.add(Mij.transpose()).scale_by(inv2))
             b3.append(Mij.sub(Mij.transpose()).scale_by(inv2))
-    b3 = [N for N in b3 if any(N.flatten())]
-    b2 = [S for S in b2 if any(S.flatten())]
+    b3 = [N for N in b3 if N.array.any()]
+    b2 = [S for S in b2 if S.array.any()]
     return QuadraticFactor(p, n, b1, tuple(b2), tuple(b3))
 
 

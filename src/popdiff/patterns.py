@@ -14,7 +14,7 @@ test one rank.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -95,32 +95,30 @@ def reduce_to_identity_form(spec: PatternSpec) -> PatternSpec:
 # Subspaces
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # equals() is subspace equality; == would compare bases
 class SubspaceBasis:
-    """Basis of a subspace of F_p^m, vectors reduced and independent."""
+    """Basis of a subspace of F_p^m, vectors reduced and independent: a
+    read-only int64 array of shape (dim, ambient_dim)."""
 
     p: int
     ambient_dim: int
-    basis: tuple[tuple[int, ...], ...]
+    array: np.ndarray
     ambient_kind: str = "generic"
-    # the basis as a read-only int64 array of shape (dim, ambient_dim)
-    array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         validate_odd_prime(self.p)
-        vecs = [list(v) for v in self.basis]
-        if any(len(v) != self.ambient_dim for v in vecs):
+        B = np.asarray(self.array, dtype=np.int64)
+        if B.size and B.shape[1:] != (self.ambient_dim,):
             raise DimensionMismatch("basis vector has wrong length")
-        B = np.array(vecs, dtype=np.int64).reshape(len(vecs), self.ambient_dim) % self.p
+        B = B.reshape(len(B), self.ambient_dim) % self.p
         B.setflags(write=False)
-        object.__setattr__(self, "basis", tuple(map(tuple, B.tolist())))
         object.__setattr__(self, "array", B)
         if len(B) and row_space_rank(B, self.p) != len(B):
             raise ValueError("basis vectors are linearly dependent")
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.array)
 
     def _spans(self, vecs: np.ndarray) -> bool:
         """True iff every row of vecs lies in this space: adding them leaves the rank at dim."""
@@ -146,7 +144,7 @@ class SubspaceBasis:
             "ambient_dim": self.ambient_dim,
             "ambient_kind": self.ambient_kind,
             "dim": self.dim,
-            "basis": [list(v) for v in self.basis],
+            "basis": self.array.tolist(),
         }
 
 
@@ -187,8 +185,7 @@ def vector_tuple_ambient(p: int, k: int, arity: int = 4) -> SubspaceBasis:
 def _kernel(operator: np.ndarray, vectors: np.ndarray, p: int) -> np.ndarray:
     """The combinations x of the rows of vectors, shape (g, m), with operator x = 0
     mod p, as rows v = sum_j x_j vectors[j]: one nullspace of the (r, g) operator."""
-    coeffs = nullspace(operator, p, ncols=len(vectors))
-    return np.array(coeffs, dtype=np.int64).reshape(len(coeffs), len(vectors)) @ vectors % p
+    return nullspace(operator, p, ncols=len(vectors)) @ vectors % p
 
 
 def orth_complement(space: SubspaceBasis, ambient: SubspaceBasis) -> SubspaceBasis:
@@ -325,9 +322,9 @@ def annihilator_bruteforce(
             Q = (G1[:, None, :, :] + term2 + term3 + term4[None, :, :, :]) % p
             cols.append(np.einsum("eab,xyab->xye", E, Q) % p)
         # each block reduced to its (at most 4 len(E)) echelon rows before the next
-        reduced += rref(np.concatenate(cols, axis=-1).reshape(P * P, ambient.dim), p)[0]
+        reduced.append(rref(np.concatenate(cols, axis=-1).reshape(P * P, ambient.dim), p)[0])
     # coefficient s * len(E) + j weighs block j in slot s, as in the ambient's basis
-    constraints = np.array(reduced, dtype=np.int64).reshape(-1, ambient.dim)
+    constraints = np.concatenate(reduced)
     return SubspaceBasis(p, 4 * k * k, _kernel(constraints, ambient.array, p), ambient.ambient_kind)
 
 

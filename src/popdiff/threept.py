@@ -20,6 +20,7 @@ from ._grid import Translates, add_index, add_perm as shift_perm, dft, digit_tab
 from .analysis import FLOAT_SLACK, PatternCountReport, pattern_sums, popular_report
 from .errors import DimensionMismatch, NonConvergent, NotAutomorphism, check_guard, ensure, int_field
 from .ffalg import FpMatrix, is_invertible, is_odd_prime
+from .gridfn import grid_size
 
 
 # ---------------------------------------------------------------------------
@@ -50,7 +51,7 @@ class FiniteGroupSpec:
         else:
             raise ValueError(f"unknown group kind {kind!r}")
         self.m = self.k * self.n
-        self.size = self.modulus**self.m
+        self.size = grid_size(self.modulus, self.k, self.n)
         self.guard = guard
         check_guard("group order", self.size, guard)
         if kind == "Z_N":
@@ -63,6 +64,9 @@ class FiniteGroupSpec:
         else:
             self.M1 = M1 if isinstance(M1, FpMatrix) else FpMatrix.from_rows(M1, self.p)
             self.M2 = M2 if isinstance(M2, FpMatrix) else FpMatrix.from_rows(M2, self.p)
+            for name, M in (("M1", self.M1), ("M2", self.M2)):
+                if M.rows != self.k or M.cols != self.k:
+                    raise DimensionMismatch(f"{name} must be k x k = {self.k} x {self.k}, got {M.rows} x {M.cols}")
             for name, M in (("M1", self.M1), ("M2", self.M2), ("M1-M2", self.M1.sub(self.M2))):
                 if not is_invertible(M):
                     raise NotAutomorphism(f"{name} is singular mod {self.p}")

@@ -62,7 +62,7 @@ from popdiff._grid import add_index, add_table, digit_table, encode_digits, line
 from popdiff import DEFAULT_GUARD
 from popdiff.counterexample import F2_COMBOS, F3_COMBOS, SHIFT_COEFFS, f1_matrix, is_3ap_free, support_pattern_counts
 from popdiff.errors import Singular
-from popdiff.ffalg import FpMatrix, is_invertible, mat_inverse, nullspace
+from popdiff.ffalg import FpMatrix, is_invertible, mat_inverse
 from popdiff.gridfn import FLOAT, RATIONAL, GridFunction, factor_image_coords, grid_decode, h_coset_labels
 from popdiff.patterns import PatternSpec, SubspaceBasis
 
@@ -202,6 +202,20 @@ def rref_by_lists(rows, p: int) -> tuple[list[list[int]], list[int]]:
         if r == len(mat):
             break
     return mat[:r], pivots
+
+
+def nullspace_by_lists(rows, p: int, ncols: int) -> list[list[int]]:
+    """Basis of {x : M x = 0} from rref_by_lists, one free column at a time:
+    e_f, with each pivot coordinate set to minus its row's entry in column f."""
+    red, pivots = rref_by_lists(rows, p)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        vec = [0] * ncols
+        vec[fc] = 1
+        for r, pc in enumerate(pivots):
+            vec[pc] = (-red[r][fc]) % p
+        basis.append(vec)
+    return basis
 
 
 # The ring operations of FpMatrix on a matrix's row-major tuple of Python ints,
@@ -609,22 +623,23 @@ def _symmetry_basis_by_rows(k: int, p: int, kind: str) -> list[FpMatrix]:
 def _solve_by_generators(generators: list[FpMatrix], condition, p: int) -> list[FpMatrix]:
     """Kernel of a linear matrix map within span(generators): the map's
     matrix has one column per generator image."""
-    images = [condition(E).flatten() for E in generators]
-    coeffs = nullspace([list(c) for c in zip(*images)], p, ncols=len(generators))
+    images = [condition(E).entries for E in generators]
+    coeffs = nullspace_by_lists([list(c) for c in zip(*images)], p, ncols=len(generators))
     return [functools.reduce(FpMatrix.add, (E.scale_by(c) for c, E in zip(cvec, generators))) for cvec in coeffs]
 
 
 def _flat(mats: list[FpMatrix]) -> tuple[int, ...]:
-    return tuple(x for M in mats for x in M.flatten())
+    return tuple(x for M in mats for x in M.entries)
 
 
 def _orth_complement_by_inner_products(space: SubspaceBasis, ambient: SubspaceBasis) -> SubspaceBasis:
     """Solve <sum_j x_j e_j, w> = 0 for every w in space, one inner product
     per (w, ambient basis vector e_j)."""
     p, m = space.p, ambient.ambient_dim
-    rows = [[sum(a * b for a, b in zip(e, w)) % p for e in ambient.basis] for w in space.basis]
-    coeffs = nullspace(rows, p, ncols=len(ambient.basis))
-    vecs = [tuple(sum(c * e[i] for c, e in zip(cvec, ambient.basis)) % p for i in range(m)) for cvec in coeffs]
+    es = ambient.array.tolist()
+    rows = [[sum(a * b for a, b in zip(e, w)) % p for e in es] for w in space.array.tolist()]
+    coeffs = nullspace_by_lists(rows, p, ncols=len(es))
+    vecs = [tuple(sum(c * e[i] for c, e in zip(cvec, es)) % p for i in range(m)) for cvec in coeffs]
     return SubspaceBasis(p, m, tuple(vecs), ambient.ambient_kind)
 
 
@@ -640,7 +655,7 @@ def constraint_spaces_by_generators(J: FpMatrix) -> dict:
     Jt = J.transpose()
     full = [FpMatrix(k, k, E, p) for E in np.eye(k * k, dtype=np.int64).tolist()]
     xi = _solve_by_generators(full, lambda A: J.mul(A).sub(J.mul(A).transpose()), p)
-    out = {"Xi": SubspaceBasis(p, k * k, tuple(A.flatten() for A in xi), "matrices")}
+    out = {"Xi": SubspaceBasis(p, k * k, tuple(A.entries for A in xi), "matrices")}
     zero = FpMatrix.zero(k, k, p)
     for kind, lam, om in (("symmetric", "Lambda", "Omega"), ("skew", "LambdaPrime", "OmegaPrime")):
         blocks = _symmetry_basis_by_rows(k, p, kind)
@@ -654,5 +669,5 @@ def constraint_spaces_by_generators(J: FpMatrix) -> dict:
     Ir, Jr = I.to_lists(), J.to_lists()
     rows = [[*Ir[a], *(-x for x in Ir[a]), *(-x for x in Ir[a]), *Ir[a]] for a in range(k)]
     rows += [[*Jr[a], *(-x - y for x, y in zip(Jr[a], Ir[a])), *[0] * k, *Ir[a]] for a in range(k)]
-    out["Psi"] = SubspaceBasis(p, 4 * k, tuple(map(tuple, nullspace(rows, p, ncols=4 * k))), "vectors-of-F_p^k-tuples")
+    out["Psi"] = SubspaceBasis(p, 4 * k, tuple(map(tuple, nullspace_by_lists(rows, p, ncols=4 * k))), "vectors-of-F_p^k-tuples")
     return out

@@ -102,7 +102,7 @@ def test_cex_report_builds_h_from_method(capsys):
     code, greedy = run_lines(capsys, argv + ["--method", "greedy"])
     h = cex.Hypergraphon(17, cex.ap3_free_set(17, "greedy"))
     want = cex.cex_report(cex.build_core(), h, cex.DressingParams(seed=0, n=4, gamma=1), seeds=2)
-    assert code == 0 and greedy[0]["report"] == json.loads(json.dumps(want))
+    assert code == 0 and greedy[0]["report"] == json.loads(json.dumps(cli._jsonable(want)))
     code, maximum = run_lines(capsys, argv + ["--method", "exhaustive-max"])
     assert code == 0 and maximum[0]["report"] != greedy[0]["report"]
 
@@ -327,6 +327,24 @@ def test_input_faults_are_json_error_lines(capsys, tmp_path, scalar_spec_file):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert json.loads(captured.err)["error"] == error
+
+
+@pytest.mark.parametrize("sub", ["bohr", "search", "count", "decompose"])
+def test_malformed_vector_group_is_one_error_line(capsys, tmp_path, sub):
+    # a negative n used to end in a raw TypeError traceback (the group order
+    # 3^-2 as a float), and 1 x 1 matrices at k = 2 in numpy's reshape error
+    cases = [
+        ({"kind": "vector", "p": 3, "k": 1, "n": -2, "M1": [[1]], "M2": [[2]]}, "ValueError", "n = -2"),
+        ({"kind": "vector", "p": 3, "k": 2, "n": 2, "M1": [[1]], "M2": [[2]]}, "DimensionMismatch", "M1 must be k x k"),
+    ]
+    for i, (doc, error, text) in enumerate(cases):
+        path = tmp_path / f"group-{i}.json"
+        path.write_text(json.dumps(doc))
+        assert dispatch(["threept", sub, "--group", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+        line = json.loads(captured.err)
+        assert line["error"] == error and text in line["message"]
 
 
 def _raw_plgf(path, kind_code, payload):

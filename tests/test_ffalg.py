@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -14,6 +16,7 @@ from popdiff.ffalg import (
     rref,
     validate_odd_prime,
 )
+from popdiff.patterns import SubspaceBasis
 
 import numpy as np
 from oracles import (
@@ -21,6 +24,7 @@ from oracles import (
     is_odd_prime_by_trial_division,
     mul_by_loops,
     neg_by_loops,
+    nullspace_by_lists,
     rref_by_lists,
     scale_by_loops,
     sub_by_loops,
@@ -77,6 +81,12 @@ def test_inverse_roundtrip_random():
         eye = FpMatrix.identity(k, p)
         assert A.mul(B) == eye and B.mul(A) == eye
         done += 1
+
+
+def _lists(result):
+    """rref's (rows, pivots) arrays as the list oracle's lists."""
+    red, pivots = result
+    return red.tolist(), pivots.tolist()
 
 
 def _assert_inverses(A, ok, inv, p):
@@ -145,12 +155,12 @@ def test_elimination_matches_list_oracle(p, batch, tall, c, seed):
     for A in stack:
         want = rref_by_lists(A.tolist(), p)
         ranks.append(len(want[0]))
-        assert rref(A, p) == want and rref(A.tolist(), p) == want
+        assert _lists(rref(A, p)) == want and _lists(rref(A.tolist(), p)) == want
         assert row_space_rank(A, p) == ranks[-1]
         null = nullspace(A, p, ncols=c)
         assert len(null) == c - ranks[-1]
-        if null:
-            assert not np.any(A @ np.array(null).T % p)
+        if len(null):
+            assert not np.any(A @ null.T % p)
             assert len(rref_by_lists(null, p)[0]) == len(null)
     assert rank_stack(np.stack(stack), p).tolist() == ranks
     n = min(r, c)
@@ -162,10 +172,38 @@ def test_elimination_matches_list_oracle(p, batch, tall, c, seed):
 
 
 def test_elimination_edge_inputs():
-    assert rref([], 5) == ([], []) and rref(np.zeros((0, 3), dtype=np.int64), 5) == ([], [])
-    assert rref([[]], 5) == ([], [])
-    assert rref([[10**30 + 2, 1], [0, 0]], 5) == rref_by_lists([[10**30 + 2, 1]], 5) == ([[1, 3]], [0])
+    assert _lists(rref([], 5)) == ([], []) and _lists(rref(np.zeros((0, 3), dtype=np.int64), 5)) == ([], [])
+    assert _lists(rref([[]], 5)) == ([], [])
+    assert _lists(rref([[10**30 + 2, 1], [0, 0]], 5)) == rref_by_lists([[10**30 + 2, 1]], 5) == ([[1, 3]], [0])
     assert rank_stack(np.zeros((2, 3, 4, 5), dtype=np.int64), 7).shape == (2, 3)
+
+
+_ENTRY = st.one_of(st.integers(-3, 3), st.integers(-(2**70), 2**70))
+
+
+@given(st.sampled_from([3, 5, 7, 999983]),
+       st.integers(0, 6).flatmap(lambda c: st.tuples(st.just(c), st.lists(st.lists(_ENTRY, min_size=c, max_size=c), max_size=6))))
+@example(3, (0, []))  # no rows and no columns
+@example(5, (3, []))  # an empty system on F_5^3
+@example(7, (0, [[], []]))  # an operator on zero generators
+@example(999983, (3, [[2**64 + 1, -3, 10**30], [2 * (2**64 + 1), -6, 2 * 10**30]]))  # entries past int64
+@settings(max_examples=150, deadline=None)
+def test_rref_and_nullspace_match_list_oracles(p, system):
+    ncols, rows = system
+    want = rref_by_lists(rows, p)
+    for given_rows in (rows, np.array(rows, dtype=object).reshape(len(rows), ncols)):
+        red, pivots = rref(given_rows, p)
+        assert red.dtype == pivots.dtype == np.int64 and (red.tolist(), pivots.tolist()) == want
+        assert red.shape == (len(want[0]), ncols) or (red.shape == (0, 0) and not rows)  # [] has no columns
+        null = nullspace(given_rows, p, ncols=ncols)
+        assert null.dtype == np.int64 and null.shape == (ncols - len(want[0]), ncols)
+        assert null.tolist() == nullspace_by_lists(rows, p, ncols)
+    # a basis given as tuples of Python ints and as the equal int64 array is one basis
+    from_tuples = SubspaceBasis(p, ncols, tuple(map(tuple, nullspace_by_lists(rows, p, ncols))), "null")
+    from_array = SubspaceBasis(p, ncols, null, "null")
+    assert np.array_equal(from_tuples.array, from_array.array) and from_array.array.dtype == np.int64
+    assert json.dumps(from_tuples.to_json_obj()) == json.dumps(from_array.to_json_obj())
+    assert from_tuples.equals(from_array) and not from_array.array.flags.writeable
 
 
 def test_nullspace_orthogonality():

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from popdiff.errors import BadMagic, CorruptLength, NotSymmetric, PopdiffError, TooLarge, VersionMismatch
+from popdiff.errors import BadMagic, CorruptLength, DimensionMismatch, NotSymmetric, PopdiffError, TooLarge, VersionMismatch
 from popdiff.ffalg import FpMatrix
 from popdiff.gridfn import (
     COMPLEX,
@@ -582,6 +582,19 @@ def test_phase_function_examples():
         assert all(len(s) == 1 for s in by.values())
     with pytest.raises(NotSymmetric):
         phase_function([0] * m, FpMatrix.from_rows(np.triu(np.ones((m, m), dtype=int), 1).tolist(), p), p, k, n)
+
+
+@pytest.mark.parametrize("r, M, error", [
+    ([0] * 4, FpMatrix.identity(5, 3), DimensionMismatch),  # 5 x 5 M at kn = 4
+    ([0] * 3, FpMatrix.identity(4, 3), DimensionMismatch),  # r of length 3
+    # symmetric diagonal blocks, but M[0, 2] = 1 and M[2, 0] = 0
+    ([0] * 4, FpMatrix.from_rows([[0, 0, 1, 0], [0] * 4, [0] * 4, [0] * 4], 3), NotSymmetric),
+])
+def test_block_factor_from_phase_refuses_what_phase_function_refuses(r, M, error):
+    p, k, n = 3, 2, 2
+    for build in (lambda: phase_function(r, M, p, k, n), lambda: block_factor_from_phase(r, M, k, n)):
+        with pytest.raises(error):
+            build()
 
 
 def test_plgf_roundtrip_and_errors():

@@ -88,7 +88,7 @@ def test_reduce_preserves_admissibility_and_spectral():
 
 def test_constraint_spaces_k1():
     cs = constraint_spaces(FpMatrix.from_rows([[2]], 5))
-    assert [list(v) for v in cs["Lambda"].basis] == [[4, 3, 2, 1]]  # (-1,-2,2,1)
+    assert cs["Lambda"].array.tolist() == [[4, 3, 2, 1]]  # (-1,-2,2,1)
     assert cs["LambdaPrime"].dim == 0
     assert cs["Psi"].dim == 2
 
@@ -104,7 +104,7 @@ def test_psi_equals_pattern_span():
             x = FpMatrix(k, 1, list(xd[:k]), p)
             d = FpMatrix(k, 1, list(xd[k:]), p)
             pts = [x, x.add(d), x.add(J.mul(d)), x.add(I.add(J).mul(d))]
-            vecs.append(tuple(v for pt in pts for v in pt.flatten()))
+            vecs.append(tuple(v for pt in pts for v in pt.entries))
         span = SubspaceBasis(p, 4 * k, (), "vectors-of-F_p^k-tuples")
         # build span via rref of all vectors
         from popdiff.ffalg import rref
@@ -124,7 +124,7 @@ def test_xi_literal_definition_exhaustive():
         JA = ROT.mul(A)
         if JA == JA.transpose():
             count += 1
-            assert xi.contains(A.flatten())
+            assert xi.contains(A.entries)
     assert count == 5**xi.dim
 
 
@@ -158,7 +158,7 @@ def test_matrix_basis_follows_the_one_coordinate_order(k, kind, sign):
     # the ambient tuple space is spanned slot by slot by this basis
     amb = matrix_tuple_ambient(p, k, 2, kind)
     assert amb.ambient_kind == f"{kind}-matrix-2-tuples"
-    assert amb.basis[:len(basis)] == tuple(tuple(B.flatten()) + (0,) * (k * k) for B in basis)
+    assert tuple(map(tuple, amb.array[:len(basis)].tolist())) == tuple(tuple(B.flatten()) + (0,) * (k * k) for B in basis)
 
 
 def test_unknown_matrix_kind_is_refused():
@@ -268,7 +268,7 @@ def test_annihilator_matches_constraint_spaces_sample():
 def test_annihilator_k1_examples():
     J = FpMatrix.from_rows([[2]], 5)
     sym = annihilator_bruteforce(J, 1, "symmetric")
-    assert [list(v) for v in sym.basis] == [[4, 3, 2, 1]]
+    assert sym.array.tolist() == [[4, 3, 2, 1]]
     skew = annihilator_bruteforce(J, 1, "skew")
     assert skew.dim == 0 and skew.ambient_dim == 4
 
@@ -302,18 +302,19 @@ def test_coset_equality_claim():
                     (v[kk + i] - v[2 * kk + i]) % p for i in range(kk)
                 ]
 
-            pairs = [pair_of(v) for v in amb4.basis]
+            basis4 = amb4.array.tolist()
+            pairs = [pair_of(v) for v in basis4]
             rows = []
-            for w in cs[om_name].basis:
+            for w in cs[om_name].array.tolist():
                 rows.append([sum(a * b for a, b in zip(pr, w)) % p for pr in pairs])
             if rows:
-                coeffs = nullspace(rows, p, ncols=len(amb4.basis))
+                coeffs = nullspace(rows, p, ncols=len(basis4))
             else:
-                coeffs = [[1 if i == j else 0 for j in range(len(amb4.basis))] for i in range(len(amb4.basis))]
+                coeffs = [[1 if i == j else 0 for j in range(len(basis4))] for i in range(len(basis4))]
             vecs = []
             for cvec in coeffs:
                 v = [0] * amb4.ambient_dim
-                for c, bv in zip(cvec, amb4.basis):
+                for c, bv in zip(cvec, basis4):
                     if c:
                         for idx, val in enumerate(bv):
                             v[idx] = (v[idx] + c * val) % p
