@@ -14,7 +14,9 @@ exits 1 if there is any and 0 otherwise.
 The list: `check`/`subspaces` on five specs; `check` on the spectral gate's
 edge cases (the rotation over F_3, whose eigenvalues +-i lie in F_9; a
 singular M1, which fails through the eigenvalue 0; a singular M2, which must
-end in one JSON error line; and a 4 x 4 spec); JSON entries past int64
+end in one JSON error line; a 4 x 4 spec; and a k = 2 spec with 1 x 1
+matrices, a deliberate output change against trees whose typed builder
+errors name neither the flag nor the file); JSON entries past int64
 (10^30 + 1, -4 and 2^64 + 1), in `check` and `popular --p 5 --k 2 --n 1` on
 one spec, in `threept search` on a vector group over F_3 at k = n = 2, and in
 the --J of an `equidist --mode tuple --k 2`; `subspaces` at k >= 3, on
@@ -27,7 +29,8 @@ hypergraph at L = 5, 7, 11, 13, 17, 25, report at n = 1-5, and at L = 17 and
 with --method greedy, `cex report --n 4 --L 17 --seeds 2` with and without
 --method greedy, `cex report --n 3 --L 7 --seeds 12 --seed 4294967299` (a
 master seed of two 32-bit words), `cex report --n 4 --L 7 --gamma 3 --seeds
-6`, assemble at n = 1, 3, 4, `cex assemble --n 3 --L 7 --seed-index
+6`, `cex report --n 4 --L 7 --seeds 14` (13 seeds fit in one affine-map
+batch at n = 4, so 14 take two), assemble at n = 1, 3, 4, `cex assemble --n 3 --L 7 --seed-index
 4294967296`, the negative keys `cex report --n 2 --L 5 --seeds 2 --seed -1`,
 `cex assemble --n 2 --L 5 --seed-index -1` and `cex dress --n 2 --L 5
 --seeds 3 --seed -2`, each of which ends in numpy's error line, and `cex
@@ -49,7 +52,9 @@ that end 1 short of and 1 past a 64-bit word), Z_1009 (also at --guard 1500,
 where the group fits the guard but its 2N-entry table does not, so the
 translates are gathered and packed), Z_10007, F_3^6 and F_3^7, `threept lift` at N = 30 and 60, and at N = 1 (on the
 one-point set [1]) and N = 2, whose windows hold no odd prime until they
-widen, `threept decompose` on Z_61
+widen, and at N = 40 on A = [61, 21, 22], whose point 61 lies outside
+[1, 40] (a deliberate output change: older trees report audit_ok false and
+exit 2, newer ones end in one JSON error line), `threept decompose` on Z_61
 and F_3^6 (the inverse transform), and `threept count` on F_3^6; input errors
 that must end in one JSON error line, PLGF files holding inf or nan, two
 groups of unknown kind, one with no other field, and an `equidist --mode
@@ -57,7 +62,9 @@ tuple` whose default --k 1 differs from the size of its 2 x 2 --J among them;
 two malformed vector groups in `threept bohr`/`search` (n = -2) and
 `count`/`decompose` (k = 2 with 1 x 1 matrices), a deliberate output change
 against trees that predate their typed errors: the first ended in a raw
-TypeError traceback, the second in numpy's reshape error;
+TypeError traceback, the second in numpy's reshape error; the second's
+message also changes against trees whose typed builder errors do not name
+the flag and the file;
 and one guard refusal per check the CLI reaches, at a `--guard` one below
 its estimate: `popular`, recursive and direct `gowers`, `equidist` linquad,
 tuple and abstract, `cex eight-tuple`, `dress`, `assemble` and `report`, and
@@ -97,6 +104,7 @@ CHECK_SPECS = {
     "rotation-p3": {"p": 3, "k": 2, "M1": [[0, -1], [1, 0]], "M2": [[1, 0], [0, 1]]},
     "singular-m1-p5": {"p": 5, "k": 2, "M1": [[1, 2], [2, 4]], "M2": [[1, 0], [0, 1]]},
     "singular-m2-p5": {"p": 5, "k": 2, "M1": [[1, 0], [0, 1]], "M2": [[1, 2], [2, 4]]},
+    "k2-1x1-p5": {"p": 5, "k": 2, "M1": [[1]], "M2": [[2]]},
     "k4-p5": {"p": 5, "k": 4, "M1": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
               "M2": [[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [1, 0, 0, 2]]},
 }
@@ -133,7 +141,7 @@ GROUPS = {
     "group-k2-1x1": {"kind": "vector", "p": 3, "k": 2, "n": 2, "M1": [[1]], "M2": [[2]]},
 }
 
-POINTS = {"one-point": [1]}
+POINTS = {"one-point": [1], "outside-40": [61, 21, 22]}
 
 # grid functions on (F_5^2)^2, the rotated squares' grid, and the PLGF kind byte of each value kind
 FN_SHAPE = (5, 2, 2)
@@ -227,6 +235,8 @@ def invocations(refs: dict) -> list[list[str]]:
         ["cex", "report", "--n", "3", "--L", "7", "--seeds", "12", "--seed", "4294967299"],
         ["cex", "assemble", "--n", "3", "--L", "7", "--seed-index", "4294967296"],
         ["cex", "report", "--n", "4", "--L", "7", "--gamma", "3", "--seeds", "6"],
+        # 13 seeds fit in one _affine_membership call at n = 4; 14 take two
+        ["cex", "report", "--n", "4", "--L", "7", "--seeds", "14"],
         # seeding edges checked without numpy.random: negative keys end in
         # numpy's error line, and a master seed of three 32-bit words
         ["cex", "report", "--n", "2", "--L", "5", "--seeds", "2", "--seed", "-1"],
@@ -286,6 +296,7 @@ def invocations(refs: dict) -> list[list[str]]:
         ["threept", "lift", "--N", "60", "--eps", "0.3"],
         ["threept", "lift", "--N", "1", "--A", "@one-point"],
         ["threept", "lift", "--N", "2", "--eps", "0.1"],
+        ["threept", "lift", "--N", "40", "--eps", "0.3", "--A", "@outside-40"],
         ["threept", "decompose", "--group", "@group"],
         ["gowers", "--p", "3", "--n", "5", "--s", "3", "--seed", "1"],
         ["gowers", "--p", "7", "--n", "2", "--s", "3", "--seed", "2"],

@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import DEFAULT_GUARD, __version__
-from .errors import CheckFailed, PopdiffError, check_guard, is_int_tree
+from .errors import CheckFailed, PopdiffError, TooLarge, check_guard, is_int_tree
 from .ffalg import FpMatrix
 from .gridfn import (
     FLOAT,
@@ -89,8 +89,8 @@ def _required(args, flag: str) -> str:
 def _load_json(args, flag: str, cls=None, **kwargs):
     """The JSON document at the path given by --flag, built by
     cls.from_json_obj(obj, **kwargs) when cls is given. A document the builder
-    cannot read is a usage error that names the flag, the file and, for a
-    missing key, the key."""
+    cannot read is a usage error, and a typed error other than a guard refusal
+    keeps its type; each names the flag, the file and, for a missing key, the key."""
     path = _required(args, flag)
     with open(path) as fh:
         obj = json.load(fh)
@@ -104,6 +104,10 @@ def _load_json(args, flag: str, cls=None, **kwargs):
         raise ValueError(f"--{flag} {path}: missing key {exc}") from None
     except (TypeError, IndexError, ValueError) as exc:
         raise ValueError(f"--{flag} {path}: {exc}") from None
+    except TooLarge:  # a guard refusal keeps its one form
+        raise
+    except PopdiffError as exc:  # a typed builder error keeps its type
+        raise type(exc)(f"--{flag} {path}: {exc}") from None
 
 
 def _int_lists(args, flag: str, depth: int = 1) -> list:

@@ -599,7 +599,6 @@ _MASK32 = (1 << 32) - 1
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_PCG_MULT_HI, _PCG_MULT_LO = (np.uint64(w) for w in divmod(_PCG_MULT, 1 << 64))
 _U1, _U11, _U32, _U58, _U63, _LOW32 = (np.uint64(v) for v in (1, 11, 32, 58, 63, _MASK32))
 
 
@@ -620,29 +619,29 @@ def _add128(a_hi, a_lo, b_hi, b_lo):
 
 @functools.lru_cache(maxsize=8)
 def _pcg64_jumps(steps: int) -> tuple[np.ndarray, ...]:
-    """The high and low uint64 words of M^k and of M^(k-1) + ... + 1 mod 2^128
-    for k = 0..steps, M the PCG64 multiplier, computed with Python ints."""
-    mult, cum, words = 1, 0, [(0, 1, 0, 0)]
+    """The high and low uint64 words of M^(t+2) and of M^(t+1) + ... + 1 mod
+    2^128 for t < steps, M the PCG64 multiplier, computed with Python ints."""
+    mult, cum, words = _PCG_MULT * _PCG_MULT % (1 << 128), _PCG_MULT + 1, []
     for _ in range(steps):
-        mult, cum = mult * _PCG_MULT % (1 << 128), (cum * _PCG_MULT + 1) % (1 << 128)
         words.append((*divmod(mult, 1 << 64), *divmod(cum, 1 << 64)))
-    return tuple(np.array(words, dtype=np.uint64).T)
+        mult, cum = mult * _PCG_MULT % (1 << 128), (cum * _PCG_MULT + 1) % (1 << 128)
+    return tuple(np.array(words, dtype=np.uint64).reshape(-1, 4).T)
 
 
-def _pcg64_outputs(state: np.ndarray, inc: np.ndarray, steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """The next steps outputs of each PCG64 generator, shape (rows, steps), and
-    its state after them, for (rows, 2) uint64 (high, low) words of state and
-    inc. By jump-ahead, k steps take s to M^k s + (M^(k-1) + ... + 1) inc mod
-    2^128; output k is the XSL-RR of state k + 1."""
-    mult_hi, mult_lo, cum_hi, cum_lo = _pcg64_jumps(steps)
-    moved = _mul128(mult_hi, mult_lo, *state.T[:, :, None])
+def _pcg64_at(base: np.ndarray, inc: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Output t of each PCG64 generator, for (rows, 2) uint64 (high, low) words
+    of base and inc and positions t that broadcast against (rows, 1). Seeding
+    leaves the state at M base + inc and each output steps s to M s + inc
+    first, so output t is the XSL-RR of M^(t+2) base + (M^(t+1) + ... + 1) inc."""
+    mult_hi, mult_lo, cum_hi, cum_lo = (w[t] for w in _pcg64_jumps(int(t.max()) + 1 if t.size else 0))
+    moved = _mul128(mult_hi, mult_lo, *base.T[:, :, None])
     hi, lo = _add128(*moved, *_mul128(cum_hi, cum_lo, *inc.T[:, :, None]))
-    x, rot = hi[:, 1:] ^ lo[:, 1:], hi[:, 1:] >> _U58  # XSL-RR: rotate right by the top 6 bits
-    return (x >> rot) | (x << ((np.uint64(64) - rot) & _U63)), np.column_stack([hi[:, -1], lo[:, -1]])
+    x, rot = hi ^ lo, hi >> _U58  # XSL-RR: rotate right by the top 6 bits
+    return (x >> rot) | (x << ((np.uint64(64) - rot) & _U63))
 
 
 def _pcg64_seeded(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(state, inc) of PCG64(SeedSequence(entropy)) for each row of entropy
+    """(base, inc) of PCG64(SeedSequence(entropy)) for each row of entropy
     words (uint32, shape (rows, k)), as (rows, 2) uint64 (high, low) words."""
     const = _INIT_A
     u16 = np.uint32(16)
@@ -676,104 +675,79 @@ def _pcg64_seeded(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         state32.append((v ^ (v >> u16)).astype(np.uint64))
     w = [state32[2 * j] | (state32[2 * j + 1] << _U32) for j in range(4)]
     # pcg64_set_seed: seed = (w0, w1) and initseq = (w2, w3) as (high, low);
-    # inc = 2 initseq + 1, and the state is stepped once from inc + seed
+    # inc = 2 initseq + 1, and base = inc + seed, the state before its one seeding step
     inc = np.stack([(w[2] << _U1) | (w[3] >> _U63), (w[3] << _U1) | _U1], axis=1)
-    return _pcg64_outputs(np.stack(_add128(inc[:, 0], inc[:, 1], w[0], w[1]), axis=1), inc, 1)[1], inc
-
-
-def _pcg64_halves(state: np.ndarray, inc: np.ndarray, steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Advance each PCG64 state by steps outputs; return the new states and
-    the 32-bit halves of the outputs, low half first, shape (rows, 2 steps)."""
-    out, state = _pcg64_outputs(state, inc, steps)
-    halves = out[:, :, None] >> np.array([0, 32], dtype=np.uint64) & _LOW32
-    return state, halves.astype(np.int64).reshape(len(state), -1)
+    return np.stack(_add128(inc[:, 0], inc[:, 1], w[0], w[1]), axis=1), inc
 
 
 def _pcg64_streams(prefixes: list[list[int]], count: int) -> tuple[np.ndarray, np.ndarray]:
-    """(state, inc) of np.random.default_rng(prefixes[i] + [g]) at row i count + g, for g < count,
+    """(base, inc) of np.random.default_rng(prefixes[i] + [g]) at row i count + g, for g < count,
     as (rows, 2) uint64 (high, low) words; a negative key is refused as numpy refuses it."""
     if any(k < 0 for prefix in prefixes for k in prefix):
         raise ValueError("expected non-negative integer")
     # each prefix as SeedSequence reads it: little-endian 32-bit words, at least one per key
     heads = [[k >> 32 * i & _MASK32 for k in prefix for i in range(max(1, -(-k.bit_length() // 32)))]
              for prefix in prefixes]
-    state, inc = np.empty((2, len(heads) * count, 2), dtype=np.uint64)
+    base, inc = np.empty((2, len(heads) * count, 2), dtype=np.uint64)
     for width in set(map(len, heads)):  # SeedSequence mixes the words past its pool by position
         which = [i for i, head in enumerate(heads) if len(head) == width]
         rows = (np.array(which)[:, None] * count + np.arange(count)).reshape(-1)
         words = np.column_stack([np.repeat([heads[i] for i in which], count, axis=0), rows % count])
-        state[rows], inc[rows] = _pcg64_seeded(words.astype(np.uint32))
-    return state, inc
+        base[rows], inc[rows] = _pcg64_seeded(words.astype(np.uint32))
+    return base, inc
 
 
-class _GeneratorStack:
-    """The generators np.random.default_rng(prefix + [g]) for each prefix and
-    g < count, advanced as one stack: row i count + g of state and inc holds
-    the PCG64 state and increment of (prefixes[i], g) as (high, low) uint64
-    words. integers5 draws what each generator's integers(0, 5, size) would,
-    in turn. Like numpy, a draw takes one 32-bit half of an output, and the
-    spare high half carries over to the generator's next call. Lemire's
-    method rejects only a zero half ((2^32 - 5) mod 5 = 1); a generator that
-    meets one is replayed through numpy from then on."""
-
-    def __init__(self, prefixes: list[list[int]], count: int):
-        self.prefixes, self.count = [[int(k) for k in prefix] for prefix in prefixes], count
-        self.state, self.inc = _pcg64_streams(self.prefixes, count)
-        self.carry = np.full(len(self.state), -1, dtype=np.int64)  # the carried half, or -1
-        self.drawn = np.zeros(len(self.state), dtype=np.int64)
-        self.replay: dict[int, np.random.Generator] = {}
-
-    def integers5(self, rows: np.ndarray, count: int) -> np.ndarray:
-        """count draws from each generator in rows (distinct), shape (len(rows), count)."""
-        out = np.empty((len(rows), count), dtype=np.int64)
-        replayed = np.isin(rows, list(self.replay))
-        carried = self.carry[rows] >= 0
-        for has_carry in (False, True):
-            sel = np.nonzero(~replayed & (carried == has_carry))[0]
-            if not len(sel):
-                continue
-            r, need = rows[sel], count - has_carry
-            self.state[r], fresh = _pcg64_halves(self.state[r], self.inc[r], (need + 1) // 2)
-            halves = np.concatenate([self.carry[r, None], fresh], axis=1) if has_carry else fresh
-            self.carry[r] = halves[:, count] if halves.shape[1] > count else -1
-            halves = halves[:, :count]
-            out[sel] = (halves * 5) >> 32
-            for g in r[(halves == 0).any(axis=1)].tolist():
-                rng = np.random.default_rng(self.prefixes[g // self.count] + [g % self.count])
-                rng.integers(0, 5, size=int(self.drawn[g]))
-                self.replay[g] = rng
-        for i in np.nonzero(np.isin(rows, list(self.replay)))[0]:
-            out[i] = self.replay[int(rows[i])].integers(0, 5, size=count)
-        self.drawn[rows] += count
-        return out
+def _integers5(base: np.ndarray, inc: np.ndarray, drawn: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """integers(0, 5, count) of each PCG64 generator after its drawn earlier draws, shape
+    (rows, count), and the rows that met a zero half. Like numpy, draw j takes 32-bit half j of
+    the stream, low half first, and Lemire's method maps it to (5 half) >> 32; it rejects only a
+    zero half ((2^32 - 5) mod 5 = 1), so a flagged row's draws are not numpy's. Each output read
+    serves two draws."""
+    odd = drawn % 2
+    t = (drawn // 2)[:, None] + np.arange((count + 1 + int(odd.any())) // 2)
+    halves = _pcg64_at(base, inc, t)[:, :, None] >> np.array([0, 32], dtype=np.uint64) & _LOW32
+    halves = np.take_along_axis(halves.reshape(len(t), 2 * t.shape[1]), odd[:, None] + np.arange(count), axis=1)
+    halves = halves.astype(np.int64)
+    return (halves * 5) >> 32, (halves == 0).any(axis=1)
 
 
 def _uniform_tables(prefixes: list[list[int]], count: int, size: int) -> np.ndarray:
     """np.random.default_rng(prefixes[i] + [g]).random(size) at row i count + g,
     without numpy.random: each double is (output >> 11) 2^-53, as numpy's."""
     streams = _pcg64_streams([[int(k) for k in prefix] for prefix in prefixes], count)
-    return (_pcg64_outputs(*streams, size)[0] >> _U11) * 2.0**-53
+    return (_pcg64_at(*streams, np.arange(size)) >> _U11) * 2.0**-53
 
 
 def _affine_membership(n: int, gamma: int, master_seed: int, supports) -> list[tuple[np.ndarray, np.ndarray]]:
     """[x in phi_y(T)] and [y in phi'_x(T)] at each point (xs[i], ys[i]) of
     each (seed_index, xs, ys) of supports. phi_g(t) = A t + c is drawn from
     generator g of the seed's table 101 (phi) or 102 (phi'): A by rejection
-    until invertible over F_5, then c. The tables of every seed are one
-    _GeneratorStack, and only the generators the points read are drawn. z is
-    in phi_g(T), T = {t : t_i < 3 for i < gamma}, when the first gamma
-    coordinates of A^-1 (z - c) are all below 3."""
+    until invertible over F_5, then c. Only the generators the points read are
+    drawn, each by position past its own draw count; one whose halves held a
+    zero is redrawn whole through numpy. z is in phi_g(T), T = {t : t_i < 3 for
+    i < gamma}, when the first gamma coordinates of A^-1 (z - c) are all below 3."""
     P = 5**n
-    stack = _GeneratorStack([[master_seed, sidx, tid] for sidx, _, _ in supports for tid in (101, 102)], P)
-    # table j of seed i reads its stack row (2 i + j) P + y (phi) or + x (phi') at the point's x or y
+    keys = [[int(master_seed), int(sidx), tid] for sidx, _, _ in supports for tid in (101, 102)]
+    # table j of seed i reads its generator row (2 i + j) P + y (phi) or + x (phi') at the point's x or y
     gens = np.concatenate([(2 * i + j) * P + g for i, (_, xs, ys) in enumerate(supports) for j, g in enumerate((ys, xs))])
     points = np.concatenate([z for _, xs, ys in supports for z in (xs, ys)])
-    need = np.flatnonzero(np.bincount(gens, minlength=len(stack.state)))
-    inverse, todo = np.empty((len(need), gamma, n), dtype=np.int64), np.arange(len(need))  # by position in need
+    need = np.flatnonzero(np.bincount(gens, minlength=len(keys) * P))
+    base, inc = (w[need] for w in _pcg64_streams(keys, P))
+    drawn, redraw = np.zeros(len(need), dtype=np.int64), np.zeros(len(need), dtype=bool)  # by position in need
+    inverse, todo = np.empty((len(need), gamma, n), dtype=np.int64), np.arange(len(need))
     while len(todo):
-        invertible, inv = inverse_stack(stack.integers5(need[todo], n * n).reshape(-1, n, n), P5)
-        inverse[todo], todo = inv[:, :gamma], todo[~invertible]
-    at, c = np.searchsorted(need, gens), stack.integers5(need, n)
+        A, zero = _integers5(base[todo], inc[todo], drawn[todo], n * n)
+        drawn[todo] += n * n
+        redraw[todo] = zero
+        invertible, inv = inverse_stack(A.reshape(-1, n, n), P5)
+        inverse[todo], todo = inv[:, :gamma], todo[~invertible & ~zero]
+    c, zero = _integers5(base, inc, drawn, n)
+    for i in np.flatnonzero(redraw | zero).tolist():
+        rng, invertible = np.random.default_rng(keys[need[i] // P] + [int(need[i] % P)]), [False]
+        while not invertible[0]:
+            invertible, inv = inverse_stack(rng.integers(0, 5, (1, n, n)), P5)
+        inverse[i], c[i] = inv[0, :gamma], rng.integers(0, 5, n)
+    at = np.searchsorted(need, gens)
     t = np.einsum("kij,kj->ki", inverse[at], digit_table(P5, n)[points] - c[at]) % P5
     found = np.split((t < 3).all(axis=1), np.cumsum([len(xs) for _, xs, _ in supports for _ in (101, 102)])[:-1])
     return list(zip(found[0::2], found[1::2]))
@@ -792,7 +766,7 @@ def assembly_subchecks() -> dict:
     }
 
 
-_STACK_ROWS = 2**14  # generator rows of one _GeneratorStack; the seeds of a stack share its numpy calls
+_STACK_ROWS = 2**14  # generator rows of one _affine_membership call, which bounds its arrays at n = 5
 
 
 def final_assembly(core: CexCore, h: Hypergraphon, params: DressingParams, seed_index: int = 0,

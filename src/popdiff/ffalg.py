@@ -223,11 +223,19 @@ def _as_stack(A: np.ndarray, p: int) -> np.ndarray:
     return np.ascontiguousarray(A.transpose(1, 2, 0), dtype=np.min_scalar_type(p * p))
 
 
+def _exact_rows(rows) -> np.ndarray:
+    """rows as an array, kept as Python ints where numpy would hold them past
+    int64: as uint64 (ints in [2^63, 2^64)) or rounded to float64 (such ints
+    among others in one list)."""
+    A = np.asarray(rows)
+    return np.array(rows, dtype=object) if A.dtype.kind == "f" or A.dtype == np.uint64 else A
+
+
 def rref(rows, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Reduced row echelon form over F_p of a matrix given by its rows (a
     list of lists or a 2-d integer array). Returns (nonzero rows, pivot
     columns): an int64 array of shape (rank, cols) and one of length rank."""
-    M, rank = _rref_stack(_as_stack(np.atleast_2d(rows), p), p)  # [] as one row of no columns
+    M, rank = _rref_stack(_as_stack(np.atleast_2d(_exact_rows(rows)), p), p)  # [] as one row of no columns
     red = M[: rank[0], :, 0].astype(np.int64)
     # entries are non-negative, so a row's cumulative sum is 0 exactly on its leading zeros
     return red, (red.cumsum(axis=1) == 0).sum(axis=1)
@@ -237,7 +245,7 @@ def rank_stack(A, p: int) -> np.ndarray:
     """Ranks over F_p of a stack of integer matrices, shape (..., r, c); an
     int64 array of the stack's shape."""
     validate_odd_prime(p)
-    A = np.asarray(A)
+    A = _exact_rows(A)
     if A.ndim < 2:
         raise DimensionMismatch("rank_stack needs a stack of matrices")
     return _rref_stack(_as_stack(A, p), p)[1].reshape(A.shape[:-2])
@@ -255,7 +263,7 @@ def nullspace(rows, p: int, ncols: int | None = None) -> np.ndarray:
         if not len(rows):
             raise ValueError("ncols required for an empty constraint system")
         ncols = len(rows[0])
-    red, pivots = rref(np.reshape(rows, (len(rows), ncols)), p)
+    red, pivots = rref(np.reshape(_exact_rows(rows), (len(rows), ncols)), p)
     free = np.delete(np.arange(ncols), pivots)
     basis = np.eye(ncols, dtype=np.int64)[free]
     basis[:, pivots] = -red[:, free].T % p
@@ -287,7 +295,7 @@ def inverse_stack(A, p: int) -> tuple[np.ndarray, np.ndarray]:
     [A | I] that seeks pivots in the A half only: A is invertible exactly
     when it has n pivots, and then the I half is A^-1."""
     validate_odd_prime(p)
-    A = np.asarray(A)
+    A = _exact_rows(A)
     if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
         raise DimensionMismatch("inverse_stack needs a stack of square matrices")
     n = A.shape[-1]

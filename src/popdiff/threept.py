@@ -365,6 +365,8 @@ def lift_to_interval(A, N: int, M1, M2, epsilon: float, guard: int = DEFAULT_GUA
     for a, pt in zip(A, pts):
         if len(pt) != k:
             raise DimensionMismatch(f"point {a} does not have the k = {k} coordinates of the first point")
+        if not all(1 <= v <= N for v in pt):
+            raise ValueError(f"point {a} lies outside [1, N]^k for N = {N}, k = {k}")
     M1r, M2r = _square_rows(M1, k, "M1"), _square_rows(M2, k, "M2")
 
     eps_eff = float(epsilon)

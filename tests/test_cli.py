@@ -518,6 +518,9 @@ MISSING_OR_MALFORMED = [
     (["threept", "lift", "--N", "30", "--A", "@points2d"], ["M1 = 1", "2 x 2"]),
     (["threept", "lift", "--N", "30", "--A", "@ragged"], ["point [3, 4]"]),
     (["threept", "lift", "--N", "0", "--A", "@ragged"], ["N = 0"]),
+    (["threept", "lift", "--N", "40", "--eps", "0.3", "--A", "@outside"], ["point 61", "N = 40"]),
+    (["check", "--spec", "@k2-1x1"], ["--spec", "@k2-1x1", "k x k"]),
+    (["threept", "count", "--group", "@group-k2-1x1"], ["--group", "@group-k2-1x1", "2 x 2"]),
     (["threept", "lift", "--N", "20", "--eps", "0"], ["epsilon = 0.0"]),
     (["threept", "lift", "--eps", "-1"], ["epsilon = -1.0"]),
     (["threept", "lift", "--eps", "-0.5"], ["epsilon = -0.5"]),
@@ -541,7 +544,9 @@ MISSING_OR_MALFORMED = [
 def test_missing_or_malformed_input_is_one_error_line(capsys, tmp_path, argv, names):
     files = {"p5": {"p": 5}, "pair": [1, 2], "zn": {"kind": "Z_N", "N": 61, "M1": 2, "M2": 3}, "kind-foo": {"kind": "foo"},
              "scalar": {"p": 5, "k": 1, "M1": [[1]], "M2": [[2]]}, "float-k": {"p": 5, "k": 1.0, "M1": [[1]], "M2": [[2]]},
-             "points2d": [[1, 2], [3, 4], [5, 6]], "ragged": [[1], [3, 4]],
+             "points2d": [[1, 2], [3, 4], [5, 6]], "ragged": [[1], [3, 4]], "outside": [61, 21, 22],
+             "k2-1x1": {"p": 5, "k": 2, "M1": [[1]], "M2": [[2]]},
+             "group-k2-1x1": {"kind": "vector", "p": 3, "k": 2, "n": 2, "M1": [[1]], "M2": [[2]]},
              "factor": {"p": 3, "n": 3, "b1": [[1, 0, 0]], "b2": [[[1, 0, 0], [0, 1, 0], [0, 0, 1]]], "b3": []}}
     paths = {name: str(tmp_path / f"{name}.json") for name in files}
     for name, obj in files.items():

@@ -41,7 +41,7 @@ from popdiff.counterexample import (
     unique_triangle_check,
 )
 import popdiff.counterexample as cex
-from popdiff.counterexample import _GeneratorStack, _affine_membership, _uniform_tables
+from popdiff.counterexample import _affine_membership, _integers5, _pcg64_streams, _uniform_tables
 
 from oracles import (
     build_f1,
@@ -357,35 +357,41 @@ def _membership_masks(n, gamma, master_seed, seed_index, order=None):
 
 
 @given(st.integers(1, 4).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
-       st.integers(0, 2**32 - 1), st.integers(0, 50), st.randoms(use_true_random=False))
+       st.integers(0, 2**32 - 1), st.integers(0, 50), st.integers(0, 2**32 - 1))
 @settings(max_examples=15, deadline=None)
-def test_membership_masks_match_inverse_oracle(shape, master_seed, seed_index, rnd):
+def test_membership_masks_match_inverse_oracle(shape, master_seed, seed_index, shuffle_seed):
     n, gamma = shape
-    order = list(range(25**n))
-    rnd.shuffle(order)  # the query reads each point's own generator, in any order
+    # the query reads each point's own generator, in any order; a shuffle of
+    # 25^n points drawn from Hypothesis itself would overrun its data at n = 4
+    order = np.random.default_rng(shuffle_seed).permutation(25**n)
     got = _membership_masks(n, gamma, master_seed, seed_index, order)
     want = membership_masks_by_inverse(n, gamma, master_seed, seed_index)
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and np.array_equal(g, w)
 
 
-STREAM_KEYS = [0, 2**32 - 1, 2**32 + 3, 2**64 + 5]
+# keys of one, two and three 32-bit words
+STREAM_KEYS = [0, 7, 2**32 - 1, 2**32 + 3, 2**64 + 5, 2**96 - 1]
 
 
-@given(st.lists(st.sampled_from(STREAM_KEYS), min_size=1, max_size=4), st.integers(1, 12), st.data())
+@given(st.lists(st.lists(st.sampled_from(STREAM_KEYS), min_size=1, max_size=3), min_size=1, max_size=3),
+       st.integers(1, 6), st.data())
 @settings(max_examples=30, deadline=None)
-def test_generator_stack_matches_numpy_streams(key, count, data):
-    # odd and even draw sizes in turn, so a carried half opens some draws
+def test_integers5_matches_numpy_streams(prefixes, count, data):
+    # several prefixes share each call; odd and even sizes in turn leave some
+    # rows at odd offsets and some at even ones, so one call reads both
     odd, even = 2 * data.draw(st.integers(0, 4)) + 1, 2 * data.draw(st.integers(1, 4))
-    sizes = data.draw(st.permutations([odd, even] + data.draw(st.lists(st.integers(1, 9), max_size=3))))
-    stack = _GeneratorStack([key], count)
-    rngs = [np.random.default_rng(key + [g]) for g in range(count)]
+    sizes = data.draw(st.permutations([odd, even] + data.draw(st.lists(st.integers(0, 9), max_size=3))))
+    base, inc = _pcg64_streams(prefixes, count)
+    rngs = [np.random.default_rng(prefix + [g]) for prefix in prefixes for g in range(count)]
+    drawn = np.zeros(len(rngs), dtype=np.int64)
     for size in sizes:
-        rows = np.array(sorted(data.draw(st.sets(st.integers(0, count - 1), min_size=1))))
-        want = np.stack([rngs[g].integers(0, 5, size=size) for g in rows])
-        got = stack.integers5(rows, size)
+        rows = np.array(sorted(data.draw(st.sets(st.integers(0, len(rngs) - 1), min_size=1))))
+        got, zero = _integers5(base[rows], inc[rows], drawn[rows], size)
+        drawn[rows] += size
+        want = np.stack([rngs[r].integers(0, 5, size=size) for r in rows])
         assert got.dtype == want.dtype and np.array_equal(got, want)
-    assert not stack.replay
+        assert zero.dtype == bool and not zero.any()
 
 
 @given(st.sampled_from([0, 7, 2**32 - 1, 2**32 + 3, 2**64 + 5]),
@@ -394,52 +400,89 @@ def test_generator_stack_matches_numpy_streams(key, count, data):
        st.integers(1, 9), st.data())
 @settings(max_examples=30, deadline=None)
 def test_multi_prefix_stack_matches_numpy_row_by_row(master_seed, tables, count, data):
-    # seed indices of one and two 32-bit words share a stack with both tables;
-    # row i count + g is seeded as default_rng(prefixes[i] + [g]) and draws as it
+    # seed indices of one and two 32-bit words share a stack of generator rows
+    # with both tables; row i count + g is seeded as default_rng(prefixes[i] + [g]),
+    # whose state is M base + inc, and draws as it
     prefixes = [[master_seed, sidx, tid] for sidx, tid in tables]
-    stack = _GeneratorStack(prefixes, count)
+    base, inc = _pcg64_streams(prefixes, count)
     rngs = [np.random.default_rng(prefix + [g]) for prefix in prefixes for g in range(count)]
     for row, rng in enumerate(rngs):
         want = rng.bit_generator.state["state"]
-        assert [int(w[row, 0]) << 64 | int(w[row, 1]) for w in (stack.state, stack.inc)] == [want["state"], want["inc"]]
-    for size in data.draw(st.lists(st.integers(1, 9), min_size=1, max_size=4)):  # odd sizes carry a half
+        b, i = (int(w[row, 0]) << 64 | int(w[row, 1]) for w in (base, inc))
+        assert [(cex._PCG_MULT * b + i) % 2**128, i] == [want["state"], want["inc"]]
+    drawn = np.zeros(len(rngs), dtype=np.int64)
+    for size in data.draw(st.lists(st.integers(1, 9), min_size=1, max_size=4)):  # odd sizes leave odd offsets
         rows = np.array(sorted(data.draw(st.sets(st.integers(0, len(rngs) - 1), min_size=1))))
+        got, zero = _integers5(base[rows], inc[rows], drawn[rows], size)
+        drawn[rows] += size
         want = np.stack([rngs[r].integers(0, 5, size=size) for r in rows])
-        assert np.array_equal(stack.integers5(rows, size), want)
-    assert not stack.replay
+        assert np.array_equal(got, want) and not zero.any()
 
 
-def _zero_half_at(monkeypatch, position):
-    """Make the first kernel step return a zero at one half of its first row."""
-    real, calls = cex._pcg64_halves, []
+def _zero_half(monkeypatch, base_row, position):
+    """Make every output that _pcg64_at reads of the generator with base words
+    base_row hold a zero at 32-bit half position of its stream."""
+    real = cex._pcg64_at
 
-    def forced(state, inc, steps):
-        state, halves = real(state, inc, steps)
-        if not calls:
-            halves[0, position] = 0
-        calls.append(steps)
-        return state, halves
+    def forced(base, inc, t):
+        out = real(base, inc, t)
+        hit = (base == base_row).all(axis=1)[:, None] & (np.broadcast_to(t, out.shape) == position // 2)
+        out[hit] &= ~np.uint64(cex._MASK32 << 32 * (position % 2))
+        return out
 
-    monkeypatch.setattr(cex, "_pcg64_halves", forced)
+    monkeypatch.setattr(cex, "_pcg64_at", forced)
 
 
-@pytest.mark.parametrize("position", [0, 2, 3])  # drawn halves, then the carried one
-def test_generator_stack_replays_a_zero_half_through_numpy(monkeypatch, position):
-    _zero_half_at(monkeypatch, position)
-    # row 7, the first row of the first draw, is generator 2 of the second prefix
+@pytest.mark.parametrize("position", [0, 1, 2, 3, 4, 8])
+def test_integers5_flags_a_zero_half(monkeypatch, position):
+    # row 7, the first row of the first draw, is generator 2 of the second
+    # prefix, whose calls draw halves 0-2, 3-6, 7 and 8-9: position 3 is the
+    # half that the first call leaves unread. Only the call whose halves hold
+    # the zero flags the row, and every other row draws what numpy draws
     prefixes, count = [[2**32 + 3, 1, 101], [2**32 + 3, 1, 102]], 5
-    stack = _GeneratorStack(prefixes, count)
+    base, inc = _pcg64_streams(prefixes, count)
+    _zero_half(monkeypatch, base[7], position)
     rngs = [np.random.default_rng(prefix + [g]) for prefix in prefixes for g in range(count)]
+    drawn, flagged = np.zeros(len(rngs), dtype=np.int64), []
     for size, rows in ((3, [7, 0, 1, 2, 3, 4]), (4, [7, 2]), (1, [0, 1, 7, 3, 4]), (2, [1, 7])):
-        want = np.stack([rngs[g].integers(0, 5, size=size) for g in rows])
-        assert np.array_equal(stack.integers5(np.array(rows), size), want)
-    assert list(stack.replay) == [7]
+        rows = np.array(rows)
+        got, zero = _integers5(base[rows], inc[rows], drawn[rows], size)
+        met = drawn[7] <= position < drawn[7] + size
+        drawn[rows] += size
+        want = np.stack([rngs[r].integers(0, 5, size=size) for r in rows])
+        assert zero.tolist() == [r == 7 and met for r in rows.tolist()]
+        assert np.array_equal(got[~zero], want[~zero])
+        flagged.append(bool(zero.any()))
+    assert sum(flagged) == 1
 
 
-def test_membership_masks_after_a_zero_half(monkeypatch):
-    _zero_half_at(monkeypatch, 1)
-    for got, want in zip(_membership_masks(3, 1, 9, 2), membership_masks_by_inverse(3, 1, 9, 2)):
-        assert np.array_equal(got, want)
+def test_membership_masks_after_a_zero_half():
+    # a zero half in the first A round, in the second and in the c draw: the
+    # generator that met it is redrawn whole through numpy, and the masks are
+    # the oracle's
+    want, real_rng = membership_masks_by_inverse(3, 1, 9, 2), np.random.default_rng
+    with pytest.MonkeyPatch.context() as m:
+        calls, real = [], cex._pcg64_at
+        m.setattr(cex, "_pcg64_at", lambda base, inc, t: calls.append(len(base)) or real(base, inc, t))
+        _membership_masks(3, 1, 9, 2)
+    assert len(calls) >= 3  # A rounds, then c
+    for call in (1, 2, len(calls)):
+        with pytest.MonkeyPatch.context() as m:
+            made, seen = [], []
+
+            def forced(base, inc, t):
+                out = real(base, inc, t)
+                seen.append(len(base))
+                if len(seen) == call:
+                    out[0, 0] = 0  # output drawn // 2 of the first row holds its first draw of this call
+                return out
+
+            m.setattr(cex, "_pcg64_at", forced)
+            m.setattr(np.random, "default_rng", lambda *args: made.append(args) or real_rng(*args))
+            got = _membership_masks(3, 1, 9, 2)
+        assert len(made) == 1
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
 
 
 @pytest.mark.parametrize("gamma", [1, 2, 3])
@@ -462,13 +505,14 @@ def test_membership_masks_construct_no_generator(monkeypatch):
 def test_membership_draws_only_the_generators_it_reads(monkeypatch):
     # the point (x, y) reads generator y of table 101 and generator x of table
     # 102; a query at a few points equals the full masks there
-    drawn, real = set(), _GeneratorStack.integers5
+    base, _ = _pcg64_streams([[5, 1, 101], [5, 1, 102]], 125)
+    which, drawn, real = {tuple(w): (101 + r // 125, r % 125) for r, w in enumerate(base.tolist())}, set(), _integers5
 
-    def spy(self, rows, count):
-        drawn.update((self.prefixes[r // self.count][2], r % self.count) for r in rows.tolist())
-        return real(self, rows, count)
+    def spy(base, inc, done, count):
+        drawn.update(which[tuple(w)] for w in base.tolist())
+        return real(base, inc, done, count)
 
-    monkeypatch.setattr(_GeneratorStack, "integers5", spy)
+    monkeypatch.setattr(cex, "_integers5", spy)
     xs, ys = np.array([0, 7, 7, 124, 60]), np.array([3, 3, 99, 0, 60])
     got = _affine_membership(3, 2, 5, [(1, xs, ys)])[0]
     assert drawn == {(101, y) for y in ys.tolist()} | {(102, x) for x in xs.tolist()}
@@ -770,16 +814,16 @@ def test_cex_report_across_stacks_matches_per_seed_assembly(monkeypatch, n):
     core, h = build_core(), Hypergraphon(7, ap3_free_set(7, "exhaustive-max"))
     params = DressingParams(seed=2**32 + 3, n=n, gamma=1)
     singles = [final_assembly(core, h, params, sidx) for sidx in range(7)]
-    stacks, real_init = [], _GeneratorStack.__init__
-    monkeypatch.setattr(_GeneratorStack, "__init__",
-                        lambda self, prefixes, count: stacks.append(len(prefixes)) or real_init(self, prefixes, count))
+    stacks, real = [], _affine_membership
+    monkeypatch.setattr(cex, "_affine_membership",
+                        lambda n, gamma, seed, supports: stacks.append(len(supports)) or real(n, gamma, seed, supports))
     for per_stack in (1, 2, 3):
         monkeypatch.setattr(cex, "_STACK_ROWS", per_stack * 2 * 5**n + 1)
         for seeds in range(1, 8):
             stacks.clear()
             assert assemble_seeds(core, h, params, range(seeds)) == singles[:seeds]
             full, rest = divmod(seeds, per_stack)
-            assert stacks == [2 * per_stack] * full + [2 * rest] * (rest > 0)
+            assert stacks == [per_stack] * full + [rest] * (rest > 0)
             ratios = [math.inf if s["max_ratio_to_alpha4"] is None else s["max_ratio_to_alpha4"] for s in singles[:seeds]]
             quantiles = [min(ratios), float(np.median(ratios)), max(ratios)]
             assert cex_report(core, h, params, seeds)["monte_carlo"] == {

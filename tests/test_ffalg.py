@@ -187,6 +187,7 @@ _ENTRY = st.one_of(st.integers(-3, 3), st.integers(-(2**70), 2**70))
 @example(5, (3, []))  # an empty system on F_5^3
 @example(7, (0, [[], []]))  # an operator on zero generators
 @example(999983, (3, [[2**64 + 1, -3, 10**30], [2 * (2**64 + 1), -6, 2 * 10**30]]))  # entries past int64
+@example(3, (5, [[0, 0, 0, 0, 0], [0, 0, 0, 0, 2**63 + 1]]))  # an entry that numpy holds as uint64
 @settings(max_examples=150, deadline=None)
 def test_rref_and_nullspace_match_list_oracles(p, system):
     ncols, rows = system
