@@ -54,7 +54,11 @@ translates are gathered and packed), Z_10007, F_3^6 and F_3^7, `threept lift` at
 one-point set [1]) and N = 2, whose windows hold no odd prime until they
 widen, and at N = 40 on A = [61, 21, 22], whose point 61 lies outside
 [1, 40] (a deliberate output change: older trees report audit_ok false and
-exit 2, newer ones end in one JSON error line), `threept decompose` on Z_61
+exit 2, newer ones end in one JSON error line), `threept lift --N 40 --eps
+0.2 --M1 1 --M2 21 --density 0.55 --seed 1` (a deliberate output change:
+21 d wraps mod 41, so trees that audit the integer triples x + M_i d report
+audit_ok false and exit 2 where older ones exit 0) and `threept lift --N 2000
+--eps 0.2 --density 0.55`, `threept decompose` on Z_61
 and F_3^6 (the inverse transform), and `threept count` on F_3^6; input errors
 that must end in one JSON error line, PLGF files holding inf or nan, two
 groups of unknown kind, one with no other field, and an `equidist --mode
@@ -64,7 +68,13 @@ two malformed vector groups in `threept bohr`/`search` (n = -2) and
 against trees that predate their typed errors: the first ended in a raw
 TypeError traceback, the second in numpy's reshape error; the second's
 message also changes against trees whose typed builder errors do not name
-the flag and the file;
+the flag and the file; non-finite flags, each a deliberate output change
+from a raw OverflowError traceback to one JSON error line naming the
+parameter (`popular --eps inf` and `--eps 1e400` in the exact backend,
+`threept bohr`/`count --delta inf`, `threept lift --eps inf`), and `threept
+lift --eps 1e308 --N 10`, whose traceback became a report; a `threept lift
+--A` document [1, 2.5], a deliberate output change from a raw TypeError
+traceback to one JSON error line naming --A;
 and one guard refusal per check the CLI reaches, at a `--guard` one below
 its estimate: `popular`, recursive and direct `gowers`, `equidist` linquad,
 tuple and abstract, `cex eight-tuple`, `dress`, `assemble` and `report`, and
@@ -141,7 +151,7 @@ GROUPS = {
     "group-k2-1x1": {"kind": "vector", "p": 3, "k": 2, "n": 2, "M1": [[1]], "M2": [[2]]},
 }
 
-POINTS = {"one-point": [1], "outside-40": [61, 21, 22]}
+POINTS = {"one-point": [1], "outside-40": [61, 21, 22], "float-point": [1, 2.5]}
 
 # grid functions on (F_5^2)^2, the rotated squares' grid, and the PLGF kind byte of each value kind
 FN_SHAPE = (5, 2, 2)
@@ -297,6 +307,18 @@ def invocations(refs: dict) -> list[list[str]]:
         ["threept", "lift", "--N", "1", "--A", "@one-point"],
         ["threept", "lift", "--N", "2", "--eps", "0.1"],
         ["threept", "lift", "--N", "40", "--eps", "0.3", "--A", "@outside-40"],
+        # M2 = 21 at p = 41 wraps: the integer triples leave the box (a deliberate output change)
+        ["threept", "lift", "--N", "40", "--eps", "0.2", "--M1", "1", "--M2", "21", "--density", "0.55", "--seed", "1"],
+        ["threept", "lift", "--N", "2000", "--eps", "0.2", "--density", "0.55"],
+        # non-finite flags and a malformed --A: once tracebacks, now one JSON error line,
+        # and a huge finite eps, once a traceback, now a report
+        ["popular", "--spec", "@scalar-p5", "--eps", "inf"],
+        ["popular", "--spec", "@scalar-p5", "--eps", "1e400"],
+        ["threept", "bohr", "--group", "@group", "--delta", "inf"],
+        ["threept", "count", "--group", "@group", "--delta", "inf"],
+        ["threept", "lift", "--eps", "inf"],
+        ["threept", "lift", "--eps", "1e308", "--N", "10"],
+        ["threept", "lift", "--N", "10", "--A", "@float-point"],
         ["threept", "decompose", "--group", "@group"],
         ["gowers", "--p", "3", "--n", "5", "--s", "3", "--seed", "1"],
         ["gowers", "--p", "7", "--n", "2", "--s", "3", "--seed", "2"],

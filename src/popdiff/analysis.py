@@ -17,7 +17,7 @@ import numpy as np
 
 from . import DEFAULT_GUARD
 from ._grid import Translates, add_table, decode_digits, dft, digit_table, encode_digits, encode_index, linear_digits, linear_perm, pack_rows
-from .errors import FLOAT_MAX, DimensionMismatch, NotAutomorphism, NotMeasurable, TooLarge, check_guard, float_range_error
+from .errors import FLOAT_MAX, DimensionMismatch, NotAutomorphism, NotMeasurable, TooLarge, check_guard, finite, float_range_error
 from .ffalg import FpMatrix, is_invertible, row_space_rank
 from .gridfn import (
     COMPLEX,
@@ -241,7 +241,7 @@ def popular_search(
     check_guard("p^(2kn)", P * P, guard)
     alpha = f.mean()
     exact = f.kind == RATIONAL
-    threshold = alpha**points - (Fraction(epsilon).limit_denominator(10**9) if exact else epsilon)
+    threshold = alpha**points - (Fraction(finite("epsilon", epsilon)).limit_denominator(10**9) if exact else epsilon)
     sums, den = _pattern_sums(f, mats, range(P), guard)
     betas = [Fraction(s, den * P) for s in sums] if exact else [s / P for s in sums]
     return popular_report(betas, alpha, threshold, points, epsilon, exact)

@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import DEFAULT_GUARD, __version__
-from .errors import CheckFailed, PopdiffError, TooLarge, check_guard, is_int_tree
+from .errors import CheckFailed, PopdiffError, TooLarge, check_guard, finite, is_int_tree
 from .ffalg import FpMatrix
 from .gridfn import (
     FLOAT,
@@ -236,7 +236,7 @@ def _cmd_threept(args):
     if args.tp_op != "lift":
         g = _load_json(args, "group", tp.FiniteGroupSpec, guard=args.guard)
     if args.tp_op in ("bohr", "count"):
-        B = tp.bohr_set(g, _int_lists(args, "S"), Fraction(args.delta).limit_denominator(10**9))
+        B = tp.bohr_set(g, _int_lists(args, "S"), Fraction(finite("delta", args.delta)).limit_denominator(10**9))
     if args.tp_op == "bohr":
         return {"members": list(B.members), "measure": B.measure, "S": list(B.S)}, True
     if args.tp_op == "count":
@@ -264,6 +264,8 @@ def _cmd_threept(args):
     if args.tp_op == "lift":
         if args.A:
             A = _load_json(args, "A")
+            if not (is_int_tree(A, 1) or is_int_tree(A, 2)):
+                raise ValueError(f"--A {args.A}: expected a JSON list of integers or of lists of integers")
         else:
             A = [int(x) + 1 for x in np.nonzero(_coin_flips(args, args.N))[0]]
         rep = tp.lift_to_interval(A, args.N, args.M1, args.M2, args.eps, guard=args.guard)

@@ -1,5 +1,6 @@
 """Exception types shared across the package, and the checks that raise them."""
 
+import math
 import sys
 
 FLOAT_MAX = sys.float_info.max
@@ -83,6 +84,13 @@ def float_range_error(formula: str, log10_estimate: float) -> TooLarge:
     """The refusal of a float computation whose estimate, given by its base-10 logarithm, passes the float range."""
     mantissa, exponent = 10 ** (log10_estimate % 1), int(log10_estimate)
     return too_large(formula, f"{mantissa:.3g}e+{exponent}", f"{FLOAT_MAX:.6g}")
+
+
+def finite(name: str, value: float) -> float:
+    """value, when it is finite; else a ValueError naming the parameter."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {name} = {value}")
+    return value
 
 
 def is_int_tree(value, depth: int) -> bool:

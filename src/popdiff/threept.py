@@ -18,7 +18,7 @@ import numpy as np
 from . import DEFAULT_GUARD
 from ._grid import Translates, add_index, add_perm as shift_perm, dft, digit_table, encode_digits, linear_perm
 from .analysis import FLOAT_SLACK, PatternCountReport, pattern_sums, popular_report
-from .errors import DimensionMismatch, NonConvergent, NotAutomorphism, check_guard, ensure, int_field
+from .errors import DimensionMismatch, NonConvergent, NotAutomorphism, check_guard, ensure, finite, int_field
 from .ffalg import FpMatrix, is_invertible, is_odd_prime
 from .gridfn import grid_size
 
@@ -346,15 +346,19 @@ def _square_rows(M, k: int, name: str) -> list[list[int]]:
 
 def lift_to_interval(A, N: int, M1, M2, epsilon: float, guard: int = DEFAULT_GUARD) -> dict:
     """Popular-difference search for A inside the integer box [N]^k, via the
-    embedding into (Z/pZ)^k for the least odd prime N < p < (1 + eps/k) N.
+    embedding into (Z/pZ)^k for the least odd prime p in (N, (1 + eps/k) N],
+    eps doubling while that window holds none and eps/k < 1.
 
     Differences are restricted to the Bohr set on the 2k coordinate
-    functionals of M1, M2 with radius eps/(2k); points too close to the box
-    boundary are discarded, and every returned triple is audited to lie in
-    [N]^k with all three points in A.
+    functionals of M1, M2 with radius eps/(2k), and points too close to the
+    box boundary are discarded. Each difference d is lifted to its
+    least-magnitude integer digits, and every hit mod p is audited as the
+    integer triple (x, x + M1 d, x + M2 d): all three points must lie in
+    [1, N]^k and in A.
     """
     if not epsilon > 0:  # NaN too; the window search doubles epsilon until it holds an odd prime
         raise ValueError(f"epsilon must be positive, got epsilon = {epsilon}")
+    eps_eff = finite("epsilon", float(epsilon))
     A = list(A)
     if not A:
         raise ValueError("A must be nonempty")
@@ -369,75 +373,55 @@ def lift_to_interval(A, N: int, M1, M2, epsilon: float, guard: int = DEFAULT_GUA
             raise ValueError(f"point {a} lies outside [1, N]^k for N = {N}, k = {k}")
     M1r, M2r = _square_rows(M1, k, "M1"), _square_rows(M2, k, "M2")
 
-    eps_eff = float(epsilon)
-    widened = False
-    while True:
-        lo, hi = N, math.floor((1 + eps_eff / k) * N)
-        p = next((q for q in range(lo + 1, hi + 1) if is_odd_prime(q)), None)
-        if p is not None:
-            break
-        widened = True
+    # p is the least odd prime above N; eps doubles until the window
+    # (N, (1 + eps/k) N] holds p or eps/k reaches 1. The comparisons are in
+    # floats: an integer c is at most floor(y) exactly when c <= y.
+    p = next(q for q in range(N + 1, 2 * N + 2) if is_odd_prime(q))
+    while p > (1 + eps_eff / k) * N:
         eps_eff *= 2
         if eps_eff / k >= 1:
-            p = next(q for q in range(N + 1, 2 * N + 2) if is_odd_prime(q))
             break
     check_guard("p^k", p**k, guard)
     # FiniteGroupSpec rejects M1, M2 or M1 - M2 singular mod p (so also over Q)
     group = FiniteGroupSpec("vector", p=p, k=k, n=1, M1=M1r, M2=M2r, guard=guard)
     in_A = np.zeros(group.size, dtype=bool)
     in_A[encode_digits(np.array(pts, dtype=np.int64), p)] = True
-    A_set = set(pts)
 
-    S0 = sorted(set(int(x) for x in encode_digits(np.array(M1r + M2r, dtype=np.int64), p)))
+    S0 = sorted(set(int(x) for x in encode_digits(np.concatenate([group.M1.array, group.M2.array]), p)))
     delta0 = Fraction(1, 1) * Fraction(eps_eff).limit_denominator(10**6) / (2 * k)
     delta0 = min(delta0, Fraction(1, 2))
     B = bohr_set(group, S0, delta0)
 
     digs = digit_table(p, k)
-    lo_band = math.ceil(eps_eff / k * p)
-    hi_band = math.floor((1 - eps_eff / k) * p)
-    x_all = np.arange(group.size)
-    band = np.all((digs >= lo_band) & (digs <= hi_band), axis=1)
-
-    def signed(v: int) -> int:
-        return v - p if v > p // 2 else v
-
-    best = {"d": None, "count": -1, "triples": []}
-    audit_total = 0
-    audit_pass = 0
+    band = np.all((digs >= eps_eff / k * p) & (digs <= (1 - eps_eff / k) * p), axis=1)
+    lifts = np.where(digs > p // 2, digs - p, digs)  # the least-magnitude integer of each digit
+    M_int = np.array([M1r, M2r], dtype=object)  # exact, whatever the size of the entries
     tr = group.translates(in_A)
-    m1, m2 = group.apply(1, x_all), group.apply(2, x_all)
-    for d in B.members:
-        if d == 0:
-            continue
-        m1d, m2d = int(m1[d]), int(m2[d])
-        ok = tr.base & tr.at(m1d) & tr.at(m2d) & band
-        xs = x_all[ok]
-        m1_shift = [signed(int(v)) for v in digs[m1d]]
-        m2_shift = [signed(int(v)) for v in digs[m2d]]
-        triples = []
-        good = 0
-        for x in xs:
-            base = tuple(int(c) for c in digs[x])
-            t1 = tuple(c + s for c, s in zip(base, m1_shift))
-            t2 = tuple(c + s for c, s in zip(base, m2_shift))
-            audit_total += 1
-            if all(1 <= c <= N for c in base + t1 + t2) and base in A_set and t1 in A_set and t2 in A_set:
-                audit_pass += 1
-                good += 1
-                triples.append((base, t1, t2))
-        if good > best["count"]:
-            best = {"d": [signed(int(v)) for v in digs[d]], "count": good, "triples": triples[:10]}
+    nonzero = np.array(B.members[1:], dtype=np.int64)  # members ascend from 0
+    best_d, best_count, samples = None, -1, np.zeros((0, 3, k), dtype=np.int64)
+    audit_total = audit_pass = 0
+    for d, m1d, m2d in zip(lifts[nonzero].tolist(), group.apply(1, nonzero), group.apply(2, nonzero)):
+        # a shift of N or more takes every point of the box out of it, so
+        # clipping there keeps the triples in int64
+        shifts = np.clip(M_int @ d, -N, N).astype(np.int64)
+        hits = np.nonzero(tr.base & tr.at(int(m1d)) & tr.at(int(m2d)) & band)[0]
+        triples = digs[hits, None, :] + np.concatenate([np.zeros((1, k), dtype=np.int64), shifts])
+        good = np.all((triples >= 1) & (triples <= N), axis=(1, 2)) & in_A[encode_digits(triples, p)].all(axis=1)
+        count = int(good.sum())
+        audit_total += len(hits)
+        audit_pass += count
+        if count > best_count:
+            best_d, best_count, samples = d, count, triples[good][:10]
     return {
         "p": p,
         "k": k,
         "epsilon_effective": eps_eff,
-        "widened": widened,
+        "widened": eps_eff != epsilon,
         "bohr_size": len(B.members),
-        "best_d": best["d"],
-        "best_count": best["count"] if best["count"] >= 0 else 0,
+        "best_d": best_d,
+        "best_count": max(best_count, 0),
         "audit_total": audit_total,
         "audit_pass": audit_pass,
         "audit_ok": audit_total == audit_pass,
-        "sample_triples": [list(map(list, t)) for t in best["triples"]],
+        "sample_triples": samples.tolist(),
     }

@@ -47,6 +47,11 @@ the branch and bound that re-checked the whole chosen list at every node.
 The constraint-space oracle solves each condition on one FpMatrix generator
 at a time and builds each tuple ambient slot by slot from zero matrices, the
 way the pattern layer did before each space became one Kronecker kernel.
+The lift oracle is the per-point loop that threept.lift_to_interval ran
+before each Bohr difference was audited in one numpy pass: it finds the
+embedding prime by floor, takes the Bohr set from its definition with exact
+rational distances, and audits each hit as the integer triple
+(x, x + M1 d, x + M2 d), d the least-magnitude lift of the difference.
 """
 
 from __future__ import annotations
@@ -671,3 +676,61 @@ def constraint_spaces_by_generators(J: FpMatrix) -> dict:
     rows += [[*Jr[a], *(-x - y for x, y in zip(Jr[a], Ir[a])), *[0] * k, *Ir[a]] for a in range(k)]
     out["Psi"] = SubspaceBasis(p, 4 * k, tuple(map(tuple, nullspace_by_lists(rows, p, ncols=4 * k))), "vectors-of-F_p^k-tuples")
     return out
+
+
+def lift_window_by_floor(N: int, k: int, epsilon: float) -> tuple[int, float, bool]:
+    """(p, eps, widened): the least odd prime p in (N, floor((1 + eps/k) N)],
+    eps doubled until the window holds one or eps/k reaches 1, and then the
+    least odd prime above N."""
+    eps, widened = float(epsilon), False
+    while True:
+        hi = math.floor((1 + eps / k) * N)
+        p = next((q for q in range(N + 1, hi + 1) if is_odd_prime_by_trial_division(q)), None)
+        if p is not None:
+            return p, eps, widened
+        widened, eps = True, eps * 2
+        if eps / k >= 1:
+            return next(q for q in range(N + 1, 2 * N + 2) if is_odd_prime_by_trial_division(q)), eps, widened
+
+
+def lift_by_points(A, N: int, M1, M2, epsilon: float) -> dict:
+    """threept.lift_to_interval's report, one Bohr difference and one point of
+    A at a time. A holds ints (k = 1, with scalar M1, M2) or k-lists."""
+    pts = sorted({(a,) if isinstance(a, int) else tuple(a) for a in A})
+    k = len(pts[0])
+    rows = [M if isinstance(M, list) else [[M]] for M in (M1, M2)]
+    p, eps, widened = lift_window_by_floor(N, k, epsilon)
+    delta = min(Fraction(eps).limit_denominator(10**6) / (2 * k), Fraction(1, 2))
+
+    def mul(M, v):
+        return [sum(a * b for a, b in zip(row, v)) for row in M]
+
+    def add(x, s):
+        return tuple(a + b for a, b in zip(x, s))
+
+    def index(v):  # digit 0 least significant
+        return sum(c * p**j for j, c in enumerate(v))
+
+    elements = sorted(itertools.product(range(p), repeat=k), key=index)
+    bohr = [d for d in elements if all(Fraction(min(v % p, -v % p), p) < delta for v in mul(rows[0] + rows[1], d))]
+    lo, hi = math.ceil(eps / k * p), math.floor((1 - eps / k) * p)
+    A_set = set(pts)
+    band = sorted((x for x in pts if all(lo <= c <= hi for c in x)), key=index)
+    best_d, best_count, best_triples = None, -1, []
+    audit_total = audit_pass = 0
+    for d in bohr[1:]:
+        d_int = [c - p if c > p // 2 else c for c in d]
+        triples = []
+        for x in band:
+            if not all(tuple(c % p for c in add(x, mul(M, d))) in A_set for M in rows):
+                continue
+            audit_total += 1
+            t1, t2 = add(x, mul(rows[0], d_int)), add(x, mul(rows[1], d_int))
+            if all(1 <= c <= N for c in x + t1 + t2) and {x, t1, t2} <= A_set:
+                audit_pass += 1
+                triples.append([list(x), list(t1), list(t2)])
+        if len(triples) > best_count:
+            best_d, best_count, best_triples = d_int, len(triples), triples[:10]
+    return {"p": p, "k": k, "epsilon_effective": eps, "widened": widened, "bohr_size": len(bohr),
+            "best_d": best_d, "best_count": max(best_count, 0), "audit_total": audit_total,
+            "audit_pass": audit_pass, "audit_ok": audit_total == audit_pass, "sample_triples": best_triples}

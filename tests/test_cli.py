@@ -525,6 +525,16 @@ MISSING_OR_MALFORMED = [
     (["threept", "lift", "--eps", "-1"], ["epsilon = -1.0"]),
     (["threept", "lift", "--eps", "-0.5"], ["epsilon = -0.5"]),
     (["threept", "lift", "--eps", "nan"], ["epsilon = nan"]),
+    (["threept", "lift", "--eps", "inf"], ["epsilon = inf"]),
+    (["popular", "--spec", "@scalar", "--eps", "inf"], ["epsilon = inf"]),
+    (["popular", "--spec", "@scalar", "--eps", "1e400"], ["epsilon = inf"]),
+    (["threept", "bohr", "--group", "@zn", "--delta", "inf"], ["delta = inf"]),
+    (["threept", "count", "--group", "@zn", "--delta", "inf"], ["delta = inf"]),
+    (["threept", "lift", "--N", "10", "--A", "@A-float"], ["--A", "@A-float"]),
+    (["threept", "lift", "--N", "10", "--A", "@A-str"], ["--A", "@A-str"]),
+    (["threept", "lift", "--N", "10", "--A", "@A-object"], ["--A", "@A-object"]),
+    (["threept", "lift", "--N", "10", "--A", "@A-scalar"], ["--A", "@A-scalar"]),
+    (["threept", "lift", "--N", "10", "--A", "@A-bool"], ["--A", "@A-bool"]),
     (["threept", "decompose", "--group", "@zn", "--eps", "0"], ["epsilon = 0.0"]),
     (["threept", "decompose", "--group", "@zn", "--eps", "-1"], ["epsilon = -1.0"]),
     (["count", "--spec", "@scalar", "--d", "1", "--k", "-1"], ["k = -1"]),
@@ -545,6 +555,7 @@ def test_missing_or_malformed_input_is_one_error_line(capsys, tmp_path, argv, na
     files = {"p5": {"p": 5}, "pair": [1, 2], "zn": {"kind": "Z_N", "N": 61, "M1": 2, "M2": 3}, "kind-foo": {"kind": "foo"},
              "scalar": {"p": 5, "k": 1, "M1": [[1]], "M2": [[2]]}, "float-k": {"p": 5, "k": 1.0, "M1": [[1]], "M2": [[2]]},
              "points2d": [[1, 2], [3, 4], [5, 6]], "ragged": [[1], [3, 4]], "outside": [61, 21, 22],
+             "A-float": [1, 2.5], "A-str": ["a", 3], "A-object": {"x": 1}, "A-scalar": 5, "A-bool": [True, 3],
              "k2-1x1": {"p": 5, "k": 2, "M1": [[1]], "M2": [[2]]},
              "group-k2-1x1": {"kind": "vector", "p": 3, "k": 2, "n": 2, "M1": [[1]], "M2": [[2]]},
              "factor": {"p": 3, "n": 3, "b1": [[1, 0, 0]], "b2": [[[1, 0, 0], [0, 1, 0], [0, 0, 1]]], "b3": []}}

@@ -1,10 +1,11 @@
+import itertools
 import math
 import struct
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from popdiff.errors import DimensionMismatch, NonConvergent, NotAutomorphism
 from popdiff.ffalg import is_prime
@@ -19,7 +20,7 @@ from popdiff.threept import (
     smoothed_3pt_count,
 )
 
-from oracles import roll_translate
+from oracles import lift_by_points, lift_window_by_floor, roll_translate
 
 
 def test_is_prime():
@@ -297,6 +298,10 @@ def test_three_point_counts_follow_summation_rule(g):
         assert struct.pack("<d", smoothed_3pt_count(f, g, B)["direct"]) == struct.pack("<d", direct)
 
 
+# threept lift --N 40 --density 0.55 --seed 1
+SEED1_DENSITY55 = [1, 3, 5, 6, 8, 9, 10, 12, 13, 15, 16, 17, 18, 19, 20, 22, 23, 27, 28, 29, 31, 32, 37, 38, 39, 40]
+
+
 def test_lift_examples():
     # full box: the best difference keeps nearly everything
     A = list(range(1, 31))
@@ -312,6 +317,56 @@ def test_lift_examples():
         (x,), (y,), (z,) = tri
         assert x in Aset and y in Aset and z in Aset
         assert y - x == (rep["best_d"][0]) and z - x == 2 * rep["best_d"][0]
+    # M2 = 21 at p = 41: the Bohr set bounds 21 d mod 41 only, and each
+    # integer triple x, x - 4, x - 84 of the best difference d = -4 leaves the box
+    rep = lift_to_interval(SEED1_DENSITY55, 40, 1, 21, 0.2)
+    assert (rep["audit_total"], rep["audit_pass"], rep["audit_ok"]) == (23, 0, False)
+
+
+@st.composite
+def lift_cases(draw):
+    """(A, N, M1, M2, epsilon): k = 1 with scalar matrices or k = 2, N <= 30,
+    A about half of [1, N]^k, matrix entries in [-25, 25] and mostly small, so
+    that Bohr sets hold nonzero differences, and epsilon in (0, 0.9]."""
+    k, N = draw(st.sampled_from([1, 2])), draw(st.integers(1, 30))
+    box = list(itertools.product(range(1, N + 1), repeat=k))
+    keep = draw(st.lists(st.booleans(), min_size=len(box), max_size=len(box)))
+    A = [list(x) if k == 2 else x[0] for x, kept in zip(box, keep) if kept]
+    assume(A)
+    entry = st.one_of(st.integers(-3, 3), st.integers(-25, 25))
+    if k == 1:
+        M1, M2 = draw(entry), draw(entry)
+    else:
+        M1, M2 = ([[draw(entry) for _ in range(2)] for _ in range(2)] for _ in range(2))
+    return A, N, M1, M2, draw(st.floats(0, 0.9, exclude_min=True))
+
+
+def _det(M):
+    return M if isinstance(M, int) else M[0][0] * M[1][1] - M[0][1] * M[1][0]
+
+
+def _mul(M, d):
+    return [M * d[0]] if isinstance(M, int) else [row[0] * d[0] + row[1] * d[1] for row in M]
+
+
+@given(case=lift_cases())
+@example(case=(SEED1_DENSITY55, 40, 1, 21, 0.2))
+@example(case=([1], 1, 1, 2, 1.5))  # eps/k >= 1 already, and the window (1, 2] still widens
+@example(case=([1, 2, 3, 4], 4, 1, 2, 0.25))  # the window ends on the prime, (1 + eps) N = 5
+@example(case=(list(range(1, 11)), 10, 1, -1, 3 / 11))  # the band starts on a digit, eps p = 3
+@example(case=(list(range(1, 31)), 30, 31 * 10**29 + 1, 2, 0.2))  # M1 past int64, 1 mod 31: every triple leaves the box
+@settings(max_examples=100, deadline=None)
+def test_lift_matches_per_point_oracle(case):
+    A, N, M1, M2, eps = case
+    k = 1 if isinstance(M1, int) else 2
+    p = lift_window_by_floor(N, k, eps)[0]
+    diff = M1 - M2 if k == 1 else [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(M1, M2)]
+    assume(all(_det(M) % p for M in (M1, M2, diff)))
+    rep = lift_to_interval(A, N, M1, M2, eps)
+    assert rep == lift_by_points(A, N, M1, M2, eps)
+    for x, t1, t2 in rep["sample_triples"]:
+        assert t1 == [a + s for a, s in zip(x, _mul(M1, rep["best_d"]))]
+        assert t2 == [a + s for a, s in zip(x, _mul(M2, rep["best_d"]))]
 
 
 def test_lift_embeds_into_an_odd_prime():
@@ -319,6 +374,9 @@ def test_lift_embeds_into_an_odd_prime():
     # not a modulus any group accepts, so the embedding is mod 3
     rep = lift_to_interval([1], 1, 1, 2, 0.1)
     assert rep["p"] == 3 and rep["widened"] and rep["audit_ok"]
+    # a huge finite eps: (1 + eps) N is inf, the window holds 11 at once, and the band is empty
+    rep = lift_to_interval([1], 10, 1, 2, 1e308)
+    assert (rep["p"], rep["widened"], rep["audit_total"], rep["epsilon_effective"]) == (11, False, 0, 1e308)
 
 
 def test_lift_two_dimensional_points():
