@@ -45,7 +45,8 @@ over (F_3^4)^2; 0/1 `count`s on F_3^11, past 2^16 points; every argv
 of tests/equidist_reference.json and tests/subspaces_reference.json; the
 recorded `cex report` seeds of perfbench/cex_reference.json; recursive
 `gowers` at s = 3, 4, 5 (F_3^5, F_7^2, F_5^4, F_3^7, F_3^1, (F_3^2)^2;
-F_3^3, F_5^2, F_7^2; F_3^2, F_3^3), whose U^2 level runs in blocks of shifts,
+F_3^3, F_3^5, F_5^2, F_7^2; F_3^2, F_3^3), whose U^2 level runs in blocks of
+shifts, each block one window gather of the periodic extension,
 at s = 2 on F_3^4 (one 1-d transform), and `--mode direct` at s = 3 (F_3^2,
 F_5^2), which reads row blocks; `threept search` on Z_61, Z_63 and Z_65 (0/1 rows
 that end 1 short of and 1 past a 64-bit word), Z_1009 (also at --guard 1500,
@@ -74,7 +75,16 @@ parameter (`popular --eps inf` and `--eps 1e400` in the exact backend,
 `threept bohr`/`count --delta inf`, `threept lift --eps inf`), and `threept
 lift --eps 1e308 --N 10`, whose traceback became a report; a `threept lift
 --A` document [1, 2.5], a deliberate output change from a raw TypeError
-traceback to one JSON error line naming --A;
+traceback to one JSON error line naming --A; the refusals of a non-finite
+--eps or --density before any work, each a deliberate output change to one
+JSON error line naming the flag (`threept decompose --eps inf`, once a
+NonConvergent after 0 stages; `threept search --eps inf`, `--eps nan` and
+`--density nan`, `threept count --density inf`, `threept lift --density inf`,
+float-backend `popular --eps inf` and `popular --density nan`, each once
+refused only when its report was written, and `fnio random --density inf`,
+which also wrote its --out file first), and `threept decompose --eps 1e-300`,
+whose stage cap 4 / eps^2 overflows, a deliberate output change from a raw
+OverflowError traceback to one JSON error line naming epsilon;
 and one guard refusal per check the CLI reaches, at a `--guard` one below
 its estimate: `popular`, recursive and direct `gowers`, `equidist` linquad,
 tuple and abstract, `cex eight-tuple`, `dress`, `assemble` and `report`, and
@@ -319,10 +329,24 @@ def invocations(refs: dict) -> list[list[str]]:
         ["threept", "lift", "--eps", "inf"],
         ["threept", "lift", "--eps", "1e308", "--N", "10"],
         ["threept", "lift", "--N", "10", "--A", "@float-point"],
+        # a non-finite --eps or --density, once a late emission error, a NonConvergent or a
+        # written file, and an --eps whose stage cap 4 / eps^2 overflows, once a traceback:
+        # now one JSON error line naming the flag, before any work
+        ["threept", "decompose", "--group", "@group", "--eps", "1e-300"],
+        ["threept", "decompose", "--group", "@group", "--eps", "inf"],
+        ["threept", "search", "--group", "@group", "--eps", "inf"],
+        ["threept", "search", "--group", "@group", "--eps", "nan"],
+        ["threept", "search", "--group", "@group", "--density", "nan"],
+        ["threept", "count", "--group", "@group", "--density", "inf"],
+        ["threept", "lift", "--density", "inf"],
+        ["popular", "--spec", "@scalar-p5", "--backend", "float", "--eps", "inf"],
+        ["popular", "--spec", "@scalar-p5", "--density", "nan"],
+        ["fnio", "random", "--out", "@out", "--density", "inf"],
         ["threept", "decompose", "--group", "@group"],
         ["gowers", "--p", "3", "--n", "5", "--s", "3", "--seed", "1"],
         ["gowers", "--p", "7", "--n", "2", "--s", "3", "--seed", "2"],
         ["gowers", "--p", "3", "--n", "3", "--s", "4", "--seed", "3"],
+        ["gowers", "--p", "3", "--n", "5", "--s", "4"],
         ["gowers", "--p", "3", "--n", "2", "--s", "5", "--seed", "4"],
         ["gowers", "--p", "5", "--n", "4", "--s", "3", "--seed", "7"],
         ["gowers", "--p", "3", "--n", "7", "--s", "3", "--seed", "8"],

@@ -10,13 +10,13 @@ Linear maps and sums of elements are gathers through index arrays built
 here, the full addition table among them (add_table). Translates serves the
 translates of an array by the index of the shift: one translate is a slice of
 the array's periodic extension, and a block of them is one fancy index into
-the sliding windows of a table that lays each translate out contiguously, or,
-for 0/1 values, into byte windows of 8 bit-shifted copies of the packed table,
-read as uint64 words (pack_rows packs rows the same way). Past the guard
-either is one gather through add_index. dft is numpy's fftn over the
-digit axes, but at p = 3 a radix-3 butterfly in pocketfft's op order with numpy's
-bits: that rests on pocketfft and on no FMA contraction in it, and the tests
-compare the words with np.fft's.
+the extension's sliding windows, into those of a table that lays each
+translate out contiguously, or, for 0/1 values, into byte windows of 8
+bit-shifted copies of the packed table, read as uint64 words (pack_rows packs
+rows the same way). Past the guard each is one gather through add_index. dft
+is numpy's fftn over the digit axes, but at p = 3 a radix-3 butterfly in
+pocketfft's op order with numpy's bits: that rests on pocketfft and on no FMA
+contraction in it, and the tests compare the words with np.fft's.
 """
 
 from __future__ import annotations
@@ -71,8 +71,9 @@ def add_perm(p: int, m: int, shift_digits) -> np.ndarray:
 
 class Translates:
     """The translates v(x + s) of a 1-d array v in index order, by the index of
-    s: at(s) is one translate, rows(shifts) a block of them as (B, p^m) rows,
-    and packed(shifts) such a block of a bool v as pack_rows words.
+    s: at(s) is one translate, block(shifts) and rows(shifts) a block of them
+    as (B, p^m) rows, and packed(shifts) such a block of a bool v as pack_rows
+    words.
 
     ext is v as the (p,)*m tensor (axis 0 the top digit) padded periodically
     to (2p - 1)^m points, and a single translate is a slice of it. A block reads
@@ -91,7 +92,7 @@ class Translates:
 
     def __init__(self, values, p: int, m: int, guard: int = DEFAULT_GUARD):
         self.p, self.m, self.guard, self.base = p, m, guard, np.asarray(values)
-        self.ext = self.table = self._windows = self._packed = None
+        self.ext = self.table = self._windows = self._packed = self._ext_windows = self._corners = None
         self._table_fits = ((2 * p - 1) * p ** (2 * m - 2) if m else 1) <= guard
 
     def _extension(self) -> np.ndarray:
@@ -139,6 +140,20 @@ class Translates:
         if (2 * p - 1) ** m > self.guard:
             return self._gather(index)
         return self._extension()[tuple(slice(d, d + p) for d in reversed(decode_index(p, m, index)))].reshape(-1)
+
+    def block(self, shift_indices) -> np.ndarray:
+        """The (B, p^m) translates at(s_b) for the indices of a block of B
+        shifts, as one fancy index into the (p,)*m sliding windows of ext: the
+        window of a shift starts at its digits, top digit first. Unlike rows it
+        builds no table, so it needs only ext's (2p - 1)^m points."""
+        idx = np.asarray(shift_indices, dtype=np.int64)
+        p, m = self.p, self.m
+        if not m or (2 * p - 1) ** m > self.guard:
+            return self._gather(idx[:, None])
+        if self._corners is None:
+            self._ext_windows = np.lib.stride_tricks.sliding_window_view(self._extension(), (p,) * m)
+            self._corners = np.ascontiguousarray(digit_table(p, m)[:, ::-1].T)
+        return self._ext_windows[tuple(self._corners[:, idx])].reshape(len(idx), -1)
 
     def rows(self, shift_indices) -> np.ndarray:
         """The (B, p^m) rows v(x + s_b) for the indices of a block of B shifts."""

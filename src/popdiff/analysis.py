@@ -239,9 +239,10 @@ def popular_search(
     mats = _pattern_mats(f, spec, points)
     P = f.size
     check_guard("p^(2kn)", P * P, guard)
+    finite("epsilon", epsilon)
     alpha = f.mean()
     exact = f.kind == RATIONAL
-    threshold = alpha**points - (Fraction(finite("epsilon", epsilon)).limit_denominator(10**9) if exact else epsilon)
+    threshold = alpha**points - (Fraction(epsilon).limit_denominator(10**9) if exact else epsilon)
     sums, den = _pattern_sums(f, mats, range(P), guard)
     betas = [Fraction(s, den * P) for s in sums] if exact else [s / P for s in sums]
     return popular_report(betas, alpha, threshold, points, epsilon, exact)
@@ -318,7 +319,7 @@ def _gowers_power_recursive(vals: np.ndarray, p: int, m: int, s: int, guard: int
     step = max(1, 2**14 // P)
     for start in range(0, P, step):
         # vals as a (1, P) row: at P = 1 a (1,) operand takes numpy's scalar loop, a bit off the per-shift product
-        block = vals[None, :] * np.conj(np.stack([tr.at(h) for h in range(start, min(start + step, P))]))
+        block = vals[None, :] * np.conj(tr.block(np.arange(start, min(start + step, P))))
         for power in np.sum(np.abs(dft(block.T, p, m).T / P) ** 4, axis=1).tolist():
             total += power
     return total / P

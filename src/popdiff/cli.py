@@ -9,6 +9,7 @@ exact rationals are serialized as "num/den" strings.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import sys
 import time
@@ -37,8 +38,29 @@ from .analysis import (
     abstract_atom_distribution,
     popular_search,
 )
-from . import counterexample as cex
-from . import threept as tp
+
+
+def _lazy_layer(name: str):
+    """popdiff.<name>, registered in sys.modules and on the package without
+    running its code: the first attribute read runs it, so a subcommand that
+    never reads the layer never compiles it. A layer already imported is
+    returned as it is. Keyed on popdiff.<name>, as `-m popdiff.cli` runs this
+    module as __main__."""
+    full = f"popdiff.{name}"
+    module = sys.modules.get(full)
+    if module is None:
+        spec = importlib.util.find_spec(full)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[full] = module
+        setattr(sys.modules["popdiff"], name, module)
+        spec.loader.exec_module(module)
+    return module
+
+
+cex = _lazy_layer("counterexample")
+tp = _lazy_layer("threept")
+_LAYERS = {"cex": cex, "threept": tp}  # the lazy layer each subcommand runs
 
 
 def _jsonable(obj):
@@ -124,7 +146,7 @@ def _int_lists(args, flag: str, depth: int = 1) -> list:
 
 def _coin_flips(args, size: int) -> np.ndarray:
     """The seeded 0/1 draw shared by every random input: True with probability --density."""
-    return np.random.default_rng(args.seed).random(size) < args.density
+    return np.random.default_rng(args.seed).random(size) < finite("density", args.density)
 
 
 def _random_fn(args) -> GridFunction:
@@ -385,6 +407,8 @@ def dispatch(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
+    if args.subcommand in _LAYERS:
+        getattr(_LAYERS[args.subcommand], "__name__")  # runs the layer's code now, so wall_time_s times the handler alone
     t0 = time.perf_counter()
     try:
         payload, math_ok = args.func(args)

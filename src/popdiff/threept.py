@@ -259,6 +259,11 @@ def regularity_decompose(
     """
     if not epsilon > 0:  # NaN too
         raise ValueError(f"epsilon must be positive, got epsilon = {epsilon}")
+    finite("epsilon", epsilon)
+    try:
+        cap = math.ceil(epsilon**-2 * 4.0)
+    except OverflowError:  # 4 / epsilon^2 past the float range
+        raise ValueError(f"epsilon = {epsilon} is too small: the stage cap 4 / epsilon^2 passes the float range") from None
     f = np.asarray(f, dtype=np.float64)
     if f.min() < 0 or f.max() > 1:
         raise ValueError("f must be [0,1]-valued")
@@ -267,7 +272,6 @@ def regularity_decompose(
     mean = float(f.mean())
     F = group.fft(f)
     gamma1 = Fraction(1, max(2, math.ceil(2.0 * (len(S0) + 2.0 + 1.0 / epsilon))))
-    cap = math.ceil(epsilon**-2 * 4.0)
     for stage in range(1, cap + 1):
         inv = float(1 / gamma1)
         gamma2 = 1.0 / (inv * inv)
@@ -324,6 +328,7 @@ def regularity_decompose(
 
 def popular_3pt_search(indicator: np.ndarray, group: FiniteGroupSpec, epsilon: float) -> PatternCountReport:
     """Exhaustive report of 3-point densities over every nonzero difference."""
+    finite("epsilon", epsilon)
     f = np.asarray(indicator, dtype=np.float64)
     N = group.size
     alpha = float(f.mean())

@@ -10,7 +10,9 @@ translates, the way pattern_count did before exact sums became integer sums.
 The Gowers oracle recurses through multiplicative derivatives all the way to
 U^1, the way gowers_norm did before its recursion stopped at the Fourier-side
 U^2; the per-shift Fourier oracle stops at U^2 with one fftn per shift, the
-way gowers_norm did before its U^2 level ran in blocks of shifts. The
+way gowers_norm did before its U^2 level ran in blocks of shifts; and the
+stacked-shift U^3 oracle builds each block as np.stack of one translate per
+shift, the way gowers_norm did before a block became one window gather. The
 counterexample oracles build one affine map at a time: the membership masks
 pull every point back through A^{-1}, and the dressing reads each table
 through its own alpha*x + beta*y index array, with its uniform tables drawn
@@ -310,6 +312,24 @@ def gowers_power_per_shift(values: np.ndarray, p: int, m: int, s: int) -> float:
     total = 0.0
     for h in digit_table(p, m):
         total += gowers_power_per_shift(values * np.conj(roll_translate(values, p, m, h)), p, m, s - 1)
+    return total / P
+
+
+def gowers_u3_power_by_stacked_shifts(values: np.ndarray, p: int, m: int) -> float:
+    """||f||_{U^3}^8 on (Z/pZ)^m with the U^2 level in blocks of 2^14 / p^m
+    shifts h in index order: each block np.stack of the rolled derivatives
+    f(x) conj(f(x + h)), one fftn per block over the digit axes (digit m - 1
+    first, as fftn of the digit tensor runs), and each row's sum of |F/P|^4
+    added in turn."""
+    values = np.asarray(values, dtype=np.complex128)
+    P, total = len(values), 0.0
+    step = max(1, 2**14 // P)
+    for start in range(0, P, step):
+        shifts = digit_table(p, m)[start:start + step]
+        block = values[None, :] * np.conj(np.stack([roll_translate(values, p, m, h) for h in shifts]))
+        F = np.fft.fftn(block.reshape((len(shifts),) + (p,) * m), axes=tuple(range(m, 0, -1))) if m else block
+        for power in np.sum(np.abs(F.reshape(len(shifts), P) / P) ** 4, axis=1).tolist():
+            total += power
     return total / P
 
 

@@ -45,6 +45,7 @@ from oracles import (
     fraction_pattern_count,
     gowers_power_by_derivatives,
     gowers_power_per_shift,
+    gowers_u3_power_by_stacked_shifts,
     pattern_tuple_histogram_by_rows,
 )
 
@@ -491,6 +492,24 @@ def test_batched_gowers_recursion_matches_per_shift_bits(shape, kind, seed):
     f = GridFunction(p, 1, m, vals, COMPLEX if kind == "complex" else FLOAT)
     want = gowers_power_per_shift(vals, p, m, s) ** (1.0 / 2**s)
     assert gowers_norm(f, s).hex() == max(want, 0.0).hex()
+
+
+@given(
+    st.sampled_from([(3, 0), (3, 1), (3, 2), (3, 3), (3, 4), (5, 1), (5, 2), (5, 3), (7, 1), (7, 2), (11, 1), (13, 1)]),
+    st.sampled_from(["0/1", "float", "complex"]),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=30, deadline=None)
+def test_u3_window_gather_matches_stacked_shift_bits(shape, kind, seed):
+    # each block of shifts read as one window gather of the periodic extension
+    # gives the float64 bits of np.stack of one translate per shift
+    p, m = shape
+    rng = np.random.default_rng(seed)
+    vals = {"0/1": lambda: (rng.random(p**m) < 0.4).astype(float), "float": lambda: rng.standard_normal(p**m),
+            "complex": lambda: rng.standard_normal(p**m) + 1j * rng.standard_normal(p**m)}[kind]()
+    f = GridFunction(p, 1, m, vals, COMPLEX if kind == "complex" else FLOAT)
+    want = max(gowers_u3_power_by_stacked_shifts(vals, p, m), 0.0) ** (1.0 / 8)
+    assert gowers_norm(f, 3).hex() == want.hex()
 
 
 def test_recursive_u3_reads_translates_without_a_row_table():

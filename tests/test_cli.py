@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import pathlib
 import signal
 import struct
 import subprocess
@@ -25,6 +26,11 @@ def run_lines(capsys, argv):
     code = dispatch(argv)
     out = capsys.readouterr().out.strip()
     return code, [json.loads(line) for line in out.splitlines() if line]
+
+
+def _child_env():
+    """The environment of a child interpreter that imports popdiff as this one does."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
 
 
 @pytest.fixture()
@@ -413,11 +419,51 @@ def test_overflowing_float_results_are_refused(capsys, tmp_path, spec_file):
             assert captured.out == "" and [json.loads(line) for line in captured.err.splitlines()] == [refusal]
     assert not out.exists()
     # as a program, after numpy's overflow warning
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     child = subprocess.run([sys.executable, "-m", "popdiff.cli", "gowers", "--fn", path, "--s", "3"],
-                           env=env, capture_output=True, text=True, timeout=30)
+                           env=_child_env(), capture_output=True, text=True, timeout=30)
     assert (child.returncode, child.stdout) == (1, "")
     assert "RuntimeWarning: overflow" in child.stderr and json.loads(child.stderr.splitlines()[-1]) == refusal
+
+
+LAZY_LAYERS_SCRIPT = """
+import json, sys, types
+import popdiff.cli as cli
+layers = ("popdiff.counterexample", "popdiff.threept")
+# LazyLoader swaps a layer's class to the plain module type when its code starts running
+state = lambda: [n in sys.modules and type(sys.modules[n]) is types.ModuleType for n in layers]
+seen = {"import": [n in sys.modules for n in layers] + state()}
+for argv in sys.argv[1:]:
+    cli.dispatch(json.loads(argv))
+    seen[argv] = state()
+print(json.dumps(seen))
+"""
+
+
+def test_cli_runs_only_the_layers_its_subcommand_reads(tmp_path, scalar_spec_file):
+    # counterexample and threept are registered at import but run only when a
+    # subcommand reads them; each step runs in the same fresh interpreter
+    runs = [["popular", "--spec", scalar_spec_file], ["gowers", "--s", "2"], ["cex", "core"]]
+    child = subprocess.run([sys.executable, "-c", LAZY_LAYERS_SCRIPT, *map(json.dumps, runs)],
+                           env=_child_env(), capture_output=True, text=True, timeout=60, cwd=tmp_path)
+    assert child.returncode == 0, child.stderr
+    seen = json.loads(child.stdout.splitlines()[-1])
+    assert seen == {"import": [True, True, False, False], json.dumps(runs[0]): [False, False],
+                    json.dumps(runs[1]): [False, False], json.dumps(runs[2]): [True, False]}
+
+
+@pytest.mark.parametrize("argv, span", [(["popular", "--spec", "@scalar"], None),
+                                         (["cex", "core"], "popdiff.counterexample.core_expectation_table")])
+def test_tracer_wraps_lazy_layers(tmp_path, scalar_spec_file, argv, span):
+    # perfbench/tracer.py reads every layer from sys.modules right after
+    # importing popdiff.cli; reading a lazy layer there runs it
+    tracer = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spans_path = tmp_path / "spans.json"
+    argv = [scalar_spec_file if a == "@scalar" else a for a in argv]
+    child = subprocess.run([sys.executable, str(tracer), str(spans_path), "0", *argv],
+                           env=_child_env(), capture_output=True, text=True, timeout=60, cwd=tmp_path)
+    assert child.returncode == 0, child.stderr
+    names = {s[0] for s in json.loads(spans_path.read_text())["spans"]}
+    assert "popdiff.cli.main" in names and (span is None or span in names)
 
 
 def test_fnio_info_refuses_an_overflowing_mean(capsys, tmp_path):
@@ -537,6 +583,18 @@ MISSING_OR_MALFORMED = [
     (["threept", "lift", "--N", "10", "--A", "@A-bool"], ["--A", "@A-bool"]),
     (["threept", "decompose", "--group", "@zn", "--eps", "0"], ["epsilon = 0.0"]),
     (["threept", "decompose", "--group", "@zn", "--eps", "-1"], ["epsilon = -1.0"]),
+    (["threept", "decompose", "--group", "@zn", "--eps", "1e-300"], ["epsilon = 1e-300"]),
+    (["threept", "decompose", "--group", "@zn", "--eps", "1e-154"], ["epsilon = 1e-154"]),
+    (["threept", "decompose", "--group", "@zn", "--eps", "inf"], ["epsilon = inf"]),
+    (["threept", "search", "--group", "@zn", "--eps", "inf"], ["epsilon = inf"]),
+    (["threept", "search", "--group", "@zn", "--eps", "nan"], ["epsilon = nan"]),
+    (["popular", "--spec", "@scalar", "--backend", "float", "--eps", "inf"], ["epsilon = inf"]),
+    (["popular", "--spec", "@scalar", "--density", "nan"], ["density = nan"]),
+    (["threept", "search", "--group", "@zn", "--density", "nan"], ["density = nan"]),
+    (["threept", "search", "--group", "@zn", "--density", "inf"], ["density = inf"]),
+    (["threept", "count", "--group", "@zn", "--density", "inf"], ["density = inf"]),
+    (["threept", "lift", "--density", "inf"], ["density = inf"]),
+    (["fnio", "random", "--out", "@out", "--density", "inf"], ["density = inf"]),
     (["count", "--spec", "@scalar", "--d", "1", "--k", "-1"], ["k = -1"]),
     (["count", "--spec", "@scalar", "--d", "1", "--n", "-1"], ["n = -1"]),
     (["popular", "--spec", "@scalar", "--k", "-1"], ["k = -1"]),
@@ -576,6 +634,7 @@ def test_missing_or_malformed_input_is_one_error_line(capsys, tmp_path, argv, na
     assert err["tool"] == "popdiff"
     for name in names:
         assert resolve(name) in err["message"]
+    assert not os.path.exists(paths["out"])  # a refused fnio random writes nothing
 
 
 @pytest.mark.parametrize("n", ["1", "4"])

@@ -155,6 +155,26 @@ def test_row_table_matches_add_perm_oracle(data):
         assert np.array_equal(tr.at(encode_index(p, s)), row)
 
 
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 5])
+def test_block_gather_matches_stacked_translates(p, m):
+    # a block of shifts is one fancy index into the windows of the periodic
+    # extension, equal to np.stack of at() over random, repeating, unordered
+    # index blocks; with the guard one below the extension's (2p - 1)^m points
+    # both take the add_index gather. No row table is built
+    P, ext_size = p**m, (2 * p - 1) ** m
+    rng = np.random.default_rng(100 * p + m)
+    vals = rng.standard_normal(P) + 1j * rng.standard_normal(P)
+    for guard in (DEFAULT_GUARD, ext_size - 1):
+        tr = Translates(vals, p, m, guard)
+        for size in (1, 2, 17, 70):
+            idx = rng.integers(0, P, size)
+            block = tr.block(idx)
+            assert block.shape == (size, P) and block.dtype == vals.dtype
+            assert np.array_equal(block, np.stack([tr.at(h) for h in idx]))
+        assert tr.table is None
+
+
 @given(st.data())
 @settings(max_examples=120, deadline=None)
 def test_packed_rows_unpack_to_add_perm_oracle(data):
