@@ -84,7 +84,16 @@ float-backend `popular --eps inf` and `popular --density nan`, each once
 refused only when its report was written, and `fnio random --density inf`,
 which also wrote its --out file first), and `threept decompose --eps 1e-300`,
 whose stage cap 4 / eps^2 overflows, a deliberate output change from a raw
-OverflowError traceback to one JSON error line naming epsilon;
+OverflowError traceback to one JSON error line naming epsilon; a non-finite
+float flag that the run does not read (`gowers --s 2 --fn F --density inf`,
+`threept lift --N 10 --A A --density nan`, `threept search --delta inf`,
+`threept bohr --eps inf`), each a deliberate output change from a late
+emission error to one JSON error line naming the parameter; seeded draws
+across the PCG64 reader's block edge (`fnio random --p 3 --n 9` in both
+backends, `gowers --p 3 --n 9 --s 2` in both backends), on seeds 0, 2^32 and
+2^64 + 5 (`threept search` on F_3^7, `threept decompose` on F_3^7 and Z_61,
+`threept lift`, `popular`), and `--seed -1` (`fnio random`, `threept
+decompose` and `search`), which ends in numpy's error line;
 and one guard refusal per check the CLI reaches, at a `--guard` one below
 its estimate: `popular`, recursive and direct `gowers`, `equidist` linquad,
 tuple and abstract, `cex eight-tuple`, `dress`, `assemble` and `report`, and
@@ -161,7 +170,7 @@ GROUPS = {
     "group-k2-1x1": {"kind": "vector", "p": 3, "k": 2, "n": 2, "M1": [[1]], "M2": [[2]]},
 }
 
-POINTS = {"one-point": [1], "outside-40": [61, 21, 22], "float-point": [1, 2.5]}
+POINTS = {"one-point": [1], "outside-40": [61, 21, 22], "float-point": [1, 2.5], "one-to-three": [1, 2, 3]}
 
 # grid functions on (F_5^2)^2, the rotated squares' grid, and the PLGF kind byte of each value kind
 FN_SHAPE = (5, 2, 2)
@@ -366,6 +375,26 @@ def invocations(refs: dict) -> list[list[str]]:
         ["gowers", "--p", "3", "--n", "1", "--s", "3"],
         ["gowers", "--p", "3", "--n", "2", "--s", "3", "--mode", "direct", "--seed", "5"],
         ["gowers", "--p", "5", "--n", "2", "--s", "3", "--mode", "direct", "--seed", "6"],
+        # seeded draws past one block of the PCG64 reader (3^9 > 2^14 doubles), seeds of one,
+        # two and three 32-bit words, and a negative seed, which ends in numpy's error line
+        ["fnio", "random", "--out", "@out", "--p", "3", "--n", "9"],
+        ["fnio", "random", "--out", "@out", "--p", "3", "--n", "9", "--backend", "float", "--seed", "4294967296"],
+        ["gowers", "--p", "3", "--n", "9", "--s", "2"],
+        ["gowers", "--p", "3", "--n", "9", "--s", "2", "--backend", "float", "--seed", "18446744073709551621"],
+        ["threept", "search", "--group", "@group-f3-7", "--eps", "0.05", "--seed", "0"],
+        ["threept", "decompose", "--group", "@group-f3-7", "--seed", "4294967296"],
+        ["threept", "decompose", "--group", "@group", "--seed", "18446744073709551621"],
+        ["threept", "lift", "--N", "30", "--eps", "0.2", "--seed", "4294967296"],
+        ["popular", "--spec", "@scalar-p5", "--seed", "18446744073709551621"],
+        ["fnio", "random", "--out", "@out", "--seed", "-1"],
+        ["threept", "decompose", "--group", "@group", "--seed", "-1"],
+        ["threept", "search", "--group", "@group", "--seed", "-1"],
+        # a non-finite float flag that the run does not read, once a late emission error:
+        # now one JSON error line naming the parameter, before any work
+        ["gowers", "--s", "2", "--fn", "@fn-indicator", "--density", "inf"],
+        ["threept", "lift", "--N", "10", "--A", "@one-to-three", "--density", "nan"],
+        ["threept", "search", "--group", "@group", "--delta", "inf"],
+        ["threept", "bohr", "--group", "@group", "--eps", "inf"],
     ]
     # every guard refusal the CLI reaches, each at a guard one below its estimate
     argvs += [

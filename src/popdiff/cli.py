@@ -60,6 +60,7 @@ def _lazy_layer(name: str):
 
 cex = _lazy_layer("counterexample")
 tp = _lazy_layer("threept")
+pcg = _lazy_layer("_pcg64")  # run by the first random draw, inside the handler
 _LAYERS = {"cex": cex, "threept": tp}  # the lazy layer each subcommand runs
 
 
@@ -146,7 +147,7 @@ def _int_lists(args, flag: str, depth: int = 1) -> list:
 
 def _coin_flips(args, size: int) -> np.ndarray:
     """The seeded 0/1 draw shared by every random input: True with probability --density."""
-    return np.random.default_rng(args.seed).random(size) < finite("density", args.density)
+    return pcg.uniforms(args.seed, size) < args.density
 
 
 def _random_fn(args) -> GridFunction:
@@ -258,7 +259,7 @@ def _cmd_threept(args):
     if args.tp_op != "lift":
         g = _load_json(args, "group", tp.FiniteGroupSpec, guard=args.guard)
     if args.tp_op in ("bohr", "count"):
-        B = tp.bohr_set(g, _int_lists(args, "S"), Fraction(finite("delta", args.delta)).limit_denominator(10**9))
+        B = tp.bohr_set(g, _int_lists(args, "S"), Fraction(args.delta).limit_denominator(10**9))
     if args.tp_op == "bohr":
         return {"members": list(B.members), "measure": B.measure, "S": list(B.S)}, True
     if args.tp_op == "count":
@@ -266,8 +267,7 @@ def _cmd_threept(args):
         rep = tp.smoothed_3pt_count(f, g, B)
         return rep, rep["agree"]
     if args.tp_op == "decompose":
-        rng = np.random.default_rng(args.seed)
-        f = rng.random(g.size)
+        f = pcg.uniforms(args.seed, g.size)
         dec = tp.regularity_decompose(f, g, epsilon=args.eps)
         payload = {
             "T_size": len(dec.T),
@@ -407,10 +407,13 @@ def dispatch(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
-    if args.subcommand in _LAYERS:
-        getattr(_LAYERS[args.subcommand], "__name__")  # runs the layer's code now, so wall_time_s times the handler alone
-    t0 = time.perf_counter()
     try:
+        for flag, value in vars(args).items():  # read by the handler or not, a float flag's value is echoed in config
+            if isinstance(value, float):
+                finite("epsilon" if flag == "eps" else flag, value)
+        if args.subcommand in _LAYERS:
+            getattr(_LAYERS[args.subcommand], "__name__")  # runs the layer's code now, so wall_time_s times the handler alone
+        t0 = time.perf_counter()
         payload, math_ok = args.func(args)
         _emit(args, payload, t0)
     except (PopdiffError, OSError, ValueError) as exc:  # JSONDecodeError and a non-finite report are ValueErrors

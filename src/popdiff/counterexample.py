@@ -18,6 +18,7 @@ import numpy as np
 
 from . import DEFAULT_GUARD
 from ._grid import add_table, decode_index, digit_table, encode_index, linear_perm
+from ._pcg64 import _LOW32, _pcg64_at, _pcg64_streams, _uniform_tables
 from .errors import DependentDirections, TooLarge, check_guard, ensure
 from .ffalg import inverse_stack, nullspace, row_space_rank
 from .patterns import SubspaceBasis
@@ -594,109 +595,6 @@ def has_nontrivial_4ap(digits: tuple[int, ...], p: int = 5) -> bool:
     return False
 
 
-# numpy's SeedSequence (pool size 4) and PCG64 constants
-_MASK32 = (1 << 32) - 1
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_U1, _U11, _U32, _U58, _U63, _LOW32 = (np.uint64(v) for v in (1, 11, 32, 58, 63, _MASK32))
-
-
-def _mul128(a_hi, a_lo, b_hi, b_lo):
-    """(high, low) uint64 words of a * b mod 2^128. uint64 arithmetic wraps
-    silently; the high word of a_lo * b_lo is summed from 32-bit halves."""
-    a0, a1, b0, b1 = a_lo & _LOW32, a_lo >> _U32, b_lo & _LOW32, b_lo >> _U32
-    p01, p10 = a0 * b1, a1 * b0
-    mid = (a0 * b0 >> _U32) + (p01 & _LOW32) + (p10 & _LOW32)
-    return a1 * b1 + (p01 >> _U32) + (p10 >> _U32) + (mid >> _U32) + a_lo * b_hi + a_hi * b_lo, a_lo * b_lo
-
-
-def _add128(a_hi, a_lo, b_hi, b_lo):
-    """(high, low) words of a + b mod 2^128."""
-    low = a_lo + b_lo
-    return a_hi + b_hi + (low < b_lo), low
-
-
-@functools.lru_cache(maxsize=8)
-def _pcg64_jumps(steps: int) -> tuple[np.ndarray, ...]:
-    """The high and low uint64 words of M^(t+2) and of M^(t+1) + ... + 1 mod
-    2^128 for t < steps, M the PCG64 multiplier, computed with Python ints."""
-    mult, cum, words = _PCG_MULT * _PCG_MULT % (1 << 128), _PCG_MULT + 1, []
-    for _ in range(steps):
-        words.append((*divmod(mult, 1 << 64), *divmod(cum, 1 << 64)))
-        mult, cum = mult * _PCG_MULT % (1 << 128), (cum * _PCG_MULT + 1) % (1 << 128)
-    return tuple(np.array(words, dtype=np.uint64).reshape(-1, 4).T)
-
-
-def _pcg64_at(base: np.ndarray, inc: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Output t of each PCG64 generator, for (rows, 2) uint64 (high, low) words
-    of base and inc and positions t that broadcast against (rows, 1). Seeding
-    leaves the state at M base + inc and each output steps s to M s + inc
-    first, so output t is the XSL-RR of M^(t+2) base + (M^(t+1) + ... + 1) inc."""
-    mult_hi, mult_lo, cum_hi, cum_lo = (w[t] for w in _pcg64_jumps(int(t.max()) + 1 if t.size else 0))
-    moved = _mul128(mult_hi, mult_lo, *base.T[:, :, None])
-    hi, lo = _add128(*moved, *_mul128(cum_hi, cum_lo, *inc.T[:, :, None]))
-    x, rot = hi ^ lo, hi >> _U58  # XSL-RR: rotate right by the top 6 bits
-    return (x >> rot) | (x << ((np.uint64(64) - rot) & _U63))
-
-
-def _pcg64_seeded(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(base, inc) of PCG64(SeedSequence(entropy)) for each row of entropy
-    words (uint32, shape (rows, k)), as (rows, 2) uint64 (high, low) words."""
-    const = _INIT_A
-    u16 = np.uint32(16)
-
-    def hashmix(v):
-        nonlocal const
-        v = v ^ np.uint32(const)
-        const = const * _MULT_A & _MASK32
-        v = v * np.uint32(const)
-        return v ^ (v >> u16)
-
-    def mix(x, y):
-        v = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
-        return v ^ (v >> u16)
-
-    rows, k = words.shape
-    pool = [hashmix(words[:, i] if i < k else np.zeros(rows, np.uint32)) for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for src in range(4, k):  # entropy past the pool mixes into every pool word
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(words[:, src]))
-    # generate_state(4, uint64): eight 32-bit words, paired little-endian
-    const, state32 = _INIT_B, []
-    for i in range(8):
-        v = pool[i % 4] ^ np.uint32(const)
-        const = const * _MULT_B & _MASK32
-        v = v * np.uint32(const)
-        state32.append((v ^ (v >> u16)).astype(np.uint64))
-    w = [state32[2 * j] | (state32[2 * j + 1] << _U32) for j in range(4)]
-    # pcg64_set_seed: seed = (w0, w1) and initseq = (w2, w3) as (high, low);
-    # inc = 2 initseq + 1, and base = inc + seed, the state before its one seeding step
-    inc = np.stack([(w[2] << _U1) | (w[3] >> _U63), (w[3] << _U1) | _U1], axis=1)
-    return np.stack(_add128(inc[:, 0], inc[:, 1], w[0], w[1]), axis=1), inc
-
-
-def _pcg64_streams(prefixes: list[list[int]], count: int) -> tuple[np.ndarray, np.ndarray]:
-    """(base, inc) of np.random.default_rng(prefixes[i] + [g]) at row i count + g, for g < count,
-    as (rows, 2) uint64 (high, low) words; a negative key is refused as numpy refuses it."""
-    if any(k < 0 for prefix in prefixes for k in prefix):
-        raise ValueError("expected non-negative integer")
-    # each prefix as SeedSequence reads it: little-endian 32-bit words, at least one per key
-    heads = [[k >> 32 * i & _MASK32 for k in prefix for i in range(max(1, -(-k.bit_length() // 32)))]
-             for prefix in prefixes]
-    base, inc = np.empty((2, len(heads) * count, 2), dtype=np.uint64)
-    for width in set(map(len, heads)):  # SeedSequence mixes the words past its pool by position
-        which = [i for i, head in enumerate(heads) if len(head) == width]
-        rows = (np.array(which)[:, None] * count + np.arange(count)).reshape(-1)
-        words = np.column_stack([np.repeat([heads[i] for i in which], count, axis=0), rows % count])
-        base[rows], inc[rows] = _pcg64_seeded(words.astype(np.uint32))
-    return base, inc
-
-
 def _integers5(base: np.ndarray, inc: np.ndarray, drawn: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
     """integers(0, 5, count) of each PCG64 generator after its drawn earlier draws, shape
     (rows, count), and the rows that met a zero half. Like numpy, draw j takes 32-bit half j of
@@ -709,13 +607,6 @@ def _integers5(base: np.ndarray, inc: np.ndarray, drawn: np.ndarray, count: int)
     halves = np.take_along_axis(halves.reshape(len(t), 2 * t.shape[1]), odd[:, None] + np.arange(count), axis=1)
     halves = halves.astype(np.int64)
     return (halves * 5) >> 32, (halves == 0).any(axis=1)
-
-
-def _uniform_tables(prefixes: list[list[int]], count: int, size: int) -> np.ndarray:
-    """np.random.default_rng(prefixes[i] + [g]).random(size) at row i count + g,
-    without numpy.random: each double is (output >> 11) 2^-53, as numpy's."""
-    streams = _pcg64_streams([[int(k) for k in prefix] for prefix in prefixes], count)
-    return (_pcg64_at(*streams, np.arange(size)) >> _U11) * 2.0**-53
 
 
 def _affine_membership(n: int, gamma: int, master_seed: int, supports) -> list[tuple[np.ndarray, np.ndarray]]:

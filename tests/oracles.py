@@ -54,6 +54,9 @@ before each Bohr difference was audited in one numpy pass: it finds the
 embedding prime by floor, takes the Bohr set from its definition with exact
 rational distances, and audits each hit as the integer triple
 (x, x + M1 d, x + M2 d), d the least-magnitude lift of the difference.
+The PCG64 jump-table oracle steps M^(t+2) and M^(t+1) + ... + 1 one position
+at a time in Python ints, the way the table was built before it was built by
+doubling.
 """
 
 from __future__ import annotations
@@ -67,6 +70,7 @@ import numpy as np
 
 from popdiff._grid import add_index, add_table, digit_table, encode_digits, linear_perm
 from popdiff import DEFAULT_GUARD
+from popdiff._pcg64 import _PCG_MULT
 from popdiff.counterexample import F2_COMBOS, F3_COMBOS, SHIFT_COEFFS, f1_matrix, is_3ap_free, support_pattern_counts
 from popdiff.errors import Singular
 from popdiff.ffalg import FpMatrix, is_invertible, mat_inverse
@@ -344,6 +348,16 @@ def _random_affine_inverse(rng: np.random.Generator, n: int) -> tuple[np.ndarray
             continue
         c = rng.integers(0, 5, size=n)
         return np.array(Ainv.to_lists(), dtype=np.int64), c
+
+
+def pcg64_jumps_by_steps(steps: int) -> tuple[np.ndarray, ...]:
+    """The high and low uint64 words of M^(t+2) and of M^(t+1) + ... + 1 mod
+    2^128 for t < steps, M the PCG64 multiplier, one Python-int step per t."""
+    mult, cum, words = _PCG_MULT * _PCG_MULT % (1 << 128), _PCG_MULT + 1, []
+    for _ in range(steps):
+        words.append((*divmod(mult, 1 << 64), *divmod(cum, 1 << 64)))
+        mult, cum = mult * _PCG_MULT % (1 << 128), (cum * _PCG_MULT + 1) % (1 << 128)
+    return tuple(np.array(words, dtype=np.uint64).reshape(-1, 4).T)
 
 
 def membership_masks_by_inverse(n: int, gamma: int, master_seed: int, seed_index: int):

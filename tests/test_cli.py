@@ -451,6 +451,30 @@ def test_cli_runs_only_the_layers_its_subcommand_reads(tmp_path, scalar_spec_fil
                     json.dumps(runs[1]): [False, False], json.dumps(runs[2]): [True, False]}
 
 
+DRAWS_SCRIPT = """
+import json, sys
+from popdiff.cli import dispatch
+codes = [dispatch(json.loads(argv)) for argv in sys.argv[1:]]
+print(json.dumps({"codes": codes, "numpy.random": "numpy.random" in sys.modules}))
+"""
+
+
+def test_random_inputs_do_not_import_numpy_random(tmp_path, scalar_spec_file):
+    # every seeded draw reads numpy's PCG64 stream through popdiff._pcg64; all
+    # six runs share one fresh interpreter
+    group = tmp_path / "group.json"
+    group.write_text(json.dumps({"kind": "Z_N", "N": 61, "M1": 2, "M2": 3}))
+    runs = [["threept", "search", "--group", str(group)], ["threept", "decompose", "--group", str(group)],
+            ["threept", "lift", "--N", "30", "--eps", "0.2"], ["popular", "--spec", scalar_spec_file],
+            ["gowers", "--s", "2", "--p", "3", "--n", "3"], ["fnio", "random", "--out", str(tmp_path / "f.plgf")]]
+    child = subprocess.run([sys.executable, "-c", DRAWS_SCRIPT, *map(json.dumps, runs)],
+                           env=_child_env(), capture_output=True, text=True, timeout=60, cwd=tmp_path)
+    assert child.returncode == 0, child.stderr
+    seen = json.loads(child.stdout.splitlines()[-1])
+    assert len(seen["codes"]) == len(runs) and set(seen["codes"]) <= {0, 2}
+    assert seen["numpy.random"] is False
+
+
 @pytest.mark.parametrize("argv, span", [(["popular", "--spec", "@scalar"], None),
                                          (["cex", "core"], "popdiff.counterexample.core_expectation_table")])
 def test_tracer_wraps_lazy_layers(tmp_path, scalar_spec_file, argv, span):
@@ -595,6 +619,11 @@ MISSING_OR_MALFORMED = [
     (["threept", "count", "--group", "@zn", "--density", "inf"], ["density = inf"]),
     (["threept", "lift", "--density", "inf"], ["density = inf"]),
     (["fnio", "random", "--out", "@out", "--density", "inf"], ["density = inf"]),
+    # a non-finite float flag that the run does not read is refused too: config echoes it
+    (["gowers", "--s", "2", "--fn", "@plgf", "--density", "inf"], ["density = inf"]),
+    (["threept", "lift", "--N", "10", "--A", "@A-ints", "--density", "nan"], ["density = nan"]),
+    (["threept", "search", "--group", "@zn", "--delta", "inf"], ["delta = inf"]),
+    (["threept", "bohr", "--group", "@zn", "--eps", "inf"], ["epsilon = inf"]),
     (["count", "--spec", "@scalar", "--d", "1", "--k", "-1"], ["k = -1"]),
     (["count", "--spec", "@scalar", "--d", "1", "--n", "-1"], ["n = -1"]),
     (["popular", "--spec", "@scalar", "--k", "-1"], ["k = -1"]),
@@ -614,6 +643,7 @@ def test_missing_or_malformed_input_is_one_error_line(capsys, tmp_path, argv, na
              "scalar": {"p": 5, "k": 1, "M1": [[1]], "M2": [[2]]}, "float-k": {"p": 5, "k": 1.0, "M1": [[1]], "M2": [[2]]},
              "points2d": [[1, 2], [3, 4], [5, 6]], "ragged": [[1], [3, 4]], "outside": [61, 21, 22],
              "A-float": [1, 2.5], "A-str": ["a", 3], "A-object": {"x": 1}, "A-scalar": 5, "A-bool": [True, 3],
+             "A-ints": [1, 2, 3],
              "k2-1x1": {"p": 5, "k": 2, "M1": [[1]], "M2": [[2]]},
              "group-k2-1x1": {"kind": "vector", "p": 3, "k": 2, "n": 2, "M1": [[1]], "M2": [[2]]},
              "factor": {"p": 3, "n": 3, "b1": [[1, 0, 0]], "b2": [[[1, 0, 0], [0, 1, 0], [0, 0, 1]]], "b3": []}}

@@ -41,6 +41,7 @@ from popdiff.counterexample import (
     unique_triangle_check,
 )
 import popdiff.counterexample as cex
+from popdiff import _pcg64
 from popdiff.counterexample import _affine_membership, _integers5, _pcg64_streams, _uniform_tables
 
 from oracles import (
@@ -409,7 +410,7 @@ def test_multi_prefix_stack_matches_numpy_row_by_row(master_seed, tables, count,
     for row, rng in enumerate(rngs):
         want = rng.bit_generator.state["state"]
         b, i = (int(w[row, 0]) << 64 | int(w[row, 1]) for w in (base, inc))
-        assert [(cex._PCG_MULT * b + i) % 2**128, i] == [want["state"], want["inc"]]
+        assert [(_pcg64._PCG_MULT * b + i) % 2**128, i] == [want["state"], want["inc"]]
     drawn = np.zeros(len(rngs), dtype=np.int64)
     for size in data.draw(st.lists(st.integers(1, 9), min_size=1, max_size=4)):  # odd sizes leave odd offsets
         rows = np.array(sorted(data.draw(st.sets(st.integers(0, len(rngs) - 1), min_size=1))))
@@ -427,7 +428,7 @@ def _zero_half(monkeypatch, base_row, position):
     def forced(base, inc, t):
         out = real(base, inc, t)
         hit = (base == base_row).all(axis=1)[:, None] & (np.broadcast_to(t, out.shape) == position // 2)
-        out[hit] &= ~np.uint64(cex._MASK32 << 32 * (position % 2))
+        out[hit] &= ~np.uint64(_pcg64._MASK32 << 32 * (position % 2))
         return out
 
     monkeypatch.setattr(cex, "_pcg64_at", forced)

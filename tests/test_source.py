@@ -67,3 +67,30 @@ def test_tracer_targets_resolve():
         if owner is None or attr not in vars(owner):
             missing.append(f"{module_name}.{qualname}")
     assert missing == []
+
+
+def test_numpy_random_only_in_the_zero_half_redraw():
+    # numpy.random costs about 13 ms to import; every seeded draw reads PCG64
+    # through popdiff._pcg64, and only _affine_membership's redraw of a
+    # generator that met a zero half constructs numpy's own
+    def is_numpy_random(node):
+        if isinstance(node, ast.Attribute):
+            return node.attr == "random" and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")
+        if isinstance(node, ast.Import):
+            return any(alias.name.startswith("numpy.random") for alias in node.names)
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            return module.startswith("numpy.random") or module == "numpy" and any(a.name == "random" for a in node.names)
+        return False
+
+    allowed, found = [], []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        redraw = {id(node) for fn in ast.walk(tree)
+                  if isinstance(fn, ast.FunctionDef) and path.name == "counterexample.py" and fn.name == "_affine_membership"
+                  for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if is_numpy_random(node):
+                (allowed if id(node) in redraw else found).append(f"{path.relative_to(SRC)}:{node.lineno}")
+    assert found == []
+    assert allowed  # the redraw itself is still found, so the scan sees what it looks for
