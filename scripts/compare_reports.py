@@ -11,6 +11,11 @@ input files. Stdout (with `wall_time_s` removed from every report line),
 stderr and the exit code must agree. Each difference is printed; the script
 exits 1 if there is any and 0 otherwise.
 
+The children run without OPENBLAS_NUM_THREADS, whatever this process holds,
+so each tree starts numpy with the thread count it chooses itself: a tree
+whose CLI sets the variable runs OpenBLAS on one thread, an older tree on its
+default pool, and an identical report shows that the pool size moves no bit.
+
 The list: `check`/`subspaces` on five specs; `check` on the spectral gate's
 edge cases (the rotation over F_3, whose eigenvalues +-i lie in F_9; a
 singular M1, which fails through the eigenvalue 0; a singular M2, which must
@@ -451,7 +456,8 @@ def normalized_stdout(text: str) -> str:
 
 def run(src: str, argv: list[str], cwd: str) -> tuple:
     """(exit code, stdout without wall_time_s, stderr); a run past 60 s is a hang."""
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.path.abspath(src)
     try:
         child = subprocess.run([sys.executable, "-m", "popdiff.cli", *argv], env=env, cwd=cwd,
                                capture_output=True, text=True, timeout=60)

@@ -25,19 +25,36 @@ _U1, _U11, _U32, _U58, _U63, _LOW32 = (np.uint64(v) for v in (1, 11, 32, 58, 63,
 _BLOCK = 2**14  # doubles per block of uniforms(), which bounds its temporaries
 
 
-def _mul128(a_hi, a_lo, b_hi, b_lo):
+def _mul128(a_hi, a_lo, b_hi, b_lo, out=(None,) * 6):
     """(high, low) uint64 words of a * b mod 2^128. uint64 arithmetic wraps
-    silently; the high word of a_lo * b_lo is summed from 32-bit halves."""
-    a0, a1, b0, b1 = a_lo & _LOW32, a_lo >> _U32, b_lo & _LOW32, b_lo >> _U32
-    p01, p10 = a0 * b1, a1 * b0
-    mid = (a0 * b0 >> _U32) + (p01 & _LOW32) + (p10 & _LOW32)
-    return a1 * b1 + (p01 >> _U32) + (p10 >> _U32) + (mid >> _U32) + a_lo * b_hi + a_hi * b_lo, a_lo * b_lo
+    silently; the high word of a_lo * b_lo is summed from 32-bit halves, none
+    of whose partial sums passes 2^64. out is the two result words and four
+    scratch arrays of the result's shape, or None for each to allocate; b may
+    be the result words themselves."""
+    hi, lo, t0, t1, t2, t3 = out
+    hi = np.multiply(a_lo, b_hi, out=hi)  # b_hi is read before hi is written
+    hi += np.multiply(a_hi, b_lo, out=t0)
+    a0, a1 = a_lo & _LOW32, a_lo >> _U32
+    b0, b1 = np.bitwise_and(b_lo, _LOW32, out=t0), np.right_shift(b_lo, _U32, out=t1)
+    hi += np.multiply(a1, b1, out=t2)
+    mid = np.multiply(a0, b1, out=t1)  # a0 b1 + (a0 b0 >> 32)
+    mid += np.right_shift(np.multiply(a0, b0, out=t2), _U32, out=t2)
+    cross = np.multiply(a1, b0, out=t0)  # a1 b0 + (mid mod 2^32)
+    cross += np.bitwise_and(mid, _LOW32, out=t2)
+    hi += np.right_shift(mid, _U32, out=t1)
+    hi += np.right_shift(cross, _U32, out=t0)
+    return hi, np.multiply(a_lo, b_lo, out=lo)  # b_lo is read last
 
 
-def _add128(a_hi, a_lo, b_hi, b_lo):
-    """(high, low) words of a + b mod 2^128."""
-    low = a_lo + b_lo
-    return a_hi + b_hi + (low < b_lo), low
+def _add128(a_hi, a_lo, b_hi, b_lo, out=(None,) * 3):
+    """(high, low) words of a + b mod 2^128. out is the two result words and
+    one scratch array of the result's shape, or None for each to allocate; a
+    may be the result words, b may not."""
+    hi, lo, carry = out
+    lo = np.add(a_lo, b_lo, out=lo)
+    hi = np.add(a_hi, b_hi, out=hi)
+    hi += np.less(lo, b_lo, out=carry)
+    return hi, lo
 
 
 def _words(value: int) -> tuple[np.ndarray, np.ndarray]:
@@ -76,15 +93,24 @@ def _pcg64_states(base: np.ndarray, inc: np.ndarray, t: np.ndarray) -> tuple[np.
     return _add128(*moved, *_mul128(cum_hi, cum_lo, *inc.T[:, :, None]))
 
 
-def _xsl_rr(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
-    """PCG64's output of the state (hi, lo): hi ^ lo rotated right by the top 6 bits of hi."""
-    x, rot = hi ^ lo, hi >> _U58
-    return (x >> rot) | (x << ((np.uint64(64) - rot) & _U63))
+def _xsl_rr(hi: np.ndarray, lo: np.ndarray, out=(None,) * 3) -> np.ndarray:
+    """PCG64's output of the state (hi, lo): hi ^ lo rotated right by the top
+    6 bits of hi. out is three scratch arrays of the state's shape, or None
+    for each to allocate; the output is written to the first."""
+    x, rot, right = out
+    x = np.bitwise_xor(hi, lo, out=x)
+    rot = np.right_shift(hi, _U58, out=rot)
+    right = np.right_shift(x, rot, out=right)
+    x <<= np.bitwise_and(np.subtract(np.uint64(64), rot, out=rot), _U63, out=rot)
+    x |= right
+    return x
 
 
-def _doubles(outputs: np.ndarray) -> np.ndarray:
-    """numpy's random() double of each uint64 output: (output >> 11) 2^-53."""
-    return (outputs >> _U11) * 2.0**-53
+def _doubles(outputs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """numpy's random() double of each uint64 output, (output >> 11) 2^-53,
+    written to out if given; outputs is shifted in place."""
+    outputs >>= _U11
+    return np.multiply(outputs, 2.0**-53, out=out)
 
 
 def _pcg64_at(base: np.ndarray, inc: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -164,17 +190,19 @@ def uniforms(seed: int, size: int) -> np.ndarray:
     """np.random.default_rng(seed).random(size), bit for bit. The first block
     of _BLOCK outputs is read off the jump table; each later block moves the
     previous block's states _BLOCK steps, s -> M^_BLOCK s + (M^(_BLOCK-1) + ...
-    + 1) inc, so the temporaries stay O(_BLOCK) beyond the output."""
+    + 1) inc, in place. The states and the scratch words of every block share
+    one (6, _BLOCK) array, so the temporaries stay O(_BLOCK) beyond the output."""
     base, inc = _pcg64_seeded(np.array([_key_words([seed])], dtype=np.uint32))
     out = np.empty(size)
-    hi, lo = (w[0] for w in _pcg64_states(base, inc, np.arange(min(size, _BLOCK))))
+    words = np.empty((6, min(size, _BLOCK)), dtype=np.uint64)  # hi, lo, then scratch
+    words[:2] = [w[0] for w in _pcg64_states(base, inc, np.arange(words.shape[1]))]
     if size > _BLOCK:
         # entry _BLOCK - 2 of the table holds M^_BLOCK and M^(_BLOCK-1) + ... + 1
         mult_hi, mult_lo, cum_hi, cum_lo = (w[[_BLOCK - 2]] for w in _pcg64_jumps(_BLOCK))
         step = _mul128(cum_hi, cum_lo, *inc.T)
     for start in range(0, size, _BLOCK):
+        block = words[:, :min(size - start, _BLOCK)]
         if start:
-            count = min(size - start, _BLOCK)
-            hi, lo = _add128(*_mul128(mult_hi, mult_lo, hi[:count], lo[:count]), *step)
-        out[start:start + len(hi)] = _doubles(_xsl_rr(hi, lo))
+            _add128(*_mul128(mult_hi, mult_lo, *block[:2], out=block), *step, out=block[:3])
+        _doubles(_xsl_rr(*block[:2], out=block[2:5]), out=out[start:start + block.shape[1]])
     return out

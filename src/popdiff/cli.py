@@ -9,11 +9,16 @@ exact rationals are serialized as "num/den" strings.
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib.util
 import json
+import os
 import sys
 import time
 from fractions import Fraction
+
+# no BLAS call in popdiff (tests/test_source.py::test_library_calls_no_blas); read as numpy loads OpenBLAS
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
@@ -423,7 +428,10 @@ def dispatch(argv) -> int:
 
 
 def main(argv=None) -> int:
-    return dispatch(sys.argv[1:] if argv is None else argv)
+    if argv is None:  # the CLI process itself, whose import-time objects live until it exits
+        gc.freeze()
+        argv = sys.argv[1:]
+    return dispatch(argv)
 
 
 if __name__ == "__main__":

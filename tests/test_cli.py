@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import os
@@ -473,6 +474,59 @@ def test_random_inputs_do_not_import_numpy_random(tmp_path, scalar_spec_file):
     seen = json.loads(child.stdout.splitlines()[-1])
     assert len(seen["codes"]) == len(runs) and set(seen["codes"]) <= {0, 2}
     assert seen["numpy.random"] is False
+
+
+STARTUP_SCRIPT = """
+import json, os, sys
+__import__(sys.argv[1])
+print(json.dumps([os.environ.get("OPENBLAS_NUM_THREADS"), len(os.listdir("/proc/self/task"))]))
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in Linux's /proc/self/task")
+@pytest.mark.parametrize("module, preset, want", [("popdiff.cli", None, "1"), ("popdiff.cli", "2", "2"),
+                                                  ("popdiff.analysis", None, None)])
+def test_cli_import_starts_openblas_on_one_thread_unless_set(module, preset, want):
+    # popdiff calls no BLAS, so importing the CLI sets OPENBLAS_NUM_THREADS=1
+    # before numpy loads and the process holds no idle BLAS worker; a value the
+    # user set is kept, and importing a library layer sets nothing
+    env = {k: v for k, v in _child_env().items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    child = subprocess.run([sys.executable, "-c", STARTUP_SCRIPT, module],
+                           env=env, capture_output=True, text=True, timeout=30)
+    assert child.returncode == 0, child.stderr
+    value, threads = json.loads(child.stdout)
+    assert value == want
+    if want == "1":
+        assert threads == 1
+
+
+def test_main_with_argv_leaves_the_gc_unfrozen(capsys, scalar_spec_file):
+    # tests and perfbench/tracer.py call main(argv) in process; their objects stay collectable
+    before = gc.get_freeze_count()
+    assert cli.main(["check", "--spec", scalar_spec_file]) == 0
+    assert gc.get_freeze_count() == before
+
+
+FREEZE_SCRIPT = """
+import gc, json, sys
+import popdiff.cli as cli
+sys.argv = ["popdiff", *sys.argv[1:]]
+before = gc.get_freeze_count()
+code = cli.main()
+print(json.dumps([before, gc.get_freeze_count(), code]))
+"""
+
+
+def test_main_reading_sys_argv_freezes_import_time_objects(tmp_path, scalar_spec_file):
+    # the CLI process itself (-m popdiff.cli, the console script) moves its
+    # import-time objects out of the collector's generations before dispatch
+    child = subprocess.run([sys.executable, "-c", FREEZE_SCRIPT, "check", "--spec", scalar_spec_file],
+                           env=_child_env(), capture_output=True, text=True, timeout=30, cwd=tmp_path)
+    assert child.returncode == 0, child.stderr
+    before, after, code = json.loads(child.stdout.splitlines()[-1])
+    assert (before, code) == (0, 0) and after > 0
 
 
 @pytest.mark.parametrize("argv, span", [(["popular", "--spec", "@scalar"], None),

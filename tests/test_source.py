@@ -94,3 +94,31 @@ def test_numpy_random_only_in_the_zero_half_redraw():
                 (allowed if id(node) in redraw else found).append(f"{path.relative_to(SRC)}:{node.lineno}")
     assert found == []
     assert allowed  # the redraw itself is still found, so the scan sees what it looks for
+
+
+def test_library_calls_no_blas():
+    """popdiff reads none of numpy's BLAS entry points (linalg, dot, matmul,
+    tensordot, vdot, inner, as functions or ndarray methods), which is why the
+    CLI starts OpenBLAS on one thread; and popdiff/__init__.py imports
+    nothing, so cli.py sets OPENBLAS_NUM_THREADS before numpy loads. `@` on
+    float arrays also reaches BLAS, but which operands are float cannot be
+    pinned statically: every `@` in the library is on int64 arrays."""
+    blas = {"linalg", "dot", "matmul", "tensordot", "vdot", "inner"}
+
+    def reads_blas(node):
+        if isinstance(node, ast.Attribute):
+            return node.attr in blas
+        if isinstance(node, ast.Import):
+            return any(alias.name.startswith("numpy.linalg") for alias in node.names)
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            return module.startswith("numpy.linalg") or module == "numpy" and any(a.name in blas for a in node.names)
+        return False
+
+    probe = "import numpy.linalg\nfrom numpy import matmul\nnp.linalg.solve(a, b)\nx.dot(y)\n"
+    assert sum(map(reads_blas, ast.walk(ast.parse(probe)))) == 4  # the scan sees each form it looks for
+    found = [f"{path.relative_to(SRC)}:{node.lineno}" for path in sorted(SRC.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path))) if reads_blas(node)]
+    assert found == []
+    init = ast.parse((SRC / "__init__.py").read_text())
+    assert not any(isinstance(node, (ast.Import, ast.ImportFrom)) for node in ast.walk(init))
