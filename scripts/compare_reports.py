@@ -99,10 +99,15 @@ backends, `gowers --p 3 --n 9 --s 2` in both backends), on seeds 0, 2^32 and
 2^64 + 5 (`threept search` on F_3^7, `threept decompose` on F_3^7 and Z_61,
 `threept lift`, `popular`), and `--seed -1` (`fnio random`, `threept
 decompose` and `search`), which ends in numpy's error line;
-and one guard refusal per check the CLI reaches, at a `--guard` one below
+one guard refusal per check the CLI reaches, at a `--guard` one below
 its estimate: `popular`, recursive and direct `gowers`, `equidist` linquad,
 tuple and abstract, `cex eight-tuple`, `dress`, `assemble` and `report`, and
-`threept lift`.
+`threept lift`; and the parser's own output, which the CLI builds with only
+the subparser argv[0] names: `-h`, no argument and the unknown subcommand
+`bogus` (the full build), `<sub> -h` for each of the nine subcommands, and
+for each subcommand one argv that parses but for a trailing unknown argument
+(`popular --spec S extra`, `cex report --bogus 1`, ...), whose error prints
+the top-level usage naming every subcommand.
 """
 
 from __future__ import annotations
@@ -415,6 +420,15 @@ def invocations(refs: dict) -> list[list[str]]:
         ["cex", "report", "--n", "2", "--L", "5", "--seeds", "2", "--guard", "624"],
         ["threept", "lift", "--N", "30", "--eps", "0.2", "--guard", "30"],
     ]
+    # the parser alone: full-build help and errors, each subparser's help, and the
+    # top-level usage that an unrecognized argument after a subcommand prints
+    argvs += [["-h"], [], ["bogus"]]
+    parses = {"check": ["--spec", "@scalar-p5"], "subspaces": ["--spec", "@scalar-p5"],
+              "count": ["--spec", "@scalar-p5", "--d", "1"], "popular": ["--spec", "@scalar-p5"],
+              "gowers": ["--s", "2"], "equidist": ["--factor", "@sym-p3"], "cex": ["report"],
+              "threept": ["search"], "fnio": ["info"]}
+    argvs += [[sub, "-h"] for sub in parses]
+    argvs += [[sub, *flags, *(["--bogus", "1"] if i % 2 else ["extra"])] for i, (sub, flags) in enumerate(parses.items())]
     return argvs
 
 

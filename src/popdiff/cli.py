@@ -25,24 +25,9 @@ import numpy as np
 from . import DEFAULT_GUARD, __version__
 from .errors import CheckFailed, PopdiffError, TooLarge, check_guard, finite, is_int_tree
 from .ffalg import FpMatrix
-from .gridfn import (
-    FLOAT,
-    RATIONAL,
-    GridFunction,
-    QuadraticFactor,
-    grid_size,
-    read_grid_function,
-    write_grid_function,
-)
+from .gridfn import FLOAT, RATIONAL, GridFunction, grid_size, read_grid_function, write_grid_function
 from .patterns import PatternSpec, check_admissible, check_spectral, constraint_spaces, lambda_perp
-from .analysis import (
-    gowers_norm,
-    linear_quadratic_distribution,
-    pattern_count,
-    pattern_tuple_distribution,
-    abstract_atom_distribution,
-    popular_search,
-)
+from .analysis import gowers_norm, pattern_count, popular_search
 
 
 def _lazy_layer(name: str):
@@ -65,8 +50,9 @@ def _lazy_layer(name: str):
 
 cex = _lazy_layer("counterexample")
 tp = _lazy_layer("threept")
+eq = _lazy_layer("equidist")
 pcg = _lazy_layer("_pcg64")  # run by the first random draw, inside the handler
-_LAYERS = {"cex": cex, "threept": tp}  # the lazy layer each subcommand runs
+_LAYERS = {"cex": cex, "threept": tp, "equidist": eq}  # the lazy layer each subcommand runs
 
 
 def _jsonable(obj):
@@ -214,16 +200,16 @@ def _cmd_gowers(args):
 
 
 def _cmd_equidist(args):
-    factor = _load_json(args, "factor", QuadraticFactor)
+    factor = _load_json(args, "factor", eq.QuadraticFactor)
     if args.mode == "tuple":
         J = FpMatrix.from_rows(_int_lists(args, "J", depth=2), factor.p)
         if J.rows != args.k:
             raise ValueError(f"--k {args.k} differs from the size of --J {args.J}, a {J.rows} x {J.cols} matrix")
-        rep = pattern_tuple_distribution(factor, J, restrict_to_H=args.restrict_h, guard=args.guard)
+        rep = eq.pattern_tuple_distribution(factor, J, restrict_to_H=args.restrict_h, guard=args.guard)
     elif args.mode == "abstract":
-        rep = abstract_atom_distribution(factor, args.k, guard=args.guard)
+        rep = eq.abstract_atom_distribution(factor, args.k, guard=args.guard)
     else:
-        rep = linear_quadratic_distribution([list(r) for r in factor.b1], list(factor.b2), factor.n, factor.p, guard=args.guard)
+        rep = eq.linear_quadratic_distribution([list(r) for r in factor.b1], list(factor.b2), factor.n, factor.p, guard=args.guard)
     return rep.to_json_obj(), rep.support_ok
 
 
@@ -322,92 +308,91 @@ def _cmd_fnio(args):
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="popdiff", description=__doc__)
-    sub = ap.add_subparsers(dest="subcommand", required=True)
+_SPEC = ("--spec", {"required": True})
+_POINTS = ("--points", {"type": int, "choices": (3, 4), "default": 4})
+_GRID_FN = (  # --fn, or the seeded random function on the --p/--k/--n grid at --density
+    ("--fn", {"default": None}),
+    ("--p", {"type": int, "default": 5}),
+    ("--k", {"type": int, "default": 1}),
+    ("--n", {"type": int, "default": 2}),
+    ("--density", {"type": float, "default": 0.5}),
+)
+_COMMON = (  # the flags every subcommand takes, first
+    ("--guard", {"type": int, "default": DEFAULT_GUARD}),
+    ("--backend", {"choices": ("exact", "float"), "default": "exact"}),
+    ("--json", {"dest": "json_out", "default": None}),
+    ("--seed", {"type": int, "default": 0}),
+)
+# name -> (help, handler, its own flags in help order)
+_SUBCOMMANDS = {
+    "check": ("admissibility and spectral gate of a pattern", _cmd_check, (_SPEC,)),
+    "subspaces": ("constraint subspace bases for a pattern", _cmd_subspaces, (_SPEC,)),
+    "count": ("pattern count at one difference", _cmd_count,
+              (_SPEC, ("--d", {"type": int, "required": True}), _POINTS, *_GRID_FN)),
+    "popular": ("exhaustive popular-difference search", _cmd_popular,
+                (_SPEC, ("--eps", {"type": float, "default": 0.05}), _POINTS, ("--full", {"action": "store_true"}),
+                 *_GRID_FN)),
+    "gowers": ("Gowers U^s norm", _cmd_gowers,
+               (("--s", {"type": int, "required": True}),
+                ("--mode", {"choices": ("recursive", "direct"), "default": "recursive"}), *_GRID_FN)),
+    "equidist": ("exhaustive equidistribution reports", _cmd_equidist, (
+        ("--mode", {"choices": ("linquad", "tuple", "abstract"), "default": "tuple"}),
+        ("--factor", {"required": True}),
+        ("--J", {"default": "[[2]]"}),
+        ("--k", {"type": int, "default": 1}),
+        ("--restrict-h", {"action": "store_true"}),
+    )),
+    "cex": ("counterexample pipeline", _cmd_cex, (
+        ("cex_op", {"choices": ("core", "eight-tuple", "hypergraph", "dress", "assemble", "report")}),
+        ("--a", {"default": "[1,0,0]"}),
+        ("--b", {"default": "[0,1,0]"}),
+        ("--n", {"type": int, "default": 3}),
+        ("--L", {"type": int, "default": 5}),
+        ("--gamma", {"type": int, "default": 1}),
+        ("--seeds", {"type": int, "default": 10}),
+        ("--seed-index", {"type": int, "default": 0}),
+        ("--method", {"default": "exhaustive-max"}),
+    )),
+    "threept": ("three-point machinery over finite groups", _cmd_threept, (
+        ("tp_op", {"choices": ("bohr", "count", "decompose", "search", "lift")}),
+        ("--group", {"default": None}),
+        ("--S", {"default": "[1]"}),
+        ("--delta", {"type": float, "default": 0.25}),
+        ("--eps", {"type": float, "default": 0.1}),
+        ("--density", {"type": float, "default": 0.45}),
+        ("--N", {"type": int, "default": 40}),
+        ("--M1", {"type": int, "default": 1}),
+        ("--M2", {"type": int, "default": 2}),
+        ("--A", {"default": None}),
+    )),
+    "fnio": ("grid-function file utilities", _cmd_fnio,
+             (("io_op", {"choices": ("info", "roundtrip", "random")}), ("--out", {"default": None}), *_GRID_FN)),
+}
 
-    def subcommand(name, help_text, func):
-        """A subparser running func, with the flags every subcommand takes."""
+
+def build_parser(argv=()) -> argparse.ArgumentParser:
+    """The CLI parser. When argv[0] names a subcommand, only that subparser is
+    built; otherwise (-h, no argument, an unknown name) all of them are."""
+    ap = argparse.ArgumentParser(prog="popdiff", description=__doc__)
+    if argv and argv[0] in _SUBCOMMANDS:
+        # the full build's {check,...,fnio} in the top-level usage that an unrecognized argument prints; the
+        # full build keeps argparse's own metavar, which its errors name as "argument subcommand"
+        sub = ap.add_subparsers(dest="subcommand", required=True, metavar="{" + ",".join(_SUBCOMMANDS) + "}")
+        names = [argv[0]]
+    else:
+        sub = ap.add_subparsers(dest="subcommand", required=True)
+        names = list(_SUBCOMMANDS)
+    for name in names:
+        help_text, func, flags = _SUBCOMMANDS[name]
         s = sub.add_parser(name, help=help_text)
         s.set_defaults(func=func)
-        s.add_argument("--guard", type=int, default=DEFAULT_GUARD)
-        s.add_argument("--backend", choices=("exact", "float"), default="exact")
-        s.add_argument("--json", dest="json_out", default=None)
-        s.add_argument("--seed", type=int, default=0)
-        return s
-
-    def grid_fn(s):
-        """--fn, or the seeded random function on the --p/--k/--n grid at --density."""
-        s.add_argument("--fn", default=None)
-        s.add_argument("--p", type=int, default=5)
-        s.add_argument("--k", type=int, default=1)
-        s.add_argument("--n", type=int, default=2)
-        s.add_argument("--density", type=float, default=0.5)
-
-    s = subcommand("check", "admissibility and spectral gate of a pattern", _cmd_check)
-    s.add_argument("--spec", required=True)
-
-    s = subcommand("subspaces", "constraint subspace bases for a pattern", _cmd_subspaces)
-    s.add_argument("--spec", required=True)
-
-    s = subcommand("count", "pattern count at one difference", _cmd_count)
-    s.add_argument("--spec", required=True)
-    s.add_argument("--d", type=int, required=True)
-    s.add_argument("--points", type=int, choices=(3, 4), default=4)
-    grid_fn(s)
-
-    s = subcommand("popular", "exhaustive popular-difference search", _cmd_popular)
-    s.add_argument("--spec", required=True)
-    s.add_argument("--eps", type=float, default=0.05)
-    s.add_argument("--points", type=int, choices=(3, 4), default=4)
-    s.add_argument("--full", action="store_true")
-    grid_fn(s)
-
-    s = subcommand("gowers", "Gowers U^s norm", _cmd_gowers)
-    s.add_argument("--s", type=int, required=True)
-    s.add_argument("--mode", choices=("recursive", "direct"), default="recursive")
-    grid_fn(s)
-
-    s = subcommand("equidist", "exhaustive equidistribution reports", _cmd_equidist)
-    s.add_argument("--mode", choices=("linquad", "tuple", "abstract"), default="tuple")
-    s.add_argument("--factor", required=True)
-    s.add_argument("--J", default="[[2]]")
-    s.add_argument("--k", type=int, default=1)
-    s.add_argument("--restrict-h", dest="restrict_h", action="store_true")
-
-    s = subcommand("cex", "counterexample pipeline", _cmd_cex)
-    s.add_argument("cex_op", choices=("core", "eight-tuple", "hypergraph", "dress", "assemble", "report"))
-    s.add_argument("--a", default="[1,0,0]")
-    s.add_argument("--b", default="[0,1,0]")
-    s.add_argument("--n", type=int, default=3)
-    s.add_argument("--L", type=int, default=5)
-    s.add_argument("--gamma", type=int, default=1)
-    s.add_argument("--seeds", type=int, default=10)
-    s.add_argument("--seed-index", type=int, default=0)
-    s.add_argument("--method", default="exhaustive-max")
-
-    s = subcommand("threept", "three-point machinery over finite groups", _cmd_threept)
-    s.add_argument("tp_op", choices=("bohr", "count", "decompose", "search", "lift"))
-    s.add_argument("--group", default=None)
-    s.add_argument("--S", default="[1]")
-    s.add_argument("--delta", type=float, default=0.25)
-    s.add_argument("--eps", type=float, default=0.1)
-    s.add_argument("--density", type=float, default=0.45)
-    s.add_argument("--N", type=int, default=40)
-    s.add_argument("--M1", type=int, default=1)
-    s.add_argument("--M2", type=int, default=2)
-    s.add_argument("--A", default=None)
-
-    s = subcommand("fnio", "grid-function file utilities", _cmd_fnio)
-    s.add_argument("io_op", choices=("info", "roundtrip", "random"))
-    s.add_argument("--out", default=None)
-    grid_fn(s)
-
+        for flag, kwargs in (*_COMMON, *flags):
+            s.add_argument(flag, **kwargs)
     return ap
 
 
 def dispatch(argv) -> int:
-    parser = build_parser()
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -1,9 +1,10 @@
-"""Functions on (F_p^n)^k, symmetrized quadratic factors, and their atoms.
+"""Functions on (F_p^n)^k and their PLGF files.
 
 Grid points are k x n matrices over F_p; the dense index encoding is
 row-major base p with entry (0, 0) least significant (see _grid). Grid
 functions store one value per index, in exact-rational, float, or
 complex-float form; conversions between value kinds are always explicit.
+Quadratic factors and their atoms live in equidist.
 """
 
 from __future__ import annotations
@@ -12,26 +13,21 @@ import math
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
 from . import DEFAULT_GUARD
-from ._grid import decode_index, digit_table, encode_index
+from ._grid import decode_index, encode_index
 from .errors import (
     BadMagic,
     CorruptLength,
     DimensionMismatch,
-    NotSymmetric,
     VersionMismatch,
     check_guard,
-    ensure,
     float_range_error,
-    int_field,
     too_large,
 )
-from .ffalg import FpMatrix, rank_stack, row_space_rank, rref, validate_odd_prime
-from .patterns import SubspaceBasis, coord_index
+from .ffalg import FpMatrix, validate_odd_prime
 
 RATIONAL = "rational"
 FLOAT = "float"
@@ -169,222 +165,6 @@ class GridFunction:
 
     def to_complex(self) -> "GridFunction":
         return GridFunction(self.p, self.k, self.n, self.values.astype(np.complex128) if self.kind != RATIONAL else np.array([complex(v) for v in self.values]), COMPLEX)
-
-
-# ---------------------------------------------------------------------------
-# Quadratic factors
-
-
-@dataclass(frozen=True)
-class QuadraticFactor:
-    """Lists (r_i), (M_i symmetric), (N_j skew) of length-n data defining the
-    maps X -> X r_i, X M_i X^T, X N_j X^T on k x n grid points."""
-
-    p: int
-    n: int
-    b1: tuple[tuple[int, ...], ...]
-    b2: tuple[FpMatrix, ...]
-    b3: tuple[FpMatrix, ...]
-
-    def __post_init__(self):
-        validate_odd_prime(self.p)
-        object.__setattr__(self, "b1", tuple(tuple(x % self.p for x in r) for r in self.b1))
-        for r in self.b1:
-            if len(r) != self.n:
-                raise DimensionMismatch("linear part has wrong length")
-        for M in self.b2:
-            if M.rows != self.n or M.p != self.p or not M.is_symmetric():
-                raise NotSymmetric("b2 entries must be symmetric n x n over F_p")
-        for N in self.b3:
-            if N.rows != self.n or N.p != self.p or not N.is_skew():
-                raise NotSymmetric("b3 entries must be skew-symmetric n x n over F_p")
-
-    @property
-    def complexity(self) -> tuple[int, int, int]:
-        return (len(self.b1), len(self.b2), len(self.b3))
-
-    def to_json_obj(self) -> dict:
-        return {
-            "p": self.p,
-            "n": self.n,
-            "b1": [list(r) for r in self.b1],
-            "b2": [M.to_lists() for M in self.b2],
-            "b3": [N.to_lists() for N in self.b3],
-        }
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "QuadraticFactor":
-        p = int_field(obj, "p")
-        return cls(
-            p,
-            int_field(obj, "n"),
-            tuple(tuple(r) for r in int_field(obj, "b1", 2)),
-            tuple(FpMatrix.from_rows(M, p) for M in int_field(obj, "b2", 3)),
-            tuple(FpMatrix.from_rows(N, p) for N in int_field(obj, "b3", 3)),
-        )
-
-
-@dataclass(frozen=True)
-class FactorImage:
-    b1: tuple[tuple[int, ...], ...]
-    b2: tuple[FpMatrix, ...]
-    b3: tuple[FpMatrix, ...]
-
-
-def factor_eval(factor: QuadraticFactor, X: FpMatrix) -> FactorImage:
-    """Componentwise image (X r_i, X M_i X^T, X N_j X^T)."""
-    if X.cols != factor.n or X.p != factor.p:
-        raise DimensionMismatch("point shape does not match the factor")
-    Xt = X.transpose()
-    b1 = tuple(tuple((X.array @ np.array(r, dtype=np.int64) % factor.p).tolist()) for r in factor.b1)
-    b2 = tuple(X.mul(M).mul(Xt) for M in factor.b2)
-    b3 = tuple(X.mul(N).mul(Xt) for N in factor.b3)
-    ensure(all(M.is_symmetric() for M in b2), "factor_eval: X M X^T is not symmetric")
-    ensure(all(N.is_skew() for N in b3), "factor_eval: X N X^T is not skew-symmetric")
-    return FactorImage(b1, b2, b3)
-
-
-def factor_image_coords(factor: QuadraticFactor, k: int) -> np.ndarray:
-    """Canonical image coordinates for every grid index; shape (P, ncoords).
-
-    Coordinates: all k entries of each X r_i, then the entries of each
-    X M_i X^T and each X N_j X^T in patterns.coord_index order.
-    """
-    p, n = factor.p, factor.n
-    P = grid_size(p, k, n)
-    X = digit_table(p, k * n).reshape(P, k, n)
-    cols = [np.zeros((P, 0), dtype=np.int64)] + [(X @ np.asarray(r, dtype=np.int64)) % p for r in factor.b1]
-    for kind, mats in (("symmetric", factor.b2), ("skew", factor.b3)):
-        i, j = np.array(coord_index(k, kind), dtype=np.int64).reshape(-1, 2).T
-        for M in mats:
-            cols.append(np.einsum("xan,nm,xbm->xab", X, M.array, X)[:, i, j] % p)
-    return np.concatenate(cols, axis=1)
-
-
-def atom_images(factor: QuadraticFactor, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Atom id per grid index, and the image coordinates of each atom, shape
-    (atoms, ncoords): the distinct rows of factor_image_coords in
-    lexicographic order, so that atom ids rank the images."""
-    atoms, ids = np.unique(factor_image_coords(factor, k), axis=0, return_inverse=True)
-    return ids, atoms
-
-
-def factor_rank(factor: QuadraticFactor, guard: int = 10**7) -> int:
-    """Largest r with the linear parts independent and every nontrivial
-    combination of the quadratic parts of rank >= r; 0 if the linear part is
-    dependent, n if there are no quadratic parts."""
-    p, n = factor.p, factor.n
-    d1, d2, d3 = factor.complexity
-    if d1 and row_space_rank(factor.b1, p) < d1:
-        return 0
-    if d2 + d3 == 0:
-        return n
-    check_guard("p^(d2+d3)", p ** (d2 + d3), guard)
-    mats = np.array([M.array for M in (*factor.b2, *factor.b3)])
-    coeffs = digit_table(p, d2 + d3)[1:]  # every nontrivial combination
-    chunk = max(1, 2**18 // max(n, 1) ** 2)  # matrices ranked per stacked elimination
-    best = n
-    for start in range(0, len(coeffs), chunk):
-        combos = np.einsum("cd,dij->cij", coeffs[start:start + chunk], mats) % p
-        best = min(best, int(rank_stack(combos, p).min()))
-        if best == 0:
-            break
-    return best
-
-
-def conditional_expectation(f: GridFunction, factor: QuadraticFactor) -> GridFunction:
-    """Projection of f onto the atoms of the factor: constant on each fiber
-    of the image map, mean preserved exactly (rational kind) or to float
-    accuracy."""
-    if f.kind == COMPLEX:
-        raise ValueError("conditional expectation is defined for rational or float values")
-    atom, atoms = atom_images(factor, f.k)
-    sizes = np.bincount(atom, minlength=len(atoms))
-    if f.kind == RATIONAL:
-        a, L = f.integer_form()
-        sums = np.zeros(len(atoms), dtype=object)
-        np.add.at(sums, atom, a)
-        means = [Fraction(s, L * int(c)) for s, c in zip(sums, sizes)]
-        return f.with_values([means[i] for i in atom])
-    sums = np.bincount(atom, weights=f.values, minlength=len(atoms))
-    return f.with_values(sums[atom] / sizes[atom])
-
-
-# ---------------------------------------------------------------------------
-# The linear-kernel subspace H
-
-
-def linear_kernel_H(factor: QuadraticFactor, k: int) -> dict:
-    """H = {D in (F_p^n)^k : D r_i = 0 for all i}, as an exact indicator,
-    together with the annihilator characters spanning H-perp."""
-    p, n = factor.p, factor.n
-    red, _ = rref(factor.b1, p)
-    rank = len(red)
-    P = grid_size(p, k, n)
-    member = np.all(h_coset_labels(factor, k) == 0, axis=1)
-    indicator = GridFunction(p, k, n, member.astype(np.int64), RATIONAL)
-    # H-perp inside F_p^{kn}: basis vector (i, a) is e_a tensored with r_i, [i, a, b, j] = delta_ab r_i[j]
-    basis = np.einsum("ab,ij->iabj", np.eye(k, dtype=np.int64), red.reshape(rank, n)).reshape(rank * k, k * n)
-    h_perp = SubspaceBasis(p, k * n, basis, "grid-characters")
-    density = Fraction(int(member.sum()), P)
-    ensure(density == Fraction(1, p ** (k * rank)), f"linear_kernel_H: density {density} != p^-(k rank)")
-    return {"H": indicator, "H_perp": h_perp, "density": density, "rank": rank}
-
-
-def h_coset_labels(factor: QuadraticFactor, k: int) -> np.ndarray:
-    """Coset label of each grid index for the subgroup H (values of D r_i)."""
-    p, n = factor.p, factor.n
-    P = grid_size(p, k, n)
-    if not factor.b1:
-        return np.zeros((P, 1), dtype=np.int64)
-    X = digit_table(p, k * n).reshape(P, k, n)
-    R = np.array([list(r) for r in factor.b1], dtype=np.int64).T
-    return (np.einsum("xan,nd->xad", X, R) % p).reshape(P, -1)
-
-
-# ---------------------------------------------------------------------------
-# Phase functions
-
-
-def _check_phase(r: Sequence[int], M: FpMatrix, p: int, k: int, n: int) -> None:
-    """The data of a phase e_p(r^T x + x^T M x) on (F_p^n)^k: M symmetric kn x kn over F_p, r of length kn."""
-    if M.array.shape != (k * n, k * n) or M.p != p:
-        raise DimensionMismatch("M must be kn x kn over F_p")
-    if not M.is_symmetric():
-        raise NotSymmetric("phase matrix must be symmetric")
-    if len(r) != k * n:
-        raise DimensionMismatch("r must have length kn")
-
-
-def phase_function(r: Sequence[int], M: FpMatrix, p: int, k: int, n: int) -> GridFunction:
-    """g(x) = e_p(r^T x + x^T M x) on the kn-flattening of the grid."""
-    _check_phase(r, M, p, k, n)
-    digits = digit_table(p, k * n)
-    rv = np.asarray([x % p for x in r], dtype=np.int64)
-    t = (digits @ rv + np.einsum("xi,ij,xj->x", digits, M.array, digits)) % p
-    vals = np.exp(2j * np.pi * t / p)
-    return GridFunction(p, k, n, vals, COMPLEX)
-
-
-def block_factor_from_phase(r: Sequence[int], M: FpMatrix, k: int, n: int) -> QuadraticFactor:
-    """The factor on whose atoms the phase function is constant: the n-blocks
-    of r, the diagonal blocks and symmetrized off-diagonal blocks of M, and
-    the skew parts of the off-diagonal blocks."""
-    p = M.p
-    _check_phase(r, M, p, k, n)
-    inv2 = pow(2, -1, p)
-    b1 = tuple(tuple(r[i * n + j] % p for j in range(n)) for i in range(k))
-    blocks = M.array.reshape(k, n, k, n)  # block (i, j) is blocks[i, :, j]
-    b2 = [FpMatrix.from_rows(blocks[i, :, i], p) for i in range(k)]
-    b3 = []
-    for i in range(k):
-        for j in range(i + 1, k):
-            Mij = FpMatrix.from_rows(blocks[i, :, j], p)
-            b2.append(Mij.add(Mij.transpose()).scale_by(inv2))
-            b3.append(Mij.sub(Mij.transpose()).scale_by(inv2))
-    b3 = [N for N in b3 if N.array.any()]
-    b2 = [S for S in b2 if S.array.any()]
-    return QuadraticFactor(p, n, b1, tuple(b2), tuple(b3))
 
 
 # ---------------------------------------------------------------------------

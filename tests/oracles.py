@@ -56,7 +56,10 @@ rational distances, and audits each hit as the integer triple
 (x, x + M1 d, x + M2 d), d the least-magnitude lift of the difference.
 The PCG64 jump-table oracle steps M^(t+2) and M^(t+1) + ... + 1 one position
 at a time in Python ints, the way the table was built before it was built by
-doubling.
+doubling. The pointwise factor image (factor_eval) and the phase functions
+with the factor read off their blocks (phase_function,
+block_factor_from_phase) had no caller in the library; the gridfn tests
+check factor_image_coords and atom_images against them.
 """
 
 from __future__ import annotations
@@ -64,7 +67,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
@@ -72,9 +77,10 @@ from popdiff._grid import add_index, add_table, digit_table, encode_digits, line
 from popdiff import DEFAULT_GUARD
 from popdiff._pcg64 import _PCG_MULT
 from popdiff.counterexample import F2_COMBOS, F3_COMBOS, SHIFT_COEFFS, f1_matrix, is_3ap_free, support_pattern_counts
-from popdiff.errors import Singular
+from popdiff.equidist import QuadraticFactor, factor_image_coords, h_coset_labels
+from popdiff.errors import DimensionMismatch, NotSymmetric, Singular, ensure
 from popdiff.ffalg import FpMatrix, is_invertible, mat_inverse
-from popdiff.gridfn import FLOAT, RATIONAL, GridFunction, factor_image_coords, grid_decode, h_coset_labels
+from popdiff.gridfn import COMPLEX, FLOAT, RATIONAL, GridFunction, grid_decode
 from popdiff.patterns import PatternSpec, SubspaceBasis
 
 
@@ -579,6 +585,67 @@ def max_ap3_free_by_whole_set_check(L: int) -> list[int]:
 
     extend(0, [])
     return best
+
+
+@dataclass(frozen=True)
+class FactorImage:
+    b1: tuple[tuple[int, ...], ...]
+    b2: tuple[FpMatrix, ...]
+    b3: tuple[FpMatrix, ...]
+
+
+def factor_eval(factor: QuadraticFactor, X: FpMatrix) -> FactorImage:
+    """Componentwise image (X r_i, X M_i X^T, X N_j X^T)."""
+    if X.cols != factor.n or X.p != factor.p:
+        raise DimensionMismatch("point shape does not match the factor")
+    Xt = X.transpose()
+    b1 = tuple(tuple((X.array @ np.array(r, dtype=np.int64) % factor.p).tolist()) for r in factor.b1)
+    b2 = tuple(X.mul(M).mul(Xt) for M in factor.b2)
+    b3 = tuple(X.mul(N).mul(Xt) for N in factor.b3)
+    ensure(all(M.is_symmetric() for M in b2), "factor_eval: X M X^T is not symmetric")
+    ensure(all(N.is_skew() for N in b3), "factor_eval: X N X^T is not skew-symmetric")
+    return FactorImage(b1, b2, b3)
+
+
+def _check_phase(r: Sequence[int], M: FpMatrix, p: int, k: int, n: int) -> None:
+    """The data of a phase e_p(r^T x + x^T M x) on (F_p^n)^k: M symmetric kn x kn over F_p, r of length kn."""
+    if M.array.shape != (k * n, k * n) or M.p != p:
+        raise DimensionMismatch("M must be kn x kn over F_p")
+    if not M.is_symmetric():
+        raise NotSymmetric("phase matrix must be symmetric")
+    if len(r) != k * n:
+        raise DimensionMismatch("r must have length kn")
+
+
+def phase_function(r: Sequence[int], M: FpMatrix, p: int, k: int, n: int) -> GridFunction:
+    """g(x) = e_p(r^T x + x^T M x) on the kn-flattening of the grid."""
+    _check_phase(r, M, p, k, n)
+    digits = digit_table(p, k * n)
+    rv = np.asarray([x % p for x in r], dtype=np.int64)
+    t = (digits @ rv + np.einsum("xi,ij,xj->x", digits, M.array, digits)) % p
+    vals = np.exp(2j * np.pi * t / p)
+    return GridFunction(p, k, n, vals, COMPLEX)
+
+
+def block_factor_from_phase(r: Sequence[int], M: FpMatrix, k: int, n: int) -> QuadraticFactor:
+    """The factor on whose atoms the phase function is constant: the n-blocks
+    of r, the diagonal blocks and symmetrized off-diagonal blocks of M, and
+    the skew parts of the off-diagonal blocks."""
+    p = M.p
+    _check_phase(r, M, p, k, n)
+    inv2 = pow(2, -1, p)
+    b1 = tuple(tuple(r[i * n + j] % p for j in range(n)) for i in range(k))
+    blocks = M.array.reshape(k, n, k, n)  # block (i, j) is blocks[i, :, j]
+    b2 = [FpMatrix.from_rows(blocks[i, :, i], p) for i in range(k)]
+    b3 = []
+    for i in range(k):
+        for j in range(i + 1, k):
+            Mij = FpMatrix.from_rows(blocks[i, :, j], p)
+            b2.append(Mij.add(Mij.transpose()).scale_by(inv2))
+            b3.append(Mij.sub(Mij.transpose()).scale_by(inv2))
+    b3 = [N for N in b3 if N.array.any()]
+    b2 = [S for S in b2 if S.array.any()]
+    return QuadraticFactor(p, n, b1, tuple(b2), tuple(b3))
 
 
 def factor_rank_by_combinations(factor) -> int:

@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 
 from popdiff.ffalg import FpMatrix, is_invertible, mat_inverse
-from popdiff.gridfn import FLOAT, GridFunction, QuadraticFactor, grid_size
+from popdiff.gridfn import FLOAT, GridFunction, grid_size
 from popdiff.patterns import (
     PatternSpec,
     annihilator_bruteforce,
@@ -21,12 +21,8 @@ from popdiff.patterns import (
     enumerate_admissible_spectral_J,
     in_algebra_of_square,
 )
-from popdiff.analysis import (
-    gowers_norm,
-    pattern_tuple_distribution,
-    popular_search,
-    von_neumann_check,
-)
+from popdiff.analysis import gowers_norm, popular_search
+from popdiff.equidist import QuadraticFactor, pattern_tuple_distribution, von_neumann_check
 from popdiff import counterexample as cex
 from popdiff import threept as tp
 

@@ -10,32 +10,23 @@ from hypothesis import example, given, settings, strategies as st
 
 from popdiff.errors import DimensionMismatch, NotAutomorphism, NotMeasurable, TooLarge
 from popdiff.ffalg import FpMatrix, is_invertible, rank_stack, row_space_rank
-from popdiff.gridfn import (
-    COMPLEX,
-    FLOAT,
-    RATIONAL,
-    GridFunction,
-    QuadraticFactor,
-    atom_images,
-    conditional_expectation,
-    grid_encode,
-    grid_size,
-)
+from popdiff.gridfn import COMPLEX, FLOAT, RATIONAL, GridFunction, grid_encode, grid_size
 from popdiff.patterns import PatternSpec
 from popdiff.threept import FiniteGroupSpec, popular_3pt_search
-from popdiff import DEFAULT_GUARD, analysis
-from popdiff.analysis import (
+from popdiff import DEFAULT_GUARD, analysis, equidist
+from popdiff.analysis import gowers_norm, pattern_count, popular_search
+from popdiff.equidist import (
+    QuadraticFactor,
     abstract_atom_distribution,
     abstract_atom_histogram,
     abstract_atom_report,
+    atom_images,
+    conditional_expectation,
     factor_image_distribution,
-    gowers_norm,
     linear_quadratic_distribution,
-    pattern_count,
     pattern_tuple_distribution,
     pattern_tuple_histogram,
     pattern_tuple_report,
-    popular_search,
     structured_pattern_average,
     von_neumann_check,
 )
@@ -703,6 +694,19 @@ def test_pattern_tuple_dependent_linear_parts_add_no_dimension():
         assert rep.support_equal and rep.predicted_support_size == size
 
 
+def test_tuple_prediction_unreliable_with_more_cells_than_pairs():
+    # the mixed-p5 factor of scripts/compare_reports.py at J = [[2]]: a
+    # spectral J with I +- J invertible, but 5^5 = 3,125 predicted cells
+    # from 625 (X, D) pairs, so equal support cannot occur
+    p = 5
+    fac = QuadraticFactor(p, 2, ((1, 2),), (FpMatrix.from_rows([[0, 1], [1, 0]], p),),
+                          (FpMatrix.from_rows([[0, 1], [4, 0]], p),))
+    rep = pattern_tuple_distribution(fac, FpMatrix.from_rows([[2]], p))
+    assert rep.extras["spectral_ok"] and rep.support_ok and not rep.support_equal
+    assert (rep.predicted_support_size, rep.cells_observed) == (3125, 325)
+    assert not rep.prediction_reliable
+
+
 def random_factor(p, n, seed):
     """A factor with up to two linear, two symmetric and one skew part."""
     rng = np.random.default_rng(seed)
@@ -748,6 +752,20 @@ def test_tuple_histogram_matches_row_sort_oracle(shape, seed, restrict_to_H):
     while not is_invertible(FpMatrix.identity(k, p).sub(J)):  # the report needs I - J invertible
         J = FpMatrix.from_rows(rng.integers(0, p, (k, k)).tolist(), p)
     assert_tuple_histogram_matches_oracle(random_factor(p, n, seed), J, restrict_to_H)
+
+
+@given(st.sampled_from(SMALL_SHAPES), st.integers(0, 2**32 - 1), st.booleans())
+@settings(max_examples=20, deadline=None)
+def test_reliable_tuple_prediction_fits_the_pairs_counted(shape, seed, restrict_to_H):
+    p, k, n = shape
+    rng = np.random.default_rng(seed)
+    J = FpMatrix.from_rows(rng.integers(0, p, (k, k)).tolist(), p)
+    while not is_invertible(FpMatrix.identity(k, p).sub(J)):  # the report needs I - J invertible
+        J = FpMatrix.from_rows(rng.integers(0, p, (k, k)).tolist(), p)
+    fac = random_factor(p, n, seed)
+    cells, counts, total = pattern_tuple_histogram(fac, J, restrict_to_H)
+    rep = pattern_tuple_report(fac, J, restrict_to_H, cells, counts, total)
+    assert not rep.prediction_reliable or rep.predicted_support_size <= total
 
 
 @given(st.sampled_from(SMALL_SHAPES), st.integers(0, 2**32 - 1))
@@ -802,7 +820,7 @@ def test_tuple_histogram_refuses_codes_past_int64(monkeypatch):
     def no_translates(*args, **kwargs):
         raise AssertionError("the per-difference loop was reached")
 
-    monkeypatch.setattr(analysis, "Translates", no_translates)
+    monkeypatch.setattr(equidist, "Translates", no_translates)
     with pytest.raises(TooLarge, match=f"atoms\\^4 = {3 ** 40} exceeds the int64 code limit 2\\^63 = {2**63}"):
         pattern_tuple_distribution(fac, FpMatrix.from_rows([[2]], p), guard=4 * 10**9)
 

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import gc
 import io
@@ -429,11 +430,11 @@ def test_overflowing_float_results_are_refused(capsys, tmp_path, spec_file):
 LAZY_LAYERS_SCRIPT = """
 import json, sys, types
 import popdiff.cli as cli
-layers = ("popdiff.counterexample", "popdiff.threept")
+layers = json.loads(sys.argv[1])
 # LazyLoader swaps a layer's class to the plain module type when its code starts running
 state = lambda: [n in sys.modules and type(sys.modules[n]) is types.ModuleType for n in layers]
 seen = {"import": [n in sys.modules for n in layers] + state()}
-for argv in sys.argv[1:]:
+for argv in sys.argv[2:]:
     cli.dispatch(json.loads(argv))
     seen[argv] = state()
 print(json.dumps(seen))
@@ -444,12 +445,75 @@ def test_cli_runs_only_the_layers_its_subcommand_reads(tmp_path, scalar_spec_fil
     # counterexample and threept are registered at import but run only when a
     # subcommand reads them; each step runs in the same fresh interpreter
     runs = [["popular", "--spec", scalar_spec_file], ["gowers", "--s", "2"], ["cex", "core"]]
-    child = subprocess.run([sys.executable, "-c", LAZY_LAYERS_SCRIPT, *map(json.dumps, runs)],
+    layers = json.dumps(["popdiff.counterexample", "popdiff.threept"])
+    child = subprocess.run([sys.executable, "-c", LAZY_LAYERS_SCRIPT, layers, *map(json.dumps, runs)],
                            env=_child_env(), capture_output=True, text=True, timeout=60, cwd=tmp_path)
     assert child.returncode == 0, child.stderr
     seen = json.loads(child.stdout.splitlines()[-1])
     assert seen == {"import": [True, True, False, False], json.dumps(runs[0]): [False, False],
                     json.dumps(runs[1]): [False, False], json.dumps(runs[2]): [True, False]}
+
+
+def test_only_equidist_runs_the_equidist_layer(tmp_path, scalar_spec_file):
+    # popdiff.equidist is registered at import; cex's eight-tuple report type
+    # lives in analysis, so no other subcommand runs the layer
+    group, factor = tmp_path / "group.json", tmp_path / "factor.json"
+    group.write_text(json.dumps({"kind": "Z_N", "N": 61, "M1": 2, "M2": 3}))
+    factor.write_text(json.dumps({"p": 3, "n": 2, "b1": [[1, 0]], "b2": [[[1, 0], [0, 1]]], "b3": []}))
+    runs = [["popular", "--spec", scalar_spec_file], ["gowers", "--s", "2"],
+            ["threept", "search", "--group", str(group)], ["cex", "report", "--n", "2", "--L", "5", "--seeds", "2"],
+            ["cex", "eight-tuple", "--n", "2", "--a", "[1,0]", "--b", "[0,1]"],
+            ["equidist", "--mode", "tuple", "--factor", str(factor)]]
+    child = subprocess.run([sys.executable, "-c", LAZY_LAYERS_SCRIPT, json.dumps(["popdiff.equidist"]),
+                            *map(json.dumps, runs)],
+                           env=_child_env(), capture_output=True, text=True, timeout=60, cwd=tmp_path)
+    assert child.returncode == 0, child.stderr
+    seen = json.loads(child.stdout.splitlines()[-1])
+    assert seen == {"import": [True, False], **{json.dumps(argv): [argv[0] == "equidist"] for argv in runs}}
+
+
+def _subparsers(parser):
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+# flags each subcommand needs to parse; their files are not opened while parsing
+PARSE_ARGS = {"check": ["--spec", "S"], "subspaces": ["--spec", "S"], "count": ["--spec", "S", "--d", "1"],
+              "popular": ["--spec", "S"], "gowers": ["--s", "2"], "equidist": ["--factor", "F"],
+              "cex": ["report"], "threept": ["search"], "fnio": ["info"]}
+
+
+@pytest.mark.parametrize("name", list(PARSE_ARGS))
+def test_one_subparser_build_prints_what_the_full_build_prints(name):
+    # dispatch builds only the subparser argv[0] names; its help, the
+    # top-level usage and the error an unrecognized argument prints (which
+    # names every subcommand) stay those of the full build
+    assert list(cli._SUBCOMMANDS) == list(PARSE_ARGS)
+    argv = [name, *PARSE_ARGS[name], "--bogus", "1"]
+    full, one = cli.build_parser(), cli.build_parser(argv)
+    assert list(_subparsers(full)) == list(PARSE_ARGS) and list(_subparsers(one)) == [name]
+    assert _subparsers(one)[name].format_help() == _subparsers(full)[name].format_help()
+    assert one.format_usage() == full.format_usage()
+    errors = []
+    for parser in (full, one):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), pytest.raises(SystemExit):
+            parser.parse_args(argv)
+        errors.append(err.getvalue())
+    assert errors[0] == errors[1] and errors[0].endswith("popdiff: error: unrecognized arguments: --bogus 1\n")
+
+
+@pytest.mark.parametrize("argv, error", [([], "the following arguments are required: subcommand"),
+                                         (["bogus"], "argument subcommand: invalid choice: 'bogus'")])
+def test_full_build_errors_name_the_subcommand_argument(argv, error):
+    # no argument or an unknown name builds every subparser under argparse's
+    # own metavar, which these errors name
+    parser = cli.build_parser(argv)
+    assert list(_subparsers(parser)) == list(PARSE_ARGS)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), pytest.raises(SystemExit):
+        parser.parse_args(argv)
+    assert f"popdiff: error: {error}" in err.getvalue()
 
 
 DRAWS_SCRIPT = """

@@ -9,8 +9,8 @@ from fractions import Fraction
 import numpy as np
 
 from popdiff.ffalg import FpMatrix
-from popdiff.gridfn import GridFunction, QuadraticFactor
-from popdiff.analysis import pattern_tuple_distribution, von_neumann_check
+from popdiff.gridfn import GridFunction
+from popdiff.equidist import QuadraticFactor, pattern_tuple_distribution, von_neumann_check
 from popdiff.counterexample import (
     F2_COMBOS,
     F3_COMBOS,

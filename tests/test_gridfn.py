@@ -19,21 +19,20 @@ from popdiff.gridfn import (
     RATIONAL,
     GridFunction,
     GridPoint,
-    QuadraticFactor,
-    atom_images,
-    block_factor_from_phase,
-    conditional_expectation,
-    factor_eval,
-    factor_image_coords,
-    factor_rank,
     grid_decode,
     grid_encode,
     grid_size,
-    h_coset_labels,
-    linear_kernel_H,
-    phase_function,
     read_grid_function,
     write_grid_function,
+)
+from popdiff.equidist import (
+    QuadraticFactor,
+    atom_images,
+    conditional_expectation,
+    factor_image_coords,
+    factor_rank,
+    h_coset_labels,
+    linear_kernel_H,
 )
 from popdiff import DEFAULT_GUARD
 from popdiff._grid import (
@@ -51,7 +50,7 @@ from popdiff._grid import (
 from popdiff.analysis import translate
 from popdiff.patterns import coord_index
 
-from oracles import factor_rank_by_combinations, roll_translate
+from oracles import block_factor_from_phase, factor_eval, factor_rank_by_combinations, phase_function, roll_translate
 
 
 @given(st.sampled_from([(3, 1, 2), (5, 2, 1), (3, 2, 2), (7, 1, 1)]), st.data())
@@ -654,7 +653,7 @@ def test_plgf_roundtrip_and_errors():
 
 def test_atom_sizes_near_uniform_prop42():
     # exhaustive factor-image histogram stays within the predicted band
-    from popdiff.analysis import factor_image_distribution
+    from popdiff.equidist import factor_image_distribution
 
     p, k, n = 3, 1, 4
     fac = QuadraticFactor(p, n, ((1, 0, 0, 0),), (FpMatrix.identity(n, p),), ())
@@ -668,7 +667,7 @@ def test_atom_sizes_near_uniform_prop42():
 
 
 def test_factor_image_guard_states_estimate():
-    from popdiff.analysis import factor_image_distribution
+    from popdiff.equidist import factor_image_distribution
 
     p, k, n = 3, 1, 4
     fac = QuadraticFactor(p, n, ((1, 0, 0, 0),), (FpMatrix.identity(n, p),), ())

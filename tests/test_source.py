@@ -122,3 +122,34 @@ def test_library_calls_no_blas():
     assert found == []
     init = ast.parse((SRC / "__init__.py").read_text())
     assert not any(isinstance(node, (ast.Import, ast.ImportFrom)) for node in ast.walk(init))
+
+
+def test_only_cli_loads_equidist_and_only_lazily():
+    # popdiff.equidist compiles about 470 lines that only the `equidist`
+    # subcommand runs; cli registers it as a lazy layer, and no other module
+    # imports it at module level, where every CLI process would pay for it
+    def imports_equidist(node):
+        if isinstance(node, ast.Import):
+            return any(alias.name == "popdiff.equidist" for alias in node.names)
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if module.endswith("equidist"):  # from .equidist / popdiff.equidist import ...
+                return True
+            return module in ("", "popdiff") and any(alias.name == "equidist" for alias in node.names)
+        return False
+
+    def module_level(tree):
+        """The nodes of tree outside every function body."""
+        stack = list(tree.body)
+        while stack:
+            node = stack.pop()
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                yield node
+                stack.extend(ast.iter_child_nodes(node))
+
+    probe = "import popdiff.equidist\nfrom .equidist import x\nfrom . import equidist\ndef f():\n    from . import equidist\n"
+    assert sum(map(imports_equidist, module_level(ast.parse(probe)))) == 3  # the scan sees each form, at module level only
+    found = [f"{path.relative_to(SRC)}:{node.lineno}" for path in sorted(SRC.rglob("*.py")) if path.name != "cli.py"
+             for node in module_level(ast.parse(path.read_text(), filename=str(path))) if imports_equidist(node)]
+    assert found == []
+    assert (SRC / "equidist.py").is_file()
