@@ -28,8 +28,10 @@ the --J of an `equidist --mode tuple --k 2`; `subspaces` at k >= 3, on
 that 4 x 4 spec and on a non-symmetric 3 x 3 J over F_7 whose LambdaPrime
 is nonzero; `equidist` on three factors (abstract at k = 1, 2, linquad, and
 tuple with and without --restrict-h at k = 1, 2, with --k 2 for the 2 x 2
---J), and `equidist --mode tuple --k 3` on a factor over F_3^2 with one
-entry of each kind; the counterexample stages (core, dress at n = 1-5, eight-tuple,
+--J), `equidist --mode tuple --k 3` on a factor over F_3^2 with one
+entry of each kind, and `equidist --mode tuple` with and without
+--restrict-h on a factor over F_3^5, whose 243 and 81 differences run in
+several blocks of translates; the counterexample stages (core, dress at n = 1-5, eight-tuple,
 hypergraph at L = 5, 7, 11, 13, 17, 25, report at n = 1-5, and at L = 17 and
 with --method greedy, `cex report --n 4 --L 17 --seeds 2` with and without
 --method greedy, `cex report --n 3 --L 7 --seeds 12 --seed 4294967299` (a
@@ -50,8 +52,9 @@ over (F_3^4)^2; 0/1 `count`s on F_3^11, past 2^16 points; every argv
 of tests/equidist_reference.json and tests/subspaces_reference.json; the
 recorded `cex report` seeds of perfbench/cex_reference.json; recursive
 `gowers` at s = 3, 4, 5 (F_3^5, F_7^2, F_5^4, F_3^7, F_3^1, (F_3^2)^2;
-F_3^3, F_3^5, F_5^2, F_7^2; F_3^2, F_3^3), whose U^2 level runs in blocks of
-shifts, each block one window gather of the periodic extension,
+F_3^3, F_3^5, F_5^2, F_7^2, F_3^1 and the one-point grid --n 0; F_3^2,
+F_3^3), whose every level reads its shifts in blocks, each block one window
+gather of the periodic extension,
 at s = 2 on F_3^4 (one 1-d transform), and `--mode direct` at s = 3 (F_3^2,
 F_5^2), which reads row blocks; `threept search` on Z_61, Z_63 and Z_65 (0/1 rows
 that end 1 short of and 1 past a 64-bit word), Z_1009 (also at --guard 1500,
@@ -156,6 +159,11 @@ SUBSPACE_SPECS = {
 # `equidist --mode tuple` at k = 3: a factor on F_3^2 with one entry of each kind
 FACTOR_K3 = {"p": 3, "n": 2, "b1": [[1, 1]], "b2": [[[1, 0], [0, 2]]], "b3": [[[0, 1], [2, 0]]]}
 
+# `equidist --mode tuple` on F_3^5 (P = 243): the differences span several blocks of translates
+FACTOR_F3_5 = {"p": 3, "n": 5, "b1": [[1, 0, 2, 0, 0]],
+               "b2": [[[1, 0, 0, 0, 0], [0, 0, 1, 0, 0], [0, 1, 0, 0, 0], [0, 0, 0, 2, 0], [0, 0, 0, 0, 1]]],
+               "b3": [[[0, 1, 0, 0, 0], [2, 0, 0, 0, 0], [0, 0, 0, 1, 0], [0, 0, 2, 0, 0], [0, 0, 0, 0, 0]]]}
+
 # each factor with a 2 x 2 J that keeps I - J invertible
 FACTORS = {
     "sym-p3": ({"p": 3, "n": 3, "b1": [[1, 0, 0]], "b2": [[[1, 0, 0], [0, 1, 0], [0, 0, 1]]], "b3": []},
@@ -229,7 +237,9 @@ def invocations(refs: dict) -> list[list[str]]:
               ["threept", "search", "--group", "@group-big-entries-f3", "--eps", "0.05", "--density", "0.4", "--seed", "2"],
               ["equidist", "--factor", "@mixed-p5", "--mode", "tuple", "--k", "2", "--J", BIG_J]]
     argvs += [["subspaces", "--spec", "@k4-p5"], ["subspaces", "--spec", "@skew-3x3-p7"],
-              ["equidist", "--factor", "@factor-k3-p3", "--mode", "tuple", "--k", "3", "--J", "[[0,1,0],[0,0,1],[1,1,0]]"]]
+              ["equidist", "--factor", "@factor-k3-p3", "--mode", "tuple", "--k", "3", "--J", "[[0,1,0],[0,0,1],[1,1,0]]"],
+              ["equidist", "--factor", "@factor-f3-5", "--mode", "tuple", "--J", "[[2]]"],
+              ["equidist", "--factor", "@factor-f3-5", "--mode", "tuple", "--J", "[[2]]", "--restrict-h"]]
     for name, (_, J2) in FACTORS.items():
         factor = ["equidist", "--factor", f"@{name}"]
         argvs += [factor + ["--mode", "abstract", "--k", "1"], factor + ["--mode", "abstract", "--k", "2"],
@@ -372,6 +382,8 @@ def invocations(refs: dict) -> list[list[str]]:
         ["gowers", "--p", "5", "--n", "2", "--s", "4", "--seed", "9"],
         ["gowers", "--p", "7", "--n", "2", "--s", "4", "--seed", "10"],
         ["gowers", "--p", "3", "--n", "3", "--s", "5", "--seed", "11"],
+        ["gowers", "--p", "3", "--n", "1", "--s", "4"],
+        ["gowers", "--p", "3", "--n", "0", "--s", "4", "--seed", "2"],
         ["threept", "bohr", "--group", "@group-bad-kind"],
         ["threept", "bohr", "--group", "@group-kind-foo"],
         ["threept", "bohr", "--group", "@group-negative-n"],
@@ -438,7 +450,7 @@ def write_inputs(tmp: pathlib.Path) -> tuple[dict, dict]:
         ("equidist_reference", "tests/equidist_reference.json"),
         ("subspaces_reference", "tests/subspaces_reference.json"),
         ("cex_reference", "perfbench/cex_reference.json"))}
-    docs = dict(SPECS, **CHECK_SPECS, **SUBSPACE_SPECS, **GROUPS, **POINTS, **{"factor-k3-p3": FACTOR_K3},
+    docs = dict(SPECS, **CHECK_SPECS, **SUBSPACE_SPECS, **GROUPS, **POINTS, **{"factor-k3-p3": FACTOR_K3, "factor-f3-5": FACTOR_F3_5},
                 **{name: factor for name, (factor, _) in FACTORS.items()})
     docs.update({f"equidist-{i}": c["factor"] for i, c in enumerate(refs["equidist_reference"]["invocations"])})
     docs.update({f"subspaces-{i}": c["spec"] for i, c in enumerate(refs["subspaces_reference"]["invocations"])})

@@ -8,9 +8,9 @@ radix-N, one-digit case (p = N, m = 1, k = n = 1).
 
 Linear maps and sums of elements are gathers through index arrays built
 here, the full addition table among them (add_table). Translates serves the
-translates of an array by the index of the shift: one translate is a slice of
-the array's periodic extension, and a block of them is one fancy index into
-the extension's sliding windows, into those of a table that lays each
+translates of an array in blocks, by the indices of the shifts, one shift
+being a block of one: a block is one fancy index into the sliding windows of
+the array's periodic extension, into those of a table that lays each
 translate out contiguously, or, for 0/1 values, into byte windows of 8
 bit-shifted copies of the packed table, read as uint64 words (pack_rows packs
 rows the same way). Past the guard each is one gather through add_index. dft
@@ -69,14 +69,25 @@ def add_perm(p: int, m: int, shift_digits) -> np.ndarray:
     return add_index(p, m, np.arange(p**m), encode_index(p, shift_digits))
 
 
+BLOCK_VALUES = 2**14  # translate values per block of shifts that a per-shift loop reads at once
+
+
+def shift_blocks(count: int, P: int):
+    """Slices of range(count) in order, about BLOCK_VALUES / P shifts each and
+    at least one: the blocks in which a loop over count shifts of a p^m = P
+    point array reads its translates (Translates.block)."""
+    step = max(1, BLOCK_VALUES // P)
+    return (slice(start, min(start + step, count)) for start in range(0, count, step))
+
+
 class Translates:
-    """The translates v(x + s) of a 1-d array v in index order, by the index of
-    s: at(s) is one translate, block(shifts) and rows(shifts) a block of them
+    """The translates v(x + s) of a 1-d array v in index order, in blocks by
+    the indices of the shifts s: block(shifts) and rows(shifts) a block of them
     as (B, p^m) rows, and packed(shifts) such a block of a bool v as pack_rows
-    words.
+    words. One translate is block([s])[0].
 
     ext is v as the (p,)*m tensor (axis 0 the top digit) padded periodically
-    to (2p - 1)^m points, and a single translate is a slice of it. A block reads
+    to (2p - 1)^m points, and block reads the sliding windows of it. rows reads
     the table T[c, y, x] = v(top digit y mod p, low digits x + c) with
     lo = p^(m - 1), of shape (lo, 2p - 1, lo), built from ext (_row_table),
     which is then dropped: the translate by a shift with low digits c and top
@@ -87,8 +98,8 @@ class Translates:
     the translate at offset o is the 8 ceil(p^m / 64) bytes from byte o >> 3 of
     copy o & 7, read as uint64 words whose bits past p^m are T's next ones. ext
     is built only while its points fit the guard, and T only while its
-    (2p - 1) p^(2m - 2) entries do; past that a translate or a block is one
-    gather through add_index, which packed packs with pack_rows."""
+    (2p - 1) p^(2m - 2) entries do; past that a block is one gather through
+    add_index, which packed packs with pack_rows."""
 
     def __init__(self, values, p: int, m: int, guard: int = DEFAULT_GUARD):
         self.p, self.m, self.guard, self.base = p, m, guard, np.asarray(values)
@@ -100,8 +111,9 @@ class Translates:
             self.ext = np.pad(self.base.reshape((self.p,) * self.m), (0, self.p - 1), mode="wrap")
         return self.ext
 
-    def _gather(self, idx) -> np.ndarray:
-        return self.base[add_index(self.p, self.m, idx, np.arange(len(self.base)))]
+    def _gather(self, idx: np.ndarray) -> np.ndarray:
+        """The (B, p^m) translates through add_index, for B shift indices."""
+        return self.base[add_index(self.p, self.m, idx[:, None], np.arange(len(self.base)))]
 
     def _row_table(self) -> np.ndarray:
         """T flattened, as rows keeps it; ext is dropped. The lowest b = m - 1 - a
@@ -134,22 +146,16 @@ class Translates:
         low = idx % lo
         return low * ((2 * self.p - 1) * lo) + (idx - low)
 
-    def at(self, index: int) -> np.ndarray:
-        """The p^m values v(x + s) for the index of one shift s."""
-        p, m, index = self.p, self.m, int(index)
-        if (2 * p - 1) ** m > self.guard:
-            return self._gather(index)
-        return self._extension()[tuple(slice(d, d + p) for d in reversed(decode_index(p, m, index)))].reshape(-1)
-
     def block(self, shift_indices) -> np.ndarray:
-        """The (B, p^m) translates at(s_b) for the indices of a block of B
+        """The (B, p^m) translates v(x + s_b) for the indices of a block of B
         shifts, as one fancy index into the (p,)*m sliding windows of ext: the
         window of a shift starts at its digits, top digit first. Unlike rows it
-        builds no table, so it needs only ext's (2p - 1)^m points."""
+        builds no table, so it needs only ext's (2p - 1)^m points; at m = 0 it
+        gathers and builds no ext."""
         idx = np.asarray(shift_indices, dtype=np.int64)
         p, m = self.p, self.m
         if not m or (2 * p - 1) ** m > self.guard:
-            return self._gather(idx[:, None])
+            return self._gather(idx)
         if self._corners is None:
             self._ext_windows = np.lib.stride_tricks.sliding_window_view(self._extension(), (p,) * m)
             self._corners = np.ascontiguousarray(digit_table(p, m)[:, ::-1].T)
@@ -159,7 +165,7 @@ class Translates:
         """The (B, p^m) rows v(x + s_b) for the indices of a block of B shifts."""
         idx = np.asarray(shift_indices, dtype=np.int64)
         if not self._table_fits:
-            return self._gather(idx[:, None])
+            return self._gather(idx)
         if self.table is None:
             self.table = self._row_table()
             self._windows = np.lib.stride_tricks.sliding_window_view(self.table, len(self.base))
@@ -170,7 +176,7 @@ class Translates:
         first p^m bits of each row are pack_rows's, the rest are arbitrary."""
         idx = np.asarray(shift_indices, dtype=np.int64)
         if not self._table_fits:
-            return pack_rows(self._gather(idx[:, None]))
+            return pack_rows(self._gather(idx))
         if self._packed is None:
             table = self._row_table()
             P, pk = len(self.base), np.packbits(table, bitorder="little")

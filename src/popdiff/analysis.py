@@ -17,11 +17,11 @@ from fractions import Fraction
 import numpy as np
 
 from . import DEFAULT_GUARD
-from ._grid import Translates, add_table, decode_digits, dft, encode_digits, encode_index, linear_digits, pack_rows
+from ._grid import Translates, add_table, decode_digits, dft, encode_digits, encode_index, linear_digits, pack_rows, shift_blocks
 from ._grid import linear_perm  # not called here: perfbench/test_perfbench.py reads analysis.linear_perm
 from .errors import FLOAT_MAX, DimensionMismatch, check_guard, finite, float_range_error
 from .ffalg import FpMatrix
-from .gridfn import COMPLEX, FLOAT, RATIONAL, GridFunction, GridPoint
+from .gridfn import COMPLEX, FLOAT, RATIONAL, GridFunction
 from .patterns import PatternSpec
 
 FLOAT_SLACK = 1e-9  # documented slack for float-mode threshold comparisons
@@ -105,7 +105,7 @@ class EquidistributionReport:
 
 def translate(f: GridFunction, shift: FpMatrix) -> np.ndarray:
     """Array of f(X + shift) indexed by X; the k x n shift's row-major entries are its digits."""
-    return Translates(f.values, f.p, f.k * f.n).at(encode_index(f.p, shift.entries))
+    return Translates(f.values, f.p, f.k * f.n).block([encode_index(f.p, shift.entries)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -191,15 +191,11 @@ def _pattern_sums(f: GridFunction, mats: list, d_indices, guard: int = DEFAULT_G
     return pattern_sums(f.values, p, k * n, shifts, guard), 1
 
 
-def pattern_count(f: GridFunction, spec: PatternSpec, d, points: int = 4):
-    """Average over X of f(X) f(X+M1 D) f(X+M2 D) [f(X+(M1+M2) D)]."""
+def pattern_count(f: GridFunction, spec: PatternSpec, d: int, points: int = 4):
+    """Average over X of f(X) f(X+M1 D) f(X+M2 D) [f(X+(M1+M2) D)] for the
+    difference D of index d."""
     mats = _pattern_mats(f, spec, points)
-    if isinstance(d, (FpMatrix, GridPoint)):
-        D = d.X if isinstance(d, GridPoint) else d
-        if D.rows != spec.k or D.cols != f.n:
-            raise DimensionMismatch("difference has wrong shape")
-        d = encode_index(f.p, D.entries)
-    elif not 0 <= int(d) < f.size:
+    if not 0 <= int(d) < f.size:
         raise DimensionMismatch(f"difference index {d} outside [0, {f.size})")
     (s,), den = _pattern_sums(f, mats, [int(d)])
     return Fraction(s, den * f.size) if f.kind == RATIONAL else s / f.size
@@ -265,9 +261,11 @@ def gowers_norm(f: GridFunction, s: int, mode: str = "recursive", guard: int = D
 
     mode='recursive' averages the 2^{s-1}-th power of the U^{s-1} norm of
     the multiplicative derivatives f(x) conj(f(x + h)) over h, down to U^2,
-    whose fourth power is sum_xi |f^(xi)|^4 with f^(xi) = E_x f(x) e(-x.xi/p)
-    (one FFT per block of about 2^14 / p^{kn} derivatives, summed shift by
-    shift in order; p^{(s-1)kn} (shift tuple, point) entries, guarded).
+    whose fourth power is sum_xi |f^(xi)|^4 with f^(xi) = E_x f(x) e(-x.xi/p).
+    Each level reads its derivatives in blocks of about 2^14 / p^{kn} shifts,
+    one window gather each (Translates.block), and sums them shift by shift in
+    order: the U^3 level runs one FFT per block, a higher level recurses on
+    each row (p^{(s-1)kn} (shift tuple, point) entries, guarded).
     mode='direct' evaluates the expanded 2^s-fold correlation (p^{(s+1)kn}
     work, guarded) and is the reference for the recursion.
     """
@@ -293,16 +291,14 @@ def _gowers_power_recursive(vals: np.ndarray, p: int, m: int, s: int, guard: int
     if s == 2:
         return float(np.sum(np.abs(dft(vals, p, m) / len(vals)) ** 4))
     P, tr, total = len(vals), Translates(vals, p, m, guard), 0.0
-    if s > 3:
-        for h in range(P):
-            total += _gowers_power_recursive(vals * np.conj(tr.at(h)), p, m, s - 1, guard)
-        return total / P
-    # the U^2 level per block of shifts: each shift's sum of |F/P|^4 runs along one contiguous row, as a 1-d sum does
-    step = max(1, 2**14 // P)
-    for start in range(0, P, step):
+    for shifts in shift_blocks(P, P):
         # vals as a (1, P) row: at P = 1 a (1,) operand takes numpy's scalar loop, a bit off the per-shift product
-        block = vals[None, :] * np.conj(tr.block(np.arange(start, min(start + step, P))))
-        for power in np.sum(np.abs(dft(block.T, p, m).T / P) ** 4, axis=1).tolist():
+        block = vals[None, :] * np.conj(tr.block(np.arange(shifts.start, shifts.stop)))
+        if s > 3:
+            powers = [_gowers_power_recursive(deriv, p, m, s - 1, guard) for deriv in block]
+        else:  # the U^2 level: each shift's sum of |F/P|^4 runs along one contiguous row, as a 1-d sum does
+            powers = np.sum(np.abs(dft(block.T, p, m).T / P) ** 4, axis=1).tolist()
+        for power in powers:
             total += power
     return total / P
 

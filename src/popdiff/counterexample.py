@@ -679,28 +679,27 @@ def assemble_seeds(core: CexCore, h: Hypergraphon, params: DressingParams, seed_
         batch = supports[start:start + per_stack]
         for (sidx, xs, ys), found in zip(batch, _affine_membership(n, gamma, params.seed, batch)):
             keep = np.logical_and(*found)
-            fm = np.zeros((P, P), dtype=np.uint8)
-            fm[xs[keep], ys[keep]] = 1
-            alpha_f, sparse = fm.sum() / fm.size, sparse_pattern_max(fm, n)
+            sparse = sparse_pattern_max(xs[keep], ys[keep], n)
+            alpha_f = sparse["support"] / (P * P)
             reps.append({"n": n, "gamma": gamma, "L": h.L, "seed": params.seed, "seed_index": sidx,
-                         "alpha_f": float(alpha_f), "alpha_h": len(xs) / fm.size, "beta_T": float(params.beta),
-                         "support_size": int(fm.sum()), "subchecks": subchecks,
+                         "alpha_f": alpha_f, "alpha_h": len(xs) / (P * P), "beta_T": float(params.beta),
+                         "support_size": sparse["support"], "subchecks": subchecks,
                          "max_nonzero_beta": sparse["max_beta"], "argmax_ab": sparse["argmax"],
                          "max_ratio_to_alpha4": (sparse["max_beta"] / alpha_f**4) if alpha_f > 0 else None})  # undefined on an empty support
     return reps
 
 
-def support_pair_hits(fm: np.ndarray, n: int, chunk_pairs: int = 2_000_000) -> np.ndarray:
-    """Histogram over codes a P + b of the support pairs of the 0/1 matrix fm
-    that open a pattern (as its first two points) whose last two points lie in
-    the support; the zero difference counts each support point once. Per block
+def support_pair_hits(xs: np.ndarray, ys: np.ndarray, n: int, chunk_pairs: int = 2_000_000) -> np.ndarray:
+    """Histogram over codes a P + b of the pairs of support points, the
+    distinct points (xs[i], ys[i]) of a 0/1 matrix on F_5^n x F_5^n, that open
+    a pattern (as its first two points) whose last two points lie in the
+    support; the zero difference counts each support point once. Per block
     of about chunk_pairs pairs, the int32 code x3 P + y3 (P^2 < 2^31 to n = 6) of
     the third point (2 x2 - x1, 3 y1 - 2 y2) is read off rows of the addition
     table, and a, b and the fourth point are formed for its survivors only."""
-    P = 5**n
-    xs, ys = np.nonzero(fm)
-    K = len(xs)
-    add, inside = add_table(P5, n), fm.astype(bool)
+    P, K = 5**n, len(xs)
+    add, inside = add_table(P5, n), np.zeros((P, P), dtype=bool)
+    inside[xs, ys] = True
     neg, two, three = (linear_perm(P5, 1, n, [[c]]) for c in (-1, 2, 3))
     two_x2, neg_two_y2 = two[xs], neg[two[ys]]
     rows_per_chunk, codes = max(1, chunk_pairs // max(1, K)), [np.zeros(0, dtype=np.int64)]
@@ -716,12 +715,13 @@ def support_pair_hits(fm: np.ndarray, n: int, chunk_pairs: int = 2_000_000) -> n
     return np.bincount(np.concatenate(codes), minlength=P * P)
 
 
-def sparse_pattern_max(fm: np.ndarray, n: int, chunk_pairs: int = 2_000_000) -> dict:
+def sparse_pattern_max(xs: np.ndarray, ys: np.ndarray, n: int, chunk_pairs: int = 2_000_000) -> dict:
     """Exhaustive max over nonzero differences (a, b) of the pattern count of
-    the 0/1 matrix fm, from the support_pair_hits histogram, whose first
-    argmax is the smallest code a P + b among the maxima."""
+    the 0/1 matrix whose support is the distinct points (xs[i], ys[i]), from
+    the support_pair_hits histogram, whose first argmax is the smallest code
+    a P + b among the maxima."""
     P = 5**n
-    hits = support_pair_hits(fm, n, chunk_pairs)
+    hits = support_pair_hits(xs, ys, n, chunk_pairs)
     K, hits[0] = int(hits[0]), 0  # the zero difference: every support point paired with itself
     best_code = int(np.argmax(hits))
     if hits[best_code] == 0:

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import DEFAULT_GUARD
-from ._grid import Translates, digit_table, linear_perm
+from ._grid import Translates, digit_table, linear_perm, shift_blocks
 from .analysis import FLOAT_SLACK, EquidistributionReport, _pattern_sums, gowers_norm
 from .errors import DimensionMismatch, NotAutomorphism, NotMeasurable, NotSymmetric, TooLarge, check_guard, ensure, int_field
 from .ffalg import FpMatrix, is_invertible, rank_stack, row_space_rank, rref, validate_odd_prime
@@ -211,11 +211,12 @@ def von_neumann_check(fs: list[GridFunction], autos: list[FpMatrix], slack: floa
     trs = [Translates(f.values.astype(np.complex128), p, k * n) for f in fs]
     shifts = [linear_perm(p, k, n, A.array) for A in autos]
     acc = 0.0 + 0.0j
-    for d_idx in range(P):
-        prod = np.ones(P, dtype=np.complex128)
+    for block in shift_blocks(P, P):
+        prod = np.ones((block.stop - block.start, P), dtype=np.complex128)
         for tr, S in zip(trs, shifts):
-            prod = prod * tr.at(S[d_idx])
-        acc += prod.mean()
+            prod = prod * tr.block(S[block])
+        for mean in prod.mean(axis=1):  # each row's mean is the 1-d mean of one difference
+            acc += mean
     lhs = abs(acc / P)
     rhs = min(gowers_norm(f, s - 1) for f in fs)
     return {"lhs": lhs, "rhs": rhs, "holds": lhs <= rhs + slack, "slack": slack}
@@ -296,7 +297,8 @@ def pattern_tuple_histogram(
 
     A cell is its four slot atom ids folded into one int64, first slot most
     significant. Atom ids rank the images, so code order is cell order. One
-    1-d unique per difference, then one merge over all of them."""
+    1-d unique per block of differences (shift_blocks), then one merge over
+    all of them."""
     p, n = factor.p, factor.n
     k = J.rows
     P = grid_size(p, k, n)
@@ -312,15 +314,16 @@ def pattern_tuple_histogram(
     tr = Translates(ids, p, k * n, guard)
     jperm = linear_perm(p, k, n, J.array)
     ijperm = linear_perm(p, k, n, np.eye(k, dtype=np.int64) + J.array)
-    per_d = []
-    for d in d_indices:
+    per_block = []
+    for block in shift_blocks(len(d_indices), P):
+        d = d_indices[block]
         code = tr.base
         for e in (d, jperm[d], ijperm[d]):
-            code = code * A + tr.at(e)
-        per_d.append(np.unique(code, return_counts=True))
-    codes, inverse = np.unique(np.concatenate([c for c, _ in per_d]), return_inverse=True)
+            code = code * A + tr.block(e)
+        per_block.append(np.unique(code, return_counts=True))
+    codes, inverse = np.unique(np.concatenate([c for c, _ in per_block]), return_inverse=True)
     # float64 weights sum exactly: no count exceeds P^2, far below 2^53
-    counts = np.bincount(inverse, weights=np.concatenate([m for _, m in per_d])).astype(np.int64)
+    counts = np.bincount(inverse, weights=np.concatenate([m for _, m in per_block])).astype(np.int64)
     return atoms[codes[:, None] // A ** np.arange(3, -1, -1) % A], counts, P * len(d_indices)
 
 

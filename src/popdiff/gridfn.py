@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -54,20 +53,6 @@ def grid_encode(X: FpMatrix) -> int:
 
 def grid_decode(p: int, k: int, n: int, index: int) -> FpMatrix:
     return FpMatrix(k, n, decode_index(p, k * n, index), p)
-
-
-@dataclass(frozen=True)
-class GridPoint:
-    X: FpMatrix
-    n: int
-
-    def __post_init__(self):
-        if self.X.cols != self.n:
-            raise DimensionMismatch("point has wrong number of columns")
-
-    @property
-    def index(self) -> int:
-        return grid_encode(self.X)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import DEFAULT_GUARD
-from ._grid import Translates, add_index, add_perm as shift_perm, dft, digit_table, encode_digits, linear_perm
+from ._grid import Translates, add_index, add_perm as shift_perm, dft, digit_table, encode_digits, linear_perm, shift_blocks
 from .analysis import FLOAT_SLACK, PatternCountReport, pattern_sums, popular_report
 from .errors import DimensionMismatch, NonConvergent, NotAutomorphism, check_guard, ensure, finite, int_field
 from .ffalg import FpMatrix, is_invertible, is_odd_prime
@@ -90,7 +90,8 @@ class FiniteGroupSpec:
         return shift_perm(self.modulus, self.m, self._digits[shift_idx])
 
     def translates(self, values: np.ndarray) -> Translates:
-        """values(x + s) for each element s, by index: translates(values).at(s)."""
+        """values(x + s) for each element s, by index, read in blocks of shifts:
+        translates(values).block(shifts); one shift is block([s])[0]."""
         return Translates(values, self.modulus, self.m, self.guard)
 
     def neg(self, idx: np.ndarray) -> np.ndarray:
@@ -290,12 +291,10 @@ def regularity_decompose(
         # measured contracts
         l2_f2 = math.sqrt(float(np.mean(f2**2)))
         fhat3_inf = float(np.max(np.abs(group.fft(f3)))) if N else 0.0
-        sup_lip = 0.0
-        tr = group.translates(f1)
-        for r in B.members:
-            if r == 0:
-                continue
-            sup_lip = max(sup_lip, float(np.max(np.abs(tr.at(r) - tr.base))))
+        sup_lip, tr = 0.0, group.translates(f1)
+        nonzero = np.array(B.members[1:], dtype=np.int64)  # members ascend from 0
+        for block in shift_blocks(len(nonzero), N):
+            sup_lip = max(sup_lip, float(np.max(np.abs(tr.block(nonzero[block]) - tr.base))))
         bounds_ok = (
             f1.min() >= -1e-9
             and f1.max() <= 1 + 1e-9
@@ -409,7 +408,8 @@ def lift_to_interval(A, N: int, M1, M2, epsilon: float, guard: int = DEFAULT_GUA
         # a shift of N or more takes every point of the box out of it, so
         # clipping there keeps the triples in int64
         shifts = np.clip(M_int @ d, -N, N).astype(np.int64)
-        hits = np.nonzero(tr.base & tr.at(int(m1d)) & tr.at(int(m2d)) & band)[0]
+        at_m1d, at_m2d = tr.block([m1d, m2d])
+        hits = np.nonzero(tr.base & at_m1d & at_m2d & band)[0]
         triples = digs[hits, None, :] + np.concatenate([np.zeros((1, k), dtype=np.int64), shifts])
         good = np.all((triples >= 1) & (triples <= N), axis=(1, 2)) & in_A[encode_digits(triples, p)].all(axis=1)
         count = int(good.sum())

@@ -7,6 +7,8 @@ sign-flipped factors. The translate
 oracle rolls the (p,)*m value tensor instead of gathering through an index
 table. The pattern-count oracle sums Fraction (or float) products of rolled
 translates, the way pattern_count did before exact sums became integer sums.
+The von Neumann oracle sums one rolled product per difference, the way
+von_neumann_check did before it read blocks of differences.
 The Gowers oracle recurses through multiplicative derivatives all the way to
 U^1, the way gowers_norm did before its recursion stopped at the Fourier-side
 U^2; the per-shift Fourier oracle stops at U^2 with one fftn per shift, the
@@ -296,6 +298,22 @@ def fraction_pattern_count(f, spec, d: int, points: int = 4):
     if f.kind == RATIONAL:
         return sum(prod, Fraction(0)) / f.size
     return math.fsum(prod) / f.size
+
+
+def von_neumann_lhs_per_difference(fs: list, autos: list) -> float:
+    """|E_{X,D} prod f_i(X + A_i D)| with the differences D in index order, one
+    rolled translate per function and difference, and each difference's
+    product averaged by its own 1-d mean before the sum over D."""
+    p, k, n = fs[0].p, fs[0].k, fs[0].n
+    P = p ** (k * n)
+    acc = 0.0 + 0.0j
+    for d in range(P):
+        D = grid_decode(p, k, n, d)
+        prod = np.ones(P, dtype=np.complex128)
+        for f, A in zip(fs, autos):
+            prod = prod * roll_translate(f.values.astype(np.complex128), p, k * n, A.mul(D).entries)
+        acc += prod.mean()
+    return abs(acc / P)
 
 
 def gowers_power_by_derivatives(values: np.ndarray, p: int, m: int, s: int) -> float:

@@ -38,6 +38,7 @@ from oracles import (
     gowers_power_per_shift,
     gowers_u3_power_by_stacked_shifts,
     pattern_tuple_histogram_by_rows,
+    von_neumann_lhs_per_difference,
 )
 
 
@@ -556,6 +557,28 @@ def test_von_neumann_random_instances():
             fs.append(GridFunction(5, 1, 2, v, "complex"))
         autos = [FpMatrix.from_rows([[j]], 5) for j in range(1, s + 1)]
         assert von_neumann_check(fs, autos)["holds"]
+
+
+ROTATION_P3 = [[0, 2], [1, 0]]  # no eigenvalue in F_3, so R - cI is invertible for every c
+
+
+@pytest.mark.parametrize("p, k, n, autos", [
+    (5, 1, 4, [[[1]], [[2]], [[3]]]),
+    (3, 1, 5, [[[1]], [[2]]]),
+    (7, 1, 3, [[[1]], [[2]], [[3]], [[4]]]),
+    (3, 2, 3, [[[1, 0], [0, 1]], [[2, 0], [0, 2]], ROTATION_P3]),
+    (5, 1, 2, [[[1]], [[2]], [[3]]]),
+    (5, 1, 0, [[[1]], [[2]]]),
+])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_von_neumann_blocks_keep_the_per_difference_bits(p, k, n, autos, seed):
+    # past P = 128 points the differences run in several blocks of
+    # translates; lhs keeps the float64 bits of one product per difference
+    rng = np.random.default_rng(seed)
+    P = grid_size(p, k, n)
+    fs = [GridFunction(p, k, n, rng.random(P) * np.exp(2j * np.pi * rng.random(P)), COMPLEX) for _ in autos]
+    mats = [FpMatrix.from_rows(A, p) for A in autos]
+    assert von_neumann_check(fs, mats)["lhs"].hex() == von_neumann_lhs_per_difference(fs, mats).hex()
 
 
 # -- equidistribution ----------------------------------------------------------

@@ -680,7 +680,7 @@ def test_final_assembly_and_sparse_max():
     # sparse max equals the direct exhaustive max on a small random matrix
     rng = np.random.default_rng(0)
     fm = (rng.random((5, 5)) < 0.4).astype(np.uint8)
-    got = sparse_pattern_max(fm, 1)
+    got = sparse_pattern_max(*np.nonzero(fm), 1)
     best = 0.0
     digs = np.arange(5)
     for ia in range(5):
@@ -728,7 +728,7 @@ def test_sparse_pattern_max_matches_brute_force(n, density, seed):
     # supports often have no hit at all (argmax None)
     P = 5**n
     fm = (np.random.default_rng(seed).random((P, P)) < density).astype(np.uint8)
-    assert sparse_pattern_max(fm, n, chunk_pairs=97) == brute_pattern_max(fm, n)
+    assert sparse_pattern_max(*np.nonzero(fm), n, chunk_pairs=97) == brute_pattern_max(fm, n)
 
 
 @given(st.sampled_from(["empty", "sparse", "dense rows"]), st.sampled_from([97, 5000, 2_000_000]),
@@ -746,7 +746,7 @@ def test_sparse_pattern_max_matches_isin_oracle_at_n3(case, chunk_pairs, seed):
     if case == "dense rows":
         v = digit_table(5, n)[rng.integers(1, P)]
         fm[[int((t * v % 5) @ 5 ** np.arange(n)) for t in range(5)], :] = 1
-    got = sparse_pattern_max(fm, n, chunk_pairs=chunk_pairs)
+    got = sparse_pattern_max(*np.nonzero(fm), n, chunk_pairs=chunk_pairs)
     assert got == sparse_pattern_max_by_isin(fm, n, chunk_pairs=chunk_pairs)
     if case == "dense rows":
         assert got["max_beta"] >= 5 * P / P**2  # a = 0 alone keeps the five full rows
@@ -758,7 +758,7 @@ def test_sparse_pattern_max_matches_isin_oracle_at_n3(case, chunk_pairs, seed):
 def test_support_pair_hits_match_pair_difference_oracle(n, size, lines, chunk_pairs, seed):
     # random supports, and with lines on, the product of a line in x and a
     # line in y (with noise), whose patterns hit along both lines; the whole
-    # histogram must agree, not only its max
+    # histogram must agree, not only its max, whatever the order of the points
     P = 5**n
     rng = np.random.default_rng(seed)
     fm = np.zeros(P * P, dtype=np.uint8)
@@ -768,7 +768,8 @@ def test_support_pair_hits_match_pair_difference_oracle(n, size, lines, chunk_pa
         digs = digit_table(5, n)
         line = lambda: (np.arange(5)[:, None] * digs[rng.integers(1, P)] + digs[rng.integers(P)]) % 5 @ 5 ** np.arange(n)
         fm[np.ix_(line(), line())] = 1
-    got = support_pair_hits(fm, n, chunk_pairs)
+    order = rng.permutation(int(fm.sum()))
+    got = support_pair_hits(*(axis[order] for axis in np.nonzero(fm)), n, chunk_pairs)
     want = support_pair_hits_by_pair_differences(fm, n, chunk_pairs)
     assert got.dtype == want.dtype and np.array_equal(got, want)
     assert got[0] == fm.sum()
@@ -776,9 +777,9 @@ def test_support_pair_hits_match_pair_difference_oracle(n, size, lines, chunk_pa
 
 def test_sparse_pattern_max_without_hits():
     fm = np.zeros((25, 25), dtype=np.uint8)
-    assert sparse_pattern_max(fm, 2) == {"max_beta": 0.0, "argmax": None, "support": 0}
+    assert sparse_pattern_max(*np.nonzero(fm), 2) == {"max_beta": 0.0, "argmax": None, "support": 0}
     fm[3, 7] = fm[4, 9] = 1  # two points, no full pattern through them
-    assert sparse_pattern_max(fm, 2) == {"max_beta": 0.0, "argmax": None, "support": 2}
+    assert sparse_pattern_max(*np.nonzero(fm), 2) == {"max_beta": 0.0, "argmax": None, "support": 2}
 
 
 def test_assembly_mean_matches_prediction():

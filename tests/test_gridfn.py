@@ -18,7 +18,6 @@ from popdiff.gridfn import (
     FLOAT,
     RATIONAL,
     GridFunction,
-    GridPoint,
     grid_decode,
     grid_encode,
     grid_size,
@@ -60,7 +59,6 @@ def test_encode_decode_bijection(shape, data):
     idx = data.draw(st.integers(0, grid_size(p, k, n) - 1))
     X = grid_decode(p, k, n, idx)
     assert grid_encode(X) == idx
-    assert GridPoint(X, n).index == idx
 
 
 @st.composite
@@ -104,16 +102,17 @@ def translate_cases(draw):
 @given(translate_cases(), st.integers(0, 2**32 - 1))
 @settings(max_examples=150, deadline=None)
 def test_translate_view_matches_roll_oracle(case, seed):
-    # a slice of the periodic extension, and the gather forced by guard 0,
-    # both equal np.roll; so do products with base
+    # one translate, a block of one shift: a window of the periodic extension,
+    # and the gather forced by guard 0, both equal np.roll; so do products with
+    # base. At m = 0 the block is a gather and builds no extension
     p, m, shift = case
     rng = np.random.default_rng(seed)
     vals = rng.random(p**m)
     expected = roll_translate(vals, p, m, [s % p for s in shift])
     for guard in (DEFAULT_GUARD, 0):
         tr = Translates(vals, p, m, guard)
-        got = tr.at(encode_index(p, shift))
-        assert (tr.ext is None) == (guard == 0)
+        got = tr.block([encode_index(p, shift)])[0]
+        assert (tr.ext is None) == (guard == 0 or m == 0)
         assert got.shape == (p**m,) and np.array_equal(got, expected)
         assert np.array_equal(tr.base * got, vals * expected)
 
@@ -121,12 +120,13 @@ def test_translate_view_matches_roll_oracle(case, seed):
 @given(st.data())
 @settings(max_examples=120, deadline=None)
 def test_row_table_matches_add_perm_oracle(data):
-    # one translate (at) and every row of a block of shifts (rows) is v
-    # gathered through add_perm, with the guard at the row table's size, at
-    # the periodic extension's, and one below each: a slice of the extension,
-    # a window of the table or the add_index gather. at alone never builds
-    # the table, and the table replaces the extension. On F_p^m for p in
-    # {3, 5, 7} and m in 0..4, and on Z_N, for every value dtype
+    # one translate (a block of one) and every row of a block of shifts (rows)
+    # is v gathered through add_perm, with the guard at the row table's size,
+    # at the periodic extension's, and one below each: a window of the
+    # extension, a window of the table or the add_index gather. block alone
+    # never builds the table, nor at m = 0 the extension, and the table
+    # replaces the extension. On F_p^m for p in {3, 5, 7} and m in 0..4, and
+    # on Z_N, for every value dtype
     if data.draw(st.booleans()):
         p, m = data.draw(st.integers(2, 300)), 1
     else:
@@ -142,8 +142,8 @@ def test_row_table_matches_add_perm_oracle(data):
     guard = data.draw(st.sampled_from((table_size, table_size - 1, ext_size, ext_size - 1)))
     tr = Translates(vals, p, m, guard)
     for s in indices:
-        assert np.array_equal(tr.at(s), vals[add_perm(p, m, decode_index(p, m, int(s)))])
-    assert tr.table is None and (tr.ext is not None) == (guard >= ext_size)
+        assert np.array_equal(tr.block([s])[0], vals[add_perm(p, m, decode_index(p, m, int(s)))])
+    assert tr.table is None and (tr.ext is not None) == (m > 0 and guard >= ext_size)
     rows = tr.rows(indices)
     assert (tr.table is None) == (guard < table_size)
     if tr.table is not None:
@@ -151,16 +151,17 @@ def test_row_table_matches_add_perm_oracle(data):
     assert rows.shape == (len(shifts), P) and rows.dtype == vals.dtype
     for s, row in zip(shifts, rows):
         assert np.array_equal(row, vals[add_perm(p, m, s)])
-        assert np.array_equal(tr.at(encode_index(p, s)), row)
+        assert np.array_equal(tr.block([encode_index(p, s)])[0], row)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 @pytest.mark.parametrize("m", [0, 1, 2, 3, 5])
 def test_block_gather_matches_stacked_translates(p, m):
     # a block of shifts is one fancy index into the windows of the periodic
-    # extension, equal to np.stack of at() over random, repeating, unordered
-    # index blocks; with the guard one below the extension's (2p - 1)^m points
-    # both take the add_index gather. No row table is built
+    # extension, equal to v gathered through add_perm for each shift of random,
+    # repeating, unordered index blocks; with the guard one below the
+    # extension's (2p - 1)^m points it is the add_index gather. No row table
+    # is built
     P, ext_size = p**m, (2 * p - 1) ** m
     rng = np.random.default_rng(100 * p + m)
     vals = rng.standard_normal(P) + 1j * rng.standard_normal(P)
@@ -170,7 +171,7 @@ def test_block_gather_matches_stacked_translates(p, m):
             idx = rng.integers(0, P, size)
             block = tr.block(idx)
             assert block.shape == (size, P) and block.dtype == vals.dtype
-            assert np.array_equal(block, np.stack([tr.at(h) for h in idx]))
+            assert np.array_equal(block, np.stack([vals[add_perm(p, m, decode_index(p, m, int(h)))] for h in idx]))
         assert tr.table is None
 
 

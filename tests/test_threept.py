@@ -67,7 +67,7 @@ def test_cyclic_group_matches_closed_forms(group, data):
     x = np.arange(N)
     s = data.draw(st.integers(0, N - 1))
     idx = np.array(data.draw(st.lists(st.integers(0, N - 1), min_size=1, max_size=20)))
-    assert np.array_equal(g.translates(x).at(s), (x + s) % N)
+    assert np.array_equal(g.translates(x).block([s])[0], (x + s) % N)
     for which, M in ((1, M1), (2, M2)):
         assert np.array_equal(g.apply(which, idx), (idx * M) % N)
         assert np.array_equal(g.char_compose_perm(which), (x * M) % N)
@@ -217,12 +217,9 @@ def test_derived_bohr_lipschitz_through_decomposition():
     B = bohr_set(g, dec.T, dec.gamma1)
     Bp = derived_bohr(B)
     C = max(dec.lipschitz_C, 2.0)
-    sup = 0.0
     tr = g.translates(dec.f1)
-    for r in Bp.members:
-        for which in (1, 2):
-            mr = int(g.apply(which, np.array([r]))[0])
-            sup = max(sup, float(np.max(np.abs(tr.at(mr) - tr.base))))
+    shifts = np.concatenate([g.apply(which, np.array(Bp.members)) for which in (1, 2)])
+    sup = float(np.max(np.abs(tr.block(shifts) - tr.base)))
     assert sup <= C * eps + 1e-9
 
 
